@@ -23,18 +23,17 @@
 //! The top-level [`sim::Accelerator`] compiles a converted
 //! [`snn_model::snn::SnnModel`] onto a configurable number of processing
 //! units ([`config::AcceleratorConfig`]), runs inference through the
-//! pipelined execution engine in [`exec`] (adjacent convolution → pooling
-//! stages overlap through bounded queues, drawing threads from the global
-//! [`snn_parallel::ThreadBudget`]), and produces a [`report::RunReport`]
-//! with the prediction, latency, energy, memory traffic and per-unit
-//! utilisation — the quantities reported in the paper's evaluation.  Deep
-//! models run within a fixed on-chip budget: with
-//! [`config::AcceleratorConfig::activation_buffer_bytes`] set, the
+//! layer loop in [`exec`] (data-parallel inside each unit, within the
+//! global [`snn_parallel::ThreadBudget`]), and produces a
+//! [`report::RunReport`] with the prediction, latency, energy, memory
+//! traffic and per-unit utilisation — the quantities reported in the
+//! paper's evaluation.  Deep models run within a fixed on-chip budget:
+//! with [`config::AcceleratorConfig::activation_buffer_bytes`] set, the
 //! [`memory`] tiling planner splits oversized layers into halo-aware row
 //! bands that stream through the buffer pair, which is how full-scale
-//! VGG-11 executes cycle-accurately (bit-identical to the untiled
-//! oracle).  For serving-scale traffic, [`serve::StreamServer`]
-//! micro-batches a bounded submission queue over the same engine.
+//! VGG-11 executes cycle-accurately (bit-identical to the untiled run).
+//! For serving-scale traffic, [`serve::StreamServer`] micro-batches a
+//! bounded submission queue over the same engine.
 //!
 //! # Example
 //!

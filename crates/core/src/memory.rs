@@ -22,7 +22,7 @@
 //! through the buffer pair in order.  The planner is halo-aware (a band's
 //! input rows include the `kernel - stride` rows shared with its
 //! neighbour), aligns convolution bands to a following pooling window so
-//! fused conv → pool pairs can stream tiles, and tiles fully-connected
+//! no pooling window straddles two bands, and tiles fully-connected
 //! layers into lane-aligned output chunks.  Budget accounting models the
 //! hardware representation: every activation element costs its `T`-bit
 //! radix code, so a tile of `e` elements occupies `ceil(e * T / 8)` bytes
@@ -422,8 +422,8 @@ fn conv_band(
 ///
 /// Layers whose full input + output already fit get `None` (untiled).
 /// Convolution bands are rounded down to a multiple of a directly
-/// following pooling layer's window when possible, so the fused
-/// conv → pool execution path can stream the bands.  Flatten is a pure
+/// following pooling layer's window when possible, so each band's output
+/// rows pool without reaching into the next band.  Flatten is a pure
 /// element-wise buffer transfer and never needs tiling.  Fully-connected
 /// layers keep the whole input vector resident and chunk their outputs in
 /// multiples of `linear_lanes`.
@@ -471,8 +471,8 @@ pub fn plan_network_tiles(
                         required_bytes: band_bytes(1),
                         budget_bytes,
                     })?;
-                // Align to a directly following pooling window so the
-                // fused pair can pool each band independently.
+                // Align to a directly following pooling window so each
+                // band can be pooled independently.
                 if let Some(LayerSpec::Pool { window, .. }) = net.layers().get(i + 1) {
                     if rows >= *window {
                         rows -= rows % *window;
@@ -714,7 +714,7 @@ mod tests {
     #[test]
     fn conv_bands_align_to_a_following_pool_window() {
         // VGG-11 conv1 feeds 2x2 max pooling: tile heights must be even
-        // so the fused pair can stream the bands.
+        // so no pooling window straddles two bands.
         let net = zoo::vgg11(10);
         let plan = plan_network_tiles(&net, 4, 8 * 1024, 32).unwrap();
         assert!(plan.is_tiled());

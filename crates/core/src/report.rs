@@ -27,8 +27,8 @@ pub struct LayerExecution {
 }
 
 /// Modelled busy/idle occupancy of one kind of processing unit over an
-/// inference, derived from the static schedule (so it is identical for the
-/// sequential and pipelined execution paths).
+/// inference, derived from the static schedule (so it does not depend on
+/// how the host executed the inference).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UnitUtilisation {
     /// Which processing stage the figure describes.
@@ -71,9 +71,9 @@ pub struct RunReport {
     /// Aggregate memory traffic.
     pub traffic: MemoryTraffic,
     /// Effective host thread budget the execution drew from (the global
-    /// [`snn_parallel::ThreadBudget`], shared by batch workers, channel
-    /// parallelism and pipeline stage threads) — **not** a per-call thread
-    /// count, so oversubscription regressions show up in bench output.
+    /// [`snn_parallel::ThreadBudget`], shared by batch workers and channel
+    /// parallelism) — **not** a per-call thread count, so oversubscription
+    /// regressions show up in bench output.
     pub thread_budget: usize,
     /// Modelled per-unit busy/idle occupancy over this inference.
     pub utilisation: Vec<UnitUtilisation>,

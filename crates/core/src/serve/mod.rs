@@ -15,15 +15,14 @@
 //! [`crate::sim::Accelerator`] call **regardless of the replica count**
 //! (pinned by property tests).
 //!
-//! All parallelism — batch workers, per-layer channel fan-out and pipeline
-//! stage threads — draws from the single global
-//! [`snn_parallel::ThreadBudget`], partitioned evenly between the
-//! replicas, so a server under heavy traffic cannot oversubscribe the
-//! host.  [`StreamServer::stats`] aggregates the per-replica counters
-//! (completed inferences, micro-batch sizes, wall-clock throughput,
-//! modelled per-unit utilisation) into one [`ServerStats`] view that also
-//! carries the per-replica slices; the end-to-end benchmark records these
-//! in `BENCH_serve.json`.
+//! All parallelism — batch workers and per-layer channel fan-out — draws
+//! from the single global [`snn_parallel::ThreadBudget`], partitioned
+//! evenly between the replicas, so a server under heavy traffic cannot
+//! oversubscribe the host.  [`StreamServer::stats`] aggregates the
+//! per-replica counters (completed inferences, micro-batch sizes,
+//! wall-clock throughput, modelled per-unit utilisation) into one
+//! [`ServerStats`] view that also carries the per-replica slices; the
+//! end-to-end benchmark records these in `BENCH_serve.json`.
 //!
 //! # Admission policy
 //!
@@ -80,7 +79,7 @@ pub use stats::{
 };
 
 use crate::config::AcceleratorConfig;
-use crate::exec::{utilisation_from_program, ExecOptions, ExecutionMode};
+use crate::exec::{utilisation_from_program, ExecutionMode};
 use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
@@ -107,11 +106,6 @@ pub struct ServerOptions {
     /// [`ExecutionMode::Transaction`] to serve the functional model with
     /// analytical timing only.
     pub mode: ExecutionMode,
-    /// Execution-engine options applied to every inference.  The engine's
-    /// [`ExecOptions::thread_cap`] is set per replica to its share of the
-    /// global thread budget; the value given here is used for compilation
-    /// and as the base the per-replica cap overlays.
-    pub exec: ExecOptions,
     /// Maximum undispatched submissions **each replica's** queue holds
     /// before it refuses placements; when every healthy replica is full,
     /// [`StreamServer::submit`] rejects with [`AccelError::QueueFull`]
@@ -157,7 +151,6 @@ impl Default for ServerOptions {
         ServerOptions {
             max_batch: 8,
             mode: ExecutionMode::CycleAccurate,
-            exec: ExecOptions::default(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_queue_wait: None,
             replicas: 1,
@@ -315,7 +308,7 @@ impl StreamServer {
                     .to_string(),
             });
         }
-        let accel = Accelerator::with_options(config, options.exec);
+        let accel = Accelerator::new(config);
         let program = accel.compile(&model)?;
         let engine = Arc::new(EngineShared {
             accel,

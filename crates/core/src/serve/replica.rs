@@ -20,7 +20,6 @@
 use super::stats::StatsAccum;
 use super::{CompletionSink, ServerOptions};
 use crate::compiler::Program;
-use crate::exec::ExecOptions;
 use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
@@ -178,10 +177,8 @@ pub(crate) struct ReplicaShared {
     /// settle exactly these submissions if the dispatcher dies mid-batch.
     pub(crate) in_flight: Mutex<Vec<Submission>>,
     pub(crate) started: Instant,
-    /// This replica's slice of the global thread budget: micro-batch
-    /// workers are capped at this many threads, and the per-call
-    /// [`ExecOptions::thread_cap`] passes the same cap down to the
-    /// execution engine's stage leases.
+    /// This replica's slice of the global thread budget: the `par_map`
+    /// over a micro-batch splits into at most this many pool tasks.
     pub(crate) thread_share: usize,
 }
 
@@ -270,10 +267,6 @@ pub(crate) fn run(shared: &Arc<ReplicaShared>) {
 fn dispatch_loop(shared: &ReplicaShared) {
     let engine = &shared.engine;
     let max_batch = engine.options.max_batch.max(1);
-    let exec = ExecOptions {
-        thread_cap: shared.thread_share,
-        ..engine.options.exec
-    };
     loop {
         // Collect the next micro-batch: everything queued, capped.
         let batch: Vec<Submission> = {
@@ -358,7 +351,6 @@ fn dispatch_loop(shared: &ReplicaShared) {
                     &engine.program,
                     &submission.input,
                     engine.options.mode,
-                    exec,
                 )
             })
             .unwrap_or_else(|message| Err(AccelError::EnginePanic { context: message }))

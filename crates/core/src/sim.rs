@@ -1,8 +1,8 @@
 //! Top-level accelerator simulator.
 //!
 //! [`Accelerator`] owns a configuration, compiles converted SNN models onto
-//! it and executes inferences through the pipelined execution engine in
-//! [`crate::exec`].  Two levels of detail are provided:
+//! it and executes inferences through the layer loop in [`crate::exec`].
+//! Two levels of detail are provided:
 //!
 //! * [`Accelerator::run`] — **unit-exact**: every layer is executed on the
 //!   bit-plane sparse processing-unit models
@@ -26,14 +26,6 @@
 //! [`Accelerator::run`] executes full-scale VGG-11 within a paper-scale
 //! on-chip budget, tile by tile, with an unchanged (bit-identical) report.
 //!
-//! By default both paths execute **pipelined**: adjacent convolution →
-//! pooling layers overlap through bounded stage queues, drawing stage
-//! threads from the global [`snn_parallel::ThreadBudget`].  The strictly
-//! sequential layer loop remains available as the verification oracle via
-//! [`Accelerator::run_sequential`] / [`Accelerator::run_fast_sequential`]
-//! (or `ExecOptions { pipeline: false, .. }`); property tests pin the
-//! pipelined reports bit-identical to it.
-//!
 //! Batches of independent inputs can be dispatched over the worker pool
 //! with [`Accelerator::run_batch`] / [`Accelerator::run_fast_batch`]; each
 //! input produces exactly the report a solo [`Accelerator::run`] would.
@@ -43,7 +35,7 @@
 use crate::compiler::{self, Program};
 use crate::config::AcceleratorConfig;
 use crate::cost;
-use crate::exec::{self, ExecOptions, ExecutionMode};
+use crate::exec::{self, ExecutionMode};
 use crate::report::{DesignReport, RunReport};
 use crate::timing;
 use crate::Result;
@@ -55,32 +47,17 @@ use snn_tensor::Tensor;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accelerator {
     config: AcceleratorConfig,
-    options: ExecOptions,
 }
 
 impl Accelerator {
-    /// Creates an accelerator with the given configuration and default
-    /// execution options (pipelining enabled).
+    /// Creates an accelerator with the given configuration.
     pub fn new(config: AcceleratorConfig) -> Self {
-        Accelerator {
-            config,
-            options: ExecOptions::default(),
-        }
-    }
-
-    /// Creates an accelerator with explicit execution options.
-    pub fn with_options(config: AcceleratorConfig, options: ExecOptions) -> Self {
-        Accelerator { config, options }
+        Accelerator { config }
     }
 
     /// The configuration.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config
-    }
-
-    /// The execution options.
-    pub fn options(&self) -> ExecOptions {
-        self.options
     }
 
     /// Compiles a model onto this accelerator.
@@ -110,8 +87,7 @@ impl Accelerator {
         })
     }
 
-    /// Runs one inference unit-exactly on the processing-unit models,
-    /// pipelining adjacent stages where the thread budget allows.
+    /// Runs one inference unit-exactly on the processing-unit models.
     ///
     /// # Errors
     ///
@@ -119,13 +95,7 @@ impl Accelerator {
     /// configuration or the input shape does not match the network.
     pub fn run(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
         let program = self.compile(model)?;
-        self.execute_compiled(
-            model,
-            &program,
-            input,
-            ExecutionMode::CycleAccurate,
-            self.options,
-        )
+        self.execute_compiled(model, &program, input, ExecutionMode::CycleAccurate)
     }
 
     /// Runs one inference at transaction level: functional values plus the
@@ -137,48 +107,28 @@ impl Accelerator {
     /// configuration or the input shape does not match the network.
     pub fn run_fast(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
         let program = self.compile(model)?;
-        self.execute_compiled(
-            model,
-            &program,
-            input,
-            ExecutionMode::Transaction,
-            self.options,
-        )
+        self.execute_compiled(model, &program, input, ExecutionMode::Transaction)
     }
 
-    /// The strictly sequential layer loop — the verification oracle the
-    /// pipelined [`Accelerator::run`] is pinned bit-identical to.
+    /// Delegates to [`Accelerator::run`].  The name exists only because
+    /// the frozen `benchmark/` package calls it; use [`Accelerator::run`].
     ///
     /// # Errors
     ///
     /// See [`Accelerator::run`].
     pub fn run_sequential(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        let program = self.compile(model)?;
-        let options = ExecOptions {
-            pipeline: false,
-            ..self.options
-        };
-        self.execute_compiled(
-            model,
-            &program,
-            input,
-            ExecutionMode::CycleAccurate,
-            options,
-        )
+        self.run(model, input)
     }
 
-    /// Sequential oracle for [`Accelerator::run_fast`].
+    /// Delegates to [`Accelerator::run_fast`].  The name exists only
+    /// because the frozen `benchmark/` package calls it; use
+    /// [`Accelerator::run_fast`].
     ///
     /// # Errors
     ///
     /// See [`Accelerator::run_fast`].
     pub fn run_fast_sequential(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        let program = self.compile(model)?;
-        let options = ExecOptions {
-            pipeline: false,
-            ..self.options
-        };
-        self.execute_compiled(model, &program, input, ExecutionMode::Transaction, options)
+        self.run_fast(model, input)
     }
 
     /// Runs one inference per input, unit-exact, spreading the batch over
@@ -216,11 +166,10 @@ impl Accelerator {
         let program = self.compile(model)?;
         // Batch workers and per-layer channel parallelism all draw from the
         // same global budget — the pool bounds their combined concurrency,
-        // so batch x channels no longer multiplies thread counts (pipeline
-        // stage threads add at most budget - 1 more via leases).
+        // so batch x channels does not multiply thread counts.
         let threads = snn_parallel::budget().total().min(inputs.len().max(1));
         snn_parallel::par_map(inputs, threads, |_, input| {
-            self.execute_compiled(model, &program, input, mode, self.options)
+            self.execute_compiled(model, &program, input, mode)
         })
         .into_iter()
         .collect()
@@ -234,10 +183,9 @@ impl Accelerator {
         program: &Program,
         input: &Tensor<f32>,
         mode: ExecutionMode,
-        options: ExecOptions,
     ) -> Result<RunReport> {
         let levels = model.encode_input(input)?;
-        exec::execute(&self.config, model, program, levels, mode, options)
+        exec::execute(&self.config, model, program, levels, mode)
     }
 }
 
@@ -295,26 +243,6 @@ mod tests {
             let fast = accel.run_fast(&model, input).unwrap();
             assert_eq!(detailed.logits, fast.logits);
             assert_eq!(detailed.total_cycles(), fast.total_cycles());
-        }
-    }
-
-    #[test]
-    fn pipelined_and_sequential_paths_are_bit_identical() {
-        // Force channel grouping so the fused conv -> pool pair actually
-        // pipelines (one narrow unit -> several sequential groups).
-        let (model, inputs) = tiny_setup(4);
-        let config = AcceleratorConfig {
-            conv_units: 1,
-            ..AcceleratorConfig::default()
-        };
-        let accel = Accelerator::new(config);
-        for input in &inputs {
-            let pipelined = accel.run(&model, input).unwrap();
-            let sequential = accel.run_sequential(&model, input).unwrap();
-            assert_eq!(pipelined, sequential);
-            let fast = accel.run_fast(&model, input).unwrap();
-            let fast_sequential = accel.run_fast_sequential(&model, input).unwrap();
-            assert_eq!(fast, fast_sequential);
         }
     }
 

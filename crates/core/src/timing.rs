@@ -116,9 +116,9 @@ pub fn channels_per_conv_unit(config: &AcceleratorConfig, w_out: usize) -> usize
 /// the **unit occupancy**: during the straggler pass only
 /// `ceil(straggler_channels / channels_per_unit)` units compute and the
 /// rest idle, which [`ConvGroupPlan::busy_unit_cycles`] and
-/// [`ConvGroupPlan::unit_utilisation`] now model.  This is what makes the
-/// pipelined executor's per-unit utilisation reports honest at uneven
-/// splits.
+/// [`ConvGroupPlan::unit_utilisation`] now model.  Its one consumer is
+/// [`crate::exec::utilisation_from_program`], whose per-unit utilisation
+/// reports it keeps honest at uneven splits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConvGroupPlan {
     /// Number of convolution units instantiated.

@@ -1,13 +1,14 @@
-//! Property tests pinning the pipelined execution engine and the streaming
-//! batch server **bit-identical** to the strictly sequential oracle:
-//! accumulators (logits), per-layer `UnitStats`, memory traffic and the
-//! complete `RunReport` must match across random network shapes, strides,
-//! paddings, spike-train lengths, accelerator geometries and batch sizes —
-//! including batch = 1 and an all-silent input.
+//! Property tests pinning the execution engine's two modes to each other
+//! and to the functional model, and the batch and streaming-server paths
+//! **bit-identical** to a solo `Accelerator::run` / `run_fast`: logits,
+//! per-layer `UnitStats`, memory traffic and the complete `RunReport` must
+//! match across random network shapes, strides, paddings, spike-train
+//! lengths, accelerator geometries and batch sizes — including batch = 1
+//! and an all-silent input.
 
 use proptest::prelude::*;
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
-use snn_accel::exec::{ExecOptions, ExecutionMode};
+use snn_accel::exec::ExecutionMode;
 use snn_accel::serve::{ServerOptions, StreamServer};
 use snn_accel::sim::Accelerator;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
@@ -34,9 +35,8 @@ struct ScenarioParams {
 
 /// Builds a random small network, converts it, and derives an accelerator
 /// configuration whose narrow geometry forces several sequential channel
-/// groups — the regime where the fused conv → pool pipeline actually
-/// overlaps.  Returns `None` for dimension combinations that do not form a
-/// valid network.
+/// groups (straggler group included).  Returns `None` for dimension
+/// combinations that do not form a valid network.
 fn build_scenario(p: ScenarioParams) -> Option<(SnnModel, Vec<Tensor<f32>>, AcceleratorConfig)> {
     let padded = p.size + 2 * p.padding;
     if p.kernel > padded {
@@ -98,9 +98,9 @@ fn build_scenario(p: ScenarioParams) -> Option<(SnnModel, Vec<Tensor<f32>>, Acce
     Some((model, inputs, config))
 }
 
-/// Guards the generators: typical draws must produce a real scenario, and
-/// the narrow geometry must force several channel groups so the fused
-/// pipeline genuinely runs (not just its sequential fallback).
+/// Guards the generators: typical draws must produce a real scenario, the
+/// narrow geometry must force several channel groups, and in that conv →
+/// pool regime the unit-exact run must reproduce the functional model.
 #[test]
 fn typical_scenarios_build_and_pipeline() {
     let (model, inputs, config) = build_scenario(ScenarioParams {
@@ -126,17 +126,18 @@ fn typical_scenarios_build_and_pipeline() {
         "narrow geometry must force sequential channel groups"
     );
     let report = accel.run(&model, &inputs[0]).unwrap();
-    assert_eq!(report, accel.run_sequential(&model, &inputs[0]).unwrap());
+    let trace = model.forward(&inputs[0]).unwrap();
+    assert_eq!(report.logits, trace.logits().as_slice());
+    assert_eq!(report.prediction, trace.predicted_class());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The pipelined executor (stage overlap through bounded queues) and
-    /// the sequential oracle produce identical `RunReport`s in both
-    /// execution modes, for any queue depth.
+    /// Unit-exact and transaction-level execution agree with each other
+    /// and with the functional model: same logits, same modelled latency.
     #[test]
-    fn pipelined_run_matches_sequential_oracle(
+    fn unit_exact_and_transaction_runs_agree(
         c_in in 1usize..3,
         c_out in 1usize..8,
         size in 5usize..10,
@@ -146,7 +147,6 @@ proptest! {
         time_steps in 1usize..6,
         conv_units in 1usize..3,
         columns in 2usize..6,
-        queue_capacity in 1usize..4,
         seed in 0u64..1000,
     ) {
         let Some((model, inputs, config)) = build_scenario(ScenarioParams {
@@ -154,25 +154,17 @@ proptest! {
             with_pool: true, time_steps, conv_units, columns,
             batch: 1, seed,
         }) else { return Ok(()) };
-        let accel = Accelerator::with_options(config, ExecOptions {
-            pipeline: true,
-            queue_capacity,
-            ..ExecOptions::default()
-        });
-        let pipelined = accel.run(&model, &inputs[0]).unwrap();
-        let sequential = accel.run_sequential(&model, &inputs[0]).unwrap();
-        prop_assert_eq!(&pipelined, &sequential);
+        let accel = Accelerator::new(config);
+        let unit_exact = accel.run(&model, &inputs[0]).unwrap();
         let fast = accel.run_fast(&model, &inputs[0]).unwrap();
-        let fast_sequential = accel.run_fast_sequential(&model, &inputs[0]).unwrap();
-        prop_assert_eq!(&fast, &fast_sequential);
-        // Cross-mode agreement: same logits, same modelled latency.
-        prop_assert_eq!(&pipelined.logits, &fast.logits);
-        prop_assert_eq!(pipelined.total_cycles(), fast.total_cycles());
+        prop_assert_eq!(&unit_exact.logits, &fast.logits);
+        prop_assert_eq!(unit_exact.total_cycles(), fast.total_cycles());
+        let trace = model.forward(&inputs[0]).unwrap();
+        prop_assert_eq!(unit_exact.logits.as_slice(), trace.logits().as_slice());
     }
 
     /// Batch execution over the shared worker pool returns, per input,
-    /// exactly the report of a solo sequential run — for batch sizes
-    /// including one.
+    /// exactly the report of a solo run — for batch sizes including one.
     #[test]
     fn batch_reports_match_solo_sequential_runs(
         c_out in 1usize..6,
@@ -192,18 +184,18 @@ proptest! {
         let reports = accel.run_batch(&model, &inputs).unwrap();
         prop_assert_eq!(reports.len(), inputs.len());
         for (report, input) in reports.iter().zip(&inputs) {
-            let solo = accel.run_sequential(&model, input).unwrap();
+            let solo = accel.run(&model, input).unwrap();
             prop_assert_eq!(report, &solo);
         }
         let fast = accel.run_fast_batch(&model, &inputs).unwrap();
         for (report, input) in fast.iter().zip(&inputs) {
-            let solo = accel.run_fast_sequential(&model, input).unwrap();
+            let solo = accel.run_fast(&model, input).unwrap();
             prop_assert_eq!(report, &solo);
         }
     }
 
     /// Every report the streaming server hands back is bit-identical to
-    /// the sequential oracle of its serving mode, for any micro-batch cap.
+    /// the solo run of its serving mode, for any micro-batch cap.
     #[test]
     fn stream_server_matches_sequential_oracle(
         c_out in 1usize..6,
@@ -237,16 +229,16 @@ proptest! {
         let accel = Accelerator::new(config);
         for (report, input) in served.iter().zip(&inputs) {
             let solo = match mode {
-                ExecutionMode::CycleAccurate => accel.run_sequential(&model, input).unwrap(),
-                ExecutionMode::Transaction => accel.run_fast_sequential(&model, input).unwrap(),
+                ExecutionMode::CycleAccurate => accel.run(&model, input).unwrap(),
+                ExecutionMode::Transaction => accel.run_fast(&model, input).unwrap(),
             };
             prop_assert_eq!(report, &solo);
         }
     }
 
     /// An all-silent input exercises the engine's word-level skip paths:
-    /// the pipelined and served reports still match the oracle exactly and
-    /// the processing units perform no data-dependent work.
+    /// the served report still matches the solo run exactly and the
+    /// processing units perform no data-dependent work.
     #[test]
     fn all_silent_input_is_bit_identical_and_workless(
         c_out in 1usize..6,
@@ -262,16 +254,14 @@ proptest! {
         }) else { return Ok(()) };
         let silent = Tensor::filled(vec![1, size, size], 0.0f32);
         let accel = Accelerator::new(config);
-        let pipelined = accel.run(&model, &silent).unwrap();
-        let sequential = accel.run_sequential(&model, &silent).unwrap();
-        prop_assert_eq!(&pipelined, &sequential);
+        let solo = accel.run(&model, &silent).unwrap();
         // The first convolution sees no spikes at all.
-        prop_assert_eq!(pipelined.layers[0].work.adder_ops, 0);
+        prop_assert_eq!(solo.layers[0].work.adder_ops, 0);
         // Cycles are still consumed: the schedule is input-independent.
-        prop_assert!(pipelined.layers[0].work.cycles > 0);
+        prop_assert!(solo.layers[0].work.cycles > 0);
 
         let server = StreamServer::start(config, model.clone()).unwrap();
         let served = server.run_all(std::slice::from_ref(&silent)).unwrap();
-        prop_assert_eq!(&served[0], &sequential);
+        prop_assert_eq!(&served[0], &solo);
     }
 }

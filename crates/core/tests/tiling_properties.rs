@@ -5,7 +5,7 @@
 //! working set exceeds the budget executes in row-band tiles (lane-aligned
 //! output chunks for fully-connected layers), and the resulting
 //! [`RunReport`] — accumulators, per-layer `UnitStats`, traffic and
-//! utilisation — is **bit-identical** to the untiled sequential oracle.
+//! utilisation — is **bit-identical** to the untiled run.
 //! The edge cases the planner must survive: tile heights smaller than the
 //! kernel halo, strides crossing tile boundaries, budgets too small for a
 //! single row (a typed error at compile time), and batched execution.
@@ -66,11 +66,8 @@ fn tiled_run_is_bit_identical_to_the_untiled_sequential_oracle() {
         let untiled = Accelerator::new(AcceleratorConfig::default());
         for input in &inputs {
             let tiled_report = tiled.run(&model, input).unwrap();
-            let oracle = untiled.run_sequential(&model, input).unwrap();
+            let oracle = untiled.run(&model, input).unwrap();
             assert_eq!(tiled_report, oracle, "budget={budget}");
-            // The tiled sequential path agrees too (no fused streaming).
-            let tiled_sequential = tiled.run_sequential(&model, input).unwrap();
-            assert_eq!(tiled_sequential, oracle, "budget={budget}");
             // Transaction level ignores tiling but must stay consistent.
             let fast = tiled.run_fast(&model, input).unwrap();
             assert_eq!(fast.logits, oracle.logits, "budget={budget}");
@@ -81,7 +78,7 @@ fn tiled_run_is_bit_identical_to_the_untiled_sequential_oracle() {
 
 #[test]
 fn tiled_fused_pair_streams_row_bands() {
-    let (model, inputs) = tiny_setup(4);
+    let (model, _) = tiny_setup(4);
     let config = tiled_config(128);
     let program = Accelerator::new(config).compile(&model).unwrap();
     // The conv layer must actually be tiled into pool-aligned bands …
@@ -97,21 +94,13 @@ fn tiled_fused_pair_streams_row_bands() {
     }
     // … and the pooling layer too (it exceeds the budget on its own).
     assert!(program.steps[1].tiling.is_some());
-    // Pipelined (fused, band-streaming) equals the sequential tiled path.
-    let accel = Accelerator::new(config);
-    for input in &inputs {
-        let pipelined = accel.run(&model, input).unwrap();
-        let sequential = accel.run_sequential(&model, input).unwrap();
-        assert_eq!(pipelined, sequential);
-    }
 }
 
 #[test]
 fn untiled_conv_feeding_a_tiled_pool_respects_the_budget_model() {
-    // The conv fits untiled but its pooling consumer does not: the fused
-    // path must not stream whole-height channel groups (a working set the
-    // tile plan ruled out), so the pair falls back to the sequential
-    // tiled stages — still bit-identical to the oracle.
+    // The conv fits untiled but its pooling consumer does not: a whole
+    // conv output feeding row-band pooling is still bit-identical to the
+    // untiled run.
     let net = NetworkSpec::new(
         "wide-conv-pool",
         vec![1, 12, 12],
@@ -140,7 +129,7 @@ fn untiled_conv_feeding_a_tiled_pool_respects_the_budget_model() {
     let untiled = Accelerator::new(AcceleratorConfig::default());
     for input in &inputs {
         let report = tiled.run(&model, input).unwrap();
-        let oracle = untiled.run_sequential(&model, input).unwrap();
+        let oracle = untiled.run(&model, input).unwrap();
         assert_eq!(report, oracle);
     }
 }
@@ -185,7 +174,7 @@ fn strides_crossing_tile_boundaries_do_not_change_results() {
     assert!(bands.len() > 1);
     for input in &inputs {
         let tiled_report = tiled.run(&model, input).unwrap();
-        let oracle = untiled.run_sequential(&model, input).unwrap();
+        let oracle = untiled.run(&model, input).unwrap();
         assert_eq!(tiled_report, oracle);
     }
 }
@@ -247,7 +236,7 @@ fn tiled_batches_match_solo_runs_and_the_oracle() {
     assert_eq!(batch.len(), inputs.len());
     for (report, input) in batch.iter().zip(&inputs) {
         assert_eq!(report, &tiled.run(&model, input).unwrap());
-        assert_eq!(report, &untiled.run_sequential(&model, input).unwrap());
+        assert_eq!(report, &untiled.run(&model, input).unwrap());
     }
 }
 
@@ -283,13 +272,13 @@ fn vgg11_full_scale_runs_cycle_accurately_under_a_tiled_budget() {
     let trace = model.forward(&input).unwrap();
     assert_eq!(report.logits, trace.logits().as_slice());
     assert_eq!(report.prediction, trace.predicted_class());
-    // … and the untiled sequential engine for the full report (the host
+    // … and the untiled engine for the full report (the host
     // has memory to spare; the modelled chip does not).
     let untiled = Accelerator::new(AcceleratorConfig {
         activation_buffer_bytes: None,
         ..config
     });
-    let oracle = untiled.run_sequential(&model, &input).unwrap();
+    let oracle = untiled.run(&model, &input).unwrap();
     assert_eq!(report, oracle);
     assert!(report.total_work().adder_ops > 0);
 }
