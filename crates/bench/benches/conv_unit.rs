@@ -1,10 +1,11 @@
 //! Criterion micro-benchmarks for the processing-unit simulators.
 //!
 //! These benches measure the *simulator's* throughput (host-side), which is
-//! what matters when sweeping design points: the bit-plane sparse
-//! convolution engine versus the retained counter-stepped scalar reference
-//! and the functional integer reference, plus the pooling and linear units
-//! on LeNet-5-shaped layers.
+//! what matters when sweeping design points: the spike-major convolution
+//! engine (run the way the executor runs it, from weights packed once)
+//! versus the retained counter-stepped scalar reference and the functional
+//! integer reference, plus the pooling and linear units on LeNet-5-shaped
+//! layers.
 //!
 //! Besides the usual console output, the harness writes a machine-readable
 //! `BENCH_conv.json` summary to the workspace root with the
@@ -14,13 +15,14 @@
 //! the perf trajectory of the hot path is tracked PR over PR.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use snn_accel::config::{AcceleratorConfig, ArrayGeometry, DEFAULT_DENSE_GATHER_THRESHOLD};
+use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
 use snn_accel::conv::ConvolutionUnit;
 use snn_accel::linear::LinearUnit;
 use snn_accel::memory::RowBand;
 use snn_accel::pool::PoolingUnit;
 use snn_accel::reference::ReferenceConvolutionUnit;
 use snn_model::layer::PoolKind;
+use snn_model::packed::PackedWeights;
 use snn_tensor::simd::{self, scalar};
 use snn_tensor::{bitplane, ops, Tensor};
 use std::hint::black_box;
@@ -48,17 +50,16 @@ const LENET_GEOMETRY: ArrayGeometry = ArrayGeometry {
 
 fn bench_conv_unit(c: &mut Criterion) {
     let (input, kernel, bias) = lenet_conv2_inputs();
+    let packed = PackedWeights::from_conv(&kernel).expect("packed kernels");
     let mut group = c.benchmark_group("conv_unit");
     for &time_steps in &[3usize, 6] {
-        group.bench_with_input(
-            BenchmarkId::new("bitplane_sparse", time_steps),
-            &time_steps,
-            |b, &t| {
-                let unit = ConvolutionUnit::new(LENET_GEOMETRY);
+        for (id, product_sparsity) in [("bitplane_sparse", false), ("bitplane_sparse_ps", true)] {
+            group.bench_with_input(BenchmarkId::new(id, time_steps), &time_steps, |b, &t| {
+                let unit = ConvolutionUnit::with_product_sparsity(LENET_GEOMETRY, product_sparsity);
                 b.iter(|| {
-                    unit.run_layer(
+                    unit.run_packed(
                         black_box(&input),
-                        black_box(&kernel),
+                        black_box(&packed),
                         black_box(&bias),
                         t,
                         1,
@@ -66,30 +67,8 @@ fn bench_conv_unit(c: &mut Criterion) {
                     )
                     .expect("conv unit run")
                 });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("bitplane_sparse_ps", time_steps),
-            &time_steps,
-            |b, &t| {
-                let unit = ConvolutionUnit::with_options(
-                    LENET_GEOMETRY,
-                    DEFAULT_DENSE_GATHER_THRESHOLD,
-                    true,
-                );
-                b.iter(|| {
-                    unit.run_layer(
-                        black_box(&input),
-                        black_box(&kernel),
-                        black_box(&bias),
-                        t,
-                        1,
-                        0,
-                    )
-                    .expect("product-sparsity conv unit run")
-                });
-            },
-        );
+            });
+        }
         group.bench_with_input(
             BenchmarkId::new("scalar_reference", time_steps),
             &time_steps,
@@ -136,6 +115,7 @@ fn bench_tiled_conv(c: &mut Criterion) {
     )
     .expect("kernel tensor");
     let bias = Tensor::filled(vec![co], 0i64);
+    let packed = PackedWeights::from_conv(&kernel).expect("packed kernels");
     let unit = ConvolutionUnit::new(ArrayGeometry {
         columns: 32,
         rows: 3,
@@ -143,7 +123,7 @@ fn bench_tiled_conv(c: &mut Criterion) {
     let mut group = c.benchmark_group("conv_unit_tiled");
     group.bench_function("vgg_conv2_untiled", |b| {
         b.iter(|| {
-            unit.run_layer(black_box(&input), black_box(&kernel), &bias, t, 1, 1)
+            unit.run_packed(black_box(&input), black_box(&packed), &bias, t, 1, 1)
                 .expect("untiled run")
         });
     });
@@ -167,7 +147,7 @@ fn bench_tiled_conv(c: &mut Criterion) {
                 let band_input =
                     Tensor::from_vec(vec![ci, band.in_rows(), w], data).expect("band tensor");
                 let result = unit
-                    .run_layer_band(black_box(&band_input), &kernel, &bias, t, 1, 1, &band)
+                    .run_packed_band(black_box(&band_input), &packed, &bias, t, 1, 1, &band)
                     .expect("banded run");
                 adder_ops += result.stats.adder_ops;
             }
@@ -177,7 +157,7 @@ fn bench_tiled_conv(c: &mut Criterion) {
     group.finish();
 }
 
-/// The four word-level kernels the bit-plane engine dispatches through
+/// The word-level kernels the engine dispatches through
 /// `snn_tensor::simd`, each measured on its dispatched path (AVX2/SSE2 on
 /// this host unless `SNN_SIMD` lowers it) and on the always-compiled
 /// scalar oracle — so `BENCH_conv.json` records the simd-on vs simd-off
@@ -199,7 +179,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let levels: Vec<i64> = (0..WORDS * 64)
         .map(|i| ((i as u64).wrapping_mul(2654435761) % 16) as i64)
         .collect();
-    let row: Vec<i64> = (0..4096).map(|i| ((i * 37) % 256) as i64 - 128).collect();
+    let row: Vec<i16> = (0..4096).map(|i| ((i * 37) % 256) as i16 - 128).collect();
     let mask = bitplane::level_mask(4);
 
     let mut group = c.benchmark_group("simd_kernels");
@@ -253,19 +233,19 @@ fn bench_simd_kernels(c: &mut Criterion) {
         });
     });
     group.bench_function(
-        &format!("dense_gather/{}", simd::active_level().name()),
+        &format!("weight_axpy/{}", simd::active_level().name()),
         |b| {
             let mut out = vec![0i64; row.len()];
             b.iter(|| {
-                simd::axpy_i64(&mut out, black_box(&row), black_box(3));
+                simd::axpy_i16(&mut out, black_box(&row), black_box(3));
                 out[0]
             });
         },
     );
-    group.bench_function("dense_gather/scalar", |b| {
+    group.bench_function("weight_axpy/scalar", |b| {
         let mut out = vec![0i64; row.len()];
         b.iter(|| {
-            scalar::axpy_i64(&mut out, black_box(&row), black_box(3));
+            scalar::axpy_i16(&mut out, black_box(&row), black_box(3));
             out[0]
         });
     });
@@ -319,11 +299,12 @@ fn bench_linear_unit(c: &mut Criterion) {
     )
     .expect("weight tensor");
     let bias = Tensor::filled(vec![120], 0i64);
+    let packed = PackedWeights::from_linear(&weight).expect("packed weights");
     let config = AcceleratorConfig::default();
     let unit = LinearUnit::new(config.linear_lanes);
     c.bench_function("linear_unit/120x120_T4", |b| {
         b.iter(|| {
-            unit.run_layer(black_box(&input), black_box(&weight), black_box(&bias), 4)
+            unit.run_packed(black_box(&input), black_box(&packed), black_box(&bias), 4)
                 .expect("linear unit run")
         });
     });
@@ -360,13 +341,12 @@ fn main() {
         // Product sparsity optimises the *modelled* adder activations (the
         // paper-facing quantity), not host wall-clock — record the adder-op
         // reduction it achieves on the same workload.  The wall-clock cost
-        // of the prepass is visible in the `bitplane_sparse_ps` entries.
-        let ps_ops =
-            ConvolutionUnit::with_options(LENET_GEOMETRY, DEFAULT_DENSE_GATHER_THRESHOLD, true)
-                .run_layer(&ps_input, &ps_kernel, &ps_bias, t, 1, 0)
-                .expect("ps stats run")
-                .stats
-                .adder_ops;
+        // of the accounting is visible in the `bitplane_sparse_ps` entries.
+        let ps_ops = ConvolutionUnit::with_product_sparsity(LENET_GEOMETRY, true)
+            .run_layer(&ps_input, &ps_kernel, &ps_bias, t, 1, 0)
+            .expect("ps stats run")
+            .stats
+            .adder_ops;
         let plain_ops = ConvolutionUnit::new(LENET_GEOMETRY)
             .run_layer(&ps_input, &ps_kernel, &ps_bias, t, 1, 0)
             .expect("plain stats run")
@@ -403,7 +383,7 @@ fn main() {
             "bit_walk".to_string(),
             "byte_lut".to_string(),
         ),
-        ("dense_gather", level.to_string(), "scalar".to_string()),
+        ("weight_axpy", level.to_string(), "scalar".to_string()),
         ("pack_occupancy", level.to_string(), "scalar".to_string()),
     ] {
         let fast = criterion

@@ -76,20 +76,20 @@ pub struct AcceleratorConfig {
     pub memory: MemoryOption,
     /// DRAM bus width in bits (only relevant with [`MemoryOption::Dram`]).
     pub dram_bus_bits: usize,
-    /// Spike density (spiking pixels per output-row width) at or above
-    /// which the sparse convolution engine switches a row from the sparse
-    /// scatter to the padded dense-row gather.  The choice never changes
-    /// results — both paths add exactly the same terms — only host-side
-    /// throughput, so hosts can calibrate it (e.g. with the criterion
-    /// harness) without a rebuild.  The default of 0.5 reproduces the
-    /// engine's original fixed `2 * nnz >= w_out` rule.
+    /// **Ignored.**  Used to select between a sparse-scatter and a
+    /// dense-gather row kernel; the spike-major engine has one kernel and
+    /// nothing reads this field (it is not validated either).  It survives
+    /// only because the frozen `benchmark/` package names it, and goes with
+    /// [`crate::conv::ConvolutionUnit::with_threshold`] in the next
+    /// benchmark PR.
     pub dense_gather_threshold: f64,
-    /// Enable the **product-sparsity** prepass in the convolution engine
+    /// Enable the **product-sparsity** accounting in the convolution unit
     /// (after Prosperity, HPCA 2025): within each input channel of a band,
     /// rows whose spike pattern contains another row's pattern (with equal
-    /// levels on the shared support) reuse that row's per-tap partial sums
-    /// and only add the difference bits.  Accumulators are bit-identical
-    /// either way; `adder_ops` shrinks to mirror the reused work and
+    /// levels on the shared support) are counted as reusing that row's
+    /// per-tap partial sums and only adding the difference bits.  The
+    /// host computes the accumulators the same way either way, so they are
+    /// bit-identical; `adder_ops` shrinks to mirror the reused work and
     /// [`crate::units::UnitStats::reused_partials`] /
     /// [`crate::units::UnitStats::difference_bits`] report the reuse.  The
     /// schedule counters (`cycles`, reads, writes) keep the baseline
@@ -129,16 +129,12 @@ impl Default for AcceleratorConfig {
             accumulator_bits: 16,
             memory: MemoryOption::OnChip,
             dram_bus_bits: 64,
-            dense_gather_threshold: DEFAULT_DENSE_GATHER_THRESHOLD,
+            dense_gather_threshold: 0.5,
             product_sparsity: false,
             activation_buffer_bytes: None,
         }
     }
 }
-
-/// Default [`AcceleratorConfig::dense_gather_threshold`]: the engine's
-/// original fixed `2 * nnz >= w_out` rule.
-pub const DEFAULT_DENSE_GATHER_THRESHOLD: f64 = 0.5;
 
 impl AcceleratorConfig {
     /// The configuration used for the LeNet-5 experiments in Sections IV-B
@@ -195,7 +191,7 @@ impl AcceleratorConfig {
             accumulator_bits: 18,
             memory: MemoryOption::Dram,
             dram_bus_bits: 64,
-            dense_gather_threshold: DEFAULT_DENSE_GATHER_THRESHOLD,
+            dense_gather_threshold: 0.5,
             product_sparsity: false,
             activation_buffer_bytes: None,
         }
@@ -242,14 +238,6 @@ impl AcceleratorConfig {
         if self.dram_bus_bits == 0 {
             return Err(AccelError::InvalidConfig {
                 context: "DRAM bus width must be non-zero".to_string(),
-            });
-        }
-        if !self.dense_gather_threshold.is_finite() || self.dense_gather_threshold < 0.0 {
-            return Err(AccelError::InvalidConfig {
-                context: format!(
-                    "dense gather threshold {} must be a finite non-negative density",
-                    self.dense_gather_threshold
-                ),
             });
         }
         if self.activation_buffer_bytes == Some(0) {
@@ -322,14 +310,6 @@ mod tests {
                     columns: 0,
                     rows: 5,
                 },
-                ..AcceleratorConfig::default()
-            },
-            AcceleratorConfig {
-                dense_gather_threshold: f64::NAN,
-                ..AcceleratorConfig::default()
-            },
-            AcceleratorConfig {
-                dense_gather_threshold: -0.25,
                 ..AcceleratorConfig::default()
             },
         ];

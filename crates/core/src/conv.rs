@@ -11,46 +11,54 @@
 //! stream from adder row to adder row; after `Kr` rows every column holds a
 //! complete kernel-window sum, which the output logic accumulates over
 //! input channels and — with a left shift per time step — over the radix
-//! time steps (Alg. 1, line 12).
+//! time steps (Alg. 1, line 12).  Several units run side by side on
+//! *different output channels* of the same input row.
 //!
-//! # Bit-plane sparse execution model
+//! # Spike-major execution model
 //!
-//! [`ConvolutionUnit::run_layer`] no longer steps that schedule cycle by
-//! cycle.  It computes the *same* accumulators and the *same*
-//! [`UnitStats`] two orders faster by splitting the work the schedule
-//! interleaves:
+//! The engine does not step that schedule cycle by cycle.  It computes the
+//! *same* accumulators and the *same* [`UnitStats`] by splitting the work
+//! the schedule interleaves:
 //!
-//! * **Compute** — conceptually the input levels are per-time-step binary
-//!   planes of `u64` row words ([`snn_tensor::bitplane::BitPlanes`]).  By
-//!   the radix shift-and-add identity, folding plane `t` with a left shift
-//!   per step is algebraically identical to weighting each spiking pixel
-//!   by its masked level (`level & level_mask(T)`), so the engine walks
-//!   the OR-reduction of the planes (the occupancy mask, built directly in
-//!   one pass by [`snn_tensor::bitplane::Occupancy::from_levels`]),
-//!   skipping silent rows 64 pixels per word comparison, and scatters
-//!   `kernel_value * level` into the output window of each spiking pixel.
-//!   Plain `i64` arithmetic is commutative and wraps identically in any
-//!   order, so the result is bit-identical to the cycle-stepped
-//!   reference — including for out-of-range levels, which the mask
-//!   truncates to exactly the bits the schedule would see.  Output
-//!   channels are independent and run on parallel threads when the layer
-//!   is large enough to amortise the spawns.
+//! * **Compute** — work proportional to spikes, output channels innermost.
+//!   By the radix shift-and-add identity, folding the per-time-step binary
+//!   planes with a left shift per step is algebraically identical to
+//!   weighting each spiking pixel by its masked level
+//!   (`level & level_mask(T)`).  The engine walks the planes' OR-reduction
+//!   (the occupancy mask, [`snn_tensor::bitplane::Occupancy::from_levels`],
+//!   skipping silent rows 64 pixels per word) once into a flat
+//!   `(column, level)` spike list, and then, for each spike and each
+//!   `(kernel tap, output position)` pair covering it, adds
+//!   `level × W[ic, ky, kx, 0..O]` into the accumulator row of that output
+//!   position with one [`snn_tensor::simd::axpy_i16`] — the host-side
+//!   picture of the paper's output-channel parallelism.  The weights come
+//!   channel-last and 16-bit from [`PackedWeights`] (held by the model, so
+//!   an inference packs nothing); the accumulators are channel-last too and
+//!   are transposed to `[O, H, W]`, bias added, once per band.  Wrapping
+//!   `i64` arithmetic commutes, so the result is bit-identical to the
+//!   cycle-stepped reference — including for out-of-range levels, which the
+//!   mask truncates to exactly the bits the schedule would see.  Blocks of
+//!   output-channel lanes own disjoint accumulators and run on parallel
+//!   threads when the layer is large enough to amortise the dispatch.
 //! * **Statistics** — the schedule is static, so `cycles`,
 //!   `activation_reads`, `kernel_reads` and `output_writes` follow in
 //!   closed form from the loop bounds ([`ConvolutionUnit::layer_cycles`]
-//!   and friends).  The data-dependent `adder_ops` is a one-pass
-//!   popcount: each input pixel toggles one adder per set plane bit per
-//!   covering `(output position, kernel tap)` pair, so
+//!   and friends).  The data-dependent `adder_ops` is a popcount folded
+//!   into the spike walk: each input pixel toggles one adder per set plane
+//!   bit per covering `(output position, kernel tap)` pair, so
 //!   `adder_ops = C_out * Σ_pixels popcount(level & mask) * coverage(pixel)`.
+//!   The optional product-sparsity prepass (`product_sparsity_counts`)
+//!   is accounting only: it re-derives `adder_ops` and the two reuse
+//!   counters from the spike list and never touches the compute.
 //!   Property tests assert both parts equal the counter-stepped values of
 //!   [`crate::reference::ReferenceConvolutionUnit`] exactly.
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
-use crate::units::UnitStats;
+use crate::units::{lane_blocks, unsupported, UnitStats};
 use crate::{AccelError, Result};
+use snn_model::packed::PackedWeights;
 use snn_tensor::{bitplane, ops, simd, Tensor};
-use std::collections::HashMap;
 
 /// Output of a convolution-unit layer execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,163 +70,108 @@ pub struct ConvResult {
     pub stats: UnitStats,
 }
 
-/// Bit-plane sparse model of one convolution unit.
+/// Spike-major model of one convolution unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvolutionUnit {
     geometry: ArrayGeometry,
-    /// Spike density (spiking pixels per output-row width) at or above
-    /// which a row uses the padded dense-row gather instead of the sparse
-    /// scatter.  Never affects results, only host throughput; see
-    /// [`crate::config::AcceleratorConfig::dense_gather_threshold`].
-    dense_gather_threshold: f64,
-    /// Enable the product-sparsity prepass (see
+    /// Enable the product-sparsity accounting (see
     /// [`crate::config::AcceleratorConfig::product_sparsity`]).
     product_sparsity: bool,
 }
 
-/// `(kernel index, output index)` pairs covering one input coordinate: all
-/// `(k, o)` with `o * stride + k == input + padding` inside the valid
-/// ranges.  Precomputed per row and per column so the scatter loop does no
-/// bounds arithmetic per spike.
-fn coverage_pairs(
-    input_extent: usize,
-    kernel_extent: usize,
-    output_extent: usize,
-    stride: usize,
-    padding: usize,
-) -> Vec<Vec<(usize, usize)>> {
-    let mut pairs = vec![Vec::new(); input_extent];
-    for o in 0..output_extent {
-        for k in 0..kernel_extent {
-            let i = (o * stride + k) as isize - padding as isize;
-            if (0..input_extent as isize).contains(&i) {
-                pairs[i as usize].push((k, o));
-            }
-        }
-    }
-    pairs
+/// Where one input coordinate of an axis lands: it feeds the `count`
+/// consecutive outputs `first_out..`, the first through kernel tap
+/// `first_tap` and each next one through the tap `stride` lower
+/// (`o * stride + k == input + padding`).  One entry per coordinate, so the
+/// scatter loop does no bounds arithmetic per spike and a band call
+/// allocates once per axis.
+#[derive(Clone, Copy)]
+struct Reach {
+    first_out: u32,
+    first_tap: u32,
+    count: u32,
 }
 
-/// Band-local row coverage: for each input row of the band (indexed
-/// relative to `band.in_lo`), the `(kernel row, band-local output row)`
-/// pairs it feeds.  With a band spanning the whole layer this reduces to
-/// [`coverage_pairs`] over the rows.
-fn band_row_coverage(
-    band: &RowBand,
-    kernel_rows: usize,
-    stride: usize,
-    padding: usize,
-) -> Vec<Vec<(usize, usize)>> {
-    let mut pairs = vec![Vec::new(); band.in_rows()];
-    for o in band.out_lo..band.out_hi {
-        for k in 0..kernel_rows {
-            let i = (o * stride + k) as isize - padding as isize;
-            if i >= band.in_lo as isize && i < band.in_hi as isize {
-                pairs[i as usize - band.in_lo].push((k, o - band.out_lo));
-            }
-        }
+impl Reach {
+    /// Reach of each input coordinate in `inputs` among the outputs
+    /// `outputs`; `first_out` is relative to `outputs.start`.
+    fn of_axis(
+        inputs: std::ops::Range<usize>,
+        kernel_extent: usize,
+        outputs: std::ops::Range<usize>,
+        stride: usize,
+        padding: usize,
+    ) -> Vec<Reach> {
+        inputs
+            .map(|i| {
+                // Outputs `o` with `0 <= i + padding - o * stride < kernel`.
+                let lo = (i + padding + 1)
+                    .saturating_sub(kernel_extent)
+                    .div_ceil(stride)
+                    .max(outputs.start);
+                let hi = ((i + padding) / stride + 1).min(outputs.end);
+                if lo >= hi {
+                    return Reach {
+                        first_out: 0,
+                        first_tap: 0,
+                        count: 0,
+                    };
+                }
+                Reach {
+                    first_out: (lo - outputs.start) as u32,
+                    first_tap: (i + padding - lo * stride) as u32,
+                    count: (hi - lo) as u32,
+                }
+            })
+            .collect()
     }
-    pairs
+
+    /// The `(kernel tap, output)` pairs this coordinate goes through.
+    fn taps(self, stride: usize) -> impl Iterator<Item = (usize, usize)> {
+        (0..self.count as usize).map(move |j| {
+            (
+                self.first_tap as usize - j * stride,
+                self.first_out as usize + j,
+            )
+        })
+    }
 }
 
-/// One classified non-silent input row of the compute pass.
+/// One non-silent input row of a band: a range of the spike arena.
 struct SpikeRow {
     ic: usize,
+    /// Band-local input row.
     iy: usize,
-    /// `(ix, masked level)` of each spiking pixel, ascending by `ix`
-    /// (sparse rows always; dense rows only under product sparsity).
-    spikes: Vec<(usize, i64)>,
-    /// Masked level row with `padding` zeros on both sides (dense rows
-    /// only; empty when the sparse path is chosen).
-    padded: Vec<i64>,
-    /// Use the dense gather path for this row.
-    dense: bool,
+    start: usize,
+    end: usize,
 }
 
-/// Adds one row's contribution through one kernel row into `out_row`
-/// (length `w_out`), choosing the representation the row was classified
-/// for.  Every path adds exactly the terms `kernel x masked level`, so the
-/// choice never changes the result (wrapping `i64` adds commute).
-fn accumulate_row(
-    out_row: &mut [i64],
-    row: &SpikeRow,
-    k_row: &[i64],
-    x_pairs: &[Vec<(usize, usize)>],
-    stride: usize,
-) {
-    let w_out = out_row.len();
-    let kc = k_row.len();
-    if row.dense {
-        if stride == 1 {
-            // k-major dense gather: tap `kx` contributes
-            // `k_row[kx] * padded[kx..kx + w_out]` over contiguous output
-            // positions — one SIMD axpy per tap.
-            for (kx, &k) in k_row.iter().enumerate() {
-                simd::axpy_i64(out_row, &row.padded[kx..kx + w_out], k);
-            }
-        } else {
-            // Strided windows are not contiguous; dot each window.
-            for (ox, o) in out_row.iter_mut().enumerate() {
-                let window = &row.padded[ox * stride..ox * stride + kc];
-                *o += simd::dot_i64(window, k_row);
-            }
-        }
-    } else {
-        // Sparse scatter from the spiking pixels only.
-        for &(ix, level) in &row.spikes {
-            for &(kx, ox) in &x_pairs[ix] {
-                out_row[ox] += k_row[kx] * level;
-            }
-        }
+/// Every spiking pixel of a band that feeds at least one output row, as
+/// ranges into one `(column, masked level)` buffer — built once per band
+/// call and shared by every lane block.
+struct Spikes {
+    /// Ascending by `(ic, iy)`.
+    rows: Vec<SpikeRow>,
+    /// Ascending by column within a row.
+    arena: Vec<(u32, i64)>,
+}
+
+impl Spikes {
+    fn of(&self, row: &SpikeRow) -> &[(u32, i64)] {
+        &self.arena[row.start..row.end]
     }
 }
 
-/// Per-row product-sparsity link (see [`build_ps_plan`]).
-struct PsEntry {
-    /// Index (into the spike-row list) of the row whose correlation
-    /// vector this row reuses, when one was found.
-    parent: Option<usize>,
-    /// `(ix, masked level)` spikes of this row outside the parent's
-    /// support, ascending by `ix`.
-    diff: Vec<(usize, i64)>,
-    /// Kernel rows for which reuse applies: this row's taps that the
-    /// parent also computes (and therefore materializes).
-    reuse_kys: Vec<usize>,
-    /// Kernel rows whose correlation vector must be kept for children.
-    materialize: Vec<usize>,
-    /// Baseline adder work of computing this row fresh, per `(ky, oy)`
-    /// event and output channel: `sum popcount(level) * |x_pairs[ix]|`.
-    row_work: u64,
-    /// Adder work of scattering only the difference spikes.
-    diff_work: u64,
-    /// Total set bits across the difference spikes' levels.
-    diff_bits: u64,
-}
-
-/// Product-sparsity reuse plan for one band (Prosperity-style, applied to
-/// level rows): within each input channel, a row **B** is a *parent* of a
-/// row **A** when B's spike pattern is contained in A's with equal levels
-/// on B's support — then A's per-tap correlation vector is B's plus the
-/// scatter of the difference spikes, so A does `|diff|`-proportional work
-/// instead of `|A|`-proportional.  Containment is checked word-level on
-/// the occupancy rows first (`B & !A == 0`), then by one merge walk over
-/// the sparse forms.  Links are greedy: rows sort by `(nnz, index)` and
-/// each row adopts the largest earlier row that passes the check and the
-/// benefit gate `diff_work + 2 * w_out < row_work` (one `w_out` for the
-/// child's merge, one amortising the parent's).  The resulting `order`
-/// processes parents before children, so vectors exist when reused.
-struct PsPlan {
-    /// Processing order over the spike rows (parents first).
-    order: Vec<usize>,
-    /// One entry per spike row, same indexing as the spike-row list.
-    entries: Vec<PsEntry>,
-}
-
-/// Walks `child`'s spikes against `parent`'s (both ascending by position):
-/// returns the spikes of `child` outside `parent`'s support when every
-/// parent spike appears in `child` with an equal level, `None` otherwise.
-fn containment_diff(parent: &[(usize, i64)], child: &[(usize, i64)]) -> Option<Vec<(usize, i64)>> {
-    let mut diff = Vec::with_capacity(child.len().saturating_sub(parent.len()));
+/// Walks `child`'s spikes against `parent`'s (both ascending by column):
+/// when every parent spike appears in `child` with an equal level, returns
+/// the adder work and the set bits of `child`'s spikes outside `parent`'s
+/// support; `None` otherwise.
+fn containment_diff(
+    parent: &[(u32, i64)],
+    child: &[(u32, i64)],
+    x_reach: &[Reach],
+) -> Option<(u64, u64)> {
+    let (mut work, mut bits) = (0u64, 0u64);
     let mut pi = 0;
     for &(ix, level) in child {
         if pi < parent.len() && parent[pi].0 == ix {
@@ -227,135 +180,186 @@ fn containment_diff(parent: &[(usize, i64)], child: &[(usize, i64)]) -> Option<V
             }
             pi += 1;
         } else {
-            diff.push((ix, level));
-        }
-    }
-    if pi == parent.len() {
-        Some(diff)
-    } else {
-        None
-    }
-}
-
-fn build_ps_plan(
-    spike_rows: &[SpikeRow],
-    occupancy: &bitplane::Occupancy,
-    band_h: usize,
-    y_pairs: &[Vec<(usize, usize)>],
-    x_pairs: &[Vec<(usize, usize)>],
-    w_out: usize,
-) -> PsPlan {
-    let work_of = |spikes: &[(usize, i64)]| -> (u64, u64) {
-        let mut work = 0u64;
-        let mut bits = 0u64;
-        for &(ix, level) in spikes {
             let pop = u64::from(level.count_ones());
             bits += pop;
-            work += pop * x_pairs[ix].len() as u64;
+            work += pop * u64::from(x_reach[ix as usize].count);
         }
-        (work, bits)
-    };
-    let mut entries: Vec<PsEntry> = spike_rows
-        .iter()
-        .map(|row| {
-            let (row_work, _) = work_of(&row.spikes);
-            PsEntry {
-                parent: None,
-                diff: Vec::new(),
-                reuse_kys: Vec::new(),
-                materialize: Vec::new(),
-                row_work,
-                diff_work: 0,
-                diff_bits: 0,
-            }
-        })
-        .collect();
-    let mut order = Vec::with_capacity(spike_rows.len());
+    }
+    (pi == parent.len()).then_some((work, bits))
+}
+
+/// What the product-sparsity prepass changes in a band's counters.
+struct ProductSparsityCounts {
+    /// Adder work of ONE output channel with reuse applied.
+    spike_work: u64,
+    /// `(row, kernel row)` events that reused a parent's partial sums.
+    reuse_events: u64,
+    /// Set bits scattered as differences by those events.
+    difference_bits: u64,
+}
+
+/// Product-sparsity **accounting** for one band (Prosperity-style, applied
+/// to level rows): within each input channel, a row **B** is a *parent* of
+/// a row **A** when B's spike pattern is contained in A's with equal
+/// levels on B's support — hardware that kept B's per-tap correlation
+/// vector could then produce A's as B's plus the scatter of the difference
+/// spikes, `|diff|`-proportional work instead of `|A|`-proportional.
+/// Containment is checked word-level on the occupancy rows first
+/// (`B & !A == 0`), then by one merge walk over the spike lists.  Links
+/// are greedy: rows sort by `(nnz, index)` and each row adopts the largest
+/// earlier row that passes the check and the benefit gate
+/// `diff_work + 2 * w_out < row_work` (one `w_out` for the child's merge,
+/// one amortising the parent's).  Nothing here computes an accumulator:
+/// the engine's one kernel produces those either way, and this only says
+/// what the reuse would have saved.
+fn product_sparsity_counts(
+    spikes: &Spikes,
+    occupancy: &bitplane::Occupancy,
+    band_h: usize,
+    y_reach: &[Reach],
+    x_reach: &[Reach],
+    stride: usize,
+    w_out: usize,
+) -> ProductSparsityCounts {
+    /// Per-row outcome of the linking pass.
+    #[derive(Default, Clone)]
+    struct Link {
+        /// Kernel rows for which this row reuses its parent: its taps
+        /// that the parent also computes (and therefore materializes).
+        reuse_kys: Vec<usize>,
+        /// Kernel rows whose correlation vector is kept for children.
+        materialize: Vec<usize>,
+        /// Baseline adder work of computing this row fresh, per
+        /// `(ky, oy)` event and output channel.
+        row_work: u64,
+        diff_work: u64,
+        diff_bits: u64,
+    }
+    let rows = &spikes.rows;
+    let mut links = vec![Link::default(); rows.len()];
+    for (link, row) in links.iter_mut().zip(rows) {
+        link.row_work = spikes
+            .of(row)
+            .iter()
+            .map(|&(ix, level)| {
+                u64::from(level.count_ones()) * u64::from(x_reach[ix as usize].count)
+            })
+            .sum();
+    }
 
     // Channel groups are contiguous: spike rows are built ic-major.
     let mut start = 0;
-    while start < spike_rows.len() {
-        let ic = spike_rows[start].ic;
-        let mut end = start;
-        while end < spike_rows.len() && spike_rows[end].ic == ic {
-            end += 1;
-        }
+    while start < rows.len() {
+        let ic = rows[start].ic;
+        let end = start + rows[start..].iter().take_while(|r| r.ic == ic).count();
         // Parents-first order: ascending (nnz, index).
         let mut sorted: Vec<usize> = (start..end).collect();
-        sorted.sort_by_key(|&j| (spike_rows[j].spikes.len(), j));
+        sorted.sort_by_key(|&j| (rows[j].end - rows[j].start, j));
         for (s, &j) in sorted.iter().enumerate() {
-            let child = &spike_rows[j];
-            let child_words = occupancy.row(child.ic * band_h + child.iy);
+            let child = &rows[j];
+            let child_words = occupancy.row(ic * band_h + child.iy);
             // Largest candidate first maximises the reused partial sum.
             for &p in sorted[..s].iter().rev() {
-                let candidate = &spike_rows[p];
-                let parent_words = occupancy.row(candidate.ic * band_h + candidate.iy);
-                let contained = parent_words
+                let candidate = &rows[p];
+                let contained = occupancy
+                    .row(ic * band_h + candidate.iy)
                     .iter()
                     .zip(child_words)
                     .all(|(&pw, &cw)| pw & !cw == 0);
                 if !contained {
                     continue;
                 }
-                let Some(diff) = containment_diff(&candidate.spikes, &child.spikes) else {
+                let Some((diff_work, diff_bits)) =
+                    containment_diff(spikes.of(candidate), spikes.of(child), x_reach)
+                else {
                     continue;
                 };
-                let (diff_work, diff_bits) = work_of(&diff);
-                if diff_work + 2 * w_out as u64 >= entries[j].row_work {
+                if diff_work + 2 * w_out as u64 >= links[j].row_work {
                     continue; // reuse would not beat a fresh compute
                 }
-                let reuse_kys: Vec<usize> = y_pairs[child.iy]
-                    .iter()
-                    .map(|&(ky, _)| ky)
-                    .filter(|&ky| y_pairs[candidate.iy].iter().any(|&(pky, _)| pky == ky))
+                let parent_taps = y_reach[candidate.iy];
+                let reuse_kys: Vec<usize> = y_reach[child.iy]
+                    .taps(stride)
+                    .map(|(ky, _)| ky)
+                    .filter(|&ky| parent_taps.taps(stride).any(|(pky, _)| pky == ky))
                     .collect();
                 if reuse_kys.is_empty() {
                     continue; // no shared tap: nothing to reuse
                 }
                 for &ky in &reuse_kys {
-                    if !entries[p].materialize.contains(&ky) {
-                        entries[p].materialize.push(ky);
+                    if !links[p].materialize.contains(&ky) {
+                        links[p].materialize.push(ky);
                     }
                 }
-                entries[j].parent = Some(p);
-                entries[j].diff = diff;
-                entries[j].reuse_kys = reuse_kys;
-                entries[j].diff_work = diff_work;
-                entries[j].diff_bits = diff_bits;
+                links[j].reuse_kys = reuse_kys;
+                links[j].diff_work = diff_work;
+                links[j].diff_bits = diff_bits;
                 break;
             }
         }
-        order.extend_from_slice(&sorted);
         start = end;
     }
-    PsPlan { order, entries }
+
+    let mut counts = ProductSparsityCounts {
+        spike_work: 0,
+        reuse_events: 0,
+        difference_bits: 0,
+    };
+    for (link, row) in links.iter().zip(rows) {
+        for (ky, _oy) in y_reach[row.iy].taps(stride) {
+            if link.reuse_kys.contains(&ky) {
+                counts.spike_work += w_out as u64 + link.diff_work;
+                counts.reuse_events += 1;
+                counts.difference_bits += link.diff_bits;
+            } else {
+                counts.spike_work += link.row_work;
+                if link.materialize.contains(&ky) {
+                    counts.spike_work += w_out as u64;
+                }
+            }
+        }
+    }
+    counts
+}
+
+/// Packs raw `[O, C, Kr, Kc]` kernel codes for one call of a raw-tensor
+/// entry point.
+fn pack_kernels(kernel_codes: &Tensor<i64>) -> Result<PackedWeights> {
+    PackedWeights::from_conv(kernel_codes).map_err(|e| unsupported(e.to_string()))
 }
 
 impl ConvolutionUnit {
-    /// Creates a convolution unit with the given adder-array geometry and
-    /// the default dense-gather threshold.
+    /// Creates a convolution unit with the given adder-array geometry.
     pub fn new(geometry: ArrayGeometry) -> Self {
-        Self::with_threshold(geometry, crate::config::DEFAULT_DENSE_GATHER_THRESHOLD)
+        Self::with_product_sparsity(geometry, false)
     }
 
-    /// Creates a convolution unit with an explicit dense-gather threshold
-    /// (see [`crate::config::AcceleratorConfig::dense_gather_threshold`]).
-    pub fn with_threshold(geometry: ArrayGeometry, dense_gather_threshold: f64) -> Self {
-        Self::with_options(geometry, dense_gather_threshold, false)
-    }
-
-    /// Creates a convolution unit with every execution knob explicit:
-    /// dense-gather threshold and the product-sparsity prepass.
-    pub fn with_options(
-        geometry: ArrayGeometry,
-        dense_gather_threshold: f64,
-        product_sparsity: bool,
-    ) -> Self {
+    /// Creates a convolution unit with the product-sparsity accounting on
+    /// or off (see [`crate::config::AcceleratorConfig::product_sparsity`]).
+    pub fn with_product_sparsity(geometry: ArrayGeometry, product_sparsity: bool) -> Self {
         ConvolutionUnit {
             geometry,
-            dense_gather_threshold,
             product_sparsity,
         }
+    }
+
+    /// As [`ConvolutionUnit::new`]: the dense-gather threshold selected
+    /// between two row kernels the engine no longer has and is **ignored**.
+    /// Kept only because the frozen `benchmark/` package calls it; slated
+    /// for deletion in the next benchmark PR.
+    pub fn with_threshold(geometry: ArrayGeometry, _dense_gather_threshold: f64) -> Self {
+        Self::new(geometry)
+    }
+
+    /// As [`ConvolutionUnit::with_product_sparsity`]; the threshold is
+    /// **ignored** and the constructor slated for deletion (see
+    /// [`ConvolutionUnit::with_threshold`]).
+    pub fn with_options(
+        geometry: ArrayGeometry,
+        _dense_gather_threshold: f64,
+        product_sparsity: bool,
+    ) -> Self {
+        Self::with_product_sparsity(geometry, product_sparsity)
     }
 
     /// The adder-array geometry.
@@ -363,12 +367,7 @@ impl ConvolutionUnit {
         self.geometry
     }
 
-    /// The configured dense-gather density threshold.
-    pub fn dense_gather_threshold(&self) -> f64 {
-        self.dense_gather_threshold
-    }
-
-    /// Whether the product-sparsity prepass is enabled.
+    /// Whether the product-sparsity accounting is enabled.
     pub fn product_sparsity(&self) -> bool {
         self.product_sparsity
     }
@@ -381,13 +380,45 @@ impl ConvolutionUnit {
         width.div_ceil(self.geometry.columns)
     }
 
-    /// Executes one convolution layer on this unit.
+    /// Executes one convolution layer on this unit from raw kernel codes.
     ///
     /// * `input_levels` — `[C, H, W]` radix levels of the input activations
     ///   (each level's binary expansion is the spike train, MSB first).
     /// * `kernel_codes` — `[O, C, K, K]` quantized kernel codes.
     /// * `bias_acc` — `[O]` biases pre-scaled to accumulator units.
     /// * `time_steps` — spike-train length `T`.
+    ///
+    /// Packs the kernels for this one call and runs
+    /// [`ConvolutionUnit::run_packed`]; the executor, which holds a model,
+    /// passes [`snn_model::snn::SnnModel::packed`] instead and packs
+    /// nothing per inference.
+    ///
+    /// # Errors
+    ///
+    /// As [`ConvolutionUnit::run_packed`], plus
+    /// [`AccelError::UnsupportedLayer`] when a kernel code does not fit
+    /// the packed 16-bit element.
+    pub fn run_layer(
+        &self,
+        input_levels: &Tensor<i64>,
+        kernel_codes: &Tensor<i64>,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        stride: usize,
+        padding: usize,
+    ) -> Result<ConvResult> {
+        let weights = pack_kernels(kernel_codes)?;
+        self.run_packed(
+            input_levels,
+            &weights,
+            bias_acc,
+            time_steps,
+            stride,
+            padding,
+        )
+    }
+
+    /// Executes one convolution layer on this unit.
     ///
     /// Returns raw accumulators plus exact cycle/operation counts for the
     /// *whole* layer executed on a single unit; the controller divides the
@@ -401,31 +432,26 @@ impl ConvolutionUnit {
     /// Returns [`AccelError::UnsupportedLayer`] when the kernel has more
     /// rows than the adder array or `time_steps` exceeds the 63 payload
     /// bits of an `i64` level, and propagates shape errors.
-    pub fn run_layer(
+    pub fn run_packed(
         &self,
         input_levels: &Tensor<i64>,
-        kernel_codes: &Tensor<i64>,
+        weights: &PackedWeights,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         stride: usize,
         padding: usize,
     ) -> Result<ConvResult> {
-        let in_dims = input_levels.shape().dims();
-        let k_dims = kernel_codes.shape().dims();
-        if in_dims.len() != 3 || k_dims.len() != 4 {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels"
-                    .to_string(),
-            });
-        }
-        let (h, w) = (in_dims[1], in_dims[2]);
-        let (kr, kc) = (k_dims[2], k_dims[3]);
-        let (h_out, _w_out) = ops::conv2d_output_dims((h, w), (kr, kc), stride, padding)
-            .map_err(AccelError::Tensor)?;
-        self.run_layer_band(
+        let &[_, h, w] = input_levels.shape().dims() else {
+            return Err(unsupported(
+                "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels".to_string(),
+            ));
+        };
+        let kernel = (weights.kernel_rows(), weights.kernel_cols());
+        let (h_out, _w_out) =
+            ops::conv2d_output_dims((h, w), kernel, stride, padding).map_err(AccelError::Tensor)?;
+        self.run_packed_band(
             input_levels,
-            kernel_codes,
+            weights,
             bias_acc,
             time_steps,
             stride,
@@ -439,20 +465,52 @@ impl ConvolutionUnit {
         )
     }
 
+    /// Executes one **row-band tile** of a convolution layer from raw
+    /// kernel codes: packs them for this one call and runs
+    /// [`ConvolutionUnit::run_packed_band`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ConvolutionUnit::run_packed_band`], plus
+    /// [`AccelError::UnsupportedLayer`] when a kernel code does not fit
+    /// the packed 16-bit element.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_layer_band(
+        &self,
+        band_levels: &Tensor<i64>,
+        kernel_codes: &Tensor<i64>,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        stride: usize,
+        padding: usize,
+        band: &RowBand,
+    ) -> Result<ConvResult> {
+        let weights = pack_kernels(kernel_codes)?;
+        self.run_packed_band(
+            band_levels,
+            &weights,
+            bias_acc,
+            time_steps,
+            stride,
+            padding,
+            band,
+        )
+    }
+
     /// Executes one **row-band tile** of a convolution layer.
     ///
     /// `band_levels` holds only the halo-extended input rows
     /// `band.in_lo..band.in_hi` of the full feature map (all channels,
     /// `[C, band.in_rows(), W]`); the result covers output rows
     /// `band.out_lo..band.out_hi` (`[O, band.out_rows(), W_out]`).  The
-    /// bit planes are packed per tile, so only the band is ever resident —
+    /// spike list is built per tile, so only the band is ever resident —
     /// this is the compute kernel of the tiled activation-buffer model
     /// ([`crate::memory::plan_network_tiles`]).
     ///
     /// **Exactness contract:** accumulators are the same integer sums as
     /// the untiled layer restricted to the band, and every counter is
     /// defined so that summing over a partition of the output rows
-    /// reproduces [`ConvolutionUnit::run_layer`]'s counters bit-exactly;
+    /// reproduces [`ConvolutionUnit::run_packed`]'s counters bit-exactly;
     /// the schedule's per-pass pipeline-fill cycles are charged to the
     /// band containing output row zero.  Property tests pin both.
     ///
@@ -468,127 +526,146 @@ impl ConvolutionUnit {
     ///
     /// # Errors
     ///
-    /// As [`ConvolutionUnit::run_layer`], plus
+    /// As [`ConvolutionUnit::run_packed`], plus
     /// [`AccelError::UnsupportedLayer`] when `band_levels` does not match
-    /// the band's row count, the band is empty, or the band's input rows
-    /// start later than its first output row reads (the start is
-    /// checkable without the image height; the end is not — see the
-    /// caller contract above).
+    /// the band's row count, the band is empty, the stride is zero, or the
+    /// band's input rows start later than its first output row reads (the
+    /// start is checkable without the image height; the end is not — see
+    /// the caller contract above).
     #[allow(clippy::too_many_arguments)]
-    pub fn run_layer_band(
+    pub fn run_packed_band(
         &self,
         band_levels: &Tensor<i64>,
-        kernel_codes: &Tensor<i64>,
+        weights: &PackedWeights,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         stride: usize,
         padding: usize,
         band: &RowBand,
     ) -> Result<ConvResult> {
-        let in_dims = band_levels.shape().dims();
-        let k_dims = kernel_codes.shape().dims();
-        if in_dims.len() != 3 || k_dims.len() != 4 {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels"
-                    .to_string(),
-            });
-        }
-        let (c_in, band_h, w) = (in_dims[0], in_dims[1], in_dims[2]);
-        let (c_out, kc_in, kr, kc) = (k_dims[0], k_dims[1], k_dims[2], k_dims[3]);
-        if kc_in != c_in {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!("kernel expects {kc_in} channels, input has {c_in}"),
-            });
+        let &[c_in, band_h, w] = band_levels.shape().dims() else {
+            return Err(unsupported(
+                "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels".to_string(),
+            ));
+        };
+        let (c_out, kr, kc) = (
+            weights.c_out(),
+            weights.kernel_rows(),
+            weights.kernel_cols(),
+        );
+        if weights.c_in() != c_in {
+            return Err(unsupported(format!(
+                "kernel expects {} channels, input has {c_in}",
+                weights.c_in()
+            )));
         }
         if kr > self.geometry.rows {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "kernel has {kr} rows but the adder array only has {} rows",
-                    self.geometry.rows
-                ),
-            });
+            return Err(unsupported(format!(
+                "kernel has {kr} rows but the adder array only has {} rows",
+                self.geometry.rows
+            )));
         }
         if time_steps > 63 {
             // An i64 level can only carry 63 payload bits; beyond that the
-            // bit-plane engine and the shift-stepped reference would no
-            // longer agree (the reference hits the sign bit at T = 64).
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "spike trains of {time_steps} steps exceed the 63-bit level payload"
-                ),
-            });
+            // engine and the shift-stepped reference would no longer agree
+            // (the reference hits the sign bit at T = 64).
+            return Err(unsupported(format!(
+                "spike trains of {time_steps} steps exceed the 63-bit level payload"
+            )));
+        }
+        if stride == 0 {
+            return Err(unsupported(
+                "convolution stride must be non-zero".to_string(),
+            ));
         }
         if band.out_hi <= band.out_lo || band.in_hi <= band.in_lo {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "degenerate row band (out {}..{}, in {}..{})",
-                    band.out_lo, band.out_hi, band.in_lo, band.in_hi
-                ),
-            });
+            return Err(unsupported(format!(
+                "degenerate row band (out {}..{}, in {}..{})",
+                band.out_lo, band.out_hi, band.in_lo, band.in_hi
+            )));
         }
         if band.in_rows() != band_h {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "band tensor has {band_h} input rows but the band spans {}..{}",
-                    band.in_lo, band.in_hi
-                ),
-            });
+            return Err(unsupported(format!(
+                "band tensor has {band_h} input rows but the band spans {}..{}",
+                band.in_lo, band.in_hi
+            )));
         }
         if band.in_lo > (band.out_lo * stride).saturating_sub(padding) {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "band input starts at row {} but output row {} reads from row {}",
-                    band.in_lo,
-                    band.out_lo,
-                    (band.out_lo * stride).saturating_sub(padding)
-                ),
-            });
+            return Err(unsupported(format!(
+                "band input starts at row {} but output row {} reads from row {}",
+                band.in_lo,
+                band.out_lo,
+                (band.out_lo * stride).saturating_sub(padding)
+            )));
         }
         if w + 2 * padding < kc {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!("kernel of {kc} columns does not fit a padded width of {w}"),
-            });
+            return Err(unsupported(format!(
+                "kernel of {kc} columns does not fit a padded width of {w}"
+            )));
         }
-        let w_out = (w + 2 * padding - kc) / stride.max(1) + 1;
+        let w_out = (w + 2 * padding - kc) / stride + 1;
         let out_h = band.out_rows();
 
         let in_data = band_levels.as_slice();
-        let k_data = kernel_codes.as_slice();
         let mask = bitplane::level_mask(time_steps);
 
-        // Which (kernel tap, output position) pairs each input coordinate
-        // feeds — shared by the statistics and the scatter loop.  Row
-        // coverage is band-local; column coverage spans the full width.
-        let y_pairs = band_row_coverage(band, kr, stride, padding);
-        let x_pairs = coverage_pairs(w, kc, w_out, stride, padding);
+        // Which outputs, through which kernel taps, each input coordinate
+        // feeds — shared by the statistics and the scatter loop.  Row reach
+        // is band-local; column reach spans the full width.
+        let y_reach = Reach::of_axis(
+            band.in_lo..band.in_hi,
+            kr,
+            band.out_lo..band.out_hi,
+            stride,
+            padding,
+        );
+        let x_reach = Reach::of_axis(0..w, kc, 0..w_out, stride, padding);
 
-        // --- Statistics: closed-form schedule counts plus one popcount
-        // pass for the data-dependent adder activity. ---
+        // --- One walk over the occupancy (the planes' OR-reduction, silent
+        // rows skipped a word at a time) gathers the spike list every lane
+        // block scatters from and, folded into it, the popcount behind the
+        // data-dependent adder activity. ---
+        let occupancy = bitplane::Occupancy::from_levels(in_data, c_in * band_h, w, time_steps);
+        let mut spikes = Spikes {
+            rows: Vec::new(),
+            arena: Vec::new(),
+        };
+        let mut positions: Vec<u32> = Vec::new();
         let mut spike_work = 0u64; // adder ops of ONE output channel
         for ic in 0..c_in {
-            for (iy, pairs_y) in y_pairs.iter().enumerate() {
-                if pairs_y.is_empty() {
+            for iy in 0..band_h {
+                let taps_y = u64::from(y_reach[iy].count);
+                if taps_y == 0 {
                     continue;
                 }
-                let row = &in_data[ic * band_h * w + iy * w..ic * band_h * w + iy * w + w];
-                let row_work: u64 = row
-                    .iter()
-                    .zip(&x_pairs)
-                    .map(|(&level, pairs_x)| {
-                        u64::from((level & mask).count_ones()) * pairs_x.len() as u64
-                    })
-                    .sum();
-                spike_work += pairs_y.len() as u64 * row_work;
+                positions.clear();
+                simd::collect_set_bits(occupancy.row(ic * band_h + iy), 0, &mut positions);
+                if positions.is_empty() {
+                    continue;
+                }
+                let levels = &in_data[(ic * band_h + iy) * w..][..w];
+                let start = spikes.arena.len();
+                let mut row_work = 0u64;
+                for &ix in &positions {
+                    let level = levels[ix as usize] & mask;
+                    row_work +=
+                        u64::from(level.count_ones()) * u64::from(x_reach[ix as usize].count);
+                    spikes.arena.push((ix, level));
+                }
+                spike_work += taps_y * row_work;
+                spikes.rows.push(SpikeRow {
+                    ic,
+                    iy,
+                    start,
+                    end: spikes.arena.len(),
+                });
             }
         }
+
+        // --- Statistics: closed-form schedule counts plus the popcount
+        // above; product sparsity re-derives `adder_ops` to mirror the
+        // reduced work while the schedule counters keep the baseline
+        // static schedule. ---
         let mut stats = self.derived_stats(
             c_in,
             c_out,
@@ -600,159 +677,69 @@ impl ConvolutionUnit {
             spike_work,
             band.is_first(),
         );
-
-        // --- Compute: build the planes' OR-reduction (occupancy) in one
-        // pass, classify each non-silent row once (shared by every output
-        // channel), then accumulate one output channel per chunk.  Rows
-        // with few spikes use a scatter over the occupancy's set bits;
-        // saturated rows use a register-accumulated gather over a
-        // zero-padded copy of the masked level row, which avoids the
-        // store-to-load dependency chains scatter suffers when nearly
-        // every pixel spikes.  Both paths add exactly the terms
-        // `kernel x masked level`, so the choice never changes the result.
-        let occupancy = bitplane::Occupancy::from_levels(in_data, c_in * band_h, w, time_steps);
-        let mut spike_rows: Vec<SpikeRow> = Vec::new();
-        let mut positions: Vec<u32> = Vec::new();
-        for ic in 0..c_in {
-            for (iy, pairs_y) in y_pairs.iter().enumerate() {
-                let row_words = occupancy.row(ic * band_h + iy);
-                let spike_count = simd::popcount(row_words) as usize;
-                if pairs_y.is_empty() || spike_count == 0 {
-                    continue; // word-level skip of silent rows
-                }
-                // Build only the representation the chosen path reads; the
-                // product-sparsity prepass compares rows by their
-                // `(position, level)` patterns, so it needs the sparse form
-                // even when the dense path computes the row.
-                let row_base = ic * band_h * w + iy * w;
-                let dense = spike_count as f64 >= self.dense_gather_threshold * w_out as f64;
-                positions.clear();
-                simd::collect_set_bits(row_words, 0, &mut positions);
-                let mut spikes = Vec::new();
-                let mut padded = Vec::new();
-                if dense {
-                    padded = vec![0i64; w + 2 * padding];
-                    for &ix in &positions {
-                        padded[padding + ix as usize] = in_data[row_base + ix as usize] & mask;
-                    }
-                }
-                if !dense || self.product_sparsity {
-                    spikes.reserve(spike_count);
-                    for &ix in &positions {
-                        spikes.push((ix as usize, in_data[row_base + ix as usize] & mask));
-                    }
-                }
-                spike_rows.push(SpikeRow {
-                    ic,
-                    iy,
-                    spikes,
-                    padded,
-                    dense,
-                });
-            }
+        if self.product_sparsity {
+            let ps = product_sparsity_counts(
+                &spikes, &occupancy, band_h, &y_reach, &x_reach, stride, w_out,
+            );
+            stats.adder_ops = c_out as u64 * ps.spike_work;
+            stats.reused_partials = c_out as u64 * ps.reuse_events;
+            stats.difference_bits = c_out as u64 * ps.difference_bits;
         }
 
-        // --- Product-sparsity prepass: link rows whose pattern contains
-        // another row's pattern, so children reuse the parent's per-tap
-        // correlation vector and only scatter the difference bits.  The
-        // plan depends only on the input, so it is shared by every output
-        // channel; `adder_ops` is re-derived to mirror the reduced work
-        // while the schedule counters keep the baseline static schedule.
-        let ps_plan = if self.product_sparsity {
-            let plan = build_ps_plan(&spike_rows, &occupancy, band_h, &y_pairs, &x_pairs, w_out);
-            let mut ps_spike_work = 0u64;
-            let mut reuse_events = 0u64;
-            let mut diff_bits = 0u64;
-            for (j, row) in spike_rows.iter().enumerate() {
-                let entry = &plan.entries[j];
-                for &(ky, _oy) in &y_pairs[row.iy] {
-                    if entry.reuse_kys.contains(&ky) {
-                        ps_spike_work += w_out as u64 + entry.diff_work;
-                        reuse_events += 1;
-                        diff_bits += entry.diff_bits;
-                    } else {
-                        ps_spike_work += entry.row_work;
-                        if entry.materialize.contains(&ky) {
-                            ps_spike_work += w_out as u64;
+        // --- Compute: every spike adds its level times one packed weight
+        // row into the accumulator row of each output position it covers.
+        // The accumulators are channel-last, `[block][position][lane]`:
+        // each block of output-channel lanes is one contiguous chunk owned
+        // by one task. ---
+        let lanes = weights.lanes();
+        let out_positions = out_h * w_out;
+        let (block_lanes, threads) = lane_blocks(lanes, c_out as u64 * spike_work);
+        let mut scratch = vec![0i64; out_positions * lanes];
+        if !spikes.rows.is_empty() {
+            snn_parallel::par_chunks_mut(
+                &mut scratch,
+                out_positions * block_lanes,
+                threads,
+                |block, acc| {
+                    let lane_lo = block * block_lanes;
+                    let width = (lanes - lane_lo).min(block_lanes);
+                    for row in &spikes.rows {
+                        let ys = y_reach[row.iy];
+                        for &(ix, level) in spikes.of(row) {
+                            let xs = x_reach[ix as usize];
+                            for (ky, oy) in ys.taps(stride) {
+                                for (kx, ox) in xs.taps(stride) {
+                                    let at = (oy * w_out + ox) * width;
+                                    simd::axpy_i16(
+                                        &mut acc[at..at + width],
+                                        &weights.row(row.ic, ky, kx)[lane_lo..lane_lo + width],
+                                        level,
+                                    );
+                                }
+                            }
                         }
                     }
-                }
-            }
-            stats.adder_ops = c_out as u64 * ps_spike_work;
-            stats.reused_partials = c_out as u64 * reuse_events;
-            stats.difference_bits = c_out as u64 * diff_bits;
-            Some(plan)
-        } else {
-            None
-        };
-        let order: Vec<usize> = match &ps_plan {
-            Some(plan) => plan.order.clone(),
-            None => (0..spike_rows.len()).collect(),
-        };
+                },
+            );
+        }
 
+        // Transpose to `[O, H_out, W_out]` and add the bias, once.
         let mut accumulators = Tensor::filled(vec![c_out, out_h, w_out], 0i64);
-        let plane_len = out_h * w_out;
-        let threads = if stats.adder_ops >= snn_parallel::MIN_PARALLEL_WORK {
-            snn_parallel::default_threads().min(c_out)
-        } else {
-            1
-        };
         let bias_data = bias_acc.as_slice();
-        let spike_rows = &spike_rows;
-        let ps_plan = &ps_plan;
-        let order = &order;
-        let x_pairs = &x_pairs;
-        snn_parallel::par_chunks_mut(
-            accumulators.as_mut_slice(),
-            plane_len,
-            threads,
-            |oc, out| {
-                // Correlation vectors kept for this channel's children,
-                // keyed by `(spike row index, kernel row)`.
-                let mut kept: HashMap<(usize, usize), Vec<i64>> = HashMap::new();
-                for &j in order {
-                    let row = &spike_rows[j];
-                    let entry = ps_plan.as_ref().map(|plan| &plan.entries[j]);
-                    for &(ky, oy) in &y_pairs[row.iy] {
-                        let k_base = ((oc * c_in + row.ic) * kr + ky) * kc;
-                        let k_row = &k_data[k_base..k_base + kc];
-                        let out_row = &mut out[oy * w_out..(oy + 1) * w_out];
-                        match entry {
-                            Some(e) if e.reuse_kys.contains(&ky) => {
-                                // Child: parent's vector + difference bits.
-                                let parent = e.parent.expect("reuse implies a parent");
-                                let mut v = kept
-                                    .get(&(parent, ky))
-                                    .expect("plan order puts parents first")
-                                    .clone();
-                                for &(ix, level) in &e.diff {
-                                    for &(kx, ox) in &x_pairs[ix] {
-                                        v[ox] += k_row[kx] * level;
-                                    }
-                                }
-                                simd::axpy_i64(out_row, &v, 1);
-                                if e.materialize.contains(&ky) {
-                                    kept.insert((j, ky), v);
-                                }
-                            }
-                            Some(e) if e.materialize.contains(&ky) => {
-                                // Parent: compute once into a scratch
-                                // vector, merge it, keep it for children.
-                                let mut v = vec![0i64; w_out];
-                                accumulate_row(&mut v, row, k_row, x_pairs, stride);
-                                simd::axpy_i64(out_row, &v, 1);
-                                kept.insert((j, ky), v);
-                            }
-                            _ => accumulate_row(out_row, row, k_row, x_pairs, stride),
-                        }
-                    }
-                }
-                let bias = bias_data.get(oc).copied().unwrap_or(0);
-                for v in out.iter_mut() {
-                    *v += bias;
-                }
-            },
-        );
+        for (oc, plane) in accumulators
+            .as_mut_slice()
+            .chunks_mut(out_positions)
+            .enumerate()
+        {
+            let block = oc / block_lanes;
+            let width = (lanes - block * block_lanes).min(block_lanes);
+            let lane = oc - block * block_lanes;
+            let from = &scratch[block * block_lanes * out_positions..];
+            let bias = bias_data.get(oc).copied().unwrap_or(0);
+            for (position, out) in plane.iter_mut().enumerate() {
+                *out = from[position * width + lane] + bias;
+            }
+        }
 
         Ok(ConvResult {
             accumulators,
@@ -1010,9 +997,9 @@ mod tests {
 
     #[test]
     fn dense_gather_threshold_never_changes_results() {
-        // Force always-dense (0.0) and always-sparse (above any density)
-        // path selection: accumulators and stats must match the default
-        // exactly — the threshold is a host-throughput knob only.
+        // The threshold used to select a row kernel and is now ignored:
+        // whatever it is set to, accumulators and stats must match the
+        // default exactly.
         let input = Tensor::from_vec(
             vec![2, 6, 6],
             (0..72).map(|v| ((v * 5) % 8) as i64).collect(),
@@ -1115,7 +1102,7 @@ mod tests {
     #[test]
     fn out_of_range_levels_are_truncated_like_the_schedule() {
         // A level above 2^T - 1 only contributes its T low bits in the
-        // cycle-stepped schedule; the sparse engine must mask identically.
+        // cycle-stepped schedule; the engine must mask identically.
         let input = Tensor::from_vec(vec![1, 2, 2], vec![9i64, -1, 4, 3]).unwrap();
         let kernel = Tensor::filled(vec![1, 1, 2, 2], 2i64);
         let bias = Tensor::filled(vec![1], 1i64);

@@ -4,8 +4,11 @@
 //! calling thread.  Each layer reads the current half of the ping-pong
 //! activation buffer, runs on its processing-unit model (or, at
 //! transaction level, on the functional integer model) and writes the
-//! other half; the only host parallelism is the data-parallel fan-out
-//! *inside* a unit (output channels over the shared `snn_parallel` pool).
+//! other half.  The conv and linear units execute from the model's
+//! channel-last packed weights ([`SnnModel::packed`]), so an inference
+//! packs nothing; the only host parallelism is the data-parallel fan-out
+//! *inside* a unit (blocks of output-channel lanes over the shared
+//! `snn_parallel` pool).
 //! How the host orders this work has no bearing on modelled time: every
 //! cycle count in a [`RunReport`] comes from the analytical timing model
 //! of the compiled program.
@@ -38,14 +41,15 @@ use crate::timing::{ConvGroupPlan, StageKind};
 use crate::units::UnitStats;
 use crate::{AccelError, Result};
 use snn_model::layer::PoolKind;
+use snn_model::packed::PackedWeights;
 use snn_model::snn::{requantize, SnnLayer, SnnModel};
 use snn_tensor::{ops, Tensor};
 
 /// At which level of detail an inference executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Unit-exact: every layer runs on the bit-plane sparse
-    /// processing-unit models with exact work/operation counts.
+    /// Unit-exact: every layer runs on the spike-major processing-unit
+    /// models with exact work/operation counts.
     CycleAccurate,
     /// Transaction-level: functional integer math plus the analytical
     /// timing model only.
@@ -62,13 +66,12 @@ struct Units {
 impl Units {
     fn from_config(config: &AcceleratorConfig) -> Self {
         Units {
-            conv: ConvolutionUnit::with_options(
+            conv: ConvolutionUnit::with_product_sparsity(
                 config.conv_geometry,
-                config.dense_gather_threshold,
                 config.product_sparsity,
             ),
             pool: PoolingUnit::new(config.pool_geometry),
-            linear: LinearUnit::with_threshold(config.linear_lanes, config.dense_gather_threshold),
+            linear: LinearUnit::new(config.linear_lanes),
         }
     }
 }
@@ -95,10 +98,11 @@ pub(crate) fn execute(
     let mut layers = Vec::with_capacity(program.steps.len());
     let mut traffic = MemoryTraffic::default();
 
-    for (step, layer) in program.steps.iter().zip(model.layers()) {
+    for (index, (step, layer)) in program.steps.iter().zip(model.layers()).enumerate() {
         let (next, work) = execute_layer(
             &units,
             layer,
+            model.packed(index),
             step,
             buffer.current()?,
             time_steps,
@@ -183,10 +187,15 @@ fn write_row_band(dst: &mut Tensor<i64>, band: &Tensor<i64>, out_lo: usize) {
 }
 
 /// Executes one layer, tile by tile when the compiled step carries a
-/// tiling.
+/// tiling.  `packed` is the model's channel-last copy of the layer's
+/// weights (`Some` for every conv/linear layer), which the units execute
+/// from; the layer's own `weight_codes` serve only the transaction-level
+/// functional path.
+#[allow(clippy::too_many_arguments)]
 fn execute_layer(
     units: &Units,
     layer: &SnnLayer,
+    packed: Option<&PackedWeights>,
     step: &LayerProgram,
     current: &Tensor<i64>,
     time_steps: usize,
@@ -196,22 +205,23 @@ fn execute_layer(
     match (layer, mode) {
         (
             SnnLayer::Conv {
-                weight_codes,
                 bias_acc,
                 stride,
                 padding,
                 requant,
+                ..
             },
             ExecutionMode::CycleAccurate,
         ) => {
+            let weights = packed.expect("SnnModel::new packs every convolution layer");
             if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
                 let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
                 let mut work = UnitStats::default();
                 for band in bands {
                     let band_input = copy_row_band(current, band.in_lo, band.in_hi)?;
-                    let result = units.conv.run_layer_band(
+                    let result = units.conv.run_packed_band(
                         &band_input,
-                        weight_codes,
+                        weights,
                         bias_acc,
                         time_steps,
                         *stride,
@@ -227,37 +237,27 @@ fn execute_layer(
                 }
                 return Ok((levels, work));
             }
-            let result = units.conv.run_layer(
-                current,
-                weight_codes,
-                bias_acc,
-                time_steps,
-                *stride,
-                *padding,
-            )?;
+            let result = units
+                .conv
+                .run_packed(current, weights, bias_acc, time_steps, *stride, *padding)?;
             let levels = apply_requant(&result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
         (
             SnnLayer::Linear {
-                weight_codes,
-                bias_acc,
-                requant,
+                bias_acc, requant, ..
             },
             ExecutionMode::CycleAccurate,
         ) => {
+            let weights = packed.expect("SnnModel::new packs every linear layer");
             let result = if let Some(LayerTiling::OutputChunks { chunk }) = &step.tiling {
-                units.linear.run_layer_chunked(
-                    current,
-                    weight_codes,
-                    bias_acc,
-                    time_steps,
-                    *chunk,
-                )?
+                units
+                    .linear
+                    .run_packed_chunked(current, weights, bias_acc, time_steps, *chunk)?
             } else {
                 units
                     .linear
-                    .run_layer(current, weight_codes, bias_acc, time_steps)?
+                    .run_packed(current, weights, bias_acc, time_steps)?
             };
             let levels = apply_requant(&result.accumulators, *requant, max_level);
             Ok((levels, result.stats))

@@ -6,16 +6,18 @@
 //! The crate reproduces the paper's hardware architecture at two levels of
 //! detail that are verified against each other:
 //!
-//! * **Bit-plane sparse processing units** — [`conv::ConvolutionUnit`],
+//! * **Spike-major processing units** — [`conv::ConvolutionUnit`],
 //!   [`pool::PoolingUnit`] and [`linear::LinearUnit`] model the
 //!   micro-architecture of Fig. 2: the input shift register, the X×Y adder
 //!   array with multiplexer gating on spikes, the per-kernel-row pipeline,
 //!   the partial-sum propagation and the radix left-shift accumulation in
-//!   the output logic.  The engines traverse the activations as packed
-//!   spike bit-planes, skipping silent regions a word at a time, and
-//!   derive the exact cycle and operation counts analytically; the
-//!   counter-stepped originals are retained in [`mod@reference`] and property
-//!   tests assert bit-identical accumulators *and* counters.
+//!   the output logic.  The engines walk the activations' packed spike
+//!   occupancy, skipping silent regions a word at a time, add one
+//!   channel-last packed weight row per spike and covering tap into all
+//!   output-channel lanes at once ([`snn_model::packed`]), and derive the
+//!   exact cycle and operation counts analytically; the counter-stepped
+//!   originals are retained in [`mod@reference`] and property tests assert
+//!   bit-identical accumulators *and* counters.
 //! * **Analytical models** — [`timing`] derives layer latencies from the
 //!   loop hierarchy of Alg. 1, and [`cost`] estimates LUT/FF/BRAM usage and
 //!   power, calibrated against the paper's Tables II and III.

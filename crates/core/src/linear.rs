@@ -10,19 +10,27 @@
 //! input spike, and accumulates with the same radix left shift as the
 //! convolution output logic.
 //!
-//! Like [`crate::conv`], [`LinearUnit::run_layer`] executes that schedule
-//! sparsely: the input vector is packed into per-time-step bit planes, the
-//! spiking neurons are gathered once from the occupancy mask (word-level
-//! skip of silent neurons), and each output accumulates
-//! `weight * masked_level` over just those neurons — bit-identical to the
-//! radix shift-and-add by the same identity as the convolution engine.
-//! The counters are derived from the closed-form schedule (`cycles`,
-//! `activation_reads`, `kernel_reads`) plus one plane popcount
-//! (`adder_ops`); property tests check them against the counter-stepped
+//! # Spike-major execution model
+//!
+//! Like [`crate::conv`], the engine executes that schedule with work
+//! proportional to spikes and output channels innermost.  The spiking
+//! neurons are gathered once from the occupancy mask (word-level skip of
+//! silent neurons), and each spike adds `masked_level × W[n, 0..O]` — one
+//! row of the channel-last [`PackedWeights`], the layout a convolution
+//! with a 1×1 kernel would have — into the row of output accumulators
+//! with one [`snn_tensor::simd::axpy_i16`]: the host-side picture of the
+//! paper's row of adders fed one weight word per cycle.  Only the rows of
+//! spiking neurons are ever read, so a 24 %-dense input streams 24 % of
+//! the matrix.  The result is bit-identical to the radix shift-and-add by
+//! the same identity as the convolution engine.  The counters are derived
+//! from the closed-form schedule (`cycles`, `activation_reads`,
+//! `kernel_reads`) plus one plane popcount (`adder_ops`); property tests
+//! check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
-use crate::units::UnitStats;
+use crate::units::{lane_blocks, unsupported, UnitStats};
 use crate::{AccelError, Result};
+use snn_model::packed::PackedWeights;
 use snn_tensor::{bitplane, simd, Tensor};
 
 /// Output of a linear-unit layer execution.
@@ -35,39 +43,39 @@ pub struct LinearResult {
     pub stats: UnitStats,
 }
 
-/// Bit-plane sparse model of the linear unit.
+/// Spike-major model of the linear unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearUnit {
     lanes: usize,
-    /// Spike density (spiking neurons per input length) at or above which
-    /// the layer uses a dense dot product over the masked level vector
-    /// instead of the sparse gather.  Never affects results, only host
-    /// throughput (same contract as the convolution unit's threshold).
-    dense_gather_threshold: f64,
+}
+
+/// Packs raw `[O, N]` weight codes for one call of a raw-tensor entry
+/// point.
+fn pack_weights(weight_codes: &Tensor<i64>) -> Result<PackedWeights> {
+    PackedWeights::from_linear(weight_codes).map_err(|e| unsupported(e.to_string()))
 }
 
 impl LinearUnit {
-    /// Creates a linear unit with `lanes` parallel output channels and the
-    /// default dense-gather threshold.
+    /// Creates a linear unit with `lanes` parallel output channels.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
     pub fn new(lanes: usize) -> Self {
-        Self::with_threshold(lanes, crate::config::DEFAULT_DENSE_GATHER_THRESHOLD)
+        assert!(lanes > 0, "linear unit needs at least one output lane");
+        LinearUnit { lanes }
     }
 
-    /// Creates a linear unit with an explicit dense-gather threshold.
+    /// As [`LinearUnit::new`]: the dense-gather threshold selected between
+    /// two kernels the engine no longer has and is **ignored**.  Kept only
+    /// because the frozen `benchmark/` package calls it; slated for
+    /// deletion in the next benchmark PR.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
-    pub fn with_threshold(lanes: usize, dense_gather_threshold: f64) -> Self {
-        assert!(lanes > 0, "linear unit needs at least one output lane");
-        LinearUnit {
-            lanes,
-            dense_gather_threshold,
-        }
+    pub fn with_threshold(lanes: usize, _dense_gather_threshold: f64) -> Self {
+        Self::new(lanes)
     }
 
     /// Number of parallel output channels.
@@ -75,21 +83,21 @@ impl LinearUnit {
         self.lanes
     }
 
-    /// The configured dense-gather density threshold.
-    pub fn dense_gather_threshold(&self) -> f64 {
-        self.dense_gather_threshold
-    }
-
-    /// Executes one fully-connected layer.
+    /// Executes one fully-connected layer from raw weight codes.
     ///
     /// * `input_levels` — `[N]` radix levels of the input activations.
     /// * `weight_codes` — `[O, N]` quantized weight codes.
     /// * `bias_acc` — `[O]` biases pre-scaled to accumulator units.
     ///
+    /// Packs the weights for this one call and runs
+    /// [`LinearUnit::run_packed`]; the executor, which holds a model,
+    /// passes [`snn_model::snn::SnnModel::packed`] instead.
+    ///
     /// # Errors
     ///
-    /// Returns [`AccelError::UnsupportedLayer`] when shapes do not match or
-    /// `time_steps` exceeds the 63 payload bits of an `i64` level.
+    /// As [`LinearUnit::run_packed`], plus
+    /// [`AccelError::UnsupportedLayer`] when a weight code does not fit
+    /// the packed 16-bit element.
     pub fn run_layer(
         &self,
         input_levels: &Tensor<i64>,
@@ -97,41 +105,130 @@ impl LinearUnit {
         bias_acc: &Tensor<i64>,
         time_steps: usize,
     ) -> Result<LinearResult> {
-        if input_levels.shape().rank() != 1 || weight_codes.shape().rank() != 2 {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: "linear unit expects a [N] input and [O, N] weights".to_string(),
-            });
+        let weights = pack_weights(weight_codes)?;
+        self.run_packed(input_levels, &weights, bias_acc, time_steps)
+    }
+
+    /// Executes one fully-connected layer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::UnsupportedLayer`] when shapes do not match or
+    /// `time_steps` exceeds the 63 payload bits of an `i64` level.
+    pub fn run_packed(
+        &self,
+        input_levels: &Tensor<i64>,
+        weights: &PackedWeights,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+    ) -> Result<LinearResult> {
+        // One chunk covering every output is the untiled execution.
+        let all = weights.c_out().max(1);
+        self.run_chunks(input_levels, weights, bias_acc, time_steps, all)
+    }
+
+    /// Executes one fully-connected layer in lane-aligned output chunks
+    /// from raw weight codes: packs them for this one call and runs
+    /// [`LinearUnit::run_packed_chunked`].
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearUnit::run_packed_chunked`], plus
+    /// [`AccelError::UnsupportedLayer`] when a weight code does not fit
+    /// the packed 16-bit element.
+    pub fn run_layer_chunked(
+        &self,
+        input_levels: &Tensor<i64>,
+        weight_codes: &Tensor<i64>,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        chunk_outputs: usize,
+    ) -> Result<LinearResult> {
+        let weights = pack_weights(weight_codes)?;
+        self.run_packed_chunked(input_levels, &weights, bias_acc, time_steps, chunk_outputs)
+    }
+
+    /// Executes one fully-connected layer in **lane-aligned output
+    /// chunks** — the 1-D counterpart of the row-band tiling in
+    /// [`crate::memory::plan_network_tiles`].  The whole input vector
+    /// stays resident (every output needs every input) while only
+    /// `chunk_outputs` output neurons are staged at a time — a chunk is
+    /// the lane range `lo..hi` of every packed weight row, so nothing is
+    /// copied — which is what bounds the 1-D activation buffer for
+    /// VGG-class classifier layers.
+    ///
+    /// `chunk_outputs` must be a multiple of the lane count (or cover all
+    /// outputs at once): each chunk then occupies a whole number of lane
+    /// groups, so the per-chunk cycle counts sum to exactly the untiled
+    /// schedule of [`LinearUnit::run_packed`].  Accumulators and all other
+    /// counters are bit-identical by linearity in the output neurons.
+    ///
+    /// # Errors
+    ///
+    /// As [`LinearUnit::run_packed`], plus
+    /// [`AccelError::UnsupportedLayer`] for a zero or misaligned chunk.
+    pub fn run_packed_chunked(
+        &self,
+        input_levels: &Tensor<i64>,
+        weights: &PackedWeights,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        chunk_outputs: usize,
+    ) -> Result<LinearResult> {
+        let o = weights.c_out();
+        if chunk_outputs == 0 || (!chunk_outputs.is_multiple_of(self.lanes) && chunk_outputs < o) {
+            return Err(unsupported(format!(
+                "output chunk of {chunk_outputs} is not a multiple of the {} lanes",
+                self.lanes
+            )));
+        }
+        if bias_acc.len() != o {
+            return Err(unsupported(format!(
+                "chunked execution needs one bias per output ({o}), got {}",
+                bias_acc.len()
+            )));
+        }
+        self.run_chunks(input_levels, weights, bias_acc, time_steps, chunk_outputs)
+    }
+
+    /// The one execution path: the output neurons in consecutive chunks of
+    /// `chunk` (the last may be shorter), counters summed over the chunks.
+    fn run_chunks(
+        &self,
+        input_levels: &Tensor<i64>,
+        weights: &PackedWeights,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        chunk: usize,
+    ) -> Result<LinearResult> {
+        if input_levels.shape().rank() != 1
+            || (weights.kernel_rows(), weights.kernel_cols()) != (1, 1)
+        {
+            return Err(unsupported(
+                "linear unit expects a [N] input and [O, N] weights".to_string(),
+            ));
         }
         let n = input_levels.len();
-        let o = weight_codes.shape().dims()[0];
-        if weight_codes.shape().dims()[1] != n {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "weight matrix expects {} inputs, activation buffer provides {n}",
-                    weight_codes.shape().dims()[1]
-                ),
-            });
+        let o = weights.c_out();
+        if weights.c_in() != n {
+            return Err(unsupported(format!(
+                "weight matrix expects {} inputs, activation buffer provides {n}",
+                weights.c_in()
+            )));
         }
         if time_steps > 63 {
             // Same bound as the convolution engine: an i64 level carries at
             // most 63 payload bits.
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "spike trains of {time_steps} steps exceed the 63-bit level payload"
-                ),
-            });
+            return Err(unsupported(format!(
+                "spike trains of {time_steps} steps exceed the 63-bit level payload"
+            )));
         }
-
-        let in_data = input_levels.as_slice();
-        let w_data = weight_codes.as_slice();
-        let mask = bitplane::level_mask(time_steps);
 
         // Gather the spiking neurons once from the occupancy words (the
         // planes' OR-reduction, built in one pass), folding the plane
         // popcount — silent neurons contribute no bits — into the walk.
+        let in_data = input_levels.as_slice();
+        let mask = bitplane::level_mask(time_steps);
         let mut spikes: Vec<(usize, i64)> = Vec::new();
         let mut total_popcount = 0u64;
         if n > 0 {
@@ -142,136 +239,42 @@ impl LinearUnit {
                 spikes.push((ni, level));
             });
         }
-        // Saturated inputs pay for the sparse indirection without skipping
-        // much; switch to a dense SIMD dot over the masked level vector.
-        // Both paths sum exactly the terms `weight * masked_level` (silent
-        // neurons contribute zero terms), so the choice never changes the
-        // accumulators or the counters.
-        let dense = spikes.len() as f64 >= self.dense_gather_threshold * n as f64;
-        let masked_levels: Vec<i64> = if dense {
-            in_data.iter().map(|&v| v & mask).collect()
-        } else {
-            Vec::new()
-        };
 
-        // Derived statistics: the schedule visits every (group, time step,
-        // neuron) slot regardless of the data; only the adder activity is
-        // data-dependent (every spike bit toggles one adder per output in
-        // the group, i.e. `O x popcount` in total).
-        let groups = o.div_ceil(self.lanes) as u64;
+        let bias = bias_acc.as_slice();
         let slots = (time_steps * n) as u64;
-        let stats = UnitStats {
-            cycles: groups * slots,
-            adder_ops: o as u64 * total_popcount,
-            activation_reads: groups * slots,
-            kernel_reads: o as u64 * slots,
-            output_writes: o.min(bias_acc.len()) as u64,
-            ..UnitStats::default()
-        };
-
-        // Sparse accumulation, parallel over output channels when large.
         let mut accumulators = vec![0i64; o];
-        let work = o as u64 * spikes.len() as u64;
-        let threads = if work >= snn_parallel::MIN_PARALLEL_WORK {
-            snn_parallel::default_threads().min(o.max(1))
-        } else {
-            1
-        };
-        let chunk = o.div_ceil(threads.max(1)).max(1);
-        let spikes = &spikes;
-        let masked_levels = &masked_levels;
-        snn_parallel::par_chunks_mut(&mut accumulators, chunk, threads, |chunk_index, out| {
-            for (offset, acc) in out.iter_mut().enumerate() {
-                let oi = chunk_index * chunk + offset;
-                let row = &w_data[oi * n..oi * n + n];
-                *acc = if dense {
-                    simd::dot_i64(masked_levels, row)
-                } else {
-                    let mut sum = 0i64;
-                    for &(ni, level) in spikes {
-                        sum += row[ni] * level;
-                    }
-                    sum
-                };
-            }
-        });
-
-        for (acc, &b) in accumulators.iter_mut().zip(bias_acc.as_slice()) {
+        let mut stats = UnitStats::default();
+        for lo in (0..o).step_by(chunk) {
+            let hi = (lo + chunk).min(o);
+            // Derived statistics: the schedule visits every (group, time
+            // step, neuron) slot regardless of the data; only the adder
+            // activity is data-dependent (every spike bit toggles one
+            // adder per output in the group, i.e. `O x popcount` in total).
+            let outputs = (hi - lo) as u64;
+            let groups = (hi - lo).div_ceil(self.lanes) as u64;
+            stats += UnitStats {
+                cycles: groups * slots,
+                adder_ops: outputs * total_popcount,
+                activation_reads: groups * slots,
+                kernel_reads: outputs * slots,
+                output_writes: hi.min(bias.len()).saturating_sub(lo) as u64,
+                ..UnitStats::default()
+            };
+            // Each spike adds its level times its weight row into the
+            // chunk's lanes; blocks of lanes run in parallel when large.
+            let (block, threads) = lane_blocks(hi - lo, outputs * spikes.len() as u64);
+            snn_parallel::par_chunks_mut(&mut accumulators[lo..hi], block, threads, |b, acc| {
+                let first = lo + b * block;
+                for &(ni, level) in &spikes {
+                    let row = &weights.row(ni, 0, 0)[first..first + acc.len()];
+                    simd::axpy_i16(acc, row, level);
+                }
+            });
+        }
+        for (acc, &b) in accumulators.iter_mut().zip(bias) {
             *acc += b;
         }
 
-        Ok(LinearResult {
-            accumulators: Tensor::from_vec(vec![o], accumulators).map_err(AccelError::Tensor)?,
-            stats,
-        })
-    }
-
-    /// Executes one fully-connected layer in **lane-aligned output
-    /// chunks** — the 1-D counterpart of the row-band tiling in
-    /// [`crate::memory::plan_network_tiles`].  The whole input vector
-    /// stays resident (every output needs every input) while only
-    /// `chunk_outputs` output neurons and their weight rows are staged at
-    /// a time, which is what bounds the 1-D activation buffer for
-    /// VGG-class classifier layers.
-    ///
-    /// `chunk_outputs` must be a multiple of the lane count (or cover all
-    /// outputs at once): each chunk then occupies a whole number of lane
-    /// groups, so the per-chunk cycle counts sum to exactly the untiled
-    /// schedule of [`LinearUnit::run_layer`].  Accumulators and all other
-    /// counters are bit-identical by linearity in the output neurons.
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearUnit::run_layer`], plus
-    /// [`AccelError::UnsupportedLayer`] for a zero or misaligned chunk.
-    pub fn run_layer_chunked(
-        &self,
-        input_levels: &Tensor<i64>,
-        weight_codes: &Tensor<i64>,
-        bias_acc: &Tensor<i64>,
-        time_steps: usize,
-        chunk_outputs: usize,
-    ) -> Result<LinearResult> {
-        if weight_codes.shape().rank() != 2 {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: "linear unit expects [O, N] weights".to_string(),
-            });
-        }
-        let o = weight_codes.shape().dims()[0];
-        let n = weight_codes.shape().dims()[1];
-        if chunk_outputs == 0 || (!chunk_outputs.is_multiple_of(self.lanes) && chunk_outputs < o) {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "output chunk of {chunk_outputs} is not a multiple of the {} lanes",
-                    self.lanes
-                ),
-            });
-        }
-        if bias_acc.len() != o {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: format!(
-                    "chunked execution needs one bias per output ({o}), got {}",
-                    bias_acc.len()
-                ),
-            });
-        }
-        let w_data = weight_codes.as_slice();
-        let b_data = bias_acc.as_slice();
-        let mut accumulators = Vec::with_capacity(o);
-        let mut stats = UnitStats::default();
-        for lo in (0..o).step_by(chunk_outputs) {
-            let hi = (lo + chunk_outputs).min(o);
-            let weights = Tensor::from_vec(vec![hi - lo, n], w_data[lo * n..hi * n].to_vec())
-                .map_err(AccelError::Tensor)?;
-            let bias = Tensor::from_vec(vec![hi - lo], b_data[lo..hi].to_vec())
-                .map_err(AccelError::Tensor)?;
-            let part = self.run_layer(input_levels, &weights, &bias, time_steps)?;
-            stats += part.stats;
-            accumulators.extend_from_slice(part.accumulators.as_slice());
-        }
         Ok(LinearResult {
             accumulators: Tensor::from_vec(vec![o], accumulators).map_err(AccelError::Tensor)?,
             stats,

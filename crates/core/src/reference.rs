@@ -6,8 +6,8 @@
 //! [`UnitStats`] counters are incremented inside the innermost loops —
 //! exactly as the RTL schedules the work.
 //!
-//! The optimised engines in [`crate::conv`] and [`crate::linear`] traverse
-//! packed spike bit-planes instead and *derive* the same counters
+//! The optimised engines in [`crate::conv`] and [`crate::linear`] do work
+//! proportional to the spikes instead and *derive* the same counters
 //! analytically.  These reference models are kept (rather than deleted) for
 //! two reasons:
 //!

@@ -7,7 +7,7 @@
 //! micro-batches of up to [`ServerOptions::max_batch`] inputs, executing
 //! each batch over its slice of the shared worker pool — compiling once at
 //! start-up instead of per call, and (by default) serving on the
-//! **bit-plane sparse engine**.  In front of the replicas sits a
+//! **spike-major engine**.  In front of the replicas sits a
 //! `router::Router` that places every submission by live per-replica
 //! queue snapshots: least depth first, recent drain rate as the tiebreak,
 //! sticky fallback when no snapshot is fresh.  Every report a client

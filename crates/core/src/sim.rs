@@ -5,13 +5,14 @@
 //! Two levels of detail are provided:
 //!
 //! * [`Accelerator::run`] — **unit-exact**: every layer is executed on the
-//!   bit-plane sparse processing-unit models
+//!   spike-major processing-unit models
 //!   ([`crate::conv::ConvolutionUnit`], [`crate::pool::PoolingUnit`],
 //!   [`crate::linear::LinearUnit`]), activations move through the ping-pong
 //!   buffers, and exact work/operation counts are reported.  The units
-//!   traverse packed spike planes (word-level skip of silent regions,
-//!   output channels spread over the shared worker pool) and *derive* their
-//!   counters analytically from the static schedule plus plane popcounts;
+//!   walk the packed spike occupancy (word-level skip of silent regions),
+//!   accumulate from the model's channel-last packed weights (blocks of
+//!   output-channel lanes spread over the shared worker pool) and *derive*
+//!   their counters analytically from the static schedule plus popcounts;
 //!   property tests pin both accumulators and counters to the retained
 //!   counter-stepped models in [`crate::reference`].
 //! * [`Accelerator::run_fast`] — **transaction-level**: activations are

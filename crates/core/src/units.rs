@@ -1,5 +1,6 @@
 //! Shared bookkeeping for the processing-unit simulators.
 
+use crate::AccelError;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
@@ -44,6 +45,38 @@ pub struct UnitStats {
     /// the residual work the prepass could not share.
     #[serde(default)]
     pub difference_bits: u64,
+}
+
+/// The error a unit reports for a layer it cannot execute (units do not
+/// know their layer's index; the executor's errors carry it).
+pub(crate) fn unsupported(context: String) -> AccelError {
+    AccelError::UnsupportedLayer { layer: 0, context }
+}
+
+/// Fewest output-channel lanes a parallel block may own: below four
+/// 256-bit vectors the per-spike bookkeeping every block repeats outweighs
+/// the lanes it saves.
+const MIN_BLOCK_LANES: usize = 16;
+
+/// How the engines split `lanes` output-channel lanes into contiguous
+/// blocks that own disjoint accumulators: `(lanes per block, threads)`.
+/// One block (and one thread) unless `work` — multiply-accumulates, or
+/// the adder activations standing in for them — reaches
+/// [`snn_parallel::MIN_PARALLEL_WORK`]; the split never changes a result,
+/// only which task adds which lanes.
+pub(crate) fn lane_blocks(lanes: usize, work: u64) -> (usize, usize) {
+    let threads = if work >= snn_parallel::MIN_PARALLEL_WORK {
+        snn_parallel::default_threads()
+    } else {
+        1
+    };
+    let block = lanes
+        .div_ceil(threads)
+        .next_multiple_of(snn_model::packed::LANE_ALIGN)
+        .max(MIN_BLOCK_LANES)
+        .min(lanes)
+        .max(1);
+    (block, threads)
 }
 
 impl UnitStats {

@@ -1,0 +1,355 @@
+//! The spike-major engine against the counter-stepped reference units, on
+//! the axes its layout adds: output-channel lane tails (`c_out` not a
+//! multiple of the vector width, and below it), weight codes at the edge
+//! of the packed 16-bit element, spike trains on both sides of the
+//! kernel's 32-bit fast path up to the 63-bit limit (with out-of-range
+//! levels the mask must truncate), row bands and output chunks, and an
+//! all-silent input.  Accumulators **and** `UnitStats` must match.
+//!
+//! Also here: a weight code the packed element cannot hold is a typed
+//! error from every raw-tensor entry point, and a tiled VGG-shaped
+//! network's `RunReport` does not depend on the thread budget.
+
+use proptest::prelude::*;
+use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
+use snn_accel::conv::ConvolutionUnit;
+use snn_accel::linear::LinearUnit;
+use snn_accel::memory::RowBand;
+use snn_accel::reference::{ReferenceConvolutionUnit, ReferenceLinearUnit};
+use snn_accel::sim::Accelerator;
+use snn_accel::units::UnitStats;
+use snn_accel::AccelError;
+use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
+use snn_model::packed::PackedWeights;
+use snn_model::params::Parameters;
+use snn_model::{LayerSpec, NetworkSpec};
+use snn_tensor::Tensor;
+use std::process::Command;
+
+/// Output-channel counts around the 4-lane vector and 16-lane unrolled
+/// widths of the kernel.
+const LANE_TAILS: [usize; 6] = [1, 3, 5, 6, 10, 17];
+
+/// Spike-train lengths around the kernel's `level < 2^31` fast path and
+/// at the 63-bit payload limit.
+const TIME_STEPS: [usize; 5] = [1, 4, 31, 32, 63];
+
+fn mix(i: usize, seed: u64) -> u64 {
+    (i as u64)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(seed)
+        .wrapping_mul(0x2545_f491_4f6c_dd1d)
+        >> 7
+}
+
+/// Weight codes: a third at each edge of the `i16`-symmetric range, the
+/// rest small.
+fn code(i: usize, seed: u64) -> i64 {
+    let x = mix(i, seed);
+    match x % 6 {
+        0 => 32767,
+        1 => -32767,
+        _ => (x % 7) as i64 - 3,
+    }
+}
+
+/// Levels for a spike train of `time_steps`: a third silent, the rest a
+/// payload of at most 40 bits (so `terms x level x code` stays inside
+/// `i64` for the overflow-checked reference), and a fifth of those with
+/// bits *above* `time_steps` set — the sign bit, or everything above the
+/// payload — which the engine's mask must drop exactly as the schedule
+/// never sees them.
+fn level(i: usize, seed: u64, time_steps: usize, silent: bool) -> i64 {
+    let x = mix(i, seed ^ 0xabcd);
+    if silent || x.is_multiple_of(3) {
+        return 0;
+    }
+    let payload = (x >> 8) as i64 & ((1i64 << time_steps.min(40)) - 1);
+    match (x >> 3) % 5 {
+        0 if time_steps < 63 => payload | (-1i64 << time_steps),
+        0 => payload | i64::MIN,
+        _ => payload,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Convolution: whole layer and every row-band partition, through the
+    /// packed entry points and through the raw one, equal the reference.
+    #[test]
+    fn packed_conv_matches_the_reference_unit(
+        c_out_sel in 0usize..LANE_TAILS.len(),
+        t_sel in 0usize..TIME_STEPS.len(),
+        c_in in 1usize..3,
+        size in 4usize..8,
+        kernel in 2usize..4,
+        stride in 1usize..3,
+        padding in 0usize..3,
+        rows_per_band in 1usize..4,
+        columns in 1usize..6,
+        silent in proptest::bool::ANY,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (c_out, time_steps) = (LANE_TAILS[c_out_sel], TIME_STEPS[t_sel]);
+        // One input in eight is all silent.
+        let silent = silent && seed.is_multiple_of(4);
+        let input = Tensor::from_vec(
+            vec![c_in, size, size],
+            (0..c_in * size * size).map(|i| level(i, seed, time_steps, silent)).collect(),
+        ).unwrap();
+        let kernels = Tensor::from_vec(
+            vec![c_out, c_in, kernel, kernel],
+            (0..c_out * c_in * kernel * kernel).map(|i| code(i, seed)).collect(),
+        ).unwrap();
+        let bias = Tensor::from_vec(
+            vec![c_out],
+            (0..c_out).map(|i| (i as i64) * 1000 - 3).collect(),
+        ).unwrap();
+
+        let geometry = ArrayGeometry { columns, rows: kernel };
+        let oracle = ReferenceConvolutionUnit::new(geometry)
+            .run_layer(&input, &kernels, &bias, time_steps, stride, padding)
+            .unwrap();
+        let unit = ConvolutionUnit::new(geometry);
+        let weights = PackedWeights::from_conv(&kernels).unwrap();
+
+        let whole = unit
+            .run_packed(&input, &weights, &bias, time_steps, stride, padding)
+            .unwrap();
+        prop_assert_eq!(&whole.accumulators, &oracle.accumulators);
+        prop_assert_eq!(whole.stats, oracle.stats);
+        let raw = unit
+            .run_layer(&input, &kernels, &bias, time_steps, stride, padding)
+            .unwrap();
+        prop_assert_eq!(&raw, &whole);
+        if silent {
+            prop_assert_eq!(whole.stats.adder_ops, 0);
+        }
+
+        // Row bands: stitched accumulators and summed counters.
+        let dims = oracle.accumulators.shape().dims().to_vec();
+        let (h_out, w_out) = (dims[1], dims[2]);
+        let mut stitched = Tensor::filled(dims.clone(), 0i64);
+        let mut summed = UnitStats::default();
+        for lo in (0..h_out).step_by(rows_per_band) {
+            let hi = (lo + rows_per_band).min(h_out);
+            // A band that reads only padding still names one input row.
+            let in_lo = (lo * stride).saturating_sub(padding).min(size - 1);
+            let band = RowBand {
+                out_lo: lo,
+                out_hi: hi,
+                in_lo,
+                in_hi: ((hi - 1) * stride + kernel)
+                    .saturating_sub(padding)
+                    .clamp(in_lo + 1, size),
+            };
+            let mut rows = Vec::new();
+            for c in 0..c_in {
+                rows.extend_from_slice(
+                    &input.as_slice()[(c * size + band.in_lo) * size..(c * size + band.in_hi) * size],
+                );
+            }
+            let band_input = Tensor::from_vec(vec![c_in, band.in_rows(), size], rows).unwrap();
+            let part = unit
+                .run_packed_band(&band_input, &weights, &bias, time_steps, stride, padding, &band)
+                .unwrap();
+            summed += part.stats;
+            for oc in 0..c_out {
+                stitched.as_mut_slice()[(oc * h_out + lo) * w_out..(oc * h_out + hi) * w_out]
+                    .copy_from_slice(
+                        &part.accumulators.as_slice()[oc * (hi - lo) * w_out..(oc + 1) * (hi - lo) * w_out],
+                    );
+            }
+        }
+        prop_assert_eq!(&stitched, &oracle.accumulators);
+        prop_assert_eq!(summed, oracle.stats);
+    }
+
+    /// Fully-connected: untiled and in every lane-aligned chunking.
+    #[test]
+    fn packed_linear_matches_the_reference_unit(
+        outputs_sel in 0usize..LANE_TAILS.len(),
+        t_sel in 0usize..TIME_STEPS.len(),
+        inputs in 1usize..20,
+        lanes in 1usize..8,
+        groups_per_chunk in 1usize..4,
+        silent in proptest::bool::ANY,
+        seed in 0u64..u64::MAX,
+    ) {
+        let (outputs, time_steps) = (LANE_TAILS[outputs_sel], TIME_STEPS[t_sel]);
+        let silent = silent && seed.is_multiple_of(4);
+        let input = Tensor::from_vec(
+            vec![inputs],
+            (0..inputs).map(|i| level(i, seed, time_steps, silent)).collect(),
+        ).unwrap();
+        let codes = Tensor::from_vec(
+            vec![outputs, inputs],
+            (0..outputs * inputs).map(|i| code(i, seed)).collect(),
+        ).unwrap();
+        let bias = Tensor::from_vec(
+            vec![outputs],
+            (0..outputs).map(|i| 7 - (i as i64) * 100).collect(),
+        ).unwrap();
+
+        let oracle = ReferenceLinearUnit::new(lanes)
+            .run_layer(&input, &codes, &bias, time_steps)
+            .unwrap();
+        let unit = LinearUnit::new(lanes);
+        let weights = PackedWeights::from_linear(&codes).unwrap();
+        let whole = unit.run_packed(&input, &weights, &bias, time_steps).unwrap();
+        prop_assert_eq!(&whole.accumulators, &oracle.accumulators);
+        prop_assert_eq!(whole.stats, oracle.stats);
+        prop_assert_eq!(&unit.run_layer(&input, &codes, &bias, time_steps).unwrap(), &whole);
+
+        let chunk = lanes * groups_per_chunk;
+        let chunked = unit
+            .run_packed_chunked(&input, &weights, &bias, time_steps, chunk)
+            .unwrap();
+        prop_assert_eq!(&chunked, &whole);
+        prop_assert_eq!(
+            &unit.run_layer_chunked(&input, &codes, &bias, time_steps, chunk).unwrap(),
+            &whole
+        );
+    }
+}
+
+/// A weight code outside `i16` must never be truncated into the packed
+/// copy: every raw-tensor entry point reports it as an unsupported layer.
+#[test]
+fn oversized_weight_codes_are_a_typed_error_from_the_raw_entries() {
+    let conv = ConvolutionUnit::new(ArrayGeometry {
+        columns: 4,
+        rows: 3,
+    });
+    let input = Tensor::filled(vec![1, 4, 4], 1i64);
+    let bias = Tensor::filled(vec![1], 0i64);
+    let band = RowBand {
+        out_lo: 0,
+        out_hi: 2,
+        in_lo: 0,
+        in_hi: 4,
+    };
+    for bad in [32768i64, -32769] {
+        let mut codes = vec![1i64; 9];
+        codes[4] = bad;
+        let kernels = Tensor::from_vec(vec![1, 1, 3, 3], codes).unwrap();
+        assert!(matches!(
+            conv.run_layer(&input, &kernels, &bias, 3, 1, 0),
+            Err(AccelError::UnsupportedLayer { context, .. }) if context.contains(&bad.to_string())
+        ));
+        assert!(matches!(
+            conv.run_layer_band(&input, &kernels, &bias, 3, 1, 0, &band),
+            Err(AccelError::UnsupportedLayer { .. })
+        ));
+
+        let linear = LinearUnit::new(2);
+        let vector = Tensor::filled(vec![3], 1i64);
+        let weights = Tensor::from_vec(vec![2, 3], vec![0, 1, 2, bad, 4, 5]).unwrap();
+        let bias2 = Tensor::filled(vec![2], 0i64);
+        assert!(matches!(
+            linear.run_layer(&vector, &weights, &bias2, 3),
+            Err(AccelError::UnsupportedLayer { context, .. }) if context.contains(&bad.to_string())
+        ));
+        assert!(matches!(
+            linear.run_layer_chunked(&vector, &weights, &bias2, 3, 2),
+            Err(AccelError::UnsupportedLayer { .. })
+        ));
+    }
+}
+
+/// One inference of a tiled VGG-shaped network (wide 3×3 convolutions in
+/// row bands, pooling, a chunked classifier; every conv/linear layer
+/// above `MIN_PARALLEL_WORK`, so lane blocks do fan out) as a string, with
+/// the one field that *records* the budget blanked.
+fn tiled_vgg_shaped_report() -> String {
+    let net = NetworkSpec::new(
+        "vgg-shaped",
+        vec![3, 16, 16],
+        vec![
+            LayerSpec::conv_padded(3, 40, 3, 1),
+            LayerSpec::max_pool2(),
+            LayerSpec::conv_padded(40, 72, 3, 1),
+            LayerSpec::max_pool2(),
+            LayerSpec::Flatten,
+            LayerSpec::linear(72 * 4 * 4, 200),
+            LayerSpec::linear(200, 10),
+        ],
+    )
+    .unwrap();
+    let input = Tensor::from_vec(
+        vec![3, 16, 16],
+        (0..3 * 16 * 16)
+            .map(|j| ((j * 37) % 100) as f32 / 100.0)
+            .collect(),
+    )
+    .unwrap();
+    let params = Parameters::he_init(&net, 11).unwrap();
+    let stats = CalibrationStats::collect(&net, &params, std::iter::once(&input)).unwrap();
+    let model = convert(
+        &net,
+        &params,
+        &stats,
+        ConversionConfig {
+            weight_bits: 3,
+            time_steps: 4,
+        },
+    )
+    .unwrap();
+    let config = AcceleratorConfig {
+        activation_buffer_bytes: Some(1024),
+        ..AcceleratorConfig::vgg11_table3()
+    };
+    let accel = Accelerator::new(config);
+    let program = accel.compile(&model).unwrap();
+    assert!(
+        program.steps.iter().filter(|s| s.tiling.is_some()).count() >= 4,
+        "the budget must tile the convolutions and the classifier"
+    );
+    let mut report = accel.run(&model, &input).unwrap();
+    assert!(report
+        .layers
+        .iter()
+        .any(|l| l.work.adder_ops >= snn_parallel::MIN_PARALLEL_WORK));
+    report.thread_budget = 0;
+    format!("{report:?}")
+}
+
+const REPORT_MARKER: &str = "TILED-VGG-SHAPED-REPORT ";
+
+/// Not a test of its own: the child half of
+/// [`reports_do_not_depend_on_the_thread_budget`], which runs this binary
+/// again under another `SNN_THREADS` (the budget is fixed per process).
+#[test]
+#[ignore = "helper run in a child process by reports_do_not_depend_on_the_thread_budget"]
+fn print_tiled_vgg_shaped_report() {
+    println!("{REPORT_MARKER}{}", tiled_vgg_shaped_report());
+}
+
+/// The lane-block split is race-free by ownership, so the same
+/// `RunReport` must come out at `SNN_THREADS=1` (strictly sequential), at
+/// an odd budget that splits lanes unevenly, and at this process's own.
+#[test]
+fn reports_do_not_depend_on_the_thread_budget() {
+    let here = tiled_vgg_shaped_report();
+    for threads in ["1", "3", "16"] {
+        let output = Command::new(std::env::current_exe().expect("test binary path"))
+            .args([
+                "--exact",
+                "print_tiled_vgg_shaped_report",
+                "--ignored",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("SNN_THREADS", threads)
+            .output()
+            .expect("re-run the test binary");
+        assert!(output.status.success(), "child failed: {output:?}");
+        let stdout = String::from_utf8(output.stdout).expect("utf-8 report");
+        let there = stdout
+            .lines()
+            .find_map(|line| line.split_once(REPORT_MARKER).map(|(_, report)| report))
+            .unwrap_or_else(|| panic!("no report in child output: {stdout}"));
+        assert_eq!(there, here, "SNN_THREADS={threads}");
+    }
+}

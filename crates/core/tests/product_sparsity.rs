@@ -1,4 +1,4 @@
-//! Properties of the product-sparsity prepass (`AcceleratorConfig::
+//! Properties of the product-sparsity accounting (`AcceleratorConfig::
 //! product_sparsity`): reusing a contained row's partial sums must be an
 //! **accounting-only** optimisation.  Accumulators stay bit-identical to
 //! the reuse-free engine and the counter-stepped scalar reference, the
@@ -39,9 +39,9 @@ fn converted(net: &NetworkSpec, time_steps: usize, inputs: &[Tensor<f32>]) -> Sn
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// For arbitrary shapes, strides, paddings, gather thresholds and
-    /// data — including inputs with repeated rows, where containment is
-    /// common — the PS-enabled unit is bit-identical to the PS-off unit
+    /// For arbitrary shapes, strides, paddings, (ignored) gather thresholds
+    /// and data — including inputs with repeated rows, where containment
+    /// is common — the PS-enabled unit is bit-identical to the PS-off unit
     /// and the scalar reference, keeps every schedule counter, and only
     /// ever lowers `adder_ops`, by exactly zero when nothing was reused.
     #[test]
@@ -82,8 +82,7 @@ proptest! {
         ).unwrap();
 
         let geometry = ArrayGeometry { columns, rows: kernel };
-        // 0.0 forces the dense gather everywhere, 2.0 never takes it —
-        // product sparsity must compose with both row representations.
+        // The threshold once chose a row kernel; it must select nothing now.
         let threshold = [0.0, 0.5, 2.0][threshold_sel];
         let ps = ConvolutionUnit::with_options(geometry, threshold, true)
             .run_layer(&input, &kernel_t, &bias, time_steps, stride, padding)

@@ -22,6 +22,9 @@
 //! * [`snn`] — the *functional* radix-encoded SNN: integer-domain
 //!   inference that the cycle-level accelerator simulator in `snn-accel`
 //!   reproduces bit-exactly.
+//! * [`packed`] — the channel-last 16-bit copy of every conv/linear
+//!   weight tensor that simulator's engine executes from, built once per
+//!   model.
 //!
 //! # Example
 //!
@@ -44,6 +47,7 @@ pub mod convert;
 pub mod forward;
 pub mod layer;
 pub mod network;
+pub mod packed;
 pub mod params;
 pub mod snn;
 pub mod summary;

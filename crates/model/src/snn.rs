@@ -17,6 +17,7 @@
 //! guarantees both sides round identically.
 
 use crate::layer::PoolKind;
+use crate::packed::PackedWeights;
 use crate::{LayerSpec, ModelError, NetworkSpec, Result};
 use serde::{Deserialize, Serialize};
 use snn_encoding::radix::RadixEncoder;
@@ -64,6 +65,13 @@ pub enum SnnLayer {
 pub struct SnnModel {
     spec: NetworkSpec,
     layers: Vec<SnnLayer>,
+    /// The channel-last copy of each conv/linear layer's `weight_codes`
+    /// the accelerator engine reads (`None` for pool/flatten).  Always
+    /// derived from `layers` in [`SnnModel::new`], never set on its own,
+    /// so clones and comparisons see one consistent model (with the real
+    /// serde, deserialisation has to go through `new` for the same reason).
+    #[serde(skip)]
+    packed: Vec<Option<PackedWeights>>,
     time_steps: usize,
     weight_bits: u8,
 }
@@ -123,7 +131,8 @@ impl SnnModel {
     /// # Errors
     ///
     /// Returns [`ModelError::ParameterMismatch`] when the number of SNN
-    /// layers does not match the network spec.
+    /// layers does not match the network spec, or a weight code does not
+    /// fit the engine's packed 16-bit element (see [`PackedWeights`]).
     pub fn new(
         spec: NetworkSpec,
         layers: Vec<SnnLayer>,
@@ -139,9 +148,22 @@ impl SnnModel {
                 ),
             });
         }
+        let packed = layers
+            .iter()
+            .map(|layer| match layer {
+                SnnLayer::Conv { weight_codes, .. } => {
+                    PackedWeights::from_conv(weight_codes).map(Some)
+                }
+                SnnLayer::Linear { weight_codes, .. } => {
+                    PackedWeights::from_linear(weight_codes).map(Some)
+                }
+                SnnLayer::Pool { .. } | SnnLayer::Flatten => Ok(None),
+            })
+            .collect::<Result<_>>()?;
         Ok(SnnModel {
             spec,
             layers,
+            packed,
             time_steps,
             weight_bits,
         })
@@ -155,6 +177,13 @@ impl SnnModel {
     /// The converted layers.
     pub fn layers(&self) -> &[SnnLayer] {
         &self.layers
+    }
+
+    /// The channel-last packed weights of layer `index` — what the
+    /// accelerator engine executes from; `None` for a pooling or flatten
+    /// layer (or an index past the last layer).
+    pub fn packed(&self, index: usize) -> Option<&PackedWeights> {
+        self.packed.get(index)?.as_ref()
     }
 
     /// Spike-train length `T`.
@@ -374,6 +403,26 @@ mod tests {
         let spec = zoo::tiny_cnn();
         assert!(matches!(
             SnnModel::new(spec, vec![], 3, 3),
+            Err(ModelError::ParameterMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn weights_are_packed_once_and_oversized_codes_rejected() {
+        let model = identity_linear_model(3);
+        let packed = model.packed(0).expect("linear layers are packed");
+        assert_eq!((packed.c_in(), packed.c_out()), (3, 3));
+        assert_eq!(packed.row(1, 0, 0), &[0, 1, 0, 0]);
+        assert!(model.packed(1).is_none());
+
+        let spec = NetworkSpec::new("wide", vec![1], vec![LayerSpec::linear(1, 1)]).unwrap();
+        let layer = SnnLayer::Linear {
+            weight_codes: Tensor::filled(vec![1, 1], 1i64 << 15),
+            bias_acc: Tensor::filled(vec![1], 0i64),
+            requant: None,
+        };
+        assert!(matches!(
+            SnnModel::new(spec, vec![layer], 3, 3),
             Err(ModelError::ParameterMismatch { .. })
         ));
     }

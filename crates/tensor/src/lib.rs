@@ -22,7 +22,8 @@
 //! * [`simd`] — runtime-dispatched word-level kernels (AVX2/SSE2 with an
 //!   always-compiled scalar oracle) behind the bit-plane engine's inner
 //!   loops: occupancy OR-reduction, plane popcount, bitmask expansion and
-//!   the dense gather/accumulate.  `SNN_SIMD=0` forces the scalar path.
+//!   the widening weight-row multiply-accumulate.  `SNN_SIMD=0` forces
+//!   the scalar path.
 //!
 //! # Example
 //!

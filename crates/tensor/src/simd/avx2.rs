@@ -9,8 +9,9 @@
 //! The integer arithmetic is exact: bitwise ops and popcounts are
 //! lane-width-independent, and the 64-bit multiply is composed from
 //! `vpmuludq` 32×32→64 partial products (`lo·lo + ((hi·lo + lo·hi) << 32)`),
-//! which is precisely the wrapping 64-bit product — so accumulators are
-//! bit-identical to the scalar oracle.
+//! which is precisely the wrapping 64-bit product (or, for factors that
+//! fit 32 signed bits, one `vpmuldq`) — so accumulators are bit-identical
+//! to the scalar oracle.
 
 #![allow(unsafe_code)]
 
@@ -119,50 +120,62 @@ fn mul_epi64(a: __m256i, b: __m256i) -> __m256i {
     _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32))
 }
 
-/// `out[i] += c * x[i]`, 4 lanes per iteration.
-pub fn axpy_i64(out: &mut [i64], x: &[i64], c: i64) {
-    // SAFETY: dispatch guarantees AVX2; loads/stores stay inside the
-    // equal-length slices.
-    unsafe { axpy_impl(out, x, c) }
+/// `acc[i] += level * w[i]` with `i16` weights sign-extended to `i64`
+/// lanes (`vpmovsxwq`), 16 lanes per unrolled iteration.
+pub fn axpy_i16(acc: &mut [i64], w: &[i16], level: i64) {
+    // SAFETY: dispatch guarantees AVX2, the only requirement of these
+    // (otherwise safe) functions.
+    unsafe {
+        if (0..1i64 << 31).contains(&level) {
+            axpy_i16_impl::<true>(acc, w, level)
+        } else {
+            axpy_i16_impl::<false>(acc, w, level)
+        }
+    }
+}
+
+/// Product of sign-extended `i16` lanes with the broadcast level.
+/// `NARROW` promises `0 <= level < 2^31`: both factors then fit the low
+/// 32 bits of their lanes as signed values, so one signed 32x32->64
+/// `vpmuldq` is the exact product; otherwise the full [`mul_epi64`].
+#[inline]
+#[target_feature(enable = "avx2")]
+fn mul_level<const NARROW: bool>(w: __m256i, level: __m256i) -> __m256i {
+    if NARROW {
+        _mm256_mul_epi32(w, level)
+    } else {
+        mul_epi64(w, level)
+    }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_impl(out: &mut [i64], x: &[i64], c: i64) {
-    let chunks = out.len() / 4;
+fn axpy_i16_impl<const NARROW: bool>(acc: &mut [i64], w: &[i16], level: i64) {
+    let vl = _mm256_set1_epi64x(level);
+    let n = acc.len().min(w.len());
+    let (ap, wp) = (acc.as_mut_ptr(), w.as_ptr());
+    let mut i = 0;
+    // SAFETY (both loops): `i + lanes <= n` keeps every access inside both
+    // slices; unaligned loads/stores carry no alignment requirement.
     unsafe {
-        let vc = _mm256_set1_epi64x(c);
-        for i in 0..chunks {
-            let xv = _mm256_loadu_si256(x.as_ptr().add(i * 4).cast());
-            let ov = _mm256_loadu_si256(out.as_ptr().add(i * 4).cast());
-            let sum = _mm256_add_epi64(ov, mul_epi64(xv, vc));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i * 4).cast(), sum);
+        while i + 16 <= n {
+            // Four `vpmovsxwq ymm, m64` (load and widen fused) rather than
+            // one 256-bit load split by shuffles: the shuffle port is the
+            // bottleneck of this loop.
+            for q in (i..i + 16).step_by(4) {
+                let wv = _mm256_cvtepi16_epi64(_mm_loadl_epi64(wp.add(q).cast()));
+                let at = ap.add(q).cast::<__m256i>();
+                let sum = _mm256_add_epi64(_mm256_loadu_si256(at), mul_level::<NARROW>(wv, vl));
+                _mm256_storeu_si256(at, sum);
+            }
+            i += 16;
+        }
+        while i + 4 <= n {
+            let wv = _mm256_cvtepi16_epi64(_mm_loadl_epi64(wp.add(i).cast()));
+            let at = ap.add(i).cast::<__m256i>();
+            let sum = _mm256_add_epi64(_mm256_loadu_si256(at), mul_level::<NARROW>(wv, vl));
+            _mm256_storeu_si256(at, sum);
+            i += 4;
         }
     }
-    scalar::axpy_i64(&mut out[chunks * 4..], &x[chunks * 4..], c);
-}
-
-/// Wrapping `i64` dot product, 4 lanes per iteration.
-pub fn dot_i64(a: &[i64], b: &[i64]) -> i64 {
-    // SAFETY: dispatch guarantees AVX2; loads stay inside the
-    // equal-length slices.
-    unsafe { dot_impl(a, b) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn dot_impl(a: &[i64], b: &[i64]) -> i64 {
-    let chunks = a.len() / 4;
-    let mut total;
-    unsafe {
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            let av = _mm256_loadu_si256(a.as_ptr().add(i * 4).cast());
-            let bv = _mm256_loadu_si256(b.as_ptr().add(i * 4).cast());
-            acc = _mm256_add_epi64(acc, mul_epi64(av, bv));
-        }
-        let mut lanes = [0i64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        total = lanes.iter().fold(0i64, |s, &v| s.wrapping_add(v));
-    }
-    total = total.wrapping_add(scalar::dot_i64(&a[chunks * 4..], &b[chunks * 4..]));
-    total
+    scalar::axpy_i16(&mut acc[i..n], &w[i..n], level);
 }

@@ -3,8 +3,9 @@
 //! The sparse execution engine spends its inner loops on a handful of
 //! word-level primitives: OR-reducing packed plane rows into the occupancy
 //! mask, popcounting planes for the analytical `adder_ops`, expanding
-//! occupancy bitmasks into spike indices, and the dense-row
-//! gather/accumulate (`out += c * row`) of saturated rows.  This module
+//! occupancy bitmasks into spike indices, and the widening
+//! multiply-accumulate of one packed weight row into the output-channel
+//! lanes of an accumulator row (`acc += level * row`).  This module
 //! provides those primitives once, with three implementations behind one
 //! dispatch point:
 //!
@@ -146,41 +147,32 @@ pub fn pack_occupancy_row(levels: &[i64], mask: i64, out: &mut [u64]) {
     }
 }
 
-/// `out[i] += c * x[i]` with wrapping `i64` arithmetic — the dense-row
-/// gather/accumulate of the convolution and linear engines, expressed per
-/// kernel tap so the inner loop runs over contiguous output positions.
+/// `acc[i] += level * w[i]` with each `i16` weight widened to `i64` and
+/// wrapping `i64` arithmetic — the one multiply-accumulate of the
+/// convolution and linear engines: a spike of weight `level` adds one
+/// channel-last packed weight row into the output-channel lanes of an
+/// accumulator row.  The product is exact mod 2^64 for every `level`, so
+/// spike trains of any length `T <= 63` accumulate bit-identically on
+/// every level.
 ///
 /// # Panics
 ///
 /// Panics when the slices differ in length.
-pub fn axpy_i64(out: &mut [i64], x: &[i64], c: i64) {
-    assert_eq!(out.len(), x.len(), "axpy rows differ in length");
-    if c == 0 {
-        return;
-    }
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::axpy_i64(out, x, c),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => sse2::axpy_i64(out, x, c),
-        _ => scalar::axpy_i64(out, x, c),
-    }
+pub fn axpy_i16(acc: &mut [i64], w: &[i16], level: i64) {
+    axpy_i16_at(active_level(), acc, w, level);
 }
 
-/// Wrapping `i64` dot product — the dense gather of the linear unit
-/// (masked level vector × weight row).
-///
-/// # Panics
-///
-/// Panics when the slices differ in length.
-pub fn dot_i64(a: &[i64], b: &[i64]) -> i64 {
-    assert_eq!(a.len(), b.len(), "dot vectors differ in length");
-    match active_level() {
+/// [`axpy_i16`] on an explicit kernel level (which must not exceed what
+/// the host supports), so tests can pin every compiled path in one
+/// process.
+fn axpy_i16_at(kernel: SimdLevel, acc: &mut [i64], w: &[i16], level: i64) {
+    assert_eq!(acc.len(), w.len(), "axpy rows differ in length");
+    match kernel {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::dot_i64(a, b),
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => sse2::dot_i64(a, b),
-        _ => scalar::dot_i64(a, b),
+        SimdLevel::Avx2 => avx2::axpy_i16(acc, w, level),
+        // Widening `i16` lanes needs SSE4.1 (`pmovsxwq`); the SSE2 level
+        // runs the scalar loop.
+        _ => scalar::axpy_i16(acc, w, level),
     }
 }
 
@@ -188,20 +180,25 @@ pub fn dot_i64(a: &[i64], b: &[i64]) -> i64 {
 /// (`base + bit_index`), appended to `out` — the bitmask-expansion side of
 /// the sparse gather.
 pub fn collect_set_bits(words: &[u64], base: usize, out: &mut Vec<u32>) {
-    // This path only ever sees rows below the dense-gather threshold
-    // (saturated rows are routed to the dense kernels), and in that sparse
-    // regime the per-bit `trailing_zeros`/`clear-lowest` walk — whose work
-    // is proportional to the set bits, not the row width — measures ~4x
-    // faster than the byte-table batched expansion on x86
-    // (`simd_kernels/sparse_gather` in the conv_unit bench).  The batched
-    // expansion stays in [`scalar`] as the alternate implementation both
-    // are pinned against.
+    // The per-bit `trailing_zeros`/`clear-lowest` walk — whose work is
+    // proportional to the set bits, not the row width — measures ~4x
+    // faster than the byte-table batched expansion on x86 at the ~25 %
+    // densities converted networks produce (`simd_kernels/sparse_gather`
+    // in the conv_unit bench).  The batched expansion stays in [`scalar`]
+    // as the alternate implementation both are pinned against.
     scalar::collect_set_bits(words, base, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every kernel level this host can run.
+    fn runnable_levels() -> impl Iterator<Item = SimdLevel> {
+        [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2]
+            .into_iter()
+            .filter(|&level| level <= detect_level())
+    }
 
     fn words_from_bits(bits: &[usize], len: usize) -> Vec<u64> {
         let mut words = vec![0u64; len];
@@ -253,22 +250,28 @@ mod tests {
 
     #[test]
     fn axpy_matches_scalar() {
-        let x: Vec<i64> = (0..37).map(|v| (v * 13 % 29) as i64 - 14).collect();
-        for c in [-3i64, 0, 1, 7, 1 << 40] {
-            let mut fast: Vec<i64> = (0..37).map(|v| v as i64 * 3 - 50).collect();
-            let mut slow = fast.clone();
-            axpy_i64(&mut fast, &x, c);
-            scalar::axpy_i64(&mut slow, &x, c);
-            assert_eq!(fast, slow, "c={c}");
+        // Every compiled level the host supports, every length across the
+        // 16- and 4-lane loops and the scalar tail, and levels on both
+        // sides of the 32-bit fast path (2^31 - 1 | 2^31) up to 2^62,
+        // where the products wrap.
+        for kernel in runnable_levels() {
+            for len in 0..=67usize {
+                let w: Vec<i16> = (0..len)
+                    .map(|i| match i % 5 {
+                        0 => i16::MAX,
+                        1 => i16::MIN,
+                        _ => (i as i16).wrapping_mul(2741) >> 3,
+                    })
+                    .collect();
+                for c in [0i64, 1, (1 << 31) - 1, 1 << 31, 1 << 62, -3] {
+                    let mut fast: Vec<i64> = (0..len).map(|v| v as i64 * 3 - 50).collect();
+                    let mut slow = fast.clone();
+                    axpy_i16_at(kernel, &mut fast, &w, c);
+                    scalar::axpy_i16(&mut slow, &w, c);
+                    assert_eq!(fast, slow, "kernel={kernel:?} len={len} c={c}");
+                }
+            }
         }
-    }
-
-    #[test]
-    fn dot_matches_scalar() {
-        let a: Vec<i64> = (0..41).map(|v| (v * 17 % 23) as i64 - 11).collect();
-        let b: Vec<i64> = (0..41).map(|v| (v * 5 % 13) as i64 - 6).collect();
-        assert_eq!(dot_i64(&a, &b), scalar::dot_i64(&a, &b));
-        assert_eq!(dot_i64(&[], &[]), 0);
     }
 
     #[test]

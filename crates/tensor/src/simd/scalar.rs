@@ -27,26 +27,17 @@ pub fn pack_occupancy_row(levels: &[i64], mask: i64, out: &mut [u64]) {
     }
 }
 
-/// `out[i] += c * x[i]` with the workspace's plain `i64` arithmetic.
-pub fn axpy_i64(out: &mut [i64], x: &[i64], c: i64) {
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o += c * v;
+/// `acc[i] += level * w[i]`, each `i16` weight widened to `i64` first,
+/// in wrapping `i64` arithmetic (exact mod 2^64 for any `level`).
+pub fn axpy_i16(acc: &mut [i64], w: &[i16], level: i64) {
+    for (a, &v) in acc.iter_mut().zip(w) {
+        *a = a.wrapping_add(i64::from(v).wrapping_mul(level));
     }
-}
-
-/// Plain `i64` dot product.
-pub fn dot_i64(a: &[i64], b: &[i64]) -> i64 {
-    let mut sum = 0i64;
-    for (&x, &y) in a.iter().zip(b) {
-        sum += x * y;
-    }
-    sum
 }
 
 /// Per-bit expansion of set bits into ascending positions via the
 /// `trailing_zeros`/`clear-lowest` walk: work proportional to the set
-/// bits, which makes it the dispatched path for the sparse rows the
-/// gather threshold routes here (and the oracle for
+/// bits, which makes it the dispatched path (and the oracle for
 /// [`collect_set_bits_batched`]).
 pub fn collect_set_bits(words: &[u64], base: usize, out: &mut Vec<u32>) {
     for (word_index, &word) in words.iter().enumerate() {
@@ -89,10 +80,9 @@ static BYTE_TABLE: ByteTable = {
 /// Word-batched bitmask expansion: each non-zero byte of each word is
 /// expanded through `BYTE_TABLE` (no per-bit branches), appending
 /// ascending positions `base + bit_index` to `out`.  Its fixed
-/// 8-bytes-per-word walk only pays off on near-saturated rows — which the
-/// engine gathers densely instead — so [`collect_set_bits`] dispatches
-/// the per-bit walk; this stays as the pinned alternate (see the
-/// `simd_kernels/sparse_gather` bench).
+/// 8-bytes-per-word walk only pays off on near-saturated rows, so
+/// [`collect_set_bits`] dispatches the per-bit walk; this stays as the
+/// pinned alternate (see the `simd_kernels/sparse_gather` bench).
 pub fn collect_set_bits_batched(words: &[u64], base: usize, out: &mut Vec<u32>) {
     for (word_index, &word) in words.iter().enumerate() {
         if word == 0 {

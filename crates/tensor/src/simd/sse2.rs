@@ -4,8 +4,8 @@
 //!
 //! SSE2 has no 64-bit lane compare (`pcmpeqq` is SSE4.1) and no shuffle
 //! popcount (SSSE3), so the zero test is built from paired 32-bit
-//! compares and popcount stays on the scalar path.  The 64-bit multiply
-//! uses the same exact `vpmuludq` decomposition as the AVX2 path.
+//! compares and popcount stays on the scalar path; the widening `axpy`
+//! needs `pmovsxwq` (SSE4.1) and stays there too.
 
 #![allow(unsafe_code)]
 
@@ -67,64 +67,4 @@ unsafe fn pack_occupancy_row_impl(levels: &[i64], mask: i64, out: &mut [u64]) {
             out[x / 64] |= 1u64 << (x % 64);
         }
     }
-}
-
-/// Wrapping 64-bit product of two `i64` vectors via 32-bit partials
-/// (`lo·lo + ((hi·lo + lo·hi) << 32)`), exact mod 2^64.
-#[inline]
-#[target_feature(enable = "sse2")]
-fn mul_epi64(a: __m128i, b: __m128i) -> __m128i {
-    let a_hi = _mm_srli_epi64(a, 32);
-    let b_hi = _mm_srli_epi64(b, 32);
-    let lo = _mm_mul_epu32(a, b);
-    let cross = _mm_add_epi64(_mm_mul_epu32(a_hi, b), _mm_mul_epu32(a, b_hi));
-    _mm_add_epi64(lo, _mm_slli_epi64(cross, 32))
-}
-
-/// `out[i] += c * x[i]`, 2 lanes per iteration.
-pub fn axpy_i64(out: &mut [i64], x: &[i64], c: i64) {
-    // SAFETY: SSE2 is the x86_64 baseline; loads/stores stay within the
-    // equal-length slices.
-    unsafe { axpy_impl(out, x, c) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn axpy_impl(out: &mut [i64], x: &[i64], c: i64) {
-    let chunks = out.len() / 2;
-    unsafe {
-        let vc = _mm_set1_epi64x(c);
-        for i in 0..chunks {
-            let xv = _mm_loadu_si128(x.as_ptr().add(i * 2).cast());
-            let ov = _mm_loadu_si128(out.as_ptr().add(i * 2).cast());
-            let sum = _mm_add_epi64(ov, mul_epi64(xv, vc));
-            _mm_storeu_si128(out.as_mut_ptr().add(i * 2).cast(), sum);
-        }
-    }
-    scalar::axpy_i64(&mut out[chunks * 2..], &x[chunks * 2..], c);
-}
-
-/// Wrapping `i64` dot product, 2 lanes per iteration.
-pub fn dot_i64(a: &[i64], b: &[i64]) -> i64 {
-    // SAFETY: SSE2 is the x86_64 baseline; loads stay within the
-    // equal-length slices.
-    unsafe { dot_impl(a, b) }
-}
-
-#[target_feature(enable = "sse2")]
-unsafe fn dot_impl(a: &[i64], b: &[i64]) -> i64 {
-    let chunks = a.len() / 2;
-    let mut total;
-    unsafe {
-        let mut acc = _mm_setzero_si128();
-        for i in 0..chunks {
-            let av = _mm_loadu_si128(a.as_ptr().add(i * 2).cast());
-            let bv = _mm_loadu_si128(b.as_ptr().add(i * 2).cast());
-            acc = _mm_add_epi64(acc, mul_epi64(av, bv));
-        }
-        let mut lanes = [0i64; 2];
-        _mm_storeu_si128(lanes.as_mut_ptr().cast(), acc);
-        total = lanes[0].wrapping_add(lanes[1]);
-    }
-    total = total.wrapping_add(scalar::dot_i64(&a[chunks * 2..], &b[chunks * 2..]));
-    total
 }

@@ -116,29 +116,21 @@ proptest! {
         }
     }
 
-    /// Dense gather/accumulate (`out += c * x`): dispatched kernel equals
-    /// the scalar loop for any length and coefficient.
+    /// Widening multiply-accumulate (`acc += level * w`): dispatched
+    /// kernel equals the scalar loop for any length, any `i16` weights and
+    /// levels on both sides of the 32-bit fast path.
     #[test]
     fn axpy_matches_scalar_oracle(
-        x in prop::collection::vec(-1000i64..1000, 0..130),
-        c in -1000i64..1000,
+        w in prop::collection::vec(i16::MIN..=i16::MAX, 0..130),
+        level_bits in 0u32..64,
         seed in 0u64..u64::MAX,
     ) {
-        let mut fast: Vec<i64> = (0..x.len()).map(|i| small_i64(i, seed, 1024)).collect();
+        let level = (seed >> (63 - level_bits)) as i64;
+        let mut fast: Vec<i64> = (0..w.len()).map(|i| small_i64(i, seed, 1024)).collect();
         let mut slow = fast.clone();
-        simd::axpy_i64(&mut fast, &x, c);
-        scalar::axpy_i64(&mut slow, &x, c);
+        simd::axpy_i16(&mut fast, &w, level);
+        scalar::axpy_i16(&mut slow, &w, level);
         prop_assert_eq!(fast, slow);
-    }
-
-    /// Dense dot product: dispatched kernel equals the scalar loop.
-    #[test]
-    fn dot_matches_scalar_oracle(
-        a in prop::collection::vec(-1000i64..1000, 0..130),
-        seed in 0u64..u64::MAX,
-    ) {
-        let b: Vec<i64> = (0..a.len()).map(|i| small_i64(i, seed, 1000)).collect();
-        prop_assert_eq!(simd::dot_i64(&a, &b), scalar::dot_i64(&a, &b));
     }
 
     /// Word-batched bitmask expansion: same positions, same (ascending)
