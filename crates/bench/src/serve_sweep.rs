@@ -4,8 +4,8 @@
 //! One compiled LeNet-5 program is served three ways: a naive sequential
 //! `run_fast` call per input (per-call compile — what a client without the
 //! server would do), the streaming micro-batching server with a single
-//! engine, and the same server with 2 and 4 replica engines behind the
-//! queue-aware router.  Logits are bit-identical in every configuration
+//! engine, and the same server with 2 and 4 replica engines pulling from
+//! its one queue.  Logits are bit-identical in every configuration
 //! (pinned by the `exec_properties` and `replica_properties` suites); the
 //! sweep records what each configuration buys in throughput.
 //!
@@ -104,8 +104,8 @@ pub fn sweep_body() -> String {
     }
     let naive_ips = BATCH as f64 / naive_best;
 
-    // Replica sweep: compile once, micro-batch onto 1/2/4 engines behind
-    // the router.  Single-replica stats feed the utilisation section so
+    // Replica sweep: compile once, micro-batch onto 1/2/4 engines off one
+    // queue.  Single-replica stats feed the utilisation section so
     // the modelled per-unit numbers stay comparable with earlier PRs.
     let mut swept: Vec<(usize, f64)> = Vec::new();
     let mut single_stats = None;

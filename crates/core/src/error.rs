@@ -71,12 +71,12 @@ pub enum AccelError {
         /// The deadline it missed, in milliseconds after submission.
         deadline_ms: u64,
     },
-    /// The replica engine this submission was placed on died before
+    /// The replica engine that dequeued this submission died before
     /// serving it: its dispatcher panicked outside the per-item guard, the
-    /// supervisor marked it unhealthy and settled every queued and
-    /// in-flight submission with this error.  Sibling replicas keep
-    /// serving (see [`crate::serve::ServerStats::healthy_replicas`]), so a
-    /// resubmission is rerouted to a healthy replica — but unlike
+    /// supervisor marked it unhealthy and settled its in-flight
+    /// micro-batch with this error.  Sibling replicas keep serving (see
+    /// [`crate::serve::ServerStats::healthy_replicas`]), so a
+    /// resubmission is served by a healthy replica — but unlike
     /// [`AccelError::QueueFull`] this is a failure, not backpressure: the
     /// inference was admitted and then lost.
     ReplicaDown {

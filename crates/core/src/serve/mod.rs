@@ -1,17 +1,18 @@
-//! Streaming batch serving: replica engines behind a queue-aware router.
+//! Streaming batch serving: replica engines pulling from one queue.
 //!
 //! [`StreamServer`] compiles one model **once** and serves it from
-//! [`ServerOptions::replicas`] independent engine replicas (default 1 —
-//! the single-engine server of old).  Each replica owns a bounded
-//! submission queue and a dispatcher thread that drains it into
-//! micro-batches of up to [`ServerOptions::max_batch`] inputs, executing
-//! each batch over its slice of the shared worker pool — compiling once at
-//! start-up instead of per call, and (by default) serving on the
-//! **spike-major engine**.  In front of the replicas sits a
-//! `router::Router` that places every submission by live per-replica
-//! queue snapshots: least depth first, recent drain rate as the tiebreak,
-//! sticky fallback when no snapshot is fresh.  Every report a client
-//! receives is bit-identical to the matching solo
+//! [`ServerOptions::replicas`] identical engine replicas (default 1) fed
+//! out of **one** bounded submission queue — the way the paper's
+//! controller feeds its identical processing units from one shared
+//! activation buffer, with no per-unit queue and no arbiter.  Each
+//! replica is a dispatcher thread that drains up to
+//! [`ServerOptions::max_batch`] inputs from the queue into a micro-batch
+//! and executes it over its slice of the shared worker pool — compiling
+//! once at start-up instead of per call, and (by default) serving on the
+//! **spike-major engine**.  A single queue with N servers is
+//! work-conserving by construction: an idle engine always takes the next
+//! request, so there is no placement decision to make.  Every report a
+//! client receives is bit-identical to the matching solo
 //! [`crate::sim::Accelerator`] call **regardless of the replica count**
 //! (pinned by property tests).
 //!
@@ -26,51 +27,49 @@
 //!
 //! # Admission policy
 //!
-//! Every submission queue is **bounded** by
-//! [`ServerOptions::queue_capacity`] with a *reject-when-full* policy:
-//! [`StreamServer::submit`] never blocks the caller — the router spills a
-//! submission from a full replica to the next candidate, and only when
-//! **every** healthy replica is full is the submission rejected with the
-//! typed [`AccelError::QueueFull`] (carrying the aggregate depth and
-//! capacity) and counted in [`ServerStats::rejected`].  Rejection is load
-//! shedding, not failure: the client sees exactly which limit it hit and
-//! can retry, back off or route elsewhere, while the server's memory stays
-//! bounded no matter how fast clients submit — the property a network
-//! front-end needs.  [`StreamServer::queue_snapshot`] exposes the live
-//! aggregate queue depth and recent drain rate (windowed over the last
+//! The queue is **bounded** — [`ServerOptions::queue_capacity`] per
+//! healthy replica — with a *reject-when-full* policy, decided in one
+//! locked check: [`StreamServer::submit`] never blocks the caller, and a
+//! submission that finds the queue at its bound is rejected with the
+//! typed [`AccelError::QueueFull`] (carrying the depth and the bound) and
+//! counted in [`ServerStats::rejected`].  Rejection is load shedding, not
+//! failure: the client sees exactly which limit it hit and can retry,
+//! back off or go elsewhere, while the server's memory stays bounded no
+//! matter how fast clients submit — the property a network front-end
+//! needs.  [`StreamServer::queue_snapshot`] exposes the live queue depth
+//! and recent drain rate (windowed over the last
 //! [`DRAIN_WINDOW_BATCHES`] micro-batches per replica) so that front-end
 //! (`snn-net`) can attach a concrete *retry-after* hint to every
 //! rejection.
 //!
-//! # Completion paths
+//! # Completion
 //!
-//! Results come back one of two ways:
-//!
-//! * **Tickets** — [`StreamServer::submit`] returns a [`Ticket`] whose
-//!   [`Ticket::wait`] blocks a thread (or [`Ticket::try_wait`] polls).
-//! * **Completion queue** — [`StreamServer::submit_tagged`] delivers a
-//!   tagged [`Completion`] through a shared [`CompletionSink`] and then
-//!   invokes the sink's waker callback.  This is the path an event-driven
-//!   front-end uses: the `snn-net` reactor hands the dispatcher a waker
-//!   that writes one byte into its wake pipe, keeps hundreds of inferences
-//!   in flight across its connections, and never parks a thread per
-//!   request.  Both paths are bit-identical, on every replica.
+//! Every submission carries a tag and a [`CompletionSink`]; when it
+//! settles, the dispatcher sends a tagged [`Completion`] through the sink
+//! and then invokes the sink's waker.  [`StreamServer::submit_tagged`]
+//! is that mechanism in the open — the path an event-driven front-end
+//! uses: the `snn-net` reactor hands the dispatcher a waker that writes
+//! one byte into its wake pipe, keeps hundreds of inferences in flight
+//! across its connections, and never parks a thread per request.
+//! [`StreamServer::submit`] is the blocking adaptor over it: the returned
+//! [`Ticket`] owns a private one-shot sink whose waker does nothing, and
+//! [`Ticket::wait`] blocks on its receiver.
 //!
 //! # Graceful degradation
 //!
 //! Each replica's dispatcher runs under a supervisor: a panic that escapes
 //! the per-item unwind guard kills only that replica.  The supervisor
-//! marks it unhealthy, closes its queue, and settles its queued and
-//! in-flight submissions with the typed [`AccelError::ReplicaDown`] —
-//! those clients get an immediate answer and can resubmit, the router
-//! reroutes everything else to the surviving replicas, and
-//! [`ServerStats::healthy_replicas`] drops below
-//! [`ServerStats::replicas`]: healthy but degraded, not dead.  Only when
-//! the last replica dies do new submissions fail with
-//! [`AccelError::Serving`].
+//! marks it unhealthy and settles its **in-flight** micro-batch with the
+//! typed [`AccelError::ReplicaDown`] — those clients get an immediate
+//! answer and can resubmit.  Nothing else is stranded: what is still
+//! queued is served by the surviving replicas, the admission bound
+//! shrinks with the healthy count, and [`ServerStats::healthy_replicas`]
+//! drops below [`ServerStats::replicas`]: healthy but degraded, not dead.
+//! Only when the last replica dies is the remainder of the queue settled
+//! with [`AccelError::Serving`], which is also what new submissions then
+//! get.
 
 mod replica;
-pub mod router;
 mod stats;
 
 pub use stats::{
@@ -83,14 +82,16 @@ use crate::exec::{utilisation_from_program, ExecutionMode};
 use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
-use replica::{relock, EngineShared, ReplicaShared, ReplyTo, Submission};
-use router::Router;
+use replica::{
+    all_replicas_down, error_outcome, relock, EngineShared, ReplicaShared, Submission,
+    SubmissionQueue,
+};
 use snn_model::snn::SnnModel;
-use snn_telemetry::{Outcome, Phase, SpanRecorder};
+use snn_telemetry::{Phase, SpanRecorder};
 use snn_tensor::Tensor;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -106,8 +107,8 @@ pub struct ServerOptions {
     /// [`ExecutionMode::Transaction`] to serve the functional model with
     /// analytical timing only.
     pub mode: ExecutionMode,
-    /// Maximum undispatched submissions **each replica's** queue holds
-    /// before it refuses placements; when every healthy replica is full,
+    /// Maximum undispatched submissions the queue holds **per healthy
+    /// replica**; at `queue_capacity × healthy replicas`
     /// [`StreamServer::submit`] rejects with [`AccelError::QueueFull`]
     /// (see the module docs on the admission policy).  Must be at least
     /// `1`: a zero capacity would reject every submission, so
@@ -126,10 +127,10 @@ pub struct ServerOptions {
     /// production.
     pub max_queue_wait: Option<Duration>,
     /// How many engine replicas serve the compiled model (default 1).
-    /// Each replica gets its own dispatcher thread, bounded queue and an
-    /// even share of the global thread budget; the router places each
-    /// submission on the least-loaded healthy replica.  Results are
-    /// bit-identical for every value.  Must be at least `1`
+    /// Each replica gets its own dispatcher thread and an even share of
+    /// the global thread budget, and pulls micro-batches from the one
+    /// shared queue.  Results are bit-identical for every value.  Must be
+    /// at least `1`
     /// ([`AccelError::InvalidConfig`] otherwise).
     pub replicas: usize,
     /// Whether per-request span tracing is recorded (default: on, unless
@@ -159,60 +160,21 @@ impl Default for ServerOptions {
     }
 }
 
-/// A pending inference: resolved by [`Ticket::wait`] (blocking) or polled
-/// with [`Ticket::try_wait`] (non-blocking).
-#[derive(Debug)]
-pub struct Ticket {
-    receiver: mpsc::Receiver<Result<RunReport>>,
-}
-
-impl Ticket {
-    /// Blocks until the inference completes and returns its report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution errors, or [`AccelError::Serving`] when the
-    /// server shut down before this inference was dispatched.
-    pub fn wait(self) -> Result<RunReport> {
-        self.receiver.recv().map_err(|_| AccelError::Serving {
-            context: "server shut down before the inference completed".to_string(),
-        })?
-    }
-
-    /// Non-blocking poll: returns the report if the inference has settled,
-    /// `None` while it is still queued or executing.
-    ///
-    /// The result is delivered **once**: after `try_wait` returns `Some`,
-    /// later calls (and [`Ticket::wait`]) see the ticket as dead and report
-    /// [`AccelError::Serving`].  Event loops that poll tickets should drop
-    /// the ticket on `Some`.
-    pub fn try_wait(&self) -> Option<Result<RunReport>> {
-        match self.receiver.try_recv() {
-            Ok(report) => Some(report),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(AccelError::Serving {
-                context: "server shut down before the inference completed".to_string(),
-            })),
-        }
-    }
-}
-
-/// A settled tagged submission, delivered through the channel half of a
-/// [`CompletionSink`] — the non-blocking counterpart of a [`Ticket`].
+/// A settled submission, delivered through the channel half of a
+/// [`CompletionSink`].
 #[derive(Debug)]
 pub struct Completion {
     /// The caller-chosen tag passed to [`StreamServer::submit_tagged`].
     pub tag: u64,
-    /// The inference outcome, bit-identical to what the matching
-    /// [`Ticket::wait`] would have returned.
+    /// The inference outcome.
     pub result: Result<RunReport>,
 }
 
-/// The delivery side of the non-blocking completion path.
+/// The delivery side of a submission.
 ///
 /// Built with [`CompletionSink::new`], which returns the sink (handed to
 /// [`StreamServer::submit_tagged`], clonable) and the receiver the caller
-/// drains.  When a tagged inference settles, the dispatcher pushes a
+/// drains.  When an inference settles, the dispatcher pushes a
 /// [`Completion`] into the channel **and then** invokes the waker — so a
 /// reactor blocked in `poll(2)` can use the waker to write one byte into a
 /// wake pipe and is guaranteed to observe the completion after waking.  No
@@ -239,14 +201,61 @@ impl CompletionSink {
     }
 }
 
+/// A pending inference, the blocking adaptor over the completion sink:
+/// resolved by [`Ticket::wait`] (blocking) or polled with
+/// [`Ticket::try_wait`] (non-blocking).
+#[derive(Debug)]
+pub struct Ticket {
+    /// The receiving half of this ticket's private one-shot sink.
+    receiver: mpsc::Receiver<Completion>,
+}
+
+impl Ticket {
+    fn dead() -> AccelError {
+        AccelError::Serving {
+            context: "server shut down before the inference completed".to_string(),
+        }
+    }
+
+    /// Blocks until the inference completes and returns its report.
+    ///
+    /// # Errors
+    ///
+    /// Propagates execution errors, or [`AccelError::Serving`] when the
+    /// server shut down before this inference was dispatched.
+    pub fn wait(self) -> Result<RunReport> {
+        self.receiver.recv().map_err(|_| Self::dead())?.result
+    }
+
+    /// Non-blocking poll: returns the report if the inference has settled,
+    /// `None` while it is still queued or executing.
+    ///
+    /// The result is delivered **once**: after `try_wait` returns `Some`,
+    /// later calls (and [`Ticket::wait`]) see the ticket as dead and report
+    /// [`AccelError::Serving`].  Event loops that poll tickets should drop
+    /// the ticket on `Some`.
+    pub fn try_wait(&self) -> Option<Result<RunReport>> {
+        match self.receiver.try_recv() {
+            Ok(completion) => Some(completion.result),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => Some(Err(Self::dead())),
+        }
+    }
+}
+
+/// The waker of every [`Ticket`]'s private sink: nobody is asleep in a
+/// poller, the waiter blocks on the channel itself.
+fn ticket_waker() -> Arc<dyn Fn() + Send + Sync> {
+    static NOOP: OnceLock<Arc<dyn Fn() + Send + Sync>> = OnceLock::new();
+    Arc::clone(NOOP.get_or_init(|| Arc::new(|| {})))
+}
+
 /// Streaming micro-batching inference server.  See the module docs.
 pub struct StreamServer {
     engine: Arc<EngineShared>,
-    router: Router,
     replicas: Vec<Arc<ReplicaShared>>,
     dispatchers: Vec<JoinHandle<()>>,
     started: Instant,
-    shutting_down: AtomicBool,
     recorder: Arc<SpanRecorder>,
 }
 
@@ -273,7 +282,7 @@ impl StreamServer {
 
     /// Starts a server with explicit options: the model is compiled once
     /// and [`ServerOptions::replicas`] engine replicas are spawned over
-    /// the shared program.
+    /// the shared program and the shared queue.
     ///
     /// # Errors
     ///
@@ -315,6 +324,11 @@ impl StreamServer {
             model,
             program,
             options,
+            queue: Mutex::new(SubmissionQueue::default()),
+            ready: Condvar::new(),
+            healthy: (0..options.replicas)
+                .map(|_| AtomicBool::new(true))
+                .collect(),
         });
         // Partition the global budget evenly; every replica gets at least
         // one thread (oversubscription by at most replicas − budget when
@@ -323,7 +337,14 @@ impl StreamServer {
         let mut replicas = Vec::with_capacity(options.replicas);
         let mut dispatchers = Vec::with_capacity(options.replicas);
         for index in 0..options.replicas {
-            let shared = Arc::new(ReplicaShared::new(index, Arc::clone(&engine), thread_share));
+            let shared = Arc::new(ReplicaShared {
+                index,
+                engine: Arc::clone(&engine),
+                stats: Mutex::default(),
+                in_flight: Mutex::default(),
+                started: Instant::now(),
+                thread_share,
+            });
             replicas.push(Arc::clone(&shared));
             let handle = thread::Builder::new()
                 .name(format!("snn-serve-rep{index}"))
@@ -333,11 +354,9 @@ impl StreamServer {
         }
         Ok(StreamServer {
             engine,
-            router: Router::new(replicas.clone()),
             replicas,
             dispatchers,
             started: Instant::now(),
-            shutting_down: AtomicBool::new(false),
             recorder: Arc::new(SpanRecorder::new(options.replicas, options.trace)),
         })
     }
@@ -355,15 +374,15 @@ impl StreamServer {
     /// Enqueues one input for inference and returns its [`Ticket`].
     ///
     /// Never blocks: admission is governed by the bounded-queue policy in
-    /// the module docs; the router picks the least-loaded healthy replica.
+    /// the module docs.
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::QueueFull`] when every healthy replica's
-    /// queue already holds [`ServerOptions::queue_capacity`] undispatched
-    /// inputs (the rejection is also counted in [`ServerStats::rejected`]),
-    /// and [`AccelError::Serving`] when the server has begun shutting down
-    /// or no replica is healthy.
+    /// Returns [`AccelError::QueueFull`] when the queue already holds
+    /// [`ServerOptions::queue_capacity`] undispatched inputs per healthy
+    /// replica (the rejection is also counted in
+    /// [`ServerStats::rejected`]), and [`AccelError::Serving`] when the
+    /// server has begun shutting down or no replica is healthy.
     pub fn submit(&self, input: Tensor<f32>) -> Result<Ticket> {
         self.submit_within(input, None)
     }
@@ -381,92 +400,89 @@ impl StreamServer {
     /// Admission errors exactly as [`StreamServer::submit`]; the deadline
     /// only governs what happens after admission.
     pub fn submit_within(&self, input: Tensor<f32>, deadline: Option<Duration>) -> Result<Ticket> {
-        let (reply, receiver) = mpsc::channel();
-        self.enqueue(input, ReplyTo::Ticket(reply), deadline)?;
+        let (sink, receiver) = CompletionSink::new(ticket_waker());
+        // Tickets are traced under a recorder-assigned id.
+        self.enqueue(input, self.recorder.next_request_id(), sink, deadline)?;
         Ok(Ticket { receiver })
     }
 
     /// Enqueues one input whose result is delivered as a [`Completion`]
-    /// carrying `tag` through `sink`'s channel — the **non-blocking**
-    /// completion path: no thread waits on a ticket; the dispatcher pushes
-    /// the completion and invokes the sink's waker.  This is how an
-    /// event-loop front-end (the `snn-net` reactor) keeps many inferences
-    /// in flight per connection without parking a thread on each.
-    ///
-    /// Admission is identical to [`StreamServer::submit`] — same bounded
-    /// queues, same typed rejections — and results are bit-identical to the
-    /// matching blocking call.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::QueueFull`] and [`AccelError::Serving`] exactly as
-    /// [`StreamServer::submit`]; a rejected submission produces **no**
-    /// completion, so callers settle the request from the error in hand.
-    pub fn submit_tagged(&self, input: Tensor<f32>, tag: u64, sink: &CompletionSink) -> Result<()> {
-        self.submit_tagged_within(input, tag, sink, None)
-    }
-
-    /// Like [`StreamServer::submit_tagged`] with a per-request queue-wait
-    /// deadline (see [`StreamServer::submit_within`]).  An expired
+    /// carrying `tag` through `sink`'s channel: no thread waits on it; the
+    /// dispatcher pushes the completion and invokes the sink's waker.
+    /// This is how an event-loop front-end (the `snn-net` reactor) keeps
+    /// many inferences in flight per connection without parking a thread
+    /// on each.  `tag` is also the request id the trace is recorded under,
+    /// so callers keep tags unique.  `deadline` is the per-request
+    /// queue-wait deadline of [`StreamServer::submit_within`]; an expired
     /// submission **does** produce a completion — carrying
     /// [`AccelError::DeadlineExceeded`] — because the front-end needs to
     /// answer the request it already accepted.
     ///
     /// # Errors
     ///
-    /// Admission errors exactly as [`StreamServer::submit_tagged`].
-    pub fn submit_tagged_within(
+    /// [`AccelError::QueueFull`] and [`AccelError::Serving`] exactly as
+    /// [`StreamServer::submit`]; a rejected submission produces **no**
+    /// completion, so callers settle the request from the error in hand.
+    pub fn submit_tagged(
         &self,
         input: Tensor<f32>,
         tag: u64,
         sink: &CompletionSink,
         deadline: Option<Duration>,
     ) -> Result<()> {
-        self.enqueue(
-            input,
-            ReplyTo::Sink {
-                tag,
-                sink: sink.clone(),
-            },
-            deadline,
-        )
+        self.enqueue(input, tag, sink.clone(), deadline)
     }
 
+    /// Admission: one locked check, then push and wake one dispatcher.
     fn enqueue(
         &self,
         input: Tensor<f32>,
-        reply: ReplyTo,
+        tag: u64,
+        sink: CompletionSink,
         deadline: Option<Duration>,
     ) -> Result<()> {
-        // Tagged submissions are traced under their caller-chosen tag (the
-        // reactor's unique wire tag), tickets under a recorder-assigned id
-        // — either way one trace per request id.
-        let request_id = match &reply {
-            ReplyTo::Sink { tag, .. } => *tag,
-            ReplyTo::Ticket(_) => self.recorder.next_request_id(),
-        };
-        let mut trace = self.recorder.begin(request_id);
-        if self.shutting_down.load(Ordering::SeqCst) {
-            trace.finish(Outcome::Error {
-                code: "serving".to_string(),
-            });
-            return Err(AccelError::Serving {
-                context: "server is shutting down and no longer accepts submissions".to_string(),
-            });
-        }
-        let deadline = match (deadline, self.engine.options.max_queue_wait) {
+        let options = &self.engine.options;
+        let mut trace = self.recorder.begin(tag);
+        let deadline = match (deadline, options.max_queue_wait) {
             (Some(request), Some(server)) => Some(request.min(server)),
             (Some(request), None) => Some(request),
             (None, server) => server,
         };
+        let enqueued_at = Instant::now();
         trace.advance(Phase::Route);
-        self.router.place(Submission {
-            input,
-            reply,
-            enqueued_at: Instant::now(),
-            deadline,
-            trace,
-        })
+        let refusal = {
+            let mut queue = relock(&self.engine.queue);
+            let healthy = self.engine.healthy_replicas();
+            let queued = queue.jobs.len();
+            let capacity = options.queue_capacity * healthy;
+            if queue.shutdown {
+                AccelError::Serving {
+                    context: "server is shutting down and no longer accepts submissions"
+                        .to_string(),
+                }
+            } else if healthy == 0 {
+                all_replicas_down()
+            } else if queued >= capacity {
+                queue.rejected += 1;
+                AccelError::QueueFull { queued, capacity }
+            } else {
+                trace.note_queue_depth(queued);
+                trace.advance(Phase::QueueWait);
+                queue.jobs.push_back(Submission {
+                    input,
+                    tag,
+                    sink,
+                    enqueued_at,
+                    deadline,
+                    trace,
+                });
+                drop(queue);
+                self.engine.ready.notify_one();
+                return Ok(());
+            }
+        };
+        trace.finish(error_outcome(&refusal));
+        Err(refusal)
     }
 
     /// Submits all `inputs` and waits for all results, in order.
@@ -484,73 +500,57 @@ impl StreamServer {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Cheap point-in-time queue-load snapshot aggregated over the
-    /// **healthy** replicas: depths, capacities and recent drain rates
-    /// summed — the inputs of a retry-after hint.  All zeros when no
-    /// replica is healthy.  Takes each replica's queue and stats locks
-    /// briefly (never both at once) and allocates nothing.
+    /// Cheap point-in-time queue-load snapshot: the queue's depth, its
+    /// admission bound ([`ServerOptions::queue_capacity`] per **healthy**
+    /// replica) and the healthy replicas' recent drain rates summed — the
+    /// inputs of a retry-after hint.  All zeros when no replica is
+    /// healthy.  Takes the queue lock and each replica's stats lock
+    /// briefly (never two at once) and allocates nothing.
     pub fn queue_snapshot(&self) -> QueueSnapshot {
+        let depth = relock(&self.engine.queue).jobs.len();
         let mut snapshot = QueueSnapshot {
-            depth: 0,
+            depth,
             capacity: 0,
             drain_rate_ips: 0.0,
         };
         for replica in &self.replicas {
-            if !replica.healthy.load(Ordering::SeqCst) {
-                continue;
+            if self.engine.healthy[replica.index].load(Ordering::SeqCst) {
+                snapshot.capacity += self.engine.options.queue_capacity;
+                snapshot.drain_rate_ips += relock(&replica.stats).drain_rate_ips(replica.started);
             }
-            snapshot.depth += relock(&replica.queue).jobs.len();
-            snapshot.capacity += self.engine.options.queue_capacity;
-            snapshot.drain_rate_ips += relock(&replica.stats).drain_rate_ips(replica.started);
         }
         snapshot
     }
 
-    /// How many replica dispatchers are alive and accepting placements —
+    /// How many replica dispatchers are alive and pulling from the queue —
     /// the lock-free health probe a front-end polls.
     pub fn healthy_replicas(&self) -> usize {
-        self.replicas
-            .iter()
-            .filter(|r| r.healthy.load(Ordering::SeqCst))
-            .count()
+        self.engine.healthy_replicas()
     }
 
     /// Snapshot of the serving statistics: aggregate counters plus the
     /// per-replica slices (see [`ServerStats`]).
     pub fn stats(&self) -> ServerStats {
         let options = &self.engine.options;
-        let mut per_replica = Vec::with_capacity(self.replicas.len());
-        for replica in &self.replicas {
-            let healthy = replica.healthy.load(Ordering::SeqCst);
-            let depth = relock(&replica.queue).jobs.len();
-            let accum = relock(&replica.stats);
-            per_replica.push(ReplicaStats {
-                index: replica.index,
-                healthy,
-                completed: accum.completed,
-                errors: accum.errors,
-                batches: accum.batches,
-                largest_batch: accum.largest_batch,
-                panics: accum.panics,
-                deadline_sheds: accum.deadline_sheds,
-                queue: QueueSnapshot {
-                    depth,
-                    capacity: options.queue_capacity,
+        let per_replica: Vec<ReplicaStats> = self
+            .replicas
+            .iter()
+            .map(|replica| {
+                let accum = relock(&replica.stats);
+                ReplicaStats {
+                    index: replica.index,
+                    healthy: self.engine.healthy[replica.index].load(Ordering::SeqCst),
+                    completed: accum.completed,
+                    errors: accum.errors,
+                    batches: accum.batches,
+                    largest_batch: accum.largest_batch,
+                    panics: accum.panics,
+                    deadline_sheds: accum.deadline_sheds,
                     drain_rate_ips: accum.drain_rate_ips(replica.started),
-                },
-            });
-        }
-        let healthy_replicas = per_replica.iter().filter(|r| r.healthy).count();
-        let mut queue = QueueSnapshot {
-            depth: 0,
-            capacity: 0,
-            drain_rate_ips: 0.0,
-        };
-        for r in per_replica.iter().filter(|r| r.healthy) {
-            queue.depth += r.queue.depth;
-            queue.capacity += r.queue.capacity;
-            queue.drain_rate_ips += r.queue.drain_rate_ips;
-        }
+                }
+            })
+            .collect();
+        let rejected = relock(&self.engine.queue).rejected;
         ServerStats {
             completed: per_replica.iter().map(|r| r.completed).sum(),
             errors: per_replica.iter().map(|r| r.errors).sum(),
@@ -560,14 +560,14 @@ impl StreamServer {
                 .map(|r| r.largest_batch)
                 .max()
                 .unwrap_or(0),
-            rejected: self.router.rejected.load(Ordering::SeqCst),
+            rejected,
             panics: per_replica.iter().map(|r| r.panics).sum(),
             deadline_sheds: per_replica.iter().map(|r| r.deadline_sheds).sum(),
-            queue,
+            queue: self.queue_snapshot(),
             max_batch: options.max_batch,
             queue_capacity: options.queue_capacity,
             replicas: self.replicas.len(),
-            healthy_replicas,
+            healthy_replicas: per_replica.iter().filter(|r| r.healthy).count(),
             per_replica,
             thread_budget: snn_parallel::budget().total(),
             elapsed_s: self.started.elapsed().as_secs_f64(),
@@ -575,7 +575,7 @@ impl StreamServer {
         }
     }
 
-    /// Drains the queues, stops every replica dispatcher and returns the
+    /// Drains the queue, stops every replica dispatcher and returns the
     /// final statistics.  Queued-but-undispatched submissions are still
     /// served; submissions after shutdown starts are not.
     pub fn shutdown(mut self) -> ServerStats {
@@ -584,10 +584,8 @@ impl StreamServer {
     }
 
     fn stop(&mut self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        for replica in &self.replicas {
-            replica.begin_shutdown();
-        }
+        relock(&self.engine.queue).shutdown = true;
+        self.engine.ready.notify_all();
         for handle in self.dispatchers.drain(..) {
             // Replica panics are caught by the in-thread supervisor, so a
             // join error would mean the supervisor itself died; nothing is
@@ -614,7 +612,7 @@ impl Drop for StreamServer {
 ///   survives;
 /// * the **kill pill** ([`poison::KILL_BITS`]) panics *outside* that
 ///   guard, in the dispatcher itself, exercising the replica supervisor —
-///   the whole replica dies, its stranded submissions settle with
+///   the whole replica dies, its in-flight micro-batch settles with
 ///   [`AccelError::ReplicaDown`], and sibling replicas keep serving.
 ///
 /// Both sentinels are quiet NaNs, so they round-trip bit-exactly through
@@ -996,7 +994,7 @@ mod tests {
         }));
         for (tag, input) in inputs.iter().enumerate() {
             server
-                .submit_tagged(input.clone(), tag as u64, &sink)
+                .submit_tagged(input.clone(), tag as u64, &sink, None)
                 .unwrap();
         }
         let mut seen = vec![false; inputs.len()];
@@ -1039,7 +1037,7 @@ mod tests {
         let mut accepted = 0u64;
         let mut rejected = 0u64;
         for tag in 0..10_000 {
-            match server.submit_tagged(inputs[0].clone(), tag, &sink) {
+            match server.submit_tagged(inputs[0].clone(), tag, &sink, None) {
                 Ok(()) => accepted += 1,
                 Err(AccelError::QueueFull { .. }) => {
                     rejected += 1;
@@ -1163,7 +1161,7 @@ mod tests {
         .unwrap();
         let (sink, completions) = CompletionSink::new(Arc::new(|| {}));
         server
-            .submit_tagged_within(inputs[0].clone(), 7, &sink, None)
+            .submit_tagged(inputs[0].clone(), 7, &sink, None)
             .unwrap();
         let completion = completions
             .recv_timeout(std::time::Duration::from_secs(60))
@@ -1247,8 +1245,11 @@ mod tests {
             1,
             "exactly one replica died"
         );
-        let dead = stats.per_replica.iter().find(|r| !r.healthy).unwrap();
-        assert_eq!(dead.queue.depth, 0, "the dead replica was drained");
+        assert_eq!(stats.queue.depth, 0, "nothing was left queued");
+        assert_eq!(
+            stats.queue.capacity, DEFAULT_QUEUE_CAPACITY,
+            "the admission bound shrank to the one healthy replica"
+        );
     }
 
     #[cfg(feature = "fault-injection")]

@@ -1,24 +1,28 @@
-//! The per-replica engine loop: one bounded submission queue, one
-//! dispatcher thread, one share of the global thread budget.
+//! The replica engine loop: one dispatcher thread and one share of the
+//! global thread budget, pulling from the server's single submission
+//! queue.
 //!
 //! A [`crate::serve::StreamServer`] compiles its model **once** and spawns
 //! [`crate::serve::ServerOptions::replicas`] of these engines over the
 //! shared compiled program — the E3NE scaling move of instantiating
-//! multiple inference engines from one compiled network.  Each replica is
-//! the old single-engine server in miniature: micro-batch draining,
-//! deadline shedding before compute, per-item panic isolation and
-//! stats-before-settle ordering all live here, unchanged in behaviour.
+//! multiple inference engines from one compiled network, fed the way the
+//! paper feeds its identical processing units: one controller, one
+//! buffer, no per-unit queue and no arbiter.  Every dispatcher drains up
+//! to `max_batch` submissions from the same queue, so an idle engine
+//! always takes the next request.  Micro-batch draining, deadline
+//! shedding before compute, per-item panic isolation and
+//! stats-before-settle ordering all live here.
 //!
-//! What is new is the **supervisor**: the dispatcher body runs under
+//! Each dispatcher runs under a **supervisor**: its body runs under
 //! `catch_unwind`, so a panic that escapes the per-item guard (a bug in
 //! the dispatcher itself, or the fault-injection *kill pill*) takes down
-//! only this replica.  The supervisor marks it unhealthy, closes its
-//! queue, and settles every queued and in-flight submission with the
-//! typed [`AccelError::ReplicaDown`] — clients get an answer, the router
-//! stops placing work here, and sibling replicas keep serving.
+//! only this replica.  The supervisor marks it unhealthy and settles its
+//! **in-flight** batch with the typed [`AccelError::ReplicaDown`]; what is
+//! still queued is served by the siblings.  Only the death of the last
+//! replica settles the remainder, with [`AccelError::Serving`].
 
 use super::stats::StatsAccum;
-use super::{CompletionSink, ServerOptions};
+use super::{Completion, CompletionSink, ServerOptions};
 use crate::compiler::Program;
 use crate::report::RunReport;
 use crate::sim::Accelerator;
@@ -29,10 +33,10 @@ use snn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Locks a replica-owned mutex, tolerating poison: a dispatcher that
+/// Locks a server-owned mutex, tolerating poison: a dispatcher that
 /// panicked mid-batch leaves its locks poisoned, and the supervisor (and
 /// any stats reader) must still be able to walk the wreckage to settle
 /// stranded submissions and report counters.
@@ -40,24 +44,14 @@ pub(crate) fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Where a settled submission's result goes.
-pub(crate) enum ReplyTo {
-    /// Per-submission channel behind a [`crate::serve::Ticket`] (blocking
-    /// callers).
-    Ticket(mpsc::Sender<Result<RunReport>>),
-    /// Shared completion queue with a tag (non-blocking callers).
-    Sink {
-        /// Caller-chosen tag echoed in the completion.
-        tag: u64,
-        /// The shared sink.
-        sink: CompletionSink,
-    },
-}
-
 /// One queued inference.
 pub(crate) struct Submission {
     pub(crate) input: Tensor<f32>,
-    pub(crate) reply: ReplyTo,
+    /// Echoed in the [`Completion`]; also the trace's request id.
+    pub(crate) tag: u64,
+    /// Where the result goes (a [`crate::serve::Ticket`] is a private
+    /// one-shot sink).
+    pub(crate) sink: CompletionSink,
     /// When the submission entered the queue (the deadline's clock zero).
     pub(crate) enqueued_at: Instant,
     /// Effective queue-wait deadline: the tighter of the per-request
@@ -72,28 +66,33 @@ pub(crate) struct Submission {
     pub(crate) trace: TraceBuilder,
 }
 
-/// Maps an inference result onto the trace's terminal outcome.
-fn outcome_of(result: &Result<RunReport>) -> Outcome {
-    match result {
-        Ok(report) => Outcome::Scores {
-            total_cycles: report.total_cycles(),
-        },
-        Err(AccelError::DeadlineExceeded { .. }) => Outcome::Rejected {
+/// Maps an inference error onto the trace's terminal outcome.
+pub(crate) fn error_outcome(err: &AccelError) -> Outcome {
+    match err {
+        AccelError::DeadlineExceeded { .. } => Outcome::Rejected {
             scope: "deadline".to_string(),
         },
-        Err(AccelError::QueueFull { .. }) => Outcome::Rejected {
+        AccelError::QueueFull { .. } => Outcome::Rejected {
             scope: "queue".to_string(),
         },
-        Err(AccelError::EnginePanic { .. }) => Outcome::Error {
+        AccelError::EnginePanic { .. } => Outcome::Error {
             code: "engine_panic".to_string(),
         },
-        Err(AccelError::ReplicaDown { .. }) => Outcome::ReplicaDown,
-        Err(AccelError::Serving { .. }) => Outcome::Error {
+        AccelError::ReplicaDown { .. } => Outcome::ReplicaDown,
+        AccelError::Serving { .. } => Outcome::Error {
             code: "serving".to_string(),
         },
-        Err(_) => Outcome::Error {
+        _ => Outcome::Error {
             code: "bad_request".to_string(),
         },
+    }
+}
+
+/// What a submission is told when no replica is left to serve it.
+pub(crate) fn all_replicas_down() -> AccelError {
+    AccelError::Serving {
+        context: "all replica engines are down; the server cannot serve until it is restarted"
+            .to_string(),
     }
 }
 
@@ -108,70 +107,75 @@ impl Submission {
         }
     }
 
-    /// Delivers `result` to whichever completion path this submission
-    /// uses (dropped tickets and closed sinks just mean the client
-    /// stopped listening; the waker fires strictly after the send).
+    /// Delivers `result` through the submission's sink (a dropped ticket
+    /// or closed sink just means the client stopped listening; the waker
+    /// fires strictly after the send).
     pub(crate) fn settle(mut self, result: Result<RunReport>) {
         // Publish the trace before delivery: a client holding its result
         // is guaranteed to find the completed trace in the recorder.
-        self.trace.finish(outcome_of(&result));
-        match self.reply {
-            ReplyTo::Ticket(reply) => {
-                let _ = reply.send(result);
-            }
-            ReplyTo::Sink { tag, sink } => {
-                if sink.sender.send(super::Completion { tag, result }).is_ok() {
-                    (sink.waker)();
-                }
-            }
+        self.trace.finish(match &result {
+            Ok(report) => Outcome::Scores {
+                total_cycles: report.total_cycles(),
+            },
+            Err(err) => error_outcome(err),
+        });
+        let completion = Completion {
+            tag: self.tag,
+            result,
+        };
+        if self.sink.sender.send(completion).is_ok() {
+            (self.sink.waker)();
         }
     }
 }
 
-/// A replica's bounded submission queue plus its shutdown latch.
+/// The server's one submission queue, its shutdown latch and the
+/// admission counter — everything the admission lock guards.
 #[derive(Default)]
 pub(crate) struct SubmissionQueue {
     pub(crate) jobs: VecDeque<Submission>,
-    /// Set on server shutdown — and by the supervisor when this replica
-    /// dies, which is what makes a drained replica refuse new placements
-    /// without a race: both the drain and every admission hold the queue
-    /// lock.
+    /// Set on server shutdown: admission refuses, dispatchers exit once
+    /// the queue is empty.
     pub(crate) shutdown: bool,
+    /// Submissions refused with [`AccelError::QueueFull`].
+    pub(crate) rejected: u64,
 }
 
-/// The compile-once state every replica shares: one accelerator, one
-/// model, one program, one set of options.
+/// The state every replica shares: the compile-once engine (one
+/// accelerator, one model, one program, one set of options), the one
+/// submission queue, and the replicas' health flags.
 pub(crate) struct EngineShared {
     pub(crate) accel: Accelerator,
     pub(crate) model: SnnModel,
     pub(crate) program: Program,
     pub(crate) options: ServerOptions,
+    pub(crate) queue: Mutex<SubmissionQueue>,
+    pub(crate) ready: Condvar,
+    /// One flag per replica, cleared by its supervisor when the dispatcher
+    /// dies.  Admission reads them under the queue lock, and a supervisor
+    /// clears its flag *before* taking that lock, so whichever of
+    /// "last replica dies" and "submission admitted" locks second sees the
+    /// other: nothing is ever queued behind zero engines.
+    pub(crate) healthy: Vec<AtomicBool>,
 }
 
-/// Why [`ReplicaShared::try_enqueue`] refused a submission.
-pub(crate) enum EnqueueRejection {
-    /// The replica's bounded queue is at capacity; `queued` is the depth
-    /// observed under the lock.
-    Full {
-        /// Undispatched submissions in the queue at rejection time.
-        queued: usize,
-    },
-    /// The replica is shut down or dead and accepts nothing.
-    Down,
+impl EngineShared {
+    pub(crate) fn healthy_replicas(&self) -> usize {
+        self.healthy
+            .iter()
+            .filter(|h| h.load(Ordering::SeqCst))
+            .count()
+    }
 }
 
-/// One replica engine: queue, dispatcher handshake, stats and health.
+/// One replica engine: dispatcher handshake, stats and its in-flight
+/// batch.
 pub(crate) struct ReplicaShared {
     /// Replica index (`0..ServerOptions::replicas`), used in error
     /// contexts and stats labels.
     pub(crate) index: usize,
     pub(crate) engine: Arc<EngineShared>,
-    pub(crate) queue: Mutex<SubmissionQueue>,
-    pub(crate) ready: Condvar,
     pub(crate) stats: Mutex<StatsAccum>,
-    /// Cleared by the supervisor when the dispatcher dies; the router
-    /// reads it lock-free when building placement views.
-    pub(crate) healthy: AtomicBool,
     /// The micro-batch currently executing.  The dispatcher parks each
     /// batch here for the duration of the compute so the supervisor can
     /// settle exactly these submissions if the dispatcher dies mid-batch.
@@ -182,85 +186,44 @@ pub(crate) struct ReplicaShared {
     pub(crate) thread_share: usize,
 }
 
-impl ReplicaShared {
-    pub(crate) fn new(index: usize, engine: Arc<EngineShared>, thread_share: usize) -> Self {
-        ReplicaShared {
-            index,
-            engine,
-            queue: Mutex::new(SubmissionQueue::default()),
-            ready: Condvar::new(),
-            stats: Mutex::new(StatsAccum::new()),
-            healthy: AtomicBool::new(true),
-            in_flight: Mutex::new(Vec::new()),
-            started: Instant::now(),
-            thread_share: thread_share.max(1),
-        }
-    }
-
-    /// Attempts to admit `submission` into this replica's bounded queue.
-    /// Never blocks beyond the queue lock; on rejection the submission is
-    /// handed back so the router can try a sibling.
-    // The Err variant deliberately hands the whole submission back for
-    // rerouting; boxing it would buy nothing (the Ok path is the hot one)
-    // and cost an allocation per spill-over.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn try_enqueue(
-        &self,
-        submission: Submission,
-    ) -> std::result::Result<(), (Submission, EnqueueRejection)> {
-        {
-            let mut queue = relock(&self.queue);
-            if queue.shutdown || !self.healthy.load(Ordering::SeqCst) {
-                return Err((submission, EnqueueRejection::Down));
-            }
-            if queue.jobs.len() >= self.engine.options.queue_capacity {
-                let queued = queue.jobs.len();
-                return Err((submission, EnqueueRejection::Full { queued }));
-            }
-            queue.jobs.push_back(submission);
-        }
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Marks the queue shut down and wakes the dispatcher (server stop).
-    pub(crate) fn begin_shutdown(&self) {
-        relock(&self.queue).shutdown = true;
-        self.ready.notify_all();
-    }
-}
-
 /// The replica thread body: the dispatch loop under its supervisor.
 ///
 /// A normal return (server shutdown) leaves the replica healthy.  A panic
 /// that unwinds out of the dispatch loop — past the per-item guard — is
-/// caught here: the replica is marked unhealthy, its queue is closed, and
-/// every queued and in-flight submission settles with
-/// [`AccelError::ReplicaDown`].  Those settles are supervision, not
-/// inference outcomes, so they are **not** counted in the replica's
-/// `errors`; the health flag and the typed error carry the story.
-pub(crate) fn run(shared: &Arc<ReplicaShared>) {
+/// caught here: the replica is marked unhealthy and its in-flight batch
+/// settles with [`AccelError::ReplicaDown`]; if it was the last replica,
+/// everything still queued settles with [`AccelError::Serving`].  Those
+/// settles are supervision, not inference outcomes, so they are **not**
+/// counted in the replica's `errors`; the health flag and the typed error
+/// carry the story.
+pub(crate) fn run(shared: &ReplicaShared) {
     let outcome = catch_unwind(AssertUnwindSafe(|| dispatch_loop(shared)));
     if outcome.is_ok() {
         return;
     }
-    shared.healthy.store(false, Ordering::SeqCst);
-    let queued: Vec<Submission> = {
-        let mut queue = relock(&shared.queue);
-        queue.shutdown = true;
-        queue.jobs.drain(..).collect()
+    let engine = &shared.engine;
+    engine.healthy[shared.index].store(false, Ordering::SeqCst);
+    let stranded: Vec<Submission> = {
+        let mut queue = relock(&engine.queue);
+        if engine.healthy_replicas() == 0 {
+            queue.jobs.drain(..).collect()
+        } else {
+            Vec::new()
+        }
     };
-    let in_flight: Vec<Submission> = std::mem::take(&mut *relock(&shared.in_flight));
     let context = format!(
         "replica {} dispatcher died mid-batch; the submission was drained unserved \
-         (siblings keep serving — resubmit to be rerouted)",
+         (siblings keep serving — resubmit)",
         shared.index
     );
-    for submission in in_flight.into_iter().chain(queued) {
+    for submission in std::mem::take(&mut *relock(&shared.in_flight)) {
         submission.settle(Err(AccelError::ReplicaDown {
             replica: shared.index,
             context: context.clone(),
         }));
+    }
+    for submission in stranded {
+        submission.settle(Err(all_replicas_down()));
     }
 }
 
@@ -269,8 +232,8 @@ fn dispatch_loop(shared: &ReplicaShared) {
     let max_batch = engine.options.max_batch.max(1);
     loop {
         // Collect the next micro-batch: everything queued, capped.
-        let batch: Vec<Submission> = {
-            let mut queue = relock(&shared.queue);
+        let mut batch: Vec<Submission> = {
+            let mut queue = relock(&engine.queue);
             loop {
                 if !queue.jobs.is_empty() {
                     let take = queue.jobs.len().min(max_batch);
@@ -279,12 +242,17 @@ fn dispatch_loop(shared: &ReplicaShared) {
                 if queue.shutdown {
                     return;
                 }
-                queue = shared
+                queue = engine
                     .ready
                     .wait(queue)
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
+
+        // The trace's replica is the engine that dequeued the request.
+        for submission in batch.iter_mut() {
+            submission.trace.note_replica(shared.index);
+        }
 
         // Shed expired entries *before* compute: work the client has
         // already given up on is answered with a typed error at queue

@@ -1,8 +1,8 @@
 //! Serving statistics: per-replica accumulators, queue snapshots, the
 //! windowed drain-rate estimate, and the aggregated [`ServerStats`] view.
 //!
-//! The drain rate is the router's placement input and the source of every
-//! retry-after hint, so its math lives here as the **pure** function
+//! The drain rate is the source of every retry-after hint, so its math
+//! lives here as the **pure** function
 //! [`drain_rate`] — callable without a server, which is how
 //! `crates/core/tests/drain_rate_properties.rs` pins it against a
 //! hand-stepped model (windowed rate, lifetime fallback, empty-window
@@ -25,6 +25,7 @@ pub const MAX_RETRY_AFTER_MS: u64 = 60_000;
 
 /// Per-replica cumulative counters, updated by that replica's dispatcher
 /// under its stats lock.
+#[derive(Default)]
 pub(crate) struct StatsAccum {
     pub(crate) completed: u64,
     pub(crate) errors: u64,
@@ -39,18 +40,6 @@ pub(crate) struct StatsAccum {
 }
 
 impl StatsAccum {
-    pub(crate) fn new() -> Self {
-        StatsAccum {
-            completed: 0,
-            errors: 0,
-            batches: 0,
-            largest_batch: 0,
-            panics: 0,
-            deadline_sheds: 0,
-            recent: VecDeque::new(),
-        }
-    }
-
     /// The replica's drain rate right now (see [`drain_rate`]).
     pub(crate) fn drain_rate_ips(&self, started: Instant) -> f64 {
         drain_rate(
@@ -98,23 +87,22 @@ pub fn drain_rate(
     0.0
 }
 
-/// A cheap point-in-time view of a submission queue's load: how deep it
-/// is, how big it may grow, and how fast the dispatcher has recently been
-/// draining it.
+/// A cheap point-in-time view of the submission queue's load: how deep it
+/// is, how big it may grow, and how fast the dispatchers have recently
+/// been draining it.
 ///
-/// Produced per replica and aggregated by
-/// [`crate::serve::StreamServer::queue_snapshot`] (short lock holds, no
-/// allocation).  This is the signal the router places requests by and a
-/// network front-end turns into *retry-after* hints on rejected
-/// submissions, closing the loop on the reject-when-full admission policy:
+/// Produced by [`crate::serve::StreamServer::queue_snapshot`] (short lock
+/// holds, no allocation).  This is the signal a network front-end turns
+/// into *retry-after* hints on rejected submissions, closing the loop on
+/// the reject-when-full admission policy:
 /// a shed client learns not just that the server is full but when capacity
 /// is likely to reappear.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueueSnapshot {
     /// Submissions currently queued and not yet dispatched.
     pub depth: usize,
-    /// Configured queue capacity ([`crate::serve::ServerOptions::queue_capacity`]
-    /// per replica; the aggregate snapshot sums the healthy replicas').
+    /// The admission bound:
+    /// [`crate::serve::ServerOptions::queue_capacity`] × healthy replicas.
     pub capacity: usize,
     /// Recent drain rate in inferences per second: inferences settled
     /// across the last [`DRAIN_WINDOW_BATCHES`] micro-batches divided by
@@ -156,9 +144,9 @@ pub struct ReplicaStats {
     /// Replica index (`0..ServerOptions::replicas`).
     pub index: usize,
     /// `false` once this replica's dispatcher died (a replica-level panic
-    /// caught by its supervisor); its queued and in-flight submissions were
-    /// settled with [`crate::AccelError::ReplicaDown`] and the router no
-    /// longer places work on it.
+    /// caught by its supervisor); its in-flight micro-batch was settled
+    /// with [`crate::AccelError::ReplicaDown`] and it no longer pulls from
+    /// the queue.
     pub healthy: bool,
     /// Inferences this replica completed successfully.
     pub completed: u64,
@@ -172,8 +160,9 @@ pub struct ReplicaStats {
     pub panics: u64,
     /// Submissions this replica shed for an expired queue-wait deadline.
     pub deadline_sheds: u64,
-    /// This replica's live queue snapshot.
-    pub queue: QueueSnapshot,
+    /// This replica's recent drain rate in inferences per second (see
+    /// [`drain_rate`]).
+    pub drain_rate_ips: f64,
 }
 
 /// Snapshot of a server's serving statistics, aggregated across replicas.
@@ -187,9 +176,7 @@ pub struct ServerStats {
     pub batches: u64,
     /// Largest micro-batch dispatched so far by any replica.
     pub largest_batch: usize,
-    /// Submissions rejected by the bounded-queue admission policy (counted
-    /// at the router: a rejection means **every** healthy replica was
-    /// full).
+    /// Submissions rejected by the bounded-queue admission policy.
     pub rejected: u64,
     /// Engine panics caught at the micro-batch item boundary: each one
     /// failed exactly one inference with [`crate::AccelError::EnginePanic`]
@@ -202,8 +189,8 @@ pub struct ServerStats {
     /// these are backpressure and are *not* counted in `errors` or
     /// `completed`.
     pub deadline_sheds: u64,
-    /// Aggregated queue-depth / drain-rate snapshot (depths, capacities
-    /// and drain rates summed over the healthy replicas).  The drain rate
+    /// Queue-depth / drain-rate snapshot (the admission bound and the
+    /// drain rates summed over the healthy replicas).  The drain rate
     /// is windowed over the most recent [`DRAIN_WINDOW_BATCHES`]
     /// micro-batch completions of each replica, measured
     /// completion-to-completion so idle lulls do not decay it; with fewer
@@ -211,17 +198,18 @@ pub struct ServerStats {
     /// average.  Across successive snapshots the cumulative counters in
     /// this struct (`completed`, `errors`, `batches`, `rejected`) are
     /// monotone non-decreasing, and `queue.depth` never exceeds
-    /// `queue.capacity`.
+    /// `queue.capacity` while no replica dies (a death lowers the bound
+    /// under what is already queued; the survivors drain it).
     pub queue: QueueSnapshot,
     /// Configured micro-batch cap (per replica).
     pub max_batch: usize,
-    /// Configured submission-queue capacity **per replica**
-    /// ([`crate::serve::ServerOptions::queue_capacity`]); the aggregate
-    /// admission capacity is `queue.capacity`.
+    /// Configured submission-queue capacity **per healthy replica**
+    /// ([`crate::serve::ServerOptions::queue_capacity`]); the live
+    /// admission bound is `queue.capacity`.
     pub queue_capacity: usize,
     /// Configured replica count ([`crate::serve::ServerOptions::replicas`]).
     pub replicas: usize,
-    /// Replicas whose dispatcher is still alive and accepting placements.
+    /// Replicas whose dispatcher is still alive and pulling from the queue.
     /// `healthy_replicas < replicas` is the *healthy-but-degraded* state: a
     /// replica died, its in-flight work was settled with typed errors, and
     /// the survivors keep serving.

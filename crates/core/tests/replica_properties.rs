@@ -1,26 +1,28 @@
 //! Property tests for the replicated serving layer.
 //!
-//! Two tiers:
+//! Three tiers:
 //!
 //! * **Correlation** — for every interleaving proptest generates
 //!   (submission permutation, replica count, micro-batch cap, mixed
-//!   ticket/tagged completion paths), every report an N-replica server
+//!   ticket/tagged submissions), every report an N-replica server
 //!   hands back is **bit-identical** to the same input served by a
 //!   replicas=1 server and by the solo sequential oracle.  Replication
 //!   must be invisible in the results.
-//! * **Placement** — the router's pure policy
-//!   ([`snn_accel::serve::router::preference_order`]) is driven with
-//!   synthetic views and simulated arrival schedules: placements always
-//!   land on a least-depth healthy candidate (drain rate and index only
-//!   break ties), so no replica's queue ever exceeds the least depth plus
-//!   the micro-batch slack at the moment it is chosen; stale snapshots
-//!   fall back to the sticky previous choice.
+//! * **Admission bound** — for random replica counts, capacities and
+//!   bursts the one shared queue never holds more than
+//!   `queue_capacity × healthy_replicas`, and every `QueueFull` quotes
+//!   exactly that bound.
+//! * **No stranding** (`fault-injection` builds) — a replica killed
+//!   inside a burst fails at most its own micro-batch; everything else
+//!   queued is served bit-exactly by the sibling, and killing the last
+//!   replica settles the rest of the queue with typed errors instead of
+//!   leaving it to hang.
 
 use proptest::prelude::*;
 use snn_accel::config::AcceleratorConfig;
-use snn_accel::serve::router::{choose, preference_order, ReplicaView};
 use snn_accel::serve::{CompletionSink, ServerOptions, StreamServer, Ticket};
 use snn_accel::sim::Accelerator;
+use snn_accel::AccelError;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
@@ -70,7 +72,7 @@ proptest! {
     /// The correlation suite: an N-replica server's SCORES (full
     /// `RunReport`s, logits included) are bit-identical to a replicas=1
     /// server and the solo oracle for every generated interleaving of
-    /// submissions across both completion paths.
+    /// submissions, ticketed and tagged.
     #[test]
     fn replicated_reports_match_single_replica_for_every_interleaving(
         replicas in 2usize..4,
@@ -95,7 +97,7 @@ proptest! {
         let solo = Accelerator::new(config);
 
         // System under test: N replicas, submissions in a generated
-        // permutation, each through a generated completion path.
+        // permutation, each as a generated ticket or tagged submission.
         let server = StreamServer::start_with(config, model.clone(), ServerOptions {
             max_batch,
             replicas,
@@ -106,7 +108,7 @@ proptest! {
         let mut tagged = 0usize;
         for &index in &permutation(&order_keys, inputs.len()) {
             if tagged_mask & (1 << (index % 32)) != 0 {
-                server.submit_tagged(inputs[index].clone(), index as u64, &sink).unwrap();
+                server.submit_tagged(inputs[index].clone(), index as u64, &sink, None).unwrap();
                 tagged += 1;
             } else {
                 tickets.push((index, server.submit(inputs[index].clone()).unwrap()));
@@ -138,98 +140,131 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Placement always lands on a candidate with the least observed
-    /// depth; drain rate and index only break ties among equal depths.
+    /// The admission bound: however fast a burst arrives, the shared
+    /// queue's depth stays within `queue_capacity × healthy_replicas`, and
+    /// a rejection quotes exactly that depth and that bound.
     #[test]
-    fn choose_picks_a_least_depth_candidate(
-        depths in proptest::collection::vec(0usize..20, 1..6),
-        capacity in 1usize..24,
-        rates in proptest::collection::vec(0u32..1000, 6),
-        healthy_mask in 0u32..64,
-        fresh_mask in 0u32..64,
-        sticky in proptest::option::of(0usize..6),
+    fn shared_queue_depth_never_exceeds_capacity_times_healthy_replicas(
+        replicas in 1usize..4,
+        queue_capacity in 1usize..4,
+        burst in 1usize..48,
+        seed in 0u64..1000,
     ) {
-        let views: Vec<ReplicaView> = depths.iter().enumerate().map(|(i, &depth)| ReplicaView {
-            index: i,
-            healthy: healthy_mask & (1 << i) != 0,
-            depth,
-            capacity,
-            drain_rate_ips: f64::from(rates[i]) / 10.0,
-            fresh: fresh_mask & (1 << i) != 0,
-        }).collect();
-        let candidates: Vec<&ReplicaView> =
-            views.iter().filter(|v| v.healthy && v.depth < v.capacity).collect();
-        match choose(&views, sticky) {
-            None => prop_assert!(candidates.is_empty(),
-                "no choice only when no candidate exists"),
-            Some(chosen) => {
-                let view = &views[chosen];
-                prop_assert!(view.healthy && view.depth < view.capacity,
-                    "the choice must be a live, non-full candidate");
-                let least = candidates.iter().map(|v| v.depth).min().unwrap();
-                let any_fresh = candidates.iter().any(|v| v.fresh);
-                if any_fresh {
-                    prop_assert_eq!(view.depth, least,
-                        "with a fresh candidate, placement is least-depth");
-                } else if let Some(sticky) = sticky {
-                    // All views stale: sticky wins if it is a candidate.
-                    if candidates.iter().any(|v| v.index == sticky) {
-                        prop_assert_eq!(chosen, sticky);
-                    }
+        let (model, inputs) = tiny_setup(seed, 2, 2);
+        let server = StreamServer::start_with(AcceleratorConfig::default(), model, ServerOptions {
+            max_batch: 1,
+            queue_capacity,
+            replicas,
+            ..ServerOptions::default()
+        }).unwrap();
+        let bound = queue_capacity * replicas;
+        let mut tickets = Vec::new();
+        let mut rejections = 0u64;
+        for i in 0..burst {
+            match server.submit(inputs[i % inputs.len()].clone()) {
+                Ok(ticket) => tickets.push(ticket),
+                Err(AccelError::QueueFull { queued, capacity }) => {
+                    prop_assert_eq!((queued, capacity), (bound, bound));
+                    rejections += 1;
                 }
+                Err(other) => prop_assert!(false, "unexpected admission error: {}", other),
             }
+            let snapshot = server.queue_snapshot();
+            prop_assert_eq!(snapshot.capacity, bound);
+            prop_assert!(snapshot.depth <= bound,
+                "depth {} over the bound {}", snapshot.depth, bound);
         }
-        // The full preference order is a permutation of the candidates.
-        let order = preference_order(&views, sticky);
-        prop_assert_eq!(order.len(), candidates.len());
+        let accepted = tickets.len() as u64;
+        for ticket in tickets {
+            ticket.wait().unwrap();
+        }
+        let stats = server.shutdown();
+        prop_assert_eq!(stats.completed, accepted);
+        prop_assert_eq!(stats.rejected, rejections);
+        prop_assert_eq!(stats.queue.depth, 0);
     }
+}
 
-    /// Arrival-schedule simulation: submissions arrive one at a time and
-    /// replicas drain micro-batches at random points.  Every placement
-    /// lands on a least-depth candidate, so immediately after it the
-    /// chosen replica's queue is within the micro-batch slack of the
-    /// least depth — queues stay balanced and no replica runs away.
-    #[test]
-    fn random_arrival_schedules_keep_queues_within_micro_batch_slack(
-        replicas in 2usize..5,
-        max_batch in 1usize..9,
-        // Events: Some(replica hint) drains that replica, None is an arrival.
-        events in proptest::collection::vec(
-            proptest::option::of(0usize..5), 1..200),
-    ) {
-        let capacity = 64usize;
-        let mut depths = vec![0usize; replicas];
-        for event in events {
-            match event {
-                Some(hint) => {
-                    let r = hint % replicas;
-                    depths[r] = depths[r].saturating_sub(max_batch);
-                }
-                None => {
-                    let views: Vec<ReplicaView> = depths.iter().enumerate()
-                        .map(|(i, &depth)| ReplicaView {
-                            index: i,
-                            healthy: true,
-                            depth,
-                            capacity,
-                            drain_rate_ips: 0.0,
-                            fresh: true,
-                        })
-                        .collect();
-                    let least = *depths.iter().min().unwrap();
-                    if least >= capacity {
-                        prop_assert_eq!(choose(&views, None), None);
-                        continue;
+#[cfg(feature = "fault-injection")]
+mod no_stranding {
+    use super::*;
+    use snn_accel::serve::poison;
+    use std::time::Duration;
+
+    /// One generous bound for every wait: a stranded request fails the
+    /// property instead of hanging it.
+    const SETTLE_WITHIN: Duration = Duration::from_secs(60);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// A kill pill inside a burst on a 2-replica server takes down at
+        /// most its own micro-batch; the sibling serves the rest of the
+        /// shared queue bit-exactly.  A second burst then kills the last
+        /// replica, and everything still queued settles with a typed
+        /// error within a bounded wait.
+        #[test]
+        fn a_killed_replica_fails_only_its_in_flight_batch(
+            max_batch in 1usize..4,
+            burst in 2usize..12,
+            kill_at in 0usize..12,
+            seed in 0u64..1000,
+        ) {
+            let (model, inputs) = tiny_setup(seed, 2, burst);
+            let config = AcceleratorConfig::default();
+            let solo = Accelerator::new(config);
+            let server = StreamServer::start_with(config, model.clone(), ServerOptions {
+                max_batch,
+                replicas: 2,
+                ..ServerOptions::default()
+            }).unwrap();
+            let kill_at = kill_at % burst;
+            let (sink, completions) = CompletionSink::new(Arc::new(|| {}));
+            // Round 0 kills one of the two replicas, round 1 the survivor.
+            for round in 0..2 {
+                let first_tag = (round * burst) as u64;
+                let mut admitted = 0;
+                for (index, input) in inputs.iter().enumerate() {
+                    let mut input = input.clone();
+                    if index == kill_at {
+                        input.as_mut_slice()[0] = poison::kill_pill();
                     }
-                    let chosen = choose(&views, None).expect("a candidate exists");
-                    prop_assert_eq!(depths[chosen], least, "least-depth placement");
-                    depths[chosen] += 1;
-                    prop_assert!(depths[chosen] <= least + max_batch.max(1),
-                        "placed queue within micro-batch slack of the least depth");
+                    match server.submit_tagged(input, first_tag + index as u64, &sink, None) {
+                        Ok(()) => admitted += 1,
+                        // Admission after the last replica has already died.
+                        Err(AccelError::Serving { .. }) if round == 1 => {}
+                        Err(other) => prop_assert!(false, "admission: {}", other),
+                    }
                 }
+                let mut down = 0usize;
+                for _ in 0..admitted {
+                    let completion = completions.recv_timeout(SETTLE_WITHIN).expect("no stranding");
+                    let index = (completion.tag - first_tag) as usize;
+                    match completion.result {
+                        Ok(report) => {
+                            prop_assert!(index != kill_at, "the pill itself is never served");
+                            prop_assert_eq!(&report, &solo.run(&model, &inputs[index]).unwrap());
+                        }
+                        Err(AccelError::ReplicaDown { .. }) => down += 1,
+                        // What was still queued when the last replica died.
+                        Err(AccelError::Serving { .. }) if round == 1 => {}
+                        Err(other) => prop_assert!(false, "request {}: {}", index, other),
+                    }
+                }
+                prop_assert!((1..=max_batch).contains(&down),
+                    "{} ReplicaDown for max_batch {}", down, max_batch);
+                prop_assert_eq!(server.healthy_replicas(), 1 - round);
             }
+            let snapshot = server.queue_snapshot();
+            prop_assert_eq!((snapshot.depth, snapshot.capacity), (0, 0));
+            let refused = matches!(
+                server.submit(inputs[0].clone()),
+                Err(AccelError::Serving { .. })
+            );
+            prop_assert!(refused, "a server with no replica left refuses with Serving");
+            server.shutdown();
         }
     }
 }

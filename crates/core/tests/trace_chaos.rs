@@ -91,7 +91,7 @@ fn kill_pill_traces_replica_down_and_leaks_no_spans() {
             code: "serving".to_string()
         }
     );
-    assert_eq!(traces[0].replica, None, "never placed: unrouted");
+    assert_eq!(traces[0].replica, None, "never dequeued: unrouted");
     server.shutdown();
 }
 

@@ -31,7 +31,7 @@
 //!   per-connection read buffers (burst-bounded under edge triggering),
 //!   write queues flushed on writability, inference completions
 //!   delivered through
-//!   [`snn_accel::serve::StreamServer::submit_tagged`]'s completion queue
+//!   [`snn_accel::serve::StreamServer::submit_tagged`]'s completion sink
 //!   and a per-shard wake pipe.  No thread per connection, no blocked
 //!   waits, no cross-shard locks on the data path, and **first-class
 //!   backpressure**: queue-full and (globally capped) connection-table

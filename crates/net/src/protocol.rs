@@ -171,10 +171,9 @@ pub mod error_code {
     /// The execution engine panicked on this request; the panic was
     /// isolated to this inference and the server keeps serving.
     pub const ENGINE_PANIC: u16 = 4;
-    /// The replica engine this request was placed on died before serving
+    /// The replica engine that dequeued this request died before serving
     /// it.  The request was admitted and then lost — not backpressure —
-    /// but sibling replicas keep serving, so the client should resubmit
-    /// (the router will place the retry on a healthy replica).
+    /// but sibling replicas keep serving, so the client should resubmit.
     pub const REPLICA_DOWN: u16 = 5;
 }
 

@@ -101,11 +101,17 @@ use crate::protocol::{
 };
 use crate::sys::WakePipe;
 use snn_accel::config::AcceleratorConfig;
+use snn_accel::report::UnitUtilisation;
 use snn_accel::serve::{
-    Completion, CompletionSink, QueueSnapshot, ServerOptions, ServerStats, StreamServer,
+    Completion, CompletionSink, QueueSnapshot, ReplicaStats, ServerOptions, ServerStats,
+    StreamServer,
 };
 use snn_accel::AccelError;
 use snn_model::snn::SnnModel;
+use snn_telemetry::MetricKind::{Counter, Gauge, Info};
+use snn_telemetry::{
+    render_metrics_prometheus, render_metrics_text, Metric, MetricFamily, MetricTable,
+};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -516,21 +522,7 @@ impl NetServer {
     /// Snapshot of the front-end counters (aggregated and per shard) and
     /// the inner serving stats.
     pub fn stats(&self) -> NetStats {
-        let per_reactor = per_reactor_stats(&self.shared);
-        let alive = per_reactor.iter().filter(|r| r.alive).count() as u64;
-        NetStats {
-            accepted: per_reactor.iter().map(|r| r.accepted).sum(),
-            turned_away: per_reactor.iter().map(|r| r.turned_away).sum(),
-            requests: per_reactor.iter().map(|r| r.requests).sum(),
-            protocol_errors: per_reactor.iter().map(|r| r.protocol_errors).sum(),
-            stats_requests: per_reactor.iter().map(|r| r.stats_requests).sum(),
-            open_connections: per_reactor.iter().map(|r| r.open_connections).sum(),
-            reactor_alive: alive == self.shared.reactors as u64,
-            reactors: self.shared.reactors as u64,
-            reactors_alive: alive,
-            per_reactor,
-            server: self.shared.server.stats(),
-        }
+        net_stats(&self.shared)
     }
 
     /// `true` while every reactor shard is alive, at least one replica
@@ -580,6 +572,24 @@ impl NetServer {
 impl Drop for NetServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+fn net_stats(shared: &NetShared) -> NetStats {
+    let per_reactor = per_reactor_stats(shared);
+    let alive = per_reactor.iter().filter(|r| r.alive).count() as u64;
+    NetStats {
+        accepted: per_reactor.iter().map(|r| r.accepted).sum(),
+        turned_away: per_reactor.iter().map(|r| r.turned_away).sum(),
+        requests: per_reactor.iter().map(|r| r.requests).sum(),
+        protocol_errors: per_reactor.iter().map(|r| r.protocol_errors).sum(),
+        stats_requests: per_reactor.iter().map(|r| r.stats_requests).sum(),
+        open_connections: per_reactor.iter().map(|r| r.open_connections).sum(),
+        reactor_alive: alive == shared.reactors as u64,
+        reactors: shared.reactors as u64,
+        reactors_alive: alive,
+        per_reactor,
+        server: shared.server.stats(),
     }
 }
 
@@ -1314,10 +1324,13 @@ impl<'a> Reactor<'a> {
         let Some(conn) = conns.get_mut(&token) else {
             return;
         };
+        // Decode from a cursor and drop the consumed prefix once: draining
+        // per frame would memmove the rest of a pipelined burst each time.
+        let mut consumed = 0usize;
         while conn.state == ConnState::Open {
-            match probe_plaintext(&conn.rbuf) {
-                PlaintextProbe::Stats { consumed } => {
-                    conn.rbuf.drain(..consumed);
+            match probe_plaintext(&conn.rbuf[consumed..]) {
+                PlaintextProbe::Stats { consumed: line } => {
+                    consumed += line;
                     counters.stats_requests.fetch_add(1, Ordering::Relaxed);
                     // One-shot scrape, `nc`-style: raw text (no framing),
                     // then close.
@@ -1326,8 +1339,8 @@ impl<'a> Reactor<'a> {
                     retire_and_drain(shared, conn);
                     break;
                 }
-                PlaintextProbe::Traces { consumed } => {
-                    conn.rbuf.drain(..consumed);
+                PlaintextProbe::Traces { consumed: line } => {
+                    consumed += line;
                     counters.stats_requests.fetch_add(1, Ordering::Relaxed);
                     // One-shot JSONL trace dump, also `nc`-style; draining
                     // is destructive, so each scrape returns fresh traces.
@@ -1339,9 +1352,9 @@ impl<'a> Reactor<'a> {
                 PlaintextProbe::NeedMore => break,
                 PlaintextProbe::NotStats => {}
             }
-            match Frame::decode(&conn.rbuf) {
+            match Frame::decode(&conn.rbuf[consumed..]) {
                 Ok(Some((frame, used))) => {
-                    conn.rbuf.drain(..used);
+                    consumed += used;
                     handle_frame(
                         shared, counters, conn, pending, next_tag, sink, token, frame,
                     );
@@ -1355,12 +1368,13 @@ impl<'a> Reactor<'a> {
                         code: error_code::PROTOCOL,
                         message: err.to_string(),
                     }));
-                    conn.rbuf.clear();
+                    consumed = conn.rbuf.len();
                     retire_and_drain(shared, conn);
                     break;
                 }
             }
         }
+        conn.rbuf.drain(..consumed);
         self.flush(token);
     }
 
@@ -1536,10 +1550,7 @@ fn handle_frame(
             let tag = *next_tag;
             // Shard-strided: tags stay globally unique across shards.
             *next_tag += shared.reactors as u64;
-            match shared
-                .server
-                .submit_tagged_within(tensor, tag, sink, deadline)
-            {
+            match shared.server.submit_tagged(tensor, tag, sink, deadline) {
                 Ok(()) => {
                     pending.insert(tag, Pending { token, request_id });
                     conn.in_flight += 1;
@@ -1596,9 +1607,8 @@ fn error_reply(request_id: u64, err: &AccelError) -> Frame {
         // inside the dispatcher and the server keeps serving — the code
         // tells the client the input is poison, not the server.
         AccelError::EnginePanic { .. } => error_code::ENGINE_PANIC,
-        // The replica this request was placed on died before serving it;
-        // siblings keep serving, so the client should resubmit and let the
-        // router place the retry on a healthy replica.
+        // The replica that dequeued this request died before serving it;
+        // siblings keep serving, so the client should resubmit.
         AccelError::ReplicaDown { .. } => error_code::REPLICA_DOWN,
         _ => error_code::BAD_REQUEST,
     };
@@ -1614,420 +1624,100 @@ fn error_reply(request_id: u64, err: &AccelError) -> Frame {
 /// `nc`-style `STATS` line and the traces form the `TRACES` line.
 fn render_stats(shared: &NetShared, format: u8) -> String {
     match format {
-        stats_format::PROMETHEUS => render_stats_prometheus(shared),
+        stats_format::PROMETHEUS => render_metrics_prometheus(&collect_metrics(shared)),
         // Destructive drain of the completed-trace ring, one JSON object
         // per line.
         stats_format::TRACES => shared.server.recorder().render_jsonl(),
-        _ => render_stats_text(shared),
+        _ => render_metrics_text(&collect_metrics(shared)),
     }
 }
 
-fn render_stats_text(shared: &NetShared) -> String {
-    let server = shared.server.stats();
-    let per_reactor = per_reactor_stats(shared);
-    let reactors_alive = per_reactor.iter().filter(|r| r.alive).count();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "snn_net_protocol_version: {}\n",
-        crate::protocol::VERSION
-    ));
-    out.push_str(&format!("completed: {}\n", server.completed));
-    out.push_str(&format!("errors: {}\n", server.errors));
-    out.push_str(&format!("panics: {}\n", server.panics));
-    out.push_str(&format!("rejected: {}\n", server.rejected));
-    out.push_str(&format!("deadline_sheds: {}\n", server.deadline_sheds));
-    out.push_str(&format!(
-        "reactor_alive: {}\n",
-        u8::from(reactors_alive == shared.reactors)
-    ));
-    out.push_str(&format!("reactors: {}\n", shared.reactors));
-    out.push_str(&format!("reactors_alive: {reactors_alive}\n"));
-    out.push_str(&format!("reactor_backend: {}\n", aggregate_backend(shared)));
-    out.push_str(&format!("replicas: {}\n", server.replicas));
-    out.push_str(&format!("replicas_healthy: {}\n", server.healthy_replicas));
-    out.push_str(&format!("batches: {}\n", server.batches));
-    out.push_str(&format!("largest_batch: {}\n", server.largest_batch));
-    out.push_str(&format!("queue_depth: {}\n", server.queue.depth));
-    out.push_str(&format!("queue_capacity: {}\n", server.queue.capacity));
-    out.push_str(&format!(
-        "drain_rate_ips: {:.3}\n",
-        server.queue.drain_rate_ips
-    ));
-    out.push_str(&format!("throughput_ips: {:.3}\n", server.throughput_ips()));
-    out.push_str(&format!("thread_budget: {}\n", server.thread_budget));
-    out.push_str(&format!(
-        "connections_accepted: {}\n",
-        per_reactor.iter().map(|r| r.accepted).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "connections_turned_away: {}\n",
-        per_reactor.iter().map(|r| r.turned_away).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "connections_open: {}\n",
-        per_reactor.iter().map(|r| r.open_connections).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "connections_max: {}\n",
-        shared.options.max_connections
-    ));
-    out.push_str(&format!(
-        "requests: {}\n",
-        per_reactor.iter().map(|r| r.requests).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "protocol_errors: {}\n",
-        per_reactor.iter().map(|r| r.protocol_errors).sum::<u64>()
-    ));
-    out.push_str(&format!(
-        "stats_requests: {}\n",
-        per_reactor.iter().map(|r| r.stats_requests).sum::<u64>()
-    ));
-    let recorder = shared.server.recorder();
-    out.push_str(&format!("trace_open_spans: {}\n", recorder.open_spans()));
-    for (key, histogram) in [
-        (
-            "request_queue_wait_seconds",
-            recorder.queue_wait_histogram(),
+/// The one enumeration of the STATS metrics: every scalar, the
+/// `reactor` / `replica` / `unit` families and the recorder's latency
+/// histograms.  Both exposition formats render this table.
+fn collect_metrics(shared: &NetShared) -> MetricTable {
+    let net = net_stats(shared);
+    let server = &net.server;
+    let rate = |ips: f64| format!("{ips:.3}");
+    let scalars = vec![
+        Metric::new("snn_net_protocol_version", Gauge, crate::protocol::VERSION)
+            .exposed_as("net_protocol_version"),
+        Metric::new("completed", Counter, server.completed),
+        Metric::new("errors", Counter, server.errors),
+        Metric::new("panics", Counter, server.panics),
+        Metric::new("rejected", Counter, server.rejected),
+        Metric::new("deadline_sheds", Counter, server.deadline_sheds),
+        Metric::new("reactor_alive", Gauge, u8::from(net.reactor_alive)),
+        Metric::new("reactors", Gauge, net.reactors),
+        Metric::new("reactors_alive", Gauge, net.reactors_alive),
+        Metric::new("reactor_backend", Info, aggregate_backend(shared)),
+        Metric::new("replicas", Gauge, server.replicas),
+        Metric::new("replicas_healthy", Gauge, server.healthy_replicas),
+        Metric::new("batches", Counter, server.batches),
+        Metric::new("largest_batch", Gauge, server.largest_batch),
+        Metric::new("queue_depth", Gauge, server.queue.depth),
+        Metric::new("queue_capacity", Gauge, server.queue.capacity),
+        Metric::new("drain_rate_ips", Gauge, rate(server.queue.drain_rate_ips)),
+        Metric::new("throughput_ips", Gauge, rate(server.throughput_ips())),
+        Metric::new("thread_budget", Gauge, server.thread_budget),
+        Metric::new("connections_accepted", Counter, net.accepted),
+        Metric::new("connections_turned_away", Counter, net.turned_away),
+        Metric::new("connections_open", Gauge, net.open_connections),
+        Metric::new("connections_max", Gauge, shared.options.max_connections),
+        Metric::new("requests", Counter, net.requests),
+        Metric::new("protocol_errors", Counter, net.protocol_errors),
+        Metric::new("stats_requests", Counter, net.stats_requests),
+        Metric::new(
+            "trace_open_spans",
+            Gauge,
+            shared.server.recorder().open_spans(),
         ),
-        ("request_compute_seconds", recorder.compute_histogram()),
-        ("request_duration_seconds", recorder.duration_histogram()),
-        (
-            "reactor_write_stall_seconds",
-            recorder.write_stall_histogram(),
-        ),
-    ] {
-        out.push_str(&format!("{key}_count: {}\n", histogram.count()));
-        out.push_str(&format!("{key}_sum: {}\n", histogram.sum()));
-    }
-    for reactor in &per_reactor {
-        out.push_str(&format!(
-            "reactor[{}]: shard_alive={} backend={} connections={} accepted={} \
-             turned_away={} handoffs={} requests={} protocol_errors={} stats_requests={}\n",
-            reactor.index,
-            u8::from(reactor.alive),
-            reactor.backend,
-            reactor.open_connections,
-            reactor.accepted,
-            reactor.turned_away,
-            reactor.handoffs,
-            reactor.requests,
-            reactor.protocol_errors,
-            reactor.stats_requests,
-        ));
-    }
-    for replica in &server.per_replica {
-        out.push_str(&format!(
-            "replica[{}]: healthy={} completed={} errors={} batches={} largest_batch={} \
-             panics={} deadline_sheds={} queue_depth={} drain_rate_ips={:.3}\n",
-            replica.index,
-            u8::from(replica.healthy),
-            replica.completed,
-            replica.errors,
-            replica.batches,
-            replica.largest_batch,
-            replica.panics,
-            replica.deadline_sheds,
-            replica.queue.depth,
-            replica.queue.drain_rate_ips
-        ));
-    }
-    for unit in &server.utilisation {
-        out.push_str(&format!(
-            "unit[{:?}]: units={} busy_cycles={} total_cycles={} utilisation={:.4}\n",
-            unit.kind,
-            unit.units,
-            unit.busy_cycles,
-            unit.total_cycles,
-            unit.utilisation()
-        ));
-    }
-    out
-}
-
-/// Prometheus exposition: `# TYPE` metadata plus `snn_`-prefixed metric
-/// names, one sample per line — directly scrapeable.
-fn render_stats_prometheus(shared: &NetShared) -> String {
-    let server = shared.server.stats();
-    let per_reactor = per_reactor_stats(shared);
-    let reactors_alive = per_reactor.iter().filter(|r| r.alive).count();
-    let mut out = String::new();
-    let mut metric = |name: &str, kind: &str, value: String| {
-        out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-    };
-    metric(
-        "snn_net_protocol_version",
-        "gauge",
-        crate::protocol::VERSION.to_string(),
-    );
-    metric(
-        "snn_completed_total",
-        "counter",
-        server.completed.to_string(),
-    );
-    metric("snn_errors_total", "counter", server.errors.to_string());
-    metric("snn_panics_total", "counter", server.panics.to_string());
-    metric("snn_rejected_total", "counter", server.rejected.to_string());
-    metric(
-        "snn_deadline_sheds_total",
-        "counter",
-        server.deadline_sheds.to_string(),
-    );
-    metric(
-        "snn_reactor_alive",
-        "gauge",
-        u8::from(reactors_alive == shared.reactors).to_string(),
-    );
-    metric("snn_reactors", "gauge", shared.reactors.to_string());
-    metric("snn_reactors_alive", "gauge", reactors_alive.to_string());
-    metric("snn_replicas", "gauge", server.replicas.to_string());
-    metric(
-        "snn_replicas_healthy",
-        "gauge",
-        server.healthy_replicas.to_string(),
-    );
-    metric("snn_batches_total", "counter", server.batches.to_string());
-    metric(
-        "snn_largest_batch",
-        "gauge",
-        server.largest_batch.to_string(),
-    );
-    metric("snn_queue_depth", "gauge", server.queue.depth.to_string());
-    metric(
-        "snn_queue_capacity",
-        "gauge",
-        server.queue.capacity.to_string(),
-    );
-    metric(
-        "snn_drain_rate_ips",
-        "gauge",
-        format!("{:.3}", server.queue.drain_rate_ips),
-    );
-    metric(
-        "snn_throughput_ips",
-        "gauge",
-        format!("{:.3}", server.throughput_ips()),
-    );
-    metric(
-        "snn_thread_budget",
-        "gauge",
-        server.thread_budget.to_string(),
-    );
-    metric(
-        "snn_connections_accepted_total",
-        "counter",
-        per_reactor
-            .iter()
-            .map(|r| r.accepted)
-            .sum::<u64>()
-            .to_string(),
-    );
-    metric(
-        "snn_connections_turned_away_total",
-        "counter",
-        per_reactor
-            .iter()
-            .map(|r| r.turned_away)
-            .sum::<u64>()
-            .to_string(),
-    );
-    metric(
-        "snn_connections_open",
-        "gauge",
-        per_reactor
-            .iter()
-            .map(|r| r.open_connections)
-            .sum::<u64>()
-            .to_string(),
-    );
-    metric(
-        "snn_connections_max",
-        "gauge",
-        shared.options.max_connections.to_string(),
-    );
-    metric(
-        "snn_requests_total",
-        "counter",
-        per_reactor
-            .iter()
-            .map(|r| r.requests)
-            .sum::<u64>()
-            .to_string(),
-    );
-    metric(
-        "snn_protocol_errors_total",
-        "counter",
-        per_reactor
-            .iter()
-            .map(|r| r.protocol_errors)
-            .sum::<u64>()
-            .to_string(),
-    );
-    metric(
-        "snn_stats_requests_total",
-        "counter",
-        per_reactor
-            .iter()
-            .map(|r| r.stats_requests)
-            .sum::<u64>()
-            .to_string(),
-    );
-    metric(
-        "snn_trace_open_spans",
-        "gauge",
-        shared.server.recorder().open_spans().to_string(),
-    );
+    ];
     // Per-reactor shard series: which shard is hot, dead, or unbalanced.
-    out.push_str("# TYPE snn_reactor_backend gauge\n");
-    for reactor in &per_reactor {
-        out.push_str(&format!(
-            "snn_reactor_backend{{reactor=\"{}\",backend=\"{}\"}} 1\n",
-            reactor.index, reactor.backend
-        ));
+    let reactor = |r: &ReactorStats| {
+        let rows = vec![
+            Metric::new("shard_alive", Gauge, u8::from(r.alive)),
+            Metric::new("backend", Info, r.backend),
+            Metric::new("connections", Gauge, r.open_connections),
+            Metric::new("accepted", Counter, r.accepted),
+            Metric::new("turned_away", Counter, r.turned_away),
+            Metric::new("handoffs", Counter, r.handoffs),
+            Metric::new("requests", Counter, r.requests),
+            Metric::new("protocol_errors", Counter, r.protocol_errors),
+            Metric::new("stats_requests", Counter, r.stats_requests),
+        ];
+        (r.index.to_string(), rows)
+    };
+    let replica = |r: &ReplicaStats| {
+        let rows = vec![
+            Metric::new("healthy", Gauge, u8::from(r.healthy)),
+            Metric::new("completed", Counter, r.completed),
+            Metric::new("errors", Counter, r.errors),
+            Metric::new("batches", Counter, r.batches),
+            Metric::new("largest_batch", Gauge, r.largest_batch),
+            Metric::new("panics", Counter, r.panics),
+            Metric::new("deadline_sheds", Counter, r.deadline_sheds),
+            Metric::new("drain_rate_ips", Gauge, rate(r.drain_rate_ips)),
+        ];
+        (r.index.to_string(), rows)
+    };
+    let unit = |u: &UnitUtilisation| {
+        let rows = vec![
+            Metric::new("units", Gauge, u.units).exposed_as("count"),
+            Metric::new("busy_cycles", Gauge, u.busy_cycles),
+            Metric::new("total_cycles", Gauge, u.total_cycles),
+            Metric::new("utilisation", Gauge, format!("{:.4}", u.utilisation())),
+        ];
+        (format!("{:?}", u.kind), rows)
+    };
+    let family = |label, members| MetricFamily { label, members };
+    MetricTable {
+        scalars,
+        families: vec![
+            family("reactor", net.per_reactor.iter().map(reactor).collect()),
+            family("replica", server.per_replica.iter().map(replica).collect()),
+            family("unit", server.utilisation.iter().map(unit).collect()),
+        ],
+        histograms: shared.server.recorder().histogram_families(),
     }
-    for (name, kind, pick) in [
-        (
-            "snn_reactor_shard_alive",
-            "gauge",
-            Box::new(|r: &ReactorStats| u8::from(r.alive).to_string())
-                as Box<dyn Fn(&ReactorStats) -> String>,
-        ),
-        (
-            "snn_reactor_connections",
-            "gauge",
-            Box::new(|r| r.open_connections.to_string()),
-        ),
-        (
-            "snn_reactor_accepted_total",
-            "counter",
-            Box::new(|r| r.accepted.to_string()),
-        ),
-        (
-            "snn_reactor_turned_away_total",
-            "counter",
-            Box::new(|r| r.turned_away.to_string()),
-        ),
-        (
-            "snn_reactor_handoffs_total",
-            "counter",
-            Box::new(|r| r.handoffs.to_string()),
-        ),
-        (
-            "snn_reactor_requests_total",
-            "counter",
-            Box::new(|r| r.requests.to_string()),
-        ),
-        (
-            "snn_reactor_protocol_errors_total",
-            "counter",
-            Box::new(|r| r.protocol_errors.to_string()),
-        ),
-        (
-            "snn_reactor_stats_requests_total",
-            "counter",
-            Box::new(|r| r.stats_requests.to_string()),
-        ),
-    ] {
-        out.push_str(&format!("# TYPE {name} {kind}\n"));
-        for reactor in &per_reactor {
-            out.push_str(&format!(
-                "{name}{{reactor=\"{}\"}} {}\n",
-                reactor.index,
-                pick(reactor)
-            ));
-        }
-    }
-    for (name, kind, pick) in [
-        (
-            "snn_replica_healthy",
-            "gauge",
-            Box::new(|r: &snn_accel::serve::ReplicaStats| u8::from(r.healthy).to_string())
-                as Box<dyn Fn(&snn_accel::serve::ReplicaStats) -> String>,
-        ),
-        (
-            "snn_replica_completed_total",
-            "counter",
-            Box::new(|r| r.completed.to_string()),
-        ),
-        (
-            "snn_replica_errors_total",
-            "counter",
-            Box::new(|r| r.errors.to_string()),
-        ),
-        (
-            "snn_replica_batches_total",
-            "counter",
-            Box::new(|r| r.batches.to_string()),
-        ),
-        (
-            "snn_replica_largest_batch",
-            "gauge",
-            Box::new(|r| r.largest_batch.to_string()),
-        ),
-        (
-            "snn_replica_panics_total",
-            "counter",
-            Box::new(|r| r.panics.to_string()),
-        ),
-        (
-            "snn_replica_deadline_sheds_total",
-            "counter",
-            Box::new(|r| r.deadline_sheds.to_string()),
-        ),
-        (
-            "snn_replica_queue_depth",
-            "gauge",
-            Box::new(|r| r.queue.depth.to_string()),
-        ),
-        (
-            "snn_replica_drain_rate_ips",
-            "gauge",
-            Box::new(|r| format!("{:.3}", r.queue.drain_rate_ips)),
-        ),
-    ] {
-        out.push_str(&format!("# TYPE {name} {kind}\n"));
-        for replica in &server.per_replica {
-            out.push_str(&format!(
-                "{name}{{replica=\"{}\"}} {}\n",
-                replica.index,
-                pick(replica)
-            ));
-        }
-    }
-    for (name, kind, pick) in [
-        (
-            "snn_unit_count",
-            "gauge",
-            Box::new(|u: &snn_accel::report::UnitUtilisation| u.units.to_string())
-                as Box<dyn Fn(&snn_accel::report::UnitUtilisation) -> String>,
-        ),
-        (
-            "snn_unit_busy_cycles",
-            "gauge",
-            Box::new(|u| u.busy_cycles.to_string()),
-        ),
-        (
-            "snn_unit_total_cycles",
-            "gauge",
-            Box::new(|u| u.total_cycles.to_string()),
-        ),
-        (
-            "snn_unit_utilisation",
-            "gauge",
-            Box::new(|u| format!("{:.4}", u.utilisation())),
-        ),
-    ] {
-        out.push_str(&format!("# TYPE {name} {kind}\n"));
-        for unit in &server.utilisation {
-            out.push_str(&format!(
-                "{name}{{unit=\"{:?}\"}} {}\n",
-                unit.kind,
-                pick(unit)
-            ));
-        }
-    }
-    // Per-request latency histograms (queue wait, compute, end-to-end
-    // duration, reactor write-stall) from the span recorder.
-    shared.server.recorder().render_prometheus_into(&mut out);
-    out
 }

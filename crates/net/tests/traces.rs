@@ -4,9 +4,8 @@
 //! the plaintext `TRACES` line), with per-phase durations inside
 //! wall-clock bounds and a `WriteStall` span amended by the reactor.
 //! Tracing must not perturb results: scores stay bit-identical with the
-//! recorder on and off.  The suite also pins the exposition parity
-//! contract — plaintext and Prometheus STATS enumerate the same counter
-//! key set.
+//! recorder on and off.  The suite also pins the golden list of STATS
+//! keys both exposition formats carry.
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::serve::ServerOptions;
@@ -223,72 +222,58 @@ fn plaintext_traces_line_drains_the_ring_as_jsonl() {
     server.shutdown();
 }
 
-/// Normalises one exposition key for the parity diff: strips the `snn_`
-/// prefix and `_total` suffix, drops histogram bucket series (plaintext
-/// carries only the `_count`/`_sum` summaries).
-fn normalize(name: &str) -> Option<String> {
-    let name = name.strip_prefix("snn_").unwrap_or(name);
-    if name.ends_with("_bucket") {
-        return None;
-    }
-    Some(name.strip_suffix("_total").unwrap_or(name).to_string())
-}
+/// Every plaintext STATS key (family fields as `label.field`).  Both
+/// formats render one table (`collect_metrics`), so this list and
+/// [`GOLDEN_PROMETHEUS`] are the exposition's contract: a renamed, dropped
+/// or added metric fails the test below with its name.
+const GOLDEN_TEXT: &str = "
+    snn_net_protocol_version completed errors panics rejected deadline_sheds
+    reactor_alive reactors reactors_alive reactor_backend replicas replicas_healthy
+    batches largest_batch queue_depth queue_capacity drain_rate_ips throughput_ips
+    thread_budget connections_accepted connections_turned_away connections_open
+    connections_max requests protocol_errors stats_requests trace_open_spans
+    request_queue_wait_seconds_count request_queue_wait_seconds_sum
+    request_compute_seconds_count request_compute_seconds_sum
+    request_duration_seconds_count request_duration_seconds_sum
+    reactor_write_stall_seconds_count reactor_write_stall_seconds_sum
+    reactor.shard_alive reactor.backend reactor.connections reactor.accepted
+    reactor.turned_away reactor.handoffs reactor.requests reactor.protocol_errors
+    reactor.stats_requests
+    replica.healthy replica.completed replica.errors replica.batches
+    replica.largest_batch replica.panics replica.deadline_sheds replica.drain_rate_ips
+    unit.units unit.busy_cycles unit.total_cycles unit.utilisation";
 
-fn text_key_set(text: &str) -> BTreeSet<String> {
-    let mut keys = BTreeSet::new();
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("reactor[") {
-            let fields = rest.split_once("]: ").expect("reactor line").1;
-            for field in fields.split_whitespace() {
-                let key = field.split_once('=').expect("field=value").0;
-                keys.insert(format!("reactor_{key}"));
-            }
-        } else if let Some(rest) = line.strip_prefix("replica[") {
-            let fields = rest.split_once("]: ").expect("replica line").1;
-            for field in fields.split_whitespace() {
-                let key = field.split_once('=').expect("field=value").0;
-                keys.insert(format!("replica_{key}"));
-            }
-        } else if let Some(rest) = line.strip_prefix("unit[") {
-            let fields = rest.split_once("]: ").expect("unit line").1;
-            for field in fields.split_whitespace() {
-                let key = field.split_once('=').expect("field=value").0;
-                // Plaintext says `units=`, Prometheus `snn_unit_count`.
-                let key = if key == "units" {
-                    "unit_count".to_string()
-                } else {
-                    format!("unit_{key}")
-                };
-                keys.insert(key);
-            }
-        } else {
-            let key = line.split_once(':').expect("key: value").0;
-            keys.extend(normalize(key));
-        }
-    }
-    keys
-}
+/// Every Prometheus sample name (histogram `_bucket` series aside).  The
+/// text-valued scalar `reactor_backend` has no counterpart: Prometheus
+/// carries it on the per-reactor series.
+const GOLDEN_PROMETHEUS: &str = "
+    snn_net_protocol_version snn_completed_total snn_errors_total snn_panics_total
+    snn_rejected_total snn_deadline_sheds_total snn_reactor_alive snn_reactors
+    snn_reactors_alive snn_replicas snn_replicas_healthy snn_batches_total
+    snn_largest_batch snn_queue_depth snn_queue_capacity snn_drain_rate_ips
+    snn_throughput_ips snn_thread_budget snn_connections_accepted_total
+    snn_connections_turned_away_total snn_connections_open snn_connections_max
+    snn_requests_total snn_protocol_errors_total snn_stats_requests_total
+    snn_trace_open_spans
+    snn_request_queue_wait_seconds_count snn_request_queue_wait_seconds_sum
+    snn_request_compute_seconds_count snn_request_compute_seconds_sum
+    snn_request_duration_seconds_count snn_request_duration_seconds_sum
+    snn_reactor_write_stall_seconds_count snn_reactor_write_stall_seconds_sum
+    snn_reactor_shard_alive snn_reactor_backend snn_reactor_connections
+    snn_reactor_accepted_total snn_reactor_turned_away_total snn_reactor_handoffs_total
+    snn_reactor_requests_total snn_reactor_protocol_errors_total
+    snn_reactor_stats_requests_total
+    snn_replica_healthy snn_replica_completed_total snn_replica_errors_total
+    snn_replica_batches_total snn_replica_largest_batch snn_replica_panics_total
+    snn_replica_deadline_sheds_total snn_replica_drain_rate_ips
+    snn_unit_count snn_unit_busy_cycles snn_unit_total_cycles snn_unit_utilisation";
 
-fn prometheus_key_set(prom: &str) -> BTreeSet<String> {
-    prom.lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| l.split(['{', ' ']).next().expect("metric name"))
-        .filter_map(normalize)
-        .collect()
-}
-
-/// The parity pin: every counter one STATS format exposes, the other
-/// exposes too (modulo the mechanical `snn_`/`_total` naming and the
-/// histogram bucket series).  A key added to one renderer but not the
-/// other fails this diff with the exact missing names.
+/// The golden key list: a live 2-reactor / 2-replica server's plaintext
+/// and Prometheus STATS carry exactly the golden keys, and every
+/// Prometheus line has the exposition's shape.
 #[test]
 fn stats_text_and_prometheus_enumerate_the_same_key_set() {
     let (model, inputs) = tiny_setup(2);
-    // Two reactor shards so the per-shard `reactor[i]` lines and their
-    // Prometheus label series are both multi-entry.
     let server = NetServer::bind(
         "127.0.0.1:0",
         AcceleratorConfig::default(),
@@ -304,13 +289,44 @@ fn stats_text_and_prometheus_enumerate_the_same_key_set() {
         client.infer(input).unwrap();
     }
 
-    let text_keys = text_key_set(&client.stats_text().unwrap());
-    let prom_keys = prometheus_key_set(&client.stats_prometheus().unwrap());
-    let only_text: Vec<&String> = text_keys.difference(&prom_keys).collect();
-    let only_prom: Vec<&String> = prom_keys.difference(&text_keys).collect();
-    assert!(
-        only_text.is_empty() && only_prom.is_empty(),
-        "exposition formats diverge — text-only: {only_text:?}, prometheus-only: {only_prom:?}"
-    );
+    let mut text_keys = BTreeSet::new();
+    for line in client.stats_text().unwrap().lines() {
+        let (key, value) = line.split_once(": ").expect("key: value");
+        match key.split_once('[') {
+            Some((label, _)) => text_keys.extend(value.split(' ').map(|field| {
+                let field = field.split_once('=').expect("field=value").0;
+                format!("{label}.{field}")
+            })),
+            None => {
+                text_keys.insert(key.to_string());
+            }
+        }
+    }
+    let prom = client.stats_prometheus().unwrap();
+    let mut prom_keys = BTreeSet::new();
+    for line in prom.lines() {
+        assert!(
+            line.starts_with("# TYPE snn_")
+                || line.starts_with("# HELP snn_")
+                || line.starts_with("snn_"),
+            "malformed exposition line: {line}"
+        );
+        let name = line.split(['{', ' ']).next().expect("metric name");
+        if !line.starts_with('#') && !name.ends_with("_bucket") {
+            prom_keys.insert(name.to_string());
+        }
+    }
+
+    for (format, keys, golden) in [
+        ("plaintext", text_keys, GOLDEN_TEXT),
+        ("Prometheus", prom_keys, GOLDEN_PROMETHEUS),
+    ] {
+        let golden: BTreeSet<String> = golden.split_whitespace().map(str::to_string).collect();
+        let stray: Vec<&String> = keys.symmetric_difference(&golden).collect();
+        assert!(
+            stray.is_empty(),
+            "{format} STATS keys diverge from the golden list: {stray:?}"
+        );
+    }
     server.shutdown();
 }

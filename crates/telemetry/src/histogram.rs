@@ -170,7 +170,7 @@ pub fn render_histogram(
     out: &mut String,
     name: &str,
     help: &str,
-    series: &[(Option<(&str, String)>, &LatencyHistogram)],
+    series: &[(Option<(&str, String)>, LatencyHistogram)],
 ) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
     for (label, histogram) in series {

@@ -10,12 +10,11 @@
 //! terminal [`Outcome`].  Completed [`RequestTrace`]s are exported three
 //! ways:
 //!
-//! 1. **Prometheus histograms** — [`SpanRecorder::render_prometheus_into`]
-//!    appends `snn_request_queue_wait_seconds`,
-//!    `snn_request_compute_seconds`, `snn_request_duration_seconds`
-//!    (per-`replica` labels) and `snn_reactor_write_stall_seconds` to
-//!    the existing STATS exposition, using the fixed log-spaced buckets
-//!    of [`histogram`].
+//! 1. **Histograms** — [`SpanRecorder::histogram_families`] feeds
+//!    `request_queue_wait_seconds`, `request_compute_seconds`,
+//!    `request_duration_seconds` (per-`replica` labels) and
+//!    `reactor_write_stall_seconds` into the server's [`MetricTable`],
+//!    on the fixed log-spaced buckets of [`histogram`].
 //! 2. **JSONL trace dump** — [`SpanRecorder::render_jsonl`] drains the
 //!    per-replica ring buffers into one [`RequestTrace::to_json_line`]
 //!    line per trace (STATS format byte `2 = TRACES` on the wire).
@@ -30,11 +29,16 @@
 //! results.
 
 pub mod histogram;
+pub mod metrics;
 pub mod trace;
 
 pub use histogram::{
     bucket_index, bucket_upper_bound, escape_label_value, render_histogram, LatencyHistogram,
     BUCKET_COUNT,
+};
+pub use metrics::{
+    render_metrics_prometheus, render_metrics_text, HistogramFamily, Metric, MetricFamily,
+    MetricKind, MetricTable,
 };
 pub use trace::{
     trace_enabled_from_env, Outcome, Phase, PhaseSpan, RequestTrace, SpanRecorder, TraceBuilder,

@@ -17,7 +17,8 @@
 //! <3% overhead budget trivially safe to verify: results are
 //! bit-identical either way, only the telemetry disappears.
 
-use crate::histogram::{render_histogram, LatencyHistogram};
+use crate::histogram::LatencyHistogram;
+use crate::metrics::HistogramFamily;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -27,13 +28,13 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 /// pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Admission checks in `StreamServer::enqueue` (shutdown gate,
-    /// deadline resolution) up to the router call.
+    /// `StreamServer::enqueue` up to the admission lock (trace start,
+    /// deadline resolution).
     Admission,
-    /// Inside the router: snapshotting replica views and placing the
-    /// submission (including spills to sibling replicas).
+    /// The admission lock: the shutdown / health / capacity check and the
+    /// push onto the server's one submission queue.
     Route,
-    /// Sitting in the chosen replica's bounded queue until the
+    /// Sitting in the bounded submission queue until a replica's
     /// dispatcher drains it into a micro-batch.
     QueueWait,
     /// From micro-batch drain to compute start (deadline shedding,
@@ -133,7 +134,7 @@ impl Outcome {
 pub struct PhaseSpan {
     /// Which phase.
     pub phase: Phase,
-    /// Time spent in it, seconds (spills and re-entries accumulate).
+    /// Time spent in it, seconds (re-entries accumulate).
     pub seconds: f64,
 }
 
@@ -148,11 +149,10 @@ pub struct RequestTrace {
     /// Wall-clock completion time, milliseconds since the Unix epoch
     /// (operator tooling; durations use the monotonic clock).
     pub unix_ms: u64,
-    /// The replica the router placed it on; `None` when it was rejected
-    /// before placement.
+    /// The replica engine that dequeued it; `None` when it was refused
+    /// at admission or never left the queue.
     pub replica: Option<usize>,
-    /// The chosen replica's queue depth the router observed at
-    /// placement.
+    /// The shared queue's depth seen under the admission lock.
     pub queue_depth_at_route: Option<usize>,
     /// Measured phases in pipeline order (absent phases were never
     /// entered).
@@ -460,7 +460,7 @@ impl Shard {
 }
 
 /// The server-wide trace store: one shard per replica (plus one for
-/// requests rejected before placement), each holding a bounded ring of
+/// requests no replica dequeued), each holding a bounded ring of
 /// completed traces and the phase histograms the Prometheus exposition
 /// renders.  See the module docs for the locking story.
 pub struct SpanRecorder {
@@ -638,61 +638,49 @@ impl SpanRecorder {
         relock(&self.write_stall).clone()
     }
 
-    /// Renders the four request-phase histogram families in Prometheus
-    /// exposition format (per-replica `replica` labels; the unrouted
-    /// shard is labelled `replica="unrouted"`).
-    pub fn render_prometheus_into(&self, out: &mut String) {
-        let shards: Vec<Shard> = self
-            .shards
-            .iter()
-            .map(|s| {
-                let s = relock(s);
-                Shard {
-                    ring: VecDeque::new(),
-                    queue_wait: s.queue_wait.clone(),
-                    compute: s.compute.clone(),
-                    duration: s.duration.clone(),
-                }
-            })
-            .collect();
-        let label = |i: usize| -> String {
-            if i + 1 == shards.len() {
-                "unrouted".to_string()
-            } else {
-                i.to_string()
+    /// The four request-phase histogram families of the metric table:
+    /// queue wait, compute and duration per replica (`replica` labels; the
+    /// shard of requests no replica dequeued is `replica="unrouted"`) and
+    /// the unlabelled reactor write stall.
+    pub fn histogram_families(&self) -> Vec<HistogramFamily> {
+        let unrouted = self.shards.len() - 1;
+        let per_replica = |name, help, pick: fn(&Shard) -> &LatencyHistogram| {
+            let series = self.shards.iter().enumerate().map(|(i, shard)| {
+                let label = if i == unrouted {
+                    "unrouted".to_string()
+                } else {
+                    i.to_string()
+                };
+                (Some(("replica", label)), pick(&relock(shard)).clone())
+            });
+            HistogramFamily {
+                name,
+                help,
+                series: series.collect(),
             }
         };
-        for (name, help, pick) in [
-            (
-                "snn_request_queue_wait_seconds",
+        vec![
+            per_replica(
+                "request_queue_wait_seconds",
                 "Time requests sat in a replica queue before dispatch.",
-                (|s: &Shard| &s.queue_wait) as fn(&Shard) -> &LatencyHistogram,
+                |s| &s.queue_wait,
             ),
-            (
-                "snn_request_compute_seconds",
+            per_replica(
+                "request_compute_seconds",
                 "Engine execution time per request.",
-                |s: &Shard| &s.compute,
+                |s| &s.compute,
             ),
-            (
-                "snn_request_duration_seconds",
+            per_replica(
+                "request_duration_seconds",
                 "Admission-to-settle wall time per request.",
-                |s: &Shard| &s.duration,
+                |s| &s.duration,
             ),
-        ] {
-            let series: Vec<(Option<(&str, String)>, &LatencyHistogram)> = shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (Some(("replica", label(i))), pick(s)))
-                .collect();
-            render_histogram(out, name, help, &series);
-        }
-        let write_stall = self.write_stall_histogram();
-        render_histogram(
-            out,
-            "snn_reactor_write_stall_seconds",
-            "Reactor write-queue residency per reply.",
-            &[(None, &write_stall)],
-        );
+            HistogramFamily {
+                name: "reactor_write_stall_seconds",
+                help: "Reactor write-queue residency per reply.",
+                series: vec![(None, self.write_stall_histogram())],
+            },
+        ]
     }
 }
 
@@ -750,8 +738,8 @@ impl TraceBuilder {
     }
 
     /// Closes the current phase and enters `next`.  Re-entering the
-    /// current phase is a no-op; re-entering an earlier phase (a router
-    /// spill) accumulates into the existing span.
+    /// current phase is a no-op; re-entering an earlier phase accumulates
+    /// into the existing span.
     pub fn advance(&mut self, next: Phase) {
         if self.recorder.is_none() || self.current == next {
             return;
@@ -762,15 +750,19 @@ impl TraceBuilder {
         self.phase_started = now;
     }
 
-    /// Annotates the route decision: chosen replica and the queue depth
-    /// its placement view showed.  Overwritten on spill — the trace
-    /// reports where the submission actually landed.
-    pub fn note_route(&mut self, replica: usize, depth: usize) {
-        if self.recorder.is_none() {
-            return;
+    /// Annotates the shared queue depth the submission saw at admission.
+    pub fn note_queue_depth(&mut self, depth: usize) {
+        if self.recorder.is_some() {
+            self.depth = Some(depth);
         }
-        self.replica = Some(replica);
-        self.depth = Some(depth);
+    }
+
+    /// Annotates the replica engine that dequeued the submission — the
+    /// shard the finished trace is filed under.
+    pub fn note_replica(&mut self, replica: usize) {
+        if self.recorder.is_some() {
+            self.replica = Some(replica);
+        }
     }
 
     /// Closes the trace with `outcome` and publishes it to the recorder
@@ -829,8 +821,9 @@ mod tests {
         let mut trace = recorder.begin(7);
         assert_eq!(recorder.open_spans(), 1);
         trace.advance(Phase::Route);
-        trace.note_route(1, 3);
+        trace.note_queue_depth(3);
         trace.advance(Phase::QueueWait);
+        trace.note_replica(1);
         trace.advance(Phase::BatchAssembly);
         trace.advance(Phase::Compute);
         trace.finish(Outcome::Scores { total_cycles: 42 });
@@ -891,7 +884,7 @@ mod tests {
         let recorder = Arc::new(SpanRecorder::with_capacity(1, true, 4));
         for id in 0..10u64 {
             let mut trace = recorder.begin(id);
-            trace.note_route(0, 0);
+            trace.note_replica(0);
             trace.finish(Outcome::Scores { total_cycles: id });
         }
         let traces = recorder.drain();
@@ -905,7 +898,7 @@ mod tests {
     fn write_stall_amends_the_completed_trace_and_its_histogram() {
         let recorder = recorder(1);
         let mut trace = recorder.begin(3);
-        trace.note_route(0, 0);
+        trace.note_replica(0);
         trace.finish(Outcome::Scores { total_cycles: 5 });
         recorder.record_write_stall(3, 0.002);
         assert_eq!(recorder.write_stall_histogram().count(), 1);
@@ -921,11 +914,11 @@ mod tests {
         let recorder = recorder(2);
         let mut trace = recorder.begin(11);
         trace.advance(Phase::Route);
-        trace.note_route(0, 5);
+        trace.note_replica(0);
         trace.advance(Phase::QueueWait);
-        // Spill: back to routing, land elsewhere.
+        // Back to an earlier phase, annotated again.
         trace.advance(Phase::Route);
-        trace.note_route(1, 0);
+        trace.note_replica(1);
         trace.advance(Phase::QueueWait);
         trace.finish(Outcome::Scores { total_cycles: 1 });
         let traces = recorder.drain();
@@ -935,7 +928,7 @@ mod tests {
             .filter(|s| s.phase == Phase::Route)
             .count();
         assert_eq!(route_spans, 1, "re-entered phases merge");
-        assert_eq!(traces[0].replica, Some(1), "the landing replica wins");
+        assert_eq!(traces[0].replica, Some(1), "the last annotation wins");
     }
 
     #[test]

@@ -141,7 +141,7 @@ proptest! {
             &mut out,
             "snn_test_seconds",
             "Test histogram.",
-            &[(Some(("replica", label.clone())), &h)],
+            &[(Some(("replica", label.clone())), h.clone())],
         );
         let lines: Vec<&str> = out.lines().collect();
         prop_assert_eq!(lines[0], "# HELP snn_test_seconds Test histogram.");
