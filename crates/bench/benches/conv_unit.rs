@@ -158,8 +158,8 @@ fn bench_tiled_conv(c: &mut Criterion) {
 }
 
 /// The word-level kernels the engine dispatches through
-/// `snn_tensor::simd`, each measured on its dispatched path (AVX2/SSE2 on
-/// this host unless `SNN_SIMD` lowers it) and on the always-compiled
+/// `snn_tensor::simd`, each measured on its dispatched path (AVX2 on this
+/// host unless `SNN_SIMD` lowers it) and on the always-compiled
 /// scalar oracle — so `BENCH_conv.json` records the simd-on vs simd-off
 /// ratio per kernel, not just the end-to-end layer effect.
 fn bench_simd_kernels(c: &mut Criterion) {
@@ -249,6 +249,25 @@ fn bench_simd_kernels(c: &mut Criterion) {
             out[0]
         });
     });
+    // The same row into 32-bit lanes: the kernel the engine runs wherever
+    // the packed weights prove the sums fit (every benchmark layer).
+    group.bench_function(
+        &format!("weight_axpy_i32/{}", simd::active_level().name()),
+        |b| {
+            let mut out = vec![0i32; row.len()];
+            b.iter(|| {
+                simd::axpy_i16(&mut out, black_box(&row), black_box(3));
+                out[0]
+            });
+        },
+    );
+    group.bench_function("weight_axpy_i32/scalar", |b| {
+        let mut out = vec![0i32; row.len()];
+        b.iter(|| {
+            scalar::axpy_i16_i32(&mut out, black_box(&row), black_box(3));
+            out[0]
+        });
+    });
     group.bench_function(
         &format!("pack_occupancy/{}", simd::active_level().name()),
         |b| {
@@ -303,6 +322,34 @@ fn bench_linear_unit(c: &mut Criterion) {
     let config = AcceleratorConfig::default();
     let unit = LinearUnit::new(config.linear_lanes);
     c.bench_function("linear_unit/120x120_T4", |b| {
+        b.iter(|| {
+            unit.run_packed(black_box(&input), black_box(&packed), black_box(&bias), 4)
+                .expect("linear unit run")
+        });
+    });
+
+    // VGG-11's widest classifier layer: a 32 MiB packed matrix no cache
+    // holds, of which a run reads the 8 KiB rows of the spiking neurons
+    // (about half, as on the benchmark's VGG inputs) in spike order — what
+    // the linear unit's weight-row prefetch is for.
+    let n = 4096;
+    let input = Tensor::from_vec(
+        vec![n],
+        (0..n as u64)
+            .map(|v| v.wrapping_mul(2654435761) >> 8)
+            .map(|x| if x % 2 == 0 { 0 } else { (x >> 1) as i64 % 16 })
+            .collect(),
+    )
+    .expect("input tensor");
+    let weight = Tensor::from_vec(
+        vec![n, n],
+        (0..n * n).map(|v| ((v % 7) as i64) - 3).collect(),
+    )
+    .expect("weight tensor");
+    let bias = Tensor::filled(vec![n], 0i64);
+    let packed = PackedWeights::from_linear(&weight).expect("packed weights");
+    drop(weight);
+    c.bench_function("linear_unit/4096x4096_T4", |b| {
         b.iter(|| {
             unit.run_packed(black_box(&input), black_box(&packed), black_box(&bias), 4)
                 .expect("linear unit run")
@@ -384,6 +431,7 @@ fn main() {
             "byte_lut".to_string(),
         ),
         ("weight_axpy", level.to_string(), "scalar".to_string()),
+        ("weight_axpy_i32", level.to_string(), "scalar".to_string()),
         ("pack_occupancy", level.to_string(), "scalar".to_string()),
     ] {
         let fast = criterion

@@ -27,19 +27,31 @@
 //!   (`level & level_mask(T)`).  The engine walks the planes' OR-reduction
 //!   (the occupancy mask, [`snn_tensor::bitplane::Occupancy::from_levels`],
 //!   skipping silent rows 64 pixels per word) once into a flat
-//!   `(column, level)` spike list, and then, for each spike and each
-//!   `(kernel tap, output position)` pair covering it, adds
-//!   `level × W[ic, ky, kx, 0..O]` into the accumulator row of that output
-//!   position with one [`snn_tensor::simd::axpy_i16`] — the host-side
-//!   picture of the paper's output-channel parallelism.  The weights come
-//!   channel-last and 16-bit from [`PackedWeights`] (held by the model, so
-//!   an inference packs nothing); the accumulators are channel-last too and
-//!   are transposed to `[O, H, W]`, bias added, once per band.  Wrapping
-//!   `i64` arithmetic commutes, so the result is bit-identical to the
-//!   cycle-stepped reference — including for out-of-range levels, which the
-//!   mask truncates to exactly the bits the schedule would see.  Blocks of
-//!   output-channel lanes own disjoint accumulators and run on parallel
-//!   threads when the layer is large enough to amortise the dispatch.
+//!   `(column, level)` spike list, and then, for each spike, adds
+//!   `level × W[ic, ky, kx, 0..O]` into the accumulator row of every output
+//!   position a `(kernel tap, output position)` pair covers it with — all
+//!   of a spike's taps in one [`snn_tensor::simd::axpy_taps`] call — the
+//!   host-side picture of the paper's output-channel parallelism.  The
+//!   weights come channel-last and 16-bit from [`PackedWeights`] (held by
+//!   the model, so an inference packs nothing); the accumulators are
+//!   channel-last too and are transposed to `[O, H, W]`, widened to `i64`
+//!   and bias added, once per band.  Wrapping `i64` arithmetic commutes, so
+//!   the result is bit-identical to the cycle-stepped reference — including
+//!   for out-of-range levels, which the mask truncates to exactly the bits
+//!   the schedule would see.  Blocks of output-channel lanes own disjoint
+//!   accumulators and run on parallel threads when the layer is large
+//!   enough to amortise the dispatch.
+//! * **Accumulator width** — the paper sizes its adders to the sums they
+//!   can hold, and so does the engine.  An output position receives at most
+//!   one contribution per `(c, ky, kx)`, each at most
+//!   `level_mask(T) × |w|`, so where
+//!   [`PackedWeights::sums_fit_i32`]`(T)` holds — 3-bit weights at `T = 4`
+//!   need 19 bits on VGG-11 — no partial sum of the layer leaves `i32` in
+//!   any order, band or lane block, and the one scatter loop (`scatter`,
+//!   generic over [`snn_tensor::simd::Accumulator`]) runs in 32-bit lanes,
+//!   eight per vector, producing the *same* integers as the 64-bit
+//!   instantiation.  The choice is a pure function of the packed weights
+//!   and `T`, made per call; long trains and 16-bit codes keep the wide one.
 //! * **Statistics** — the schedule is static, so `cycles`,
 //!   `activation_reads`, `kernel_reads` and `output_writes` follow in
 //!   closed form from the loop bounds ([`ConvolutionUnit::layer_cycles`]
@@ -320,6 +332,85 @@ fn product_sparsity_counts(
         }
     }
     counts
+}
+
+/// Weight rows handed to the kernel per call.  A spike covers at most
+/// `Kr x Kc` taps — 9 on VGG-11, 25 on LeNet-5 — so one call per spike is
+/// the rule; a larger kernel just takes more calls.
+const TAP_BATCH: usize = 32;
+
+/// The one scatter loop: every spike adds its level times one packed
+/// weight row into the accumulator row of each output position it covers,
+/// in accumulators of element `A`; the result is `[O, out_h, w_out]` with
+/// the bias added.  The scratch is channel-last, `[block][position][lane]`:
+/// each block of output-channel lanes is one contiguous chunk owned by one
+/// task.  `work` (multiply-accumulates) decides the lane-block split.
+fn scatter<A: simd::Accumulator>(
+    spikes: &Spikes,
+    weights: &PackedWeights,
+    bias: &[i64],
+    (y_reach, x_reach): (&[Reach], &[Reach]),
+    stride: usize,
+    (out_h, w_out): (usize, usize),
+    work: u64,
+) -> Tensor<i64> {
+    let (c_out, kc, lanes) = (weights.c_out(), weights.kernel_cols(), weights.lanes());
+    let out_positions = out_h * w_out;
+    let (block_lanes, threads) = lane_blocks(lanes, work);
+    let mut scratch = vec![A::default(); out_positions * lanes];
+    if !spikes.rows.is_empty() {
+        snn_parallel::par_chunks_mut(
+            &mut scratch,
+            out_positions * block_lanes,
+            threads,
+            |block, acc| {
+                let lane_lo = block * block_lanes;
+                let width = (lanes - lane_lo).min(block_lanes);
+                let mut taps = [simd::Tap::default(); TAP_BATCH];
+                for row in &spikes.rows {
+                    let ys = y_reach[row.iy];
+                    let channel = weights.channel(row.ic);
+                    for &(ix, level) in spikes.of(row) {
+                        let xs = x_reach[ix as usize];
+                        let level = A::from_level(level);
+                        let mut pending = 0;
+                        for (ky, oy) in ys.taps(stride) {
+                            for (kx, ox) in xs.taps(stride) {
+                                if pending == TAP_BATCH {
+                                    simd::axpy_taps(acc, channel, &taps, width, level);
+                                    pending = 0;
+                                }
+                                taps[pending] = simd::Tap {
+                                    acc_at: (oy * w_out + ox) * width,
+                                    w_at: (ky * kc + kx) * lanes + lane_lo,
+                                };
+                                pending += 1;
+                            }
+                        }
+                        simd::axpy_taps(acc, channel, &taps[..pending], width, level);
+                    }
+                }
+            },
+        );
+    }
+
+    // Widen, transpose to `[O, H_out, W_out]` and add the bias, once.
+    let mut accumulators = Tensor::filled(vec![c_out, out_h, w_out], 0i64);
+    for (oc, plane) in accumulators
+        .as_mut_slice()
+        .chunks_mut(out_positions)
+        .enumerate()
+    {
+        let block = oc / block_lanes;
+        let width = (lanes - block * block_lanes).min(block_lanes);
+        let lane = oc - block * block_lanes;
+        let from = &scratch[block * block_lanes * out_positions..];
+        let bias = bias.get(oc).copied().unwrap_or(0);
+        for (position, out) in plane.iter_mut().enumerate() {
+            *out = from[position * width + lane].into() + bias;
+        }
+    }
+    accumulators
 }
 
 /// Packs raw `[O, C, Kr, Kc]` kernel codes for one call of a raw-tensor
@@ -630,7 +721,6 @@ impl ConvolutionUnit {
             rows: Vec::new(),
             arena: Vec::new(),
         };
-        let mut positions: Vec<u32> = Vec::new();
         let mut spike_work = 0u64; // adder ops of ONE output channel
         for ic in 0..c_in {
             for iy in 0..band_h {
@@ -638,19 +728,16 @@ impl ConvolutionUnit {
                 if taps_y == 0 {
                     continue;
                 }
-                positions.clear();
-                simd::collect_set_bits(occupancy.row(ic * band_h + iy), 0, &mut positions);
-                if positions.is_empty() {
-                    continue;
-                }
                 let levels = &in_data[(ic * band_h + iy) * w..][..w];
                 let start = spikes.arena.len();
                 let mut row_work = 0u64;
-                for &ix in &positions {
-                    let level = levels[ix as usize] & mask;
-                    row_work +=
-                        u64::from(level.count_ones()) * u64::from(x_reach[ix as usize].count);
-                    spikes.arena.push((ix, level));
+                bitplane::for_each_set_bit(occupancy.row(ic * band_h + iy), 0, |ix| {
+                    let level = levels[ix] & mask;
+                    row_work += u64::from(level.count_ones()) * u64::from(x_reach[ix].count);
+                    spikes.arena.push((ix as u32, level));
+                });
+                if spikes.arena.len() == start {
+                    continue;
                 }
                 spike_work += taps_y * row_work;
                 spikes.rows.push(SpikeRow {
@@ -686,60 +773,22 @@ impl ConvolutionUnit {
             stats.difference_bits = c_out as u64 * ps.difference_bits;
         }
 
-        // --- Compute: every spike adds its level times one packed weight
-        // row into the accumulator row of each output position it covers.
-        // The accumulators are channel-last, `[block][position][lane]`:
-        // each block of output-channel lanes is one contiguous chunk owned
-        // by one task. ---
-        let lanes = weights.lanes();
-        let out_positions = out_h * w_out;
-        let (block_lanes, threads) = lane_blocks(lanes, c_out as u64 * spike_work);
-        let mut scratch = vec![0i64; out_positions * lanes];
-        if !spikes.rows.is_empty() {
-            snn_parallel::par_chunks_mut(
-                &mut scratch,
-                out_positions * block_lanes,
-                threads,
-                |block, acc| {
-                    let lane_lo = block * block_lanes;
-                    let width = (lanes - lane_lo).min(block_lanes);
-                    for row in &spikes.rows {
-                        let ys = y_reach[row.iy];
-                        for &(ix, level) in spikes.of(row) {
-                            let xs = x_reach[ix as usize];
-                            for (ky, oy) in ys.taps(stride) {
-                                for (kx, ox) in xs.taps(stride) {
-                                    let at = (oy * w_out + ox) * width;
-                                    simd::axpy_i16(
-                                        &mut acc[at..at + width],
-                                        &weights.row(row.ic, ky, kx)[lane_lo..lane_lo + width],
-                                        level,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                },
-            );
-        }
-
-        // Transpose to `[O, H_out, W_out]` and add the bias, once.
-        let mut accumulators = Tensor::filled(vec![c_out, out_h, w_out], 0i64);
-        let bias_data = bias_acc.as_slice();
-        for (oc, plane) in accumulators
-            .as_mut_slice()
-            .chunks_mut(out_positions)
-            .enumerate()
-        {
-            let block = oc / block_lanes;
-            let width = (lanes - block * block_lanes).min(block_lanes);
-            let lane = oc - block * block_lanes;
-            let from = &scratch[block * block_lanes * out_positions..];
-            let bias = bias_data.get(oc).copied().unwrap_or(0);
-            for (position, out) in plane.iter_mut().enumerate() {
-                *out = from[position * width + lane] + bias;
-            }
-        }
+        // --- Compute, in the narrowest accumulators the weights prove
+        // exact for this spike-train length. ---
+        let scatter = if weights.sums_fit_i32(time_steps) {
+            scatter::<i32>
+        } else {
+            scatter::<i64>
+        };
+        let accumulators = scatter(
+            &spikes,
+            weights,
+            bias_acc.as_slice(),
+            (&y_reach, &x_reach),
+            stride,
+            (out_h, w_out),
+            c_out as u64 * spike_work,
+        );
 
         Ok(ConvResult {
             accumulators,

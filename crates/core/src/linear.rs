@@ -21,11 +21,19 @@
 //! with one [`snn_tensor::simd::axpy_i16`]: the host-side picture of the
 //! paper's row of adders fed one weight word per cycle.  Only the rows of
 //! spiking neurons are ever read, so a 24 %-dense input streams 24 % of
-//! the matrix.  The result is bit-identical to the radix shift-and-add by
-//! the same identity as the convolution engine.  The counters are derived
-//! from the closed-form schedule (`cycles`, `activation_reads`,
-//! `kernel_reads`) plus one plane popcount (`adder_ops`); property tests
-//! check them against the counter-stepped
+//! the matrix — in spike order, which no hardware prefetcher follows, so
+//! the loop hints the head of the row two spikes ahead
+//! ([`snn_tensor::simd::prefetch`]).  The result is bit-identical to the
+//! radix shift-and-add by the same identity as the convolution engine, and
+//! in the same two widths: an output neuron receives at most one
+//! contribution per input neuron, each at most `level_mask(T) × |w|`, so
+//! where [`PackedWeights::sums_fit_i32`]`(T)` holds no partial sum leaves
+//! `i32` in any order, chunk or lane block, and the one scatter loop
+//! (`scatter`, generic over [`snn_tensor::simd::Accumulator`]) runs in
+//! 32-bit lanes and widens once at the end; otherwise in `i64`.  The
+//! counters are derived from the closed-form schedule (`cycles`,
+//! `activation_reads`, `kernel_reads`) plus one plane popcount
+//! (`adder_ops`); property tests check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
 use crate::units::{lane_blocks, unsupported, UnitStats};
@@ -53,6 +61,55 @@ pub struct LinearUnit {
 /// point.
 fn pack_weights(weight_codes: &Tensor<i64>) -> Result<PackedWeights> {
     PackedWeights::from_linear(weight_codes).map_err(|e| unsupported(e.to_string()))
+}
+
+/// How many spikes ahead the scatter loop asks for a weight row.  The rows
+/// of consecutive spiking neurons lie kilobytes apart in a matrix far
+/// beyond any cache, in an order no hardware prefetcher follows; two rows
+/// of arithmetic is about one memory latency.
+const PREFETCH_SPIKES_AHEAD: usize = 2;
+
+/// How many weights of that row piece are asked for: its first eight cache
+/// lines.  Once a piece is being read the hardware streamer runs ahead of
+/// the kernel by itself; hinting all 64 lines of a 2048-lane piece measured
+/// *slower* than no hint at all (1.27 vs 1.12 ms on a 4096x4096 layer,
+/// against 1.04 ms for the head alone).
+const PREFETCH_HEAD: usize = 256;
+
+/// The one scatter loop: each spike adds its level times its weight row
+/// into the output lanes, chunk by chunk of `chunk` outputs, in
+/// accumulators of element `A`; returns the `[O]` sums with the bias added.
+/// Blocks of a chunk's lanes run in parallel when large.
+fn scatter<A: simd::Accumulator>(
+    spikes: &[(usize, i64)],
+    weights: &PackedWeights,
+    bias: &[i64],
+    chunk: usize,
+) -> Vec<i64> {
+    let o = weights.c_out();
+    let mut scratch = vec![A::default(); o];
+    for lo in (0..o).step_by(chunk) {
+        let hi = (lo + chunk).min(o);
+        let work = ((hi - lo) * spikes.len()) as u64;
+        let (block, threads) = lane_blocks(hi - lo, work);
+        snn_parallel::par_chunks_mut(&mut scratch[lo..hi], block, threads, |b, acc| {
+            let first = lo + b * block;
+            let last = first + acc.len();
+            let piece = |ni: usize| &weights.row(ni, 0, 0)[first..last];
+            for (i, &(ni, level)) in spikes.iter().enumerate() {
+                if let Some(&(ahead, _)) = spikes.get(i + PREFETCH_SPIKES_AHEAD) {
+                    let piece = piece(ahead);
+                    simd::prefetch(&piece[..piece.len().min(PREFETCH_HEAD)]);
+                }
+                simd::axpy_i16(acc, piece(ni), A::from_level(level));
+            }
+        });
+    }
+    scratch
+        .into_iter()
+        .enumerate()
+        .map(|(oc, sum)| sum.into() + bias.get(oc).copied().unwrap_or(0))
+        .collect()
 }
 
 impl LinearUnit {
@@ -240,16 +297,15 @@ impl LinearUnit {
             });
         }
 
+        // Derived statistics: the schedule visits every (group, time
+        // step, neuron) slot regardless of the data; only the adder
+        // activity is data-dependent (every spike bit toggles one adder
+        // per output in the group, i.e. `O x popcount` in total).
         let bias = bias_acc.as_slice();
         let slots = (time_steps * n) as u64;
-        let mut accumulators = vec![0i64; o];
         let mut stats = UnitStats::default();
         for lo in (0..o).step_by(chunk) {
             let hi = (lo + chunk).min(o);
-            // Derived statistics: the schedule visits every (group, time
-            // step, neuron) slot regardless of the data; only the adder
-            // activity is data-dependent (every spike bit toggles one
-            // adder per output in the group, i.e. `O x popcount` in total).
             let outputs = (hi - lo) as u64;
             let groups = (hi - lo).div_ceil(self.lanes) as u64;
             stats += UnitStats {
@@ -260,20 +316,16 @@ impl LinearUnit {
                 output_writes: hi.min(bias.len()).saturating_sub(lo) as u64,
                 ..UnitStats::default()
             };
-            // Each spike adds its level times its weight row into the
-            // chunk's lanes; blocks of lanes run in parallel when large.
-            let (block, threads) = lane_blocks(hi - lo, outputs * spikes.len() as u64);
-            snn_parallel::par_chunks_mut(&mut accumulators[lo..hi], block, threads, |b, acc| {
-                let first = lo + b * block;
-                for &(ni, level) in &spikes {
-                    let row = &weights.row(ni, 0, 0)[first..first + acc.len()];
-                    simd::axpy_i16(acc, row, level);
-                }
-            });
         }
-        for (acc, &b) in accumulators.iter_mut().zip(bias) {
-            *acc += b;
-        }
+
+        // Compute, in the narrowest accumulators the weights prove exact
+        // for this spike-train length.
+        let scatter = if weights.sums_fit_i32(time_steps) {
+            scatter::<i32>
+        } else {
+            scatter::<i64>
+        };
+        let accumulators = scatter(&spikes, weights, bias, chunk);
 
         Ok(LinearResult {
             accumulators: Tensor::from_vec(vec![o], accumulators).map_err(AccelError::Tensor)?,

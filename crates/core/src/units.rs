@@ -54,8 +54,8 @@ pub(crate) fn unsupported(context: String) -> AccelError {
 }
 
 /// Fewest output-channel lanes a parallel block may own: below four
-/// 256-bit vectors the per-spike bookkeeping every block repeats outweighs
-/// the lanes it saves.
+/// 256-bit vectors of `i64` lanes (two of `i32`) the per-spike bookkeeping
+/// every block repeats outweighs the lanes it saves.
 const MIN_BLOCK_LANES: usize = 16;
 
 /// How the engines split `lanes` output-channel lanes into contiguous

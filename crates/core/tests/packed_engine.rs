@@ -1,10 +1,16 @@
 //! The spike-major engine against the counter-stepped reference units, on
 //! the axes its layout adds: output-channel lane tails (`c_out` not a
-//! multiple of the vector width, and below it), weight codes at the edge
-//! of the packed 16-bit element, spike trains on both sides of the
-//! kernel's 32-bit fast path up to the 63-bit limit (with out-of-range
+//! multiple of either vector width, and below both), weight codes at the
+//! edge of the packed 16-bit element, spike trains on both sides of the
+//! kernels' fast paths (`vpmaddwd` below 2^15 in 32-bit lanes, `vpmuldq`
+//! below 2^31 in 64-bit ones) up to the 63-bit limit (with out-of-range
 //! levels the mask must truncate), row bands and output chunks, and an
-//! all-silent input.  Accumulators **and** `UnitStats` must match.
+//! all-silent input — in both accumulator widths: with codes at the `i16`
+//! edges the long trains overflow 32 bits and run wide, with codes clamped
+//! to the layer's 32-bit budget every train length runs narrow.
+//! Accumulators **and** `UnitStats` must match.  The seam between the
+//! widths is pinned where it lies: `level_mask(T) x max Σ|w|` of exactly
+//! `2^31 - 1` runs narrow and reaches it, exactly `2^31` runs wide.
 //!
 //! Also here: a weight code the packed element cannot hold is a typed
 //! error from every raw-tensor entry point, and a tiled VGG-shaped
@@ -23,16 +29,18 @@ use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::packed::PackedWeights;
 use snn_model::params::Parameters;
 use snn_model::{LayerSpec, NetworkSpec};
+use snn_tensor::bitplane::level_mask;
 use snn_tensor::Tensor;
 use std::process::Command;
 
-/// Output-channel counts around the 4-lane vector and 16-lane unrolled
-/// widths of the kernel.
-const LANE_TAILS: [usize; 6] = [1, 3, 5, 6, 10, 17];
+/// Output-channel counts around the 4- and 8-lane vectors and the 16- and
+/// 32-lane unrolled widths of the two kernels.
+const LANE_TAILS: [usize; 7] = [1, 3, 5, 6, 10, 17, 40];
 
-/// Spike-train lengths around the kernel's `level < 2^31` fast path and
-/// at the 63-bit payload limit.
-const TIME_STEPS: [usize; 5] = [1, 4, 31, 32, 63];
+/// Spike-train lengths around the narrow kernel's `level < 2^15` and the
+/// wide kernel's `level < 2^31` fast paths, and at the 63-bit payload
+/// limit.
+const TIME_STEPS: [usize; 9] = [1, 4, 15, 16, 17, 30, 31, 32, 63];
 
 fn mix(i: usize, seed: u64) -> u64 {
     (i as u64)
@@ -51,6 +59,25 @@ fn code(i: usize, seed: u64) -> i64 {
         1 => -32767,
         _ => (x % 7) as i64 - 3,
     }
+}
+
+/// `fan_in` codes for each of `outputs` channels, channel-major.  With
+/// `narrow_for` a spike-train length, every channel's codes are clamped so
+/// that its `Σ|w|` stays inside the budget `i32::MAX / level_mask(T)` —
+/// the layer then provably runs in 32-bit accumulators.
+fn codes(outputs: usize, fan_in: usize, seed: u64, narrow_for: Option<usize>) -> Vec<i64> {
+    let budget = narrow_for.map(|t| i32::MAX as u64 / level_mask(t).unsigned_abs().max(1));
+    let mut out = Vec::with_capacity(outputs * fan_in);
+    for o in 0..outputs {
+        let mut left = budget.unwrap_or(u64::MAX);
+        for i in 0..fan_in {
+            let wanted = code(o * fan_in + i, seed);
+            let magnitude = wanted.unsigned_abs().min(left);
+            left -= magnitude;
+            out.push(wanted.signum() * magnitude as i64);
+        }
+    }
+    out
 }
 
 /// Levels for a spike train of `time_steps`: a third silent, the rest a
@@ -89,6 +116,7 @@ proptest! {
         rows_per_band in 1usize..4,
         columns in 1usize..6,
         silent in proptest::bool::ANY,
+        narrow in proptest::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
         let (c_out, time_steps) = (LANE_TAILS[c_out_sel], TIME_STEPS[t_sel]);
@@ -100,7 +128,7 @@ proptest! {
         ).unwrap();
         let kernels = Tensor::from_vec(
             vec![c_out, c_in, kernel, kernel],
-            (0..c_out * c_in * kernel * kernel).map(|i| code(i, seed)).collect(),
+            codes(c_out, c_in * kernel * kernel, seed, narrow.then_some(time_steps)),
         ).unwrap();
         let bias = Tensor::from_vec(
             vec![c_out],
@@ -113,6 +141,7 @@ proptest! {
             .unwrap();
         let unit = ConvolutionUnit::new(geometry);
         let weights = PackedWeights::from_conv(&kernels).unwrap();
+        prop_assert!(!narrow || weights.sums_fit_i32(time_steps));
 
         let whole = unit
             .run_packed(&input, &weights, &bias, time_steps, stride, padding)
@@ -175,6 +204,7 @@ proptest! {
         lanes in 1usize..8,
         groups_per_chunk in 1usize..4,
         silent in proptest::bool::ANY,
+        narrow in proptest::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
         let (outputs, time_steps) = (LANE_TAILS[outputs_sel], TIME_STEPS[t_sel]);
@@ -185,7 +215,7 @@ proptest! {
         ).unwrap();
         let codes = Tensor::from_vec(
             vec![outputs, inputs],
-            (0..outputs * inputs).map(|i| code(i, seed)).collect(),
+            codes(outputs, inputs, seed, narrow.then_some(time_steps)),
         ).unwrap();
         let bias = Tensor::from_vec(
             vec![outputs],
@@ -197,6 +227,7 @@ proptest! {
             .unwrap();
         let unit = LinearUnit::new(lanes);
         let weights = PackedWeights::from_linear(&codes).unwrap();
+        prop_assert!(!narrow || weights.sums_fit_i32(time_steps));
         let whole = unit.run_packed(&input, &weights, &bias, time_steps).unwrap();
         prop_assert_eq!(&whole.accumulators, &oracle.accumulators);
         prop_assert_eq!(whole.stats, oracle.stats);
@@ -211,6 +242,77 @@ proptest! {
             &unit.run_layer_chunked(&input, &codes, &bias, time_steps, chunk).unwrap(),
             &whole
         );
+    }
+}
+
+/// The seam between the accumulator widths, on both units.  `2^31 - 1` is
+/// prime, so `level_mask(T) x max Σ|w|` equals it only as `1 x (2^31 - 1)`
+/// (`T = 1`: 65 537 codes of -32 767 and one of -32 768, every input
+/// spiking) or `(2^31 - 1) x 1` (`T = 31`, one code of -1 under a
+/// full-scale level — the far end of the `vpmulld` path); both must run
+/// narrow and land exactly on `-(2^31 - 1)`.  One more unit of weight —
+/// `2^31` as 2^17 codes of 2^14, all spiking at `T = 1` — must run wide:
+/// the 32-bit sum would wrap to `-2^31`.
+#[test]
+fn the_width_seam_lies_exactly_at_i32_max() {
+    let bound = i64::from(i32::MAX);
+    let at_bound = |fan_in: usize| {
+        let mut codes = vec![-32767i64; fan_in];
+        codes[fan_in / 2] = -32768;
+        codes
+    };
+    // (codes of the one output channel, T, input level, expected sum, narrow?)
+    let cases = [
+        (at_bound(65538), 1, 1i64, -bound, true),
+        (vec![0, -1, 0, 0], 31, bound, -bound, true),
+        (vec![1 << 14; 1 << 17], 1, 1, bound + 1, false),
+    ];
+    for (codes, time_steps, level, expected, narrow) in cases {
+        let fan_in = codes.len();
+        let bias = Tensor::from_vec(vec![1], vec![3i64]).unwrap();
+
+        // Linear: one output neuron over `fan_in` inputs.
+        let matrix = Tensor::from_vec(vec![1, fan_in], codes.clone()).unwrap();
+        let weights = PackedWeights::from_linear(&matrix).unwrap();
+        assert_eq!(
+            weights.sums_fit_i32(time_steps),
+            narrow,
+            "linear fan-in {fan_in}"
+        );
+        let input = Tensor::filled(vec![fan_in], level);
+        let fast = LinearUnit::new(1)
+            .run_packed(&input, &weights, &bias, time_steps)
+            .unwrap();
+        let slow = ReferenceLinearUnit::new(1)
+            .run_layer(&input, &matrix, &bias, time_steps)
+            .unwrap();
+        assert_eq!(fast.accumulators.as_slice(), &[expected + 3]);
+        assert_eq!(fast.accumulators, slow.accumulators);
+        assert_eq!(fast.stats, slow.stats);
+
+        // Convolution: the same codes as a 2x1 kernel over `fan_in / 2`
+        // channels of a 2x1 map — one output position under every tap.
+        let kernels = Tensor::from_vec(vec![1, fan_in / 2, 2, 1], codes).unwrap();
+        let weights = PackedWeights::from_conv(&kernels).unwrap();
+        assert_eq!(
+            weights.sums_fit_i32(time_steps),
+            narrow,
+            "conv fan-in {fan_in}"
+        );
+        let input = Tensor::filled(vec![fan_in / 2, 2, 1], level);
+        let geometry = ArrayGeometry {
+            columns: 1,
+            rows: 2,
+        };
+        let fast = ConvolutionUnit::new(geometry)
+            .run_packed(&input, &weights, &bias, time_steps, 1, 0)
+            .unwrap();
+        let slow = ReferenceConvolutionUnit::new(geometry)
+            .run_layer(&input, &kernels, &bias, time_steps, 1, 0)
+            .unwrap();
+        assert_eq!(fast.accumulators.as_slice(), &[expected + 3]);
+        assert_eq!(fast.accumulators, slow.accumulators);
+        assert_eq!(fast.stats, slow.stats);
     }
 }
 

@@ -16,9 +16,24 @@
 //! engine streams per spike, and the kernel sign-extends to `i64` lanes.
 //! A code that does not fit is a typed error at pack time, never a
 //! truncation.
+//!
+//! # How wide the sums get
+//!
+//! Packing also records the one number that bounds every sum the engine
+//! can form from these weights: `abs_sum_max`, the largest `Σ|w|` any
+//! output channel has over all its `(c, ky, kx)` rows.  An output position
+//! receives at most one contribution per `(c, ky, kx)` (per input neuron
+//! for a linear layer), each at most `level_mask(T) × |w|` in magnitude,
+//! so `level_mask(T) × abs_sum_max` bounds the magnitude of every partial
+//! sum of the layer — whatever the order of the additions, the row band,
+//! the lane block or the output chunk.  Where that product is at most
+//! `i32::MAX` ([`PackedWeights::sums_fit_i32`]) 32-bit accumulators hold
+//! the *same* integers as 64-bit ones, not merely congruent ones, and the
+//! engine uses them: twice the lanes per vector.  3-bit weights at `T = 4`
+//! reach 19 bits on VGG-11.
 
 use crate::{ModelError, Result};
-use snn_tensor::Tensor;
+use snn_tensor::{bitplane, Tensor};
 
 /// Output-channel lanes are padded (with zero weights) to a multiple of
 /// this, so a 256-bit `i64` vector never straddles the end of a row.
@@ -42,6 +57,9 @@ pub struct PackedWeights {
     lanes: usize,
     /// `[c_in, kernel_rows, kernel_cols, lanes]`, lanes `c_out..` zero.
     data: Vec<i16>,
+    /// Largest `Σ|w|` of one output channel over all its rows (see the
+    /// module docs).
+    abs_sum_max: u64,
 }
 
 impl PackedWeights {
@@ -77,16 +95,21 @@ impl PackedWeights {
     }
 
     /// Transposes the `[c_out, c_in * kr * kc]` matrix `src` into
-    /// `[c_in * kr * kc, lanes]`, narrowing each code, block by block.
+    /// `[c_in * kr * kc, lanes]`, narrowing each code, block by block, and
+    /// sums each output channel's magnitudes on the way.
     fn pack(src: &[i64], c_out: usize, c_in: usize, kr: usize, kc: usize) -> Result<Self> {
         let cols = c_in * kr * kc;
         let lanes = c_out.next_multiple_of(LANE_ALIGN);
         let mut data = vec![0i16; cols * lanes];
         let mut out_of_range = false;
+        let mut abs_sum_max = 0u64;
         for r0 in (0..c_out).step_by(BLOCK) {
             let r1 = (r0 + BLOCK).min(c_out);
             let rows = &src[r0 * cols..r1 * cols];
+            let mut abs_sums = [0u64; BLOCK];
             for c0 in (0..cols).step_by(BLOCK) {
+                // At most `BLOCK` magnitudes of at most 2^15 each per lane.
+                let mut block_sums = [0u32; BLOCK];
                 for c in c0..(c0 + BLOCK).min(cols) {
                     let dst = &mut data[c * lanes + r0..c * lanes + r1];
                     for (d, row) in dst.iter_mut().zip(rows.chunks_exact(cols)) {
@@ -94,8 +117,18 @@ impl PackedWeights {
                         *d = code as i16;
                         out_of_range |= i64::from(*d) != code;
                     }
+                    // Its own loop over the row just written: contiguous,
+                    // so it vectorises; fused into the strided narrowing
+                    // loop above it nearly doubled the transpose.
+                    for (sum, d) in block_sums.iter_mut().zip(dst.iter()) {
+                        *sum += u32::from(d.unsigned_abs());
+                    }
+                }
+                for (total, sum) in abs_sums.iter_mut().zip(block_sums) {
+                    *total += u64::from(sum);
                 }
             }
+            abs_sum_max = abs_sums.into_iter().fold(abs_sum_max, u64::max);
         }
         if out_of_range {
             let code = src
@@ -113,7 +146,17 @@ impl PackedWeights {
             c_out,
             lanes,
             data,
+            abs_sum_max,
         })
+    }
+
+    /// Whether every sum the engine can form from these weights under
+    /// spike trains of `time_steps` fits `i32` — exactly
+    /// `level_mask(time_steps) × abs_sum_max <= i32::MAX` (see the module
+    /// docs).  The engine accumulates in 32-bit lanes iff this holds.
+    pub fn sums_fit_i32(&self, time_steps: usize) -> bool {
+        let level_max = bitplane::level_mask(time_steps).unsigned_abs();
+        u128::from(level_max) * u128::from(self.abs_sum_max) <= i32::MAX as u128
     }
 
     /// Input channels (input neurons for a linear layer).
@@ -154,6 +197,17 @@ impl PackedWeights {
         );
         let start = ((ic * self.kernel_rows + ky) * self.kernel_cols + kx) * self.lanes;
         &self.data[start..start + self.lanes]
+    }
+
+    /// Every weight row of input channel `ic`, `[kernel_rows, kernel_cols,
+    /// lanes]`: tap `(ky, kx)` starts at `(ky * kernel_cols + kx) * lanes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ic` is out of range.
+    pub fn channel(&self, ic: usize) -> &[i16] {
+        let len = self.kernel_rows * self.kernel_cols * self.lanes;
+        &self.data[ic * len..(ic + 1) * len]
     }
 }
 
@@ -222,6 +276,82 @@ mod tests {
                 matches!(&err, ModelError::ParameterMismatch { context } if context.contains(&bad.to_string())),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn abs_sum_max_is_the_largest_channel_magnitude_sum() {
+        // Sizes crossing the transpose blocks, with padded lanes (37 -> 40)
+        // and both `i16` edges present.
+        let (o, c, kr, kc) = (37usize, 7usize, 3usize, 2usize);
+        let cols = c * kr * kc;
+        let code = |oc: usize, col: usize| match (oc * 53 + col * 17) % 11 {
+            0 => i64::from(i16::MIN),
+            1 => i64::from(i16::MAX),
+            x => x as i64 * 300 - 1500,
+        };
+        let values: Vec<i64> = (0..o * cols).map(|i| code(i / cols, i % cols)).collect();
+        let naive = (0..o)
+            .map(|oc| {
+                (0..cols)
+                    .map(|col| code(oc, col).unsigned_abs())
+                    .sum::<u64>()
+            })
+            .max()
+            .unwrap();
+        let conv = PackedWeights::from_conv(
+            &Tensor::from_vec(vec![o, c, kr, kc], values.clone()).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(conv.abs_sum_max, naive);
+        let linear =
+            PackedWeights::from_linear(&Tensor::from_vec(vec![o, cols], values).unwrap()).unwrap();
+        assert_eq!(linear.abs_sum_max, naive);
+        // One channel of `i16::MIN`s: 32768 each, not 32767.
+        let mins = Tensor::filled(vec![1, 5], i64::from(i16::MIN));
+        assert_eq!(
+            PackedWeights::from_linear(&mins).unwrap().abs_sum_max,
+            5 << 15
+        );
+    }
+
+    #[test]
+    fn sums_fit_i32_up_to_and_including_i32_max() {
+        // Σ|w| = 2^31 - 1 exactly (65 538 x 32 767 + 1), and one more.
+        let mut codes = vec![-32767i64; 65538];
+        codes.push(1);
+        let at_bound =
+            PackedWeights::from_linear(&Tensor::from_vec(vec![1, 65539], codes.clone()).unwrap())
+                .unwrap();
+        assert_eq!(at_bound.abs_sum_max, i32::MAX as u64);
+        assert!(at_bound.sums_fit_i32(1));
+        assert!(!at_bound.sums_fit_i32(2));
+        codes[65538] = -2;
+        let past =
+            PackedWeights::from_linear(&Tensor::from_vec(vec![1, 65539], codes).unwrap()).unwrap();
+        assert!(!past.sums_fit_i32(1));
+        // No spike train carries a level, and all-zero weights carry no sum.
+        assert!(past.sums_fit_i32(0));
+        let zeros = PackedWeights::from_linear(&Tensor::filled(vec![3, 4], 0i64)).unwrap();
+        assert!(zeros.sums_fit_i32(63));
+        // 3-bit codes over a VGG-sized fan-in at T = 4, and T where it stops.
+        let vgg = PackedWeights::from_conv(&Tensor::filled(vec![2, 512, 3, 3], -4i64)).unwrap();
+        assert!(vgg.sums_fit_i32(4));
+        assert!(vgg.sums_fit_i32(16));
+        assert!(!vgg.sums_fit_i32(17));
+    }
+
+    #[test]
+    fn a_channel_is_its_rows_back_to_back() {
+        let codes: Vec<i64> = (0..6 * 3 * 2 * 2).map(|v| v as i64 - 30).collect();
+        let packed =
+            PackedWeights::from_conv(&Tensor::from_vec(vec![6, 3, 2, 2], codes).unwrap()).unwrap();
+        let lanes = packed.lanes();
+        for ic in 0..3 {
+            for (ky, kx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                let at = (ky * 2 + kx) * lanes;
+                assert_eq!(&packed.channel(ic)[at..at + lanes], packed.row(ic, ky, kx));
+            }
         }
     }
 

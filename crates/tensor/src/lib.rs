@@ -19,7 +19,7 @@
 //!   planes of `u64` row words, the substrate of the sparse execution
 //!   engine in `snn-accel` (word-level skipping of silent regions and
 //!   one-pass popcounts for the data-dependent operation counters).
-//! * [`simd`] — runtime-dispatched word-level kernels (AVX2/SSE2 with an
+//! * [`simd`] — runtime-dispatched word-level kernels (AVX2 with an
 //!   always-compiled scalar oracle) behind the bit-plane engine's inner
 //!   loops: occupancy OR-reduction, plane popcount, bitmask expansion and
 //!   the widening weight-row multiply-accumulate.  `SNN_SIMD=0` forces

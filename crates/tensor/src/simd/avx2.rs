@@ -10,12 +10,14 @@
 //! lane-width-independent, and the 64-bit multiply is composed from
 //! `vpmuludq` 32×32→64 partial products (`lo·lo + ((hi·lo + lo·hi) << 32)`),
 //! which is precisely the wrapping 64-bit product (or, for factors that
-//! fit 32 signed bits, one `vpmuldq`) — so accumulators are bit-identical
-//! to the scalar oracle.
+//! fit 32 signed bits, one `vpmuldq`); the 32-bit multiply is `vpmulld`,
+//! the wrapping 32-bit product (or, for levels below 2^15, one `vpmaddwd`)
+//! — so accumulators of either width are bit-identical to the scalar
+//! oracle.
 
 #![allow(unsafe_code)]
 
-use super::scalar;
+use super::{scalar, Tap};
 use std::arch::x86_64::*;
 
 /// `acc[i] |= src[i]`, 4 words per iteration.
@@ -120,28 +122,33 @@ fn mul_epi64(a: __m256i, b: __m256i) -> __m256i {
     _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32))
 }
 
-/// `acc[i] += level * w[i]` with `i16` weights sign-extended to `i64`
-/// lanes (`vpmovsxwq`), 16 lanes per unrolled iteration.
-pub fn axpy_i16(acc: &mut [i64], w: &[i16], level: i64) {
+/// Every tap's `acc[acc_at..][..width] += level * weights[w_at..][..width]`
+/// into `i64` lanes: `i16` weights sign-extended by `vpmovsxwq`, 4 lanes
+/// per op, 16 per unrolled iteration.
+///
+/// # Panics
+///
+/// Panics when a tap reaches outside `acc` or `weights`.
+pub fn axpy_taps_i64(acc: &mut [i64], weights: &[i16], taps: &[Tap], width: usize, level: i64) {
     // SAFETY: dispatch guarantees AVX2, the only requirement of these
     // (otherwise safe) functions.
     unsafe {
         if (0..1i64 << 31).contains(&level) {
-            axpy_i16_impl::<true>(acc, w, level)
+            axpy_taps_i64_impl::<true>(acc, weights, taps, width, level)
         } else {
-            axpy_i16_impl::<false>(acc, w, level)
+            axpy_taps_i64_impl::<false>(acc, weights, taps, width, level)
         }
     }
 }
 
 /// Product of sign-extended `i16` lanes with the broadcast level.
-/// `NARROW` promises `0 <= level < 2^31`: both factors then fit the low
+/// `LEVEL32` promises `0 <= level < 2^31`: both factors then fit the low
 /// 32 bits of their lanes as signed values, so one signed 32x32->64
 /// `vpmuldq` is the exact product; otherwise the full [`mul_epi64`].
 #[inline]
 #[target_feature(enable = "avx2")]
-fn mul_level<const NARROW: bool>(w: __m256i, level: __m256i) -> __m256i {
-    if NARROW {
+fn mul_level<const LEVEL32: bool>(w: __m256i, level: __m256i) -> __m256i {
+    if LEVEL32 {
         _mm256_mul_epi32(w, level)
     } else {
         mul_epi64(w, level)
@@ -149,33 +156,118 @@ fn mul_level<const NARROW: bool>(w: __m256i, level: __m256i) -> __m256i {
 }
 
 #[target_feature(enable = "avx2")]
-fn axpy_i16_impl<const NARROW: bool>(acc: &mut [i64], w: &[i16], level: i64) {
+fn axpy_taps_i64_impl<const LEVEL32: bool>(
+    acc: &mut [i64],
+    weights: &[i16],
+    taps: &[Tap],
+    width: usize,
+    level: i64,
+) {
     let vl = _mm256_set1_epi64x(level);
-    let n = acc.len().min(w.len());
-    let (ap, wp) = (acc.as_mut_ptr(), w.as_ptr());
-    let mut i = 0;
-    // SAFETY (both loops): `i + lanes <= n` keeps every access inside both
-    // slices; unaligned loads/stores carry no alignment requirement.
-    unsafe {
-        while i + 16 <= n {
-            // Four `vpmovsxwq ymm, m64` (load and widen fused) rather than
-            // one 256-bit load split by shuffles: the shuffle port is the
-            // bottleneck of this loop.
-            for q in (i..i + 16).step_by(4) {
-                let wv = _mm256_cvtepi16_epi64(_mm_loadl_epi64(wp.add(q).cast()));
-                let at = ap.add(q).cast::<__m256i>();
-                let sum = _mm256_add_epi64(_mm256_loadu_si256(at), mul_level::<NARROW>(wv, vl));
-                _mm256_storeu_si256(at, sum);
+    for tap in taps {
+        let acc = &mut acc[tap.acc_at..][..width];
+        let w = &weights[tap.w_at..][..width];
+        let (ap, wp) = (acc.as_mut_ptr(), w.as_ptr());
+        let mut i = 0;
+        // SAFETY (both loops): `acc` and `w` are `width` long and
+        // `i + lanes <= width` keeps every access inside them; unaligned
+        // loads/stores carry no alignment requirement.
+        unsafe {
+            while i + 16 <= width {
+                // Four `vpmovsxwq ymm, m64` (load and widen fused) rather
+                // than one 256-bit load split by shuffles: the shuffle port
+                // is the bottleneck of this loop.
+                for q in (i..i + 16).step_by(4) {
+                    let wv = _mm256_cvtepi16_epi64(_mm_loadl_epi64(wp.add(q).cast()));
+                    let at = ap.add(q).cast::<__m256i>();
+                    let sum =
+                        _mm256_add_epi64(_mm256_loadu_si256(at), mul_level::<LEVEL32>(wv, vl));
+                    _mm256_storeu_si256(at, sum);
+                }
+                i += 16;
             }
-            i += 16;
+            while i + 4 <= width {
+                let wv = _mm256_cvtepi16_epi64(_mm_loadl_epi64(wp.add(i).cast()));
+                let at = ap.add(i).cast::<__m256i>();
+                let sum = _mm256_add_epi64(_mm256_loadu_si256(at), mul_level::<LEVEL32>(wv, vl));
+                _mm256_storeu_si256(at, sum);
+                i += 4;
+            }
         }
-        while i + 4 <= n {
-            let wv = _mm256_cvtepi16_epi64(_mm_loadl_epi64(wp.add(i).cast()));
-            let at = ap.add(i).cast::<__m256i>();
-            let sum = _mm256_add_epi64(_mm256_loadu_si256(at), mul_level::<NARROW>(wv, vl));
-            _mm256_storeu_si256(at, sum);
-            i += 4;
+        scalar::axpy_i16(&mut acc[i..], &w[i..], level);
+    }
+}
+
+/// [`axpy_taps_i64`] into `i32` lanes, 8 per op (`vpmovsxwd`), 32 per
+/// unrolled iteration, in wrapping 32-bit arithmetic.
+///
+/// # Panics
+///
+/// Panics when a tap reaches outside `acc` or `weights`.
+pub fn axpy_taps_i32(acc: &mut [i32], weights: &[i16], taps: &[Tap], width: usize, level: i32) {
+    // SAFETY: dispatch guarantees AVX2, the only requirement of these
+    // (otherwise safe) functions.
+    unsafe {
+        if (0..1i32 << 15).contains(&level) {
+            axpy_taps_i32_impl::<true>(acc, weights, taps, width, level)
+        } else {
+            axpy_taps_i32_impl::<false>(acc, weights, taps, width, level)
         }
     }
-    scalar::axpy_i16(&mut acc[i..n], &w[i..n], level);
+}
+
+/// Low 32 bits of the product of sign-extended `i16` lanes with the
+/// broadcast level.  `MADD` promises `0 <= level < 2^15`: each 32-bit lane
+/// of the broadcast is then the `i16` pair `(level, 0)` and each widened
+/// weight the pair `(w, sign)`, so the one-µop `vpmaddwd` yields
+/// `w * level + sign * 0` exactly.  From 2^15 up the low half of the
+/// level would read as negative, hence the two-µop `vpmulld`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn mul_level_i32<const MADD: bool>(w: __m256i, level: __m256i) -> __m256i {
+    if MADD {
+        _mm256_madd_epi16(w, level)
+    } else {
+        _mm256_mullo_epi32(w, level)
+    }
+}
+
+#[target_feature(enable = "avx2")]
+fn axpy_taps_i32_impl<const MADD: bool>(
+    acc: &mut [i32],
+    weights: &[i16],
+    taps: &[Tap],
+    width: usize,
+    level: i32,
+) {
+    let vl = _mm256_set1_epi32(level);
+    for tap in taps {
+        let acc = &mut acc[tap.acc_at..][..width];
+        let w = &weights[tap.w_at..][..width];
+        let (ap, wp) = (acc.as_mut_ptr(), w.as_ptr());
+        let mut i = 0;
+        // SAFETY (both loops): `acc` and `w` are `width` long and
+        // `i + lanes <= width` keeps every access inside them; unaligned
+        // loads/stores carry no alignment requirement.
+        unsafe {
+            while i + 32 <= width {
+                for q in (i..i + 32).step_by(8) {
+                    let wv = _mm256_cvtepi16_epi32(_mm_loadu_si128(wp.add(q).cast()));
+                    let at = ap.add(q).cast::<__m256i>();
+                    let sum =
+                        _mm256_add_epi32(_mm256_loadu_si256(at), mul_level_i32::<MADD>(wv, vl));
+                    _mm256_storeu_si256(at, sum);
+                }
+                i += 32;
+            }
+            while i + 8 <= width {
+                let wv = _mm256_cvtepi16_epi32(_mm_loadu_si128(wp.add(i).cast()));
+                let at = ap.add(i).cast::<__m256i>();
+                let sum = _mm256_add_epi32(_mm256_loadu_si256(at), mul_level_i32::<MADD>(wv, vl));
+                _mm256_storeu_si256(at, sum);
+                i += 8;
+            }
+        }
+        scalar::axpy_i16_i32(&mut acc[i..], &w[i..], level);
+    }
 }

@@ -35,6 +35,16 @@ pub fn axpy_i16(acc: &mut [i64], w: &[i16], level: i64) {
     }
 }
 
+/// `acc[i] += level * w[i]` in wrapping `i32` arithmetic — the narrow
+/// accumulator's oracle.  Exact mod 2^32; *equal* to the `i64` sum whenever
+/// that sum fits `i32`, which is what the engine proves before it runs this
+/// (`snn_model::packed::PackedWeights::sums_fit_i32`).
+pub fn axpy_i16_i32(acc: &mut [i32], w: &[i16], level: i32) {
+    for (a, &v) in acc.iter_mut().zip(w) {
+        *a = a.wrapping_add(i32::from(v).wrapping_mul(level));
+    }
+}
+
 /// Per-bit expansion of set bits into ascending positions via the
 /// `trailing_zeros`/`clear-lowest` walk: work proportional to the set
 /// bits, which makes it the dispatched path (and the oracle for

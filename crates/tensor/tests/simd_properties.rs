@@ -61,6 +61,19 @@ fn small_i64(i: usize, seed: u64, bound: u64) -> i64 {
         - bound as i64
 }
 
+/// Levels around the narrow kernel's `0 <= level < 2^15` fast path, up to
+/// where the 32-bit products wrap.
+const NARROW_SEAM_LEVELS: [i32; 8] = [
+    0,
+    1,
+    15,
+    (1 << 15) - 1,
+    1 << 15,
+    (1 << 16) + 1,
+    i32::MAX,
+    -3,
+];
+
 proptest! {
     /// Occupancy OR-reduction: the dispatched kernel equals the scalar
     /// word loop for any accumulator/source contents.
@@ -131,6 +144,65 @@ proptest! {
         simd::axpy_i16(&mut fast, &w, level);
         scalar::axpy_i16(&mut slow, &w, level);
         prop_assert_eq!(fast, slow);
+    }
+
+    /// The same into 32-bit lanes, wrapping: dispatched kernel equals the
+    /// scalar loop for any length (0..=67 crosses the unrolled, 8-lane and
+    /// scalar-tail loops), any `i16` weights, accumulators up to the `i32`
+    /// edges, and levels on both sides of the `vpmaddwd` fast path.
+    #[test]
+    fn narrow_axpy_matches_scalar_oracle(
+        w in prop::collection::vec(i16::MIN..=i16::MAX, 0..=67),
+        level_sel in 0usize..2 * NARROW_SEAM_LEVELS.len(),
+        seed in 0u64..u64::MAX,
+    ) {
+        let level = match NARROW_SEAM_LEVELS.get(level_sel) {
+            Some(&level) => level,
+            None => (seed >> 17) as i32,
+        };
+        let mut fast: Vec<i32> = (0..w.len())
+            .map(|i| small_i64(i, seed, 1 << 31) as i32)
+            .collect();
+        let mut slow = fast.clone();
+        simd::axpy_i16(&mut fast, &w, level);
+        scalar::axpy_i16_i32(&mut slow, &w, level);
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// One call over a spike's taps equals one scalar row update per tap,
+    /// in order, in both widths — taps may overlap, repeat and end flush
+    /// with either slice — and the widths agree with each other, because
+    /// nothing here leaves `i32`.
+    #[test]
+    fn axpy_taps_matches_one_scalar_axpy_per_tap(
+        weights in prop::collection::vec(-2048i16..2048, 1..200),
+        width_sel in 0usize..70,
+        placements in prop::collection::vec((0usize..1000, 0usize..1000), 0..12),
+        level in 0i32..(1 << 16),
+    ) {
+        let width = width_sel.min(weights.len());
+        let acc_len = width + 40;
+        let taps: Vec<simd::Tap> = placements
+            .iter()
+            .map(|&(a, b)| simd::Tap {
+                acc_at: a % (acc_len - width + 1),
+                w_at: b % (weights.len() - width + 1),
+            })
+            .collect();
+        let mut narrow = vec![-7i32; acc_len];
+        let mut wide = vec![-7i64; acc_len];
+        let mut slow = narrow.clone();
+        simd::axpy_taps(&mut narrow, &weights, &taps, width, level);
+        simd::axpy_taps(&mut wide, &weights, &taps, width, i64::from(level));
+        for tap in &taps {
+            scalar::axpy_i16_i32(
+                &mut slow[tap.acc_at..][..width],
+                &weights[tap.w_at..][..width],
+                level,
+            );
+        }
+        prop_assert_eq!(&narrow, &slow);
+        prop_assert!(wide.iter().zip(&slow).all(|(&a, &b)| a == i64::from(b)));
     }
 
     /// Word-batched bitmask expansion: same positions, same (ascending)
