@@ -9,10 +9,11 @@
 //!
 //! Besides the usual console output, the harness writes a machine-readable
 //! `BENCH_conv.json` summary to the workspace root with the
-//! sparse-vs-scalar speedup on the LeNet conv2 workload and the row-band
-//! tiling overhead on a VGG-11-shaped layer (the cost of running a layer
-//! under the 8 KiB tiled activation-buffer budget instead of untiled), so
-//! the perf trajectory of the hot path is tracked PR over PR.
+//! engine-vs-seed-reference host speedup on the LeNet conv2 workload, the
+//! product-sparsity op and host ratios, and the row-band tiling overhead on
+//! a VGG-11-shaped layer (the cost of running a layer under the 8 KiB tiled
+//! activation-buffer budget instead of untiled) — same-session ratios,
+//! which `bench_trend` gates against the committed copy.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
@@ -212,26 +213,6 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.bench_function("popcount/scalar", |b| {
         b.iter(|| scalar::popcount(black_box(&planes[0])));
     });
-    // The sparse gather has two scalar expansions rather than a vector
-    // path: the dispatched per-bit walk and the byte-LUT batched variant
-    // it is pinned against.  Benching both documents why the walk wins in
-    // the sparse regime this path serves.
-    group.bench_function("sparse_gather/bit_walk", |b| {
-        let mut out = Vec::with_capacity(WORDS * 64);
-        b.iter(|| {
-            out.clear();
-            simd::collect_set_bits(black_box(&planes[0]), 0, &mut out);
-            out.len()
-        });
-    });
-    group.bench_function("sparse_gather/byte_lut", |b| {
-        let mut out = Vec::with_capacity(WORDS * 64);
-        b.iter(|| {
-            out.clear();
-            scalar::collect_set_bits_batched(black_box(&planes[0]), 0, &mut out);
-            out.len()
-        });
-    });
     group.bench_function(
         &format!("weight_axpy/{}", simd::active_level().name()),
         |b| {
@@ -366,96 +347,85 @@ criterion_group!(
     bench_linear_unit
 );
 
-/// Runs the groups, then writes the `BENCH_conv.json` summary with the
-/// sparse-vs-scalar speedup per spike-train length, the product-sparsity
-/// ratio, and the per-kernel simd-vs-scalar speedups.
+/// Runs the groups, then writes the `BENCH_conv.json` summary.  Every
+/// top-level number in it is a ratio of two quantities measured in this
+/// process (so host drift between runs cancels) and is named for what it
+/// divides: `host_*` keys are wall-clock medians, `*_op_ratio` is modelled
+/// adder ops.  `snn_bench::trend::RATIO_KEYS` holds their directions.
 fn main() {
     let mut criterion = Criterion::default();
     benches(&mut criterion);
     criterion.final_summary();
+    let median = |id: &str| {
+        criterion
+            .result(id)
+            .unwrap_or_else(|| panic!("no bench result {id}"))
+            .median_ns
+    };
 
-    let mut speedups = String::new();
-    let mut ps_ratios = String::new();
+    let mut engine_speedups = Vec::new();
+    let mut ps_host_ratios = Vec::new();
+    let mut ps_op_ratios = Vec::new();
     let (ps_input, ps_kernel, ps_bias) = lenet_conv2_inputs();
     for t in [3usize, 6] {
-        let sparse = criterion
-            .result(&format!("conv_unit/bitplane_sparse/{t}"))
-            .expect("sparse result");
-        let scalar_ref = criterion
-            .result(&format!("conv_unit/scalar_reference/{t}"))
-            .expect("scalar result");
-        let speedup = scalar_ref.median_ns / sparse.median_ns;
+        let engine = median(&format!("conv_unit/bitplane_sparse/{t}"));
+        let speedup = median(&format!("conv_unit/scalar_reference/{t}")) / engine;
         // Product sparsity optimises the *modelled* adder activations (the
-        // paper-facing quantity), not host wall-clock — record the adder-op
-        // reduction it achieves on the same workload.  The wall-clock cost
-        // of the accounting is visible in the `bitplane_sparse_ps` entries.
-        let ps_ops = ConvolutionUnit::with_product_sparsity(LENET_GEOMETRY, true)
-            .run_layer(&ps_input, &ps_kernel, &ps_bias, t, 1, 0)
-            .expect("ps stats run")
-            .stats
-            .adder_ops;
-        let plain_ops = ConvolutionUnit::new(LENET_GEOMETRY)
-            .run_layer(&ps_input, &ps_kernel, &ps_bias, t, 1, 0)
-            .expect("plain stats run")
-            .stats
-            .adder_ops;
-        let ps_ratio = plain_ops as f64 / ps_ops as f64;
+        // paper-facing quantity), not host wall-clock: the op ratio is what
+        // it saves the hardware, the host ratio (< 1) what its accounting
+        // costs the simulator on the same workload.
+        let ps_host = engine / median(&format!("conv_unit/bitplane_sparse_ps/{t}"));
+        let adder_ops = |product_sparsity| {
+            ConvolutionUnit::with_product_sparsity(LENET_GEOMETRY, product_sparsity)
+                .run_layer(&ps_input, &ps_kernel, &ps_bias, t, 1, 0)
+                .expect("stats run")
+                .stats
+                .adder_ops
+        };
+        let ps_ops = adder_ops(false) as f64 / adder_ops(true) as f64;
         println!("conv_unit T={t}: bitplane_sparse is {speedup:.2}x faster than scalar_reference");
-        println!("conv_unit T={t}: product sparsity cuts modelled adder ops {ps_ratio:.2}x");
-        if !speedups.is_empty() {
-            speedups.push_str(", ");
-            ps_ratios.push_str(", ");
-        }
-        speedups.push_str(&format!("\"T{t}\": {speedup:.3}"));
-        ps_ratios.push_str(&format!("\"T{t}\": {ps_ratio:.3}"));
+        println!(
+            "conv_unit T={t}: product sparsity cuts modelled adder ops {ps_ops:.2}x \
+             and runs at {ps_host:.2}x the plain engine's host speed"
+        );
+        engine_speedups.push(format!("\"T{t}\": {speedup:.3}"));
+        ps_host_ratios.push(format!("\"T{t}\": {ps_host:.3}"));
+        ps_op_ratios.push(format!("\"T{t}\": {ps_ops:.3}"));
     }
-    let untiled = criterion
-        .result("conv_unit_tiled/vgg_conv2_untiled")
-        .expect("untiled result");
-    let banded = criterion
-        .result("conv_unit_tiled/vgg_conv2_banded_4rows")
-        .expect("banded result");
-    let overhead = banded.median_ns / untiled.median_ns;
+    let overhead = median("conv_unit_tiled/vgg_conv2_banded_4rows")
+        / median("conv_unit_tiled/vgg_conv2_untiled");
     println!("conv_unit_tiled: 8 KiB row-band execution costs {overhead:.3}x the untiled layer");
 
     // Per-kernel simd-on vs simd-off ratios: dispatched path over the
     // always-compiled fallback it is pinned against.
     let level = simd::active_level().name();
-    let mut kernel_speedups = String::new();
-    for (kernel, fast_id, slow_id) in [
-        ("occupancy_or", level.to_string(), "scalar".to_string()),
-        ("popcount", level.to_string(), "scalar".to_string()),
-        (
-            "sparse_gather",
-            "bit_walk".to_string(),
-            "byte_lut".to_string(),
-        ),
-        ("weight_axpy", level.to_string(), "scalar".to_string()),
-        ("weight_axpy_i32", level.to_string(), "scalar".to_string()),
-        ("pack_occupancy", level.to_string(), "scalar".to_string()),
+    let mut kernel_speedups = Vec::new();
+    for kernel in [
+        "occupancy_or",
+        "popcount",
+        "weight_axpy",
+        "weight_axpy_i32",
+        "pack_occupancy",
     ] {
-        let fast = criterion
-            .result(&format!("simd_kernels/{kernel}/{fast_id}"))
-            .expect("dispatched kernel result");
-        let slow = criterion
-            .result(&format!("simd_kernels/{kernel}/{slow_id}"))
-            .expect("fallback kernel result");
-        let ratio = slow.median_ns / fast.median_ns;
-        println!("simd_kernels/{kernel}: {fast_id} is {ratio:.2}x the {slow_id} fallback");
-        if !kernel_speedups.is_empty() {
-            kernel_speedups.push_str(", ");
-        }
-        kernel_speedups.push_str(&format!("\"{kernel}\": {ratio:.3}"));
+        let ratio = median(&format!("simd_kernels/{kernel}/scalar"))
+            / median(&format!("simd_kernels/{kernel}/{level}"));
+        println!("simd_kernels/{kernel}: {level} is {ratio:.2}x the scalar fallback");
+        kernel_speedups.push(format!("\"{kernel}\": {ratio:.3}"));
     }
 
     let json = format!(
         "{{\n\"workload\": \"lenet_conv2_6x14x14_to_16ch_5x5\",\n\
          \"simd_level\": \"{level}\",\n\
-         \"speedup_sparse_vs_scalar\": {{{speedups}}},\n\
-         \"product_sparsity_speedup_vs_plain\": {{{ps_ratios}}},\n\
-         \"simd_kernel_speedup_vs_scalar\": {{{kernel_speedups}}},\n\
+         \"host_speedup_engine_vs_seed_reference\": {{{}}},\n\
+         \"product_sparsity_op_ratio\": {{{}}},\n\
+         \"product_sparsity_host_ratio\": {{{}}},\n\
+         \"simd_kernel_speedup_vs_scalar\": {{{}}},\n\
          \"tiling_overhead_vgg_conv2_8KiB\": {overhead:.3},\n\
          \"results\": {}\n}}\n",
+        engine_speedups.join(", "),
+        ps_op_ratios.join(", "),
+        ps_host_ratios.join(", "),
+        kernel_speedups.join(", "),
         criterion.summary_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conv.json");

@@ -1,103 +1,48 @@
-//! Benchmark trend check: compares fresh `BENCH_*.json` summaries against
-//! the committed previous values.
+//! Benchmark trend check: compares a fresh `BENCH_conv.json` against the
+//! committed copy.
 //!
 //! ```text
-//! bench_trend <baseline.json> <current.json> [threshold]
+//! bench_trend <baseline.json> <fresh.json>
 //! ```
 //!
-//! Two tiers, with the failure tier set **per metric** by
-//! [`snn_bench::trend::fail_threshold_for`]: stable duration keys
-//! (`_ns`/`_us`/`_ms` latencies, `p999*` tails excepted) **fail** past
-//! the warn threshold (20 %) — three PRs of baselines have shown them
-//! reproducible on the hosted runner — while throughput keys (`_ips`,
-//! `per_sec`, ...) warn at 20 % and only fail past 50 %, because the
-//! 1-core runner's ambient noise genuinely explains tens of percent of
-//! throughput.  Warnings print GitHub `::warning::` annotations and stay
-//! non-blocking; failures print `::error::` and exit non-zero.  A missing
-//! baseline (first run of a new summary) is reported and skipped.
+//! Only the same-session ratio keys gate (see [`snn_bench::trend`]): a
+//! ratio more than 20 % worse prints a GitHub `::warning::` annotation,
+//! more than 50 % worse prints `::error::` and exits non-zero; absolute
+//! rows are printed side by side and never gate.  A missing baseline (the
+//! first run of a new summary) is reported and skipped; a fresh summary
+//! that is unreadable, malformed or shares no ratio key with the baseline
+//! exits non-zero — a bench that crashed before writing its record must
+//! not pass.
 
-use snn_bench::trend::{
-    compare, fail_threshold_for, parse_metrics, parse_metrics_with_skipped, DEFAULT_THRESHOLD,
-};
+use snn_bench::trend::check;
+use std::io::ErrorKind;
+use std::process::exit;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.len() < 3 {
-        eprintln!("usage: bench_trend <baseline.json> <current.json> [threshold]");
-        return;
-    }
-    let threshold: f64 = args
-        .get(3)
-        .and_then(|t| t.parse().ok())
-        .unwrap_or(DEFAULT_THRESHOLD);
-
-    let baseline_text = match std::fs::read_to_string(&args[1]) {
+    let [_, baseline_path, fresh_path] = args.as_slice() else {
+        eprintln!("usage: bench_trend <baseline.json> <fresh.json>");
+        exit(2);
+    };
+    let baseline = match std::fs::read_to_string(baseline_path) {
+        Ok(text) => Some(text),
+        Err(e) if e.kind() == ErrorKind::NotFound => None,
+        Err(e) => {
+            println!("::error::bench-trend: cannot read {baseline_path} ({e})");
+            exit(1);
+        }
+    };
+    let fresh = match std::fs::read_to_string(fresh_path) {
         Ok(text) => text,
         Err(e) => {
-            println!("bench-trend: no baseline at {} ({e}); skipping", args[1]);
-            return;
+            println!("::error::bench-trend: cannot read {fresh_path} ({e})");
+            exit(1);
         }
     };
-    let current_text = match std::fs::read_to_string(&args[2]) {
-        Ok(text) => text,
-        Err(e) => {
-            println!("::warning::bench-trend: cannot read {} ({e})", args[2]);
-            return;
-        }
-    };
-    let (baseline, current, skipped) = match (
-        parse_metrics(&baseline_text),
-        parse_metrics_with_skipped(&current_text),
-    ) {
-        (Ok(b), Ok((c, s))) => (b, c, s),
-        (Err(e), _) | (_, Err(e)) => {
-            println!("::warning::bench-trend: malformed summary: {e}");
-            return;
-        }
-    };
-    // Keys the classifier does not compare are logged, not silently
-    // dropped — a typo'd unit suffix on a new metric shows up here.
-    if !skipped.is_empty() {
-        println!(
-            "bench-trend: {} numeric key(s) in {} are informational (not compared): {}",
-            skipped.len(),
-            args[2],
-            skipped.join(", ")
-        );
+    println!("bench-trend: {baseline_path} -> {fresh_path}");
+    let verdict = check(baseline.as_deref(), &fresh);
+    print!("{verdict}");
+    if verdict.failed() {
+        exit(1);
     }
-
-    let regressions = compare(&baseline, &current, threshold);
-    if regressions.is_empty() {
-        println!(
-            "bench-trend: {} vs {}: {} comparable metrics, none regressed by more than {:.0}%",
-            args[1],
-            args[2],
-            current.len(),
-            100.0 * threshold
-        );
-        return;
-    }
-    let mut failures = 0usize;
-    for regression in &regressions {
-        // The failure tier is per metric: stable duration keys fail at the
-        // warn threshold, throughput keys tolerate runner noise up to 50 %.
-        if regression.exceeds(fail_threshold_for(&regression.id)) {
-            failures += 1;
-            println!("::error::bench-trend ({}): {regression}", args[2]);
-        } else {
-            println!("::warning::bench-trend ({}): {regression}", args[2]);
-        }
-    }
-    if failures > 0 {
-        println!(
-            "bench-trend: {failures} metric(s) regressed past their failure tier — failing the check ({} more in the warning tier)",
-            regressions.len() - failures,
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "bench-trend: {} metric(s) regressed by more than {:.0}% (non-blocking, see warnings)",
-        regressions.len(),
-        100.0 * threshold
-    );
 }

@@ -2,7 +2,10 @@
 //!
 //! Experiment harnesses that regenerate every table of the paper's
 //! evaluation section, plus Criterion micro-benchmarks for the simulator
-//! itself.
+//! itself (`conv_unit`, which writes the kernel record `BENCH_conv.json`,
+//! and `encoding`).  End-to-end and over-the-wire measurement is not here:
+//! it lives in the stand-alone `benchmark/` package, which takes only
+//! [`workloads`] from this crate.
 //!
 //! Each table has a binary that prints the regenerated rows:
 //!
@@ -15,14 +18,13 @@
 //!   (Table III).
 //!
 //! The building blocks live in [`experiments`] so integration tests can
-//! assert the trends without shelling out to the binaries.
+//! assert the trends without shelling out to the binaries.  [`trend`] is
+//! the `bench_trend` binary's rule: it gates the same-session ratio keys
+//! of `BENCH_conv.json` against the committed copy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod openloop;
-pub mod phases;
-pub mod serve_sweep;
 pub mod trend;
 pub mod workloads;

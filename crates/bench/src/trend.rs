@@ -1,153 +1,100 @@
-//! Benchmark trend checking: compares a freshly generated `BENCH_*.json`
-//! summary against the committed previous values and reports regressions.
+//! Benchmark trend checking: compares a freshly generated `BENCH_conv.json`
+//! against the committed copy and gates the **same-session ratio keys**.
 //!
-//! The summaries are written by the bench harnesses themselves
-//! (`BENCH_conv.json` by `conv_unit`, `BENCH_serve.json` by `end_to_end`),
-//! so the format is ours; a tiny flattening JSON reader keeps this free of
-//! external dependencies (the container has no registry access).  Metrics
-//! are classified by their key path:
+//! The committed summary was measured on another day, on a host that has
+//! drifted since, so an absolute `median_ns` row says as much about the
+//! host as about the code.  A ratio whose numerator and denominator were
+//! timed in one process does not have that problem — the drift cancels —
+//! and those are the only keys compared.  [`RATIO_KEYS`] lists them with
+//! their direction; a ratio that moves in its worse direction by more than
+//! [`WARN_THRESHOLD`] warns and by more than [`FAIL_THRESHOLD`] fails.
+//! Every other numeric key (the `results/<id>/median_ns` rows, sample
+//! counts) is carried side by side as information and never gates.  Keys
+//! present on one side only are reported as retired or new, so a renamed
+//! key is visible rather than silently uncompared.
 //!
-//! * `*_ns`, `*_us`, `*_ms` — durations (and latency percentiles like the
-//!   `p50_us`/`p99_us` of `BENCH_net.json`), **lower** is better;
-//! * `*speedup*`, `*per_sec*` paths, path segments ending in `_ips`
-//!   (inferences per second, e.g. the `replica_throughput_ips` sweep of
-//!   `BENCH_serve.json`) and `utilisation` leaf keys — ratios/rates,
-//!   **higher** is better;
-//! * everything else (sample counts, batch sizes, cycle counts — including
-//!   the `busy_cycles`/`total_cycles` siblings of a utilisation entry) is
-//!   informational and not compared.  So are the open-loop generator's
-//!   own scheduling-noise keys (`jitter`, `send_lag`): they describe the
-//!   load machine, not the server, and exist precisely so a latency
-//!   regression can be cross-checked against them by a human.
-//!
-//! The check is **two-tier**, with the failure tier set per metric by
-//! [`fail_threshold_for`]:
-//!
-//! * **Stable duration keys** (`_ns`/`_us`/`_ms`, e.g. latency p50/p99)
-//!   **fail** past [`DEFAULT_THRESHOLD`] (20 %) — three PRs of baselines
-//!   have shown them reproducible on the hosted runner, so a 20 % growth
-//!   is a real regression, not noise.  Two escape hatches keep this
-//!   strict tier honest: the extreme-tail `p999*` keys warn but never
-//!   fail (a single descheduled request moves them an order of
-//!   magnitude), and regressions where both sides sit under the
-//!   [`MATERIALITY_FLOOR_US`] absolute floor are skipped outright (a
-//!   relative threshold on a 3 µs phase measures scheduler jitter).
-//! * **Throughput keys** (`_ips`, `per_sec`, `speedup`, `utilisation`)
-//!   warn past 20 % and only fail past [`FAIL_THRESHOLD`] (50 %): the
-//!   1-core hosted runner's available parallelism varies enough that a
-//!   few tens of percent of throughput is genuinely ambient.
+//! The summary is written by the `conv_unit` bench itself, so the format is
+//! ours; a tiny flattening JSON reader keeps this free of external
+//! dependencies (the container has no registry access).
 
 use std::fmt;
 
-/// Fraction of change treated as a regression (20 %).
-pub const DEFAULT_THRESHOLD: f64 = 0.20;
+/// Worsening of a ratio key past which the trend check warns (20 %).
+pub const WARN_THRESHOLD: f64 = 0.20;
 
-/// Fraction of change past which a regression **fails** the trend check
-/// instead of warning (50 %): hosted-runner noise explains a few tens of
-/// percent on micro-benchmarks, not a halving of throughput.  Duration
-/// metrics use the stricter per-metric tier from [`fail_threshold_for`].
+/// Worsening of a ratio key past which the trend check fails (50 %): host
+/// noise explains a few tens of percent even of a same-session ratio of
+/// micro-benchmarks, not a halving.
 pub const FAIL_THRESHOLD: f64 = 0.50;
 
-/// The failure tier of one metric key: stable duration keys
-/// (`_ns`/`_us`/`_ms`) fail at [`DEFAULT_THRESHOLD`]; the extreme-tail
-/// `p999*` duration percentiles never fail (on a 1-core hosted runner the
-/// p999 of a few hundred samples *is* the max sample, and one deschedule
-/// moves it an order of magnitude — they still warn); everything else
-/// fails at [`FAIL_THRESHOLD`].  See the module docs for the rationale.
-pub fn fail_threshold_for(id: &str) -> f64 {
-    let duration = id.split('/').any(|segment| {
-        segment.ends_with("_ns") || segment.ends_with("_us") || segment.ends_with("_ms")
-    });
-    let extreme_tail = id.split('/').any(|segment| segment.starts_with("p999"));
-    match (duration, extreme_tail) {
-        (true, true) => f64::INFINITY,
-        (true, false) => DEFAULT_THRESHOLD,
-        _ => FAIL_THRESHOLD,
+/// Which way a ratio key improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Larger values are improvements (speed-ups).
+    Higher,
+    /// Smaller values are improvements (overheads).
+    Lower,
+}
+
+/// The gated keys of `BENCH_conv.json`, by key prefix: dimensionless ratios
+/// of two measurements taken in the same bench process.  A key the bench
+/// adds without a line here fails `committed_summaries_parse`.
+pub const RATIO_KEYS: &[(&str, Better)] = &[
+    ("host_speedup_engine_vs_seed_reference", Better::Higher),
+    ("product_sparsity_host_ratio", Better::Higher),
+    ("product_sparsity_op_ratio", Better::Higher),
+    ("simd_kernel_speedup_vs_scalar", Better::Higher),
+    ("tiling_overhead_", Better::Lower),
+];
+
+/// The direction of `id` if it is a gated ratio key.
+fn direction(id: &str) -> Option<Better> {
+    RATIO_KEYS
+        .iter()
+        .find(|(prefix, _)| id.starts_with(prefix))
+        .map(|&(_, better)| better)
+}
+
+/// One numeric key of the two summaries, side by side.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Flattened key path, e.g. `tiling_overhead_vgg_conv2_8KiB` or
+    /// `results/conv_unit/bitplane_sparse/3/median_ns`.
+    pub id: String,
+    /// Committed previous value (`None`: the key is new).
+    pub baseline: Option<f64>,
+    /// Freshly measured value (`None`: the key is retired).
+    pub fresh: Option<f64>,
+}
+
+impl Row {
+    /// Fraction by which a gated ratio moved in its worse direction
+    /// (negative: it improved).  `None` for every row that does not gate:
+    /// keys outside [`RATIO_KEYS`] and keys present on one side only.
+    pub fn worsened_by(&self) -> Option<f64> {
+        let (then, now) = (self.baseline?, self.fresh?);
+        let better = direction(&self.id)?;
+        (then > 0.0).then(|| match better {
+            Better::Higher => 1.0 - now / then,
+            Better::Lower => now / then - 1.0,
+        })
     }
 }
 
-/// Absolute materiality floor for duration comparisons (500 µs).
-///
-/// Relative thresholds need an absolute floor: micro-phases like
-/// connection `admission` or replica `route` sit at single-digit
-/// microseconds, where a "150 % regression" (0.2 µs -> 0.5 µs) measures
-/// scheduler jitter, not the server.  [`compare`] skips a lower-is-better
-/// duration regression when **both** values are below the floor; a real
-/// cost hiding under it still surfaces in the end-to-end `duration`
-/// totals, which sit well above.  Growth *crossing* the floor is still
-/// reported.
-pub const MATERIALITY_FLOOR_US: f64 = 500.0;
-
-/// [`MATERIALITY_FLOOR_US`] expressed in `id`'s own unit, for duration
-/// keys (`None` for everything else).
-fn materiality_floor(id: &str) -> Option<f64> {
-    id.split('/').find_map(|segment| {
-        if segment.ends_with("_ns") {
-            Some(MATERIALITY_FLOOR_US * 1_000.0)
-        } else if segment.ends_with("_us") {
-            Some(MATERIALITY_FLOOR_US)
-        } else if segment.ends_with("_ms") {
-            Some(MATERIALITY_FLOOR_US / 1_000.0)
-        } else {
-            None
-        }
-    })
-}
-
-/// One comparable benchmark metric.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Metric {
-    /// Flattened key path, e.g. `results/conv_unit/bitplane_sparse/3/median_ns`.
-    pub id: String,
-    /// The numeric value.
-    pub value: f64,
-    /// Whether larger values are improvements.
-    pub higher_is_better: bool,
-}
-
-/// A metric that moved past the regression threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// The metric's key path.
-    pub id: String,
-    /// Committed previous value.
-    pub baseline: f64,
-    /// Freshly measured value.
-    pub current: f64,
-    /// `current / baseline`.
-    pub ratio: f64,
-    /// Whether larger values are improvements for this metric.
-    pub higher_is_better: bool,
-}
-
-impl Regression {
-    /// Whether this regression also crosses a harsher `threshold` (e.g.
-    /// [`FAIL_THRESHOLD`]) in its own worse-direction.
-    pub fn exceeds(&self, threshold: f64) -> bool {
-        if self.higher_is_better {
-            self.ratio < 1.0 - threshold
-        } else {
-            self.ratio > 1.0 + threshold
-        }
-    }
-}
-
-impl fmt::Display for Regression {
+impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let direction = if self.higher_is_better {
-            "dropped"
-        } else {
-            "grew"
-        };
-        write!(
-            f,
-            "{}: {} {:.1}% ({} -> {})",
-            self.id,
-            direction,
-            100.0 * (self.ratio - 1.0).abs(),
-            self.baseline,
-            self.current
-        )
+        match (self.baseline, self.fresh) {
+            (Some(then), Some(now)) if then > 0.0 => write!(
+                f,
+                "{}: {then} -> {now} ({:+.1}%)",
+                self.id,
+                100.0 * (now / then - 1.0)
+            ),
+            (Some(then), Some(now)) => write!(f, "{}: {then} -> {now}", self.id),
+            (Some(then), None) => write!(f, "{}: {then} -> (retired)", self.id),
+            (None, Some(now)) => write!(f, "{}: (new) -> {now}", self.id),
+            (None, None) => write!(f, "{}", self.id),
+        }
     }
 }
 
@@ -160,14 +107,15 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Self {
-        Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
+fn join(path: &str, key: &str) -> String {
+    match (path.is_empty(), key.is_empty()) {
+        (true, _) => key.to_string(),
+        (_, true) => path.to_string(),
+        _ => format!("{path}/{key}"),
     }
+}
 
+impl<'a> Reader<'a> {
     fn skip_ws(&mut self) {
         while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
@@ -223,33 +171,38 @@ impl<'a> Reader<'a> {
         if token.is_empty() {
             return Err(format!("empty scalar at byte {start}"));
         }
-        // Numbers become metrics; true/false/null are informational.
+        // Numbers become rows; true/false/null carry nothing to compare.
         Ok(token.parse::<f64>().ok())
     }
 
     /// Parses one value, appending `(path, number)` pairs to `out`.
-    fn parse_value(&mut self, path: &str, out: &mut Vec<(String, f64)>) -> Result<(), String> {
+    /// Returns the value of an object's own `"id"` string field, if any.
+    fn parse_value(
+        &mut self,
+        path: &str,
+        out: &mut Vec<(String, f64)>,
+    ) -> Result<Option<String>, String> {
         match self.peek() {
             Some(b'{') => {
                 self.expect(b'{')?;
                 if self.peek() == Some(b'}') {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(None);
                 }
+                let mut id = None;
                 loop {
                     let key = self.parse_string()?;
                     self.expect(b':')?;
-                    let child = if path.is_empty() {
-                        key.clone()
+                    if key == "id" && self.peek() == Some(b'"') {
+                        id = Some(self.parse_string()?);
                     } else {
-                        format!("{path}/{key}")
-                    };
-                    self.parse_value(&child, out)?;
+                        self.parse_value(&join(path, &key), out)?;
+                    }
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
                             self.pos += 1;
-                            return Ok(());
+                            return Ok(id);
                         }
                         other => return Err(format!("bad object separator {other:?}")),
                     }
@@ -259,20 +212,25 @@ impl<'a> Reader<'a> {
                 self.expect(b'[')?;
                 if self.peek() == Some(b']') {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(None);
                 }
                 let mut index = 0usize;
                 loop {
-                    // Array elements keep their index as a provisional path
-                    // component; `parse_metrics` rewrites criterion result
-                    // rows to their stable `"id"` afterwards.
-                    self.parse_value(&format!("{path}/{index}"), out)?;
+                    // A criterion result row names itself with an `"id"`
+                    // string; keying the element by it (not by its index)
+                    // matches rows across files whatever their order.
+                    let mut element = Vec::new();
+                    let name = self
+                        .parse_value("", &mut element)?
+                        .unwrap_or_else(|| index.to_string());
+                    let prefix = join(path, &name);
+                    out.extend(element.into_iter().map(|(k, v)| (join(&prefix, &k), v)));
                     index += 1;
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
                             self.pos += 1;
-                            return Ok(());
+                            return Ok(None);
                         }
                         other => return Err(format!("bad array separator {other:?}")),
                     }
@@ -280,156 +238,141 @@ impl<'a> Reader<'a> {
             }
             Some(b'"') => {
                 self.parse_string()?;
-                Ok(())
+                Ok(None)
             }
             Some(_) => {
                 if let Some(number) = self.parse_scalar()? {
                     out.push((path.to_string(), number));
                 }
-                Ok(())
+                Ok(None)
             }
             None => Err("unexpected end of input".to_string()),
         }
     }
 }
 
-/// Extracts the comparable metrics of one `BENCH_*.json` summary.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed construct.
-pub fn parse_metrics(text: &str) -> Result<Vec<Metric>, String> {
-    parse_metrics_with_skipped(text).map(|(metrics, _)| metrics)
+/// Flattens every numeric field of one summary into `(key path, value)`
+/// pairs, in file order, or describes the first malformed construct.
+fn flatten(text: &str) -> Result<Vec<(String, f64)>, String> {
+    let mut out = Vec::new();
+    let mut reader = Reader {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    reader.parse_value("", &mut out)?;
+    Ok(out)
 }
 
-/// Like [`parse_metrics`], but also returns the key paths of numeric
-/// fields that were **not** classified as comparable (informational
-/// counts, cycle totals, unknown keys).  `bench_trend` prints these so a
-/// metric silently dropped from the comparison is visible in the log
-/// rather than disappearing.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed construct.
-pub fn parse_metrics_with_skipped(text: &str) -> Result<(Vec<Metric>, Vec<String>), String> {
-    // First pass: flatten every numeric field.
-    let mut raw = Vec::new();
-    let mut reader = Reader::new(text);
-    reader.parse_value("", &mut raw)?;
-    reader.skip_ws();
-
-    // Second pass: criterion result rows carry their stable key in an
-    // `"id"` string field; rewrite `results/<index>/...` to
-    // `results/<id>/...` so reordering rows does not break comparisons.
-    let ids = result_ids(text);
-    let mut metrics = Vec::new();
-    let mut skipped = Vec::new();
-    for (mut id, value) in raw {
-        if let Some(rest) = id.strip_prefix("results/") {
-            if let Some((index, field)) = rest.split_once('/') {
-                if let Ok(index) = index.parse::<usize>() {
-                    if let Some(stable) = ids.get(index) {
-                        id = format!("results/{stable}/{field}");
-                    }
-                }
-            }
-        }
-        // Only the `utilisation` leaf is a rate; its cycle-count siblings
-        // (`.../busy_cycles`, `.../total_cycles`) are informational.  An
-        // `_ips` suffix on any path segment marks a throughput rate — the
-        // segment may be a parent (`replica_throughput_ips/replicas_2`),
-        // so the whole path is checked, not just the leaf.
-        let leaf = id.rsplit('/').next().unwrap_or(id.as_str()).to_string();
-        let higher = id.contains("speedup")
-            || id.contains("per_sec")
-            || id.split('/').any(|segment| segment.ends_with("_ips"))
-            || leaf == "utilisation";
-        // Durations are lower-is-better; like `_ips`, the unit suffix may
-        // sit on a parent segment (`phase_p99_us/compute`) rather than the
-        // leaf, so every segment is checked.
-        let lower = id.split('/').any(|segment| {
-            segment.ends_with("_ns") || segment.ends_with("_us") || segment.ends_with("_ms")
-        });
-        // The open-loop generator's scheduling-noise keys are measurements
-        // of the load machine, not the server — informational by design,
-        // whatever their unit suffix says.
-        let generator_noise = id
-            .split('/')
-            .any(|segment| segment.contains("jitter") || segment.contains("send_lag"));
-        if (higher || lower) && !generator_noise {
-            metrics.push(Metric {
-                id,
-                value,
-                higher_is_better: higher,
-            });
-        } else {
-            skipped.push(id);
-        }
-    }
-    Ok((metrics, skipped))
-}
-
-/// The `"id"` strings of the `results` array, in order.
-fn result_ids(text: &str) -> Vec<String> {
-    let mut ids = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("\"id\"") {
-        rest = &rest[at + 4..];
-        if let Some(colon) = rest.find(':') {
-            rest = &rest[colon + 1..];
-            if let Some(open) = rest.find('"') {
-                rest = &rest[open + 1..];
-                if let Some(close) = rest.find('"') {
-                    ids.push(rest[..close].to_string());
-                    rest = &rest[close + 1..];
-                    continue;
-                }
-            }
-        }
-        break;
-    }
-    ids
-}
-
-/// Compares current metrics against the committed baseline and returns the
-/// ones that regressed by more than `threshold` (e.g. `0.2` for 20 %).
-///
-/// Metrics present on only one side are ignored — new benchmarks appear
-/// and old ones retire without tripping the check.
-pub fn compare(baseline: &[Metric], current: &[Metric], threshold: f64) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    for now in current {
-        let Some(then) = baseline.iter().find(|m| m.id == now.id) else {
-            continue;
-        };
-        if then.value <= 0.0 {
-            continue;
-        }
-        let ratio = now.value / then.value;
-        let regressed = if now.higher_is_better {
-            ratio < 1.0 - threshold
-        } else {
-            ratio > 1.0 + threshold
-        };
-        if regressed {
-            // Sub-floor durations are scheduler jitter, not regressions.
-            if !now.higher_is_better {
-                if let Some(floor) = materiality_floor(&now.id) {
-                    if then.value < floor && now.value < floor {
-                        continue;
-                    }
-                }
-            }
-            regressions.push(Regression {
-                id: now.id.clone(),
-                baseline: then.value,
-                current: now.value,
-                ratio,
-                higher_is_better: now.higher_is_better,
+/// Lines the two flattened summaries up by key: the fresh file's keys in
+/// file order, then the keys only the baseline has.
+fn compare(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Vec<Row> {
+    let value_in = |side: &[(String, f64)], id: &str| {
+        side.iter()
+            .find(|(key, _)| key == id)
+            .map(|&(_, value)| value)
+    };
+    let mut rows: Vec<Row> = fresh
+        .iter()
+        .map(|(id, now)| Row {
+            id: id.clone(),
+            baseline: value_in(baseline, id),
+            fresh: Some(*now),
+        })
+        .collect();
+    for (id, then) in baseline {
+        if value_in(fresh, id).is_none() {
+            rows.push(Row {
+                id: id.clone(),
+                baseline: Some(*then),
+                fresh: None,
             });
         }
     }
-    regressions
+    rows
+}
+
+/// What `bench_trend` concluded, and with it the process exit status.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Verdict {
+    /// No baseline exists: the first run of a new summary.  Passes.
+    Skipped,
+    /// Both files read; passes unless a ratio worsened past
+    /// [`FAIL_THRESHOLD`].
+    Compared(Vec<Row>),
+    /// A malformed file on either side, or no ratio key to compare: a
+    /// bench that did not write its record must not pass.  Fails.
+    Unusable(String),
+}
+
+impl Verdict {
+    /// Whether the process must exit non-zero.
+    pub fn failed(&self) -> bool {
+        match self {
+            Verdict::Skipped => false,
+            Verdict::Compared(rows) => rows
+                .iter()
+                .any(|row| row.worsened_by().is_some_and(|by| by > FAIL_THRESHOLD)),
+            Verdict::Unusable(_) => true,
+        }
+    }
+}
+
+/// The whole check: `baseline` is the committed summary's text (`None` if
+/// there is none yet), `fresh` the regenerated one's.
+pub fn check(baseline: Option<&str>, fresh: &str) -> Verdict {
+    let Some(baseline) = baseline else {
+        return Verdict::Skipped;
+    };
+    let flat = |side: &str, text: &str| {
+        flatten(text).map_err(|e| format!("malformed {side} summary: {e}"))
+    };
+    let rows = match (flat("baseline", baseline), flat("fresh", fresh)) {
+        (Ok(baseline), Ok(fresh)) => compare(&baseline, &fresh),
+        (Err(why), _) | (_, Err(why)) => return Verdict::Unusable(why),
+    };
+    if rows.iter().all(|row| row.worsened_by().is_none()) {
+        return Verdict::Unusable(
+            "the fresh summary shares no ratio key with the baseline: nothing was compared"
+                .to_string(),
+        );
+    }
+    Verdict::Compared(rows)
+}
+
+impl fmt::Display for Verdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows = match self {
+            Verdict::Skipped => return writeln!(f, "bench-trend: no baseline yet; skipping"),
+            Verdict::Unusable(why) => return writeln!(f, "::error::bench-trend: {why}"),
+            Verdict::Compared(rows) => rows,
+        };
+        writeln!(
+            f,
+            "bench-trend: same-session ratios (warn > {:.0}% worse, fail > {:.0}% worse)",
+            100.0 * WARN_THRESHOLD,
+            100.0 * FAIL_THRESHOLD
+        )?;
+        for row in rows {
+            match row.worsened_by() {
+                Some(by) if by > FAIL_THRESHOLD => writeln!(f, "::error::bench-trend: {row}")?,
+                Some(by) if by > WARN_THRESHOLD => writeln!(f, "::warning::bench-trend: {row}")?,
+                Some(_) => writeln!(f, "  {row}")?,
+                None => {}
+            }
+        }
+        writeln!(
+            f,
+            "bench-trend: not compared (retired or new keys; absolute medians from another day's host)"
+        )?;
+        for row in rows {
+            // Of a result row's four fields only the median is printed.
+            let shown = !row.id.starts_with("results/") || row.id.ends_with("/median_ns");
+            if shown && row.worsened_by().is_none() {
+                writeln!(f, "  {row}")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -438,286 +381,185 @@ mod tests {
 
     const SAMPLE: &str = r#"{
 "workload": "lenet",
-"batch": 32,
-"inferences_per_sec": {"naive_run_fast": 900.0, "stream_server": 2200.0},
-"speedup_server_vs_naive": 2.4,
-"unit_utilisation": {"Convolution": {"units": 4, "busy_cycles": 73160, "total_cycles": 125568, "utilisation": 0.58}},
+"host_speedup_engine_vs_seed_reference": {"T3": 20.0, "T6": 40.0},
+"product_sparsity_host_ratio": {"T3": 0.86},
+"tiling_overhead_vgg_conv2_8KiB": 1.05,
 "results": [
   {"id": "conv_unit/bitplane_sparse/3", "median_ns": 450000.0, "mean_ns": 451000.0, "samples": 12},
   {"id": "pool_unit/avg", "median_ns": 22000.0, "mean_ns": 22500.0, "samples": 12}
 ]
 }"#;
 
+    fn rows_against_sample(fresh: &str) -> Vec<Row> {
+        match check(Some(SAMPLE), fresh) {
+            Verdict::Compared(rows) => rows,
+            other => panic!("expected a comparison, got {other:?}"),
+        }
+    }
+
+    fn row<'a>(rows: &'a [Row], id: &str) -> &'a Row {
+        rows.iter()
+            .find(|row| row.id == id)
+            .unwrap_or_else(|| panic!("missing row {id}: {rows:?}"))
+    }
+
     #[test]
-    fn parses_rates_speedups_utilisation_and_durations() {
-        let metrics = parse_metrics(SAMPLE).unwrap();
-        let find = |id: &str| {
-            metrics
+    fn flattens_nested_keys_and_names_result_rows_by_id() {
+        let pairs = flatten(SAMPLE).unwrap();
+        let value = |id: &str| {
+            pairs
                 .iter()
-                .find(|m| m.id == id)
-                .unwrap_or_else(|| panic!("missing metric {id}: {metrics:?}"))
+                .find(|(key, _)| key == id)
+                .unwrap_or_else(|| panic!("missing key {id}: {pairs:?}"))
+                .1
         };
-        let naive = find("inferences_per_sec/naive_run_fast");
-        assert!(naive.higher_is_better);
-        assert!((naive.value - 900.0).abs() < 1e-9);
-        assert!(find("speedup_server_vs_naive").higher_is_better);
-        assert!(find("unit_utilisation/Convolution/utilisation").higher_is_better);
-        // Cycle-count siblings of a utilisation entry are informational,
-        // not comparable metrics.
-        assert!(metrics.iter().all(|m| !m.id.ends_with("busy_cycles")));
-        assert!(metrics.iter().all(|m| !m.id.ends_with("total_cycles")));
-        assert!(metrics.iter().all(|m| !m.id.ends_with("/units")));
-        let sparse = find("results/conv_unit/bitplane_sparse/3/median_ns");
-        assert!(!sparse.higher_is_better);
-        assert!((sparse.value - 450000.0).abs() < 1e-9);
-        // Sample counts and batch sizes are not comparable metrics.
-        assert!(metrics.iter().all(|m| !m.id.ends_with("samples")));
-        assert!(metrics.iter().all(|m| m.id != "batch"));
+        assert!((value("host_speedup_engine_vs_seed_reference/T6") - 40.0).abs() < 1e-9);
+        assert!((value("tiling_overhead_vgg_conv2_8KiB") - 1.05).abs() < 1e-9);
+        // Result rows are keyed by their `"id"`, not their position.
+        assert!((value("results/conv_unit/bitplane_sparse/3/median_ns") - 450000.0).abs() < 1e-9);
+        assert!((value("results/pool_unit/avg/samples") - 12.0).abs() < 1e-9);
+        // Strings are not rows.
+        assert!(pairs.iter().all(|(key, _)| key != "workload"));
+        assert!(pairs.iter().all(|(key, _)| !key.ends_with("/id")));
     }
 
     #[test]
     fn regressions_respect_direction_and_threshold() {
-        let baseline = parse_metrics(SAMPLE).unwrap();
-        let current = SAMPLE
-            .replace("\"stream_server\": 2200.0", "\"stream_server\": 1500.0")
-            .replace("\"median_ns\": 450000.0", "\"median_ns\": 600000.0");
-        let current = parse_metrics(&current).unwrap();
-        let regressions = compare(&baseline, &current, DEFAULT_THRESHOLD);
-        let ids: Vec<&str> = regressions.iter().map(|r| r.id.as_str()).collect();
-        assert!(ids.contains(&"inferences_per_sec/stream_server"));
-        assert!(ids.contains(&"results/conv_unit/bitplane_sparse/3/median_ns"));
-        // The unchanged pool metric does not trip.
-        assert!(!ids.iter().any(|id| id.contains("pool_unit")));
-        // Every regression renders a human-readable line.
-        for regression in &regressions {
-            assert!(regression.to_string().contains(&regression.id));
-        }
+        // A speed-up that drops and an overhead that grows both worsen ...
+        let rows = rows_against_sample(
+            &SAMPLE
+                .replace("\"T6\": 40.0", "\"T6\": 28.0")
+                .replace("8KiB\": 1.05", "8KiB\": 1.365"),
+        );
+        let dropped = row(&rows, "host_speedup_engine_vs_seed_reference/T6");
+        assert!((dropped.worsened_by().unwrap() - 0.30).abs() < 1e-9);
+        let grew = row(&rows, "tiling_overhead_vgg_conv2_8KiB");
+        assert!((grew.worsened_by().unwrap() - 0.30).abs() < 1e-9);
+        // ... the untouched ratio does not, and each renders a readable line.
+        let steady = row(&rows, "host_speedup_engine_vs_seed_reference/T3");
+        assert!(steady.worsened_by().unwrap().abs() < 1e-9);
+        assert!(dropped.to_string().contains("40 -> 28 (-30.0%)"));
+        let report = Verdict::Compared(rows).to_string();
+        assert_eq!(report.matches("::warning::").count(), 2, "{report}");
+        assert!(!report.contains("::error::"), "{report}");
     }
 
     #[test]
     fn fail_threshold_separates_warnings_from_hard_failures() {
-        let baseline = parse_metrics(SAMPLE).unwrap();
-        // -30% throughput: a warning-tier regression, not a failure.
-        // +120% latency: past the fail tier in the lower-is-better sense.
-        let current = SAMPLE
-            .replace("\"stream_server\": 2200.0", "\"stream_server\": 1540.0")
-            .replace("\"median_ns\": 450000.0", "\"median_ns\": 990000.0");
-        let current = parse_metrics(&current).unwrap();
-        let regressions = compare(&baseline, &current, DEFAULT_THRESHOLD);
-        assert_eq!(regressions.len(), 2);
-        let soft = regressions
-            .iter()
-            .find(|r| r.id.contains("stream_server"))
-            .unwrap();
-        assert!(!soft.exceeds(FAIL_THRESHOLD), "-30% stays a warning");
-        let hard = regressions
-            .iter()
-            .find(|r| r.id.contains("median_ns"))
-            .unwrap();
-        assert!(hard.exceeds(FAIL_THRESHOLD), "+120% must fail");
+        // -30 %: a warning, the check still passes.
+        let soft = check(
+            Some(SAMPLE),
+            &SAMPLE.replace("\"T3\": 0.86", "\"T3\": 0.602"),
+        );
+        assert!(!soft.failed());
+        assert!(soft.to_string().contains("::warning::"));
+        // -60 % of a speed-up, +60 % of an overhead: failures.
+        for worse in [
+            SAMPLE.replace("\"T3\": 0.86", "\"T3\": 0.344"),
+            SAMPLE.replace("8KiB\": 1.05", "8KiB\": 1.68"),
+        ] {
+            let hard = check(Some(SAMPLE), &worse);
+            assert!(hard.failed());
+            assert!(hard.to_string().contains("::error::"));
+        }
     }
 
     #[test]
     fn improvements_and_small_noise_do_not_trip() {
-        let baseline = parse_metrics(SAMPLE).unwrap();
-        let current = SAMPLE
-            .replace("\"stream_server\": 2200.0", "\"stream_server\": 2600.0")
-            .replace("\"median_ns\": 450000.0", "\"median_ns\": 495000.0"); // +10%
-        let current = parse_metrics(&current).unwrap();
-        assert!(compare(&baseline, &current, DEFAULT_THRESHOLD).is_empty());
+        let verdict = check(
+            Some(SAMPLE),
+            &SAMPLE
+                .replace("\"T6\": 40.0", "\"T6\": 400.0") // 10x better
+                .replace("8KiB\": 1.05", "8KiB\": 0.2") // far less overhead
+                .replace("\"T3\": 0.86", "\"T3\": 0.78"), // -9 %
+        );
+        assert!(!verdict.failed());
+        let report = verdict.to_string();
+        assert!(!report.contains("::warning::") && !report.contains("::error::"));
     }
 
     #[test]
-    fn new_and_retired_metrics_are_ignored() {
-        let baseline = parse_metrics(SAMPLE).unwrap();
-        let trimmed = parse_metrics(
-            r#"{"inferences_per_sec": {"naive_run_fast": 900.0}, "brand_new_per_sec": 1.0}"#,
-        )
-        .unwrap();
-        assert!(compare(&baseline, &trimmed, DEFAULT_THRESHOLD).is_empty());
-    }
-
-    #[test]
-    fn ips_segments_are_higher_is_better_throughput_rates() {
-        let metrics = parse_metrics(
-            r#"{"replica_throughput_ips": {"replicas_1": 2000.0, "replicas_2": 2600.0},
-                "replica_speedup": {"replicas_2_vs_1": 1.3},
-                "drain_rate_ips": 512.0}"#,
-        )
-        .unwrap();
-        for id in [
-            "replica_throughput_ips/replicas_1",
-            "replica_throughput_ips/replicas_2",
-            "replica_speedup/replicas_2_vs_1",
-            "drain_rate_ips",
-        ] {
-            let metric = metrics
-                .iter()
-                .find(|m| m.id == id)
-                .unwrap_or_else(|| panic!("missing {id}: {metrics:?}"));
-            assert!(metric.higher_is_better, "{id} must be higher-is-better");
-        }
-        // A halved replica throughput regresses; a gained one does not.
-        let baseline = metrics;
-        let current = parse_metrics(
-            r#"{"replica_throughput_ips": {"replicas_1": 2100.0, "replicas_2": 1200.0},
-                "replica_speedup": {"replicas_2_vs_1": 0.57},
-                "drain_rate_ips": 600.0}"#,
-        )
-        .unwrap();
-        let regressions = compare(&baseline, &current, DEFAULT_THRESHOLD);
-        let ids: Vec<&str> = regressions.iter().map(|r| r.id.as_str()).collect();
-        assert!(ids.contains(&"replica_throughput_ips/replicas_2"));
-        assert!(ids.contains(&"replica_speedup/replicas_2_vs_1"));
-        assert!(!ids.contains(&"replica_throughput_ips/replicas_1"));
-        assert!(!ids.contains(&"drain_rate_ips"));
-    }
-
-    #[test]
-    fn latency_percentiles_are_lower_is_better() {
-        let metrics = parse_metrics(
-            r#"{"latency": {"p50_us": 900.0, "p99_us": 2100.0, "mean_us": 1000.0},
-                "warmup_ms": 12.0, "samples": 64}"#,
-        )
-        .unwrap();
-        for id in [
-            "latency/p50_us",
-            "latency/p99_us",
-            "latency/mean_us",
-            "warmup_ms",
-        ] {
-            let metric = metrics
-                .iter()
-                .find(|m| m.id == id)
-                .unwrap_or_else(|| panic!("missing {id}: {metrics:?}"));
-            assert!(!metric.higher_is_better, "{id} must be lower-is-better");
-        }
-        assert!(metrics.iter().all(|m| m.id != "samples"));
-    }
-
-    #[test]
-    fn duration_suffixes_on_parent_segments_are_lower_is_better() {
-        // The unit suffix may name a parent group rather than the leaf —
-        // `phase_p99_us/compute` must classify exactly like `p99_us`.
-        let metrics = parse_metrics(
-            r#"{"phase_p99_us": {"queue_wait": 120.0, "compute": 900.0},
-                "trace_phase_latency": {"compute": {"p999_us": 1800.0}}}"#,
-        )
-        .unwrap();
-        for id in [
-            "phase_p99_us/queue_wait",
-            "phase_p99_us/compute",
-            "trace_phase_latency/compute/p999_us",
-        ] {
-            let metric = metrics
-                .iter()
-                .find(|m| m.id == id)
-                .unwrap_or_else(|| panic!("missing {id}: {metrics:?}"));
-            assert!(!metric.higher_is_better, "{id} must be lower-is-better");
-        }
+    fn new_and_retired_keys_are_reported() {
+        // A rename shows up as one retired and one new key, never as silence.
+        let rows = rows_against_sample(
+            &SAMPLE.replace("product_sparsity_host_ratio", "product_sparsity_op_ratio"),
+        );
+        let retired = row(&rows, "product_sparsity_host_ratio/T3");
+        assert_eq!((retired.baseline, retired.fresh), (Some(0.86), None));
+        let new = row(&rows, "product_sparsity_op_ratio/T3");
+        assert_eq!((new.baseline, new.fresh), (None, Some(0.86)));
+        assert!(retired.worsened_by().is_none() && new.worsened_by().is_none());
+        let report = Verdict::Compared(rows).to_string();
+        assert!(report.contains("product_sparsity_host_ratio/T3: 0.86 -> (retired)"));
+        assert!(report.contains("product_sparsity_op_ratio/T3: (new) -> 0.86"));
     }
 
     #[test]
     fn unclassified_numeric_keys_are_reported_not_dropped() {
-        let (metrics, skipped) = parse_metrics_with_skipped(
-            r#"{"latency": {"p50_us": 900.0}, "batch": 32, "samples": 64,
-                "mystery_metric": 7.0}"#,
-        )
-        .unwrap();
-        assert_eq!(metrics.len(), 1);
-        assert!(skipped.contains(&"batch".to_string()));
-        assert!(skipped.contains(&"samples".to_string()));
-        assert!(skipped.contains(&"mystery_metric".to_string()));
-        assert!(!skipped.contains(&"latency/p50_us".to_string()));
+        let fresh = SAMPLE.replace("\"workload\": \"lenet\"", "\"mystery_metric\": 7.0");
+        let rows = rows_against_sample(&fresh);
+        let mystery = row(&rows, "mystery_metric");
+        assert_eq!(mystery.fresh, Some(7.0));
+        assert!(mystery.worsened_by().is_none());
     }
 
     #[test]
-    fn failure_tier_is_strict_for_durations_and_lenient_for_throughput() {
-        // Stable duration keys fail at the warn threshold.
-        assert!((fail_threshold_for("latency/p50_us") - DEFAULT_THRESHOLD).abs() < 1e-12);
-        assert!(
-            (fail_threshold_for("trace_phase_latency/compute/p99_us") - DEFAULT_THRESHOLD).abs()
-                < 1e-12
+    fn absolute_rows_never_gate_however_large_the_change() {
+        let verdict = check(
+            Some(SAMPLE),
+            &SAMPLE.replace("\"median_ns\": 450000.0", "\"median_ns\": 45000000.0"),
         );
+        assert!(!verdict.failed());
+        let report = verdict.to_string();
+        assert!(!report.contains("::warning::") && !report.contains("::error::"));
+        // Printed side by side all the same.
         assert!(
-            (fail_threshold_for("results/conv_unit/median_ns") - DEFAULT_THRESHOLD).abs() < 1e-12
+            report.contains("results/conv_unit/bitplane_sparse/3/median_ns: 450000 -> 45000000")
         );
-        assert!((fail_threshold_for("warmup_ms") - DEFAULT_THRESHOLD).abs() < 1e-12);
-        // Extreme duration tails warn but never fail — a single slow
-        // sample moves them an order of magnitude on a shared runner.
-        assert!(fail_threshold_for("latency/p999_us").is_infinite());
-        assert!(fail_threshold_for("open_loop/u90/report/latency/p999_us").is_infinite());
-        // Throughput keeps the noise-tolerant tier.
-        assert!(
-            (fail_threshold_for("inferences_per_sec/tcp_loopback") - FAIL_THRESHOLD).abs() < 1e-12
-        );
-        assert!(
-            (fail_threshold_for("replica_throughput_ips/replicas_2") - FAIL_THRESHOLD).abs()
-                < 1e-12
-        );
-        assert!((fail_threshold_for("speedup_server_vs_naive") - FAIL_THRESHOLD).abs() < 1e-12);
     }
 
     #[test]
-    fn sub_floor_duration_regressions_are_scheduler_jitter_not_reported() {
-        let baseline = parse_metrics(
-            r#"{"trace_phase_latency": {
-                  "route": {"p50_us": 0.2, "p99_us": 3.8},
-                  "compute": {"p50_us": 6833.4}},
-                "warmup_ms": 0.1}"#,
-        )
-        .unwrap();
-        // Every micro-phase blows its relative threshold but stays under
-        // the 500 us floor; the material compute phase regresses for real.
-        let current = parse_metrics(
-            r#"{"trace_phase_latency": {
-                  "route": {"p50_us": 1.3, "p99_us": 19.3},
-                  "compute": {"p50_us": 9000.0}},
-                "warmup_ms": 0.4}"#,
-        )
-        .unwrap();
-        let regressions = compare(&baseline, &current, DEFAULT_THRESHOLD);
-        let ids: Vec<&str> = regressions.iter().map(|r| r.id.as_str()).collect();
-        assert_eq!(ids, vec!["trace_phase_latency/compute/p50_us"]);
-        // Growth that crosses the floor is still a regression: the floor
-        // is a materiality test, not an exemption for small baselines.
-        let crossed =
-            parse_metrics(r#"{"trace_phase_latency": {"route": {"p99_us": 700.0}}}"#).unwrap();
-        let regressions = compare(&baseline, &crossed, DEFAULT_THRESHOLD);
-        assert_eq!(regressions.len(), 1);
-        assert!(regressions[0].id.ends_with("route/p99_us"));
-    }
-
-    #[test]
-    fn generator_noise_keys_are_informational_not_compared() {
-        let (metrics, skipped) = parse_metrics_with_skipped(
-            r#"{"open_loop": {"report": {
-                  "latency": {"p50_us": 900.0},
-                  "send_lag": {"p50_us": 40.0, "p99_us": 200.0},
-                  "interarrival_jitter": {"p99_us": 120.0}}}}"#,
-        )
-        .unwrap();
-        // The served latency is compared; the harness's own scheduling
-        // noise is reported but never gates.
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].id, "open_loop/report/latency/p50_us");
-        assert!(skipped.contains(&"open_loop/report/send_lag/p50_us".to_string()));
-        assert!(skipped.contains(&"open_loop/report/send_lag/p99_us".to_string()));
-        assert!(skipped.contains(&"open_loop/report/interarrival_jitter/p99_us".to_string()));
+    fn check_skips_only_a_missing_baseline_and_fails_closed() {
+        // Exit 0: the first run of a new summary ...
+        assert_eq!(check(None, SAMPLE), Verdict::Skipped);
+        assert!(!Verdict::Skipped.failed());
+        // ... and a comparison inside the tiers.
+        assert!(!check(Some(SAMPLE), SAMPLE).failed());
+        // Non-zero: a bench that crashed mid-write, on either side ...
+        let truncated = &SAMPLE[..SAMPLE.len() / 2];
+        assert!(matches!(
+            check(Some(SAMPLE), truncated),
+            Verdict::Unusable(_)
+        ));
+        assert!(matches!(
+            check(Some(truncated), SAMPLE),
+            Verdict::Unusable(_)
+        ));
+        assert!(check(Some(SAMPLE), truncated).failed());
+        // ... or wrote a well-formed file with nothing to compare.
+        for empty in ["{}", r#"{"results": [{"id": "a/b", "median_ns": 1.0}]}"#] {
+            let verdict = check(Some(SAMPLE), empty);
+            assert!(matches!(verdict, Verdict::Unusable(_)), "{empty}");
+            assert!(verdict.failed() && verdict.to_string().starts_with("::error::"));
+        }
     }
 
     #[test]
     fn committed_summaries_parse() {
-        for path in [
-            "../../BENCH_conv.json",
-            "../../BENCH_serve.json",
-            "../../BENCH_net.json",
-        ] {
-            let full = format!("{}/{}", env!("CARGO_MANIFEST_DIR"), path);
-            if let Ok(text) = std::fs::read_to_string(&full) {
-                let metrics = parse_metrics(&text).unwrap();
-                assert!(!metrics.is_empty(), "{path} produced no metrics");
-            }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conv.json");
+        let text = std::fs::read_to_string(path).expect("committed BENCH_conv.json");
+        let pairs = flatten(&text).unwrap();
+        // Every top-level numeric key has a direction: a ratio the bench
+        // adds without a `RATIO_KEYS` line fails here instead of vanishing
+        // from the comparison.
+        let (absolute, ratios): (Vec<_>, Vec<_>) = pairs
+            .iter()
+            .map(|(id, _)| id.as_str())
+            .partition(|id| id.starts_with("results/"));
+        assert!(!absolute.is_empty() && !ratios.is_empty());
+        for id in ratios {
+            assert!(direction(id).is_some(), "{id} is not in RATIO_KEYS");
         }
+        assert!(!check(Some(&text), &text).failed());
     }
 }

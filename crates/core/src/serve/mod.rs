@@ -22,8 +22,7 @@
 //! oversubscribe the host.  [`StreamServer::stats`] aggregates the
 //! per-replica counters (completed inferences, micro-batch sizes,
 //! wall-clock throughput, modelled per-unit utilisation) into one
-//! [`ServerStats`] view that also carries the per-replica slices; the
-//! end-to-end benchmark records these in `BENCH_serve.json`.
+//! [`ServerStats`] view that also carries the per-replica slices.
 //!
 //! # Admission policy
 //!

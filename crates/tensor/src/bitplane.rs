@@ -49,8 +49,7 @@ pub fn popcount_levels(levels: &[i64]) -> u64 {
 /// `words`, in ascending position order.  `base` is the absolute index of
 /// bit 0 of `words[0]`, so band paths can traverse a sub-row slice
 /// without re-deriving `word_index * WORD_BITS` offsets at every call
-/// site — the same traversal contract the SIMD bitmask expansion
-/// ([`crate::simd::collect_set_bits`]) uses.
+/// site.  Pinned against the oracle [`crate::simd::scalar::collect_set_bits`].
 pub fn for_each_set_bit(words: &[u64], base: usize, mut f: impl FnMut(usize)) {
     for (word_index, &word) in words.iter().enumerate() {
         let mut remaining = word;

@@ -21,8 +21,8 @@
 //!   one-pass popcounts for the data-dependent operation counters).
 //! * [`simd`] — runtime-dispatched word-level kernels (AVX2 with an
 //!   always-compiled scalar oracle) behind the bit-plane engine's inner
-//!   loops: occupancy OR-reduction, plane popcount, bitmask expansion and
-//!   the widening weight-row multiply-accumulate.  `SNN_SIMD=0` forces
+//!   loops: occupancy OR-reduction, plane popcount and the widening
+//!   weight-row multiply-accumulate.  `SNN_SIMD=0` forces
 //!   the scalar path.
 //!
 //! # Example

@@ -2,8 +2,7 @@
 //!
 //! The sparse execution engine spends its inner loops on a handful of
 //! word-level primitives: OR-reducing packed plane rows into the occupancy
-//! mask, popcounting planes for the analytical `adder_ops`, expanding
-//! occupancy bitmasks into spike indices, and the widening
+//! mask, popcounting planes for the analytical `adder_ops`, and the widening
 //! multiply-accumulate of one packed weight row into the output-channel
 //! lanes of an accumulator row (`acc += level * row`), into `i64` or `i32`
 //! lanes ([`Accumulator`]).  This module provides those primitives once,
@@ -280,19 +279,6 @@ pub fn prefetch(data: &[i16]) {
     let _ = data;
 }
 
-/// Expands the set bits of a packed row into ascending positions
-/// (`base + bit_index`), appended to `out` — the bitmask-expansion side of
-/// the sparse gather.
-pub fn collect_set_bits(words: &[u64], base: usize, out: &mut Vec<u32>) {
-    // The per-bit `trailing_zeros`/`clear-lowest` walk — whose work is
-    // proportional to the set bits, not the row width — measures ~4x
-    // faster than the byte-table batched expansion on x86 at the ~25 %
-    // densities converted networks produce (`simd_kernels/sparse_gather`
-    // in the conv_unit bench).  The batched expansion stays in [`scalar`]
-    // as the alternate implementation both are pinned against.
-    scalar::collect_set_bits(words, base, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::sealed::Kernels;
@@ -303,14 +289,6 @@ mod tests {
         [SimdLevel::Scalar, SimdLevel::Avx2]
             .into_iter()
             .filter(|&level| level <= detect_level())
-    }
-
-    fn words_from_bits(bits: &[usize], len: usize) -> Vec<u64> {
-        let mut words = vec![0u64; len];
-        for &b in bits {
-            words[b / 64] |= 1u64 << (b % 64);
-        }
-        words
     }
 
     #[test]
@@ -452,16 +430,5 @@ mod tests {
     fn a_tap_outside_the_accumulators_panics() {
         let tap = Tap { acc_at: 1, w_at: 0 };
         axpy_taps(&mut [0i32; 8], &[1i16; 8], &[tap], 8, 1);
-    }
-
-    #[test]
-    fn collect_set_bits_matches_plain_walk() {
-        let words = words_from_bits(&[0, 3, 63, 64, 67, 130, 191], 3);
-        let mut batched = vec![99u32]; // pre-existing content is kept
-        collect_set_bits(&words, 10, &mut batched);
-        let mut plain = vec![99u32];
-        scalar::collect_set_bits(&words, 10, &mut plain);
-        assert_eq!(batched, plain);
-        assert_eq!(batched[1..].to_vec(), vec![10, 13, 73, 74, 77, 140, 201]);
     }
 }
