@@ -22,6 +22,7 @@ use snn_accel::linear::LinearUnit;
 use snn_accel::memory::RowBand;
 use snn_accel::pool::PoolingUnit;
 use snn_accel::reference::ReferenceConvolutionUnit;
+use snn_accel::units::EngineScratch;
 use snn_model::layer::PoolKind;
 use snn_model::packed::PackedWeights;
 use snn_tensor::simd::{self, scalar};
@@ -57,6 +58,7 @@ fn bench_conv_unit(c: &mut Criterion) {
         for (id, product_sparsity) in [("bitplane_sparse", false), ("bitplane_sparse_ps", true)] {
             group.bench_with_input(BenchmarkId::new(id, time_steps), &time_steps, |b, &t| {
                 let unit = ConvolutionUnit::with_product_sparsity(LENET_GEOMETRY, product_sparsity);
+                let mut scratch = EngineScratch::new();
                 b.iter(|| {
                     unit.run_packed(
                         black_box(&input),
@@ -65,6 +67,7 @@ fn bench_conv_unit(c: &mut Criterion) {
                         t,
                         1,
                         0,
+                        &mut scratch,
                     )
                     .expect("conv unit run")
                 });
@@ -122,10 +125,21 @@ fn bench_tiled_conv(c: &mut Criterion) {
         rows: 3,
     });
     let mut group = c.benchmark_group("conv_unit_tiled");
+    // One scratch across iterations, as the executor keeps one across the
+    // bands and layers of an inference.
+    let mut scratch = EngineScratch::new();
     group.bench_function("vgg_conv2_untiled", |b| {
         b.iter(|| {
-            unit.run_packed(black_box(&input), black_box(&packed), &bias, t, 1, 1)
-                .expect("untiled run")
+            unit.run_packed(
+                black_box(&input),
+                black_box(&packed),
+                &bias,
+                t,
+                1,
+                1,
+                &mut scratch,
+            )
+            .expect("untiled run")
         });
     });
     group.bench_function("vgg_conv2_banded_4rows", |b| {
@@ -148,7 +162,16 @@ fn bench_tiled_conv(c: &mut Criterion) {
                 let band_input =
                     Tensor::from_vec(vec![ci, band.in_rows(), w], data).expect("band tensor");
                 let result = unit
-                    .run_packed_band(black_box(&band_input), &packed, &bias, t, 1, 1, &band)
+                    .run_packed_band(
+                        black_box(&band_input),
+                        &packed,
+                        &bias,
+                        t,
+                        1,
+                        1,
+                        &band,
+                        &mut scratch,
+                    )
                     .expect("banded run");
                 adder_ops += result.stats.adder_ops;
             }
@@ -181,6 +204,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
         .map(|i| ((i as u64).wrapping_mul(2654435761) % 16) as i64)
         .collect();
     let row: Vec<i16> = (0..4096).map(|i| ((i * 37) % 256) as i16 - 128).collect();
+    let bytes: Vec<i8> = row.iter().map(|&w| w as i8).collect();
     let mask = bitplane::level_mask(4);
 
     let mut group = c.benchmark_group("simd_kernels");
@@ -218,7 +242,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
         |b| {
             let mut out = vec![0i64; row.len()];
             b.iter(|| {
-                simd::axpy_i16(&mut out, black_box(&row), black_box(3));
+                simd::axpy(&mut out, black_box(&row), black_box(3));
                 out[0]
             });
         },
@@ -226,7 +250,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.bench_function("weight_axpy/scalar", |b| {
         let mut out = vec![0i64; row.len()];
         b.iter(|| {
-            scalar::axpy_i16(&mut out, black_box(&row), black_box(3));
+            scalar::axpy(&mut out, black_box(&row), black_box(3));
             out[0]
         });
     });
@@ -237,7 +261,7 @@ fn bench_simd_kernels(c: &mut Criterion) {
         |b| {
             let mut out = vec![0i32; row.len()];
             b.iter(|| {
-                simd::axpy_i16(&mut out, black_box(&row), black_box(3));
+                simd::axpy(&mut out, black_box(&row), black_box(3));
                 out[0]
             });
         },
@@ -245,7 +269,27 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.bench_function("weight_axpy_i32/scalar", |b| {
         let mut out = vec![0i32; row.len()];
         b.iter(|| {
-            scalar::axpy_i16_i32(&mut out, black_box(&row), black_box(3));
+            scalar::axpy(&mut out, black_box(&row), black_box(3));
+            out[0]
+        });
+    });
+    // 8-bit weights into 16-bit lanes: the kernel of a group of partial
+    // sums, which every benchmark layer runs (3-bit codes, `T = 4`).  The
+    // accumulators wrap as the iterations pile up; the work is the same.
+    group.bench_function(
+        &format!("weight_axpy_w8_i16/{}", simd::active_level().name()),
+        |b| {
+            let mut out = vec![0i16; bytes.len()];
+            b.iter(|| {
+                simd::axpy(&mut out, black_box(&bytes), black_box(3));
+                out[0]
+            });
+        },
+    );
+    group.bench_function("weight_axpy_w8_i16/scalar", |b| {
+        let mut out = vec![0i16; bytes.len()];
+        b.iter(|| {
+            scalar::axpy(&mut out, black_box(&bytes), black_box(3));
             out[0]
         });
     });
@@ -302,10 +346,17 @@ fn bench_linear_unit(c: &mut Criterion) {
     let packed = PackedWeights::from_linear(&weight).expect("packed weights");
     let config = AcceleratorConfig::default();
     let unit = LinearUnit::new(config.linear_lanes);
+    let mut scratch = EngineScratch::new();
     c.bench_function("linear_unit/120x120_T4", |b| {
         b.iter(|| {
-            unit.run_packed(black_box(&input), black_box(&packed), black_box(&bias), 4)
-                .expect("linear unit run")
+            unit.run_packed(
+                black_box(&input),
+                black_box(&packed),
+                black_box(&bias),
+                4,
+                &mut scratch,
+            )
+            .expect("linear unit run")
         });
     });
 
@@ -332,8 +383,14 @@ fn bench_linear_unit(c: &mut Criterion) {
     drop(weight);
     c.bench_function("linear_unit/4096x4096_T4", |b| {
         b.iter(|| {
-            unit.run_packed(black_box(&input), black_box(&packed), black_box(&bias), 4)
-                .expect("linear unit run")
+            unit.run_packed(
+                black_box(&input),
+                black_box(&packed),
+                black_box(&bias),
+                4,
+                &mut scratch,
+            )
+            .expect("linear unit run")
         });
     });
 }
@@ -405,6 +462,7 @@ fn main() {
         "popcount",
         "weight_axpy",
         "weight_axpy_i32",
+        "weight_axpy_w8_i16",
         "pack_occupancy",
     ] {
         let ratio = median(&format!("simd_kernels/{kernel}/scalar"))

@@ -32,26 +32,40 @@
 //!   position a `(kernel tap, output position)` pair covers it with — all
 //!   of a spike's taps in one [`snn_tensor::simd::axpy_taps`] call — the
 //!   host-side picture of the paper's output-channel parallelism.  The
-//!   weights come channel-last and 16-bit from [`PackedWeights`] (held by
-//!   the model, so an inference packs nothing); the accumulators are
+//!   weights come channel-last from [`PackedWeights`] (held by the model,
+//!   so an inference packs nothing), in the element their codes fit — one
+//!   byte each at the paper's precisions; the accumulators are
 //!   channel-last too and are transposed to `[O, H, W]`, widened to `i64`
 //!   and bias added, once per band.  Wrapping `i64` arithmetic commutes, so
 //!   the result is bit-identical to the cycle-stepped reference — including
 //!   for out-of-range levels, which the mask truncates to exactly the bits
 //!   the schedule would see.  Blocks of output-channel lanes own disjoint
 //!   accumulators and run on parallel threads when the layer is large
-//!   enough to amortise the dispatch.
-//! * **Accumulator width** — the paper sizes its adders to the sums they
-//!   can hold, and so does the engine.  An output position receives at most
-//!   one contribution per `(c, ky, kx)`, each at most
+//!   enough to amortise the dispatch.  Spike list, occupancy words, reach
+//!   tables and accumulator rows live in the caller's
+//!   [`EngineScratch`], so the bands and layers of an inference allocate
+//!   them once.
+//! * **Datapath width** — the paper sizes its adders to the sums they can
+//!   hold, and so does the engine, twice.  An output position receives at
+//!   most one contribution per `(c, ky, kx)`, each at most
 //!   `level_mask(T) × |w|`, so where
 //!   [`PackedWeights::sums_fit_i32`]`(T)` holds — 3-bit weights at `T = 4`
 //!   need 19 bits on VGG-11 — no partial sum of the layer leaves `i32` in
-//!   any order, band or lane block, and the one scatter loop (`scatter`,
-//!   generic over [`snn_tensor::simd::Accumulator`]) runs in 32-bit lanes,
-//!   eight per vector, producing the *same* integers as the 64-bit
-//!   instantiation.  The choice is a pure function of the packed weights
-//!   and `T`, made per call; long trains and 16-bit codes keep the wide one.
+//!   any order, band or lane block, and the accumulator rows are 32-bit.
+//!   And within `G` consecutive input channels it receives at most
+//!   `G × Kr × Kc` contributions of at most `level_mask(T) × abs_max`, so
+//!   with `G =` [`PackedWeights::i16_group`]`(T)` — 60 channels for 3-bit
+//!   weights under a 3×3 kernel at `T = 4`, all of LeNet-5's — no partial
+//!   sum *of such a group* leaves `i16`: the spikes of a group scatter into
+//!   16-bit rows, sixteen lanes per vector and half the bytes in L1, which
+//!   are widen-added into the 32-bit rows each time the spike rows
+//!   (ascending by channel) cross into the next group.  Both rows hold the
+//!   *same* integers the 64-bit instantiation would.  The one scatter loop
+//!   (`scatter`, generic over [`snn_tensor::simd::WeightLane`] and
+//!   [`snn_tensor::simd::Accumulator`]) is instantiated per call from the
+//!   stored element, `sums_fit_i32(T)` and `G >= 1` — a pure function of
+//!   the packed weights and `T`; `G = 0`, 16-bit codes and long trains keep
+//!   the plain 32- or 64-bit rows.
 //! * **Statistics** — the schedule is static, so `cycles`,
 //!   `activation_reads`, `kernel_reads` and `output_writes` follow in
 //!   closed form from the loop bounds ([`ConvolutionUnit::layer_cycles`]
@@ -67,9 +81,11 @@
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
-use crate::units::{lane_blocks, unsupported, UnitStats};
+use crate::units::{
+    for_each_lane_block, lane_blocks, unsupported, EngineScratch, Lane, LaneRows, UnitStats,
+};
 use crate::{AccelError, Result};
-use snn_model::packed::PackedWeights;
+use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, ops, simd, Tensor};
 
 /// Output of a convolution-unit layer execution.
@@ -96,46 +112,47 @@ pub struct ConvolutionUnit {
 /// `first_tap` and each next one through the tap `stride` lower
 /// (`o * stride + k == input + padding`).  One entry per coordinate, so the
 /// scatter loop does no bounds arithmetic per spike and a band call
-/// allocates once per axis.
-#[derive(Clone, Copy)]
-struct Reach {
+/// reuses one table per axis.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reach {
     first_out: u32,
     first_tap: u32,
     count: u32,
 }
 
 impl Reach {
-    /// Reach of each input coordinate in `inputs` among the outputs
-    /// `outputs`; `first_out` is relative to `outputs.start`.
-    fn of_axis(
+    /// Fills `table` with the reach of each input coordinate in `inputs`
+    /// among the outputs `outputs`; `first_out` is relative to
+    /// `outputs.start`.
+    fn fill_axis(
+        table: &mut Vec<Reach>,
         inputs: std::ops::Range<usize>,
         kernel_extent: usize,
         outputs: std::ops::Range<usize>,
         stride: usize,
         padding: usize,
-    ) -> Vec<Reach> {
-        inputs
-            .map(|i| {
-                // Outputs `o` with `0 <= i + padding - o * stride < kernel`.
-                let lo = (i + padding + 1)
-                    .saturating_sub(kernel_extent)
-                    .div_ceil(stride)
-                    .max(outputs.start);
-                let hi = ((i + padding) / stride + 1).min(outputs.end);
-                if lo >= hi {
-                    return Reach {
-                        first_out: 0,
-                        first_tap: 0,
-                        count: 0,
-                    };
-                }
-                Reach {
-                    first_out: (lo - outputs.start) as u32,
-                    first_tap: (i + padding - lo * stride) as u32,
-                    count: (hi - lo) as u32,
-                }
-            })
-            .collect()
+    ) {
+        table.clear();
+        table.extend(inputs.map(|i| {
+            // Outputs `o` with `0 <= i + padding - o * stride < kernel`.
+            let lo = (i + padding + 1)
+                .saturating_sub(kernel_extent)
+                .div_ceil(stride)
+                .max(outputs.start);
+            let hi = ((i + padding) / stride + 1).min(outputs.end);
+            if lo >= hi {
+                return Reach {
+                    first_out: 0,
+                    first_tap: 0,
+                    count: 0,
+                };
+            }
+            Reach {
+                first_out: (lo - outputs.start) as u32,
+                first_tap: (i + padding - lo * stride) as u32,
+                count: (hi - lo) as u32,
+            }
+        }));
     }
 
     /// The `(kernel tap, output)` pairs this coordinate goes through.
@@ -150,7 +167,8 @@ impl Reach {
 }
 
 /// One non-silent input row of a band: a range of the spike arena.
-struct SpikeRow {
+#[derive(Debug)]
+pub(crate) struct SpikeRow {
     ic: usize,
     /// Band-local input row.
     iy: usize,
@@ -160,12 +178,14 @@ struct SpikeRow {
 
 /// Every spiking pixel of a band that feeds at least one output row, as
 /// ranges into one `(column, masked level)` buffer — built once per band
-/// call and shared by every lane block.
-struct Spikes {
+/// call and shared by every lane block.  The linear engine keeps its
+/// `(input neuron, masked level)` list in the arena alone.
+#[derive(Debug, Default)]
+pub(crate) struct Spikes {
     /// Ascending by `(ic, iy)`.
     rows: Vec<SpikeRow>,
     /// Ascending by column within a row.
-    arena: Vec<(u32, i64)>,
+    pub(crate) arena: Vec<(u32, i64)>,
 }
 
 impl Spikes {
@@ -339,55 +359,95 @@ fn product_sparsity_counts(
 /// the rule; a larger kernel just takes more calls.
 const TAP_BATCH: usize = 32;
 
-/// The one scatter loop: every spike adds its level times one packed
-/// weight row into the accumulator row of each output position it covers,
-/// in accumulators of element `A`; the result is `[O, out_h, w_out]` with
-/// the bias added.  The scratch is channel-last, `[block][position][lane]`:
-/// each block of output-channel lanes is one contiguous chunk owned by one
-/// task.  `work` (multiply-accumulates) decides the lane-block split.
-fn scatter<A: simd::Accumulator>(
-    spikes: &Spikes,
-    weights: &PackedWeights,
-    bias: &[i64],
-    (y_reach, x_reach): (&[Reach], &[Reach]),
+/// What a band's scatter works on, apart from the element types.
+struct ScatterJob<'a> {
+    weights: &'a PackedWeights,
+    spikes: &'a Spikes,
+    bias: &'a [i64],
+    y_reach: &'a [Reach],
+    x_reach: &'a [Reach],
     stride: usize,
-    (out_h, w_out): (usize, usize),
+    out_h: usize,
+    w_out: usize,
+    /// Multiply-accumulates, which decide the lane-block split.
     work: u64,
+}
+
+/// The one scatter loop: every spike adds its level times one packed
+/// weight row (of element `W`) into the accumulator row of each output
+/// position it covers; the result is `[O, out_h, w_out]` with the bias
+/// added.  The rows are channel-last, `[block][position][lane]`: each block
+/// of output-channel lanes is one contiguous chunk owned by one task.
+///
+/// The spikes scatter into rows of element `S`.  With `group: None` those
+/// are the layer's sums themselves (`A` is then `S`, and unused).  With
+/// `Some(g)` they are the 16-bit partial sums of `g` consecutive input
+/// channels at a time — `g` must be at most
+/// [`PackedWeights::i16_group`] — which are widen-added into rows of
+/// element `A` whenever the spike rows, ascending by channel, cross into
+/// the next group, and after the last.
+fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
+    job: &ScatterJob<'_>,
+    codes: &[W],
+    group: Option<usize>,
+    rows: &mut LaneRows,
 ) -> Tensor<i64> {
+    let &ScatterJob {
+        weights,
+        spikes,
+        bias,
+        y_reach,
+        x_reach,
+        stride,
+        out_h,
+        w_out,
+        work,
+    } = job;
     let (c_out, kc, lanes) = (weights.c_out(), weights.kernel_cols(), weights.lanes());
+    let channel_len = weights.kernel_rows() * kc * lanes;
     let out_positions = out_h * w_out;
-    let (block_lanes, threads) = lane_blocks(lanes, work);
-    let mut scratch = vec![A::default(); out_positions * lanes];
+    let block_lanes = lane_blocks(lanes, work);
+    let mut sums = rows.take::<S>(out_positions * lanes);
+    let mut wide = rows.take::<A>(group.map_or(0, |_| out_positions * lanes));
+    let channels_per_group = group.unwrap_or(usize::MAX);
     if !spikes.rows.is_empty() {
-        snn_parallel::par_chunks_mut(
-            &mut scratch,
+        for_each_lane_block(
+            &mut sums,
+            &mut wide,
             out_positions * block_lanes,
-            threads,
-            |block, acc| {
+            |block, sums, wide| {
                 let lane_lo = block * block_lanes;
                 let width = (lanes - lane_lo).min(block_lanes);
                 let mut taps = [simd::Tap::default(); TAP_BATCH];
-                for row in &spikes.rows {
-                    let ys = y_reach[row.iy];
-                    let channel = weights.channel(row.ic);
-                    for &(ix, level) in spikes.of(row) {
-                        let xs = x_reach[ix as usize];
-                        let level = A::from_level(level);
-                        let mut pending = 0;
-                        for (ky, oy) in ys.taps(stride) {
-                            for (kx, ox) in xs.taps(stride) {
-                                if pending == TAP_BATCH {
-                                    simd::axpy_taps(acc, channel, &taps, width, level);
-                                    pending = 0;
+                let same_group = |a: &SpikeRow, b: &SpikeRow| {
+                    a.ic / channels_per_group == b.ic / channels_per_group
+                };
+                for members in spikes.rows.chunk_by(same_group) {
+                    for row in members {
+                        let ys = y_reach[row.iy];
+                        let channel = &codes[row.ic * channel_len..][..channel_len];
+                        for &(ix, level) in spikes.of(row) {
+                            let xs = x_reach[ix as usize];
+                            let level = S::from_level(level);
+                            let mut pending = 0;
+                            for (ky, oy) in ys.taps(stride) {
+                                for (kx, ox) in xs.taps(stride) {
+                                    if pending == TAP_BATCH {
+                                        simd::axpy_taps(sums, channel, &taps, width, level);
+                                        pending = 0;
+                                    }
+                                    taps[pending] = simd::Tap {
+                                        acc_at: (oy * w_out + ox) * width,
+                                        w_at: (ky * kc + kx) * lanes + lane_lo,
+                                    };
+                                    pending += 1;
                                 }
-                                taps[pending] = simd::Tap {
-                                    acc_at: (oy * w_out + ox) * width,
-                                    w_at: (ky * kc + kx) * lanes + lane_lo,
-                                };
-                                pending += 1;
                             }
+                            simd::axpy_taps(sums, channel, &taps[..pending], width, level);
                         }
-                        simd::axpy_taps(acc, channel, &taps[..pending], width, level);
+                    }
+                    if group.is_some() {
+                        simd::drain_partials(wide, sums);
                     }
                 }
             },
@@ -396,21 +456,38 @@ fn scatter<A: simd::Accumulator>(
 
     // Widen, transpose to `[O, H_out, W_out]` and add the bias, once.
     let mut accumulators = Tensor::filled(vec![c_out, out_h, w_out], 0i64);
-    for (oc, plane) in accumulators
-        .as_mut_slice()
-        .chunks_mut(out_positions)
-        .enumerate()
-    {
+    let planes = accumulators.as_mut_slice();
+    match group {
+        Some(_) => transpose(&wide, planes, lanes, block_lanes, out_positions, bias),
+        None => transpose(&sums, planes, lanes, block_lanes, out_positions, bias),
+    }
+    // `wide` first: where `A` is `S` it is the empty stand-in, and the row
+    // worth keeping is `sums`.
+    rows.give(wide);
+    rows.give(sums);
+    accumulators
+}
+
+/// The widening transpose that ends a scatter: channel-last
+/// `[block][position][lane]` rows to `[O, positions]` planes, bias added.
+fn transpose<E: Copy + Into<i64>>(
+    rows: &[E],
+    planes: &mut [i64],
+    lanes: usize,
+    block_lanes: usize,
+    out_positions: usize,
+    bias: &[i64],
+) {
+    for (oc, plane) in planes.chunks_mut(out_positions).enumerate() {
         let block = oc / block_lanes;
         let width = (lanes - block * block_lanes).min(block_lanes);
         let lane = oc - block * block_lanes;
-        let from = &scratch[block * block_lanes * out_positions..];
+        let from = &rows[block * block_lanes * out_positions..];
         let bias = bias.get(oc).copied().unwrap_or(0);
         for (position, out) in plane.iter_mut().enumerate() {
             *out = from[position * width + lane].into() + bias;
         }
     }
-    accumulators
 }
 
 /// Packs raw `[O, C, Kr, Kc]` kernel codes for one call of a raw-tensor
@@ -488,7 +565,7 @@ impl ConvolutionUnit {
     ///
     /// As [`ConvolutionUnit::run_packed`], plus
     /// [`AccelError::UnsupportedLayer`] when a kernel code does not fit
-    /// the packed 16-bit element.
+    /// the widest packed element, `i16`.
     pub fn run_layer(
         &self,
         input_levels: &Tensor<i64>,
@@ -506,6 +583,7 @@ impl ConvolutionUnit {
             time_steps,
             stride,
             padding,
+            &mut EngineScratch::new(),
         )
     }
 
@@ -516,13 +594,16 @@ impl ConvolutionUnit {
     /// output channels across units to obtain the wall-clock latency.  The
     /// accumulators and counters are bit-identical to the counter-stepped
     /// [`crate::reference::ReferenceConvolutionUnit`] (see the module docs
-    /// for the execution model).
+    /// for the execution model).  `scratch` is working memory only: any
+    /// [`EngineScratch`] gives the same result, a reused one saves the
+    /// allocations.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::UnsupportedLayer`] when the kernel has more
     /// rows than the adder array or `time_steps` exceeds the 63 payload
     /// bits of an `i64` level, and propagates shape errors.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_packed(
         &self,
         input_levels: &Tensor<i64>,
@@ -531,6 +612,7 @@ impl ConvolutionUnit {
         time_steps: usize,
         stride: usize,
         padding: usize,
+        scratch: &mut EngineScratch,
     ) -> Result<ConvResult> {
         let &[_, h, w] = input_levels.shape().dims() else {
             return Err(unsupported(
@@ -553,6 +635,7 @@ impl ConvolutionUnit {
                 in_lo: 0,
                 in_hi: h,
             },
+            scratch,
         )
     }
 
@@ -564,7 +647,7 @@ impl ConvolutionUnit {
     ///
     /// As [`ConvolutionUnit::run_packed_band`], plus
     /// [`AccelError::UnsupportedLayer`] when a kernel code does not fit
-    /// the packed 16-bit element.
+    /// the widest packed element, `i16`.
     #[allow(clippy::too_many_arguments)]
     pub fn run_layer_band(
         &self,
@@ -585,6 +668,7 @@ impl ConvolutionUnit {
             stride,
             padding,
             band,
+            &mut EngineScratch::new(),
         )
     }
 
@@ -633,6 +717,7 @@ impl ConvolutionUnit {
         stride: usize,
         padding: usize,
         band: &RowBand,
+        scratch: &mut EngineScratch,
     ) -> Result<ConvResult> {
         let &[c_in, band_h, w] = band_levels.shape().dims() else {
             return Err(unsupported(
@@ -703,24 +788,30 @@ impl ConvolutionUnit {
         // Which outputs, through which kernel taps, each input coordinate
         // feeds — shared by the statistics and the scatter loop.  Row reach
         // is band-local; column reach spans the full width.
-        let y_reach = Reach::of_axis(
+        let EngineScratch {
+            occupancy,
+            spikes,
+            y_reach,
+            x_reach,
+            rows,
+        } = scratch;
+        Reach::fill_axis(
+            y_reach,
             band.in_lo..band.in_hi,
             kr,
             band.out_lo..band.out_hi,
             stride,
             padding,
         );
-        let x_reach = Reach::of_axis(0..w, kc, 0..w_out, stride, padding);
+        Reach::fill_axis(x_reach, 0..w, kc, 0..w_out, stride, padding);
 
         // --- One walk over the occupancy (the planes' OR-reduction, silent
         // rows skipped a word at a time) gathers the spike list every lane
         // block scatters from and, folded into it, the popcount behind the
         // data-dependent adder activity. ---
-        let occupancy = bitplane::Occupancy::from_levels(in_data, c_in * band_h, w, time_steps);
-        let mut spikes = Spikes {
-            rows: Vec::new(),
-            arena: Vec::new(),
-        };
+        occupancy.refill(in_data, c_in * band_h, w, time_steps);
+        spikes.rows.clear();
+        spikes.arena.clear();
         let mut spike_work = 0u64; // adder ops of ONE output channel
         for ic in 0..c_in {
             for iy in 0..band_h {
@@ -765,30 +856,39 @@ impl ConvolutionUnit {
             band.is_first(),
         );
         if self.product_sparsity {
-            let ps = product_sparsity_counts(
-                &spikes, &occupancy, band_h, &y_reach, &x_reach, stride, w_out,
-            );
+            let ps =
+                product_sparsity_counts(spikes, occupancy, band_h, y_reach, x_reach, stride, w_out);
             stats.adder_ops = c_out as u64 * ps.spike_work;
             stats.reused_partials = c_out as u64 * ps.reuse_events;
             stats.difference_bits = c_out as u64 * ps.difference_bits;
         }
 
-        // --- Compute, in the narrowest accumulators the weights prove
-        // exact for this spike-train length. ---
-        let scatter = if weights.sums_fit_i32(time_steps) {
-            scatter::<i32>
-        } else {
-            scatter::<i64>
-        };
-        let accumulators = scatter(
-            &spikes,
+        // --- Compute, in the narrowest elements the packed weights prove
+        // exact for this spike-train length: 8-bit codes in 16-bit groups
+        // under a 32-bit row where all three hold, else the 32-bit or
+        // 64-bit row alone. ---
+        let job = ScatterJob {
             weights,
-            bias_acc.as_slice(),
-            (&y_reach, &x_reach),
+            spikes,
+            bias: bias_acc.as_slice(),
+            y_reach,
+            x_reach,
             stride,
-            (out_h, w_out),
-            c_out as u64 * spike_work,
-        );
+            out_h,
+            w_out,
+            work: c_out as u64 * spike_work,
+        };
+        let narrow = weights.sums_fit_i32(time_steps);
+        let group = weights.i16_group(time_steps);
+        let accumulators = match (weights.codes(), narrow) {
+            (Codes::I8(codes), true) if group >= 1 => {
+                scatter::<_, i16, i32>(&job, codes, Some(group), rows)
+            }
+            (Codes::I8(codes), true) => scatter::<_, i32, i32>(&job, codes, None, rows),
+            (Codes::I8(codes), false) => scatter::<_, i64, i64>(&job, codes, None, rows),
+            (Codes::I16(codes), true) => scatter::<_, i32, i32>(&job, codes, None, rows),
+            (Codes::I16(codes), false) => scatter::<_, i64, i64>(&job, codes, None, rows),
+        };
 
         Ok(ConvResult {
             accumulators,

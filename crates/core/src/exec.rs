@@ -38,7 +38,7 @@ use crate::memory::{LayerTiling, MemoryTraffic, PingPongBuffer};
 use crate::pool::PoolingUnit;
 use crate::report::{LayerExecution, RunReport, UnitUtilisation};
 use crate::timing::{ConvGroupPlan, StageKind};
-use crate::units::UnitStats;
+use crate::units::{EngineScratch, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::layer::PoolKind;
 use snn_model::packed::PackedWeights;
@@ -97,6 +97,9 @@ pub(crate) fn execute(
 
     let mut layers = Vec::with_capacity(program.steps.len());
     let mut traffic = MemoryTraffic::default();
+    // The engines' working memory: sized by the first band, reused by
+    // every band and layer after it.
+    let mut scratch = EngineScratch::new();
 
     for (index, (step, layer)) in program.steps.iter().zip(model.layers()).enumerate() {
         let (next, work) = execute_layer(
@@ -108,6 +111,7 @@ pub(crate) fn execute(
             time_steps,
             max_level,
             mode,
+            &mut scratch,
         )?;
         traffic.activation_reads += work.activation_reads;
         traffic.weight_reads += work.kernel_reads;
@@ -125,7 +129,7 @@ pub(crate) fn execute(
         buffer.write_and_swap(next);
     }
 
-    let logits = buffer.current()?.clone();
+    let logits = buffer.into_current()?;
     let prediction = logits
         .iter()
         .enumerate()
@@ -201,6 +205,7 @@ fn execute_layer(
     time_steps: usize,
     max_level: i64,
     mode: ExecutionMode,
+    scratch: &mut EngineScratch,
 ) -> Result<(Tensor<i64>, UnitStats)> {
     match (layer, mode) {
         (
@@ -227,20 +232,21 @@ fn execute_layer(
                         *stride,
                         *padding,
                         band,
+                        scratch,
                     )?;
                     work += result.stats;
                     write_row_band(
                         &mut levels,
-                        &apply_requant(&result.accumulators, *requant, max_level),
+                        &apply_requant(result.accumulators, *requant, max_level),
                         band.out_lo,
                     );
                 }
                 return Ok((levels, work));
             }
-            let result = units
-                .conv
-                .run_packed(current, weights, bias_acc, time_steps, *stride, *padding)?;
-            let levels = apply_requant(&result.accumulators, *requant, max_level);
+            let result = units.conv.run_packed(
+                current, weights, bias_acc, time_steps, *stride, *padding, scratch,
+            )?;
+            let levels = apply_requant(result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
         (
@@ -253,13 +259,13 @@ fn execute_layer(
             let result = if let Some(LayerTiling::OutputChunks { chunk }) = &step.tiling {
                 units
                     .linear
-                    .run_packed_chunked(current, weights, bias_acc, time_steps, *chunk)?
+                    .run_packed_chunked(current, weights, bias_acc, time_steps, *chunk, scratch)?
             } else {
                 units
                     .linear
-                    .run_packed(current, weights, bias_acc, time_steps)?
+                    .run_packed(current, weights, bias_acc, time_steps, scratch)?
             };
-            let levels = apply_requant(&result.accumulators, *requant, max_level);
+            let levels = apply_requant(result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
         (SnnLayer::Pool { kind, window }, ExecutionMode::CycleAccurate) => {
@@ -303,15 +309,19 @@ fn execute_layer(
     }
 }
 
+/// Requantizes accumulators to levels in place; without a requantization
+/// step (the last layer) they pass through as they are.
 pub(crate) fn apply_requant(
-    acc: &Tensor<i64>,
+    mut acc: Tensor<i64>,
     requant: Option<f32>,
     max_level: i64,
 ) -> Tensor<i64> {
-    match requant {
-        Some(r) => acc.map(|&v| requantize(v, r, max_level)),
-        None => acc.clone(),
+    if let Some(r) = requant {
+        for v in acc.iter_mut() {
+            *v = requantize(*v, r, max_level);
+        }
     }
+    acc
 }
 
 /// Functional (transaction-level) execution of one layer, shared with the
@@ -331,7 +341,7 @@ pub(crate) fn functional_layer(
         } => {
             let acc = ops::conv2d(current, weight_codes, Some(bias_acc), *stride, *padding)
                 .map_err(AccelError::Tensor)?;
-            apply_requant(&acc, *requant, max_level)
+            apply_requant(acc, *requant, max_level)
         }
         SnnLayer::Linear {
             weight_codes,
@@ -340,7 +350,7 @@ pub(crate) fn functional_layer(
         } => {
             let acc =
                 ops::linear(current, weight_codes, Some(bias_acc)).map_err(AccelError::Tensor)?;
-            apply_requant(&acc, *requant, max_level)
+            apply_requant(acc, *requant, max_level)
         }
         SnnLayer::Pool { kind, window } => match kind {
             PoolKind::Average => ops::avg_pool2d(current, *window).map_err(AccelError::Tensor)?,

@@ -17,28 +17,36 @@
 //! neurons are gathered once from the occupancy mask (word-level skip of
 //! silent neurons), and each spike adds `masked_level × W[n, 0..O]` — one
 //! row of the channel-last [`PackedWeights`], the layout a convolution
-//! with a 1×1 kernel would have — into the row of output accumulators
-//! with one [`snn_tensor::simd::axpy_i16`]: the host-side picture of the
-//! paper's row of adders fed one weight word per cycle.  Only the rows of
-//! spiking neurons are ever read, so a 24 %-dense input streams 24 % of
-//! the matrix — in spike order, which no hardware prefetcher follows, so
-//! the loop hints the head of the row two spikes ahead
-//! ([`snn_tensor::simd::prefetch`]).  The result is bit-identical to the
-//! radix shift-and-add by the same identity as the convolution engine, and
-//! in the same two widths: an output neuron receives at most one
-//! contribution per input neuron, each at most `level_mask(T) × |w|`, so
-//! where [`PackedWeights::sums_fit_i32`]`(T)` holds no partial sum leaves
-//! `i32` in any order, chunk or lane block, and the one scatter loop
-//! (`scatter`, generic over [`snn_tensor::simd::Accumulator`]) runs in
-//! 32-bit lanes and widens once at the end; otherwise in `i64`.  The
-//! counters are derived from the closed-form schedule (`cycles`,
-//! `activation_reads`, `kernel_reads`) plus one plane popcount
+//! with a 1×1 kernel would have, one byte per code at the paper's
+//! precisions — into the row of output accumulators with one
+//! [`snn_tensor::simd::axpy`]: the host-side picture of the paper's row of
+//! adders fed one weight word per cycle.  Only the rows of spiking neurons
+//! are ever read, so a 24 %-dense input streams 24 % of the matrix — in
+//! spike order, which no hardware prefetcher follows, so the loop hints
+//! the head of the row two spikes ahead ([`snn_tensor::simd::prefetch`]).
+//! The result is bit-identical to the radix shift-and-add by the same
+//! identity as the convolution engine, and its datapath is sized by the
+//! same two proofs: an output neuron receives at most one contribution per
+//! input neuron, each at most `level_mask(T) × |w|`, so where
+//! [`PackedWeights::sums_fit_i32`]`(T)` holds no partial sum leaves `i32`
+//! in any order, chunk or lane block and the accumulator row is 32-bit;
+//! and any `G =` [`PackedWeights::i16_group`]`(T)` spikes — 546 for 3-bit
+//! weights at `T = 4` — sum to at most `i16::MAX`, so they are added up in
+//! a 16-bit row, which is widen-added into the 32-bit one after every
+//! `G`-th spike.  The one scatter loop (`scatter`, generic over
+//! [`snn_tensor::simd::WeightLane`] and [`snn_tensor::simd::Accumulator`])
+//! is instantiated per call from the stored element, `sums_fit_i32(T)` and
+//! `G >= 1`; `G = 0`, 16-bit codes and long trains keep the plain 32- or
+//! 64-bit row.  The counters are derived from the closed-form schedule
+//! (`cycles`, `activation_reads`, `kernel_reads`) plus one plane popcount
 //! (`adder_ops`); property tests check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
-use crate::units::{lane_blocks, unsupported, UnitStats};
+use crate::units::{
+    for_each_lane_block, lane_blocks, unsupported, EngineScratch, Lane, LaneRows, UnitStats,
+};
 use crate::{AccelError, Result};
-use snn_model::packed::PackedWeights;
+use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, simd, Tensor};
 
 /// Output of a linear-unit layer execution.
@@ -69,46 +77,80 @@ fn pack_weights(weight_codes: &Tensor<i64>) -> Result<PackedWeights> {
 /// of arithmetic is about one memory latency.
 const PREFETCH_SPIKES_AHEAD: usize = 2;
 
-/// How many weights of that row piece are asked for: its first eight cache
+/// How many bytes of that row piece are asked for: its first eight cache
 /// lines.  Once a piece is being read the hardware streamer runs ahead of
 /// the kernel by itself; hinting all 64 lines of a 2048-lane piece measured
 /// *slower* than no hint at all (1.27 vs 1.12 ms on a 4096x4096 layer,
 /// against 1.04 ms for the head alone).
-const PREFETCH_HEAD: usize = 256;
+const PREFETCH_HEAD_BYTES: usize = 512;
 
 /// The one scatter loop: each spike adds its level times its weight row
-/// into the output lanes, chunk by chunk of `chunk` outputs, in
-/// accumulators of element `A`; returns the `[O]` sums with the bias added.
-/// Blocks of a chunk's lanes run in parallel when large.
-fn scatter<A: simd::Accumulator>(
-    spikes: &[(usize, i64)],
+/// (of element `W`) into the output lanes, chunk by chunk of `chunk`
+/// outputs; returns the `[O]` sums with the bias added.  Blocks of a
+/// chunk's lanes run in parallel when large.
+///
+/// The spikes scatter into a row of element `S`.  With `group: None` that
+/// is the layer's sums themselves (`A` is then `S`, and unused).  With
+/// `Some(g)` it holds the 16-bit partial sums of `g` spikes at a time —
+/// `g` must be at most [`PackedWeights::i16_group`] — which are
+/// widen-added into a row of element `A` after every `g`-th spike and
+/// after the last.
+fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
+    codes: &[W],
     weights: &PackedWeights,
+    group: Option<usize>,
+    spikes: &[(u32, i64)],
+    rows: &mut LaneRows,
     bias: &[i64],
     chunk: usize,
 ) -> Vec<i64> {
-    let o = weights.c_out();
-    let mut scratch = vec![A::default(); o];
+    let (o, lanes) = (weights.c_out(), weights.lanes());
+    let mut sums = rows.take::<S>(o);
+    let mut wide = rows.take::<A>(group.map_or(0, |_| o));
+    let head = PREFETCH_HEAD_BYTES / std::mem::size_of::<W>();
     for lo in (0..o).step_by(chunk) {
         let hi = (lo + chunk).min(o);
         let work = ((hi - lo) * spikes.len()) as u64;
-        let (block, threads) = lane_blocks(hi - lo, work);
-        snn_parallel::par_chunks_mut(&mut scratch[lo..hi], block, threads, |b, acc| {
-            let first = lo + b * block;
-            let last = first + acc.len();
-            let piece = |ni: usize| &weights.row(ni, 0, 0)[first..last];
-            for (i, &(ni, level)) in spikes.iter().enumerate() {
-                if let Some(&(ahead, _)) = spikes.get(i + PREFETCH_SPIKES_AHEAD) {
-                    let piece = piece(ahead);
-                    simd::prefetch(&piece[..piece.len().min(PREFETCH_HEAD)]);
+        let block = lane_blocks(hi - lo, work);
+        let wide = if group.is_some() {
+            &mut wide[lo..hi]
+        } else {
+            &mut wide[..]
+        };
+        for_each_lane_block(&mut sums[lo..hi], wide, block, |b, sums, wide| {
+            let (first, width) = (lo + b * block, sums.len());
+            let piece = |ni: u32| &codes[ni as usize * lanes + first..][..width];
+            let mut ahead = spikes.iter().skip(PREFETCH_SPIKES_AHEAD);
+            for members in spikes.chunks(group.unwrap_or(usize::MAX)) {
+                for &(ni, level) in members {
+                    if let Some(&(ahead, _)) = ahead.next() {
+                        let piece = piece(ahead);
+                        simd::prefetch(&piece[..piece.len().min(head)]);
+                    }
+                    simd::axpy(sums, piece(ni), S::from_level(level));
                 }
-                simd::axpy_i16(acc, piece(ni), A::from_level(level));
+                if group.is_some() {
+                    simd::drain_partials(wide, sums);
+                }
             }
         });
     }
-    scratch
-        .into_iter()
+    let accumulators = match group {
+        Some(_) => with_bias(&wide, bias),
+        None => with_bias(&sums, bias),
+    };
+    // `wide` first: where `A` is `S` it is the empty stand-in, and the row
+    // worth keeping is `sums`.
+    rows.give(wide);
+    rows.give(sums);
+    accumulators
+}
+
+/// The sums widened to `i64`, each with its output's bias (if it has one).
+fn with_bias<E: Copy + Into<i64>>(sums: &[E], bias: &[i64]) -> Vec<i64> {
+    sums.iter()
         .enumerate()
-        .map(|(oc, sum)| sum.into() + bias.get(oc).copied().unwrap_or(0))
+        .map(|(oc, &sum)| sum.into() + bias.get(oc).copied().unwrap_or(0))
         .collect()
 }
 
@@ -154,7 +196,7 @@ impl LinearUnit {
     ///
     /// As [`LinearUnit::run_packed`], plus
     /// [`AccelError::UnsupportedLayer`] when a weight code does not fit
-    /// the packed 16-bit element.
+    /// the widest packed element, `i16`.
     pub fn run_layer(
         &self,
         input_levels: &Tensor<i64>,
@@ -163,10 +205,18 @@ impl LinearUnit {
         time_steps: usize,
     ) -> Result<LinearResult> {
         let weights = pack_weights(weight_codes)?;
-        self.run_packed(input_levels, &weights, bias_acc, time_steps)
+        self.run_packed(
+            input_levels,
+            &weights,
+            bias_acc,
+            time_steps,
+            &mut EngineScratch::new(),
+        )
     }
 
-    /// Executes one fully-connected layer.
+    /// Executes one fully-connected layer.  `scratch` is working memory
+    /// only: any [`EngineScratch`] gives the same result, a reused one
+    /// saves the allocations.
     ///
     /// # Errors
     ///
@@ -178,10 +228,11 @@ impl LinearUnit {
         weights: &PackedWeights,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
+        scratch: &mut EngineScratch,
     ) -> Result<LinearResult> {
         // One chunk covering every output is the untiled execution.
         let all = weights.c_out().max(1);
-        self.run_chunks(input_levels, weights, bias_acc, time_steps, all)
+        self.run_chunks(input_levels, weights, bias_acc, time_steps, all, scratch)
     }
 
     /// Executes one fully-connected layer in lane-aligned output chunks
@@ -192,7 +243,7 @@ impl LinearUnit {
     ///
     /// As [`LinearUnit::run_packed_chunked`], plus
     /// [`AccelError::UnsupportedLayer`] when a weight code does not fit
-    /// the packed 16-bit element.
+    /// the widest packed element, `i16`.
     pub fn run_layer_chunked(
         &self,
         input_levels: &Tensor<i64>,
@@ -202,7 +253,14 @@ impl LinearUnit {
         chunk_outputs: usize,
     ) -> Result<LinearResult> {
         let weights = pack_weights(weight_codes)?;
-        self.run_packed_chunked(input_levels, &weights, bias_acc, time_steps, chunk_outputs)
+        self.run_packed_chunked(
+            input_levels,
+            &weights,
+            bias_acc,
+            time_steps,
+            chunk_outputs,
+            &mut EngineScratch::new(),
+        )
     }
 
     /// Executes one fully-connected layer in **lane-aligned output
@@ -231,6 +289,7 @@ impl LinearUnit {
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         chunk_outputs: usize,
+        scratch: &mut EngineScratch,
     ) -> Result<LinearResult> {
         let o = weights.c_out();
         if chunk_outputs == 0 || (!chunk_outputs.is_multiple_of(self.lanes) && chunk_outputs < o) {
@@ -245,7 +304,14 @@ impl LinearUnit {
                 bias_acc.len()
             )));
         }
-        self.run_chunks(input_levels, weights, bias_acc, time_steps, chunk_outputs)
+        self.run_chunks(
+            input_levels,
+            weights,
+            bias_acc,
+            time_steps,
+            chunk_outputs,
+            scratch,
+        )
     }
 
     /// The one execution path: the output neurons in consecutive chunks of
@@ -257,6 +323,7 @@ impl LinearUnit {
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         chunk: usize,
+        scratch: &mut EngineScratch,
     ) -> Result<LinearResult> {
         if input_levels.shape().rank() != 1
             || (weights.kernel_rows(), weights.kernel_cols()) != (1, 1)
@@ -286,14 +353,21 @@ impl LinearUnit {
         // popcount — silent neurons contribute no bits — into the walk.
         let in_data = input_levels.as_slice();
         let mask = bitplane::level_mask(time_steps);
-        let mut spikes: Vec<(usize, i64)> = Vec::new();
+        let EngineScratch {
+            occupancy,
+            spikes,
+            rows,
+            ..
+        } = scratch;
+        let spikes = &mut spikes.arena;
+        spikes.clear();
         let mut total_popcount = 0u64;
         if n > 0 {
-            let occupancy = bitplane::Occupancy::from_levels(in_data, 1, n, time_steps);
+            occupancy.refill(in_data, 1, n, time_steps);
             bitplane::for_each_set_bit(occupancy.row(0), 0, |ni| {
                 let level = in_data[ni] & mask;
                 total_popcount += u64::from(level.count_ones());
-                spikes.push((ni, level));
+                spikes.push((ni as u32, level));
             });
         }
 
@@ -318,14 +392,29 @@ impl LinearUnit {
             };
         }
 
-        // Compute, in the narrowest accumulators the weights prove exact
-        // for this spike-train length.
-        let scatter = if weights.sums_fit_i32(time_steps) {
-            scatter::<i32>
-        } else {
-            scatter::<i64>
+        // Compute, in the narrowest elements the packed weights prove exact
+        // for this spike-train length: 8-bit codes in 16-bit groups under a
+        // 32-bit row where all three hold, else the 32-bit or 64-bit row
+        // alone.
+        let narrow = weights.sums_fit_i32(time_steps);
+        let group = weights.i16_group(time_steps);
+        let accumulators = match (weights.codes(), narrow) {
+            (Codes::I8(codes), true) if group >= 1 => {
+                scatter::<_, i16, i32>(codes, weights, Some(group), spikes, rows, bias, chunk)
+            }
+            (Codes::I8(codes), true) => {
+                scatter::<_, i32, i32>(codes, weights, None, spikes, rows, bias, chunk)
+            }
+            (Codes::I8(codes), false) => {
+                scatter::<_, i64, i64>(codes, weights, None, spikes, rows, bias, chunk)
+            }
+            (Codes::I16(codes), true) => {
+                scatter::<_, i32, i32>(codes, weights, None, spikes, rows, bias, chunk)
+            }
+            (Codes::I16(codes), false) => {
+                scatter::<_, i64, i64>(codes, weights, None, spikes, rows, bias, chunk)
+            }
         };
-        let accumulators = scatter(&spikes, weights, bias, chunk);
 
         Ok(LinearResult {
             accumulators: Tensor::from_vec(vec![o], accumulators).map_err(AccelError::Tensor)?,

@@ -248,9 +248,21 @@ impl PingPongBuffer {
             PingPongSide::Ping => &self.ping,
             PingPongSide::Pong => &self.pong,
         };
-        side.as_ref().ok_or_else(|| AccelError::InvalidConfig {
-            context: "activation buffer read before any layer wrote it".to_string(),
-        })
+        side.as_ref().ok_or_else(read_before_write)
+    }
+
+    /// Ends the run: hands out the activations the next layer would have
+    /// read — the network's outputs.
+    ///
+    /// # Errors
+    ///
+    /// As [`PingPongBuffer::current`].
+    pub fn into_current(self) -> Result<Tensor<i64>> {
+        let side = match self.read_side {
+            PingPongSide::Ping => self.ping,
+            PingPongSide::Pong => self.pong,
+        };
+        side.ok_or_else(read_before_write)
     }
 
     /// Writes a layer result into the unused half and swaps, so the next
@@ -262,6 +274,12 @@ impl PingPongBuffer {
         }
         self.read_side = self.read_side.other();
         self.handovers += 1;
+    }
+}
+
+fn read_before_write() -> AccelError {
+    AccelError::InvalidConfig {
+        context: "activation buffer read before any layer wrote it".to_string(),
     }
 }
 

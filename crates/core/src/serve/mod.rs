@@ -1010,12 +1010,15 @@ mod tests {
             assert_eq!(report, solo, "tagged result equals the solo oracle");
         }
         assert!(seen.iter().all(|&s| s), "every tag completed");
+        // The wake follows the enqueue, so the last completion can be in
+        // hand before its wake has been sent: count them once shutdown has
+        // joined the dispatcher.
+        let stats = server.shutdown();
         assert_eq!(
             wakes.load(std::sync::atomic::Ordering::SeqCst),
             inputs.len(),
             "one wake per completion, sent after the enqueue"
         );
-        let stats = server.shutdown();
         assert_eq!(stats.completed, inputs.len() as u64);
     }
 

@@ -1,7 +1,9 @@
 //! Shared bookkeeping for the processing-unit simulators.
 
+use crate::conv::{Reach, Spikes};
 use crate::AccelError;
 use serde::{Deserialize, Serialize};
+use snn_tensor::{bitplane, simd};
 use std::ops::{Add, AddAssign};
 
 /// Cycle and operation counters reported by a processing unit after
@@ -54,29 +56,122 @@ pub(crate) fn unsupported(context: String) -> AccelError {
 }
 
 /// Fewest output-channel lanes a parallel block may own: below four
-/// 256-bit vectors of `i64` lanes (two of `i32`) the per-spike bookkeeping
-/// every block repeats outweighs the lanes it saves.
+/// 256-bit vectors of `i64` lanes (two of `i32`, one of `i16`) the
+/// per-spike bookkeeping every block repeats outweighs the lanes it saves.
 const MIN_BLOCK_LANES: usize = 16;
 
 /// How the engines split `lanes` output-channel lanes into contiguous
-/// blocks that own disjoint accumulators: `(lanes per block, threads)`.
-/// One block (and one thread) unless `work` — multiply-accumulates, or
-/// the adder activations standing in for them — reaches
-/// [`snn_parallel::MIN_PARALLEL_WORK`]; the split never changes a result,
-/// only which task adds which lanes.
-pub(crate) fn lane_blocks(lanes: usize, work: u64) -> (usize, usize) {
+/// blocks that own disjoint accumulators: the lanes per block.  One block
+/// (hence one thread) unless `work` — multiply-accumulates, or the adder
+/// activations standing in for them — reaches
+/// [`snn_parallel::MIN_PARALLEL_WORK`], else one per budgeted thread; the
+/// split never changes a result, only which task adds which lanes.
+pub(crate) fn lane_blocks(lanes: usize, work: u64) -> usize {
     let threads = if work >= snn_parallel::MIN_PARALLEL_WORK {
         snn_parallel::default_threads()
     } else {
         1
     };
-    let block = lanes
+    lanes
         .div_ceil(threads)
         .next_multiple_of(snn_model::packed::LANE_ALIGN)
         .max(MIN_BLOCK_LANES)
         .min(lanes)
-        .max(1);
-    (block, threads)
+        .max(1)
+}
+
+/// Runs `f(block, sums, wide)` over the consecutive `block_len`-element
+/// pieces of two accumulator rows split alike (`wide` may instead be empty:
+/// every block then gets an empty piece), one pool task per block.  A
+/// single block runs on the calling thread and allocates nothing.
+pub(crate) fn for_each_lane_block<S: Send, A: Send>(
+    mut sums: &mut [S],
+    mut wide: &mut [A],
+    block_len: usize,
+    f: impl Fn(usize, &mut [S], &mut [A]) + Sync,
+) {
+    if sums.len() <= block_len {
+        return f(0, sums, wide);
+    }
+    let f = &f;
+    let mut tasks: Vec<snn_parallel::Task<'_>> = Vec::new();
+    while !sums.is_empty() {
+        let (sums_block, sums_rest) = sums.split_at_mut(block_len.min(sums.len()));
+        let (wide_block, wide_rest) = wide.split_at_mut(block_len.min(wide.len()));
+        (sums, wide) = (sums_rest, wide_rest);
+        let block = tasks.len();
+        tasks.push(Box::new(move || f(block, sums_block, wide_block)));
+    }
+    snn_parallel::run_tasks(tasks);
+}
+
+/// The working memory of the convolution and linear engines: spike list,
+/// occupancy words, reach tables and accumulator rows.  The executor keeps
+/// one per inference and hands it to every `run_packed*` call, so bands
+/// and layers after the first allocate none of it again; it carries no
+/// state from one call to the next, only capacity.
+#[derive(Debug, Default)]
+pub struct EngineScratch {
+    pub(crate) occupancy: bitplane::Occupancy,
+    pub(crate) spikes: Spikes,
+    pub(crate) y_reach: Vec<Reach>,
+    pub(crate) x_reach: Vec<Reach>,
+    pub(crate) rows: LaneRows,
+}
+
+impl EngineScratch {
+    /// An empty scratch: the first call through it sizes it.
+    pub fn new() -> Self {
+        EngineScratch::default()
+    }
+}
+
+/// One reusable accumulator row per lane element.
+#[derive(Debug, Default)]
+pub(crate) struct LaneRows {
+    partial: Vec<i16>,
+    narrow: Vec<i32>,
+    wide: Vec<i64>,
+}
+
+/// An accumulator element with its row in [`LaneRows`].
+pub(crate) trait Lane: simd::Accumulator {
+    fn row(rows: &mut LaneRows) -> &mut Vec<Self>;
+}
+
+impl Lane for i16 {
+    fn row(rows: &mut LaneRows) -> &mut Vec<i16> {
+        &mut rows.partial
+    }
+}
+
+impl Lane for i32 {
+    fn row(rows: &mut LaneRows) -> &mut Vec<i32> {
+        &mut rows.narrow
+    }
+}
+
+impl Lane for i64 {
+    fn row(rows: &mut LaneRows) -> &mut Vec<i64> {
+        &mut rows.wide
+    }
+}
+
+impl LaneRows {
+    /// Takes the row of element `E` out, zeroed and `len` long.  Taking an
+    /// element a second time before [`LaneRows::give`] yields a fresh
+    /// (for `len == 0`, unallocated) vector.
+    pub(crate) fn take<E: Lane>(&mut self, len: usize) -> Vec<E> {
+        let mut row = std::mem::take(E::row(self));
+        row.clear();
+        row.resize(len, E::default());
+        row
+    }
+
+    /// Puts a row back for the next call to reuse its capacity.
+    pub(crate) fn give<E: Lane>(&mut self, row: Vec<E>) {
+        *E::row(self) = row;
+    }
 }
 
 impl UnitStats {

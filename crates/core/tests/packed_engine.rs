@@ -1,16 +1,22 @@
 //! The spike-major engine against the counter-stepped reference units, on
 //! the axes its layout adds: output-channel lane tails (`c_out` not a
-//! multiple of either vector width, and below both), weight codes at the
-//! edge of the packed 16-bit element, spike trains on both sides of the
+//! multiple of any vector width, and below all), weight codes at the
+//! edge of the packed 16-bit element or — the `small` flag — 3-bit codes
+//! stored in the 8-bit one, spike trains on both sides of the
 //! kernels' fast paths (`vpmaddwd` below 2^15 in 32-bit lanes, `vpmuldq`
 //! below 2^31 in 64-bit ones) up to the 63-bit limit (with out-of-range
-//! levels the mask must truncate), row bands and output chunks, and an
-//! all-silent input — in both accumulator widths: with codes at the `i16`
-//! edges the long trains overflow 32 bits and run wide, with codes clamped
-//! to the layer's 32-bit budget every train length runs narrow.
-//! Accumulators **and** `UnitStats` must match.  The seam between the
-//! widths is pinned where it lies: `level_mask(T) x max Σ|w|` of exactly
-//! `2^31 - 1` runs narrow and reaches it, exactly `2^31` runs wide.
+//! levels the mask must truncate), row bands, output chunks and lane
+//! blocks, and an all-silent input — in every element combination: with
+//! codes at the `i16` edges the long trains overflow 32 bits and run wide,
+//! with codes clamped to the layer's 32-bit budget every train length runs
+//! narrow, and with 3-bit codes `T = 1, 4, 8, 9, 11` put the whole layer,
+//! 60, 3, 1 and no channels of a 3×3 convolution (8191, 546, 32, 16 and 4
+//! spikes of a linear layer) into one 16-bit group of partial sums.
+//! Accumulators **and** `UnitStats` must match.  The seams are pinned
+//! where they lie: `level_mask(T) x max Σ|w|` of exactly `2^31 - 1` runs
+//! narrow and reaches it, exactly `2^31` runs wide; a group's sum of
+//! exactly `±32767` stays in 16 bits, and one more contribution starts the
+//! next group.
 //!
 //! Also here: a weight code the packed element cannot hold is a typed
 //! error from every raw-tensor entry point, and a tiled VGG-shaped
@@ -23,24 +29,30 @@ use snn_accel::linear::LinearUnit;
 use snn_accel::memory::RowBand;
 use snn_accel::reference::{ReferenceConvolutionUnit, ReferenceLinearUnit};
 use snn_accel::sim::Accelerator;
-use snn_accel::units::UnitStats;
+use snn_accel::units::{EngineScratch, UnitStats};
 use snn_accel::AccelError;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
-use snn_model::packed::PackedWeights;
+use snn_model::packed::{Codes, PackedWeights};
 use snn_model::params::Parameters;
 use snn_model::{LayerSpec, NetworkSpec};
 use snn_tensor::bitplane::level_mask;
 use snn_tensor::Tensor;
 use std::process::Command;
 
-/// Output-channel counts around the 4- and 8-lane vectors and the 16- and
-/// 32-lane unrolled widths of the two kernels.
+/// Output-channel counts around the 4-, 8- and 16-lane vectors (and their
+/// half steps) and the unrolled widths of the kernels.
 const LANE_TAILS: [usize; 7] = [1, 3, 5, 6, 10, 17, 40];
 
-/// Spike-train lengths around the narrow kernel's `level < 2^15` and the
-/// wide kernel's `level < 2^31` fast paths, and at the 63-bit payload
-/// limit.
-const TIME_STEPS: [usize; 9] = [1, 4, 15, 16, 17, 30, 31, 32, 63];
+/// Spike-train lengths that, under 3-bit codes, size a 16-bit group at the
+/// whole layer, 60, 3, 1 and 0 channels of a 3×3 convolution (`1, 4, 8, 9,
+/// 11`); around the narrow kernel's `level < 2^15` and the wide kernel's
+/// `level < 2^31` fast paths; and at the 63-bit payload limit.
+const TIME_STEPS: [usize; 12] = [1, 4, 8, 9, 11, 15, 16, 17, 30, 31, 32, 63];
+
+/// Input-channel counts on both sides of those group sizes.  The ones past
+/// three only go with `small` codes: the overflow-checked reference needs
+/// `terms x level x code` inside `i64`.
+const CHANNELS: [usize; 6] = [1, 2, 3, 5, 61, 125];
 
 fn mix(i: usize, seed: u64) -> u64 {
     (i as u64)
@@ -50,11 +62,13 @@ fn mix(i: usize, seed: u64) -> u64 {
         >> 7
 }
 
-/// Weight codes: a third at each edge of the `i16`-symmetric range, the
-/// rest small.
-fn code(i: usize, seed: u64) -> i64 {
+/// Weight codes.  `small`: 3-bit codes, `-4..=4`, which the pack stores in
+/// 8 bits.  Otherwise a third at each edge of the `i16`-symmetric range,
+/// the rest small.
+fn code(i: usize, seed: u64, small: bool) -> i64 {
     let x = mix(i, seed);
     match x % 6 {
+        _ if small => (x % 9) as i64 - 4,
         0 => 32767,
         1 => -32767,
         _ => (x % 7) as i64 - 3,
@@ -65,13 +79,19 @@ fn code(i: usize, seed: u64) -> i64 {
 /// `narrow_for` a spike-train length, every channel's codes are clamped so
 /// that its `Σ|w|` stays inside the budget `i32::MAX / level_mask(T)` —
 /// the layer then provably runs in 32-bit accumulators.
-fn codes(outputs: usize, fan_in: usize, seed: u64, narrow_for: Option<usize>) -> Vec<i64> {
+fn codes(
+    outputs: usize,
+    fan_in: usize,
+    seed: u64,
+    small: bool,
+    narrow_for: Option<usize>,
+) -> Vec<i64> {
     let budget = narrow_for.map(|t| i32::MAX as u64 / level_mask(t).unsigned_abs().max(1));
     let mut out = Vec::with_capacity(outputs * fan_in);
     for o in 0..outputs {
         let mut left = budget.unwrap_or(u64::MAX);
         for i in 0..fan_in {
-            let wanted = code(o * fan_in + i, seed);
+            let wanted = code(o * fan_in + i, seed, small);
             let magnitude = wanted.unsigned_abs().min(left);
             left -= magnitude;
             out.push(wanted.signum() * magnitude as i64);
@@ -108,7 +128,7 @@ proptest! {
     fn packed_conv_matches_the_reference_unit(
         c_out_sel in 0usize..LANE_TAILS.len(),
         t_sel in 0usize..TIME_STEPS.len(),
-        c_in in 1usize..3,
+        c_in_sel in 0usize..CHANNELS.len(),
         size in 4usize..8,
         kernel in 2usize..4,
         stride in 1usize..3,
@@ -117,9 +137,11 @@ proptest! {
         columns in 1usize..6,
         silent in proptest::bool::ANY,
         narrow in proptest::bool::ANY,
+        small in proptest::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
         let (c_out, time_steps) = (LANE_TAILS[c_out_sel], TIME_STEPS[t_sel]);
+        let c_in = CHANNELS[if small { c_in_sel } else { c_in_sel % 3 }];
         // One input in eight is all silent.
         let silent = silent && seed.is_multiple_of(4);
         let input = Tensor::from_vec(
@@ -128,7 +150,7 @@ proptest! {
         ).unwrap();
         let kernels = Tensor::from_vec(
             vec![c_out, c_in, kernel, kernel],
-            codes(c_out, c_in * kernel * kernel, seed, narrow.then_some(time_steps)),
+            codes(c_out, c_in * kernel * kernel, seed, small, narrow.then_some(time_steps)),
         ).unwrap();
         let bias = Tensor::from_vec(
             vec![c_out],
@@ -142,9 +164,12 @@ proptest! {
         let unit = ConvolutionUnit::new(geometry);
         let weights = PackedWeights::from_conv(&kernels).unwrap();
         prop_assert!(!narrow || weights.sums_fit_i32(time_steps));
+        prop_assert!(!small || matches!(weights.codes(), Codes::I8(_)));
+        // One scratch through every call of the case, as the executor's.
+        let mut scratch = EngineScratch::new();
 
         let whole = unit
-            .run_packed(&input, &weights, &bias, time_steps, stride, padding)
+            .run_packed(&input, &weights, &bias, time_steps, stride, padding, &mut scratch)
             .unwrap();
         prop_assert_eq!(&whole.accumulators, &oracle.accumulators);
         prop_assert_eq!(whole.stats, oracle.stats);
@@ -181,7 +206,9 @@ proptest! {
             }
             let band_input = Tensor::from_vec(vec![c_in, band.in_rows(), size], rows).unwrap();
             let part = unit
-                .run_packed_band(&band_input, &weights, &bias, time_steps, stride, padding, &band)
+                .run_packed_band(
+                    &band_input, &weights, &bias, time_steps, stride, padding, &band, &mut scratch,
+                )
                 .unwrap();
             summed += part.stats;
             for oc in 0..c_out {
@@ -200,11 +227,12 @@ proptest! {
     fn packed_linear_matches_the_reference_unit(
         outputs_sel in 0usize..LANE_TAILS.len(),
         t_sel in 0usize..TIME_STEPS.len(),
-        inputs in 1usize..20,
+        inputs in 1usize..120,
         lanes in 1usize..8,
         groups_per_chunk in 1usize..4,
         silent in proptest::bool::ANY,
         narrow in proptest::bool::ANY,
+        small in proptest::bool::ANY,
         seed in 0u64..u64::MAX,
     ) {
         let (outputs, time_steps) = (LANE_TAILS[outputs_sel], TIME_STEPS[t_sel]);
@@ -215,7 +243,7 @@ proptest! {
         ).unwrap();
         let codes = Tensor::from_vec(
             vec![outputs, inputs],
-            codes(outputs, inputs, seed, narrow.then_some(time_steps)),
+            codes(outputs, inputs, seed, small, narrow.then_some(time_steps)),
         ).unwrap();
         let bias = Tensor::from_vec(
             vec![outputs],
@@ -228,14 +256,18 @@ proptest! {
         let unit = LinearUnit::new(lanes);
         let weights = PackedWeights::from_linear(&codes).unwrap();
         prop_assert!(!narrow || weights.sums_fit_i32(time_steps));
-        let whole = unit.run_packed(&input, &weights, &bias, time_steps).unwrap();
+        prop_assert!(!small || matches!(weights.codes(), Codes::I8(_)));
+        let mut scratch = EngineScratch::new();
+        let whole = unit
+            .run_packed(&input, &weights, &bias, time_steps, &mut scratch)
+            .unwrap();
         prop_assert_eq!(&whole.accumulators, &oracle.accumulators);
         prop_assert_eq!(whole.stats, oracle.stats);
         prop_assert_eq!(&unit.run_layer(&input, &codes, &bias, time_steps).unwrap(), &whole);
 
         let chunk = lanes * groups_per_chunk;
         let chunked = unit
-            .run_packed_chunked(&input, &weights, &bias, time_steps, chunk)
+            .run_packed_chunked(&input, &weights, &bias, time_steps, chunk, &mut scratch)
             .unwrap();
         prop_assert_eq!(&chunked, &whole);
         prop_assert_eq!(
@@ -281,7 +313,13 @@ fn the_width_seam_lies_exactly_at_i32_max() {
         );
         let input = Tensor::filled(vec![fan_in], level);
         let fast = LinearUnit::new(1)
-            .run_packed(&input, &weights, &bias, time_steps)
+            .run_packed(
+                &input,
+                &weights,
+                &bias,
+                time_steps,
+                &mut EngineScratch::new(),
+            )
             .unwrap();
         let slow = ReferenceLinearUnit::new(1)
             .run_layer(&input, &matrix, &bias, time_steps)
@@ -305,7 +343,15 @@ fn the_width_seam_lies_exactly_at_i32_max() {
             rows: 2,
         };
         let fast = ConvolutionUnit::new(geometry)
-            .run_packed(&input, &weights, &bias, time_steps, 1, 0)
+            .run_packed(
+                &input,
+                &weights,
+                &bias,
+                time_steps,
+                1,
+                0,
+                &mut EngineScratch::new(),
+            )
             .unwrap();
         let slow = ReferenceConvolutionUnit::new(geometry)
             .run_layer(&input, &kernels, &bias, time_steps, 1, 0)
@@ -314,6 +360,101 @@ fn the_width_seam_lies_exactly_at_i32_max() {
         assert_eq!(fast.accumulators, slow.accumulators);
         assert_eq!(fast.stats, slow.stats);
     }
+}
+
+/// One output over `levels.len()` input channels, every kernel tap (`taps`
+/// of them, a `taps x 1` kernel over a `taps x 1` map; a linear layer when
+/// there is one) weighing `weight`: the engine must size its 16-bit groups
+/// at `group` channels, and equal both the reference unit and the closed
+/// form.
+fn check_one_output(taps: usize, weight: i64, time_steps: usize, levels: &[i64], group: usize) {
+    let c_in = levels.len();
+    let bias = Tensor::from_vec(vec![1], vec![-5i64]).unwrap();
+    let expected = -5 + levels.iter().sum::<i64>() * taps as i64 * weight;
+    let what = format!("{c_in} channels x {taps} taps of {weight} at T={time_steps}");
+
+    let kernels = Tensor::filled(vec![1, c_in, taps, 1], weight);
+    let weights = PackedWeights::from_conv(&kernels).unwrap();
+    assert!(matches!(weights.codes(), Codes::I8(_)), "{what}");
+    assert!(weights.sums_fit_i32(time_steps), "{what}");
+    assert_eq!(weights.i16_group(time_steps), group, "{what}");
+    let input = Tensor::from_vec(
+        vec![c_in, taps, 1],
+        levels.iter().flat_map(|&l| vec![l; taps]).collect(),
+    )
+    .unwrap();
+    let geometry = ArrayGeometry {
+        columns: 1,
+        rows: taps,
+    };
+    let fast = ConvolutionUnit::new(geometry)
+        .run_packed(
+            &input,
+            &weights,
+            &bias,
+            time_steps,
+            1,
+            0,
+            &mut EngineScratch::new(),
+        )
+        .unwrap();
+    let slow = ReferenceConvolutionUnit::new(geometry)
+        .run_layer(&input, &kernels, &bias, time_steps, 1, 0)
+        .unwrap();
+    assert_eq!(fast.accumulators.as_slice(), &[expected], "conv, {what}");
+    assert_eq!(fast.accumulators, slow.accumulators, "conv, {what}");
+    assert_eq!(fast.stats, slow.stats, "conv, {what}");
+
+    if taps == 1 {
+        let matrix = Tensor::filled(vec![1, c_in], weight);
+        let weights = PackedWeights::from_linear(&matrix).unwrap();
+        assert_eq!(weights.i16_group(time_steps), group, "{what}");
+        let input = Tensor::from_vec(vec![c_in], levels.to_vec()).unwrap();
+        let fast = LinearUnit::new(1)
+            .run_packed(
+                &input,
+                &weights,
+                &bias,
+                time_steps,
+                &mut EngineScratch::new(),
+            )
+            .unwrap();
+        let slow = ReferenceLinearUnit::new(1)
+            .run_layer(&input, &matrix, &bias, time_steps)
+            .unwrap();
+        assert_eq!(fast.accumulators.as_slice(), &[expected], "linear, {what}");
+        assert_eq!(fast.accumulators, slow.accumulators, "linear, {what}");
+        assert_eq!(fast.stats, slow.stats, "linear, {what}");
+    }
+}
+
+/// The seam of the 16-bit partial sums, on both units.  `32767 = 7 x 31 x
+/// 151`: full-scale levels at `T = 3` under weights of `±31` (or one-bit
+/// levels under seven taps of them) allow exactly 151 channels a group,
+/// whose sum is then exactly `±32767` — it must stay in 16 bits and be
+/// right.  One more spiking channel must have been split off into the next
+/// group (`32984` is no `i16`), and so must what follows a *silent*
+/// channel 151: groups are counted in channels (spikes, in the linear
+/// unit), not started by whichever channel happens to be a multiple.
+/// Where one channel weighs a power of two the bound itself shows: 64 per
+/// channel allows 511 of them, not the 512 whose sum is `32768`.
+#[test]
+fn the_partial_sum_seam_lies_exactly_at_i16_max() {
+    for weight in [31i64, -31] {
+        // One group exactly at the bound; a 152nd channel; two full groups
+        // and a third around silent channels 151 and 302.
+        let mut around_silence = vec![7i64; 304];
+        (around_silence[151], around_silence[302]) = (0, 0);
+        for levels in [vec![7i64; 151], vec![7; 152], around_silence] {
+            check_one_output(1, weight, 3, &levels, 151);
+            let bits: Vec<i64> = levels.iter().map(|&l| l.min(1)).collect();
+            check_one_output(7, weight, 1, &bits, 151);
+        }
+    }
+    // 512 x 64 = 32768 = 256 x (2 x 64): one more than the bound allows.
+    check_one_output(1, 64, 1, &[1; 512], 511);
+    check_one_output(2, 64, 1, &[1; 256], 255);
+    check_one_output(1, -64, 1, &[1; 512], 511);
 }
 
 /// A weight code outside `i16` must never be truncated into the packed

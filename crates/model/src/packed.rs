@@ -11,26 +11,45 @@
 //! output channel *innermost*: `[C, Kr, Kc, O_pad]`, and for a linear
 //! layer `[N, O_pad]`, which is the same thing with a 1×1 kernel.
 //!
-//! Codes are stored as `i16`: [`snn_tensor::quant::QuantizedTensor`] caps
-//! weight precision at 16 bits, the narrow element quarters the bytes the
-//! engine streams per spike, and the kernel sign-extends to `i64` lanes.
-//! A code that does not fit is a typed error at pack time, never a
-//! truncation.
+//! # How wide the codes are
+//!
+//! The paper stores 3-bit weights; the engine streams every code of a row
+//! per spike, so the packed element is as narrow as the layer's codes
+//! allow: `i8` when every code lies in `-128..=127` — always, at the
+//! paper's weight precisions of at most 8 bits — and `i16` otherwise
+//! ([`snn_tensor::quant::QuantizedTensor`] caps weight precision at 16
+//! bits).  The choice is made once, inside the pack; only the chosen copy
+//! is kept ([`PackedWeights::codes`]).  A code that does not fit `i16` is a
+//! typed error at pack time, never a truncation.
 //!
 //! # How wide the sums get
 //!
-//! Packing also records the one number that bounds every sum the engine
-//! can form from these weights: `abs_sum_max`, the largest `Σ|w|` any
-//! output channel has over all its `(c, ky, kx)` rows.  An output position
-//! receives at most one contribution per `(c, ky, kx)` (per input neuron
-//! for a linear layer), each at most `level_mask(T) × |w|` in magnitude,
-//! so `level_mask(T) × abs_sum_max` bounds the magnitude of every partial
+//! Packing also records the two numbers that bound every sum the engine
+//! can form from these weights.
+//!
+//! `abs_sum_max` is the largest `Σ|w|` any output channel has over all its
+//! `(c, ky, kx)` rows.  An output position receives at most one
+//! contribution per `(c, ky, kx)` (per input neuron for a linear layer),
+//! each at most `level_mask(T) × |w|` in magnitude, so
+//! `level_mask(T) × abs_sum_max` bounds the magnitude of every partial
 //! sum of the layer — whatever the order of the additions, the row band,
 //! the lane block or the output chunk.  Where that product is at most
 //! `i32::MAX` ([`PackedWeights::sums_fit_i32`]) 32-bit accumulators hold
 //! the *same* integers as 64-bit ones, not merely congruent ones, and the
 //! engine uses them: twice the lanes per vector.  3-bit weights at `T = 4`
 //! reach 19 bits on VGG-11.
+//!
+//! `abs_max` is the largest `|w|` of the layer.  Within `G` consecutive
+//! input channels an output lane receives at most `G × Kr × Kc`
+//! contributions, each at most `level_mask(T) × abs_max`, so with
+//! `G = ⌊32767 / (level_mask(T) × Kr × Kc × abs_max)⌋`
+//! ([`PackedWeights::i16_group`]) no partial sum of such a group leaves
+//! `i16`, again in any order, band, lane block or chunk: the engine adds a
+//! group up in 16-bit lanes — twice the lanes again, half the accumulator
+//! bytes — and widen-adds it into the 32-bit row at the group boundary,
+//! which therefore holds the same integers as before.  3-bit weights at
+//! `T = 4` give `G = 60` channels under a 3×3 kernel and 546 input neurons
+//! in a linear layer.
 
 use crate::{ModelError, Result};
 use snn_tensor::{bitplane, Tensor};
@@ -47,6 +66,100 @@ pub const LANE_ALIGN: usize = 4;
 /// one measured fastest on both the 4096×4096 and the 512×4608 matrix.
 const BLOCK: usize = 32;
 
+/// Packed codes in the element they are stored in: a whole layer
+/// ([`PackedWeights::codes`]), one channel or one row of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Codes<'a> {
+    /// Every code of the layer lies in `-128..=127`.
+    I8(&'a [i8]),
+    /// Some code needs more than 8 bits.
+    I16(&'a [i16]),
+}
+
+impl<'a> Codes<'a> {
+    fn slice(self, range: std::ops::Range<usize>) -> Self {
+        match self {
+            Codes::I8(codes) => Codes::I8(&codes[range]),
+            Codes::I16(codes) => Codes::I16(&codes[range]),
+        }
+    }
+}
+
+/// The one stored copy of a layer's codes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Stored {
+    I8(Vec<i8>),
+    I16(Vec<i16>),
+}
+
+/// An element the pack can narrow codes to.
+trait Element: Copy + Default + Into<i16> {
+    /// The low bits of `code`.
+    fn truncate(code: i64) -> Self;
+}
+
+impl Element for i8 {
+    fn truncate(code: i64) -> Self {
+        code as i8
+    }
+}
+
+impl Element for i16 {
+    fn truncate(code: i64) -> Self {
+        code as i16
+    }
+}
+
+/// Transposes the `[c_out, cols]` matrix `src` into `[cols, lanes]`,
+/// narrowing each code to `E`, block by block, and sums each output
+/// channel's magnitudes on the way: the rows, the largest `Σ|w|` of an
+/// output channel and the largest `|w|`.  `None` when a code does not fit
+/// `E`.
+fn narrow<E: Element>(
+    src: &[i64],
+    c_out: usize,
+    cols: usize,
+    lanes: usize,
+) -> Option<(Vec<E>, u64, u16)> {
+    let mut data = vec![E::default(); cols * lanes];
+    let mut out_of_range = false;
+    let mut abs_sum_max = 0u64;
+    let mut abs_max = 0u16;
+    for r0 in (0..c_out).step_by(BLOCK) {
+        let r1 = (r0 + BLOCK).min(c_out);
+        let rows = &src[r0 * cols..r1 * cols];
+        let mut abs_sums = [0u64; BLOCK];
+        for c0 in (0..cols).step_by(BLOCK) {
+            // At most `BLOCK` magnitudes of at most 2^15 each per lane.
+            let mut block_sums = [0u32; BLOCK];
+            for c in c0..(c0 + BLOCK).min(cols) {
+                let dst = &mut data[c * lanes + r0..c * lanes + r1];
+                for (d, row) in dst.iter_mut().zip(rows.chunks_exact(cols)) {
+                    let code = row[c];
+                    *d = E::truncate(code);
+                    out_of_range |= i64::from((*d).into()) != code;
+                }
+                // Its own loop over the row just written: contiguous,
+                // so it vectorises; fused into the strided narrowing
+                // loop above it nearly doubled the transpose.
+                for (sum, d) in block_sums.iter_mut().zip(dst.iter()) {
+                    let magnitude = (*d).into().unsigned_abs();
+                    *sum += u32::from(magnitude);
+                    abs_max = abs_max.max(magnitude);
+                }
+            }
+            for (total, sum) in abs_sums.iter_mut().zip(block_sums) {
+                *total += u64::from(sum);
+            }
+        }
+        if out_of_range {
+            return None;
+        }
+        abs_sum_max = abs_sums.into_iter().fold(abs_sum_max, u64::max);
+    }
+    Some((data, abs_sum_max, abs_max))
+}
+
 /// One layer's weight codes in channel-last order (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedWeights {
@@ -56,10 +169,12 @@ pub struct PackedWeights {
     c_out: usize,
     lanes: usize,
     /// `[c_in, kernel_rows, kernel_cols, lanes]`, lanes `c_out..` zero.
-    data: Vec<i16>,
+    data: Stored,
     /// Largest `Σ|w|` of one output channel over all its rows (see the
     /// module docs).
     abs_sum_max: u64,
+    /// Largest `|w|` of the layer.
+    abs_max: u16,
 }
 
 impl PackedWeights {
@@ -94,43 +209,19 @@ impl PackedWeights {
         }
     }
 
-    /// Transposes the `[c_out, c_in * kr * kc]` matrix `src` into
-    /// `[c_in * kr * kc, lanes]`, narrowing each code, block by block, and
-    /// sums each output channel's magnitudes on the way.
+    /// Packs the `[c_out, c_in * kr * kc]` matrix `src` straight to `i8`
+    /// rows — one pass writing one byte per code — and only where a code
+    /// misses that element packs again to `i16`.
     fn pack(src: &[i64], c_out: usize, c_in: usize, kr: usize, kc: usize) -> Result<Self> {
         let cols = c_in * kr * kc;
         let lanes = c_out.next_multiple_of(LANE_ALIGN);
-        let mut data = vec![0i16; cols * lanes];
-        let mut out_of_range = false;
-        let mut abs_sum_max = 0u64;
-        for r0 in (0..c_out).step_by(BLOCK) {
-            let r1 = (r0 + BLOCK).min(c_out);
-            let rows = &src[r0 * cols..r1 * cols];
-            let mut abs_sums = [0u64; BLOCK];
-            for c0 in (0..cols).step_by(BLOCK) {
-                // At most `BLOCK` magnitudes of at most 2^15 each per lane.
-                let mut block_sums = [0u32; BLOCK];
-                for c in c0..(c0 + BLOCK).min(cols) {
-                    let dst = &mut data[c * lanes + r0..c * lanes + r1];
-                    for (d, row) in dst.iter_mut().zip(rows.chunks_exact(cols)) {
-                        let code = row[c];
-                        *d = code as i16;
-                        out_of_range |= i64::from(*d) != code;
-                    }
-                    // Its own loop over the row just written: contiguous,
-                    // so it vectorises; fused into the strided narrowing
-                    // loop above it nearly doubled the transpose.
-                    for (sum, d) in block_sums.iter_mut().zip(dst.iter()) {
-                        *sum += u32::from(d.unsigned_abs());
-                    }
-                }
-                for (total, sum) in abs_sums.iter_mut().zip(block_sums) {
-                    *total += u64::from(sum);
-                }
-            }
-            abs_sum_max = abs_sums.into_iter().fold(abs_sum_max, u64::max);
-        }
-        if out_of_range {
+        let packed = narrow(src, c_out, cols, lanes)
+            .map(|(codes, sum, max)| (Stored::I8(codes), sum, max))
+            .or_else(|| {
+                narrow(src, c_out, cols, lanes)
+                    .map(|(codes, sum, max)| (Stored::I16(codes), sum, max))
+            });
+        let Some((data, abs_sum_max, abs_max)) = packed else {
             let code = src
                 .iter()
                 .find(|&&code| i16::try_from(code).is_err())
@@ -138,7 +229,7 @@ impl PackedWeights {
             return Err(ModelError::ParameterMismatch {
                 context: format!("weight code {code} does not fit the packed 16-bit element"),
             });
-        }
+        };
         Ok(PackedWeights {
             c_in,
             kernel_rows: kr,
@@ -147,6 +238,7 @@ impl PackedWeights {
             lanes,
             data,
             abs_sum_max,
+            abs_max,
         })
     }
 
@@ -157,6 +249,23 @@ impl PackedWeights {
     pub fn sums_fit_i32(&self, time_steps: usize) -> bool {
         let level_max = bitplane::level_mask(time_steps).unsigned_abs();
         u128::from(level_max) * u128::from(self.abs_sum_max) <= i32::MAX as u128
+    }
+
+    /// How many consecutive input channels (input neurons of a linear
+    /// layer) may contribute to one 16-bit partial sum under spike trains
+    /// of `time_steps`: the largest `G` with
+    /// `G × level_mask(time_steps) × Kr × Kc × abs_max <= i16::MAX` (see
+    /// the module docs).  Zero when a single channel can already leave
+    /// `i16`; unbounded (`usize::MAX`) when nothing can be added at all.
+    pub fn i16_group(&self, time_steps: usize) -> usize {
+        let level_max = bitplane::level_mask(time_steps).unsigned_abs();
+        let per_channel = u128::from(level_max)
+            * (self.kernel_rows * self.kernel_cols) as u128
+            * u128::from(self.abs_max);
+        match per_channel {
+            0 => usize::MAX,
+            _ => (i16::MAX as u128 / per_channel) as usize,
+        }
     }
 
     /// Input channels (input neurons for a linear layer).
@@ -184,19 +293,30 @@ impl PackedWeights {
         self.lanes
     }
 
+    /// Every code, `[c_in, kernel_rows, kernel_cols, lanes]`, in the stored
+    /// element: channel `ic` is the `kernel_rows * kernel_cols * lanes`
+    /// codes from `ic` times that, and in it tap `(ky, kx)` starts at
+    /// `(ky * kernel_cols + kx) * lanes`.
+    pub fn codes(&self) -> Codes<'_> {
+        match &self.data {
+            Stored::I8(codes) => Codes::I8(codes),
+            Stored::I16(codes) => Codes::I16(codes),
+        }
+    }
+
     /// The weights of tap `(ky, kx)` of input channel `ic` for every
     /// output channel: [`Self::lanes`] codes, zero beyond `c_out`.
     ///
     /// # Panics
     ///
     /// Panics when an index is out of range.
-    pub fn row(&self, ic: usize, ky: usize, kx: usize) -> &[i16] {
+    pub fn row(&self, ic: usize, ky: usize, kx: usize) -> Codes<'_> {
         assert!(
             ic < self.c_in && ky < self.kernel_rows && kx < self.kernel_cols,
             "packed weight row ({ic}, {ky}, {kx}) out of range"
         );
         let start = ((ic * self.kernel_rows + ky) * self.kernel_cols + kx) * self.lanes;
-        &self.data[start..start + self.lanes]
+        self.codes().slice(start..start + self.lanes)
     }
 
     /// Every weight row of input channel `ic`, `[kernel_rows, kernel_cols,
@@ -205,9 +325,9 @@ impl PackedWeights {
     /// # Panics
     ///
     /// Panics when `ic` is out of range.
-    pub fn channel(&self, ic: usize) -> &[i16] {
+    pub fn channel(&self, ic: usize) -> Codes<'_> {
         let len = self.kernel_rows * self.kernel_cols * self.lanes;
-        &self.data[ic * len..(ic + 1) * len]
+        self.codes().slice(ic * len..(ic + 1) * len)
     }
 }
 
@@ -215,38 +335,51 @@ impl PackedWeights {
 mod tests {
     use super::*;
 
+    /// A row's codes, whichever element they are stored in.
+    fn widened(row: Codes<'_>) -> Vec<i64> {
+        match row {
+            Codes::I8(codes) => codes.iter().map(|&w| i64::from(w)).collect(),
+            Codes::I16(codes) => codes.iter().map(|&w| i64::from(w)).collect(),
+        }
+    }
+
     #[test]
     fn conv_rows_hold_every_output_channel_of_one_tap() {
-        // Sizes that cross the 32-wide transpose blocks on both axes.
+        // Sizes that cross the 32-wide transpose blocks on both axes, in
+        // both stored elements.
         let (o, c, kr, kc) = (37usize, 5usize, 3usize, 3usize);
-        let code = |oc: usize, ic: usize, ky: usize, kx: usize| {
-            ((oc * 131 + ic * 31 + ky * 7 + kx) % 4001) as i64 - 2000
-        };
-        let mut values = Vec::new();
-        for oc in 0..o {
-            for ic in 0..c {
-                for ky in 0..kr {
-                    for kx in 0..kc {
-                        values.push(code(oc, ic, ky, kx));
+        for (modulus, offset) in [(4001usize, 2000i64), (256, 128)] {
+            let code = |oc: usize, ic: usize, ky: usize, kx: usize| {
+                ((oc * 131 + ic * 31 + ky * 7 + kx) % modulus) as i64 - offset
+            };
+            let mut values = Vec::new();
+            for oc in 0..o {
+                for ic in 0..c {
+                    for ky in 0..kr {
+                        for kx in 0..kc {
+                            values.push(code(oc, ic, ky, kx));
+                        }
                     }
                 }
             }
-        }
-        let packed =
-            PackedWeights::from_conv(&Tensor::from_vec(vec![o, c, kr, kc], values).unwrap())
-                .unwrap();
-        assert_eq!(
-            (packed.c_in(), packed.kernel_rows(), packed.kernel_cols()),
-            (c, kr, kc)
-        );
-        assert_eq!((packed.c_out(), packed.lanes()), (37, 40));
-        for ic in 0..c {
-            for ky in 0..kr {
-                for kx in 0..kc {
-                    let row = packed.row(ic, ky, kx);
-                    for (oc, &w) in row.iter().enumerate() {
-                        let expected = if oc < o { code(oc, ic, ky, kx) } else { 0 };
-                        assert_eq!(i64::from(w), expected, "({ic},{ky},{kx}) lane {oc}");
+            let packed =
+                PackedWeights::from_conv(&Tensor::from_vec(vec![o, c, kr, kc], values).unwrap())
+                    .unwrap();
+            assert_eq!(matches!(packed.codes(), Codes::I8(_)), modulus == 256);
+            assert_eq!(
+                (packed.c_in(), packed.kernel_rows(), packed.kernel_cols()),
+                (c, kr, kc)
+            );
+            assert_eq!((packed.c_out(), packed.lanes()), (37, 40));
+            for ic in 0..c {
+                for ky in 0..kr {
+                    for kx in 0..kc {
+                        let row = widened(packed.row(ic, ky, kx));
+                        assert_eq!(row.len(), 40);
+                        for (oc, &w) in row.iter().enumerate() {
+                            let expected = if oc < o { code(oc, ic, ky, kx) } else { 0 };
+                            assert_eq!(w, expected, "({ic},{ky},{kx}) lane {oc}");
+                        }
                     }
                 }
             }
@@ -258,16 +391,16 @@ mod tests {
         let weights = Tensor::from_vec(vec![3, 2], vec![1i64, 2, 3, 4, 5, 6]).unwrap();
         let packed = PackedWeights::from_linear(&weights).unwrap();
         assert_eq!((packed.c_in(), packed.c_out(), packed.lanes()), (2, 3, 4));
-        assert_eq!(packed.row(0, 0, 0), &[1, 3, 5, 0]);
-        assert_eq!(packed.row(1, 0, 0), &[2, 4, 6, 0]);
+        assert_eq!(packed.row(0, 0, 0), Codes::I8(&[1, 3, 5, 0]));
+        assert_eq!(packed.row(1, 0, 0), Codes::I8(&[2, 4, 6, 0]));
     }
 
     #[test]
     fn the_whole_i16_range_packs_and_one_past_it_is_rejected() {
         let edge = Tensor::from_vec(vec![1, 2], vec![i64::from(i16::MIN), 32767]).unwrap();
         assert_eq!(
-            PackedWeights::from_linear(&edge).unwrap().row(1, 0, 0)[0],
-            i16::MAX
+            PackedWeights::from_linear(&edge).unwrap().row(1, 0, 0),
+            Codes::I16(&[i16::MAX, 0, 0, 0])
         );
         for bad in [32768i64, -32769, 1 << 40] {
             let codes = Tensor::from_vec(vec![2, 2], vec![0, 1, bad, 2]).unwrap();
@@ -276,6 +409,31 @@ mod tests {
                 matches!(&err, ModelError::ParameterMismatch { context } if context.contains(&bad.to_string())),
                 "{err}"
             );
+        }
+    }
+
+    #[test]
+    fn codes_are_stored_in_i8_exactly_up_to_its_edges() {
+        // One code at the edge among small ones, late enough that whole
+        // blocks of the transpose pass before it; -128 and 127 are the last
+        // codes the 8-bit element holds, -129 and 128 the first it misses.
+        let (o, n) = (70usize, 45usize);
+        for (edge, bytes) in [(-128i64, true), (127, true), (-129, false), (128, false)] {
+            let mut values: Vec<i64> = (0..o * n).map(|i| (i % 7) as i64 - 3).collect();
+            values[(o - 1) * n + n / 2] = edge;
+            let packed =
+                PackedWeights::from_linear(&Tensor::from_vec(vec![o, n], values.clone()).unwrap())
+                    .unwrap();
+            assert_eq!(matches!(packed.codes(), Codes::I8(_)), bytes, "edge {edge}");
+            assert_eq!(packed.abs_max, edge.unsigned_abs() as u16, "edge {edge}");
+            // Nothing is lost either way.
+            for ni in 0..n {
+                let row = widened(packed.row(ni, 0, 0));
+                for oc in 0..o {
+                    assert_eq!(row[oc], values[oc * n + ni], "edge {edge} ({oc}, {ni})");
+                }
+                assert!(row[o..].iter().all(|&w| w == 0));
+            }
         }
     }
 
@@ -316,6 +474,57 @@ mod tests {
     }
 
     #[test]
+    fn abs_max_is_the_largest_magnitude_of_the_layer() {
+        // Sizes crossing the transpose blocks with padded lanes (37 -> 40,
+        // whose zeros must not count); the largest magnitude sits in the
+        // last block, is negative, and in the third case is `i16::MIN`,
+        // whose magnitude 32768 no `i16` holds.
+        let (o, cols) = (37usize, 70usize);
+        for (largest, offset) in [(-100i64, 40i64), (-3000, 1000), (i64::from(i16::MIN), 1000)] {
+            let mut values: Vec<i64> = (0..o * cols)
+                .map(|i| (i as i64 * 37) % (2 * offset) - offset)
+                .collect();
+            values[(o - 1) * cols + cols - 2] = largest;
+            let naive = values.iter().map(|v| v.unsigned_abs()).max().unwrap();
+            assert_eq!(naive, largest.unsigned_abs());
+            let packed =
+                PackedWeights::from_linear(&Tensor::from_vec(vec![o, cols], values).unwrap())
+                    .unwrap();
+            assert_eq!(u64::from(packed.abs_max), naive);
+        }
+    }
+
+    #[test]
+    fn i16_group_is_the_floor_of_the_budget_over_one_channel() {
+        // The ruler's operating point: 3-bit codes at T = 4.
+        let conv3 = PackedWeights::from_conv(&Tensor::filled(vec![2, 512, 3, 3], -4i64)).unwrap();
+        assert_eq!(conv3.i16_group(4), 60); // 32767 / (15 x 9 x 4)
+        let conv5 = PackedWeights::from_conv(&Tensor::filled(vec![2, 6, 5, 5], 4i64)).unwrap();
+        assert_eq!(conv5.i16_group(4), 21); // 32767 / (15 x 25 x 4)
+        let linear = PackedWeights::from_linear(&Tensor::filled(vec![2, 9], -4i64)).unwrap();
+        assert_eq!(linear.i16_group(4), 546); // 32767 / (15 x 4)
+
+        // Exactly at the budget, and one past it: 32767 = 7 x 31 x 151.
+        let exact = PackedWeights::from_linear(&Tensor::filled(vec![1, 3], 31i64)).unwrap();
+        assert_eq!(exact.i16_group(3), 151);
+        let one_more = PackedWeights::from_linear(&Tensor::filled(vec![1, 3], 32i64)).unwrap();
+        assert_eq!(one_more.i16_group(3), 146); // floor(32767 / 224), not 147
+                                                // A power of two a channel: 512 of them would sum to 32768.
+        let sixty_four = PackedWeights::from_linear(&Tensor::filled(vec![1, 3], -64i64)).unwrap();
+        assert_eq!(sixty_four.i16_group(1), 511);
+        let whole = PackedWeights::from_linear(&Tensor::filled(vec![1, 3], 127i64)).unwrap();
+        assert_eq!(whole.i16_group(8), 1); // 255 x 127 = 32385
+        assert_eq!(whole.i16_group(9), 0); // 511 x 127 leaves i16 at once
+        assert_eq!(whole.i16_group(63), 0);
+
+        // Nothing to add: no division, no bound.
+        let zeros = PackedWeights::from_conv(&Tensor::filled(vec![3, 2, 3, 3], 0i64)).unwrap();
+        assert_eq!(zeros.abs_max, 0);
+        assert_eq!(zeros.i16_group(4), usize::MAX);
+        assert_eq!(whole.i16_group(0), usize::MAX);
+    }
+
+    #[test]
     fn sums_fit_i32_up_to_and_including_i32_max() {
         // Σ|w| = 2^31 - 1 exactly (65 538 x 32 767 + 1), and one more.
         let mut codes = vec![-32767i64; 65538];
@@ -347,10 +556,13 @@ mod tests {
         let packed =
             PackedWeights::from_conv(&Tensor::from_vec(vec![6, 3, 2, 2], codes).unwrap()).unwrap();
         let lanes = packed.lanes();
+        let all = widened(packed.codes());
         for ic in 0..3 {
+            let channel = widened(packed.channel(ic));
+            assert_eq!(channel, all[ic * 4 * lanes..(ic + 1) * 4 * lanes]);
             for (ky, kx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                 let at = (ky * 2 + kx) * lanes;
-                assert_eq!(&packed.channel(ic)[at..at + lanes], packed.row(ic, ky, kx));
+                assert_eq!(channel[at..at + lanes], widened(packed.row(ic, ky, kx)));
             }
         }
     }

@@ -132,7 +132,7 @@ impl SnnModel {
     ///
     /// Returns [`ModelError::ParameterMismatch`] when the number of SNN
     /// layers does not match the network spec, or a weight code does not
-    /// fit the engine's packed 16-bit element (see [`PackedWeights`]).
+    /// fit the engine's widest packed element, `i16` (see [`PackedWeights`]).
     pub fn new(
         spec: NetworkSpec,
         layers: Vec<SnnLayer>,
@@ -349,6 +349,7 @@ fn apply_requant(acc: &Tensor<i64>, requant: Option<f32>, max_level: i64) -> Ten
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::Codes;
     use crate::zoo;
 
     fn identity_linear_model(time_steps: usize) -> SnnModel {
@@ -412,7 +413,7 @@ mod tests {
         let model = identity_linear_model(3);
         let packed = model.packed(0).expect("linear layers are packed");
         assert_eq!((packed.c_in(), packed.c_out()), (3, 3));
-        assert_eq!(packed.row(1, 0, 0), &[0, 1, 0, 0]);
+        assert_eq!(packed.row(1, 0, 0), Codes::I8(&[0, 1, 0, 0]));
         assert!(model.packed(1).is_none());
 
         let spec = NetworkSpec::new("wide", vec![1], vec![LayerSpec::linear(1, 1)]).unwrap();

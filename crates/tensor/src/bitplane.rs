@@ -171,7 +171,7 @@ impl BitPlanes {
 
 /// Per-position spike occupancy: bit `x` of row `r` is set iff the level
 /// at `(r, x)` spikes in at least one time step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Occupancy {
     rows: usize,
     words_per_row: usize,
@@ -189,6 +189,17 @@ impl Occupancy {
     ///
     /// Panics when `levels.len() != rows * width`.
     pub fn from_levels(levels: &[i64], rows: usize, width: usize, time_steps: usize) -> Self {
+        let mut occupancy = Occupancy::default();
+        occupancy.refill(levels, rows, width, time_steps);
+        occupancy
+    }
+
+    /// [`Occupancy::from_levels`] into this value, reusing its words.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `levels.len() != rows * width`.
+    pub fn refill(&mut self, levels: &[i64], rows: usize, width: usize, time_steps: usize) {
         assert_eq!(
             levels.len(),
             rows * width,
@@ -196,16 +207,14 @@ impl Occupancy {
         );
         let wpr = words_per_row(width);
         let mask = level_mask(time_steps);
-        let mut data = vec![0u64; rows * wpr];
+        self.rows = rows;
+        self.words_per_row = wpr;
+        // Every word is overwritten below, whatever an earlier fill left.
+        self.data.resize(rows * wpr, 0);
         for row in 0..rows {
             let row_levels = &levels[row * width..(row + 1) * width];
-            let row_words = &mut data[row * wpr..(row + 1) * wpr];
+            let row_words = &mut self.data[row * wpr..(row + 1) * wpr];
             crate::simd::pack_occupancy_row(row_levels, mask, row_words);
-        }
-        Occupancy {
-            rows,
-            words_per_row: wpr,
-            data,
         }
     }
 

@@ -4,9 +4,10 @@
 //! word-level primitives: OR-reducing packed plane rows into the occupancy
 //! mask, popcounting planes for the analytical `adder_ops`, and the widening
 //! multiply-accumulate of one packed weight row into the output-channel
-//! lanes of an accumulator row (`acc += level * row`), into `i64` or `i32`
-//! lanes ([`Accumulator`]).  This module provides those primitives once,
-//! with two implementations behind one dispatch point:
+//! lanes of an accumulator row (`acc += level * row`) — weights of either
+//! stored width ([`WeightLane`]: `i8 | i16`) into lanes of any of three
+//! ([`Accumulator`]: `i16 | i32 | i64`).  This module provides those
+//! primitives once, with two implementations behind one dispatch point:
 //!
 //! * **Scalar** — portable Rust, always compiled, the *oracle* every other
 //!   path is property-pinned against ([`scalar`]).
@@ -22,14 +23,16 @@
 //!
 //! **Exactness contract:** every kernel computes bit-identical results on
 //! every level — the integer operations are exact (`u64` bit ops; wrapping
-//! `i64` and wrapping `i32` multiply-accumulate are associative and
-//! commutative), so the choice of path can never change an accumulator or
-//! a derived statistic.  The two accumulator widths agree with *each other*
-//! only where no sum leaves `i32`; proving that is the caller's job
-//! (`snn_model::packed::PackedWeights::sums_fit_i32`), not this module's.
-//! `tests/simd_properties.rs` pins all levels against [`scalar`] on
-//! arbitrary densities, widths crossing word boundaries and all-silent
-//! rows.
+//! multiply-accumulate at any one width is associative and commutative),
+//! so the choice of path can never change an accumulator or a derived
+//! statistic.  Accumulators of different widths agree with *each other*
+//! only where no sum leaves the narrower one; proving that is the caller's
+//! job (`snn_model::packed::PackedWeights::{sums_fit_i32, i16_group}`),
+//! not this module's.  `tests/simd_properties.rs` pins all levels against
+//! [`scalar`] on arbitrary densities, widths crossing word boundaries and
+//! all-silent rows.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::sync::OnceLock;
 
@@ -138,90 +141,74 @@ pub struct Tap {
 }
 
 mod sealed {
-    /// The kernels behind [`super::Accumulator`].  Private because `kernel`
-    /// must be a level this host can run, which only this module's dispatch
-    /// (and its tests) can promise.
-    pub trait Kernels: Sized {
-        fn axpy_taps(
-            kernel: super::SimdLevel,
-            acc: &mut [Self],
-            weights: &[i16],
-            taps: &[super::Tap],
-            width: usize,
-            level: Self,
-        );
-    }
+    //! Seals [`super::WeightLane`] and [`super::Accumulator`], and ties each
+    //! to what the vector kernel needs of it on hosts that have one.
+
+    #[cfg(target_arch = "x86_64")]
+    pub trait Lane: super::avx2::Widen {}
+    #[cfg(not(target_arch = "x86_64"))]
+    pub trait Lane {}
+
+    #[cfg(target_arch = "x86_64")]
+    pub trait Sum: super::avx2::Lanes {}
+    #[cfg(not(target_arch = "x86_64"))]
+    pub trait Sum {}
 }
 
-/// The element an accumulator row is made of: `i64`, or `i32` where the
-/// caller has shown that no sum can leave it.  Sealed — the engine is
-/// generic over exactly these two.
-pub trait Accumulator: sealed::Kernels + Copy + Default + Into<i64> + Send + Sync {
+/// The element a packed weight row is stored in: `i8` where every code of
+/// the layer fits it, `i16` otherwise (decided once, by
+/// `snn_model::packed::PackedWeights`).  Sealed — the engine is generic
+/// over exactly these two.
+pub trait WeightLane: sealed::Lane + Copy + Into<i16> + Send + Sync {}
+
+/// The element an accumulator row is made of: `i64`; `i32` where the
+/// caller has shown that no sum of the layer can leave it; `i16` for the
+/// partial sums of a group of contributions the caller has shown cannot
+/// leave *that*.  Sealed — the engine is generic over exactly these three.
+pub trait Accumulator: sealed::Sum + Copy + Default + Into<i64> + Send + Sync {
     /// A spike level as a multiplier of this width (the low bits: products
     /// are exact modulo the element's width either way).
     fn from_level(level: i64) -> Self;
+
+    /// `self + weight * level`, wrapping at this width: one lane of the
+    /// scalar oracle.
+    fn wrapping_mul_add(self, weight: i16, level: Self) -> Self;
+
+    /// `self + partial`, wrapping at this width, the partial sum widened
+    /// (or, were it the wider of the two, truncated) to it first.
+    fn wrapping_add_partial<S: Accumulator>(self, partial: S) -> Self;
 }
 
-impl Accumulator for i64 {
-    fn from_level(level: i64) -> Self {
-        level
-    }
-}
+impl sealed::Lane for i8 {}
+impl sealed::Lane for i16 {}
+impl WeightLane for i8 {}
+impl WeightLane for i16 {}
 
-impl Accumulator for i32 {
-    fn from_level(level: i64) -> Self {
-        level as i32
-    }
-}
+macro_rules! accumulator {
+    ($($element:ty),*) => {$(
+        impl sealed::Sum for $element {}
 
-impl sealed::Kernels for i64 {
-    fn axpy_taps(
-        kernel: SimdLevel,
-        acc: &mut [i64],
-        weights: &[i16],
-        taps: &[Tap],
-        width: usize,
-        level: i64,
-    ) {
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => avx2::axpy_taps_i64(acc, weights, taps, width, level),
-            _ => {
-                for tap in taps {
-                    let acc = &mut acc[tap.acc_at..][..width];
-                    scalar::axpy_i16(acc, &weights[tap.w_at..][..width], level);
-                }
+        impl Accumulator for $element {
+            fn from_level(level: i64) -> Self {
+                level as $element
+            }
+
+            fn wrapping_mul_add(self, weight: i16, level: Self) -> Self {
+                self.wrapping_add((weight as $element).wrapping_mul(level))
+            }
+
+            fn wrapping_add_partial<S: Accumulator>(self, partial: S) -> Self {
+                self.wrapping_add(partial.into() as $element)
             }
         }
-    }
+    )*};
 }
-
-impl sealed::Kernels for i32 {
-    fn axpy_taps(
-        kernel: SimdLevel,
-        acc: &mut [i32],
-        weights: &[i16],
-        taps: &[Tap],
-        width: usize,
-        level: i32,
-    ) {
-        match kernel {
-            #[cfg(target_arch = "x86_64")]
-            SimdLevel::Avx2 => avx2::axpy_taps_i32(acc, weights, taps, width, level),
-            _ => {
-                for tap in taps {
-                    let acc = &mut acc[tap.acc_at..][..width];
-                    scalar::axpy_i16_i32(acc, &weights[tap.w_at..][..width], level);
-                }
-            }
-        }
-    }
-}
+accumulator!(i16, i32, i64);
 
 /// For every tap, `acc[acc_at + i] += level * weights[w_at + i]` over
-/// `i < width`, each `i16` weight widened to the accumulator element and
-/// the arithmetic wrapping at its width — the one multiply-accumulate of
-/// the convolution and linear engines: a spike of weight `level` adds one
+/// `i < width`, each weight widened to the accumulator element and the
+/// arithmetic wrapping at its width — the one multiply-accumulate of the
+/// convolution and linear engines: a spike of weight `level` adds one
 /// channel-last packed weight row per covering kernel tap into the
 /// output-channel lanes of an accumulator row.  One call per spike rather
 /// than per tap: the dispatch, and the call into the vector kernel, are
@@ -230,14 +217,37 @@ impl sealed::Kernels for i32 {
 /// # Panics
 ///
 /// Panics when a tap reaches outside `acc` or `weights`.
-pub fn axpy_taps<A: Accumulator>(
+pub fn axpy_taps<W: WeightLane, A: Accumulator>(
     acc: &mut [A],
-    weights: &[i16],
+    weights: &[W],
     taps: &[Tap],
     width: usize,
     level: A,
 ) {
-    A::axpy_taps(active_level(), acc, weights, taps, width, level);
+    axpy_taps_at(active_level(), acc, weights, taps, width, level);
+}
+
+/// [`axpy_taps`] on an explicit kernel level (which must not exceed what
+/// the host supports), so tests can pin every compiled path in one
+/// process.
+fn axpy_taps_at<W: WeightLane, A: Accumulator>(
+    kernel: SimdLevel,
+    acc: &mut [A],
+    weights: &[W],
+    taps: &[Tap],
+    width: usize,
+    level: A,
+) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => avx2::axpy_taps(acc, weights, taps, width, level),
+        _ => {
+            for tap in taps {
+                let acc = &mut acc[tap.acc_at..][..width];
+                scalar::axpy(acc, &weights[tap.w_at..][..width], level);
+            }
+        }
+    }
 }
 
 /// `acc[i] += level * w[i]`: [`axpy_taps`] for a single row.  Into `i64`
@@ -247,25 +257,38 @@ pub fn axpy_taps<A: Accumulator>(
 /// # Panics
 ///
 /// Panics when the slices differ in length.
-pub fn axpy_i16<A: Accumulator>(acc: &mut [A], w: &[i16], level: A) {
-    axpy_i16_at(active_level(), acc, w, level);
+pub fn axpy<W: WeightLane, A: Accumulator>(acc: &mut [A], w: &[W], level: A) {
+    axpy_at(active_level(), acc, w, level);
 }
 
-/// [`axpy_i16`] on an explicit kernel level (which must not exceed what
-/// the host supports), so tests can pin every compiled path in one
-/// process.
-fn axpy_i16_at<A: Accumulator>(kernel: SimdLevel, acc: &mut [A], w: &[i16], level: A) {
+/// [`axpy`] on an explicit kernel level, as [`axpy_taps_at`].
+fn axpy_at<W: WeightLane, A: Accumulator>(kernel: SimdLevel, acc: &mut [A], w: &[W], level: A) {
     assert_eq!(acc.len(), w.len(), "axpy rows differ in length");
-    A::axpy_taps(kernel, acc, w, &[Tap::default()], acc.len(), level);
+    axpy_taps_at(kernel, acc, w, &[Tap::default()], acc.len(), level);
+}
+
+/// Ends a group of partial sums: `wide[i] += partial[i]`, each partial sum
+/// widened first, and `partial[i] = 0` for the next group.  Not
+/// dispatched: it runs once per group of input channels where
+/// [`axpy_taps`] runs once per spike, and the plain loop vectorises.
+///
+/// # Panics
+///
+/// Panics when the slices differ in length.
+pub fn drain_partials<S: Accumulator, A: Accumulator>(wide: &mut [A], partial: &mut [S]) {
+    assert_eq!(wide.len(), partial.len(), "rows differ in length");
+    for (sum, part) in wide.iter_mut().zip(partial) {
+        *sum = sum.wrapping_add_partial(std::mem::take(part));
+    }
 }
 
 /// Hints that `data` is about to be read, one prefetch per cache line.
 /// For rows the hardware prefetcher cannot anticipate (the linear engine
 /// jumps between weight rows kilobytes apart, in spike order); a hint
 /// only — it never faults and never changes a result.
-pub fn prefetch(data: &[i16]) {
+pub fn prefetch<W: WeightLane>(data: &[W]) {
     #[cfg(target_arch = "x86_64")]
-    for line in data.chunks(32) {
+    for line in data.chunks(64 / std::mem::size_of::<W>()) {
         // SAFETY: the address is inside `data`, and a prefetch reads
         // nothing architecturally.  SSE is part of the x86_64 baseline.
         #[allow(unsafe_code)]
@@ -281,7 +304,6 @@ pub fn prefetch(data: &[i16]) {
 
 #[cfg(test)]
 mod tests {
-    use super::sealed::Kernels;
     use super::*;
 
     /// Every kernel level this host can run.
@@ -354,41 +376,58 @@ mod tests {
             .collect()
     }
 
+    /// The same pattern in the 8-bit element (both `i8` edges).
+    fn byte_row(len: usize) -> Vec<i8> {
+        weight_row(len).iter().map(|&w| (w >> 8) as i8).collect()
+    }
+
+    /// One (weight lane × accumulator) instantiation on `kernel` against
+    /// the scalar oracle: every length across the unrolled, one-vector and
+    /// half-vector steps and the scalar tail, at each of `levels`.
+    fn check_axpy<W: WeightLane, A: Accumulator + PartialEq + std::fmt::Debug>(
+        kernel: SimdLevel,
+        row: fn(usize) -> Vec<W>,
+        levels: &[i64],
+    ) {
+        for len in 0..=67usize {
+            let w = row(len);
+            for &c in levels {
+                let level = A::from_level(c);
+                let mut fast: Vec<A> = (0..len).map(|v| A::from_level(v as i64 * 3 - 50)).collect();
+                let mut slow = fast.clone();
+                axpy_at(kernel, &mut fast, &w, level);
+                scalar::axpy(&mut slow, &w, level);
+                assert_eq!(fast, slow, "kernel={kernel:?} len={len} c={c}");
+            }
+        }
+    }
+
     #[test]
     fn axpy_matches_scalar() {
-        // Every compiled level the host supports, every length across the
-        // unrolled and one-vector loops and the scalar tail of both widths.
+        // `i64` lanes: levels on both sides of the `vpmuldq` fast path
+        // (2^31 - 1 | 2^31) up to 2^62, where the products wrap.
+        let wide = [0i64, 1, (1 << 31) - 1, 1 << 31, 1 << 62, -3];
+        // `i32` lanes: levels on both sides of the `vpmaddwd` fast path
+        // (2^15 - 1 | 2^15) up to 2^31 - 1, where they wrap.
+        let narrow = [
+            0i64,
+            1,
+            15,
+            (1 << 15) - 1,
+            1 << 15,
+            (1 << 16) + 1,
+            i64::from(i32::MAX),
+            -3,
+        ];
+        // `i16` lanes: one multiply at every level, up to where it wraps.
+        let partial = [0i64, 1, 15, 255, 256, i64::from(i16::MAX), -3];
         for kernel in runnable_levels() {
-            for len in 0..=67usize {
-                let w = weight_row(len);
-                // `i64` lanes: levels on both sides of the `vpmuldq` fast
-                // path (2^31 - 1 | 2^31) up to 2^62, where the products wrap.
-                for c in [0i64, 1, (1 << 31) - 1, 1 << 31, 1 << 62, -3] {
-                    let mut fast: Vec<i64> = (0..len).map(|v| v as i64 * 3 - 50).collect();
-                    let mut slow = fast.clone();
-                    axpy_i16_at(kernel, &mut fast, &w, c);
-                    scalar::axpy_i16(&mut slow, &w, c);
-                    assert_eq!(fast, slow, "kernel={kernel:?} len={len} c={c}");
-                }
-                // `i32` lanes: levels on both sides of the `vpmaddwd` fast
-                // path (2^15 - 1 | 2^15) up to 2^31 - 1, where they wrap.
-                for c in [
-                    0i32,
-                    1,
-                    15,
-                    (1 << 15) - 1,
-                    1 << 15,
-                    (1 << 16) + 1,
-                    i32::MAX,
-                    -3,
-                ] {
-                    let mut fast: Vec<i32> = (0..len).map(|v| v as i32 * 3 - 50).collect();
-                    let mut slow = fast.clone();
-                    axpy_i16_at(kernel, &mut fast, &w, c);
-                    scalar::axpy_i16_i32(&mut slow, &w, c);
-                    assert_eq!(fast, slow, "kernel={kernel:?} len={len} c={c}");
-                }
-            }
+            check_axpy::<i16, i64>(kernel, weight_row, &wide);
+            check_axpy::<i8, i64>(kernel, byte_row, &wide);
+            check_axpy::<i16, i32>(kernel, weight_row, &narrow);
+            check_axpy::<i8, i32>(kernel, byte_row, &narrow);
+            check_axpy::<i16, i16>(kernel, weight_row, &partial);
+            check_axpy::<i8, i16>(kernel, byte_row, &partial);
         }
     }
 
@@ -397,6 +436,7 @@ mod tests {
         // Taps that overlap in the accumulator, repeat a weight row and end
         // flush with both slices; none, one and many of them.
         let weights = weight_row(90);
+        let bytes = byte_row(90);
         let all = [(0usize, 7usize), (11, 0), (0, 7), (23, 53), (5, 30)];
         for kernel in runnable_levels() {
             for width in [0usize, 1, 8, 37] {
@@ -407,21 +447,62 @@ mod tests {
                         .collect();
                     let mut fast = vec![5i32; 60];
                     let mut slow = fast.clone();
-                    i32::axpy_taps(kernel, &mut fast, &weights, &taps, width, 9);
+                    axpy_taps_at(kernel, &mut fast, &weights, &taps, width, 9);
                     let mut wide = vec![5i64; 60];
-                    i64::axpy_taps(kernel, &mut wide, &weights, &taps, width, 9);
+                    axpy_taps_at(kernel, &mut wide, &weights, &taps, width, 9);
+                    // 8-bit weights into 16-bit lanes: nothing here leaves
+                    // `i16` (5 taps x 9 x 128 at most), so it agrees with
+                    // the wide sum of the same bytes.
+                    let mut partial = vec![5i16; 60];
+                    axpy_taps_at(kernel, &mut partial, &bytes, &taps, width, 9);
+                    let mut byte_sums = vec![5i64; 60];
                     for tap in &taps {
-                        scalar::axpy_i16_i32(
+                        scalar::axpy(
                             &mut slow[tap.acc_at..][..width],
                             &weights[tap.w_at..][..width],
+                            9,
+                        );
+                        scalar::axpy(
+                            &mut byte_sums[tap.acc_at..][..width],
+                            &bytes[tap.w_at..][..width],
                             9,
                         );
                     }
                     assert_eq!(fast, slow, "kernel={kernel:?} width={width} taps={count}");
                     // Nothing here leaves `i32`, so the widths agree.
                     assert!(wide.iter().zip(&slow).all(|(&a, &b)| a == i64::from(b)));
+                    assert!(
+                        partial
+                            .iter()
+                            .zip(&byte_sums)
+                            .all(|(&a, &b)| i64::from(a) == b),
+                        "kernel={kernel:?} width={width} taps={count}"
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn drain_partials_widens_adds_and_clears() {
+        for len in [0usize, 1, 7, 40] {
+            let mut partial: Vec<i16> = (0..len)
+                .map(|i| match i % 4 {
+                    0 => i16::MAX,
+                    1 => i16::MIN,
+                    _ => i as i16 - 9,
+                })
+                .collect();
+            let before = partial.clone();
+            let mut wide: Vec<i32> = (0..len).map(|i| i as i32 * 100_000 - 7).collect();
+            let expected: Vec<i32> = wide
+                .iter()
+                .zip(&before)
+                .map(|(&w, &p)| w + i32::from(p))
+                .collect();
+            drain_partials(&mut wide, &mut partial);
+            assert_eq!(wide, expected);
+            assert!(partial.iter().all(|&p| p == 0));
         }
     }
 

@@ -2,6 +2,8 @@
 //! is property-pinned against, and the dispatch target on hosts (or under
 //! `SNN_SIMD=0`) where no vector path applies.
 
+use super::{Accumulator, WeightLane};
+
 /// `acc[i] |= src[i]` over packed words.
 pub fn or_accumulate(acc: &mut [u64], src: &[u64]) {
     for (a, &s) in acc.iter_mut().zip(src) {
@@ -27,21 +29,16 @@ pub fn pack_occupancy_row(levels: &[i64], mask: i64, out: &mut [u64]) {
     }
 }
 
-/// `acc[i] += level * w[i]`, each `i16` weight widened to `i64` first,
-/// in wrapping `i64` arithmetic (exact mod 2^64 for any `level`).
-pub fn axpy_i16(acc: &mut [i64], w: &[i16], level: i64) {
+/// `acc[i] += level * w[i]`, each weight widened to the accumulator element
+/// first, in arithmetic wrapping at that element's width — the one oracle
+/// of every (weight lane × accumulator) kernel.  Exact mod 2^64 in `i64`
+/// lanes for any `level`; in `i32` (`i16`) lanes *equal* to the `i64` sum
+/// whenever that sum fits the element, which is what the engine proves
+/// before it runs them (`snn_model::packed::PackedWeights::sums_fit_i32`
+/// and `i16_group`).
+pub fn axpy<W: WeightLane, A: Accumulator>(acc: &mut [A], w: &[W], level: A) {
     for (a, &v) in acc.iter_mut().zip(w) {
-        *a = a.wrapping_add(i64::from(v).wrapping_mul(level));
-    }
-}
-
-/// `acc[i] += level * w[i]` in wrapping `i32` arithmetic — the narrow
-/// accumulator's oracle.  Exact mod 2^32; *equal* to the `i64` sum whenever
-/// that sum fits `i32`, which is what the engine proves before it runs this
-/// (`snn_model::packed::PackedWeights::sums_fit_i32`).
-pub fn axpy_i16_i32(acc: &mut [i32], w: &[i16], level: i32) {
-    for (a, &v) in acc.iter_mut().zip(w) {
-        *a = a.wrapping_add(i32::from(v).wrapping_mul(level));
+        *a = a.wrapping_mul_add(v.into(), level);
     }
 }
 

@@ -61,6 +61,27 @@ fn small_i64(i: usize, seed: u64, bound: u64) -> i64 {
         - bound as i64
 }
 
+/// The high byte of each weight: the same pattern in the 8-bit element,
+/// both `i8` edges included.
+fn bytes_of(w: &[i16]) -> Vec<i8> {
+    w.iter().map(|&w| (w >> 8) as i8).collect()
+}
+
+/// One (weight lane × accumulator) instantiation of the dispatched kernel
+/// against the scalar oracle, from the accumulators `start`.
+fn check_axpy<W: simd::WeightLane, A: simd::Accumulator + PartialEq + std::fmt::Debug>(
+    w: &[W],
+    start: &[A],
+    level: A,
+) -> Result<(), TestCaseError> {
+    let mut fast = start.to_vec();
+    let mut slow = start.to_vec();
+    simd::axpy(&mut fast, w, level);
+    scalar::axpy(&mut slow, w, level);
+    prop_assert_eq!(fast, slow);
+    Ok(())
+}
+
 /// Levels around the narrow kernel's `0 <= level < 2^15` fast path, up to
 /// where the 32-bit products wrap.
 const NARROW_SEAM_LEVELS: [i32; 8] = [
@@ -130,8 +151,8 @@ proptest! {
     }
 
     /// Widening multiply-accumulate (`acc += level * w`): dispatched
-    /// kernel equals the scalar loop for any length, any `i16` weights and
-    /// levels on both sides of the 32-bit fast path.
+    /// kernel equals the scalar loop for any length, any weights of either
+    /// stored element and levels on both sides of the 32-bit fast path.
     #[test]
     fn axpy_matches_scalar_oracle(
         w in prop::collection::vec(i16::MIN..=i16::MAX, 0..130),
@@ -139,17 +160,16 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let level = (seed >> (63 - level_bits)) as i64;
-        let mut fast: Vec<i64> = (0..w.len()).map(|i| small_i64(i, seed, 1024)).collect();
-        let mut slow = fast.clone();
-        simd::axpy_i16(&mut fast, &w, level);
-        scalar::axpy_i16(&mut slow, &w, level);
-        prop_assert_eq!(fast, slow);
+        let start: Vec<i64> = (0..w.len()).map(|i| small_i64(i, seed, 1024)).collect();
+        check_axpy(&w, &start, level)?;
+        check_axpy(&bytes_of(&w), &start, level)?;
     }
 
     /// The same into 32-bit lanes, wrapping: dispatched kernel equals the
-    /// scalar loop for any length (0..=67 crosses the unrolled, 8-lane and
-    /// scalar-tail loops), any `i16` weights, accumulators up to the `i32`
-    /// edges, and levels on both sides of the `vpmaddwd` fast path.
+    /// scalar loop for any length (0..=67 crosses the unrolled, 8-lane,
+    /// 4-lane and scalar-tail loops), any weights of either stored element,
+    /// accumulators up to the `i32` edges, and levels on both sides of the
+    /// `vpmaddwd` fast path.
     #[test]
     fn narrow_axpy_matches_scalar_oracle(
         w in prop::collection::vec(i16::MIN..=i16::MAX, 0..=67),
@@ -160,19 +180,35 @@ proptest! {
             Some(&level) => level,
             None => (seed >> 17) as i32,
         };
-        let mut fast: Vec<i32> = (0..w.len())
+        let start: Vec<i32> = (0..w.len())
             .map(|i| small_i64(i, seed, 1 << 31) as i32)
             .collect();
-        let mut slow = fast.clone();
-        simd::axpy_i16(&mut fast, &w, level);
-        scalar::axpy_i16_i32(&mut slow, &w, level);
-        prop_assert_eq!(fast, slow);
+        check_axpy(&w, &start, level)?;
+        check_axpy(&bytes_of(&w), &start, level)?;
+    }
+
+    /// And into 16-bit lanes, the partial sums of a group: any length
+    /// (0..=67 crosses the unrolled, 16-lane, 8-lane and scalar-tail
+    /// loops), any weights of either stored element, accumulators and
+    /// levels up to the `i16` edges, where everything wraps.
+    #[test]
+    fn partial_axpy_matches_scalar_oracle(
+        w in prop::collection::vec(i16::MIN..=i16::MAX, 0..=67),
+        level in i16::MIN..=i16::MAX,
+        seed in 0u64..u64::MAX,
+    ) {
+        let start: Vec<i16> = (0..w.len())
+            .map(|i| small_i64(i, seed, 1 << 15) as i16)
+            .collect();
+        check_axpy(&w, &start, level)?;
+        check_axpy(&bytes_of(&w), &start, level)?;
     }
 
     /// One call over a spike's taps equals one scalar row update per tap,
-    /// in order, in both widths — taps may overlap, repeat and end flush
+    /// in order, in every width — taps may overlap, repeat and end flush
     /// with either slice — and the widths agree with each other, because
-    /// nothing here leaves `i32`.
+    /// nothing here leaves `i32`, nor, from 8-bit weights under a level
+    /// below 16, `i16` (12 taps x 15 x 128 + 7 at most).
     #[test]
     fn axpy_taps_matches_one_scalar_axpy_per_tap(
         weights in prop::collection::vec(-2048i16..2048, 1..200),
@@ -194,15 +230,47 @@ proptest! {
         let mut slow = narrow.clone();
         simd::axpy_taps(&mut narrow, &weights, &taps, width, level);
         simd::axpy_taps(&mut wide, &weights, &taps, width, i64::from(level));
+        let bytes = bytes_of(&weights);
+        let small = (level % 16) as i16;
+        let mut partial = vec![-7i16; acc_len];
+        let mut bytes_narrow = vec![-7i32; acc_len];
+        let mut bytes_slow = vec![-7i64; acc_len];
+        simd::axpy_taps(&mut partial, &bytes, &taps, width, small);
+        simd::axpy_taps(&mut bytes_narrow, &bytes, &taps, width, i32::from(small));
         for tap in &taps {
-            scalar::axpy_i16_i32(
+            scalar::axpy(
                 &mut slow[tap.acc_at..][..width],
                 &weights[tap.w_at..][..width],
                 level,
             );
+            scalar::axpy(
+                &mut bytes_slow[tap.acc_at..][..width],
+                &bytes[tap.w_at..][..width],
+                i64::from(small),
+            );
         }
         prop_assert_eq!(&narrow, &slow);
         prop_assert!(wide.iter().zip(&slow).all(|(&a, &b)| a == i64::from(b)));
+        prop_assert!(partial.iter().zip(&bytes_slow).all(|(&a, &b)| i64::from(a) == b));
+        prop_assert!(bytes_narrow.iter().zip(&bytes_slow).all(|(&a, &b)| i64::from(a) == b));
+    }
+
+    /// Ending a group: every partial sum is widen-added into its wide lane
+    /// and cleared, at both `i16` edges.
+    #[test]
+    fn drain_partials_is_a_widening_add_that_clears(
+        partial in prop::collection::vec(i16::MIN..=i16::MAX, 0..70),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut partial = partial;
+        let before = partial.clone();
+        let mut wide: Vec<i32> = (0..partial.len())
+            .map(|i| small_i64(i, seed, 1 << 30) as i32)
+            .collect();
+        let expected: Vec<i32> = wide.iter().zip(&before).map(|(&w, &p)| w + i32::from(p)).collect();
+        simd::drain_partials(&mut wide, &mut partial);
+        prop_assert_eq!(wide, expected);
+        prop_assert!(partial.iter().all(|&p| p == 0));
     }
 
     /// The engine's gather, the closure-based `for_each_set_bit`: same
