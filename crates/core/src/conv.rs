@@ -39,10 +39,13 @@
 //!   and bias added, once per band.  Wrapping `i64` arithmetic commutes, so
 //!   the result is bit-identical to the cycle-stepped reference — including
 //!   for out-of-range levels, which the mask truncates to exactly the bits
-//!   the schedule would see.  Blocks of output-channel lanes own disjoint
-//!   accumulators and run on parallel threads when the layer is large
-//!   enough to amortise the dispatch.  Spike list, occupancy words, reach
-//!   tables and accumulator rows live in the caller's
+//!   the schedule would see.  The whole loop runs on the calling thread:
+//!   the paper's units working side by side on different output channels
+//!   are *modelled* (every cycle count comes from [`crate::timing`]), and
+//!   splitting the lanes over host threads measured slower than not, alone
+//!   and inside a batch (the numbers are in `ARCHITECTURE.md`), so the
+//!   host runs requests, not layers, in parallel.  Spike list, occupancy words,
+//!   reach tables and accumulator rows live in the caller's
 //!   [`EngineScratch`], so the bands and layers of an inference allocate
 //!   them once.
 //! * **Datapath width** — the paper sizes its adders to the sums they can
@@ -51,7 +54,7 @@
 //!   `level_mask(T) × |w|`, so where
 //!   [`PackedWeights::sums_fit_i32`]`(T)` holds — 3-bit weights at `T = 4`
 //!   need 19 bits on VGG-11 — no partial sum of the layer leaves `i32` in
-//!   any order, band or lane block, and the accumulator rows are 32-bit.
+//!   any order or band, and the accumulator rows are 32-bit.
 //!   And within `G` consecutive input channels it receives at most
 //!   `G × Kr × Kc` contributions of at most `level_mask(T) × abs_max`, so
 //!   with `G =` [`PackedWeights::i16_group`]`(T)` — 60 channels for 3-bit
@@ -81,9 +84,7 @@
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
-use crate::units::{
-    for_each_lane_block, lane_blocks, unsupported, EngineScratch, Lane, LaneRows, UnitStats,
-};
+use crate::units::{unsupported, EngineScratch, Lane, LaneRows, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, ops, simd, Tensor};
@@ -178,8 +179,8 @@ pub(crate) struct SpikeRow {
 
 /// Every spiking pixel of a band that feeds at least one output row, as
 /// ranges into one `(column, masked level)` buffer — built once per band
-/// call and shared by every lane block.  The linear engine keeps its
-/// `(input neuron, masked level)` list in the arena alone.
+/// call.  The linear engine keeps its `(input neuron, masked level)` list
+/// in the arena alone.
 #[derive(Debug, Default)]
 pub(crate) struct Spikes {
     /// Ascending by `(ic, iy)`.
@@ -369,15 +370,12 @@ struct ScatterJob<'a> {
     stride: usize,
     out_h: usize,
     w_out: usize,
-    /// Multiply-accumulates, which decide the lane-block split.
-    work: u64,
 }
 
 /// The one scatter loop: every spike adds its level times one packed
 /// weight row (of element `W`) into the accumulator row of each output
 /// position it covers; the result is `[O, out_h, w_out]` with the bias
-/// added.  The rows are channel-last, `[block][position][lane]`: each block
-/// of output-channel lanes is one contiguous chunk owned by one task.
+/// added.  The rows are channel-last, `[position][lane]`.
 ///
 /// The spikes scatter into rows of element `S`.  With `group: None` those
 /// are the layer's sums themselves (`A` is then `S`, and unused).  With
@@ -401,65 +399,51 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
         stride,
         out_h,
         w_out,
-        work,
     } = job;
     let (c_out, kc, lanes) = (weights.c_out(), weights.kernel_cols(), weights.lanes());
     let channel_len = weights.kernel_rows() * kc * lanes;
     let out_positions = out_h * w_out;
-    let block_lanes = lane_blocks(lanes, work);
     let mut sums = rows.take::<S>(out_positions * lanes);
     let mut wide = rows.take::<A>(group.map_or(0, |_| out_positions * lanes));
     let channels_per_group = group.unwrap_or(usize::MAX);
-    if !spikes.rows.is_empty() {
-        for_each_lane_block(
-            &mut sums,
-            &mut wide,
-            out_positions * block_lanes,
-            |block, sums, wide| {
-                let lane_lo = block * block_lanes;
-                let width = (lanes - lane_lo).min(block_lanes);
-                let mut taps = [simd::Tap::default(); TAP_BATCH];
-                let same_group = |a: &SpikeRow, b: &SpikeRow| {
-                    a.ic / channels_per_group == b.ic / channels_per_group
-                };
-                for members in spikes.rows.chunk_by(same_group) {
-                    for row in members {
-                        let ys = y_reach[row.iy];
-                        let channel = &codes[row.ic * channel_len..][..channel_len];
-                        for &(ix, level) in spikes.of(row) {
-                            let xs = x_reach[ix as usize];
-                            let level = S::from_level(level);
-                            let mut pending = 0;
-                            for (ky, oy) in ys.taps(stride) {
-                                for (kx, ox) in xs.taps(stride) {
-                                    if pending == TAP_BATCH {
-                                        simd::axpy_taps(sums, channel, &taps, width, level);
-                                        pending = 0;
-                                    }
-                                    taps[pending] = simd::Tap {
-                                        acc_at: (oy * w_out + ox) * width,
-                                        w_at: (ky * kc + kx) * lanes + lane_lo,
-                                    };
-                                    pending += 1;
-                                }
-                            }
-                            simd::axpy_taps(sums, channel, &taps[..pending], width, level);
+    let mut taps = [simd::Tap::default(); TAP_BATCH];
+    let same_group =
+        |a: &SpikeRow, b: &SpikeRow| a.ic / channels_per_group == b.ic / channels_per_group;
+    for members in spikes.rows.chunk_by(same_group) {
+        for row in members {
+            let ys = y_reach[row.iy];
+            let channel = &codes[row.ic * channel_len..][..channel_len];
+            for &(ix, level) in spikes.of(row) {
+                let xs = x_reach[ix as usize];
+                let level = S::from_level(level);
+                let mut pending = 0;
+                for (ky, oy) in ys.taps(stride) {
+                    for (kx, ox) in xs.taps(stride) {
+                        if pending == TAP_BATCH {
+                            simd::axpy_taps(&mut sums, channel, &taps, lanes, level);
+                            pending = 0;
                         }
-                    }
-                    if group.is_some() {
-                        simd::drain_partials(wide, sums);
+                        taps[pending] = simd::Tap {
+                            acc_at: (oy * w_out + ox) * lanes,
+                            w_at: (ky * kc + kx) * lanes,
+                        };
+                        pending += 1;
                     }
                 }
-            },
-        );
+                simd::axpy_taps(&mut sums, channel, &taps[..pending], lanes, level);
+            }
+        }
+        if group.is_some() {
+            simd::drain_partials(&mut wide, &mut sums);
+        }
     }
 
     // Widen, transpose to `[O, H_out, W_out]` and add the bias, once.
     let mut accumulators = Tensor::filled(vec![c_out, out_h, w_out], 0i64);
     let planes = accumulators.as_mut_slice();
     match group {
-        Some(_) => transpose(&wide, planes, lanes, block_lanes, out_positions, bias),
-        None => transpose(&sums, planes, lanes, block_lanes, out_positions, bias),
+        Some(_) => transpose(&wide, planes, lanes, out_positions, bias),
+        None => transpose(&sums, planes, lanes, out_positions, bias),
     }
     // `wide` first: where `A` is `S` it is the empty stand-in, and the row
     // worth keeping is `sums`.
@@ -469,23 +453,18 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
 }
 
 /// The widening transpose that ends a scatter: channel-last
-/// `[block][position][lane]` rows to `[O, positions]` planes, bias added.
+/// `[position][lane]` rows to `[O, positions]` planes, bias added.
 fn transpose<E: Copy + Into<i64>>(
     rows: &[E],
     planes: &mut [i64],
     lanes: usize,
-    block_lanes: usize,
     out_positions: usize,
     bias: &[i64],
 ) {
     for (oc, plane) in planes.chunks_mut(out_positions).enumerate() {
-        let block = oc / block_lanes;
-        let width = (lanes - block * block_lanes).min(block_lanes);
-        let lane = oc - block * block_lanes;
-        let from = &rows[block * block_lanes * out_positions..];
         let bias = bias.get(oc).copied().unwrap_or(0);
         for (position, out) in plane.iter_mut().enumerate() {
-            *out = from[position * width + lane].into() + bias;
+            *out = rows[position * lanes + oc].into() + bias;
         }
     }
 }
@@ -806,9 +785,9 @@ impl ConvolutionUnit {
         Reach::fill_axis(x_reach, 0..w, kc, 0..w_out, stride, padding);
 
         // --- One walk over the occupancy (the planes' OR-reduction, silent
-        // rows skipped a word at a time) gathers the spike list every lane
-        // block scatters from and, folded into it, the popcount behind the
-        // data-dependent adder activity. ---
+        // rows skipped a word at a time) gathers the spike list the scatter
+        // walks and, folded into it, the popcount behind the data-dependent
+        // adder activity. ---
         occupancy.refill(in_data, c_in * band_h, w, time_steps);
         spikes.rows.clear();
         spikes.arena.clear();
@@ -876,7 +855,6 @@ impl ConvolutionUnit {
             stride,
             out_h,
             w_out,
-            work: c_out as u64 * spike_work,
         };
         let narrow = weights.sums_fit_i32(time_steps);
         let group = weights.i16_group(time_steps);

@@ -6,9 +6,10 @@
 //! transaction level, on the functional integer model) and writes the
 //! other half.  The conv and linear units execute from the model's
 //! channel-last packed weights ([`SnnModel::packed`]), so an inference
-//! packs nothing; the only host parallelism is the data-parallel fan-out
-//! *inside* a unit (blocks of output-channel lanes over the shared
-//! `snn_parallel` pool).
+//! packs nothing, and there is no host parallelism below this loop: one
+//! inference is one thread, and the only fan-out is across the requests
+//! of a batch ([`crate::sim::Accelerator::run_batch`], the serving
+//! micro-batch).
 //! How the host orders this work has no bearing on modelled time: every
 //! cycle count in a [`RunReport`] comes from the analytical timing model
 //! of the compiled program.

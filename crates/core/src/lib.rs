@@ -25,8 +25,8 @@
 //! The top-level [`sim::Accelerator`] compiles a converted
 //! [`snn_model::snn::SnnModel`] onto a configurable number of processing
 //! units ([`config::AcceleratorConfig`]), runs inference through the
-//! layer loop in [`exec`] (data-parallel inside each unit, within the
-//! global [`snn_parallel::ThreadBudget`]), and produces a
+//! layer loop in [`exec`] (one thread per inference; batches of inferences
+//! spread over the global [`snn_parallel::ThreadBudget`]), and produces a
 //! [`report::RunReport`] with the prediction, latency, energy, memory
 //! traffic and per-unit utilisation — the quantities reported in the
 //! paper's evaluation.  Deep models run within a fixed on-chip budget:

@@ -29,7 +29,7 @@
 //! same two proofs: an output neuron receives at most one contribution per
 //! input neuron, each at most `level_mask(T) × |w|`, so where
 //! [`PackedWeights::sums_fit_i32`]`(T)` holds no partial sum leaves `i32`
-//! in any order, chunk or lane block and the accumulator row is 32-bit;
+//! in any order or chunk and the accumulator row is 32-bit;
 //! and any `G =` [`PackedWeights::i16_group`]`(T)` spikes — 546 for 3-bit
 //! weights at `T = 4` — sum to at most `i16::MAX`, so they are added up in
 //! a 16-bit row, which is widen-added into the 32-bit one after every
@@ -42,9 +42,7 @@
 //! (`adder_ops`); property tests check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
-use crate::units::{
-    for_each_lane_block, lane_blocks, unsupported, EngineScratch, Lane, LaneRows, UnitStats,
-};
+use crate::units::{unsupported, EngineScratch, Lane, LaneRows, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, simd, Tensor};
@@ -86,8 +84,7 @@ const PREFETCH_HEAD_BYTES: usize = 512;
 
 /// The one scatter loop: each spike adds its level times its weight row
 /// (of element `W`) into the output lanes, chunk by chunk of `chunk`
-/// outputs; returns the `[O]` sums with the bias added.  Blocks of a
-/// chunk's lanes run in parallel when large.
+/// outputs; returns the `[O]` sums with the bias added.
 ///
 /// The spikes scatter into a row of element `S`.  With `group: None` that
 /// is the layer's sums themselves (`A` is then `S`, and unused).  With
@@ -110,30 +107,21 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     let head = PREFETCH_HEAD_BYTES / std::mem::size_of::<W>();
     for lo in (0..o).step_by(chunk) {
         let hi = (lo + chunk).min(o);
-        let work = ((hi - lo) * spikes.len()) as u64;
-        let block = lane_blocks(hi - lo, work);
-        let wide = if group.is_some() {
-            &mut wide[lo..hi]
-        } else {
-            &mut wide[..]
-        };
-        for_each_lane_block(&mut sums[lo..hi], wide, block, |b, sums, wide| {
-            let (first, width) = (lo + b * block, sums.len());
-            let piece = |ni: u32| &codes[ni as usize * lanes + first..][..width];
-            let mut ahead = spikes.iter().skip(PREFETCH_SPIKES_AHEAD);
-            for members in spikes.chunks(group.unwrap_or(usize::MAX)) {
-                for &(ni, level) in members {
-                    if let Some(&(ahead, _)) = ahead.next() {
-                        let piece = piece(ahead);
-                        simd::prefetch(&piece[..piece.len().min(head)]);
-                    }
-                    simd::axpy(sums, piece(ni), S::from_level(level));
+        let sums = &mut sums[lo..hi];
+        let piece = |ni: u32| &codes[ni as usize * lanes + lo..][..hi - lo];
+        let mut ahead = spikes.iter().skip(PREFETCH_SPIKES_AHEAD);
+        for members in spikes.chunks(group.unwrap_or(usize::MAX)) {
+            for &(ni, level) in members {
+                if let Some(&(ahead, _)) = ahead.next() {
+                    let piece = piece(ahead);
+                    simd::prefetch(&piece[..piece.len().min(head)]);
                 }
-                if group.is_some() {
-                    simd::drain_partials(wide, sums);
-                }
+                simd::axpy(sums, piece(ni), S::from_level(level));
             }
-        });
+            if group.is_some() {
+                simd::drain_partials(&mut wide[lo..hi], sums);
+            }
+        }
     }
     let accumulators = match group {
         Some(_) => with_bias(&wide, bias),

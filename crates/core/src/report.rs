@@ -70,10 +70,10 @@ pub struct RunReport {
     pub time_steps: usize,
     /// Aggregate memory traffic.
     pub traffic: MemoryTraffic,
-    /// Effective host thread budget the execution drew from (the global
-    /// [`snn_parallel::ThreadBudget`], shared by batch workers and channel
-    /// parallelism) — **not** a per-call thread count, so oversubscription
-    /// regressions show up in bench output.
+    /// Effective host thread budget of the process (the global
+    /// [`snn_parallel::ThreadBudget`], which batches of inferences spread
+    /// over) — **not** a per-call thread count: one inference always runs
+    /// on one thread.
     pub thread_budget: usize,
     /// Modelled per-unit busy/idle occupancy over this inference.
     pub utilisation: Vec<UnitUtilisation>,

@@ -16,10 +16,10 @@
 //! [`crate::sim::Accelerator`] call **regardless of the replica count**
 //! (pinned by property tests).
 //!
-//! All parallelism — batch workers and per-layer channel fan-out — draws
-//! from the single global [`snn_parallel::ThreadBudget`], partitioned
-//! evenly between the replicas, so a server under heavy traffic cannot
-//! oversubscribe the host.  [`StreamServer::stats`] aggregates the
+//! The only parallelism is across the requests of a micro-batch, and it
+//! draws from the single global [`snn_parallel::ThreadBudget`],
+//! partitioned evenly between the replicas, so a server under heavy
+//! traffic cannot oversubscribe the host.  [`StreamServer::stats`] aggregates the
 //! per-replica counters (completed inferences, micro-batch sizes,
 //! wall-clock throughput, modelled per-unit utilisation) into one
 //! [`ServerStats`] view that also carries the per-replica slices.

@@ -10,9 +10,10 @@
 //!   [`crate::linear::LinearUnit`]), activations move through the ping-pong
 //!   buffers, and exact work/operation counts are reported.  The units
 //!   walk the packed spike occupancy (word-level skip of silent regions),
-//!   accumulate from the model's channel-last packed weights (blocks of
-//!   output-channel lanes spread over the shared worker pool) and *derive*
-//!   their counters analytically from the static schedule plus popcounts;
+//!   accumulate from the model's channel-last packed weights (all
+//!   output-channel lanes of a spike in one vector loop, on the calling
+//!   thread) and *derive* their counters analytically from the static
+//!   schedule plus popcounts;
 //!   property tests pin both accumulators and counters to the retained
 //!   counter-stepped models in [`crate::reference`].
 //! * [`Accelerator::run_fast`] — **transaction-level**: activations are
@@ -28,8 +29,10 @@
 //! on-chip budget, tile by tile, with an unchanged (bit-identical) report.
 //!
 //! Batches of independent inputs can be dispatched over the worker pool
-//! with [`Accelerator::run_batch`] / [`Accelerator::run_fast_batch`]; each
-//! input produces exactly the report a solo [`Accelerator::run`] would.
+//! with [`Accelerator::run_batch`] / [`Accelerator::run_fast_batch`] —
+//! whole inferences are the only thing the host runs in parallel, one
+//! contiguous block of the batch per budgeted thread; each input produces
+//! exactly the report a solo [`Accelerator::run`] would.
 //! For a continuously fed submission queue with micro-batching, see
 //! [`crate::serve::StreamServer`].
 
@@ -165,9 +168,8 @@ impl Accelerator {
         mode: ExecutionMode,
     ) -> Result<Vec<RunReport>> {
         let program = self.compile(model)?;
-        // Batch workers and per-layer channel parallelism all draw from the
-        // same global budget — the pool bounds their combined concurrency,
-        // so batch x channels does not multiply thread counts.
+        // One contiguous block of whole inferences per budgeted thread;
+        // nothing below this call fans out again.
         let threads = snn_parallel::budget().total().min(inputs.len().max(1));
         snn_parallel::par_map(inputs, threads, |_, input| {
             self.execute_compiled(model, &program, input, mode)
@@ -331,15 +333,23 @@ mod tests {
     fn batch_reports_match_individual_runs() {
         let (model, inputs) = tiny_setup(4);
         let accel = Accelerator::new(AcceleratorConfig::default());
-        let batch = accel.run_batch(&model, &inputs).unwrap();
-        assert_eq!(batch.len(), inputs.len());
-        for (report, input) in batch.iter().zip(&inputs) {
-            let solo = accel.run(&model, input).unwrap();
-            assert_eq!(report, &solo);
-        }
-        let fast_batch = accel.run_fast_batch(&model, &inputs).unwrap();
-        for (fast, detailed) in fast_batch.iter().zip(&batch) {
-            assert_eq!(fast.logits, detailed.logits);
+        let solo: Vec<RunReport> = inputs
+            .iter()
+            .map(|input| accel.run(&model, input).unwrap())
+            .collect();
+        // Sizes on both sides of any budget, most of them splitting into
+        // blocks of unequal length over the pool.
+        for size in [1, 2, 3, 4, 5, 9] {
+            let inputs: Vec<Tensor<f32>> = inputs.iter().cycle().take(size).cloned().collect();
+            let batch = accel.run_batch(&model, &inputs).unwrap();
+            assert_eq!(batch.len(), size);
+            for (i, report) in batch.iter().enumerate() {
+                assert_eq!(report, &solo[i % solo.len()], "item {i} of {size}");
+            }
+            let fast_batch = accel.run_fast_batch(&model, &inputs).unwrap();
+            for (fast, detailed) in fast_batch.iter().zip(&batch) {
+                assert_eq!(fast.logits, detailed.logits);
+            }
         }
     }
 

@@ -1,4 +1,7 @@
-//! Shared bookkeeping for the processing-unit simulators.
+//! Shared bookkeeping for the processing-unit simulators: the counters
+//! they report and the working memory they compute in.  Both engines run
+//! a call start to finish on the calling thread, so one [`EngineScratch`]
+//! per inference is all the state there is.
 
 use crate::conv::{Reach, Spikes};
 use crate::AccelError;
@@ -53,56 +56,6 @@ pub struct UnitStats {
 /// know their layer's index; the executor's errors carry it).
 pub(crate) fn unsupported(context: String) -> AccelError {
     AccelError::UnsupportedLayer { layer: 0, context }
-}
-
-/// Fewest output-channel lanes a parallel block may own: below four
-/// 256-bit vectors of `i64` lanes (two of `i32`, one of `i16`) the
-/// per-spike bookkeeping every block repeats outweighs the lanes it saves.
-const MIN_BLOCK_LANES: usize = 16;
-
-/// How the engines split `lanes` output-channel lanes into contiguous
-/// blocks that own disjoint accumulators: the lanes per block.  One block
-/// (hence one thread) unless `work` — multiply-accumulates, or the adder
-/// activations standing in for them — reaches
-/// [`snn_parallel::MIN_PARALLEL_WORK`], else one per budgeted thread; the
-/// split never changes a result, only which task adds which lanes.
-pub(crate) fn lane_blocks(lanes: usize, work: u64) -> usize {
-    let threads = if work >= snn_parallel::MIN_PARALLEL_WORK {
-        snn_parallel::default_threads()
-    } else {
-        1
-    };
-    lanes
-        .div_ceil(threads)
-        .next_multiple_of(snn_model::packed::LANE_ALIGN)
-        .max(MIN_BLOCK_LANES)
-        .min(lanes)
-        .max(1)
-}
-
-/// Runs `f(block, sums, wide)` over the consecutive `block_len`-element
-/// pieces of two accumulator rows split alike (`wide` may instead be empty:
-/// every block then gets an empty piece), one pool task per block.  A
-/// single block runs on the calling thread and allocates nothing.
-pub(crate) fn for_each_lane_block<S: Send, A: Send>(
-    mut sums: &mut [S],
-    mut wide: &mut [A],
-    block_len: usize,
-    f: impl Fn(usize, &mut [S], &mut [A]) + Sync,
-) {
-    if sums.len() <= block_len {
-        return f(0, sums, wide);
-    }
-    let f = &f;
-    let mut tasks: Vec<snn_parallel::Task<'_>> = Vec::new();
-    while !sums.is_empty() {
-        let (sums_block, sums_rest) = sums.split_at_mut(block_len.min(sums.len()));
-        let (wide_block, wide_rest) = wide.split_at_mut(block_len.min(wide.len()));
-        (sums, wide) = (sums_rest, wide_rest);
-        let block = tasks.len();
-        tasks.push(Box::new(move || f(block, sums_block, wide_block)));
-    }
-    snn_parallel::run_tasks(tasks);
 }
 
 /// The working memory of the convolution and linear engines: spike list,

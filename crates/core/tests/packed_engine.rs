@@ -5,8 +5,8 @@
 //! stored in the 8-bit one, spike trains on both sides of the
 //! kernels' fast paths (`vpmaddwd` below 2^15 in 32-bit lanes, `vpmuldq`
 //! below 2^31 in 64-bit ones) up to the 63-bit limit (with out-of-range
-//! levels the mask must truncate), row bands, output chunks and lane
-//! blocks, and an all-silent input — in every element combination: with
+//! levels the mask must truncate), row bands and output chunks, and an
+//! all-silent input — in every element combination: with
 //! codes at the `i16` edges the long trains overflow 32 bits and run wide,
 //! with codes clamped to the layer's 32-bit budget every train length runs
 //! narrow, and with 3-bit codes `T = 1, 4, 8, 9, 11` put the whole layer,
@@ -19,8 +19,9 @@
 //! next group.
 //!
 //! Also here: a weight code the packed element cannot hold is a typed
-//! error from every raw-tensor entry point, and a tiled VGG-shaped
-//! network's `RunReport` does not depend on the thread budget.
+//! error from every raw-tensor entry point, and a solo inference of a
+//! tiled VGG-shaped network never starts the worker pool, whatever the
+//! thread budget.
 
 use proptest::prelude::*;
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
@@ -502,9 +503,8 @@ fn oversized_weight_codes_are_a_typed_error_from_the_raw_entries() {
 }
 
 /// One inference of a tiled VGG-shaped network (wide 3×3 convolutions in
-/// row bands, pooling, a chunked classifier; every conv/linear layer
-/// above `MIN_PARALLEL_WORK`, so lane blocks do fan out) as a string, with
-/// the one field that *records* the budget blanked.
+/// row bands, pooling, a chunked classifier) as a string, with the one
+/// field that *records* the budget blanked.
 fn tiled_vgg_shaped_report() -> String {
     let net = NetworkSpec::new(
         "vgg-shaped",
@@ -550,49 +550,69 @@ fn tiled_vgg_shaped_report() -> String {
         "the budget must tile the convolutions and the classifier"
     );
     let mut report = accel.run(&model, &input).unwrap();
-    assert!(report
-        .layers
-        .iter()
-        .any(|l| l.work.adder_ops >= snn_parallel::MIN_PARALLEL_WORK));
     report.thread_budget = 0;
     format!("{report:?}")
 }
 
 const REPORT_MARKER: &str = "TILED-VGG-SHAPED-REPORT ";
 
-/// Not a test of its own: the child half of
-/// [`reports_do_not_depend_on_the_thread_budget`], which runs this binary
-/// again under another `SNN_THREADS` (the budget is fixed per process).
-#[test]
-#[ignore = "helper run in a child process by reports_do_not_depend_on_the_thread_budget"]
-fn print_tiled_vgg_shaped_report() {
-    println!("{REPORT_MARKER}{}", tiled_vgg_shaped_report());
+/// The `snn-pool-<n>` workers among this process's threads.
+#[cfg(target_os = "linux")]
+fn pool_workers() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("this process's thread list")
+        .map(|task| {
+            let comm = task.expect("thread entry").path().join("comm");
+            std::fs::read_to_string(comm).expect("thread name")
+        })
+        .filter(|name| name.starts_with("snn-pool-"))
+        .collect()
 }
 
-/// The lane-block split is race-free by ownership, so the same
-/// `RunReport` must come out at `SNN_THREADS=1` (strictly sequential), at
-/// an odd budget that splits lanes unevenly, and at this process's own.
+/// Not a test of its own: the child half of
+/// [`a_solo_inference_never_touches_the_pool`], which runs this binary
+/// again under `SNN_THREADS=4` (the budget is fixed per process, and only
+/// a process that ran nothing else can say the pool never started).
 #[test]
-fn reports_do_not_depend_on_the_thread_budget() {
-    let here = tiled_vgg_shaped_report();
-    for threads in ["1", "3", "16"] {
-        let output = Command::new(std::env::current_exe().expect("test binary path"))
-            .args([
-                "--exact",
-                "print_tiled_vgg_shaped_report",
-                "--ignored",
-                "--nocapture",
-                "--test-threads=1",
-            ])
-            .env("SNN_THREADS", threads)
-            .output()
-            .expect("re-run the test binary");
-        assert!(output.status.success(), "child failed: {output:?}");
-        let stdout = String::from_utf8(output.stdout).expect("utf-8 report");
-        let there = stdout
-            .lines()
-            .find_map(|line| line.split_once(REPORT_MARKER).map(|(_, report)| report))
-            .unwrap_or_else(|| panic!("no report in child output: {stdout}"));
-        assert_eq!(there, here, "SNN_THREADS={threads}");
+#[ignore = "helper run in a child process by a_solo_inference_never_touches_the_pool"]
+fn print_tiled_vgg_shaped_report() {
+    println!("{REPORT_MARKER}{}", tiled_vgg_shaped_report());
+    // The pool spawns its workers on the first `par_map` that splits; one
+    // thread per inference means a solo run never does.  The two-item map
+    // is the control: its barrier needs a worker beside the caller, and
+    // the scan then sees that worker.
+    #[cfg(target_os = "linux")]
+    {
+        let started = pool_workers();
+        assert!(started.is_empty(), "a solo inference started {started:?}");
+        let both = std::sync::Barrier::new(2);
+        snn_parallel::par_map(&[(), ()], 2, |_, _| both.wait().is_leader());
+        assert!(!pool_workers().is_empty(), "the scan misses a live worker");
     }
+}
+
+/// One inference runs on one thread: with a budget of four to spend, a
+/// solo `Accelerator::run` starts no pool worker, and its `RunReport` is
+/// the one this process (at its own budget, beside other tests) gets.
+#[test]
+fn a_solo_inference_never_touches_the_pool() {
+    let here = tiled_vgg_shaped_report();
+    let output = Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "--exact",
+            "print_tiled_vgg_shaped_report",
+            "--ignored",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env("SNN_THREADS", "4")
+        .output()
+        .expect("re-run the test binary");
+    assert!(output.status.success(), "child failed: {output:?}");
+    let stdout = String::from_utf8(output.stdout).expect("utf-8 report");
+    let there = stdout
+        .lines()
+        .find_map(|line| line.split_once(REPORT_MARKER).map(|(_, report)| report))
+        .unwrap_or_else(|| panic!("no report in child output: {stdout}"));
+    assert_eq!(there, here);
 }

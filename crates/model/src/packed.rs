@@ -32,8 +32,8 @@
 //! contribution per `(c, ky, kx)` (per input neuron for a linear layer),
 //! each at most `level_mask(T) × |w|` in magnitude, so
 //! `level_mask(T) × abs_sum_max` bounds the magnitude of every partial
-//! sum of the layer — whatever the order of the additions, the row band,
-//! the lane block or the output chunk.  Where that product is at most
+//! sum of the layer — whatever the order of the additions, the row band
+//! or the output chunk.  Where that product is at most
 //! `i32::MAX` ([`PackedWeights::sums_fit_i32`]) 32-bit accumulators hold
 //! the *same* integers as 64-bit ones, not merely congruent ones, and the
 //! engine uses them: twice the lanes per vector.  3-bit weights at `T = 4`
@@ -44,7 +44,7 @@
 //! contributions, each at most `level_mask(T) × abs_max`, so with
 //! `G = ⌊32767 / (level_mask(T) × Kr × Kc × abs_max)⌋`
 //! ([`PackedWeights::i16_group`]) no partial sum of such a group leaves
-//! `i16`, again in any order, band, lane block or chunk: the engine adds a
+//! `i16`, again in any order, band or chunk: the engine adds a
 //! group up in 16-bit lanes — twice the lanes again, half the accumulator
 //! bytes — and widen-adds it into the 32-bit row at the group boundary,
 //! which therefore holds the same integers as before.  3-bit weights at

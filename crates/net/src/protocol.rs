@@ -131,7 +131,7 @@ impl std::error::Error for ProtocolError {}
 pub mod reject_scope {
     /// The inference submission queue was full.
     pub const QUEUE: u16 = 1;
-    /// The connection-worker set was saturated (no IO lease available).
+    /// The connection cap (`NetOptions::max_connections`) was reached.
     pub const CONNECTIONS: u16 = 2;
     /// The request waited in the submission queue past its deadline and
     /// was shed before compute (see [`super::infer_flags::HAS_DEADLINE`]
@@ -318,7 +318,7 @@ pub struct RejectReply {
     /// What was saturated — see [`reject_scope`].
     pub scope: u16,
     /// Items waiting when the request was shed (queued submissions, or
-    /// leased connection workers for [`reject_scope::CONNECTIONS`]).
+    /// open connections for [`reject_scope::CONNECTIONS`]).
     pub queued: u64,
     /// The corresponding capacity.
     pub capacity: u64,

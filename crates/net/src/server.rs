@@ -70,10 +70,11 @@
 //!   buffer and closed once flushed — no thread is spawned, the acceptor
 //!   never blocks.
 //!
-//! Each reactor thread draws one [`snn_parallel::IoLease`]; it blocks in
-//! the poller, not on a core (the `StreamServer` dispatcher is accounted
-//! the same way).  Connection scaling is bounded by `max_connections`,
-//! not by threads.
+//! Each reactor thread blocks in the poller, not on a core, so it draws
+//! nothing from the compute thread budget (nor does a `StreamServer`
+//! dispatcher); their number is `resolve_reactors`' clamp to
+//! `1..=max_connections`.  Connection scaling is bounded by
+//! `max_connections`, not by threads.
 //!
 //! # Failure isolation
 //!
@@ -476,19 +477,12 @@ impl NetServer {
             };
             let completion_wake = Arc::clone(&shared.wakes[shard]);
             let (sink, completions) = CompletionSink::new(Arc::new(move || completion_wake.wake()));
-            // Each shard blocks in its poller, not on a core, so it draws
-            // an IO lease rather than compute budget (the StreamServer
-            // dispatcher is accounted the same way).
-            let lease = snn_parallel::budget().try_lease_io_threads(1);
             let reactor_shared = Arc::clone(&shared);
             let handle = thread::Builder::new()
                 .name(format!("snn-net-reactor-{shard}"))
                 .spawn(move || {
-                    // The lease (when the budget had one left) lives
-                    // exactly as long as the shard; the alive guard
-                    // reports the thread's death on every exit path,
-                    // panics included.
-                    let _lease = lease;
+                    // The alive guard reports the thread's death on every
+                    // exit path, panics included.
                     let _alive = ReactorAliveGuard {
                         shared: Arc::clone(&reactor_shared),
                         shard,

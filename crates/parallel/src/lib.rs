@@ -1,39 +1,28 @@
 //! # snn-parallel
 //!
-//! A persistent worker pool with a global thread budget, used to
-//! parallelize output channels inside the processing-unit simulators and
-//! batches of inferences in the top-level simulator.
+//! A persistent worker pool with a global thread budget, used to run the
+//! independent inferences of a batch or a serving micro-batch side by
+//! side.  Requests are the only unit of host parallelism: one inference
+//! runs on one thread from its first layer to its last, because splitting
+//! a layer over threads only ever measured slower (the numbers are in
+//! `ARCHITECTURE.md`), while whole requests share nothing but the
+//! read-only model.
 //!
 //! The container this workspace builds in has no registry access, so rayon
-//! cannot be used.  Earlier revisions spawned scoped threads on every
-//! `par_map`/`par_chunks_mut` call, which meant nested parallelism (a batch
-//! of inferences, each parallelizing its convolution channels) multiplied
-//! thread counts and oversubscribed many-core hosts.  This revision fixes
-//! that structurally:
+//! cannot be used.
 //!
 //! * **[`ThreadBudget`]** — one process-global budget (see [`budget`])
 //!   decides how many threads the whole simulator may keep busy.  It is
-//!   read once from the `SNN_THREADS` environment variable, falling back to
-//!   the machine's available parallelism, with a floor of two: a
-//!   single-core host still gets one pool worker, so data-parallel loops
-//!   split in two there and the pool's concurrent paths run on every host
-//!   (`SNN_THREADS=1` restores strictly sequential execution).
+//!   read once: the `SNN_THREADS` environment variable if set, else the
+//!   machine's available parallelism, clamped to `1..=MAX_THREADS`.  A
+//!   budget of one is strictly sequential and never starts the pool.
 //! * **Persistent worker pool** — `total - 1` workers are spawned lazily on
-//!   first use and live for the rest of the process.  [`par_map`] and
-//!   [`par_chunks_mut`] split their input into blocks and submit them as
-//!   pool tasks via [`run_tasks`]; the calling thread *helps* by executing
+//!   the first multi-block [`par_map`] and live for the rest of the
+//!   process.  [`par_map`] splits its input into contiguous blocks and
+//!   submits them as pool tasks; the calling thread *helps* by executing
 //!   queued tasks while it waits, so pool-side compute concurrency never
-//!   exceeds the budget no matter how deeply calls nest — a batch worker
-//!   that fans out over channels draws from the same queue it runs on.
-//! * **IO leases** — long-lived IO-bound threads (the `snn-net` reactor,
-//!   which parks in `poll(2)` over every connection; serving dispatchers)
-//!   spend their life blocked on descriptors and only *submit* compute
-//!   through the serving queue, so they do not consume the compute budget;
-//!   they reserve an [`IoLease`] instead, bounded at [`IO_LEASE_FACTOR`]
-//!   leases per budgeted thread.  Since the front-end moved to a
-//!   single-reactor design, connections are **state, not threads** — a
-//!   whole `NetServer` holds one lease, and connection counts are bounded
-//!   by its own `max_connections`, not by this cap.
+//!   exceeds the budget no matter how many callers (serving replicas, or
+//!   a `par_map` nested inside another) submit at once.
 //!
 //! Work is always split into contiguous blocks, so results land exactly
 //! where a sequential loop would put them and outputs are deterministic
@@ -43,12 +32,12 @@
 //! worker, carried back to the submitting call, and resumed there.
 
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 
@@ -56,37 +45,30 @@ use std::thread;
 /// the small layer workloads the simulator runs.
 pub const MAX_THREADS: usize = 16;
 
-/// Rough number of inner-loop operations below which splitting work into
-/// pool tasks costs more than it saves; callers gate their `threads`
-/// argument on a work estimate against this (shared so the processing
-/// units stay in sync — the dense/sparse gather threshold is calibrated
-/// the same way via `AcceleratorConfig`).
-pub const MIN_PARALLEL_WORK: u64 = 1 << 15;
-
 /// Environment variable that pins the global thread budget (clamped to
 /// `1..=MAX_THREADS`), read once at first use.
 pub const THREADS_ENV: &str = "SNN_THREADS";
-
-/// How many **IO-bound** threads may be leased per budgeted compute thread
-/// (see [`ThreadBudget::try_lease_io_threads`]).  IO threads spend almost
-/// all of their life blocked on descriptors, so they can outnumber the
-/// compute budget without oversubscribing cores — the factor only bounds
-/// thread-stack usage to a fixed multiple of the budget.  The expected
-/// population is small and fixed: one reactor per network front-end plus
-/// one dispatcher per serving instance, not one thread per connection.
-pub const IO_LEASE_FACTOR: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Thread budget
 // ---------------------------------------------------------------------------
 
 /// The process-global thread budget: how many threads the simulator may
-/// keep busy in total (the worker pool's data parallelism), plus the
-/// separately bounded population of IO-bound threads.
+/// keep busy in total (the caller of a [`par_map`] plus the pool workers
+/// helping it).
 #[derive(Debug)]
 pub struct ThreadBudget {
     total: usize,
-    io_leases: AtomicUsize,
+}
+
+/// The budget a host reporting `cores` gets under the [`THREADS_ENV`]
+/// value `env`: the variable when it parses to a positive number, else
+/// what the machine reports, clamped to `1..=MAX_THREADS` either way.
+fn resolve(env: Option<&str>, cores: usize) -> usize {
+    env.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&pinned| pinned > 0)
+        .unwrap_or(cores)
+        .clamp(1, MAX_THREADS)
 }
 
 impl ThreadBudget {
@@ -96,110 +78,19 @@ impl ThreadBudget {
     pub fn new(total: usize) -> Self {
         ThreadBudget {
             total: total.clamp(1, MAX_THREADS),
-            io_leases: AtomicUsize::new(0),
         }
     }
 
     fn from_env() -> Self {
-        let total = match std::env::var(THREADS_ENV) {
-            Ok(v) => v.trim().parse::<usize>().unwrap_or(0),
-            Err(_) => 0,
-        };
-        if total > 0 {
-            return ThreadBudget::new(total);
-        }
         let cores = thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1);
-        // Floor of two, kept for behaviour parity: single-core hosts get
-        // one pool worker and split data-parallel loops in two, so every
-        // host exercises the pool's concurrent paths and reports the same
-        // `thread_budget`.  Measured on the 1-core bench container this
-        // was slightly *faster* than per-call scoped spawns
-        // (BENCH_conv.json); `SNN_THREADS=1` restores strictly sequential
-        // execution.
-        ThreadBudget::new(cores.max(2))
+        ThreadBudget::new(resolve(std::env::var(THREADS_ENV).ok().as_deref(), cores))
     }
 
     /// Total number of threads this budget allows.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Number of IO-thread leases currently outstanding.
-    pub fn io_leases_in_flight(&self) -> usize {
-        self.io_leases.load(Ordering::Acquire)
-    }
-
-    /// Maximum number of IO threads this budget leases at once
-    /// ([`IO_LEASE_FACTOR`] per budgeted thread).
-    pub fn io_lease_cap(&self) -> usize {
-        self.total.saturating_mul(IO_LEASE_FACTOR)
-    }
-
-    /// Tries to reserve `want` threads for **IO-bound** work — e.g. a
-    /// network reactor that parks in `poll(2)` over every connection and
-    /// only *submits* compute through the bounded serving queue.
-    ///
-    /// IO threads do not draw down the compute budget (they are parked in
-    /// the kernel while the pool works), but they are still bounded — at
-    /// most [`ThreadBudget::io_lease_cap`] leases exist at any time.
-    /// Grants all-or-nothing; `None` means the host already runs more
-    /// event loops than it has any use for, and the caller should degrade
-    /// (run leaseless or refuse to start) rather than spawn anyway.
-    pub fn try_lease_io_threads(&self, want: usize) -> Option<IoLease<'_>> {
-        if !try_reserve(&self.io_leases, self.io_lease_cap(), want) {
-            return None;
-        }
-        Some(IoLease {
-            budget: self,
-            threads: want,
-        })
-    }
-}
-
-/// All-or-nothing CAS reservation of `want` slots under `cap` outstanding.
-fn try_reserve(counter: &AtomicUsize, cap: usize, want: usize) -> bool {
-    if want == 0 || cap == 0 {
-        return false;
-    }
-    let mut current = counter.load(Ordering::Acquire);
-    loop {
-        if current + want > cap {
-            return false;
-        }
-        match counter.compare_exchange_weak(
-            current,
-            current + want,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return true,
-            Err(observed) => current = observed,
-        }
-    }
-}
-
-/// A reservation of IO-bound threads (e.g. network connection workers),
-/// returned to the budget on drop.
-#[derive(Debug)]
-pub struct IoLease<'a> {
-    budget: &'a ThreadBudget,
-    threads: usize,
-}
-
-impl IoLease<'_> {
-    /// Number of IO threads this lease grants.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl Drop for IoLease<'_> {
-    fn drop(&mut self) {
-        self.budget
-            .io_leases
-            .fetch_sub(self.threads, Ordering::AcqRel);
     }
 }
 
@@ -210,20 +101,12 @@ pub fn budget() -> &'static ThreadBudget {
     BUDGET.get_or_init(ThreadBudget::from_env)
 }
 
-/// Number of worker threads to use by default: the global budget's total.
-///
-/// Retained for compatibility with earlier revisions; prefer
-/// [`budget`]`.total()` in new code.
-pub fn default_threads() -> usize {
-    budget().total()
-}
-
 /// Runs `f` under `catch_unwind` and converts a panic into an `Err`
 /// carrying the panic payload's message — the isolation primitive a
 /// supervisor uses to fail *one* unit of work instead of unwinding into
 /// its own loop.
 ///
-/// [`run_tasks`] deliberately re-raises task panics on the caller so
+/// [`par_map`] deliberately re-raises task panics on the caller so
 /// library misuse stays loud; a serving dispatcher that must survive a
 /// poisoned input wraps the per-item body in `catch_panic_message` and
 /// maps the message to a typed error instead.  `&str` and `String`
@@ -251,7 +134,7 @@ where
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A borrowed unit of work accepted by [`run_tasks`].
-pub type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
+type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 struct PoolShared {
     queue: Mutex<VecDeque<Job>>,
@@ -343,39 +226,29 @@ impl ScopeState {
 }
 
 /// Erases the borrow lifetime of a task so it can sit in the pool's
-/// `'static` job queue.
-///
-/// SAFETY: sound only because [`run_tasks`] does not return until every
-/// submitted task has finished executing (the scope latch counts each
-/// wrapper down, including panicking ones), so no borrow held by the task
-/// is ever observable after it expires.  The transmute changes nothing but
-/// the lifetime parameter of the trait object.
+/// `'static` job queue; [`run_tasks`] is the only caller.
 #[allow(unsafe_code)]
 fn erase_lifetime<'env>(task: Task<'env>) -> Job {
+    // SAFETY: the transmute changes nothing but the lifetime parameter of
+    // the trait object, and no borrow held by the task outlives
+    // `run_tasks`: it does not return until the scope latch has counted
+    // every wrapper down, panicking ones included, so each task has
+    // finished executing (and been dropped) before its borrows expire.
     unsafe { std::mem::transmute::<Task<'env>, Job>(task) }
 }
 
-/// Runs a set of independent tasks on the shared worker pool and returns
+/// Runs the tasks of one [`par_map`] on the shared worker pool and returns
 /// when all of them have finished.
 ///
 /// The calling thread participates: while its tasks are pending it executes
 /// queued tasks itself (its own or other callers'), so concurrency stays
-/// within the global [`ThreadBudget`] even when `run_tasks` calls nest —
-/// e.g. a batch task that fans out over output channels.  Tasks must not
-/// block on anything except their own nested `run_tasks` calls.
+/// within the global [`ThreadBudget`] even when `run_tasks` calls nest or
+/// several serving replicas submit at once.  Tasks must not block on
+/// anything except their own nested `run_tasks` calls.
 ///
 /// If a task panics, the panic is re-raised on the calling thread after all
 /// tasks of this call have settled.
-pub fn run_tasks(tasks: Vec<Task<'_>>) {
-    if tasks.is_empty() {
-        return;
-    }
-    if tasks.len() == 1 || budget().total() == 1 {
-        for task in tasks {
-            task();
-        }
-        return;
-    }
+fn run_tasks(tasks: Vec<Task<'_>>) {
     let scope = Arc::new(ScopeState::new(tasks.len()));
     let shared = pool();
     {
@@ -409,12 +282,12 @@ pub fn run_tasks(tasks: Vec<Task<'_>>) {
 }
 
 // ---------------------------------------------------------------------------
-// Data-parallel helpers
+// The data-parallel map
 // ---------------------------------------------------------------------------
 
 /// Splits `len` items into at most `threads` contiguous block ranges of
 /// near-equal size.  Returns `(start, end)` pairs covering `0..len`.
-pub fn block_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
+fn block_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
     let workers = threads.clamp(1, len.max(1));
     let base = len / workers;
     let extra = len % workers;
@@ -434,9 +307,9 @@ pub fn block_ranges(len: usize, threads: usize) -> Vec<(usize, usize)> {
 /// Maps `f` over `items` in up to `threads` contiguous blocks submitted to
 /// the shared worker pool, preserving input order in the output.
 ///
-/// With one block (or one item) this degrades to a plain sequential map,
-/// so callers can gate parallelism on a work estimate without duplicating
-/// the loop body.
+/// With one block (one item, `threads <= 1`) or a global budget of one
+/// this is a plain sequential map on the calling thread: no task is boxed
+/// and the pool is not started.
 pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -444,7 +317,7 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     let ranges = block_ranges(items.len(), threads);
-    if ranges.len() <= 1 {
+    if ranges.len() <= 1 || budget().total() == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
@@ -470,47 +343,6 @@ where
         .into_iter()
         .map(|slot| slot.expect("worker filled every slot"))
         .collect()
-}
-
-/// Processes `data` as consecutive chunks of `chunk_len` elements, calling
-/// `f(chunk_index, chunk)` for each, with chunk blocks distributed over up
-/// to `threads` pool tasks.
-///
-/// The final chunk may be shorter when `chunk_len` does not divide
-/// `data.len()`.  Chunks are disjoint, so the closure may freely mutate its
-/// chunk; results are deterministic regardless of thread count.
-///
-/// # Panics
-///
-/// Panics if `chunk_len` is zero.
-pub fn par_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk_len must be non-zero");
-    let chunk_count = data.len().div_ceil(chunk_len);
-    let ranges = block_ranges(chunk_count, threads);
-    if ranges.len() <= 1 {
-        for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(index, chunk);
-        }
-        return;
-    }
-    let f = &f;
-    let mut tasks: Vec<Task<'_>> = Vec::with_capacity(ranges.len());
-    let mut tail = data;
-    for &(start, end) in &ranges {
-        let block_elems = ((end - start) * chunk_len).min(tail.len());
-        let (block, rest) = tail.split_at_mut(block_elems);
-        tail = rest;
-        tasks.push(Box::new(move || {
-            for (offset, chunk) in block.chunks_mut(chunk_len).enumerate() {
-                f(start + offset, chunk);
-            }
-        }));
-    }
-    run_tasks(tasks);
 }
 
 #[cfg(test)]
@@ -551,40 +383,16 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_visits_every_chunk_once() {
-        for (len, chunk_len) in [(96usize, 8usize), (97, 8), (5, 8), (64, 1)] {
-            let mut data = vec![0u64; len];
-            par_chunks_mut(&mut data, chunk_len, 4, |index, chunk| {
-                for v in chunk.iter_mut() {
-                    *v += 1 + index as u64;
-                }
-            });
-            for (i, v) in data.iter().enumerate() {
-                assert_eq!(*v, 1 + (i / chunk_len) as u64, "element {i}");
-            }
-        }
-    }
-
-    #[test]
     fn empty_inputs_are_fine() {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, 4, |_, v| *v).is_empty());
-        let mut none: Vec<u32> = Vec::new();
-        par_chunks_mut(&mut none, 3, 4, |_, _| panic!("no chunks expected"));
-    }
-
-    #[test]
-    fn default_threads_is_positive_and_capped() {
-        let t = default_threads();
-        assert!(t >= 1);
-        assert!(t <= MAX_THREADS);
     }
 
     #[test]
     fn nested_par_map_draws_from_one_budget() {
-        // A batch that fans out over channels: the inner calls run on the
-        // same pool the outer call submitted to, so this must neither
-        // deadlock nor produce wrong results.
+        // Scopes nest: the inner calls run on the same pool the outer call
+        // submitted to, so this must neither deadlock nor produce wrong
+        // results.
         let batch: Vec<u64> = (0..8).collect();
         let result = par_map(&batch, 8, |_, &item| {
             let inner: Vec<u64> = (0..64).map(|c| item * 100 + c).collect();
@@ -642,45 +450,26 @@ mod tests {
     }
 
     #[test]
-    fn io_leases_are_bounded_and_returned() {
-        let budget = ThreadBudget::new(2);
-        assert_eq!(budget.io_lease_cap(), 2 * IO_LEASE_FACTOR);
-        let mut held = Vec::new();
-        for _ in 0..budget.io_lease_cap() {
-            held.push(budget.try_lease_io_threads(1).expect("io lease"));
-        }
-        assert_eq!(budget.io_leases_in_flight(), budget.io_lease_cap());
-        assert!(budget.try_lease_io_threads(1).is_none());
-        // Returning one lease frees exactly one slot.
-        held.pop();
-        assert!(budget.try_lease_io_threads(1).is_some());
-        drop(held);
-        assert_eq!(budget.io_leases_in_flight(), 0);
-    }
-
-    #[test]
-    fn io_lease_requests_are_all_or_nothing() {
-        let budget = ThreadBudget::new(1); // io cap = IO_LEASE_FACTOR
-        assert!(budget.try_lease_io_threads(0).is_none());
-        assert!(budget.try_lease_io_threads(IO_LEASE_FACTOR + 1).is_none());
-        let wide = budget
-            .try_lease_io_threads(IO_LEASE_FACTOR)
-            .expect("full-width lease");
-        assert_eq!(wide.threads(), IO_LEASE_FACTOR);
-        assert!(budget.try_lease_io_threads(1).is_none());
-    }
-
-    #[test]
     fn budget_clamps_to_supported_range() {
         assert_eq!(ThreadBudget::new(0).total(), 1);
         assert_eq!(ThreadBudget::new(1000).total(), MAX_THREADS);
     }
 
     #[test]
-    fn global_budget_allows_stage_overlap() {
-        // The global budget has a floor of two (unless `SNN_THREADS` pins
-        // it lower): even a single-core host gets one pool worker beside
-        // the caller, so two units of work can always overlap.
-        assert!(budget().total() >= 2);
+    fn the_budget_is_the_variable_or_what_the_machine_reports() {
+        for (env, cores, expected) in [
+            (None, 1, 1),
+            (None, 4, 4),
+            (None, 64, MAX_THREADS),
+            (Some("1"), 8, 1),
+            (Some(" 2 "), 8, 2),
+            (Some("99"), 2, MAX_THREADS),
+            (Some("0"), 3, 3),
+            (Some(""), 3, 3),
+            (Some("x"), 3, 3),
+        ] {
+            assert_eq!(resolve(env, cores), expected, "{env:?} on {cores} cores");
+        }
+        assert!((1..=MAX_THREADS).contains(&budget().total()));
     }
 }
