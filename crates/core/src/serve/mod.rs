@@ -255,7 +255,6 @@ pub struct StreamServer {
     replicas: Vec<Arc<ReplicaShared>>,
     dispatchers: Vec<JoinHandle<()>>,
     started: Instant,
-    recorder: Arc<SpanRecorder>,
 }
 
 impl fmt::Debug for StreamServer {
@@ -328,6 +327,7 @@ impl StreamServer {
             healthy: (0..options.replicas)
                 .map(|_| AtomicBool::new(true))
                 .collect(),
+            recorder: Arc::new(SpanRecorder::new(options.replicas, options.trace)),
         });
         // Partition the global budget evenly; every replica gets at least
         // one thread (oversubscription by at most replicas − budget when
@@ -356,7 +356,6 @@ impl StreamServer {
             replicas,
             dispatchers,
             started: Instant::now(),
-            recorder: Arc::new(SpanRecorder::new(options.replicas, options.trace)),
         })
     }
 
@@ -364,10 +363,10 @@ impl StreamServer {
     /// ring buffer of completed [`snn_telemetry::RequestTrace`]s.  A
     /// front-end drains it for the JSONL trace export and renders its
     /// histograms into the Prometheus exposition.  Disabled
-    /// ([`ServerOptions::trace`] false) it records nothing and every
-    /// per-request hook is a no-op.
+    /// ([`ServerOptions::trace`] false) it records nothing and the
+    /// serving path takes none of the trace's clock reads.
     pub fn recorder(&self) -> &Arc<SpanRecorder> {
-        &self.recorder
+        &self.engine.recorder
     }
 
     /// Enqueues one input for inference and returns its [`Ticket`].
@@ -401,7 +400,8 @@ impl StreamServer {
     pub fn submit_within(&self, input: Tensor<f32>, deadline: Option<Duration>) -> Result<Ticket> {
         let (sink, receiver) = CompletionSink::new(ticket_waker());
         // Tickets are traced under a recorder-assigned id.
-        self.enqueue(input, self.recorder.next_request_id(), sink, deadline)?;
+        let tag = self.engine.recorder.next_request_id();
+        self.enqueue(input, tag, sink, deadline)?;
         Ok(Ticket { receiver })
     }
 
@@ -433,6 +433,8 @@ impl StreamServer {
     }
 
     /// Admission: one locked check, then push and wake one dispatcher.
+    /// `enqueued_at` is both the deadline's clock zero and the trace
+    /// start; a traced request adds the Route and QueueWait reads.
     fn enqueue(
         &self,
         input: Tensor<f32>,
@@ -440,15 +442,19 @@ impl StreamServer {
         sink: CompletionSink,
         deadline: Option<Duration>,
     ) -> Result<()> {
+        let enqueued_at = Instant::now();
         let options = &self.engine.options;
-        let mut trace = self.recorder.begin(tag);
+        let recorder = &self.engine.recorder;
+        let traced = recorder.enabled();
+        let mut trace = recorder.begin(tag);
         let deadline = match (deadline, options.max_queue_wait) {
             (Some(request), Some(server)) => Some(request.min(server)),
             (Some(request), None) => Some(request),
             (None, server) => server,
         };
-        let enqueued_at = Instant::now();
-        trace.advance(Phase::Route);
+        if traced {
+            trace.enter(Phase::Route, enqueued_at.elapsed());
+        }
         let refusal = {
             let mut queue = relock(&self.engine.queue);
             let healthy = self.engine.healthy_replicas();
@@ -465,8 +471,10 @@ impl StreamServer {
                 queue.rejected += 1;
                 AccelError::QueueFull { queued, capacity }
             } else {
-                trace.note_queue_depth(queued);
-                trace.advance(Phase::QueueWait);
+                trace.queue_depth_at_route = Some(u32::try_from(queued).unwrap_or(u32::MAX));
+                if traced {
+                    trace.enter(Phase::QueueWait, enqueued_at.elapsed());
+                }
                 queue.jobs.push_back(Submission {
                     input,
                     tag,
@@ -480,7 +488,9 @@ impl StreamServer {
                 return Ok(());
             }
         };
-        trace.finish(error_outcome(&refusal));
+        if traced {
+            recorder.complete(trace, error_outcome(&refusal), enqueued_at, Instant::now());
+        }
         Err(refusal)
     }
 

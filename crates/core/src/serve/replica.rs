@@ -28,7 +28,7 @@ use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
 use snn_model::snn::SnnModel;
-use snn_telemetry::{Outcome, Phase, TraceBuilder};
+use snn_telemetry::{ErrorCode, Outcome, Phase, RejectScope, RequestTrace, SpanRecorder};
 use snn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,38 +52,38 @@ pub(crate) struct Submission {
     /// Where the result goes (a [`crate::serve::Ticket`] is a private
     /// one-shot sink).
     pub(crate) sink: CompletionSink,
-    /// When the submission entered the queue (the deadline's clock zero).
+    /// When the submission entered the queue: the deadline's clock zero
+    /// and the trace start.
     pub(crate) enqueued_at: Instant,
     /// Effective queue-wait deadline: the tighter of the per-request
     /// deadline and [`ServerOptions::max_queue_wait`], resolved at
     /// admission.  `None` never expires.
     pub(crate) deadline: Option<Duration>,
     /// The request's span trace, carried with the submission through the
-    /// pipeline (builder-owned state: recording a phase boundary takes no
-    /// locks).  Finished in [`Submission::settle`]; dropping an unsettled
-    /// submission publishes an `abandoned` trace instead of leaking an
-    /// open span.
-    pub(crate) trace: TraceBuilder,
+    /// pipeline (owned state: marking a phase boundary takes no locks).
+    /// Published in [`Submission::settle`]; a submission dropped unsettled
+    /// stays counted in the recorder's open-span gauge.
+    pub(crate) trace: RequestTrace,
 }
 
 /// Maps an inference error onto the trace's terminal outcome.
 pub(crate) fn error_outcome(err: &AccelError) -> Outcome {
     match err {
         AccelError::DeadlineExceeded { .. } => Outcome::Rejected {
-            scope: "deadline".to_string(),
+            scope: RejectScope::Deadline,
         },
         AccelError::QueueFull { .. } => Outcome::Rejected {
-            scope: "queue".to_string(),
+            scope: RejectScope::Queue,
         },
         AccelError::EnginePanic { .. } => Outcome::Error {
-            code: "engine_panic".to_string(),
+            code: ErrorCode::EnginePanic,
         },
         AccelError::ReplicaDown { .. } => Outcome::ReplicaDown,
         AccelError::Serving { .. } => Outcome::Error {
-            code: "serving".to_string(),
+            code: ErrorCode::Serving,
         },
         _ => Outcome::Error {
-            code: "bad_request".to_string(),
+            code: ErrorCode::BadRequest,
         },
     }
 }
@@ -109,16 +109,23 @@ impl Submission {
 
     /// Delivers `result` through the submission's sink (a dropped ticket
     /// or closed sink just means the client stopped listening; the waker
-    /// fires strictly after the send).
-    pub(crate) fn settle(mut self, result: Result<RunReport>) {
+    /// fires strictly after the send).  `settled` is the trace's end: a
+    /// clock read the caller already took.
+    pub(crate) fn settle(
+        self,
+        recorder: &SpanRecorder,
+        result: Result<RunReport>,
+        settled: Instant,
+    ) {
         // Publish the trace before delivery: a client holding its result
         // is guaranteed to find the completed trace in the recorder.
-        self.trace.finish(match &result {
+        let outcome = match &result {
             Ok(report) => Outcome::Scores {
                 total_cycles: report.total_cycles(),
             },
             Err(err) => error_outcome(err),
-        });
+        };
+        recorder.complete(self.trace, outcome, self.enqueued_at, settled);
         let completion = Completion {
             tag: self.tag,
             result,
@@ -143,7 +150,7 @@ pub(crate) struct SubmissionQueue {
 
 /// The state every replica shares: the compile-once engine (one
 /// accelerator, one model, one program, one set of options), the one
-/// submission queue, and the replicas' health flags.
+/// submission queue, the replicas' health flags and the span recorder.
 pub(crate) struct EngineShared {
     pub(crate) accel: Accelerator,
     pub(crate) model: SnnModel,
@@ -157,6 +164,8 @@ pub(crate) struct EngineShared {
     /// "last replica dies" and "submission admitted" locks second sees the
     /// other: nothing is ever queued behind zero engines.
     pub(crate) healthy: Vec<AtomicBool>,
+    /// Where settled submissions publish their traces.
+    pub(crate) recorder: Arc<SpanRecorder>,
 }
 
 impl EngineShared {
@@ -216,20 +225,23 @@ pub(crate) fn run(shared: &ReplicaShared) {
          (siblings keep serving — resubmit)",
         shared.index
     );
+    let now = Instant::now();
     for submission in std::mem::take(&mut *relock(&shared.in_flight)) {
-        submission.settle(Err(AccelError::ReplicaDown {
+        let died = Err(AccelError::ReplicaDown {
             replica: shared.index,
             context: context.clone(),
-        }));
+        });
+        submission.settle(&engine.recorder, died, now);
     }
     for submission in stranded {
-        submission.settle(Err(all_replicas_down()));
+        submission.settle(&engine.recorder, Err(all_replicas_down()), now);
     }
 }
 
 fn dispatch_loop(shared: &ReplicaShared) {
     let engine = &shared.engine;
     let max_batch = engine.options.max_batch.max(1);
+    let traced = engine.recorder.enabled();
     loop {
         // Collect the next micro-batch: everything queued, capped.
         let mut batch: Vec<Submission> = {
@@ -251,7 +263,7 @@ fn dispatch_loop(shared: &ReplicaShared) {
 
         // The trace's replica is the engine that dequeued the request.
         for submission in batch.iter_mut() {
-            submission.trace.note_replica(shared.index);
+            submission.trace.replica = Some(shared.index as u32);
         }
 
         // Shed expired entries *before* compute: work the client has
@@ -260,11 +272,12 @@ fn dispatch_loop(shared: &ReplicaShared) {
         let now = Instant::now();
         let (mut batch, expired): (Vec<Submission>, Vec<Submission>) =
             batch.into_iter().partition(|s| !s.expired_at(now));
-        // Kept submissions leave the queue here: queue_wait ends, batch
-        // assembly begins.  (Expired ones finish inside `settle` below —
+        // Kept submissions leave the queue at this same `now`: queue_wait
+        // ends, batch assembly begins.  (Expired ones settle at it too —
         // their whole post-admission life was queue wait.)
         for submission in batch.iter_mut() {
-            submission.trace.advance(Phase::BatchAssembly);
+            let at = now.saturating_duration_since(submission.enqueued_at);
+            submission.trace.enter(Phase::BatchAssembly, at);
         }
         if !expired.is_empty() {
             relock(&shared.stats).deadline_sheds += expired.len() as u64;
@@ -274,10 +287,11 @@ fn dispatch_loop(shared: &ReplicaShared) {
                     .deadline
                     .map(|d| d.as_millis() as u64)
                     .unwrap_or(0);
-                submission.settle(Err(AccelError::DeadlineExceeded {
+                let shed = Err(AccelError::DeadlineExceeded {
                     waited_ms,
                     deadline_ms,
-                }));
+                });
+                submission.settle(&engine.recorder, shed, now);
             }
         }
         if batch.is_empty() {
@@ -298,10 +312,15 @@ fn dispatch_loop(shared: &ReplicaShared) {
             super::poison::check_kill(&submission.input);
         }
 
-        // Compute starts now.  Marked while the in-flight guard is still
-        // mutable — `par_map` below borrows the batch immutably.
-        for submission in in_flight.iter_mut() {
-            submission.trace.advance(Phase::Compute);
+        // Compute starts now: one clock read for the whole micro-batch,
+        // marked while the in-flight guard is still mutable — `par_map`
+        // below borrows the batch immutably.
+        if traced {
+            let start = Instant::now();
+            for submission in in_flight.iter_mut() {
+                let at = start.saturating_duration_since(submission.enqueued_at);
+                submission.trace.enter(Phase::Compute, at);
+            }
         }
 
         // Execute the micro-batch over this replica's slice of the worker
@@ -331,7 +350,9 @@ fn dispatch_loop(shared: &ReplicaShared) {
             .filter(|r| matches!(r, Err(AccelError::EnginePanic { .. })))
             .count() as u64;
         // Count before replying, so a client that has its result in hand
-        // is guaranteed to find it reflected in the server statistics.
+        // is guaranteed to find it reflected in the server statistics.  The
+        // drain window's clock read is also every trace's settle point.
+        let settled = Instant::now();
         {
             let mut accum = relock(&shared.stats);
             accum.completed += completed;
@@ -339,7 +360,7 @@ fn dispatch_loop(shared: &ReplicaShared) {
             accum.panics += panics;
             accum.batches += 1;
             accum.largest_batch = accum.largest_batch.max((completed + errors) as usize);
-            accum.recent.push_back((Instant::now(), completed + errors));
+            accum.recent.push_back((settled, completed + errors));
             if accum.recent.len() > super::stats::DRAIN_WINDOW_BATCHES {
                 accum.recent.pop_front();
             }
@@ -349,7 +370,7 @@ fn dispatch_loop(shared: &ReplicaShared) {
         for (submission, report) in batch.into_iter().zip(reports) {
             // Waker strictly after the send (inside `settle`): a reactor
             // woken by the pipe byte must find the completion queued.
-            submission.settle(report);
+            submission.settle(&engine.recorder, report, settled);
         }
     }
 }

@@ -12,7 +12,7 @@ use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
-use snn_telemetry::Outcome;
+use snn_telemetry::{ErrorCode, Outcome};
 use snn_tensor::Tensor;
 
 fn tiny_setup(seed: u64, count: usize) -> (SnnModel, Vec<Tensor<f32>>) {
@@ -88,7 +88,7 @@ fn kill_pill_traces_replica_down_and_leaks_no_spans() {
     assert_eq!(
         traces[0].outcome,
         Outcome::Error {
-            code: "serving".to_string()
+            code: ErrorCode::Serving
         }
     );
     assert_eq!(traces[0].replica, None, "never dequeued: unrouted");
@@ -133,7 +133,7 @@ fn poison_pill_traces_engine_panic_while_siblings_trace_scores() {
         .filter(|t| {
             t.outcome
                 == Outcome::Error {
-                    code: "engine_panic".to_string(),
+                    code: ErrorCode::EnginePanic,
                 }
         })
         .count();

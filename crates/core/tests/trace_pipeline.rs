@@ -7,9 +7,9 @@
 //! and off.
 //!
 //! The <3% overhead smoke lives here too, `#[ignore]`d by default (it
-//! measures wall-clock throughput in alternating fixed-work pairs, so it
-//! only means something where the machine is quiet — the CI
-//! `observability` job invokes it explicitly).
+//! measures wall-clock throughput in alternating fixed-work pairs on two
+//! long-lived servers, so it only means something where the machine is
+//! quiet — the CI `observability` job invokes it explicitly).
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::serve::{ServerOptions, StreamServer};
@@ -18,7 +18,7 @@ use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
-use snn_telemetry::{Outcome, Phase};
+use snn_telemetry::{Outcome, Phase, RejectScope, PHASES};
 use snn_tensor::Tensor;
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
@@ -97,14 +97,14 @@ fn every_served_request_yields_one_complete_trace() {
                 "missing phase {phase:?} in {trace:?}"
             );
         }
-        let phase_sum: f64 = trace.phases.iter().map(|s| s.seconds).sum();
+        let phase_sum: f64 = PHASES.iter().filter_map(|&p| trace.phase_seconds(p)).sum();
         assert!(
-            phase_sum <= trace.total_seconds + 1e-6,
+            phase_sum <= trace.total_seconds() + 1e-6,
             "phases ({phase_sum}s) exceed the trace total ({}s)",
-            trace.total_seconds
+            trace.total_seconds()
         );
         assert!(
-            trace.total_seconds <= wall + 0.5,
+            trace.total_seconds() <= wall + 0.5,
             "trace total exceeds the run's wall clock"
         );
     }
@@ -180,7 +180,7 @@ fn deadline_sheds_trace_the_rejected_deadline_outcome() {
         assert_eq!(
             trace.outcome,
             Outcome::Rejected {
-                scope: "deadline".to_string()
+                scope: RejectScope::Deadline
             },
             "shed request traced as {trace:?}"
         );
@@ -191,16 +191,19 @@ fn deadline_sheds_trace_the_rejected_deadline_outcome() {
     server.shutdown();
 }
 
-/// The overhead budget pinned by the issue: tracing on may cost at most
-/// 3% throughput versus `SNN_TRACE=0`.  Wall-clock measurement, so the
-/// test is `#[ignore]`d in the default tier and invoked explicitly by
-/// the CI `observability` job.  Both sides do the same fixed work, sized
-/// once to at least 200 ms a side, in alternating off / on pairs; the
-/// medians are compared, so one disturbed round decides nothing.
+/// The overhead budget: tracing on may cost at most 3% throughput versus
+/// `SNN_TRACE=0`.  Wall-clock measurement, so the test is `#[ignore]`d in
+/// the default tier and invoked explicitly by the CI `observability` job.
+/// One untraced and one traced server are started and warmed once, so
+/// server start-up is not part of what is timed; then both do the same
+/// fixed passes, sized to at least 40 ms a side, in alternating off / on
+/// pairs.  The median of the per-pair on/off ratios is compared, so one
+/// disturbed pair decides nothing, and the overhead and every pair are
+/// printed whether the budget holds or not.
 #[test]
 #[ignore = "wall-clock smoke; run explicitly: cargo test --release -- --ignored overhead_budget"]
 fn overhead_budget_tracing_costs_under_three_percent() {
-    const PAIRS: usize = 7;
+    const PAIRS: usize = 21;
     const PROBE_PASSES: usize = 8;
     let (model, inputs) = tiny_setup(47, 3, 8);
     let config = AcceleratorConfig::default();
@@ -209,53 +212,52 @@ fn overhead_budget_tracing_costs_under_three_percent() {
     for _ in 0..25 {
         pass.extend(inputs.iter().cloned());
     }
-
-    let side = |trace: bool, passes: usize| -> f64 {
-        let server = StreamServer::start_with(
-            config,
-            model.clone(),
-            ServerOptions {
-                trace,
-                ..traced_options(2)
-            },
-        )
-        .unwrap();
+    let start = |trace: bool| {
+        let options = ServerOptions {
+            trace,
+            ..traced_options(2)
+        };
+        let server = StreamServer::start_with(config, model.clone(), options).unwrap();
         // Untimed: threads, caches and the recorder warm up.
         server.run_all(&pass).unwrap();
+        server
+    };
+    let (off, on) = (start(false), start(true));
+    let time = |server: &StreamServer, passes: usize| {
         let started = Instant::now();
         for _ in 0..passes {
             server.run_all(&pass).unwrap();
         }
-        let elapsed = started.elapsed().as_secs_f64();
-        server.shutdown();
-        elapsed
+        started.elapsed().as_secs_f64()
     };
 
-    let per_pass = side(false, PROBE_PASSES) / PROBE_PASSES as f64;
-    let passes = ((0.2 / per_pass).ceil() as usize).max(PROBE_PASSES);
+    let per_pass = time(&off, PROBE_PASSES) / PROBE_PASSES as f64;
+    let passes = ((0.04 / per_pass).ceil() as usize).max(PROBE_PASSES);
     let pairs: Vec<(f64, f64)> = (0..PAIRS)
         .map(|pair| {
             if pair % 2 == 0 {
-                let off = side(false, passes);
-                (off, side(true, passes))
+                let off_s = time(&off, passes);
+                (off_s, time(&on, passes))
             } else {
-                let on = side(true, passes);
-                (side(false, passes), on)
+                let on_s = time(&on, passes);
+                (time(&off, passes), on_s)
             }
         })
         .collect();
-    let median = |mut seconds: Vec<f64>| {
-        seconds.sort_by(f64::total_cmp);
-        seconds[seconds.len() / 2]
-    };
-    let off = median(pairs.iter().map(|&(off, _)| off).collect());
-    let on = median(pairs.iter().map(|&(_, on)| on).collect());
-    let overhead = (on - off) / off;
-    assert!(
-        overhead < 0.03,
-        "tracing overhead {:.2}% exceeds the 3% budget (median on {on:.4}s, off {off:.4}s; \
-         {passes} passes of {} inferences a side; (off, on) pairs: {pairs:.4?})",
+    let mut ratios: Vec<f64> = pairs.iter().map(|&(off_s, on_s)| on_s / off_s).collect();
+    ratios.sort_by(f64::total_cmp);
+    let overhead = ratios[ratios.len() / 2] - 1.0;
+    println!(
+        "tracing overhead {:+.2}% (median on/off ratio of {PAIRS} pairs, {passes} passes of {} \
+         inferences a side; (off, on) seconds: {pairs:.4?})",
         overhead * 100.0,
         pass.len()
     );
+    assert!(
+        overhead < 0.03,
+        "tracing overhead {:.2}% exceeds the 3% budget",
+        overhead * 100.0
+    );
+    off.shutdown();
+    on.shutdown();
 }

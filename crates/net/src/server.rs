@@ -680,8 +680,9 @@ struct Conn {
     /// monotone and `flush_step` pops from the front.
     reply_marks: VecDeque<(u64, Instant, u64)>,
     /// Write-queue residencies measured by `flush_step`, waiting for the
-    /// reactor to forward them to the span recorder.
-    stall_samples: Vec<(u64, f64)>,
+    /// reactor to forward them to the span recorder (drained in place, so
+    /// the buffer is reused across flushes).
+    stall_samples: Vec<(u64, Duration)>,
     /// Set when the fault injector faked an `EWOULDBLOCK` on this
     /// connection: the kernel state did not change, so an edge-triggered
     /// backend will never re-report — the reactor must treat the socket
@@ -855,8 +856,7 @@ impl Conn {
                 break;
             }
             self.reply_marks.pop_front();
-            self.stall_samples
-                .push((request_id, queued_at.elapsed().as_secs_f64()));
+            self.stall_samples.push((request_id, queued_at.elapsed()));
         }
         // Write-stall clock: runs while bytes are queued and the kernel
         // accepts none of them, restarts on any progress.
@@ -1438,12 +1438,9 @@ impl<'a> Reactor<'a> {
         // edge coming: treat the connection as hot so the next iteration
         // retries the flush.
         let refire = conn.take_fault_blocked() && !conn.wbuf.is_empty();
-        let samples = std::mem::take(&mut conn.stall_samples);
-        if !samples.is_empty() {
-            let recorder = self.shared.server.recorder();
-            for (request_id, seconds) in samples {
-                recorder.record_write_stall(request_id, seconds);
-            }
+        let recorder = self.shared.server.recorder();
+        for (request_id, stall) in conn.stall_samples.drain(..) {
+            recorder.record_write_stall(request_id, stall);
         }
         if dead {
             self.close(token);

@@ -14,7 +14,7 @@ use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
 use snn_net::{scrape_traces, NetClient, NetOptions, NetServer};
-use snn_telemetry::{Outcome, Phase, RequestTrace};
+use snn_telemetry::{Outcome, Phase, RequestTrace, PHASES};
 use snn_tensor::Tensor;
 use std::collections::{BTreeSet, HashSet};
 use std::time::Instant;
@@ -119,18 +119,17 @@ fn every_pipelined_request_yields_one_complete_trace_over_the_wire() {
         );
         // WriteStall happens after settle, so it is excluded from the
         // in-pipeline total; the in-pipeline phases must fit inside it.
-        let in_pipeline: f64 = trace
-            .phases
+        let in_pipeline: f64 = PHASES
             .iter()
-            .filter(|s| s.phase != Phase::WriteStall)
-            .map(|s| s.seconds)
+            .filter(|&&p| p != Phase::WriteStall)
+            .filter_map(|&p| trace.phase_seconds(p))
             .sum();
         assert!(
-            in_pipeline <= trace.total_seconds + 1e-6,
+            in_pipeline <= trace.total_seconds() + 1e-6,
             "phases ({in_pipeline}s) exceed trace total ({}s)",
-            trace.total_seconds
+            trace.total_seconds()
         );
-        assert!(trace.total_seconds <= wall + 0.5);
+        assert!(trace.total_seconds() <= wall + 0.5);
     }
 
     // The drain was destructive: a second scrape starts empty.

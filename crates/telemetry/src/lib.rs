@@ -2,13 +2,12 @@
 //!
 //! This crate is the observability backbone the serving layers
 //! (`snn-accel`'s `StreamServer`, `snn-net`'s reactor) thread a
-//! [`SpanRecorder`] through: every admitted request carries a
-//! [`TraceBuilder`] that marks typed phase boundaries
-//! ([`Phase::Admission`] → [`Phase::Route`] → [`Phase::QueueWait`] →
-//! [`Phase::BatchAssembly`] → [`Phase::Compute`], with
-//! [`Phase::WriteStall`] appended by the reactor after settle) and a
-//! terminal [`Outcome`].  Completed [`RequestTrace`]s are exported three
-//! ways:
+//! [`SpanRecorder`] through: every admitted request carries one
+//! fixed-size [`RequestTrace`] (`Copy`, no heap) that marks typed phase
+//! boundaries ([`Phase::Admission`] → [`Phase::Route`] →
+//! [`Phase::QueueWait`] → [`Phase::BatchAssembly`] → [`Phase::Compute`],
+//! with [`Phase::WriteStall`] appended by the reactor after settle) and a
+//! terminal [`Outcome`].  Completed traces are exported three ways:
 //!
 //! 1. **Histograms** — [`SpanRecorder::histogram_families`] feeds
 //!    `request_queue_wait_seconds`, `request_compute_seconds`,
@@ -18,15 +17,14 @@
 //! 2. **JSONL trace dump** — [`SpanRecorder::render_jsonl`] drains the
 //!    per-replica ring buffers into one [`RequestTrace::to_json_line`]
 //!    line per trace (STATS format byte `2 = TRACES` on the wire).
-//! 3. **Bench percentiles** — [`LatencyHistogram::quantile`] gives the
-//!    bench harnesses p50/p99/p999 per phase for `BENCH_*.json`.
+//! 3. **Percentiles** — [`LatencyHistogram::quantile`] gives p50/p99/p999
+//!    of any recorded phase.
 //!
-//! Design constraints (see `ARCHITECTURE.md` § Observability): the hot
-//! path is wait-free — a span start is two `Instant` reads and an array
-//! store on builder-owned state, and the single mutex touch happens at
-//! completion.  Tracing is on by default; `SNN_TRACE=0`
-//! ([`trace_enabled_from_env`]) disables it with bit-identical serving
-//! results.
+//! Design constraints (see `ARCHITECTURE.md` § Observability): a traced
+//! request takes two clock reads of its own at admission plus one per
+//! micro-batch, allocates nothing, and touches one mutex, at completion.
+//! Tracing is on by default; `SNN_TRACE=0` ([`trace_enabled_from_env`])
+//! disables it with bit-identical serving results.
 
 pub mod histogram;
 pub mod metrics;
@@ -41,6 +39,6 @@ pub use metrics::{
     MetricKind, MetricTable,
 };
 pub use trace::{
-    trace_enabled_from_env, Outcome, Phase, PhaseSpan, RequestTrace, SpanRecorder, TraceBuilder,
+    trace_enabled_from_env, ErrorCode, Outcome, Phase, RejectScope, RequestTrace, SpanRecorder,
     DEFAULT_TRACE_CAPACITY, PHASES, PHASE_COUNT,
 };

@@ -1,28 +1,30 @@
-//! Per-request span traces and the lock-light recorder behind them.
+//! Per-request span traces and the recorder behind them.
 //!
-//! Every admitted request owns a [`TraceBuilder`] that rides inside the
-//! submission through the serving pipeline.  Phase boundaries are
-//! recorded **locally** on the builder (monotonic [`Instant`] clocks, no
-//! shared state), so the hot path is wait-free: the only synchronisation
-//! is one shard-mutex touch when the trace completes, plus two atomic
-//! bumps (the open-span gauge) at begin/finish.  Completed
-//! [`RequestTrace`]s land in a fixed-capacity per-replica ring buffer —
-//! old traces are evicted, never blocked on — and phase latencies feed
-//! the per-replica [`LatencyHistogram`]s that the Prometheus exposition
-//! renders.
+//! A trace is one fixed-size [`RequestTrace`] (`Copy`, no heap) carried
+//! inside the submission through the serving pipeline.  Its clock zero is
+//! the instant admission already reads for the queue-wait deadline, and
+//! every phase boundary is one nanosecond offset from it.  The serving path
+//! takes those offsets from clock reads it makes anyway where it can (the
+//! deadline-shed check, the drain-rate window), so a traced request costs
+//! two clock reads at admission plus one per micro-batch, and no
+//! synchronisation until it completes.  Completion is the one shard-mutex
+//! touch: the record is copied into its replica's preallocated ring (the
+//! oldest evicted, never blocked on) and feeds the per-replica
+//! [`LatencyHistogram`]s the Prometheus exposition renders.  The only
+//! atomics are the two bumps of the open-span gauge, at begin and
+//! completion.
 //!
 //! The recorder can be disabled (`SNN_TRACE=0`, see
-//! [`trace_enabled_from_env`]); a disabled builder never reads the clock
-//! and never touches the recorder, which is what makes the documented
-//! <3% overhead budget trivially safe to verify: results are
-//! bit-identical either way, only the telemetry disappears.
+//! [`trace_enabled_from_env`]): the serving path then takes none of the
+//! trace's clock reads and publishes nothing, and results are
+//! bit-identical either way.
 
 use crate::histogram::LatencyHistogram;
 use crate::metrics::HistogramFamily;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant, UNIX_EPOCH};
 
 /// The typed phases of a request's journey through the serving stack, in
 /// pipeline order.
@@ -50,8 +52,7 @@ pub enum Phase {
     WriteStall,
 }
 
-/// Number of [`Phase`] variants (the builder's accumulator arrays are
-/// indexed by phase).
+/// Number of [`Phase`] variants (a trace stores one offset per phase).
 pub const PHASE_COUNT: usize = 6;
 
 /// Every phase, in pipeline order.
@@ -65,17 +66,6 @@ pub const PHASES: [Phase; PHASE_COUNT] = [
 ];
 
 impl Phase {
-    fn index(self) -> usize {
-        match self {
-            Phase::Admission => 0,
-            Phase::Route => 1,
-            Phase::QueueWait => 2,
-            Phase::BatchAssembly => 3,
-            Phase::Compute => 4,
-            Phase::WriteStall => 5,
-        }
-    }
-
     /// The phase's snake_case name (the JSONL key stem).
     pub fn name(self) -> &'static str {
         match self {
@@ -89,8 +79,69 @@ impl Phase {
     }
 }
 
+/// Which limit shed a rejected request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RejectScope {
+    /// The submission queue was at its admission bound.
+    Queue,
+    /// The request's queue-wait deadline passed before compute.
+    Deadline,
+}
+
+impl RejectScope {
+    /// Every scope.
+    pub const ALL: [RejectScope; 2] = [RejectScope::Queue, RejectScope::Deadline];
+
+    /// The scope's snake_case label.
+    pub fn label(self) -> &'static str {
+        match self {
+            RejectScope::Queue => "queue",
+            RejectScope::Deadline => "deadline",
+        }
+    }
+
+    /// The scope whose [`RejectScope::label`] is `label`.
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|scope| scope.label() == label)
+    }
+}
+
+/// The typed error a failed request settled with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ErrorCode {
+    /// The inference panicked inside the engine.
+    EnginePanic,
+    /// The server could not serve it (shutting down, no replica left).
+    Serving,
+    /// Anything else: the request itself was unservable.
+    BadRequest,
+}
+
+impl ErrorCode {
+    /// Every code.
+    pub const ALL: [ErrorCode; 3] = [
+        ErrorCode::EnginePanic,
+        ErrorCode::Serving,
+        ErrorCode::BadRequest,
+    ];
+
+    /// The code's snake_case label.
+    pub fn label(self) -> &'static str {
+        match self {
+            ErrorCode::EnginePanic => "engine_panic",
+            ErrorCode::Serving => "serving",
+            ErrorCode::BadRequest => "bad_request",
+        }
+    }
+
+    /// The code whose [`ErrorCode::label`] is `label`.
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|code| code.label() == label)
+    }
+}
+
 /// How a request's story ended.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Served: the reply carried scores; `total_cycles` is the
     /// `RunReport` cycle summary.
@@ -98,22 +149,18 @@ pub enum Outcome {
         /// Modelled accelerator cycles of the inference.
         total_cycles: u64,
     },
-    /// Shed as backpressure (`scope` is `"queue"` or `"deadline"`).
+    /// Shed as backpressure.
     Rejected {
         /// Which limit shed it.
-        scope: String,
+        scope: RejectScope,
     },
-    /// Failed with a typed error (`code` is the error's snake_case
-    /// name, e.g. `"engine_panic"`).
+    /// Failed with a typed error.
     Error {
-        /// Short error code.
-        code: String,
+        /// The error's code.
+        code: ErrorCode,
     },
     /// The replica it was placed on died before serving it.
     ReplicaDown,
-    /// The trace builder was dropped without an explicit outcome — a bug
-    /// guard, surfaced rather than silently leaked.
-    Abandoned,
 }
 
 impl Outcome {
@@ -124,23 +171,26 @@ impl Outcome {
             Outcome::Rejected { .. } => "rejected",
             Outcome::Error { .. } => "error",
             Outcome::ReplicaDown => "replica_down",
-            Outcome::Abandoned => "abandoned",
         }
     }
 }
 
-/// One measured phase of a completed trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseSpan {
-    /// Which phase.
-    pub phase: Phase,
-    /// Time spent in it, seconds (re-entries accumulate).
-    pub seconds: f64,
+/// The `ends_ns` value of a phase not (yet) left.
+const NOT_ENTERED: u64 = u64::MAX;
+
+fn nanos(at: Duration) -> u64 {
+    u64::try_from(at.as_nanos()).unwrap_or(NOT_ENTERED - 1)
 }
 
-/// A completed request trace: identity, placement, measured phases,
-/// terminal outcome.
-#[derive(Debug, Clone, PartialEq)]
+fn seconds(ns: u64) -> f64 {
+    Duration::from_nanos(ns).as_secs_f64()
+}
+
+/// One request's trace: identity, placement, phase boundaries, terminal
+/// outcome.  The in-flight record and the completed trace are this one
+/// value; [`SpanRecorder::begin`] opens it and [`SpanRecorder::complete`]
+/// closes and publishes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The request id the trace is keyed by: the wire tag for
     /// reactor-submitted requests, a recorder-assigned id for in-process
@@ -151,31 +201,93 @@ pub struct RequestTrace {
     pub unix_ms: u64,
     /// The replica engine that dequeued it; `None` when it was refused
     /// at admission or never left the queue.
-    pub replica: Option<usize>,
+    pub replica: Option<u32>,
     /// The shared queue's depth seen under the admission lock.
-    pub queue_depth_at_route: Option<usize>,
-    /// Measured phases in pipeline order (absent phases were never
-    /// entered).
-    pub phases: Vec<PhaseSpan>,
-    /// Terminal outcome.
+    pub queue_depth_at_route: Option<u32>,
+    /// Terminal outcome, set at completion (an open record holds
+    /// [`Outcome::ReplicaDown`] until then).
     pub outcome: Outcome,
-    /// Admission-to-settle wall time, seconds ([`Phase::WriteStall`] is
-    /// appended after settle and is *not* part of this).
-    pub total_seconds: f64,
+    /// `ends_ns[p]`: when phase `p` ended, in nanoseconds after the trace
+    /// start; [`NOT_ENTERED`] for a phase never entered (and, in flight,
+    /// for the current one).  Phases are entered strictly in pipeline
+    /// order, so each spans from the end of the last phase before it (or
+    /// the trace start); the reactor's [`Phase::WriteStall`], measured
+    /// after settle, is appended as if it began at settle.
+    ends_ns: [u64; PHASE_COUNT],
 }
 
 impl RequestTrace {
-    /// The accumulated seconds of `phase`, when it was entered.
-    pub fn phase_seconds(&self, phase: Phase) -> Option<f64> {
-        self.phases
+    /// An open record for `request_id`: in [`Phase::Admission`], nothing
+    /// measured yet.
+    pub fn new(request_id: u64) -> Self {
+        RequestTrace {
+            request_id,
+            unix_ms: 0,
+            replica: None,
+            queue_depth_at_route: None,
+            outcome: Outcome::ReplicaDown,
+            ends_ns: [NOT_ENTERED; PHASE_COUNT],
+        }
+    }
+
+    /// Enters `phase` at offset `at` from the trace start, ending the
+    /// phase before it.  Phases run strictly in pipeline order, from
+    /// [`Phase::Route`] to [`Phase::Compute`].
+    pub fn enter(&mut self, phase: Phase, at: Duration) {
+        let i = phase as usize;
+        debug_assert!((1..Phase::WriteStall as usize).contains(&i));
+        self.ends_ns[i - 1] = nanos(at);
+    }
+
+    /// Ends the current phase at offset `at` (the settle point) with
+    /// `outcome`.
+    pub fn close(&mut self, outcome: Outcome, at: Duration) {
+        let current = self.ends_ns[..Phase::WriteStall as usize]
             .iter()
-            .find(|span| span.phase == phase)
-            .map(|span| span.seconds)
+            .position(|&end| end == NOT_ENTERED)
+            .unwrap_or(Phase::Compute as usize);
+        self.ends_ns[current] = nanos(at);
+        self.outcome = outcome;
+    }
+
+    /// Appends the reactor's write-queue residency to a closed trace;
+    /// the first sample wins.
+    pub fn append_write_stall(&mut self, stall: Duration) {
+        let i = Phase::WriteStall as usize;
+        if self.ends_ns[i] == NOT_ENTERED {
+            self.ends_ns[i] = self.start_ns(i).saturating_add(nanos(stall));
+        }
+    }
+
+    /// Where phase `i` began: the end of the last phase before it that was
+    /// entered, or the trace start.  For [`Phase::WriteStall`] this is the
+    /// settle offset.
+    fn start_ns(&self, i: usize) -> u64 {
+        self.ends_ns[..i]
+            .iter()
+            .rev()
+            .copied()
+            .find(|&end| end != NOT_ENTERED)
+            .unwrap_or(0)
+    }
+
+    /// The seconds spent in `phase`, when it was entered.
+    pub fn phase_seconds(&self, phase: Phase) -> Option<f64> {
+        let i = phase as usize;
+        let end = self.ends_ns[i];
+        (end != NOT_ENTERED).then(|| seconds(end.saturating_sub(self.start_ns(i))))
+    }
+
+    /// Admission-to-settle wall time, seconds ([`Phase::WriteStall`] is
+    /// appended after settle and is *not* part of this).
+    pub fn total_seconds(&self) -> f64 {
+        seconds(self.start_ns(Phase::WriteStall as usize))
     }
 
     /// Renders the trace as one JSON line (no trailing newline).
     /// Durations are microseconds; optional fields are omitted, not
-    /// null.
+    /// null.  Every string is a closed ASCII label, so nothing needs
+    /// escaping.
     pub fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(192);
         out.push_str(&format!(
@@ -189,29 +301,30 @@ impl RequestTrace {
             out.push_str(&format!(",\"queue_depth_at_route\":{depth}"));
         }
         out.push_str(&format!(",\"outcome\":\"{}\"", self.outcome.label()));
-        match &self.outcome {
+        match self.outcome {
             Outcome::Scores { total_cycles } => {
                 out.push_str(&format!(",\"total_cycles\":{total_cycles}"));
             }
             Outcome::Rejected { scope } => {
-                out.push_str(&format!(",\"scope\":\"{}\"", escape_json(scope)));
+                out.push_str(&format!(",\"scope\":\"{}\"", scope.label()));
             }
             Outcome::Error { code } => {
-                out.push_str(&format!(",\"code\":\"{}\"", escape_json(code)));
+                out.push_str(&format!(",\"code\":\"{}\"", code.label()));
             }
-            Outcome::ReplicaDown | Outcome::Abandoned => {}
+            Outcome::ReplicaDown => {}
         }
-        out.push_str(&format!(",\"duration_us\":{}", self.total_seconds * 1e6));
+        out.push_str(&format!(",\"duration_us\":{}", self.total_seconds() * 1e6));
         out.push_str(",\"phases\":{");
-        for (i, span) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut separator = "";
+        for phase in PHASES {
+            if let Some(seconds) = self.phase_seconds(phase) {
+                out.push_str(&format!(
+                    "{separator}\"{}_us\":{}",
+                    phase.name(),
+                    seconds * 1e6
+                ));
+                separator = ",";
             }
-            out.push_str(&format!(
-                "\"{}_us\":{}",
-                span.phase.name(),
-                span.seconds * 1e6
-            ));
         }
         out.push_str("}}");
         out
@@ -219,69 +332,53 @@ impl RequestTrace {
 
     /// Parses a line produced by [`RequestTrace::to_json_line`].
     /// Returns `None` on anything malformed — the scraper's tolerance
-    /// for a trace truncated mid-flight.
+    /// for a trace truncated mid-flight — and on a label outside the
+    /// closed sets.  `duration_us` must be present; the total it states
+    /// is the sum of the pipeline phases, which is what the record keeps.
     pub fn from_json_line(line: &str) -> Option<RequestTrace> {
         let object = json::parse_object(line.trim())?;
-        let request_id = json::get_u64(&object, "request_id")?;
-        let unix_ms = json::get_u64(&object, "unix_ms")?;
-        let replica = json::get_u64(&object, "replica").map(|v| v as usize);
-        let queue_depth_at_route =
-            json::get_u64(&object, "queue_depth_at_route").map(|v| v as usize);
+        let narrow = |key| match json::get_u64(&object, key) {
+            None => Some(None),
+            Some(value) => u32::try_from(value).ok().map(Some),
+        };
         let outcome = match json::get_str(&object, "outcome")? {
             "scores" => Outcome::Scores {
                 total_cycles: json::get_u64(&object, "total_cycles")?,
             },
             "rejected" => Outcome::Rejected {
-                scope: json::get_str(&object, "scope")?.to_string(),
+                scope: RejectScope::from_label(json::get_str(&object, "scope")?)?,
             },
             "error" => Outcome::Error {
-                code: json::get_str(&object, "code")?.to_string(),
+                code: ErrorCode::from_label(json::get_str(&object, "code")?)?,
             },
             "replica_down" => Outcome::ReplicaDown,
-            "abandoned" => Outcome::Abandoned,
             _ => return None,
         };
-        let total_seconds = json::get_f64(&object, "duration_us")? / 1e6;
-        let phases_obj = json::get_obj(&object, "phases")?;
-        let mut phases = Vec::new();
+        json::get_f64(&object, "duration_us")?;
+        let phases = json::get_obj(&object, "phases")?;
+        let mut trace = RequestTrace {
+            request_id: json::get_u64(&object, "request_id")?,
+            unix_ms: json::get_u64(&object, "unix_ms")?,
+            replica: narrow("replica")?,
+            queue_depth_at_route: narrow("queue_depth_at_route")?,
+            outcome,
+            ends_ns: [NOT_ENTERED; PHASE_COUNT],
+        };
+        let mut end = 0u64;
         for phase in PHASES {
-            let key = format!("{}_us", phase.name());
-            if let Some(us) = json::get_f64(phases_obj, &key) {
-                phases.push(PhaseSpan {
-                    phase,
-                    seconds: us / 1e6,
-                });
+            if let Some(us) = json::get_f64(phases, &format!("{}_us", phase.name())) {
+                end = end.saturating_add((us * 1e3).round() as u64);
+                trace.ends_ns[phase as usize] = end;
             }
         }
-        Some(RequestTrace {
-            request_id,
-            unix_ms,
-            replica,
-            queue_depth_at_route,
-            phases,
-            outcome,
-            total_seconds,
-        })
+        Some(trace)
     }
-}
-
-fn escape_json(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out
 }
 
 /// Minimal JSON-object reader for the trace lines this crate itself
-/// emits (numbers, strings with the emitter's three escapes, one level
-/// of object nesting).  The vendored `serde` is a marker-trait stub, so
-/// decoding — like encoding — is by hand.
+/// emits (numbers, escape-free strings, one level of object nesting).
+/// The vendored `serde` is a marker-trait stub, so decoding — like
+/// encoding — is by hand.
 mod json {
     #[derive(Debug, PartialEq)]
     pub(super) enum Value {
@@ -319,34 +416,17 @@ mod json {
         }
     }
 
+    /// A string up to the next quote.  The emitter writes no escapes, so
+    /// a backslash is malformed input.
     fn string(b: &[u8], i: &mut usize) -> Option<String> {
         expect(b, i, b'"')?;
-        let mut out = String::new();
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    *i += 1;
-                    match b.get(*i)? {
-                        b'\\' => out.push('\\'),
-                        b'"' => out.push('"'),
-                        b'n' => out.push('\n'),
-                        _ => return None,
-                    }
-                    *i += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 continuation bytes pass through
-                    // verbatim; the input was a valid &str to begin with.
-                    out.push_str(std::str::from_utf8(&b[*i..*i + 1]).ok()?);
-                    *i += 1;
-                }
-            }
+        let len = b[*i..].iter().position(|&c| c == b'"')?;
+        let raw = &b[*i..*i + len];
+        *i += len + 1;
+        if raw.contains(&b'\\') {
+            return None;
         }
-        None
+        std::str::from_utf8(raw).ok().map(str::to_string)
     }
 
     fn number(b: &[u8], i: &mut usize) -> Option<String> {
@@ -442,21 +522,12 @@ pub fn trace_enabled_from_env() -> bool {
 pub const DEFAULT_TRACE_CAPACITY: usize = 512;
 
 struct Shard {
+    /// Preallocated to [`DEFAULT_TRACE_CAPACITY`] and never grown past
+    /// it, so pushes and evictions touch no heap.
     ring: VecDeque<RequestTrace>,
     queue_wait: LatencyHistogram,
     compute: LatencyHistogram,
     duration: LatencyHistogram,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            ring: VecDeque::new(),
-            queue_wait: LatencyHistogram::new(),
-            compute: LatencyHistogram::new(),
-            duration: LatencyHistogram::new(),
-        }
-    }
 }
 
 /// The server-wide trace store: one shard per replica (plus one for
@@ -470,7 +541,11 @@ pub struct SpanRecorder {
     write_stall: Mutex<LatencyHistogram>,
     open: AtomicU64,
     next_id: AtomicU64,
-    capacity: usize,
+    /// Wall-clock anchor: `anchor` read on the monotonic clock and its
+    /// time since the Unix epoch, taken once, so a trace's `unix_ms`
+    /// costs no clock read of its own.
+    anchor: Instant,
+    anchor_unix: Duration,
 }
 
 fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -478,25 +553,27 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl SpanRecorder {
-    /// A recorder with one shard per replica and the default ring
-    /// capacity.  `enabled = false` builds a recorder whose builders are
-    /// all no-ops (the `SNN_TRACE=0` path).
+    /// A recorder with one shard per replica.  `enabled = false` builds a
+    /// recorder that opens no span and publishes nothing (the
+    /// `SNN_TRACE=0` path).
     pub fn new(replicas: usize, enabled: bool) -> Self {
-        Self::with_capacity(replicas, enabled, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// As [`SpanRecorder::new`] with an explicit per-shard ring
-    /// capacity.
-    pub fn with_capacity(replicas: usize, enabled: bool, capacity: usize) -> Self {
         SpanRecorder {
             enabled,
             shards: (0..replicas.max(1) + 1)
-                .map(|_| Mutex::new(Shard::new()))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        ring: VecDeque::with_capacity(DEFAULT_TRACE_CAPACITY),
+                        queue_wait: LatencyHistogram::new(),
+                        compute: LatencyHistogram::new(),
+                        duration: LatencyHistogram::new(),
+                    })
+                })
                 .collect(),
             write_stall: Mutex::new(LatencyHistogram::new()),
             open: AtomicU64::new(0),
             next_id: AtomicU64::new(0),
-            capacity: capacity.max(1),
+            anchor: Instant::now(),
+            anchor_unix: UNIX_EPOCH.elapsed().unwrap_or_default(),
         }
     }
 
@@ -511,38 +588,41 @@ impl SpanRecorder {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Opens a trace for `request_id`.  Wait-free: one atomic bump, no
-    /// locks; a disabled recorder returns an inert builder that never
-    /// reads the clock.
-    pub fn begin(self: &Arc<Self>, request_id: u64) -> TraceBuilder {
-        if !self.enabled {
-            return TraceBuilder::disabled();
+    /// Opens a trace for `request_id`, counting it in
+    /// [`SpanRecorder::open_spans`] until [`SpanRecorder::complete`]
+    /// publishes it.  Reads no clock: the caller owns the trace start.
+    pub fn begin(&self, request_id: u64) -> RequestTrace {
+        if self.enabled {
+            self.open.fetch_add(1, Ordering::Relaxed);
         }
-        self.open.fetch_add(1, Ordering::Relaxed);
-        let now = Instant::now();
-        TraceBuilder {
-            recorder: Some(Arc::clone(self)),
-            request_id,
-            started: now,
-            phase_started: now,
-            current: Phase::Admission,
-            elapsed: [0.0; PHASE_COUNT],
-            seen: [false; PHASE_COUNT],
-            replica: None,
-            depth: None,
-        }
+        RequestTrace::new(request_id)
     }
 
-    /// Traces begun but not yet finished — must return to zero at every
+    /// Traces begun but not yet completed — must return to zero at every
     /// quiescent point, else a span leaked.
     pub fn open_spans(&self) -> u64 {
         self.open.load(Ordering::Relaxed)
     }
 
-    fn complete(&self, trace: RequestTrace) {
+    /// Closes `trace` with `outcome` at `settled` (its start was
+    /// `started`) and publishes it: the one mutex touch.  A no-op on a
+    /// disabled recorder.
+    pub fn complete(
+        &self,
+        mut trace: RequestTrace,
+        outcome: Outcome,
+        started: Instant,
+        settled: Instant,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        trace.close(outcome, settled.saturating_duration_since(started));
+        trace.unix_ms =
+            (self.anchor_unix + settled.saturating_duration_since(self.anchor)).as_millis() as u64;
         self.open.fetch_sub(1, Ordering::Relaxed);
         let shard_index = match trace.replica {
-            Some(replica) => replica.min(self.shards.len() - 2),
+            Some(replica) => (replica as usize).min(self.shards.len() - 2),
             None => self.shards.len() - 1,
         };
         let mut shard = relock(&self.shards[shard_index]);
@@ -552,8 +632,8 @@ impl SpanRecorder {
         if let Some(seconds) = trace.phase_seconds(Phase::Compute) {
             shard.compute.observe(seconds);
         }
-        shard.duration.observe(trace.total_seconds);
-        if shard.ring.len() >= self.capacity {
+        shard.duration.observe(trace.total_seconds());
+        if shard.ring.len() == DEFAULT_TRACE_CAPACITY {
             shard.ring.pop_front();
         }
         shard.ring.push_back(trace);
@@ -563,11 +643,11 @@ impl SpanRecorder {
     /// [`Phase::WriteStall`] span to the matching completed trace, if it
     /// is still in its ring (best-effort: an evicted trace only loses
     /// the late phase, the histogram sample is never lost).
-    pub fn record_write_stall(&self, request_id: u64, seconds: f64) {
+    pub fn record_write_stall(&self, request_id: u64, stall: Duration) {
         if !self.enabled {
             return;
         }
-        relock(&self.write_stall).observe(seconds);
+        relock(&self.write_stall).observe(stall.as_secs_f64());
         for shard in &self.shards {
             let mut shard = relock(shard);
             if let Some(trace) = shard
@@ -576,12 +656,7 @@ impl SpanRecorder {
                 .rev()
                 .find(|t| t.request_id == request_id)
             {
-                if trace.phase_seconds(Phase::WriteStall).is_none() {
-                    trace.phases.push(PhaseSpan {
-                        phase: Phase::WriteStall,
-                        seconds,
-                    });
-                }
+                trace.append_write_stall(stall);
                 return;
             }
         }
@@ -694,139 +769,44 @@ impl std::fmt::Debug for SpanRecorder {
     }
 }
 
-/// The per-request side of the recorder: owned by the submission, moved
-/// with it through the pipeline, never shared — which is why recording a
-/// phase boundary is two [`Instant`] reads and an array store, no
-/// synchronisation at all.  Finishing (or dropping) the builder performs
-/// the single mutex touch that publishes the trace.
-#[derive(Debug)]
-pub struct TraceBuilder {
-    /// `None` after finishing — and from birth on a disabled recorder,
-    /// which turns every method into a no-op.
-    recorder: Option<Arc<SpanRecorder>>,
-    request_id: u64,
-    started: Instant,
-    phase_started: Instant,
-    current: Phase,
-    elapsed: [f64; PHASE_COUNT],
-    seen: [bool; PHASE_COUNT],
-    replica: Option<usize>,
-    depth: Option<usize>,
-}
-
-impl TraceBuilder {
-    /// An inert builder (the `SNN_TRACE=0` hot path): every method
-    /// no-ops without reading the clock.
-    pub fn disabled() -> Self {
-        TraceBuilder {
-            recorder: None,
-            request_id: 0,
-            started: Instant::now(),
-            phase_started: Instant::now(),
-            current: Phase::Admission,
-            elapsed: [0.0; PHASE_COUNT],
-            seen: [false; PHASE_COUNT],
-            replica: None,
-            depth: None,
-        }
-    }
-
-    fn close_current(&mut self, now: Instant) {
-        let i = self.current.index();
-        self.elapsed[i] += now.duration_since(self.phase_started).as_secs_f64();
-        self.seen[i] = true;
-    }
-
-    /// Closes the current phase and enters `next`.  Re-entering the
-    /// current phase is a no-op; re-entering an earlier phase accumulates
-    /// into the existing span.
-    pub fn advance(&mut self, next: Phase) {
-        if self.recorder.is_none() || self.current == next {
-            return;
-        }
-        let now = Instant::now();
-        self.close_current(now);
-        self.current = next;
-        self.phase_started = now;
-    }
-
-    /// Annotates the shared queue depth the submission saw at admission.
-    pub fn note_queue_depth(&mut self, depth: usize) {
-        if self.recorder.is_some() {
-            self.depth = Some(depth);
-        }
-    }
-
-    /// Annotates the replica engine that dequeued the submission — the
-    /// shard the finished trace is filed under.
-    pub fn note_replica(&mut self, replica: usize) {
-        if self.recorder.is_some() {
-            self.replica = Some(replica);
-        }
-    }
-
-    /// Closes the trace with `outcome` and publishes it to the recorder
-    /// (the one mutex touch).  Idempotent: later calls — including the
-    /// implicit `Abandoned` finish on drop — are no-ops.
-    pub fn finish(&mut self, outcome: Outcome) {
-        let Some(recorder) = self.recorder.take() else {
-            return;
-        };
-        let now = Instant::now();
-        self.close_current(now);
-        let phases = PHASES
-            .iter()
-            .filter(|p| self.seen[p.index()])
-            .map(|&phase| PhaseSpan {
-                phase,
-                seconds: self.elapsed[phase.index()],
-            })
-            .collect();
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        recorder.complete(RequestTrace {
-            request_id: self.request_id,
-            unix_ms,
-            replica: self.replica,
-            queue_depth_at_route: self.depth,
-            phases,
-            outcome,
-            total_seconds: now.duration_since(self.started).as_secs_f64(),
-        });
-    }
-}
-
-impl Drop for TraceBuilder {
-    fn drop(&mut self) {
-        // A builder dropped mid-pipeline still publishes (as Abandoned),
-        // so the ring never holds an open span and the open-span gauge
-        // returns to zero.
-        self.finish(Outcome::Abandoned);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn recorder(replicas: usize) -> Arc<SpanRecorder> {
-        Arc::new(SpanRecorder::new(replicas, true))
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    /// Opens a trace for `id` on `recorder`, walks it through `phases`
+    /// (one microsecond apart) and completes it on `replica`.
+    fn served(recorder: &SpanRecorder, id: u64, replica: Option<u32>, outcome: Outcome) {
+        let start = Instant::now();
+        let mut trace = recorder.begin(id);
+        trace.replica = replica;
+        for (offset, phase) in (1..).zip(&PHASES[1..5]) {
+            trace.enter(*phase, us(offset));
+        }
+        recorder.complete(trace, outcome, start, start + us(5));
     }
 
     #[test]
     fn a_full_lifecycle_produces_one_trace_with_ordered_phases() {
-        let recorder = recorder(2);
+        let recorder = SpanRecorder::new(2, true);
+        let start = Instant::now();
         let mut trace = recorder.begin(7);
         assert_eq!(recorder.open_spans(), 1);
-        trace.advance(Phase::Route);
-        trace.note_queue_depth(3);
-        trace.advance(Phase::QueueWait);
-        trace.note_replica(1);
-        trace.advance(Phase::BatchAssembly);
-        trace.advance(Phase::Compute);
-        trace.finish(Outcome::Scores { total_cycles: 42 });
+        trace.enter(Phase::Route, us(1));
+        trace.queue_depth_at_route = Some(3);
+        trace.enter(Phase::QueueWait, us(3));
+        trace.replica = Some(1);
+        trace.enter(Phase::BatchAssembly, us(6));
+        trace.enter(Phase::Compute, us(10));
+        recorder.complete(
+            trace,
+            Outcome::Scores { total_cycles: 42 },
+            start,
+            start + us(15),
+        );
         assert_eq!(recorder.open_spans(), 0);
         let traces = recorder.drain();
         assert_eq!(traces.len(), 1);
@@ -835,44 +815,30 @@ mod tests {
         assert_eq!(t.replica, Some(1));
         assert_eq!(t.queue_depth_at_route, Some(3));
         assert_eq!(t.outcome, Outcome::Scores { total_cycles: 42 });
-        let names: Vec<&str> = t.phases.iter().map(|s| s.phase.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "admission",
-                "route",
-                "queue_wait",
-                "batch_assembly",
-                "compute"
-            ]
-        );
-        let phase_sum: f64 = t.phases.iter().map(|s| s.seconds).sum();
-        assert!(phase_sum <= t.total_seconds + 1e-9);
+        let spans: Vec<Option<f64>> = PHASES.iter().map(|&p| t.phase_seconds(p)).collect();
+        let expected = [1, 2, 3, 4, 5].map(|n| Some(us(n).as_secs_f64()));
+        assert_eq!(spans[..5], expected);
+        assert_eq!(spans[5], None, "no write stall yet");
+        assert_eq!(t.total_seconds(), us(15).as_secs_f64());
         assert_eq!(recorder.duration_histogram().count(), 1);
         assert_eq!(recorder.queue_wait_histogram().count(), 1);
         assert_eq!(recorder.compute_histogram().count(), 1);
     }
 
     #[test]
-    fn dropping_an_unfinished_builder_publishes_abandoned() {
-        let recorder = recorder(1);
-        {
-            let mut trace = recorder.begin(1);
-            trace.advance(Phase::Route);
-        }
-        assert_eq!(recorder.open_spans(), 0);
-        let traces = recorder.drain();
-        assert_eq!(traces.len(), 1);
-        assert_eq!(traces[0].outcome, Outcome::Abandoned);
+    fn an_uncompleted_record_leaves_open_spans_at_one() {
+        let recorder = SpanRecorder::new(1, true);
+        // Opened and entered, then forgotten: nothing publishes it.
+        recorder.begin(1).enter(Phase::Route, us(1));
+        assert_eq!(recorder.open_spans(), 1, "the gauge is the leak detector");
+        assert!(recorder.drain().is_empty());
     }
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let recorder = Arc::new(SpanRecorder::new(2, false));
-        let mut trace = recorder.begin(9);
-        trace.advance(Phase::Compute);
-        trace.finish(Outcome::Scores { total_cycles: 1 });
-        recorder.record_write_stall(9, 0.5);
+        let recorder = SpanRecorder::new(2, false);
+        served(&recorder, 9, Some(0), Outcome::Scores { total_cycles: 1 });
+        recorder.record_write_stall(9, Duration::from_millis(500));
         assert_eq!(recorder.open_spans(), 0);
         assert!(recorder.drain().is_empty());
         assert!(recorder.duration_histogram().is_empty());
@@ -881,87 +847,50 @@ mod tests {
 
     #[test]
     fn ring_capacity_evicts_oldest_without_blocking() {
-        let recorder = Arc::new(SpanRecorder::with_capacity(1, true, 4));
-        for id in 0..10u64 {
-            let mut trace = recorder.begin(id);
-            trace.note_replica(0);
-            trace.finish(Outcome::Scores { total_cycles: id });
+        let recorder = SpanRecorder::new(1, true);
+        let total = DEFAULT_TRACE_CAPACITY as u64 + 10;
+        for id in 0..total {
+            served(&recorder, id, Some(0), Outcome::Scores { total_cycles: id });
         }
         let traces = recorder.drain();
-        assert_eq!(traces.len(), 4);
-        assert_eq!(traces.last().unwrap().request_id, 9);
+        assert_eq!(traces.len(), DEFAULT_TRACE_CAPACITY);
+        assert_eq!(traces.first().unwrap().request_id, 10);
+        assert_eq!(traces.last().unwrap().request_id, total - 1);
         // Histograms keep the full population even after eviction.
-        assert_eq!(recorder.duration_histogram().count(), 10);
+        assert_eq!(recorder.duration_histogram().count(), total);
     }
 
     #[test]
     fn write_stall_amends_the_completed_trace_and_its_histogram() {
-        let recorder = recorder(1);
-        let mut trace = recorder.begin(3);
-        trace.note_replica(0);
-        trace.finish(Outcome::Scores { total_cycles: 5 });
-        recorder.record_write_stall(3, 0.002);
+        let recorder = SpanRecorder::new(1, true);
+        served(&recorder, 3, Some(0), Outcome::Scores { total_cycles: 5 });
+        recorder.record_write_stall(3, Duration::from_millis(2));
         assert_eq!(recorder.write_stall_histogram().count(), 1);
         let traces = recorder.drain();
         assert_eq!(traces[0].phase_seconds(Phase::WriteStall), Some(0.002));
+        assert_eq!(traces[0].total_seconds(), us(5).as_secs_f64());
         // After the drain the trace is gone; the histogram still records.
-        recorder.record_write_stall(3, 0.001);
+        recorder.record_write_stall(3, Duration::from_millis(1));
         assert_eq!(recorder.write_stall_histogram().count(), 2);
     }
 
     #[test]
-    fn spilled_route_phases_accumulate_into_one_span() {
-        let recorder = recorder(2);
-        let mut trace = recorder.begin(11);
-        trace.advance(Phase::Route);
-        trace.note_replica(0);
-        trace.advance(Phase::QueueWait);
-        // Back to an earlier phase, annotated again.
-        trace.advance(Phase::Route);
-        trace.note_replica(1);
-        trace.advance(Phase::QueueWait);
-        trace.finish(Outcome::Scores { total_cycles: 1 });
-        let traces = recorder.drain();
-        let route_spans = traces[0]
-            .phases
-            .iter()
-            .filter(|s| s.phase == Phase::Route)
-            .count();
-        assert_eq!(route_spans, 1, "re-entered phases merge");
-        assert_eq!(traces[0].replica, Some(1), "the last annotation wins");
-    }
-
-    #[test]
     fn jsonl_round_trips() {
-        let trace = RequestTrace {
-            request_id: 12,
-            unix_ms: 1_700_000_000_123,
-            replica: Some(1),
-            queue_depth_at_route: Some(4),
-            phases: vec![
-                PhaseSpan {
-                    phase: Phase::Admission,
-                    seconds: 1.5e-6,
-                },
-                PhaseSpan {
-                    phase: Phase::Compute,
-                    seconds: 0.25,
-                },
-            ],
-            outcome: Outcome::Rejected {
-                scope: "deadline".to_string(),
+        let mut trace = RequestTrace::new(12);
+        trace.unix_ms = 1_700_000_000_123;
+        trace.replica = Some(1);
+        trace.queue_depth_at_route = Some(4);
+        trace.enter(Phase::Route, Duration::from_nanos(1_500));
+        trace.enter(Phase::QueueWait, Duration::from_nanos(2_000));
+        trace.close(
+            Outcome::Rejected {
+                scope: RejectScope::Deadline,
             },
-            total_seconds: 0.5,
-        };
-        let line = trace.to_json_line();
-        let parsed = RequestTrace::from_json_line(&line).unwrap();
-        assert_eq!(parsed.request_id, trace.request_id);
-        assert_eq!(parsed.outcome, trace.outcome);
-        assert_eq!(parsed.phases.len(), trace.phases.len());
-        for (a, b) in parsed.phases.iter().zip(&trace.phases) {
-            assert_eq!(a.phase, b.phase);
-            assert!((a.seconds - b.seconds).abs() < 1e-12);
-        }
+            Duration::from_millis(250),
+        );
+        trace.append_write_stall(us(7));
+        let parsed = RequestTrace::from_json_line(&trace.to_json_line());
+        assert_eq!(parsed, Some(trace));
         assert!(RequestTrace::from_json_line("{not json").is_none());
         assert!(RequestTrace::from_json_line("").is_none());
     }
