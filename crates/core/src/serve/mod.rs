@@ -77,7 +77,7 @@ pub use stats::{
 };
 
 use crate::config::AcceleratorConfig;
-use crate::exec::{utilisation_from_program, ExecutionMode};
+use crate::exec::utilisation_from_program;
 use crate::report::RunReport;
 use crate::sim::Accelerator;
 use crate::{AccelError, Result};
@@ -100,12 +100,6 @@ pub struct ServerOptions {
     /// Maximum number of queued inputs drained into one micro-batch (per
     /// replica).
     pub max_batch: usize,
-    /// At which level of detail inferences execute.  The default is
-    /// [`ExecutionMode::CycleAccurate`]: the sparse engine is the faster
-    /// serving path *and* reports exact unit work; pick
-    /// [`ExecutionMode::Transaction`] to serve the functional model with
-    /// analytical timing only.
-    pub mode: ExecutionMode,
     /// Maximum undispatched submissions the queue holds **per healthy
     /// replica**; at `queue_capacity × healthy replicas`
     /// [`StreamServer::submit`] rejects with [`AccelError::QueueFull`]
@@ -150,7 +144,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             max_batch: 8,
-            mode: ExecutionMode::CycleAccurate,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_queue_wait: None,
             replicas: 1,
@@ -766,27 +759,6 @@ mod tests {
                 assert!(context.contains("ServerOptions"), "context: {context}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transaction_mode_matches_run_fast() {
-        let (model, inputs) = tiny_setup(3);
-        let config = AcceleratorConfig::default();
-        let server = StreamServer::start_with(
-            config,
-            model.clone(),
-            ServerOptions {
-                mode: ExecutionMode::Transaction,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        let served = server.run_all(&inputs).unwrap();
-        let accel = Accelerator::new(config);
-        for (report, input) in served.iter().zip(&inputs) {
-            let solo = accel.run_fast(&model, input).unwrap();
-            assert_eq!(report, &solo);
         }
     }
 

@@ -333,12 +333,9 @@ fn dispatch_loop(shared: &ReplicaShared) {
             snn_parallel::catch_panic_message(|| {
                 #[cfg(feature = "fault-injection")]
                 super::poison::check(&submission.input);
-                engine.accel.execute_compiled(
-                    &engine.model,
-                    &engine.program,
-                    &submission.input,
-                    engine.options.mode,
-                )
+                engine
+                    .accel
+                    .execute_compiled(&engine.model, &engine.program, &submission.input)
             })
             .unwrap_or_else(|message| Err(AccelError::EnginePanic { context: message }))
         });

@@ -29,10 +29,10 @@
 //! on-chip budget, tile by tile, with an unchanged (bit-identical) report.
 //!
 //! Batches of independent inputs can be dispatched over the worker pool
-//! with [`Accelerator::run_batch`] / [`Accelerator::run_fast_batch`] —
-//! whole inferences are the only thing the host runs in parallel, one
-//! contiguous block of the batch per budgeted thread; each input produces
-//! exactly the report a solo [`Accelerator::run`] would.
+//! with [`Accelerator::run_batch`] — whole inferences are the only thing
+//! the host runs in parallel, one contiguous block of the batch per
+//! budgeted thread; each input produces exactly the report a solo
+//! [`Accelerator::run`] would.
 //! For a continuously fed submission queue with micro-batching, see
 //! [`crate::serve::StreamServer`].
 
@@ -99,7 +99,7 @@ impl Accelerator {
     /// configuration or the input shape does not match the network.
     pub fn run(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
         let program = self.compile(model)?;
-        self.execute_compiled(model, &program, input, ExecutionMode::CycleAccurate)
+        self.execute_compiled(model, &program, input)
     }
 
     /// Runs one inference at transaction level: functional values plus the
@@ -111,7 +111,14 @@ impl Accelerator {
     /// configuration or the input shape does not match the network.
     pub fn run_fast(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
         let program = self.compile(model)?;
-        self.execute_compiled(model, &program, input, ExecutionMode::Transaction)
+        let levels = model.encode_input(input)?;
+        exec::execute(
+            &self.config,
+            model,
+            &program,
+            levels,
+            ExecutionMode::Transaction,
+        )
     }
 
     /// Delegates to [`Accelerator::run`].  The name exists only because
@@ -145,50 +152,34 @@ impl Accelerator {
     /// model); remaining inputs are still processed but their reports are
     /// discarded.
     pub fn run_batch(&self, model: &SnnModel, inputs: &[Tensor<f32>]) -> Result<Vec<RunReport>> {
-        self.execute_batch(model, inputs, ExecutionMode::CycleAccurate)
-    }
-
-    /// Transaction-level variant of [`Accelerator::run_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Accelerator::run_batch`].
-    pub fn run_fast_batch(
-        &self,
-        model: &SnnModel,
-        inputs: &[Tensor<f32>],
-    ) -> Result<Vec<RunReport>> {
-        self.execute_batch(model, inputs, ExecutionMode::Transaction)
-    }
-
-    fn execute_batch(
-        &self,
-        model: &SnnModel,
-        inputs: &[Tensor<f32>],
-        mode: ExecutionMode,
-    ) -> Result<Vec<RunReport>> {
         let program = self.compile(model)?;
         // One contiguous block of whole inferences per budgeted thread;
         // nothing below this call fans out again.
         let threads = snn_parallel::budget().total().min(inputs.len().max(1));
         snn_parallel::par_map(inputs, threads, |_, input| {
-            self.execute_compiled(model, &program, input, mode)
+            self.execute_compiled(model, &program, input)
         })
         .into_iter()
         .collect()
     }
 
-    /// Encodes one input and executes it over an already-compiled program
-    /// (shared by the batch paths and [`crate::serve::StreamServer`]).
+    /// Encodes one input and executes it unit-exactly over an
+    /// already-compiled program (shared by [`Accelerator::run`], the batch
+    /// path and [`crate::serve::StreamServer`]).
     pub(crate) fn execute_compiled(
         &self,
         model: &SnnModel,
         program: &Program,
         input: &Tensor<f32>,
-        mode: ExecutionMode,
     ) -> Result<RunReport> {
         let levels = model.encode_input(input)?;
-        exec::execute(&self.config, model, program, levels, mode)
+        exec::execute(
+            &self.config,
+            model,
+            program,
+            levels,
+            ExecutionMode::CycleAccurate,
+        )
     }
 }
 
@@ -346,8 +337,8 @@ mod tests {
             for (i, report) in batch.iter().enumerate() {
                 assert_eq!(report, &solo[i % solo.len()], "item {i} of {size}");
             }
-            let fast_batch = accel.run_fast_batch(&model, &inputs).unwrap();
-            for (fast, detailed) in fast_batch.iter().zip(&batch) {
+            for (input, detailed) in inputs.iter().zip(&batch) {
+                let fast = accel.run_fast(&model, input).unwrap();
                 assert_eq!(fast.logits, detailed.logits);
             }
         }

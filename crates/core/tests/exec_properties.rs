@@ -1,6 +1,6 @@
 //! Property tests pinning the execution engine's two modes to each other
 //! and to the functional model, and the batch and streaming-server paths
-//! **bit-identical** to a solo `Accelerator::run` / `run_fast`: logits,
+//! **bit-identical** to a solo `Accelerator::run`: logits,
 //! per-layer `UnitStats`, memory traffic and the complete `RunReport` must
 //! match across random network shapes, strides, paddings, spike-train
 //! lengths, accelerator geometries and batch sizes — including batch = 1
@@ -8,7 +8,6 @@
 
 use proptest::prelude::*;
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
-use snn_accel::exec::ExecutionMode;
 use snn_accel::serve::{ServerOptions, StreamServer};
 use snn_accel::sim::Accelerator;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
@@ -187,15 +186,15 @@ proptest! {
             let solo = accel.run(&model, input).unwrap();
             prop_assert_eq!(report, &solo);
         }
-        let fast = accel.run_fast_batch(&model, &inputs).unwrap();
-        for (report, input) in fast.iter().zip(&inputs) {
-            let solo = accel.run_fast(&model, input).unwrap();
-            prop_assert_eq!(report, &solo);
+        for (report, input) in reports.iter().zip(&inputs) {
+            let fast = accel.run_fast(&model, input).unwrap();
+            prop_assert_eq!(&fast.logits, &report.logits);
+            prop_assert_eq!(fast.total_cycles(), report.total_cycles());
         }
     }
 
     /// Every report the streaming server hands back is bit-identical to
-    /// the solo run of its serving mode, for any micro-batch cap.
+    /// the solo run, for any micro-batch cap.
     #[test]
     fn stream_server_matches_sequential_oracle(
         c_out in 1usize..6,
@@ -204,7 +203,6 @@ proptest! {
         time_steps in 1usize..5,
         max_batch in 1usize..5,
         batch in 1usize..5,
-        cycle_accurate in proptest::bool::ANY,
         seed in 0u64..1000,
     ) {
         let Some((model, inputs, config)) = build_scenario(ScenarioParams {
@@ -212,14 +210,8 @@ proptest! {
             with_pool: true, time_steps, conv_units: 1, columns: 3,
             batch, seed,
         }) else { return Ok(()) };
-        let mode = if cycle_accurate {
-            ExecutionMode::CycleAccurate
-        } else {
-            ExecutionMode::Transaction
-        };
         let server = StreamServer::start_with(config, model.clone(), ServerOptions {
             max_batch,
-            mode,
             ..ServerOptions::default()
         }).unwrap();
         let served = server.run_all(&inputs).unwrap();
@@ -228,10 +220,7 @@ proptest! {
         prop_assert_eq!(stats.errors, 0);
         let accel = Accelerator::new(config);
         for (report, input) in served.iter().zip(&inputs) {
-            let solo = match mode {
-                ExecutionMode::CycleAccurate => accel.run(&model, input).unwrap(),
-                ExecutionMode::Transaction => accel.run_fast(&model, input).unwrap(),
-            };
+            let solo = accel.run(&model, input).unwrap();
             prop_assert_eq!(report, &solo);
         }
     }

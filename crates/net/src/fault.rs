@@ -14,13 +14,15 @@
 //!
 //! * **Short reads/writes** — one byte instead of a burst; the incremental
 //!   frame decoder and the write queue must reassemble.
-//! * **`EAGAIN` storms** — spurious `WouldBlock` on a ready socket; the
-//!   level-triggered poll re-reports readiness next round.
+//! * **`EAGAIN` storms** — spurious `WouldBlock` on a ready socket; both
+//!   readiness backends are level-triggered, so the next wait re-reports
+//!   the socket that is still ready.
 //! * **`EINTR`** — spurious `Interrupted`; the I/O loops retry in place.
 //! * **`ECONNRESET`** — the connection dies; *that* connection's requests
 //!   fail, every other connection and the server itself keep serving.
-//! * **Delayed readiness** — [`crate::sys::poll_fds`] reports a timeout
-//!   without consulting the kernel (also models `EINTR` at the poll site).
+//! * **Delayed readiness** — [`crate::sys::poll_fds`] or
+//!   [`crate::sys::Epoll::wait`] reports a timeout without consulting the
+//!   kernel (also models `EINTR` at the wait site).
 //! * **Dropped wake-pipe bytes** — the dispatcher's wake never lands; the
 //!   reactor's unconditional completion drain plus the bounded poll
 //!   interval must still deliver every reply.
@@ -234,8 +236,8 @@ pub(crate) fn write_fault() -> IoFault {
     })
 }
 
-/// Consulted by [`crate::sys::poll_fds`]: `true` means report a spurious
-/// timeout without entering the kernel.
+/// Consulted by [`crate::sys::poll_fds`] and [`crate::sys::Epoll::wait`]:
+/// `true` means report a spurious timeout without entering the kernel.
 pub(crate) fn poll_spurious_wake() -> bool {
     with_injector(false, |inj| {
         let permille = inj.plan.spurious_wake_permille;

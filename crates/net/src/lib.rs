@@ -17,19 +17,20 @@
 //!   content-negotiation byte on STATS (plaintext or Prometheus).
 //! * [`sys`] — the only `unsafe` in the crate: minimal `extern "C"`
 //!   bindings for `epoll(7)`, `poll(2)`, `fcntl(2)` and a self-pipe
-//!   (Linux), behind safe wrappers.
-//! * [`poller`] — [`poller::Poller`]: one safe readiness API over both
-//!   backends — edge-triggered `epoll` (the default) and a portable
-//!   level-triggered `poll(2)` fallback, selected by
-//!   [`ReactorBackend`] / the `SNN_REACTOR` environment variable, or
-//!   automatically when `epoll_create1` is unavailable.
+//!   (Linux), behind safe wrappers, every `unsafe` block with its
+//!   `// SAFETY:` argument.
+//! * [`poller`] — [`poller::Poller`]: one safe readiness API and one
+//!   level-triggered contract over two syscalls — `epoll` (the default)
+//!   and a portable `poll(2)` fallback, selected by [`ReactorBackend`] /
+//!   the `SNN_REACTOR` environment variable, or automatically when
+//!   `epoll_create1` is unavailable.
 //! * [`server`] — [`server::NetServer`]: a **sharded reactor** front-end
 //!   — one reactor thread per core (`NetOptions::reactors` /
 //!   `SNN_REACTORS`), shard 0 accepting and dealing connections
 //!   round-robin to its siblings, each shard owning its connections
 //!   outright on non-blocking sockets: incremental decode from
-//!   per-connection read buffers (burst-bounded under edge triggering),
-//!   write queues flushed on writability, inference completions
+//!   per-connection read buffers (a fixed read burst per socket per
+//!   round), write queues flushed on writability, inference completions
 //!   delivered through
 //!   [`snn_accel::serve::StreamServer::submit_tagged`]'s completion sink
 //!   and a per-shard wake pipe.  No thread per connection, no blocked

@@ -1,8 +1,8 @@
 //! The backend-neutral readiness wrapper the reactor drives: one
-//! [`Poller`] per reactor shard, backed by either **epoll with
-//! edge-triggered delivery** (the default — O(ready) waits, descriptors
-//! registered once) or the scalar **`poll(2)`** fallback (O(registered)
-//! waits, interest rebuilt per call).
+//! [`Poller`] per reactor shard, backed by either **epoll** (the default —
+//! O(ready) waits, the kernel keeps the interest set) or the scalar
+//! **`poll(2)`** fallback (O(registered) waits, the `pollfd` array rebuilt
+//! per call).
 //!
 //! Backend selection ([`ReactorBackend`]):
 //!
@@ -11,20 +11,19 @@
 //!   fails — an exotic kernel should degrade, not crash the bind).
 //! * Unset, the default is epoll with the same graceful fallback.
 //!
-//! The two backends deliberately expose *identical* event semantics to
-//! the reactor ([`Event`]: readable / writable / error, token-keyed), but
-//! different **delivery** semantics, which the reactor must respect:
-//! [`Poller::edge_triggered`] backends report a readiness transition
-//! exactly once, so a consumer that stops reading early (the read-burst
-//! fairness cap) must remember the descriptor is still hot — see the
-//! reactor's hot-list.  For the level-triggered backend,
-//! [`Poller::set_interest`] prunes uninteresting descriptors per wait;
-//! for epoll it is a no-op because every descriptor is registered once
-//! with the full mask and spurious writability edges are simply cheap.
+//! Both backends give the reactor **one contract**.  Delivery is
+//! level-triggered: readiness that is not consumed is reported again by
+//! the next wait, so a consumer may stop reading early (the read-burst
+//! fairness cap) and lose nothing.  [`Poller::set_interest`] takes effect
+//! on both: the poller keeps one `token → (fd, Interest)` map, which the
+//! poll backend rebuilds its `pollfd` array from and the epoll backend
+//! mirrors into the kernel with one `epoll_ctl` per actual change.
+//! [`Interest::NONE`] silences a descriptor completely — hang-ups and
+//! errors included — without forgetting its registration.
 
 use crate::sys::{
-    poll_fds, Epoll, EpollEvent, PollFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT,
-    EPOLLRDHUP, POLLHUP, POLLIN, POLLOUT,
+    poll_fds, Epoll, EpollEvent, PollFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+    POLLHUP, POLLIN, POLLOUT,
 };
 use std::collections::HashMap;
 use std::io;
@@ -38,7 +37,7 @@ pub enum ReactorBackend {
     /// fall back to `poll` when `epoll_create1` fails.
     #[default]
     Auto,
-    /// Edge-triggered `epoll(7)` (still degrades to `poll` if the kernel
+    /// Level-triggered `epoll(7)` (still degrades to `poll` if the kernel
     /// refuses an instance).
     Epoll,
     /// Scalar level-triggered `poll(2)`.
@@ -73,9 +72,8 @@ impl ReactorBackend {
     }
 }
 
-/// What a descriptor's owner wants to hear about.  The epoll backend
-/// registers the full mask once and ignores later changes; the poll
-/// backend rebuilds its interest set from these per wait.
+/// What a descriptor's owner wants to hear about.  Both backends honour
+/// changes from the next wait on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Interest {
     /// Report when reading would not block (or the peer hung up).
@@ -90,17 +88,25 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Read + write interest (connections).
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
-    /// No interest: the descriptor stays registered but silent (poll
-    /// backend only; epoll ignores it).
+    /// No interest: the descriptor stays registered but silent, hang-ups
+    /// and errors included.
     pub const NONE: Interest = Interest {
         readable: false,
         writable: false,
     };
+
+    /// The epoll mask of this interest: `EPOLLOUT` only while writes are
+    /// wanted, and the peer's half-close reported with reads.
+    fn epoll_mask(self) -> u32 {
+        let mut mask = 0;
+        if self.readable {
+            mask |= EPOLLIN | EPOLLRDHUP;
+        }
+        if self.writable {
+            mask |= EPOLLOUT;
+        }
+        mask
+    }
 }
 
 /// One readiness report, token-keyed.  A peer hang-up surfaces as both
@@ -120,14 +126,16 @@ pub struct Event {
     pub error: bool,
 }
 
-enum Inner {
+enum Backend {
     Poll {
-        /// token → (fd, current interest); rebuilt into a `pollfd` array
-        /// on every wait, exactly what the single-reactor loop used to do
-        /// inline.
-        slots: HashMap<u64, (RawFd, Interest)>,
+        /// The `pollfd` array and the token of each entry, rebuilt from
+        /// the slot map on every wait into storage reused across waits.
+        fds: Vec<PollFd>,
+        tokens: Vec<u64>,
     },
     Epoll {
+        /// Holds exactly the slots whose interest is not
+        /// [`Interest::NONE`], each with that interest's mask.
         ep: Epoll,
         /// `epoll_wait` output buffer, reused across waits.  Sized well
         /// above the per-shard connection budget; a full buffer is not
@@ -137,11 +145,13 @@ enum Inner {
 }
 
 /// A unified readiness selector: register/deregister descriptors under
-/// `u64` tokens, wait, iterate [`Event`]s.  See the module docs for the
-/// backend contract.
+/// `u64` tokens, set their interest, wait for [`Event`]s.  See the module
+/// docs for the one contract both backends keep.
 pub struct Poller {
-    inner: Inner,
-    events: Vec<Event>,
+    /// token → (fd, current interest), the registration record of both
+    /// backends.
+    slots: HashMap<u64, (RawFd, Interest)>,
+    backend: Backend,
 }
 
 impl std::fmt::Debug for Poller {
@@ -160,24 +170,24 @@ impl Poller {
     /// the module docs.  Infallible: the poll backend needs no kernel
     /// resources at construction.
     pub fn new(backend: ReactorBackend) -> Poller {
-        let inner = match backend.resolve() {
-            ReactorBackend::Poll => Inner::Poll {
-                slots: HashMap::new(),
-            },
+        let poll = || Backend::Poll {
+            fds: Vec::new(),
+            tokens: Vec::new(),
+        };
+        let backend = match backend.resolve() {
+            ReactorBackend::Poll => poll(),
             // Auto has been resolved away; Epoll degrades on failure.
             _ => match Epoll::new() {
-                Ok(ep) => Inner::Epoll {
+                Ok(ep) => Backend::Epoll {
                     ep,
                     buf: vec![EpollEvent::zeroed(); EPOLL_WAIT_CAPACITY],
                 },
-                Err(_) => Inner::Poll {
-                    slots: HashMap::new(),
-                },
+                Err(_) => poll(),
             },
         };
         Poller {
-            inner,
-            events: Vec::new(),
+            slots: HashMap::new(),
+            backend,
         }
     }
 
@@ -185,88 +195,91 @@ impl Poller {
     /// `"poll"` — exposed in STATS so operators can see what a shard
     /// ended up on.
     pub fn backend_name(&self) -> &'static str {
-        match self.inner {
-            Inner::Poll { .. } => "poll",
-            Inner::Epoll { .. } => "epoll",
+        match self.backend {
+            Backend::Poll { .. } => "poll",
+            Backend::Epoll { .. } => "epoll",
         }
     }
 
-    /// Whether readiness is delivered edge-triggered (see module docs for
-    /// the consumer obligations).
-    pub fn edge_triggered(&self) -> bool {
-        matches!(self.inner, Inner::Epoll { .. })
-    }
-
-    /// Registers `fd` under `token`.  The epoll backend registers the
-    /// full edge-triggered mask regardless of `interest` growing later;
-    /// the poll backend stores `interest` as the initial per-wait mask.
+    /// Registers `fd` under `token` with its initial `interest`.
     ///
     /// # Errors
     ///
     /// Propagates `epoll_ctl` failures (watch exhaustion, closed fd) —
     /// the caller sheds the connection instead of serving it blind.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            Inner::Poll { slots } => {
-                slots.insert(token, (fd, interest));
-                Ok(())
-            }
-            Inner::Epoll { ep, .. } => {
-                let mut mask = EPOLLET | EPOLLRDHUP;
-                if interest.readable {
-                    mask |= EPOLLIN;
-                }
-                if interest.writable {
-                    mask |= EPOLLOUT;
-                }
-                ep.add(fd, mask, token)
+        if let Backend::Epoll { ep, .. } = &self.backend {
+            if interest != Interest::NONE {
+                ep.add(fd, interest.epoll_mask(), token)?;
             }
         }
+        self.slots.insert(token, (fd, interest));
+        Ok(())
     }
 
-    /// Updates what the level-triggered backend asks for on the next
-    /// wait.  A no-op on epoll (registered-once, edge-triggered — a
-    /// spurious writable edge is cheaper than an `epoll_ctl` per state
-    /// flip).
-    pub fn set_interest(&mut self, token: u64, interest: Interest) {
-        if let Inner::Poll { slots } = &mut self.inner {
-            if let Some(slot) = slots.get_mut(&token) {
-                slot.1 = interest;
+    /// Sets what `token` reports from the next wait on.  Free when the
+    /// interest is unchanged; otherwise epoll pays one `epoll_ctl`: `MOD`
+    /// between two masks, `DEL` on [`Interest::NONE`] (a `MOD` to an empty
+    /// mask would still report hang-ups and errors) and `ADD` when
+    /// interest returns.  Unknown tokens are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `epoll_ctl` failures; the slot keeps its old interest
+    /// and the caller sheds the connection.
+    pub fn set_interest(&mut self, token: u64, interest: Interest) -> io::Result<()> {
+        let Some(slot) = self.slots.get_mut(&token) else {
+            return Ok(());
+        };
+        let (fd, old) = *slot;
+        if old == interest {
+            return Ok(());
+        }
+        if let Backend::Epoll { ep, .. } = &self.backend {
+            if old == Interest::NONE {
+                ep.add(fd, interest.epoll_mask(), token)?;
+            } else if interest == Interest::NONE {
+                ep.delete(fd)?;
+            } else {
+                ep.modify(fd, interest.epoll_mask(), token)?;
             }
         }
+        slot.1 = interest;
+        Ok(())
     }
 
-    /// Unregisters `token`/`fd`.  Errors are deliberately swallowed: the
-    /// only caller is connection teardown, where the fd is about to be
-    /// closed (which unregisters implicitly on epoll anyway).
-    pub fn deregister(&mut self, token: u64, fd: RawFd) {
-        match &mut self.inner {
-            Inner::Poll { slots } => {
-                slots.remove(&token);
-            }
-            Inner::Epoll { ep, .. } => {
+    /// Unregisters `token`.  Errors are deliberately swallowed: the only
+    /// caller is connection teardown, where the fd is about to be closed
+    /// (which unregisters implicitly on epoll anyway).
+    pub fn deregister(&mut self, token: u64) {
+        let Some((fd, interest)) = self.slots.remove(&token) else {
+            return;
+        };
+        if let Backend::Epoll { ep, .. } = &self.backend {
+            if interest != Interest::NONE {
                 let _ = ep.delete(fd);
             }
         }
     }
 
     /// Blocks until readiness, timeout, or a (spurious-wake) interrupt,
-    /// then returns the events.  Timeout semantics match [`poll_fds`]:
-    /// sub-millisecond nonzero timeouts round up to 1 ms, `EINTR` is an
-    /// empty return, and with the `fault-injection` feature armed the
-    /// spurious-wake hook fires on both backends.
+    /// then replaces the contents of `events` with what was reported.
+    /// Timeout semantics match [`poll_fds`]: sub-millisecond nonzero
+    /// timeouts round up to 1 ms, `EINTR` is an empty return, and with the
+    /// `fault-injection` feature armed the spurious-wake hook fires on
+    /// both backends.
     ///
     /// # Errors
     ///
     /// Propagates non-`EINTR` `poll(2)` / `epoll_wait(2)` failures; the
     /// reactor backs off and retries.
-    pub fn wait(&mut self, timeout: Duration) -> io::Result<&[Event]> {
-        self.events.clear();
-        match &mut self.inner {
-            Inner::Poll { slots } => {
-                let mut fds = Vec::with_capacity(slots.len());
-                let mut order = Vec::with_capacity(slots.len());
-                for (&token, &(fd, interest)) in slots.iter() {
+    pub fn wait(&mut self, timeout: Duration, events: &mut Vec<Event>) -> io::Result<()> {
+        events.clear();
+        match &mut self.backend {
+            Backend::Poll { fds, tokens } => {
+                fds.clear();
+                tokens.clear();
+                for (&token, &(fd, interest)) in &self.slots {
                     let mut mask = 0i16;
                     if interest.readable {
                         mask |= POLLIN;
@@ -277,15 +290,15 @@ impl Poller {
                     // Zero-interest slots poll a negative fd: the kernel
                     // ignores them but the registration survives.
                     fds.push(PollFd::new(if mask == 0 { -1 } else { fd }, mask));
-                    order.push(token);
+                    tokens.push(token);
                 }
-                poll_fds(&mut fds, timeout)?;
-                for (slot, token) in fds.iter().zip(order) {
+                poll_fds(fds, timeout)?;
+                for (slot, &token) in fds.iter().zip(tokens.iter()) {
                     let readable = slot.has(POLLIN | POLLHUP);
                     let writable = slot.has(POLLOUT | POLLHUP);
                     let error = slot.is_error();
                     if readable || writable || error {
-                        self.events.push(Event {
+                        events.push(Event {
                             token,
                             readable,
                             writable,
@@ -294,7 +307,7 @@ impl Poller {
                     }
                 }
             }
-            Inner::Epoll { ep, buf } => {
+            Backend::Epoll { ep, buf } => {
                 let n = ep.wait(buf, timeout)?;
                 for record in &buf[..n] {
                     // Copy out of the (packed) record before testing bits.
@@ -304,7 +317,7 @@ impl Poller {
                     let writable = mask & (EPOLLOUT | EPOLLHUP) != 0;
                     let error = mask & EPOLLERR != 0;
                     if readable || writable || error {
-                        self.events.push(Event {
+                        events.push(Event {
                             token,
                             readable,
                             writable,
@@ -314,7 +327,7 @@ impl Poller {
                 }
             }
         }
-        Ok(&self.events)
+        Ok(())
     }
 }
 
@@ -322,6 +335,9 @@ impl Poller {
 mod tests {
     use super::*;
     use crate::sys::WakePipe;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::os::unix::io::AsRawFd;
 
     fn backends() -> Vec<Poller> {
         vec![
@@ -330,12 +346,17 @@ mod tests {
         ]
     }
 
+    /// One wait's events, collected into a fresh vector.
+    fn wait(poller: &mut Poller, timeout: Duration) -> Vec<Event> {
+        let mut events = Vec::new();
+        poller.wait(timeout, &mut events).unwrap();
+        events
+    }
+
     #[test]
     fn explicit_backends_resolve_as_requested() {
         assert_eq!(Poller::new(ReactorBackend::Poll).backend_name(), "poll");
         assert_eq!(Poller::new(ReactorBackend::Epoll).backend_name(), "epoll");
-        assert!(Poller::new(ReactorBackend::Epoll).edge_triggered());
-        assert!(!Poller::new(ReactorBackend::Poll).edge_triggered());
     }
 
     #[test]
@@ -357,60 +378,127 @@ mod tests {
             let pipe = WakePipe::new().unwrap();
             poller.register(pipe.read_fd(), 42, Interest::READ).unwrap();
             assert!(
-                poller.wait(Duration::from_millis(10)).unwrap().is_empty(),
+                wait(&mut poller, Duration::from_millis(10)).is_empty(),
                 "[{}] idle wait must time out",
                 poller.backend_name()
             );
             pipe.wake();
-            let events = poller.wait(Duration::from_secs(5)).unwrap();
+            let events = wait(&mut poller, Duration::from_secs(5));
             assert_eq!(events.len(), 1, "[{}]", poller.backend_name());
             assert_eq!(events[0].token, 42);
             assert!(events[0].readable);
             assert!(!events[0].error);
             pipe.drain();
             assert!(
-                poller.wait(Duration::from_millis(10)).unwrap().is_empty(),
+                wait(&mut poller, Duration::from_millis(10)).is_empty(),
                 "[{}] drained pipe must be quiet",
                 poller.backend_name()
             );
         }
     }
 
-    /// The delivery-semantics divergence, pinned where the reactor can
-    /// see it: un-drained readiness re-reports on poll (level) and goes
-    /// silent on epoll (edge).
+    /// The one delivery contract, pinned where the reactor relies on it:
+    /// readiness that was reported but not consumed is reported again.
     #[test]
-    fn undrained_readiness_rereports_only_on_the_level_backend() {
+    fn undrained_readiness_rereports_on_both_backends() {
         for mut poller in backends() {
             let pipe = WakePipe::new().unwrap();
             poller.register(pipe.read_fd(), 1, Interest::READ).unwrap();
             pipe.wake();
-            assert_eq!(poller.wait(Duration::from_secs(5)).unwrap().len(), 1);
-            let again = poller.wait(Duration::from_millis(20)).unwrap().len();
-            if poller.edge_triggered() {
-                assert_eq!(again, 0, "edge backend re-reported a consumed edge");
-            } else {
-                assert_eq!(again, 1, "level backend must re-report pending bytes");
+            for round in 0..3 {
+                assert_eq!(
+                    wait(&mut poller, Duration::from_secs(5)).len(),
+                    1,
+                    "[{}] round {round}: pending bytes must re-report",
+                    poller.backend_name()
+                );
             }
         }
     }
 
-    /// `set_interest` mutes a level-triggered descriptor without
-    /// deregistering it; restoring interest restores delivery.  (On epoll
-    /// this is specified as a no-op and not exercised.)
-    #[test]
-    fn set_interest_mutes_and_unmutes_the_poll_backend() {
-        let mut poller = Poller::new(ReactorBackend::Poll);
+    /// A connected pair: the client end, and the accepted server end.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        (client, server)
+    }
+
+    /// Muting a descriptor silences it and unmuting restores delivery, on
+    /// a pending pipe and on a socket whose peer has half-closed and then
+    /// closed.  The last case is the one a merely empty epoll mask gets
+    /// wrong: the kernel reports hang-ups whatever the mask.
+    fn set_interest_mutes_and_unmutes(backend: ReactorBackend) {
+        let mut poller = Poller::new(backend);
+        let name = poller.backend_name();
+        let quiet = |poller: &mut Poller, what: &str| {
+            assert!(
+                wait(poller, Duration::from_millis(20)).is_empty(),
+                "[{name}] a muted {what} must not report"
+            );
+        };
+
         let pipe = WakePipe::new().unwrap();
         poller.register(pipe.read_fd(), 5, Interest::READ).unwrap();
         pipe.wake();
-        poller.set_interest(5, Interest::NONE);
-        assert!(
-            poller.wait(Duration::from_millis(10)).unwrap().is_empty(),
-            "a muted slot must not report"
-        );
-        poller.set_interest(5, Interest::READ);
-        assert_eq!(poller.wait(Duration::from_secs(5)).unwrap().len(), 1);
+        poller.set_interest(5, Interest::NONE).unwrap();
+        quiet(&mut poller, "pipe");
+        poller.set_interest(5, Interest::READ).unwrap();
+        assert_eq!(wait(&mut poller, Duration::from_secs(5)).len(), 1);
+        poller.deregister(5);
+
+        let (mut client, server) = socket_pair();
+        poller
+            .register(server.as_raw_fd(), 6, Interest::READ)
+            .unwrap();
+        client.write_all(b"x").unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        assert_eq!(wait(&mut poller, Duration::from_secs(5)).len(), 1);
+        poller.set_interest(6, Interest::NONE).unwrap();
+        quiet(&mut poller, "half-closed socket");
+        // Both directions shut: the kernel now flags a hang-up.
+        drop(client);
+        server.shutdown(Shutdown::Write).unwrap();
+        quiet(&mut poller, "hung-up socket");
+        poller.set_interest(6, Interest::READ).unwrap();
+        let events = wait(&mut poller, Duration::from_secs(5));
+        assert_eq!(events.len(), 1, "[{name}] unmuting restores delivery");
+        assert!(events[0].readable);
+    }
+
+    #[test]
+    fn set_interest_mutes_and_unmutes_the_poll_backend() {
+        set_interest_mutes_and_unmutes(ReactorBackend::Poll);
+    }
+
+    #[test]
+    fn set_interest_mutes_and_unmutes_the_epoll_backend() {
+        set_interest_mutes_and_unmutes(ReactorBackend::Epoll);
+    }
+
+    /// Write interest is armed only while asked for: an idle writable
+    /// socket with read-only interest is quiet on both backends.
+    #[test]
+    fn writability_reports_only_under_write_interest() {
+        for mut poller in backends() {
+            let (_client, server) = socket_pair();
+            poller
+                .register(server.as_raw_fd(), 7, Interest::READ)
+                .unwrap();
+            assert!(
+                wait(&mut poller, Duration::from_millis(10)).is_empty(),
+                "[{}] read interest must not report writability",
+                poller.backend_name()
+            );
+            let write = Interest {
+                readable: true,
+                writable: true,
+            };
+            poller.set_interest(7, write).unwrap();
+            let events = wait(&mut poller, Duration::from_secs(5));
+            assert_eq!(events.len(), 1, "[{}]", poller.backend_name());
+            assert!(events[0].writable && !events[0].readable);
+        }
     }
 
     #[test]
@@ -419,9 +507,9 @@ mod tests {
             let pipe = WakePipe::new().unwrap();
             poller.register(pipe.read_fd(), 3, Interest::READ).unwrap();
             pipe.wake();
-            poller.deregister(3, pipe.read_fd());
+            poller.deregister(3);
             assert!(
-                poller.wait(Duration::from_millis(10)).unwrap().is_empty(),
+                wait(&mut poller, Duration::from_millis(10)).is_empty(),
                 "[{}] deregistered fd still reported",
                 poller.backend_name()
             );
@@ -437,6 +525,6 @@ mod tests {
         assert!(epoll.register(-1, 0, Interest::READ).is_err());
         let mut poll = Poller::new(ReactorBackend::Poll);
         poll.register(-1, 0, Interest::READ).unwrap();
-        assert!(poll.wait(Duration::from_millis(5)).unwrap().is_empty());
+        assert!(wait(&mut poll, Duration::from_millis(5)).is_empty());
     }
 }

@@ -6,10 +6,9 @@
 //! [`NetOptions::reactors`] reactor threads (one per core by default).
 //! Each shard owns a **private** connection table, write queues, wake pipe
 //! and completion channel, and parks in its own
-//! [`crate::poller::Poller`] — epoll with edge-triggered readiness by
-//! default, the scalar `poll(2)` fallback under `SNN_REACTOR=poll` (or
-//! when `epoll_create1` fails).  Nothing in the front-end ever blocks on
-//! a peer:
+//! [`crate::poller::Poller`] — epoll by default, the scalar `poll(2)`
+//! fallback under `SNN_REACTOR=poll` (or when `epoll_create1` fails), both
+//! level-triggered.  Nothing in the front-end ever blocks on a peer:
 //!
 //! * **Accepts** happen on shard 0, which owns the listener and hands
 //!   admitted sockets to its siblings **round-robin** over a per-shard
@@ -19,12 +18,14 @@
 //!   exact under sharding.  Connections **never migrate** between
 //!   shards, so every per-connection invariant (incremental decode,
 //!   completion-order replies, slow-reader isolation) is untouched.
-//! * **Reads** are non-blocking into a per-connection buffer; complete
-//!   frames are decoded incrementally and INFER requests are submitted
-//!   through [`StreamServer::submit_tagged`] — so one connection can have
-//!   any number of requests in flight (pipelining).  Submission tags are
-//!   **shard-strided** (shard `i` uses `i, i+N, i+2N, ...`), keeping them
-//!   globally unique for the telemetry recorder.
+//! * **Reads** are non-blocking into a per-connection buffer, at most
+//!   [`READ_BURST`] bytes per socket per round so a firehose peer cannot
+//!   starve its neighbours (the poller re-reports what was left behind);
+//!   complete frames are decoded incrementally and INFER requests are
+//!   submitted through [`StreamServer::submit_tagged`] — so one connection
+//!   can have any number of requests in flight (pipelining).  Submission
+//!   tags are **shard-strided** (shard `i` uses `i, i+N, i+2N, ...`),
+//!   keeping them globally unique for the telemetry recorder.
 //! * **Completions** come back over each shard's mpsc channel; the
 //!   dispatcher wakes the owning shard through its pipe, and replies are
 //!   written in **completion order**, each echoing its request id for
@@ -35,18 +36,11 @@
 //!   write-buffer cap, or whose kernel buffer accepts nothing for the
 //!   whole [`WRITE_STALL_TIMEOUT`], is disconnected.
 //!
-//! # Edge-triggered correctness
-//!
-//! The epoll backend reports a readiness transition exactly once, which
-//! interacts with the [`NetOptions::read_burst`] fairness cap: a firehose
-//! socket whose burst is cut short still has kernel bytes but will never
-//! re-report readable.  Each reactor therefore keeps a **hot list** of
-//! burst-truncated connections and re-reads them on the next iteration
-//! (with a zero wait timeout while the list is non-empty) — fairness
-//! between sockets is preserved *and* no byte is stranded.  Writes need
-//! no such list: the reactor always flushes immediately after queueing,
-//! so a non-empty write buffer implies a genuine `EWOULDBLOCK`, and the
-//! kernel will edge on the next writable transition.
+//! Before every wait the reactor sets each connection's interest from its
+//! state: readable until the peer's EOF (and not while shutting down),
+//! writable only while its write queue is non-empty.  A half-closed peer
+//! therefore stops being reported once its EOF is read, and a connection
+//! with nothing to read or write is silent until its state changes.
 //!
 //! Scores on the wire remain bit-identical to the matching in-process
 //! [`StreamServer::submit`] (loopback suite), pipelined or not, on both
@@ -113,7 +107,7 @@ use snn_telemetry::MetricKind::{Counter, Gauge, Info};
 use snn_telemetry::{
     render_metrics_prometheus, render_metrics_text, Metric, MetricFamily, MetricTable,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -126,7 +120,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetOptions {
     /// Options of the inner [`StreamServer`] (micro-batching, queue
-    /// capacity, execution mode) — validated by its constructor.
+    /// capacity, replicas, tracing) — validated by its constructor.
     pub server: ServerOptions,
     /// Upper bound of one poller sleep: the granularity of idle-timeout
     /// sweeps and the latency ceiling of noticing a shutdown — not of
@@ -153,11 +147,6 @@ pub struct NetOptions {
     /// otherwise picks epoll, falling back to `poll(2)` when the kernel
     /// refuses an epoll instance.
     pub backend: ReactorBackend,
-    /// Most bytes one readiness round reads from one socket — the
-    /// fairness bound (see [`READ_BURST`], the default).  Tests shrink it
-    /// to exercise the edge-trigger hot-list with small payloads.  Must
-    /// be at least 1.
-    pub read_burst: usize,
 }
 
 impl Default for NetOptions {
@@ -169,7 +158,6 @@ impl Default for NetOptions {
             max_connections: 256,
             reactors: 0,
             backend: ReactorBackend::Auto,
-            read_burst: READ_BURST,
         }
     }
 }
@@ -190,11 +178,10 @@ pub const MAX_WRITE_BUFFER: usize = 4 << 20;
 /// Any write progress restarts the window.
 pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default of [`NetOptions::read_burst`]: most bytes a reactor reads from
-/// one socket in one readiness round — a fairness bound so a firehose
-/// peer cannot starve its shard neighbours between polls.  The remainder
-/// stays in the kernel buffer; the level backend simply polls readable
-/// again, the edge backend re-reads via the hot list.
+/// Most bytes a reactor reads from one socket in one readiness round — a
+/// fairness bound so a firehose peer cannot starve its shard neighbours
+/// between waits.  The remainder stays in the kernel buffer, and the
+/// poller reports the socket readable again on the next wait.
 pub const READ_BURST: usize = 256 << 10;
 
 /// How long a reactor-wide draining shutdown may keep waiting on
@@ -401,8 +388,7 @@ impl NetServer {
     /// # Errors
     ///
     /// Propagates [`StreamServer::start_with`] errors (invalid options,
-    /// unmappable model), rejects `max_connections == 0` and
-    /// `read_burst == 0` with a typed
+    /// unmappable model), rejects `max_connections == 0` with a typed
     /// [`snn_accel::AccelError::InvalidConfig`], and propagates socket /
     /// pipe errors.
     pub fn bind<A: ToSocketAddrs>(
@@ -415,11 +401,6 @@ impl NetServer {
             return Err(NetError::Accel(AccelError::InvalidConfig {
                 context: "NetOptions::max_connections is 0: every connection would be shed"
                     .to_string(),
-            }));
-        }
-        if options.read_burst == 0 {
-            return Err(NetError::Accel(AccelError::InvalidConfig {
-                context: "NetOptions::read_burst is 0: no socket could ever be read".to_string(),
             }));
         }
         let reactors = resolve_reactors(&options);
@@ -635,17 +616,6 @@ enum ConnState {
     Linger,
 }
 
-/// What [`Conn::read_step`] observed about the socket.
-struct ReadOutcome {
-    /// The connection is dead and must be closed.
-    dead: bool,
-    /// The burst cap ended the read with bytes (possibly) still in the
-    /// kernel buffer — on an edge-triggered backend the reactor must
-    /// remember to come back (hot list), because no new edge will fire
-    /// for bytes that already arrived.
-    truncated: bool,
-}
-
 struct Conn {
     stream: TcpStream,
     state: ConnState,
@@ -683,11 +653,6 @@ struct Conn {
     /// reactor to forward them to the span recorder (drained in place, so
     /// the buffer is reused across flushes).
     stall_samples: Vec<(u64, Duration)>,
-    /// Set when the fault injector faked an `EWOULDBLOCK` on this
-    /// connection: the kernel state did not change, so an edge-triggered
-    /// backend will never re-report — the reactor must treat the socket
-    /// as hot.  Never set outside the `fault-injection` feature.
-    fault_blocked: bool,
 }
 
 impl Conn {
@@ -706,7 +671,6 @@ impl Conn {
             flushed_total: 0,
             reply_marks: VecDeque::new(),
             stall_samples: Vec::new(),
-            fault_blocked: false,
         }
     }
 
@@ -727,15 +691,12 @@ impl Conn {
         }
     }
 
-    /// Takes (and clears) the injected-`EWOULDBLOCK` marker.
-    fn take_fault_blocked(&mut self) -> bool {
-        std::mem::take(&mut self.fault_blocked)
-    }
-
     /// One socket read, routed through the fault injector when the
     /// `fault-injection` feature is armed: short reads truncate the
     /// scratch window to one byte, the error faults never touch the
-    /// socket.  Release builds compile down to the plain `read`.
+    /// socket (an injected `EWOULDBLOCK` leaves the bytes to the next
+    /// wait, which reports them again).  Release builds compile down to
+    /// the plain `read`.
     fn socket_read(&mut self, scratch: &mut [u8]) -> io::Result<usize> {
         #[cfg(feature = "fault-injection")]
         {
@@ -743,12 +704,7 @@ impl Conn {
             match crate::fault::read_fault() {
                 IoFault::None => self.stream.read(scratch),
                 IoFault::Short => self.stream.read(&mut scratch[..1]),
-                IoFault::WouldBlock => {
-                    // The socket was not consulted: real bytes may remain,
-                    // and an edge-triggered poller will not re-report them.
-                    self.fault_blocked = true;
-                    Err(io::Error::from(ErrorKind::WouldBlock))
-                }
+                IoFault::WouldBlock => Err(io::Error::from(ErrorKind::WouldBlock)),
                 IoFault::Interrupted => Err(io::Error::from(ErrorKind::Interrupted)),
                 IoFault::Reset => Err(io::Error::from(ErrorKind::ConnectionReset)),
             }
@@ -766,12 +722,7 @@ impl Conn {
             match crate::fault::write_fault() {
                 IoFault::None => self.stream.write(bytes),
                 IoFault::Short => self.stream.write(&bytes[..1]),
-                IoFault::WouldBlock => {
-                    // As with reads: the kernel buffer may be writable, so
-                    // no writable edge is coming — flag for the hot list.
-                    self.fault_blocked = true;
-                    Err(io::Error::from(ErrorKind::WouldBlock))
-                }
+                IoFault::WouldBlock => Err(io::Error::from(ErrorKind::WouldBlock)),
                 IoFault::Interrupted => Err(io::Error::from(ErrorKind::Interrupted)),
                 IoFault::Reset => Err(io::Error::from(ErrorKind::ConnectionReset)),
             }
@@ -780,19 +731,16 @@ impl Conn {
         self.stream.write(bytes)
     }
 
-    /// Non-blocking read burst into the read buffer (discarded on non-Open
-    /// states, where only EOF matters).
-    fn read_step(&mut self, burst: usize) -> ReadOutcome {
+    /// Non-blocking read burst into the read buffer, ending once
+    /// [`READ_BURST`] bytes are in (discarded on non-Open states, where
+    /// only EOF matters).  Returns `true` when the connection is dead and
+    /// must be closed.
+    fn read_step(&mut self) -> bool {
         let discard = self.state != ConnState::Open;
         let mut scratch = [0u8; 8192];
         let mut total = 0usize;
-        let mut truncated = false;
         loop {
-            // The burst is a byte cap, not a round count: never ask the
-            // kernel for more than the remaining allowance, so small test
-            // bursts behave exactly like the production one.
-            let want = scratch.len().min(burst - total);
-            match self.socket_read(&mut scratch[..want]) {
+            match self.socket_read(&mut scratch) {
                 Ok(0) => {
                     self.peer_eof = true;
                     break;
@@ -802,30 +750,20 @@ impl Conn {
                         self.rbuf.extend_from_slice(&scratch[..n]);
                     }
                     total += n;
-                    // Fairness: leave the rest in the kernel buffer.  The
-                    // level backend will re-report readable; the edge
-                    // backend relies on the caller honouring `truncated`.
-                    if total >= burst {
-                        truncated = true;
+                    // Fairness: leave the rest in the kernel buffer for
+                    // the next round, which the poller will report.
+                    if total >= READ_BURST {
                         break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    return ReadOutcome {
-                        dead: true,
-                        truncated: false,
-                    }
-                }
+                Err(_) => return true,
             }
         }
-        ReadOutcome {
-            // EOF during a linger means the peer has nothing more in
-            // flight that a close could RST away.
-            dead: self.peer_eof && self.state != ConnState::Open,
-            truncated: truncated && !self.peer_eof,
-        }
+        // EOF during a linger means the peer has nothing more in flight
+        // that a close could RST away.
+        self.peer_eof && self.state != ConnState::Open
     }
 
     /// Writes as much queued reply data as the kernel accepts.  Returns
@@ -884,15 +822,15 @@ impl Conn {
         false
     }
 
-    /// Which poller interest this connection currently needs (the level
-    /// backend's per-wait mask; the edge backend registered everything
-    /// once).
-    fn interest(&self) -> Interest {
+    /// Which poller interest this connection currently needs.  During a
+    /// shutdown only flushes matter.
+    fn interest(&self, draining: bool) -> Interest {
         Interest {
-            // Reads stay registered on non-Open states too: draining the
-            // peer's backlog prevents an RST from destroying the queued
-            // reply.
-            readable: !self.peer_eof,
+            // Reads stay on in non-Open states too: draining the peer's
+            // backlog prevents an RST from destroying the queued reply.
+            // After the EOF nothing is left to read, and a level-triggered
+            // poller would report the EOF forever.
+            readable: !self.peer_eof && !draining,
             writable: !self.wbuf.is_empty(),
         }
     }
@@ -934,11 +872,6 @@ struct Reactor<'a> {
     conns: HashMap<u64, Conn>,
     /// Tag of every in-flight tagged submission → its origin.
     pending: HashMap<u64, Pending>,
-    /// Connections whose last read was cut short by the burst cap (or an
-    /// injected `EWOULDBLOCK`): on an edge-triggered backend no new event
-    /// will fire for the bytes left behind, so the reactor re-reads these
-    /// on the next iteration with a zero wait timeout.
-    hot: HashSet<u64>,
     next_token: u64,
     /// Next submission tag: starts at the shard index, strides by the
     /// shard count — globally unique without cross-shard coordination
@@ -973,7 +906,6 @@ impl<'a> Reactor<'a> {
             sink,
             conns: HashMap::new(),
             pending: HashMap::new(),
-            hot: HashSet::new(),
             next_token: 0,
             next_tag: shard as u64,
             drain_started: false,
@@ -1008,6 +940,7 @@ impl<'a> Reactor<'a> {
             }
         }
         let mut drain_deadline: Option<Instant> = None;
+        let mut events = Vec::new();
         loop {
             let draining = self.shared.shutdown.load(Ordering::Acquire);
             if draining {
@@ -1021,7 +954,6 @@ impl<'a> Reactor<'a> {
                     for token in tokens {
                         self.process_rbuf(token);
                     }
-                    self.hot.clear();
                 }
                 let flushed = self.conns.values().all(|conn| conn.wbuf.is_empty());
                 if (self.pending.is_empty() && flushed)
@@ -1031,53 +963,40 @@ impl<'a> Reactor<'a> {
                 }
             }
 
-            // The level backend rebuilds its interest set per wait (the
-            // edge backend registered everything once and ignores this).
-            if !self.poller.edge_triggered() {
-                if self.listener.is_some() {
-                    self.poller.set_interest(
-                        TOKEN_LISTENER,
-                        if draining {
-                            Interest::NONE
-                        } else {
-                            Interest::READ
-                        },
-                    );
-                }
-                for (&token, conn) in &self.conns {
-                    let interest = if draining {
-                        // During shutdown only flushes matter.
-                        Interest {
-                            readable: false,
-                            writable: !conn.wbuf.is_empty(),
-                        }
-                    } else {
-                        conn.interest()
-                    };
-                    self.poller.set_interest(token, interest);
+            // Every wait sees each descriptor's interest as of now; a
+            // connection the poller can no longer watch is shed.
+            if self.listener.is_some() {
+                let interest = if draining {
+                    Interest::NONE
+                } else {
+                    Interest::READ
+                };
+                let _ = self.poller.set_interest(TOKEN_LISTENER, interest);
+            }
+            let mut unwatchable = Vec::new();
+            for (&token, conn) in &self.conns {
+                if self
+                    .poller
+                    .set_interest(token, conn.interest(draining))
+                    .is_err()
+                {
+                    unwatchable.push(token);
                 }
             }
+            for token in unwatchable {
+                self.close(token);
+            }
 
-            // Hot connections have bytes we deliberately left behind: do
-            // not park while any are pending.
-            let prev_hot: Vec<u64> = self.hot.drain().collect();
-            let timeout = if prev_hot.is_empty() {
-                self.shared.options.poll_interval
-            } else {
-                Duration::ZERO
-            };
-            let events = match self.poller.wait(timeout) {
-                Ok(events) => events.to_vec(),
-                Err(_) => {
-                    // EINVAL/ENOMEM are not per-connection conditions; back
-                    // off instead of spinning and try again.
-                    for token in prev_hot {
-                        self.hot.insert(token);
-                    }
-                    thread::sleep(self.shared.options.poll_interval);
-                    continue;
-                }
-            };
+            if self
+                .poller
+                .wait(self.shared.options.poll_interval, &mut events)
+                .is_err()
+            {
+                // EINVAL/ENOMEM are not per-connection conditions; back
+                // off instead of spinning and try again.
+                thread::sleep(self.shared.options.poll_interval);
+                continue;
+            }
 
             // --- dispatch readiness ----------------------------------
             let mut accept = false;
@@ -1106,19 +1025,6 @@ impl<'a> Reactor<'a> {
             self.drain_completions();
             if accept && !draining {
                 self.accept_ready();
-            }
-            // Re-serve the hot list from *before* this wait.  A token that
-            // re-entered `hot` during dispatch already consumed its burst
-            // this round — skip it for fairness; it keeps the next round
-            // non-blocking instead.
-            if !draining {
-                for token in prev_hot {
-                    if self.hot.contains(&token) {
-                        continue;
-                    }
-                    self.flush(token);
-                    self.read_ready(token);
-                }
             }
             self.sweep();
         }
@@ -1249,7 +1155,7 @@ impl<'a> Reactor<'a> {
         let fd = conn.stream.as_raw_fd();
         if self
             .poller
-            .register(fd, token, Interest::READ_WRITE)
+            .register(fd, token, conn.interest(false))
             .is_err()
         {
             return false;
@@ -1287,14 +1193,9 @@ impl<'a> Reactor<'a> {
             return;
         };
         let was_open = conn.state == ConnState::Open;
-        let outcome = conn.read_step(self.shared.options.read_burst);
-        let refire = outcome.truncated || conn.take_fault_blocked();
-        if outcome.dead {
+        if conn.read_step() {
             self.close(token);
             return;
-        }
-        if refire && self.poller.edge_triggered() {
-            self.hot.insert(token);
         }
         if was_open {
             self.process_rbuf(token);
@@ -1434,20 +1335,12 @@ impl<'a> Reactor<'a> {
             return;
         };
         let dead = conn.flush_step();
-        // An injected EWOULDBLOCK left flushable bytes with no writable
-        // edge coming: treat the connection as hot so the next iteration
-        // retries the flush.
-        let refire = conn.take_fault_blocked() && !conn.wbuf.is_empty();
         let recorder = self.shared.server.recorder();
         for (request_id, stall) in conn.stall_samples.drain(..) {
             recorder.record_write_stall(request_id, stall);
         }
         if dead {
             self.close(token);
-            return;
-        }
-        if refire && self.poller.edge_triggered() {
-            self.hot.insert(token);
         }
     }
 
@@ -1497,8 +1390,7 @@ impl<'a> Reactor<'a> {
             if conn.state == ConnState::Open && conn.admitted {
                 self.shared.open_total.fetch_sub(1, Ordering::AcqRel);
             }
-            self.poller.deregister(token, conn.stream.as_raw_fd());
-            self.hot.remove(&token);
+            self.poller.deregister(token);
             self.counters()
                 .open_connections
                 .store(self.open_count(), Ordering::Relaxed);

@@ -9,11 +9,12 @@
 //! * [`poll_fds`] — block until any registered descriptor is ready (or a
 //!   timeout); the scalar O(n) readiness call, kept as the portable
 //!   fallback backend.
-//! * [`Epoll`] — an `epoll(7)` instance for **edge-triggered** readiness:
-//!   descriptors are registered once ([`Epoll::add`]) and only *changes*
-//!   of readiness are reported, so a reactor wait is O(ready), not
-//!   O(registered).  The scale-out backend; see [`crate::poller::Poller`]
-//!   for the backend-neutral wrapper the reactor actually drives.
+//! * [`Epoll`] — an `epoll(7)` instance: the kernel keeps the interest
+//!   set ([`Epoll::add`] / [`Epoll::modify`] / [`Epoll::delete`]) and a
+//!   wait returns only ready descriptors, so it is O(ready), not
+//!   O(registered).  Delivery is level-triggered, like `poll(2)`.  The
+//!   scale-out backend; see [`crate::poller::Poller`] for the
+//!   backend-neutral wrapper the reactor actually drives.
 //! * [`WakePipe`] — a non-blocking self-pipe: any thread calls
 //!   [`WakePipe::wake`] to make a `poll`/`epoll_wait` that watches the
 //!   read end return immediately.  This is how the serving dispatcher
@@ -25,6 +26,7 @@
 //! the only platform this workspace targets (see CI).
 
 #![allow(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 use std::os::raw::{c_int, c_ulong, c_void};
@@ -110,10 +112,6 @@ pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 /// `epoll` event: the peer half-closed its sending side (stream sockets).
 pub const EPOLLRDHUP: u32 = 0x2000;
-/// `epoll` flag: **edge-triggered** delivery — a readiness transition is
-/// reported exactly once; the consumer must drain to `EWOULDBLOCK` (or
-/// remember that it stopped early) before the next event will fire.
-pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EPOLL_CTL_ADD: c_int = 1;
@@ -134,6 +132,15 @@ pub struct EpollEvent {
     pub data: u64,
 }
 
+// The kernel ABI, pinned: a layout that drifts from `struct epoll_event`
+// must fail the build, not corrupt the buffers `epoll_wait` fills.
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(std::mem::size_of::<EpollEvent>() == 12);
+#[cfg(all(not(target_arch = "x86_64"), target_pointer_width = "64"))]
+const _: () = assert!(std::mem::size_of::<EpollEvent>() == 16);
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("the epoll_event layout is pinned only for 64-bit targets");
+
 impl EpollEvent {
     /// An empty (zeroed) record, for `epoll_wait` output buffers.
     pub fn zeroed() -> Self {
@@ -141,15 +148,15 @@ impl EpollEvent {
     }
 }
 
-/// An `epoll(7)` instance: the edge-triggered readiness backend.
+/// An `epoll(7)` instance: the scale-out readiness backend.
 ///
-/// Descriptors are registered **once** with their full event mask
-/// ([`EPOLLET`] included); unlike [`poll_fds`] there is no per-wait
-/// interest rebuild — [`Epoll::wait`] returns only descriptors whose
-/// readiness *changed*, in O(ready) time.  The owner must respect the
-/// edge-triggered contract: on a reported edge, consume until
-/// `EWOULDBLOCK` or remember that bytes were deliberately left behind
-/// (the reactor's hot-list does the latter for read-burst fairness).
+/// The kernel holds each descriptor's event mask between waits; unlike
+/// [`poll_fds`] there is no per-wait interest rebuild, and
+/// [`Epoll::wait`] returns only ready descriptors, in O(ready) time.
+/// Delivery is level-triggered: readiness that is not consumed is
+/// reported again by the next wait.  `EPOLLHUP` and `EPOLLERR` are
+/// reported whatever the mask, so silencing a descriptor takes
+/// [`Epoll::delete`].
 #[derive(Debug)]
 pub struct Epoll {
     fd: RawFd,
@@ -205,8 +212,8 @@ impl Epoll {
     }
 
     /// Unregisters `fd`.  Closing a descriptor unregisters it implicitly;
-    /// this exists for symmetry and for descriptors that outlive their
-    /// registration (the listener during shutdown).
+    /// this is for descriptors that stay open but must fall silent (a
+    /// muted connection, the listener during shutdown).
     ///
     /// # Errors
     ///
@@ -215,7 +222,7 @@ impl Epoll {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Blocks until a registered descriptor reports an edge, the timeout
+    /// Blocks until a registered descriptor is ready, the timeout
     /// elapses, or a signal interrupts.  Fills `events` from the front and
     /// returns how many records were written (`0` for timeout; `EINTR` is
     /// reported as `0` so callers treat it as a spurious wake and
@@ -314,6 +321,8 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     if flags < 0 {
         return Err(io::Error::last_os_error());
     }
+    // SAFETY: as above — SETFL only rewrites the status flags of `fd`,
+    // and the variadic argument is the `int` that F_SETFL expects.
     let rc = unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) };
     if rc < 0 {
         return Err(io::Error::last_os_error());
@@ -519,7 +528,7 @@ mod tests {
     fn epoll_wake_pipe_wakes_a_wait_and_drains() {
         let pipe = WakePipe::new().unwrap();
         let ep = Epoll::new().unwrap();
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 7).unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN, 7).unwrap();
         // Nothing pending: a short wait times out.
         assert!(wait_one(&ep, Duration::from_millis(10)).is_empty());
         pipe.wake();
@@ -535,7 +544,7 @@ mod tests {
     fn epoll_wake_from_another_thread_unblocks_wait() {
         let pipe = std::sync::Arc::new(WakePipe::new().unwrap());
         let ep = Epoll::new().unwrap();
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN, 1).unwrap();
         let waker = std::sync::Arc::clone(&pipe);
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
@@ -550,7 +559,7 @@ mod tests {
     fn epoll_flood_of_wakes_drains_in_one_readiness_event() {
         let pipe = WakePipe::new().unwrap();
         let ep = Epoll::new().unwrap();
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN, 1).unwrap();
         for _ in 0..10_000 {
             pipe.wake();
         }
@@ -564,51 +573,22 @@ mod tests {
         assert!(wait_one(&ep, Duration::from_millis(10)).is_empty());
     }
 
-    /// The edge-triggered contract, pinned: readiness that was already
-    /// reported is **not** reported again until the descriptor is drained
-    /// and becomes readable anew.  This is the failure mode the reactor's
-    /// hot-list exists for.
-    #[test]
-    fn epoll_edge_trigger_reports_a_transition_exactly_once() {
-        let pipe = WakePipe::new().unwrap();
-        let ep = Epoll::new().unwrap();
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 9).unwrap();
-        pipe.wake();
-        assert_eq!(wait_one(&ep, Duration::from_secs(5)).len(), 1);
-        // The byte is still in the pipe, but the edge was consumed: an
-        // edge-triggered wait must now time out where poll(2) would have
-        // re-reported level readiness forever.
-        assert!(
-            wait_one(&ep, Duration::from_millis(20)).is_empty(),
-            "EPOLLET re-reported un-drained readiness"
-        );
-        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
-        assert_eq!(
-            poll_fds(&mut fds, Duration::from_millis(10)).unwrap(),
-            1,
-            "level-triggered poll still sees the pending byte"
-        );
-        // A *new* byte is a new edge.
-        pipe.wake();
-        assert_eq!(wait_one(&ep, Duration::from_secs(5)).len(), 1);
-    }
-
     #[test]
     fn epoll_rejects_a_closed_fd_and_double_registration() {
         let ep = Epoll::new().unwrap();
         assert!(ep.add(-1, EPOLLIN, 0).is_err(), "EBADF surfaces");
         let pipe = WakePipe::new().unwrap();
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN, 1).unwrap();
         assert!(
-            ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 2).is_err(),
+            ep.add(pipe.read_fd(), EPOLLIN, 2).is_err(),
             "EEXIST surfaces"
         );
         ep.delete(pipe.read_fd()).unwrap();
         assert!(ep.delete(pipe.read_fd()).is_err(), "ENOENT surfaces");
         // Re-registration after delete works, and modify rewrites the
         // cookie.
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 3).unwrap();
-        ep.modify(pipe.read_fd(), EPOLLIN | EPOLLET, 4).unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN, 3).unwrap();
+        ep.modify(pipe.read_fd(), EPOLLIN, 4).unwrap();
         pipe.wake();
         let events = wait_one(&ep, Duration::from_secs(5));
         assert_eq!({ events[0].data }, 4);
@@ -618,7 +598,7 @@ mod tests {
     fn epoll_submillisecond_timeouts_round_up_instead_of_busy_spinning() {
         let pipe = WakePipe::new().unwrap();
         let ep = Epoll::new().unwrap();
-        ep.add(pipe.read_fd(), EPOLLIN | EPOLLET, 1).unwrap();
+        ep.add(pipe.read_fd(), EPOLLIN, 1).unwrap();
         let start = std::time::Instant::now();
         for _ in 0..20 {
             assert!(wait_one(&ep, Duration::from_micros(100)).is_empty());

@@ -12,11 +12,11 @@ use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
-use snn_net::protocol::{error_code, reject_scope, Frame};
-use snn_net::{scrape_stats, NetClient, NetError, NetOptions, NetServer};
+use snn_net::protocol::{error_code, reject_scope, Frame, InferRequest};
+use snn_net::{scrape_stats, NetClient, NetError, NetOptions, NetServer, ReactorBackend};
 use snn_tensor::Tensor;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -397,6 +397,53 @@ fn malformed_bytes_get_a_protocol_error_reply_and_a_close() {
     }
     let stats = server.shutdown();
     assert_eq!(stats.protocol_errors, 1);
+}
+
+/// A peer that pipelines its requests and then half-closes still reads
+/// every reply, bit-exact: the server reads the EOF, stops asking for
+/// readability (under level triggering the EOF would otherwise report
+/// forever), serves what is in flight and closes after the last reply.
+#[test]
+fn a_half_closed_peer_still_reads_every_reply_on_both_backends() {
+    let (model, inputs) = tiny_setup(8);
+    let config = AcceleratorConfig::default();
+    let in_process = StreamServer::start(config, model.clone()).unwrap();
+    let mut requests = Vec::new();
+    for (id, input) in inputs.iter().enumerate() {
+        requests
+            .extend_from_slice(&Frame::Infer(InferRequest::from_tensor(id as u64, input)).encode());
+    }
+    for backend in [ReactorBackend::Epoll, ReactorBackend::Poll] {
+        let options = NetOptions {
+            backend,
+            ..NetOptions::default()
+        };
+        let server = NetServer::bind("127.0.0.1:0", config, model.clone(), options).unwrap();
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        raw.write_all(&requests).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        let mut replies = Vec::new();
+        raw.read_to_end(&mut replies).unwrap(); // the server closes after the last reply
+        let mut logits = vec![None; inputs.len()];
+        let mut rest = &replies[..];
+        while let Some((frame, used)) = Frame::decode(rest).unwrap() {
+            rest = &rest[used..];
+            match frame {
+                Frame::Scores(reply) => logits[reply.request_id as usize] = Some(reply.logits),
+                other => panic!("{backend:?}: expected SCORES, got {other:?}"),
+            }
+        }
+        assert!(rest.is_empty(), "{backend:?}: a torn trailing frame");
+        for (input, served) in inputs.iter().zip(logits) {
+            let solo = in_process.submit(input.clone()).unwrap().wait().unwrap();
+            assert_eq!(served, Some(solo.logits), "{backend:?}");
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.server.completed, inputs.len() as u64, "{backend:?}");
+    }
+    in_process.shutdown();
 }
 
 #[test]

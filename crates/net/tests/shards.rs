@@ -4,10 +4,9 @@
 //! `StreamServer::submit` on **both** readiness backends — while the
 //! sharding itself is visible in the per-reactor stats (round-robin
 //! accept distribution, handoff counts) and the global connection cap
-//! holds exactly across shards.  Also pins the edge-trigger starvation
-//! regression: a socket whose readable bytes outlast one fairness burst
-//! must be re-served from the reactor's hot list, because epoll will
-//! never re-report the edge.
+//! holds exactly across shards.  Also pins the read-burst contract: a
+//! socket whose readable bytes outlast one fairness burst is served in
+//! full, because both backends re-report what the burst left behind.
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::serve::StreamServer;
@@ -15,7 +14,8 @@ use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
 use snn_model::snn::SnnModel;
 use snn_model::zoo;
-use snn_net::protocol::reject_scope;
+use snn_net::protocol::{reject_scope, Frame, InferRequest};
+use snn_net::server::READ_BURST;
 use snn_net::{NetClient, NetError, NetOptions, NetServer, ReactorBackend};
 use snn_tensor::Tensor;
 use std::time::Duration;
@@ -56,8 +56,8 @@ fn sharded_options(reactors: usize, backend: ReactorBackend) -> NetOptions {
 
 /// The sharding exactness pin: three reactor shards serving three
 /// concurrent connections (so every shard owns one) return logits
-/// bit-identical to the in-process submit — on the edge-triggered epoll
-/// backend *and* the level-triggered poll fallback.
+/// bit-identical to the in-process submit — on the epoll backend *and*
+/// the poll fallback.
 #[test]
 fn sharded_scores_match_in_process_submit_on_both_backends() {
     let (model, inputs) = tiny_setup(4);
@@ -189,75 +189,46 @@ fn connection_cap_is_shared_across_shards() {
     assert_eq!(stats.server.errors, 0);
 }
 
-/// The edge-trigger starvation regression.  With a fairness burst far
-/// smaller than the buffered request backlog, a pipelined burst arrives
-/// as ONE readable edge whose bytes take many read rounds to drain —
-/// epoll will never re-report the edge for the remainder, so every
-/// request only completes if the reactor's hot list re-serves the
-/// socket.  Before the hot list, this test hangs (the client times out
-/// with most replies missing).
+/// A pipelined backlog larger than one read burst on one connection: the
+/// reactor stops reading at [`READ_BURST`] for fairness, and every later
+/// request is served only because the poller reports the socket again.
+/// Every reply comes back, twice in a row on the same connection, on
+/// both backends.
 #[test]
-fn tiny_read_burst_does_not_strand_pipelined_requests_under_edge_triggering() {
+fn a_pipelined_backlog_beyond_one_burst_is_served_in_full_on_both_backends() {
     let (model, inputs) = tiny_setup(2);
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        AcceleratorConfig::default(),
-        model,
-        NetOptions {
-            // One tiny_cnn INFER frame is ~600 bytes; 20 pipelined
-            // requests are ~12 KiB buffered behind a single edge, drained
-            // 64 bytes per round — hundreds of hot-list re-reads.
-            read_burst: 64,
-            ..sharded_options(1, ReactorBackend::Epoll)
-        },
-    )
-    .unwrap();
-    let batch: Vec<Tensor<f32>> = (0..20).map(|i| inputs[i % inputs.len()].clone()).collect();
-    let mut client = NetClient::connect(server.local_addr()).unwrap();
-    let replies = client.infer_many(&batch).unwrap();
-    assert_eq!(replies.len(), batch.len());
-    for reply in &replies {
-        reply
-            .as_ref()
-            .expect("no pipelined request may be stranded");
+    let frame_len = Frame::Infer(InferRequest::from_tensor(0, &inputs[0]))
+        .encode()
+        .len();
+    // About 1.25 bursts of tiny_cnn INFERs (≈ 550 frames, ≈ 320 KiB).
+    let count = (READ_BURST + READ_BURST / 4) / frame_len;
+    let batch: Vec<Tensor<f32>> = (0..count)
+        .map(|i| inputs[i % inputs.len()].clone())
+        .collect();
+    for backend in [ReactorBackend::Epoll, ReactorBackend::Poll] {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            AcceleratorConfig::default(),
+            model.clone(),
+            sharded_options(1, backend),
+        )
+        .unwrap();
+        let mut client = NetClient::connect(server.local_addr()).unwrap();
+        for round in 0..2 {
+            let replies = client.infer_many(&batch).unwrap();
+            assert_eq!(replies.len(), count);
+            for reply in &replies {
+                reply
+                    .as_ref()
+                    .unwrap_or_else(|err| panic!("{backend:?} round {round}: {err}"));
+            }
+        }
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!(stats.requests, 2 * count as u64, "{backend:?}");
+        assert_eq!(stats.server.completed, 2 * count as u64, "{backend:?}");
+        assert_eq!(stats.protocol_errors, 0, "{backend:?}");
     }
-    // A second burst on the same connection is a *new* edge on a socket
-    // that was previously drained through the hot list — it must also be
-    // served in full (the hot list must not have eaten the registration).
-    let replies = client.infer_many(&batch).unwrap();
-    for reply in &replies {
-        reply.as_ref().expect("the second burst must be served too");
-    }
-    drop(client);
-    let stats = server.shutdown();
-    assert_eq!(stats.requests, 2 * batch.len() as u64);
-    assert_eq!(stats.server.completed, 2 * batch.len() as u64);
-    assert_eq!(stats.protocol_errors, 0);
-}
-
-/// `read_burst == 0` can never make progress; bind must refuse it with a
-/// typed config error rather than ship a server that spins.
-#[test]
-fn zero_read_burst_fails_bind_with_a_typed_error() {
-    let (model, _) = tiny_setup(1);
-    let err = NetServer::bind(
-        "127.0.0.1:0",
-        AcceleratorConfig::default(),
-        model,
-        NetOptions {
-            read_burst: 0,
-            ..NetOptions::default()
-        },
-    )
-    .unwrap_err();
-    assert!(
-        matches!(
-            &err,
-            NetError::Accel(snn_accel::AccelError::InvalidConfig { context })
-                if context.contains("read_burst")
-        ),
-        "expected a typed InvalidConfig, got {err:?}"
-    );
 }
 
 /// A shard count above the connection cap is wasted threads; the resolver
