@@ -10,10 +10,12 @@
 //! Besides the usual console output, the harness writes a machine-readable
 //! `BENCH_conv.json` summary to the workspace root with the
 //! engine-vs-seed-reference host speedup on the LeNet conv2 workload, the
-//! product-sparsity op and host ratios, and the row-band tiling overhead on
-//! a VGG-11-shaped layer (the cost of running a layer under the 8 KiB tiled
-//! activation-buffer budget instead of untiled) — same-session ratios,
-//! which `bench_trend` gates against the committed copy.
+//! product-sparsity op and host ratios, the level epilogue (requantization
+//! and both pooling kinds) against the code it replaced, and the row-band
+//! tiling overhead on a VGG-11-shaped layer (the cost of running a layer
+//! under the 8 KiB tiled activation-buffer budget instead of untiled) —
+//! same-session ratios, which `bench_trend` gates against the committed
+//! copy.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
@@ -25,6 +27,7 @@ use snn_accel::reference::ReferenceConvolutionUnit;
 use snn_accel::units::EngineScratch;
 use snn_model::layer::PoolKind;
 use snn_model::packed::PackedWeights;
+use snn_model::snn::requantize;
 use snn_tensor::simd::{self, scalar};
 use snn_tensor::{bitplane, ops, Tensor};
 use std::hint::black_box;
@@ -315,6 +318,9 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The level epilogue of LeNet-5's first layers: the pooling unit's
+/// streaming pass for both kinds, each beside the functional pooling plus
+/// the full-width popcount it replaced (`pool_reference/*`).
 fn bench_pool_unit(c: &mut Criterion) {
     let input = Tensor::from_vec(
         vec![6, 28, 28],
@@ -325,10 +331,59 @@ fn bench_pool_unit(c: &mut Criterion) {
         columns: 14,
         rows: 2,
     });
-    c.bench_function("pool_unit/avg_2x2_6x28x28", |b| {
+    for (name, kind) in [("avg", PoolKind::Average), ("max", PoolKind::Max)] {
+        c.bench_function(&format!("pool_unit/{name}_2x2_6x28x28"), |b| {
+            b.iter(|| {
+                unit.run_layer(black_box(&input), kind, 2, 4)
+                    .expect("pool unit run")
+            });
+        });
+        c.bench_function(&format!("pool_reference/{name}_2x2_6x28x28"), |b| {
+            b.iter(|| {
+                let levels = match kind {
+                    PoolKind::Average => ops::avg_pool2d(black_box(&input), 2),
+                    PoolKind::Max => ops::max_pool2d(black_box(&input), 2),
+                }
+                .expect("reference pool");
+                (levels, bitplane::popcount_levels(input.as_slice()))
+            });
+        });
+    }
+}
+
+/// The `f64::round` expression `requantize` computed before it truncated
+/// and compared instead; the reference of `requant/*`.
+fn requantize_by_round(acc: i64, requant: f32, max_level: i64) -> i64 {
+    if acc <= 0 {
+        return 0;
+    }
+    ((acc as f64 * requant as f64).round() as i64).clamp(0, max_level)
+}
+
+/// Requantizing LeNet-5 conv1's 6x28x28 accumulators to `T = 4` levels,
+/// as the executor does after every conv and hidden linear layer.
+fn bench_requant(c: &mut Criterion) {
+    let acc: Vec<i64> = (0..6 * 28 * 28)
+        .map(|v| ((v as i64 * 2654435761) % 1024) - 256)
+        .collect();
+    let (scale, max_level) = (0.0173f32, 15);
+    let mut out = vec![0i64; acc.len()];
+    c.bench_function("requant/lenet_conv1_6x28x28", |b| {
         b.iter(|| {
-            unit.run_layer(black_box(&input), PoolKind::Average, 2, 4)
-                .expect("pool unit run")
+            let r = black_box(scale);
+            for (o, &a) in out.iter_mut().zip(black_box(&acc)) {
+                *o = requantize(a, r, max_level);
+            }
+            out[0]
+        });
+    });
+    c.bench_function("requant_reference/lenet_conv1_6x28x28", |b| {
+        b.iter(|| {
+            let r = black_box(scale);
+            for (o, &a) in out.iter_mut().zip(black_box(&acc)) {
+                *o = requantize_by_round(a, r, max_level);
+            }
+            out[0]
         });
     });
 }
@@ -401,6 +456,7 @@ criterion_group!(
     bench_tiled_conv,
     bench_simd_kernels,
     bench_pool_unit,
+    bench_requant,
     bench_linear_unit
 );
 
@@ -471,6 +527,31 @@ fn main() {
         kernel_speedups.push(format!("\"{kernel}\": {ratio:.3}"));
     }
 
+    // The level epilogue against the code it replaced: the `f64::round`
+    // requantization, and functional pooling plus a full-width popcount.
+    let mut epilogue_speedups = Vec::new();
+    for (key, fast, reference) in [
+        (
+            "requant",
+            "requant/lenet_conv1_6x28x28",
+            "requant_reference/lenet_conv1_6x28x28",
+        ),
+        (
+            "pool_avg",
+            "pool_unit/avg_2x2_6x28x28",
+            "pool_reference/avg_2x2_6x28x28",
+        ),
+        (
+            "pool_max",
+            "pool_unit/max_2x2_6x28x28",
+            "pool_reference/max_2x2_6x28x28",
+        ),
+    ] {
+        let ratio = median(reference) / median(fast);
+        println!("level epilogue {key}: {ratio:.2}x its reference");
+        epilogue_speedups.push(format!("\"{key}\": {ratio:.3}"));
+    }
+
     let json = format!(
         "{{\n\"workload\": \"lenet_conv2_6x14x14_to_16ch_5x5\",\n\
          \"simd_level\": \"{level}\",\n\
@@ -478,12 +559,14 @@ fn main() {
          \"product_sparsity_op_ratio\": {{{}}},\n\
          \"product_sparsity_host_ratio\": {{{}}},\n\
          \"simd_kernel_speedup_vs_scalar\": {{{}}},\n\
+         \"level_epilogue_speedup_vs_reference\": {{{}}},\n\
          \"tiling_overhead_vgg_conv2_8KiB\": {overhead:.3},\n\
          \"results\": {}\n}}\n",
         engine_speedups.join(", "),
         ps_op_ratios.join(", "),
         ps_host_ratios.join(", "),
         kernel_speedups.join(", "),
+        epilogue_speedups.join(", "),
         criterion.summary_json()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_conv.json");

@@ -7,13 +7,17 @@
 //! channels.  Average pooling is adder-based, with the division by the
 //! window size folded into the subsequent requantization (a right shift for
 //! power-of-two windows); max pooling replaces the adders with comparators.
-
-//! The pooling unit's counters were always analytical (the unit never
-//! stepped them in a data loop): `cycles`, `activation_reads` and
+//!
+//! The unit's counters are analytical: `cycles`, `activation_reads` and
 //! `output_writes` follow from the closed-form schedule, and `adder_ops`
-//! is the popcount of the streamed levels, now computed by the shared
-//! [`snn_tensor::bitplane`] helper the sparse convolution and linear
-//! engines also use for their derived statistics.
+//! is the popcount of the streamed levels masked to the `T` planes the
+//! schedule streams (`level & level_mask(T)`, as in the convolution and
+//! linear units).  The levels themselves come from one streaming pass:
+//! each input row is folded into its output row (a running sum, later
+//! divided with truncation, or a running maximum) while its spikes are
+//! counted, with no per-window buffer.  The functional
+//! `snn_tensor::ops::{avg,max}_pool2d` are the oracle the tests pin this
+//! pass to.
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
@@ -31,7 +35,8 @@ pub struct PoolResult {
     pub stats: UnitStats,
 }
 
-/// Cycle-stepped model of the pooling unit.
+/// The pooling unit: a streaming pass for the levels, the closed-form
+/// schedule for the counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolingUnit {
     geometry: ArrayGeometry,
@@ -82,12 +87,26 @@ impl PoolingUnit {
         let (c, h, w) = (dims[0], dims[1], dims[2]);
         let (h_out, w_out) = ops::pool_output_dims((h, w), window).map_err(AccelError::Tensor)?;
 
-        let levels = match kind {
-            PoolKind::Average => {
-                ops::avg_pool2d(input_levels, window).map_err(AccelError::Tensor)?
-            }
-            PoolKind::Max => ops::max_pool2d(input_levels, window).map_err(AccelError::Tensor)?,
-        };
+        let mask = bitplane::level_mask(time_steps);
+        let mut out = vec![0i64; c * h_out * w_out];
+        let mut adder_ops = 0u64;
+        // `pool_output_dims` guarantees `1 <= window <= h, w`, so no chunk
+        // size in `pool_plane` is zero.
+        for (plane, out_plane) in input_levels
+            .as_slice()
+            .chunks_exact(h * w)
+            .zip(out.chunks_exact_mut(h_out * w_out))
+        {
+            // The 2x2 window of LeNet-5 and VGG-11 gets its own inlined
+            // copy of the pass, in which the window and the divisor are
+            // constants.
+            adder_ops += if window == 2 {
+                pool_plane(plane, out_plane, kind, 2, w, mask)
+            } else {
+                pool_plane(plane, out_plane, kind, window, w, mask)
+            };
+        }
+        let levels = Tensor::from_vec(vec![c, h_out, w_out], out).map_err(AccelError::Tensor)?;
 
         // Operation counting: the unit walks the input row-based, one binary
         // plane per time step, `window` input rows per output row.
@@ -96,10 +115,10 @@ impl PoolingUnit {
         stats.activation_reads =
             (time_steps * c * h_out * window * self.column_tiles(w_out)) as u64;
         stats.output_writes = (c * h_out * w_out) as u64;
-        // Adder/comparator activations are gated by spikes, so count the
-        // spikes streamed through the unit (every input element belongs to
-        // exactly one window for non-overlapping pooling).
-        stats.adder_ops = bitplane::popcount_levels(input_levels.as_slice());
+        // Adder/comparator activations are gated by spikes: every spike of
+        // the `T` streamed planes, including those of trailing rows and
+        // columns no window reads.
+        stats.adder_ops = adder_ops;
 
         Ok(PoolResult { levels, stats })
     }
@@ -169,6 +188,51 @@ impl PoolingUnit {
     }
 }
 
+/// Pools one `[H, W]` input plane into its `[H / window, W / window]`
+/// output plane in a single pass over the input rows, and returns the
+/// spikes (`level & mask` set bits) of every input row, read or not.
+#[inline(always)]
+fn pool_plane(
+    plane: &[i64],
+    out_plane: &mut [i64],
+    kind: PoolKind,
+    window: usize,
+    width: usize,
+    mask: i64,
+) -> u64 {
+    let spikes = |row: &[i64]| -> u64 { row.iter().map(|&v| (v & mask).count_ones() as u64).sum() };
+    let mut adder_ops = 0;
+    let mut rows = plane.chunks_exact(width);
+    for out_row in out_plane.chunks_exact_mut(width / window) {
+        for ky in 0..window {
+            let row = rows
+                .next()
+                .expect("H / window output rows read at most H rows");
+            adder_ops += spikes(row);
+            let windows = row.chunks_exact(window).zip(out_row.iter_mut());
+            match (kind, ky) {
+                (PoolKind::Average, 0) => windows.for_each(|(x, o)| *o = x.iter().sum()),
+                (PoolKind::Average, _) => windows.for_each(|(x, o)| *o += x.iter().sum::<i64>()),
+                (PoolKind::Max, 0) => windows.for_each(|(x, o)| *o = window_max(x)),
+                (PoolKind::Max, _) => windows.for_each(|(x, o)| *o = (*o).max(window_max(x))),
+            }
+        }
+        if kind == PoolKind::Average {
+            // Truncates toward zero, like the hardware's shift.
+            let area = (window * window) as i64;
+            out_row.iter_mut().for_each(|o| *o /= area);
+        }
+    }
+    // Rows a non-divisible height leaves unread still stream through the
+    // unit.
+    adder_ops + rows.map(spikes).sum::<u64>()
+}
+
+/// The largest level of one window row.
+fn window_max(row: &[i64]) -> i64 {
+    row.iter().fold(i64::MIN, |m, &v| m.max(v))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +272,24 @@ mod tests {
         let r6 = u.run_layer(&input, PoolKind::Average, 2, 6).unwrap();
         assert_eq!(r3.stats.cycles, u.layer_cycles(3, 4, 4, 2, 3));
         assert_eq!(r6.stats.cycles, 2 * r3.stats.cycles);
+    }
+
+    #[test]
+    fn out_of_range_levels_are_truncated_like_the_schedule() {
+        // A level outside 0..=2^T - 1 only puts its T low bits on the
+        // streamed planes, so only those gate adders: at T = 2, 9 streams
+        // 0b01, -1 streams 0b11, 4 streams nothing and 3 streams 0b11: five
+        // spikes in all.  The levels themselves are pooled unmasked, as the
+        // functional model pools them.
+        let input = Tensor::from_vec(vec![1, 2, 2], vec![9i64, -1, 4, 3]).unwrap();
+        for (kind, expected) in [
+            (PoolKind::Average, ops::avg_pool2d(&input, 2).unwrap()),
+            (PoolKind::Max, ops::max_pool2d(&input, 2).unwrap()),
+        ] {
+            let result = unit().run_layer(&input, kind, 2, 2).unwrap();
+            assert_eq!(result.levels, expected, "{kind:?}");
+            assert_eq!(result.stats.adder_ops, 5, "{kind:?}");
+        }
     }
 
     #[test]

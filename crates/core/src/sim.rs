@@ -19,8 +19,12 @@
 //! * [`Accelerator::run_fast`] — **transaction-level**: activations are
 //!   computed with the functional integer model of `snn-model` and only the
 //!   analytical timing model is evaluated.  The results are bit-identical
-//!   (asserted by tests); use this when unit-level operation counts are not
-//!   needed.
+//!   (asserted by tests), but despite the name it is the *slower* path: the
+//!   dense functional operators visit every weight for every position,
+//!   about 9× the engine's time on LeNet-5's second convolution
+//!   (`conv_unit/functional_reference` against `conv_unit/bitplane_sparse/3`
+//!   in `BENCH_conv.json`), and it reports no unit counters.  Use
+//!   [`Accelerator::run`].
 //!
 //! Depth no longer limits the unit-exact path: with
 //! [`AcceleratorConfig::activation_buffer_bytes`] set, the compiler plans
@@ -103,7 +107,9 @@ impl Accelerator {
     }
 
     /// Runs one inference at transaction level: functional values plus the
-    /// analytical timing model.
+    /// analytical timing model.  Slower than [`Accelerator::run`] (dense
+    /// functional operators) and without unit counters; see the module
+    /// docs.
     ///
     /// # Errors
     ///

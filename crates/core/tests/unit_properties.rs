@@ -144,30 +144,42 @@ proptest! {
         );
     }
 
-    /// The pooling unit agrees with the reference pooling operators for both
-    /// flavours.
+    /// The pooling unit's streaming pass agrees with the functional pooling
+    /// operators for both flavours, windows 1–4, odd heights and widths
+    /// (trailing rows and columns no window reads) and levels outside
+    /// `0..2^T` (negative sums truncate toward zero); its adder ops are the
+    /// spikes of the `T` streamed planes of every input level.
     #[test]
     fn pooling_unit_matches_reference(
         channels in 1usize..4,
-        half_size in 2usize..5,
+        height in 1usize..12,
+        width in 1usize..12,
+        window in 1usize..5,
         max_pool in proptest::bool::ANY,
+        time_steps in 1usize..7,
         seed in 0u64..1000,
     ) {
-        let size = half_size * 2;
+        let window = window.min(height).min(width);
         let input = Tensor::from_vec(
-            vec![channels, size, size],
-            (0..channels * size * size)
-                .map(|i| ((i as u64 * 131 + seed) % 64) as i64)
+            vec![channels, height, width],
+            (0..channels * height * width)
+                .map(|i| ((i as u64 * 131 + seed) % 101) as i64 - 20)
                 .collect(),
         ).unwrap();
         let kind = if max_pool { PoolKind::Max } else { PoolKind::Average };
         let unit = PoolingUnit::new(ArrayGeometry { columns: 14, rows: 2 });
-        let result = unit.run_layer(&input, kind, 2, 4).unwrap();
+        let result = unit.run_layer(&input, kind, window, time_steps).unwrap();
         let expected = match kind {
-            PoolKind::Max => ops::max_pool2d(&input, 2).unwrap(),
-            PoolKind::Average => ops::avg_pool2d(&input, 2).unwrap(),
+            PoolKind::Max => ops::max_pool2d(&input, window).unwrap(),
+            PoolKind::Average => ops::avg_pool2d(&input, window).unwrap(),
         };
         prop_assert_eq!(result.levels, expected);
+        let plane_mask = (1i64 << time_steps) - 1;
+        let streamed_spikes: u64 = input
+            .iter()
+            .map(|&v| u64::from((v & plane_mask).count_ones()))
+            .sum();
+        prop_assert_eq!(result.stats.adder_ops, streamed_spikes);
     }
 
     /// The bit-plane sparse convolution engine reproduces the retained

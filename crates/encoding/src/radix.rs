@@ -2,7 +2,9 @@
 //! built for (reference \[6\] of the paper).
 //!
 //! An activation `a ∈ [0, 1]` is quantized to an integer level
-//! `round(a * (2^T - 1))` and transmitted as its binary expansion, most
+//! `round(a * (2^T - 1))` (half away from zero, computed exactly by
+//! truncate and compare in [`RadixEncoder::level_of`]; a test pins it to
+//! `f32::round` for every `T`) and transmitted as its binary expansion, most
 //! significant bit first: the spike at time step `t` carries a weight of
 //! `2^(T-1-t)`.  A spike train of length `T` therefore provides `T` bits of
 //! activation resolution, which is why 3–6 time steps suffice where rate
@@ -64,10 +66,19 @@ impl RadixEncoder {
         (1u32 << self.time_steps) - 1
     }
 
-    /// Quantizes an activation in `[0, 1]` to its integer level.
+    /// Quantizes an activation in `[0, 1]` to its integer level: the value
+    /// is clamped to `[0, 1]` and `value * max_level` rounded half away
+    /// from zero (NaN maps to level 0).
+    ///
+    /// The rounding truncates and compares the fraction, which is exact
+    /// because the product stays below `2^24`; it equals `f32::round`
+    /// everywhere without a software `round` call on targets that lack a
+    /// rounding instruction.
+    #[inline]
     pub fn level_of(&self, value: f32) -> u32 {
-        let clamped = value.clamp(0.0, 1.0);
-        (clamped * self.max_level() as f32).round() as u32
+        let scaled = value.clamp(0.0, 1.0) * self.max_level() as f32;
+        let whole = scaled as u32;
+        whole + u32::from(scaled - whole as f32 >= 0.5)
     }
 
     /// The positional weight `2^(T-1-t)` of a spike at time step `t`.
@@ -180,6 +191,67 @@ mod tests {
                 "value {value} decoded to {decoded}"
             );
         }
+    }
+
+    /// The `f32::round` expression `level_of` computes without calling
+    /// `round`: the oracle the truncate-and-compare form is pinned to.
+    fn level_by_round(enc: &RadixEncoder, value: f32) -> u32 {
+        (value.clamp(0.0, 1.0) * enc.max_level() as f32).round() as u32
+    }
+
+    #[test]
+    fn level_of_matches_the_round_expression() {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            1.0,
+            -1e-30,
+            -0.5,
+            1.0 + f32::EPSILON,
+            2.5,
+            f32::MAX,
+            f32::MIN,
+            f32::from_bits(1),
+        ];
+        let mut half_way_hits = 0u32;
+        for t in 1..=MAX_TIME_STEPS {
+            let enc = RadixEncoder::new(t).unwrap();
+            let check = |value: f32| {
+                assert_eq!(
+                    enc.level_of(value),
+                    level_by_round(&enc, value),
+                    "T = {t}, value {value:e} ({:#x})",
+                    value.to_bits()
+                );
+            };
+            specials.iter().copied().for_each(check);
+            // The f32s of [0, 1] at a stride of 4099 ulps.
+            (0..=1.0f32.to_bits())
+                .step_by(4099)
+                .map(f32::from_bits)
+                .for_each(check);
+            // ±8 ulps around every half-way point (k + 0.5) / max, up to
+            // 4096 of them per T.
+            let max = enc.max_level();
+            for k in (0..max).step_by((max as usize / 4096).max(1)) {
+                let half_way = (k as f32 + 0.5) / max as f32;
+                for d in -8i32..=8 {
+                    let value = f32::from_bits(half_way.to_bits().wrapping_add_signed(d));
+                    check(value);
+                    let scaled = value * max as f32;
+                    half_way_hits += u32::from(scaled.fract() == 0.5);
+                }
+            }
+        }
+        // Exact half-way products are among the points: a `>` in place of
+        // `>=` would round them down.
+        assert!(
+            half_way_hits > 1000,
+            "{half_way_hits} exact half-way products"
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!
 //! The cycle-level accelerator simulator in `snn-accel` reproduces these
 //! integer computations **bit-exactly**; the shared [`requantize`] function
-//! guarantees both sides round identically.
+//! guarantees both sides round identically.  It rounds half away from zero
+//! by truncating and comparing the exact fraction, without a `round` call,
+//! and an oracle test pins it to the `f64::round` expression on half-way
+//! points, saturating products and non-finite scales.
 
 use crate::layer::PoolKind;
 use crate::packed::PackedWeights;
@@ -116,12 +119,31 @@ impl SnnTrace {
 /// This function is the single source of truth for the rounding behaviour;
 /// the accelerator simulator calls it too, which is what makes the
 /// cycle-level model bit-exact against the functional model.
+///
+/// The result is `(acc as f64 * requant as f64).round() as i64` clamped to
+/// `0..=max_level` (round half away from zero), computed as truncate and
+/// compare: `x - trunc(x)` is exact in floating point and `as` saturates
+/// exactly like `round() as` (NaN to 0, ±∞ to the `i64` bounds), so no
+/// software `round` is called on a target without a rounding instruction.
+///
+/// # Panics
+///
+/// Panics if `acc > 0` and `max_level < 0` (the clamp's bounds cross).
+#[inline]
 pub fn requantize(acc: i64, requant: f32, max_level: i64) -> i64 {
     if acc <= 0 {
         return 0;
     }
-    let scaled = (acc as f64 * requant as f64).round() as i64;
-    scaled.clamp(0, max_level)
+    let scaled = acc as f64 * requant as f64;
+    let whole = scaled as i64;
+    // At or past the top level the half-way bit cannot matter, and
+    // skipping the add keeps a saturated `i64::MAX` from overflowing.
+    let rounded = if whole >= max_level {
+        whole
+    } else {
+        whole + i64::from(scaled - whole as f64 >= 0.5)
+    };
+    rounded.clamp(0, max_level)
 }
 
 impl SnnModel {
@@ -379,6 +401,101 @@ mod tests {
         assert_eq!(requantize(100, 1.0, 7), 7);
         assert_eq!(requantize(10, 0.25, 7), 3); // 2.5 rounds to 3 (round half up)
         assert_eq!(requantize(9, 0.25, 7), 2);
+    }
+
+    /// The `f64::round` expression `requantize` computes without calling
+    /// `round`: the oracle the truncate-and-compare form is pinned to.
+    fn requantize_by_round(acc: i64, requant: f32, max_level: i64) -> i64 {
+        if acc <= 0 {
+            return 0;
+        }
+        ((acc as f64 * requant as f64).round() as i64).clamp(0, max_level)
+    }
+
+    /// Every level up to 4096, then at most 4096 more spread up to the top
+    /// level (capped at 2^40), then the top two.
+    fn levels_up_to(max_level: i64) -> impl Iterator<Item = i64> {
+        let dense = max_level.min(4096);
+        let far = max_level.min(1 << 40);
+        let step = ((far - dense) / 4096).max(1) as usize;
+        (0..=dense)
+            .chain((dense..far).step_by(step))
+            .chain([max_level - 1, max_level])
+    }
+
+    #[test]
+    fn requantize_matches_the_round_expression() {
+        let scales = [
+            0.25f32,
+            0.5,
+            1.0,
+            1.0 / 1024.0,
+            0.0137,
+            1.0 / 3.0,
+            1.7,
+            93.5,
+            0.0,
+            -0.0,
+            -0.25,
+            -3.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+        ];
+        let max_levels = [1i64, 15, 255, (1 << 24) - 1, i64::MAX];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as i64
+        };
+        let mut half_way_hits = 0u64;
+        for &max_level in &max_levels {
+            for &r in &scales {
+                let check = |acc: i64| {
+                    assert_eq!(
+                        requantize(acc, r, max_level),
+                        requantize_by_round(acc, r, max_level),
+                        "acc {acc}, requant {r:e}, max_level {max_level}"
+                    );
+                };
+                for acc in [i64::MIN, -1 << 40, -7, -1, 0, 1, 2, i64::MAX - 1, i64::MAX] {
+                    check(acc);
+                }
+                for _ in 0..2000 {
+                    // Full-range values, and ones small enough to land
+                    // below the top level.
+                    let acc = random();
+                    check(acc);
+                    check(acc >> 40);
+                }
+                for k in levels_up_to(max_level) {
+                    let half_way = ((k as f64 + 0.5) / r as f64).floor() as i64;
+                    for d in -2..=2 {
+                        let acc = half_way.saturating_add(d);
+                        check(acc);
+                        let scaled = acc as f64 * r as f64;
+                        half_way_hits += u64::from(acc > 0 && scaled.fract() == 0.5);
+                    }
+                }
+            }
+        }
+        // The power-of-two scales put exact half-way products among the
+        // points: a `>` in place of `>=` would round them down.
+        assert!(
+            half_way_hits > 1000,
+            "{half_way_hits} exact half-way products"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn requantize_panics_on_a_negative_max_level() {
+        requantize(1, 1.0, -1);
     }
 
     #[test]
