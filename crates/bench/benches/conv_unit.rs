@@ -4,8 +4,8 @@
 //! what matters when sweeping design points: the spike-major convolution
 //! engine (run the way the executor runs it, from weights packed once)
 //! versus the retained counter-stepped scalar reference and the functional
-//! integer reference, plus the pooling and linear units on LeNet-5-shaped
-//! layers.
+//! integer reference, LeNet-5's first convolution on the engine alone,
+//! plus the pooling and linear units on LeNet-5-shaped layers.
 //!
 //! Besides the usual console output, the harness writes a machine-readable
 //! `BENCH_conv.json` summary to the workspace root with the
@@ -99,6 +99,42 @@ fn bench_conv_unit(c: &mut Criterion) {
         b.iter(|| {
             ops::conv2d(black_box(&input), black_box(&kernel), Some(&bias), 1, 0)
                 .expect("reference conv")
+        });
+    });
+
+    // LeNet-5's first convolution (1 -> 6 channels, 5x5 kernel, 32x32
+    // input, `T = 4`, about half the pixels spiking): the layer that
+    // dominates a LeNet-5 inference on the host.  Informational: no ratio
+    // key reads it.
+    let input = Tensor::from_vec(
+        vec![1, 32, 32],
+        (0..32 * 32u64)
+            .map(|v| v.wrapping_mul(2654435761) >> 8)
+            .map(|x| if x % 2 == 0 { 0 } else { (x >> 1) as i64 % 16 })
+            .collect(),
+    )
+    .expect("input tensor");
+    let kernel = Tensor::from_vec(
+        vec![6, 1, 5, 5],
+        (0..6 * 25).map(|v| ((v % 7) as i64) - 3).collect(),
+    )
+    .expect("kernel tensor");
+    let bias = Tensor::filled(vec![6], 0i64);
+    let packed = PackedWeights::from_conv(&kernel).expect("packed kernels");
+    let unit = ConvolutionUnit::new(LENET_GEOMETRY);
+    let mut scratch = EngineScratch::new();
+    group.bench_function("lenet_conv1_1x32x32_to_6ch_5x5", |b| {
+        b.iter(|| {
+            unit.run_packed(
+                black_box(&input),
+                black_box(&packed),
+                black_box(&bias),
+                4,
+                1,
+                0,
+                &mut scratch,
+            )
+            .expect("conv unit run")
         });
     });
     group.finish();

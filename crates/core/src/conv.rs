@@ -29,12 +29,19 @@
 //!   skipping silent rows 64 pixels per word) once into a flat
 //!   `(column, level)` spike list, and then, for each spike, adds
 //!   `level × W[ic, ky, kx, 0..O]` into the accumulator row of every output
-//!   position a `(kernel tap, output position)` pair covers it with — all
-//!   of a spike's taps in one [`snn_tensor::simd::axpy_taps`] call — the
+//!   position a `(kernel tap, output position)` pair covers it with — the
 //!   host-side picture of the paper's output-channel parallelism.  The
 //!   weights come channel-last from [`PackedWeights`] (held by the model,
 //!   so an inference packs nothing), in the element their codes fit — one
-//!   byte each at the paper's precisions; the accumulators are
+//!   byte each at the paper's precisions — with each kernel row's columns
+//!   reversed: at stride one the taps of a spike along kernel row `ky`
+//!   reach consecutive output positions through consecutive stored weight
+//!   rows, so the whole run is *one* multiply-accumulate of `count × O`
+//!   lanes, as the paper's adder row steps through its kernel row while
+//!   the input register shifts.  A spike is one
+//!   [`snn_tensor::simd::axpy_taps`] call of one run per kernel row (5 on
+//!   LeNet-5, 3 on VGG-11); at larger strides the same loop emits runs of
+//!   one tap.  The accumulators are
 //!   channel-last too and are transposed to `[O, H, W]`, widened to `i64`
 //!   and bias added, once per band.  Wrapping `i64` arithmetic commutes, so
 //!   the result is bit-identical to the cycle-stepped reference — including
@@ -355,9 +362,10 @@ fn product_sparsity_counts(
     counts
 }
 
-/// Weight rows handed to the kernel per call.  A spike covers at most
-/// `Kr x Kc` taps — 9 on VGG-11, 25 on LeNet-5 — so one call per spike is
-/// the rule; a larger kernel just takes more calls.
+/// Runs handed to the kernel per call.  At stride one a spike makes one
+/// run per kernel row — 3 on VGG-11, 5 on LeNet-5 — and at larger strides
+/// at most `Kr x Kc` runs of one tap, so one call per spike is the rule; a
+/// larger kernel just takes more calls.
 const TAP_BATCH: usize = 32;
 
 /// What a band's scatter works on, apart from the element types.
@@ -375,7 +383,12 @@ struct ScatterJob<'a> {
 /// The one scatter loop: every spike adds its level times one packed
 /// weight row (of element `W`) into the accumulator row of each output
 /// position it covers; the result is `[O, out_h, w_out]` with the bias
-/// added.  The rows are channel-last, `[position][lane]`.
+/// added.  The rows are channel-last, `[position][lane]`.  Along one
+/// kernel row a spike reaches `count` outputs through taps `stride`
+/// apart; the columns being stored reversed, at stride one those are
+/// consecutive weight rows for consecutive accumulator rows, and one tap
+/// of `count x lanes` covers the run.  At larger strides each tap is its
+/// own run.
 ///
 /// The spikes scatter into rows of element `S`.  With `group: None` those
 /// are the layer's sums themselves (`A` is then `S`, and unused).  With
@@ -415,22 +428,28 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
             let channel = &codes[row.ic * channel_len..][..channel_len];
             for &(ix, level) in spikes.of(row) {
                 let xs = x_reach[ix as usize];
+                let run = if stride == 1 {
+                    (xs.count as usize).max(1)
+                } else {
+                    1
+                };
+                let width = run * lanes;
                 let level = S::from_level(level);
                 let mut pending = 0;
                 for (ky, oy) in ys.taps(stride) {
-                    for (kx, ox) in xs.taps(stride) {
+                    for (kx, ox) in xs.taps(stride).step_by(run) {
                         if pending == TAP_BATCH {
-                            simd::axpy_taps(&mut sums, channel, &taps, lanes, level);
+                            simd::axpy_taps(&mut sums, channel, &taps, width, level);
                             pending = 0;
                         }
                         taps[pending] = simd::Tap {
                             acc_at: (oy * w_out + ox) * lanes,
-                            w_at: (ky * kc + kx) * lanes,
+                            w_at: (ky * kc + kc - 1 - kx) * lanes,
                         };
                         pending += 1;
                     }
                 }
-                simd::axpy_taps(&mut sums, channel, &taps[..pending], lanes, level);
+                simd::axpy_taps(&mut sums, channel, &taps[..pending], width, level);
             }
         }
         if group.is_some() {
@@ -462,7 +481,7 @@ fn transpose<E: Copy + Into<i64>>(
     bias: &[i64],
 ) {
     for (oc, plane) in planes.chunks_mut(out_positions).enumerate() {
-        let bias = bias.get(oc).copied().unwrap_or(0);
+        let bias = bias[oc];
         for (position, out) in plane.iter_mut().enumerate() {
             *out = rows[position * lanes + oc].into() + bias;
         }
@@ -682,7 +701,8 @@ impl ConvolutionUnit {
     ///
     /// As [`ConvolutionUnit::run_packed`], plus
     /// [`AccelError::UnsupportedLayer`] when `band_levels` does not match
-    /// the band's row count, the band is empty, the stride is zero, or the
+    /// the band's row count, the band is empty, the stride is zero,
+    /// `bias_acc` does not hold exactly one bias per output channel, or the
     /// band's input rows start later than its first output row reads (the
     /// start is checkable without the image height; the end is not — see
     /// the caller contract above).
@@ -732,6 +752,12 @@ impl ConvolutionUnit {
             return Err(unsupported(
                 "convolution stride must be non-zero".to_string(),
             ));
+        }
+        if bias_acc.len() != c_out {
+            return Err(unsupported(format!(
+                "convolution needs one bias per output channel ({c_out}), got {}",
+                bias_acc.len()
+            )));
         }
         if band.out_hi <= band.out_lo || band.in_hi <= band.in_lo {
             return Err(unsupported(format!(

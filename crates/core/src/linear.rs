@@ -134,11 +134,11 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     accumulators
 }
 
-/// The sums widened to `i64`, each with its output's bias (if it has one).
+/// The sums widened to `i64`, each with its output's bias.
 fn with_bias<E: Copy + Into<i64>>(sums: &[E], bias: &[i64]) -> Vec<i64> {
     sums.iter()
         .enumerate()
-        .map(|(oc, &sum)| sum.into() + bias.get(oc).copied().unwrap_or(0))
+        .map(|(oc, &sum)| sum.into() + bias[oc])
         .collect()
 }
 
@@ -208,7 +208,8 @@ impl LinearUnit {
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::UnsupportedLayer`] when shapes do not match or
+    /// Returns [`AccelError::UnsupportedLayer`] when shapes do not match,
+    /// `bias_acc` does not hold exactly one bias per output, or
     /// `time_steps` exceeds the 63 payload bits of an `i64` level.
     pub fn run_packed(
         &self,
@@ -286,12 +287,6 @@ impl LinearUnit {
                 self.lanes
             )));
         }
-        if bias_acc.len() != o {
-            return Err(unsupported(format!(
-                "chunked execution needs one bias per output ({o}), got {}",
-                bias_acc.len()
-            )));
-        }
         self.run_chunks(
             input_levels,
             weights,
@@ -326,6 +321,12 @@ impl LinearUnit {
             return Err(unsupported(format!(
                 "weight matrix expects {} inputs, activation buffer provides {n}",
                 weights.c_in()
+            )));
+        }
+        if bias_acc.len() != o {
+            return Err(unsupported(format!(
+                "linear unit needs one bias per output ({o}), got {}",
+                bias_acc.len()
             )));
         }
         if time_steps > 63 {
@@ -375,7 +376,7 @@ impl LinearUnit {
                 adder_ops: outputs * total_popcount,
                 activation_reads: groups * slots,
                 kernel_reads: outputs * slots,
-                output_writes: hi.min(bias.len()).saturating_sub(lo) as u64,
+                output_writes: outputs,
                 ..UnitStats::default()
             };
         }

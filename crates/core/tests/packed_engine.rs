@@ -125,15 +125,20 @@ proptest! {
 
     /// Convolution: whole layer and every row-band partition, through the
     /// packed entry points and through the raw one, equal the reference.
+    /// Kernels are non-square, `1..=5` a side (1×1 and LeNet-5's 5×5
+    /// among them), at strides `1..=3` and paddings below the kernel
+    /// width: the runs of one spike along a kernel row are then whole,
+    /// cut at either border, or single taps.
     #[test]
     fn packed_conv_matches_the_reference_unit(
         c_out_sel in 0usize..LANE_TAILS.len(),
         t_sel in 0usize..TIME_STEPS.len(),
         c_in_sel in 0usize..CHANNELS.len(),
-        size in 4usize..8,
-        kernel in 2usize..4,
-        stride in 1usize..3,
-        padding in 0usize..3,
+        size in 5usize..9,
+        kr in 1usize..=5,
+        kc in 1usize..=5,
+        stride in 1usize..=3,
+        padding_sel in 0usize..5,
         rows_per_band in 1usize..4,
         columns in 1usize..6,
         silent in proptest::bool::ANY,
@@ -143,6 +148,7 @@ proptest! {
     ) {
         let (c_out, time_steps) = (LANE_TAILS[c_out_sel], TIME_STEPS[t_sel]);
         let c_in = CHANNELS[if small { c_in_sel } else { c_in_sel % 3 }];
+        let padding = padding_sel % kc;
         // One input in eight is all silent.
         let silent = silent && seed.is_multiple_of(4);
         let input = Tensor::from_vec(
@@ -150,15 +156,15 @@ proptest! {
             (0..c_in * size * size).map(|i| level(i, seed, time_steps, silent)).collect(),
         ).unwrap();
         let kernels = Tensor::from_vec(
-            vec![c_out, c_in, kernel, kernel],
-            codes(c_out, c_in * kernel * kernel, seed, small, narrow.then_some(time_steps)),
+            vec![c_out, c_in, kr, kc],
+            codes(c_out, c_in * kr * kc, seed, small, narrow.then_some(time_steps)),
         ).unwrap();
         let bias = Tensor::from_vec(
             vec![c_out],
             (0..c_out).map(|i| (i as i64) * 1000 - 3).collect(),
         ).unwrap();
 
-        let geometry = ArrayGeometry { columns, rows: kernel };
+        let geometry = ArrayGeometry { columns, rows: kr };
         let oracle = ReferenceConvolutionUnit::new(geometry)
             .run_layer(&input, &kernels, &bias, time_steps, stride, padding)
             .unwrap();
@@ -195,7 +201,7 @@ proptest! {
                 out_lo: lo,
                 out_hi: hi,
                 in_lo,
-                in_hi: ((hi - 1) * stride + kernel)
+                in_hi: ((hi - 1) * stride + kr)
                     .saturating_sub(padding)
                     .clamp(in_lo + 1, size),
             };
@@ -499,6 +505,93 @@ fn oversized_weight_codes_are_a_typed_error_from_the_raw_entries() {
             linear.run_layer_chunked(&vector, &weights, &bias2, 3, 2),
             Err(AccelError::UnsupportedLayer { .. })
         ));
+    }
+}
+
+/// A bias tensor must hold exactly one bias per output channel: one too
+/// few or one too many is a typed error from every convolution and linear
+/// entry point, never a silently zero-filled or ignored bias.
+#[test]
+fn a_bias_of_the_wrong_length_is_a_typed_error_from_every_entry() {
+    let conv = ConvolutionUnit::new(ArrayGeometry {
+        columns: 4,
+        rows: 3,
+    });
+    let input = Tensor::filled(vec![2, 5, 5], 3i64);
+    let kernels = Tensor::filled(vec![3, 2, 3, 3], 1i64);
+    let packed = PackedWeights::from_conv(&kernels).unwrap();
+    let band = RowBand {
+        out_lo: 0,
+        out_hi: 3,
+        in_lo: 0,
+        in_hi: 5,
+    };
+    let linear = LinearUnit::new(4);
+    let vector = Tensor::filled(vec![6], 3i64);
+    let matrix = Tensor::filled(vec![8, 6], 1i64);
+    let packed_matrix = PackedWeights::from_linear(&matrix).unwrap();
+    let mut scratch = EngineScratch::new();
+    let rejected = |result: Result<(), AccelError>, what: &str| {
+        assert!(
+            matches!(&result, Err(AccelError::UnsupportedLayer { context, .. }) if context.contains("bias")),
+            "{what}: {result:?}"
+        );
+    };
+    // The right length runs, through every entry.
+    let (conv_bias, linear_bias) = (Tensor::filled(vec![3], 1i64), Tensor::filled(vec![8], 1i64));
+    conv.run_layer(&input, &kernels, &conv_bias, 3, 1, 0)
+        .unwrap();
+    linear
+        .run_packed_chunked(&vector, &packed_matrix, &linear_bias, 3, 4, &mut scratch)
+        .unwrap();
+    for len in [2usize, 4] {
+        let bias = Tensor::filled(vec![len], 1i64);
+        let what = |entry: &str| format!("conv {entry}, {len} biases for 3 channels");
+        rejected(
+            conv.run_layer(&input, &kernels, &bias, 3, 1, 0).map(drop),
+            &what("run_layer"),
+        );
+        rejected(
+            conv.run_layer_band(&input, &kernels, &bias, 3, 1, 0, &band)
+                .map(drop),
+            &what("run_layer_band"),
+        );
+        rejected(
+            conv.run_packed(&input, &packed, &bias, 3, 1, 0, &mut scratch)
+                .map(drop),
+            &what("run_packed"),
+        );
+        rejected(
+            conv.run_packed_band(&input, &packed, &bias, 3, 1, 0, &band, &mut scratch)
+                .map(drop),
+            &what("run_packed_band"),
+        );
+    }
+    for len in [7usize, 9] {
+        let bias = Tensor::filled(vec![len], 1i64);
+        let what = |entry: &str| format!("linear {entry}, {len} biases for 8 outputs");
+        rejected(
+            linear.run_layer(&vector, &matrix, &bias, 3).map(drop),
+            &what("run_layer"),
+        );
+        rejected(
+            linear
+                .run_layer_chunked(&vector, &matrix, &bias, 3, 4)
+                .map(drop),
+            &what("run_layer_chunked"),
+        );
+        rejected(
+            linear
+                .run_packed(&vector, &packed_matrix, &bias, 3, &mut scratch)
+                .map(drop),
+            &what("run_packed"),
+        );
+        rejected(
+            linear
+                .run_packed_chunked(&vector, &packed_matrix, &bias, 3, 4, &mut scratch)
+                .map(drop),
+            &what("run_packed_chunked"),
+        );
     }
 }
 

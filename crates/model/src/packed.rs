@@ -7,9 +7,21 @@
 //! units work on different output channels of the same input row, and the
 //! linear unit is a row of adders fed one weight word per cycle.  The
 //! engine in `snn-accel` executes the same way — for each input spike it
-//! adds one weight row into all output-channel lanes — so it wants the
+//! adds weight rows into all output-channel lanes — so it wants the
 //! output channel *innermost*: `[C, Kr, Kc, O_pad]`, and for a linear
 //! layer `[N, O_pad]`, which is the same thing with a 1×1 kernel.
+//!
+//! Within each kernel row the columns are stored **reversed**: tap
+//! `(ky, kx)` is row `ky * Kc + (Kc - 1 - kx)` of its channel.  At stride
+//! one a spike at input column `ix` reaches output column `ox` through
+//! `kx = ix + padding - ox`, so consecutive outputs take *descending* `kx`:
+//! reversed, the weight rows of one spike's run of outputs along a kernel
+//! row lie back to back, exactly as the accumulator rows of those outputs
+//! do, and the whole run is one contiguous multiply-accumulate — the host
+//! picture of the paper's adder row stepping through its kernel row as the
+//! input register shifts.  [`PackedWeights::row`] still takes the logical
+//! tap; only [`PackedWeights::codes`] and [`PackedWeights::channel`] show
+//! the stored order.
 //!
 //! # How wide the codes are
 //!
@@ -110,15 +122,16 @@ impl Element for i16 {
     }
 }
 
-/// Transposes the `[c_out, cols]` matrix `src` into `[cols, lanes]`,
-/// narrowing each code to `E`, block by block, and sums each output
-/// channel's magnitudes on the way: the rows, the largest `Σ|w|` of an
-/// output channel and the largest `|w|`.  `None` when a code does not fit
-/// `E`.
+/// Transposes the `[c_out, cols]` matrix `src` into `[cols, lanes]` with
+/// every run of `kc` columns (one kernel row) reversed, narrowing each code
+/// to `E`, block by block, and sums each output channel's magnitudes on
+/// the way: the rows, the largest `Σ|w|` of an output channel and the
+/// largest `|w|`.  `None` when a code does not fit `E`.
 fn narrow<E: Element>(
     src: &[i64],
     c_out: usize,
     cols: usize,
+    kc: usize,
     lanes: usize,
 ) -> Option<(Vec<E>, u64, u16)> {
     let mut data = vec![E::default(); cols * lanes];
@@ -132,8 +145,13 @@ fn narrow<E: Element>(
         for c0 in (0..cols).step_by(BLOCK) {
             // At most `BLOCK` magnitudes of at most 2^15 each per lane.
             let mut block_sums = [0u32; BLOCK];
+            // The kernel column of `c`, stepped along with it: one division
+            // per block, none per column in this innermost column loop.
+            let mut kx = c0 % kc;
             for c in c0..(c0 + BLOCK).min(cols) {
-                let dst = &mut data[c * lanes + r0..c * lanes + r1];
+                let to = c - kx + (kc - 1 - kx);
+                kx = if kx + 1 == kc { 0 } else { kx + 1 };
+                let dst = &mut data[to * lanes + r0..to * lanes + r1];
                 for (d, row) in dst.iter_mut().zip(rows.chunks_exact(cols)) {
                     let code = row[c];
                     *d = E::truncate(code);
@@ -168,7 +186,8 @@ pub struct PackedWeights {
     kernel_cols: usize,
     c_out: usize,
     lanes: usize,
-    /// `[c_in, kernel_rows, kernel_cols, lanes]`, lanes `c_out..` zero.
+    /// `[c_in, kernel_rows, kernel_cols reversed, lanes]`, lanes `c_out..`
+    /// zero.
     data: Stored,
     /// Largest `Σ|w|` of one output channel over all its rows (see the
     /// module docs).
@@ -215,10 +234,10 @@ impl PackedWeights {
     fn pack(src: &[i64], c_out: usize, c_in: usize, kr: usize, kc: usize) -> Result<Self> {
         let cols = c_in * kr * kc;
         let lanes = c_out.next_multiple_of(LANE_ALIGN);
-        let packed = narrow(src, c_out, cols, lanes)
+        let packed = narrow(src, c_out, cols, kc, lanes)
             .map(|(codes, sum, max)| (Stored::I8(codes), sum, max))
             .or_else(|| {
-                narrow(src, c_out, cols, lanes)
+                narrow(src, c_out, cols, kc, lanes)
                     .map(|(codes, sum, max)| (Stored::I16(codes), sum, max))
             });
         let Some((data, abs_sum_max, abs_max)) = packed else {
@@ -293,10 +312,11 @@ impl PackedWeights {
         self.lanes
     }
 
-    /// Every code, `[c_in, kernel_rows, kernel_cols, lanes]`, in the stored
-    /// element: channel `ic` is the `kernel_rows * kernel_cols * lanes`
-    /// codes from `ic` times that, and in it tap `(ky, kx)` starts at
-    /// `(ky * kernel_cols + kx) * lanes`.
+    /// Every code, `[c_in, kernel_rows, kernel_cols reversed, lanes]`, in
+    /// the stored element: channel `ic` is the `kernel_rows * kernel_cols *
+    /// lanes` codes from `ic` times that, and in it tap `(ky, kx)` starts
+    /// at `(ky * kernel_cols + kernel_cols - 1 - kx) * lanes` (see the
+    /// module docs).
     pub fn codes(&self) -> Codes<'_> {
         match &self.data {
             Stored::I8(codes) => Codes::I8(codes),
@@ -305,7 +325,8 @@ impl PackedWeights {
     }
 
     /// The weights of tap `(ky, kx)` of input channel `ic` for every
-    /// output channel: [`Self::lanes`] codes, zero beyond `c_out`.
+    /// output channel: [`Self::lanes`] codes, zero beyond `c_out`.  `kx` is
+    /// the logical kernel column, whatever the stored order.
     ///
     /// # Panics
     ///
@@ -315,12 +336,14 @@ impl PackedWeights {
             ic < self.c_in && ky < self.kernel_rows && kx < self.kernel_cols,
             "packed weight row ({ic}, {ky}, {kx}) out of range"
         );
-        let start = ((ic * self.kernel_rows + ky) * self.kernel_cols + kx) * self.lanes;
+        let stored = ky * self.kernel_cols + self.kernel_cols - 1 - kx;
+        let start = (ic * self.kernel_rows * self.kernel_cols + stored) * self.lanes;
         self.codes().slice(start..start + self.lanes)
     }
 
-    /// Every weight row of input channel `ic`, `[kernel_rows, kernel_cols,
-    /// lanes]`: tap `(ky, kx)` starts at `(ky * kernel_cols + kx) * lanes`.
+    /// Every weight row of input channel `ic`, `[kernel_rows, kernel_cols
+    /// reversed, lanes]`: tap `(ky, kx)` starts at
+    /// `(ky * kernel_cols + kernel_cols - 1 - kx) * lanes`.
     ///
     /// # Panics
     ///
@@ -552,17 +575,44 @@ mod tests {
 
     #[test]
     fn a_channel_is_its_rows_back_to_back() {
-        let codes: Vec<i64> = (0..6 * 3 * 2 * 2).map(|v| v as i64 - 30).collect();
+        // A non-square kernel whose rows cross the 32-wide transpose blocks
+        // (3 x 5 x 7 = 105 columns), so the reversal runs mid-block too.
+        let (o, c, kr, kc) = (6usize, 3usize, 5usize, 7usize);
+        let code = |oc: usize, ic: usize, ky: usize, kx: usize| {
+            (((oc * c + ic) * kr + ky) * kc + kx) as i64 % 251 - 125
+        };
+        let mut values = Vec::new();
+        for oc in 0..o {
+            for ic in 0..c {
+                for ky in 0..kr {
+                    for kx in 0..kc {
+                        values.push(code(oc, ic, ky, kx));
+                    }
+                }
+            }
+        }
         let packed =
-            PackedWeights::from_conv(&Tensor::from_vec(vec![6, 3, 2, 2], codes).unwrap()).unwrap();
+            PackedWeights::from_conv(&Tensor::from_vec(vec![o, c, kr, kc], values).unwrap())
+                .unwrap();
         let lanes = packed.lanes();
         let all = widened(packed.codes());
-        for ic in 0..3 {
+        for ic in 0..c {
             let channel = widened(packed.channel(ic));
-            assert_eq!(channel, all[ic * 4 * lanes..(ic + 1) * 4 * lanes]);
-            for (ky, kx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                let at = (ky * 2 + kx) * lanes;
-                assert_eq!(channel[at..at + lanes], widened(packed.row(ic, ky, kx)));
+            assert_eq!(
+                channel,
+                all[ic * kr * kc * lanes..(ic + 1) * kr * kc * lanes]
+            );
+            for ky in 0..kr {
+                for kx in 0..kc {
+                    // Stored order: kernel row `ky`, column `kc - 1 - kx`.
+                    let at = (ky * kc + kc - 1 - kx) * lanes;
+                    let stored = &channel[at..at + lanes];
+                    assert_eq!(stored, widened(packed.row(ic, ky, kx)), "({ic},{ky},{kx})");
+                    for (oc, &w) in stored.iter().enumerate() {
+                        let expected = if oc < o { code(oc, ic, ky, kx) } else { 0 };
+                        assert_eq!(w, expected, "({ic},{ky},{kx}) lane {oc}");
+                    }
+                }
             }
         }
     }

@@ -34,6 +34,28 @@ pub struct QuantizedTensor {
     bits: u8,
 }
 
+/// `x` rounded half away from zero and clamped to `±max_code`:
+/// `(x.round() as i32).clamp(-max_code, max_code)`, without the software
+/// `round` the baseline x86-64 target calls for it.  The magnitude is
+/// truncated and its fraction compared with one half; below `max_code`
+/// (at most `2^15 - 1`) that fraction is exact in `f32`, and at or above
+/// it the clamp decides alone.  NaN truncates to 0, as `round` does.
+#[inline]
+fn code_of(x: f32, max_code: i32) -> i32 {
+    let magnitude = x.abs();
+    let whole = magnitude as i32;
+    let code = if whole >= max_code {
+        max_code
+    } else {
+        whole + i32::from(magnitude - whole as f32 >= 0.5)
+    };
+    if x < 0.0 {
+        -code
+    } else {
+        code
+    }
+}
+
 impl QuantizedTensor {
     /// Quantizes `real` to signed `bits`-bit codes with a symmetric range.
     ///
@@ -58,10 +80,7 @@ impl QuantizedTensor {
         } else {
             max_abs / max_code as f32
         };
-        let codes = real.map(|&v| {
-            let code = (v / scale).round() as i32;
-            code.clamp(-max_code, max_code)
-        });
+        let codes = real.map(|&v| code_of(v / scale, max_code));
         Ok(QuantizedTensor { codes, scale, bits })
     }
 
@@ -152,6 +171,91 @@ mod tests {
         let deq = q.dequantize();
         for (orig, back) in real.iter().zip(deq.iter()) {
             assert!((orig - back).abs() <= q.scale() / 2.0 + 1e-6);
+        }
+    }
+
+    /// The `round` expression `quantize` computes without calling it: the
+    /// oracle `code_of` is pinned to.
+    fn code_by_round(x: f32, max_code: i32) -> i32 {
+        (x.round() as i32).clamp(-max_code, max_code)
+    }
+
+    #[test]
+    fn codes_match_the_round_expression_at_every_half_way_point() {
+        for bits in 2..=16u8 {
+            let max_code = QuantizedTensor::max_code_for(bits);
+            let check = |x: f32| {
+                assert_eq!(
+                    code_of(x, max_code),
+                    code_by_round(x, max_code),
+                    "x = {x:e} ({:#x}), bits {bits}",
+                    x.to_bits()
+                );
+            };
+            // Every half-way point up to one past the top code, and the 8
+            // floats on either side of each, both signs.
+            for k in 0..=max_code {
+                let half = k as f32 + 0.5;
+                for ulps in -8i32..=8 {
+                    let x = f32::from_bits(half.to_bits().wrapping_add_signed(ulps));
+                    check(x);
+                    check(-x);
+                }
+            }
+            // Signed zeros, non-finite values, subnormals, huge values.
+            let specials = [
+                0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                f32::from_bits(0x007f_ffff),
+                f32::MAX,
+                2_147_483_648.0,
+                1e20,
+                max_code as f32,
+                max_code as f32 + 1.0,
+            ];
+            for x in specials {
+                check(x);
+                check(-x);
+            }
+            // Random bit patterns, and random magnitudes up to twice the top
+            // code.
+            let mut state = 0x2545_f491_4f6c_dd1du64 ^ u64::from(bits);
+            for _ in 0..20_000 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                check(f32::from_bits(state as u32));
+                let unit = (state >> 40) as f32 / (1u64 << 24) as f32;
+                check((unit - 0.5) * 4.0 * max_code as f32);
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_the_round_expression() {
+        // Through the public entry, the scale included: random weights at
+        // every precision, plus signed zeros, the largest magnitude and a
+        // weight near the half-way point between codes 0 and 1.
+        for bits in 2..=16u8 {
+            let max_code = QuantizedTensor::max_code_for(bits);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(bits);
+            let mut values: Vec<f32> = (0..4096)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    ((state >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.3
+                })
+                .collect();
+            values.extend([0.0, -0.0, 1.0, 1.0 / (2 * max_code) as f32]);
+            let real = Tensor::from_vec(vec![values.len()], values.clone()).unwrap();
+            let q = QuantizedTensor::quantize(&real, bits).unwrap();
+            for (&v, &code) in values.iter().zip(q.codes().iter()) {
+                assert_eq!(code, code_by_round(v / q.scale(), max_code), "{v}");
+            }
         }
     }
 
