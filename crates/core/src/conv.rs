@@ -91,7 +91,7 @@
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
-use crate::units::{unsupported, EngineScratch, Lane, LaneRows, UnitStats};
+use crate::units::{unsupported, EngineScratch, KernelSource, Lane, LaneRows, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, ops, simd, Tensor};
@@ -488,12 +488,6 @@ fn transpose<E: Copy + Into<i64>>(
     }
 }
 
-/// Packs raw `[O, C, Kr, Kc]` kernel codes for one call of a raw-tensor
-/// entry point.
-fn pack_kernels(kernel_codes: &Tensor<i64>) -> Result<PackedWeights> {
-    PackedWeights::from_conv(kernel_codes).map_err(|e| unsupported(e.to_string()))
-}
-
 impl ConvolutionUnit {
     /// Creates a convolution unit with the given adder-array geometry.
     pub fn new(geometry: ArrayGeometry) -> Self {
@@ -546,37 +540,34 @@ impl ConvolutionUnit {
         width.div_ceil(self.geometry.columns)
     }
 
-    /// Executes one convolution layer on this unit from raw kernel codes.
+    /// Executes one convolution layer on this unit.
     ///
     /// * `input_levels` — `[C, H, W]` radix levels of the input activations
     ///   (each level's binary expansion is the spike train, MSB first).
-    /// * `kernel_codes` — `[O, C, K, K]` quantized kernel codes.
+    /// * `kernel_codes` — a layer's packed kernels, or raw `[O, C, K, K]`
+    ///   codes packed for this one call (see [`KernelSource`]).
     /// * `bias_acc` — `[O]` biases pre-scaled to accumulator units.
     /// * `time_steps` — spike-train length `T`.
     ///
-    /// Packs the kernels for this one call and runs
-    /// [`ConvolutionUnit::run_packed`]; the executor, which holds a model,
-    /// passes [`snn_model::snn::SnnModel::packed`] instead and packs
-    /// nothing per inference.
+    /// Runs [`ConvolutionUnit::run_packed`] with a throw-away scratch.
     ///
     /// # Errors
     ///
     /// As [`ConvolutionUnit::run_packed`], plus
-    /// [`AccelError::UnsupportedLayer`] when a kernel code does not fit
+    /// [`AccelError::UnsupportedLayer`] when a raw kernel code does not fit
     /// the widest packed element, `i16`.
-    pub fn run_layer(
+    pub fn run_layer<K: KernelSource + ?Sized>(
         &self,
         input_levels: &Tensor<i64>,
-        kernel_codes: &Tensor<i64>,
+        kernel_codes: &K,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         stride: usize,
         padding: usize,
     ) -> Result<ConvResult> {
-        let weights = pack_kernels(kernel_codes)?;
         self.run_packed(
             input_levels,
-            &weights,
+            &*kernel_codes.packed(PackedWeights::from_conv)?,
             bias_acc,
             time_steps,
             stride,
@@ -637,30 +628,29 @@ impl ConvolutionUnit {
         )
     }
 
-    /// Executes one **row-band tile** of a convolution layer from raw
-    /// kernel codes: packs them for this one call and runs
-    /// [`ConvolutionUnit::run_packed_band`].
+    /// Executes one **row-band tile** of a convolution layer: runs
+    /// [`ConvolutionUnit::run_packed_band`] on `kernel_codes` (see
+    /// [`KernelSource`]) with a throw-away scratch.
     ///
     /// # Errors
     ///
     /// As [`ConvolutionUnit::run_packed_band`], plus
-    /// [`AccelError::UnsupportedLayer`] when a kernel code does not fit
+    /// [`AccelError::UnsupportedLayer`] when a raw kernel code does not fit
     /// the widest packed element, `i16`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_layer_band(
+    pub fn run_layer_band<K: KernelSource + ?Sized>(
         &self,
         band_levels: &Tensor<i64>,
-        kernel_codes: &Tensor<i64>,
+        kernel_codes: &K,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         stride: usize,
         padding: usize,
         band: &RowBand,
     ) -> Result<ConvResult> {
-        let weights = pack_kernels(kernel_codes)?;
         self.run_packed_band(
             band_levels,
-            &weights,
+            &*kernel_codes.packed(PackedWeights::from_conv)?,
             bias_acc,
             time_steps,
             stride,

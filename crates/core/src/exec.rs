@@ -2,10 +2,10 @@
 //!
 //! `execute` walks the compiled [`Program`] one layer at a time on the
 //! calling thread.  Each layer reads the current half of the ping-pong
-//! activation buffer, runs on its processing-unit model (or, at
-//! transaction level, on the functional integer model) and writes the
-//! other half.  The conv and linear units execute from the model's
-//! channel-last packed weights ([`SnnModel::packed`]), so an inference
+//! activation buffer, runs on its processing-unit model and writes the
+//! other half; a unit's error is stamped with the index of the layer it
+//! failed on.  The conv and linear units execute from the layers'
+//! channel-last packed weights ([`SnnLayer::weights`]), so an inference
 //! packs nothing, and there is no host parallelism below this loop: one
 //! inference is one thread, and the only fan-out is across the requests
 //! of a batch ([`crate::sim::Accelerator::run_batch`], the serving
@@ -41,21 +41,8 @@ use crate::report::{LayerExecution, RunReport, UnitUtilisation};
 use crate::timing::{ConvGroupPlan, StageKind};
 use crate::units::{EngineScratch, UnitStats};
 use crate::{AccelError, Result};
-use snn_model::layer::PoolKind;
-use snn_model::packed::PackedWeights;
 use snn_model::snn::{requantize, SnnLayer, SnnModel};
-use snn_tensor::{ops, Tensor};
-
-/// At which level of detail an inference executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Unit-exact: every layer runs on the spike-major processing-unit
-    /// models with exact work/operation counts.
-    CycleAccurate,
-    /// Transaction-level: functional integer math plus the analytical
-    /// timing model only.
-    Transaction,
-}
+use snn_tensor::Tensor;
 
 /// The instantiated processing units of one accelerator.
 struct Units {
@@ -84,7 +71,6 @@ pub(crate) fn execute(
     model: &SnnModel,
     program: &Program,
     input_levels: Tensor<i64>,
-    mode: ExecutionMode,
 ) -> Result<RunReport> {
     let max_level = model.max_level();
     let time_steps = model.time_steps();
@@ -106,14 +92,19 @@ pub(crate) fn execute(
         let (next, work) = execute_layer(
             &units,
             layer,
-            model.packed(index),
             step,
             buffer.current()?,
             time_steps,
             max_level,
-            mode,
             &mut scratch,
-        )?;
+        )
+        .map_err(|e| match e {
+            AccelError::UnsupportedLayer { context, .. } => AccelError::UnsupportedLayer {
+                layer: index,
+                context,
+            },
+            other => other,
+        })?;
         traffic.activation_reads += work.activation_reads;
         traffic.weight_reads += work.kernel_reads;
         traffic.activation_writes += work.output_writes;
@@ -192,34 +183,24 @@ fn write_row_band(dst: &mut Tensor<i64>, band: &Tensor<i64>, out_lo: usize) {
 }
 
 /// Executes one layer, tile by tile when the compiled step carries a
-/// tiling.  `packed` is the model's channel-last copy of the layer's
-/// weights (`Some` for every conv/linear layer), which the units execute
-/// from; the layer's own `weight_codes` serve only the transaction-level
-/// functional path.
-#[allow(clippy::too_many_arguments)]
+/// tiling.
 fn execute_layer(
     units: &Units,
     layer: &SnnLayer,
-    packed: Option<&PackedWeights>,
     step: &LayerProgram,
     current: &Tensor<i64>,
     time_steps: usize,
     max_level: i64,
-    mode: ExecutionMode,
     scratch: &mut EngineScratch,
 ) -> Result<(Tensor<i64>, UnitStats)> {
-    match (layer, mode) {
-        (
-            SnnLayer::Conv {
-                bias_acc,
-                stride,
-                padding,
-                requant,
-                ..
-            },
-            ExecutionMode::CycleAccurate,
-        ) => {
-            let weights = packed.expect("SnnModel::new packs every convolution layer");
+    match layer {
+        SnnLayer::Conv {
+            weight_codes: weights,
+            bias_acc,
+            stride,
+            padding,
+            requant,
+        } => {
             if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
                 let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
                 let mut work = UnitStats::default();
@@ -250,13 +231,11 @@ fn execute_layer(
             let levels = apply_requant(result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
-        (
-            SnnLayer::Linear {
-                bias_acc, requant, ..
-            },
-            ExecutionMode::CycleAccurate,
-        ) => {
-            let weights = packed.expect("SnnModel::new packs every linear layer");
+        SnnLayer::Linear {
+            weight_codes: weights,
+            bias_acc,
+            requant,
+        } => {
             let result = if let Some(LayerTiling::OutputChunks { chunk }) = &step.tiling {
                 units
                     .linear
@@ -269,7 +248,7 @@ fn execute_layer(
             let levels = apply_requant(result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
-        (SnnLayer::Pool { kind, window }, ExecutionMode::CycleAccurate) => {
+        SnnLayer::Pool { kind, window } => {
             if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
                 let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
                 let mut work = UnitStats::default();
@@ -287,7 +266,7 @@ fn execute_layer(
             let result = units.pool.run_layer(current, *kind, *window, time_steps)?;
             Ok((result.levels, result.stats))
         }
-        (SnnLayer::Flatten, _) => {
+        SnnLayer::Flatten => {
             let volume = current.len();
             let flattened = current
                 .clone()
@@ -301,71 +280,18 @@ fn execute_layer(
             };
             Ok((flattened, work))
         }
-        // Transaction-level execution: functional math, no unit-level
-        // operation counting.
-        (layer, ExecutionMode::Transaction) => {
-            let next = functional_layer(layer, current, max_level)?;
-            Ok((next, UnitStats::default()))
-        }
     }
 }
 
 /// Requantizes accumulators to levels in place; without a requantization
 /// step (the last layer) they pass through as they are.
-pub(crate) fn apply_requant(
-    mut acc: Tensor<i64>,
-    requant: Option<f32>,
-    max_level: i64,
-) -> Tensor<i64> {
+fn apply_requant(mut acc: Tensor<i64>, requant: Option<f32>, max_level: i64) -> Tensor<i64> {
     if let Some(r) = requant {
         for v in acc.iter_mut() {
             *v = requantize(*v, r, max_level);
         }
     }
     acc
-}
-
-/// Functional (transaction-level) execution of one layer, shared with the
-/// integer reference model.
-pub(crate) fn functional_layer(
-    layer: &SnnLayer,
-    current: &Tensor<i64>,
-    max_level: i64,
-) -> Result<Tensor<i64>> {
-    let next = match layer {
-        SnnLayer::Conv {
-            weight_codes,
-            bias_acc,
-            stride,
-            padding,
-            requant,
-        } => {
-            let acc = ops::conv2d(current, weight_codes, Some(bias_acc), *stride, *padding)
-                .map_err(AccelError::Tensor)?;
-            apply_requant(acc, *requant, max_level)
-        }
-        SnnLayer::Linear {
-            weight_codes,
-            bias_acc,
-            requant,
-        } => {
-            let acc =
-                ops::linear(current, weight_codes, Some(bias_acc)).map_err(AccelError::Tensor)?;
-            apply_requant(acc, *requant, max_level)
-        }
-        SnnLayer::Pool { kind, window } => match kind {
-            PoolKind::Average => ops::avg_pool2d(current, *window).map_err(AccelError::Tensor)?,
-            PoolKind::Max => ops::max_pool2d(current, *window).map_err(AccelError::Tensor)?,
-        },
-        SnnLayer::Flatten => {
-            let volume = current.len();
-            current
-                .clone()
-                .reshape(vec![volume])
-                .map_err(AccelError::Tensor)?
-        }
-    };
-    Ok(next)
 }
 
 /// Derives the per-unit busy/idle cycle counters of one inference from the

@@ -42,7 +42,7 @@
 //! (`adder_ops`); property tests check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
-use crate::units::{unsupported, EngineScratch, Lane, LaneRows, UnitStats};
+use crate::units::{unsupported, EngineScratch, KernelSource, Lane, LaneRows, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, simd, Tensor};
@@ -61,12 +61,6 @@ pub struct LinearResult {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearUnit {
     lanes: usize,
-}
-
-/// Packs raw `[O, N]` weight codes for one call of a raw-tensor entry
-/// point.
-fn pack_weights(weight_codes: &Tensor<i64>) -> Result<PackedWeights> {
-    PackedWeights::from_linear(weight_codes).map_err(|e| unsupported(e.to_string()))
 }
 
 /// How many spikes ahead the scatter loop asks for a weight row.  The rows
@@ -170,32 +164,30 @@ impl LinearUnit {
         self.lanes
     }
 
-    /// Executes one fully-connected layer from raw weight codes.
+    /// Executes one fully-connected layer.
     ///
     /// * `input_levels` — `[N]` radix levels of the input activations.
-    /// * `weight_codes` — `[O, N]` quantized weight codes.
+    /// * `weight_codes` — a layer's packed weights, or raw `[O, N]` codes
+    ///   packed for this one call (see [`KernelSource`]).
     /// * `bias_acc` — `[O]` biases pre-scaled to accumulator units.
     ///
-    /// Packs the weights for this one call and runs
-    /// [`LinearUnit::run_packed`]; the executor, which holds a model,
-    /// passes [`snn_model::snn::SnnModel::packed`] instead.
+    /// Runs [`LinearUnit::run_packed`] with a throw-away scratch.
     ///
     /// # Errors
     ///
     /// As [`LinearUnit::run_packed`], plus
-    /// [`AccelError::UnsupportedLayer`] when a weight code does not fit
+    /// [`AccelError::UnsupportedLayer`] when a raw weight code does not fit
     /// the widest packed element, `i16`.
-    pub fn run_layer(
+    pub fn run_layer<K: KernelSource + ?Sized>(
         &self,
         input_levels: &Tensor<i64>,
-        weight_codes: &Tensor<i64>,
+        weight_codes: &K,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
     ) -> Result<LinearResult> {
-        let weights = pack_weights(weight_codes)?;
         self.run_packed(
             input_levels,
-            &weights,
+            &*weight_codes.packed(PackedWeights::from_linear)?,
             bias_acc,
             time_steps,
             &mut EngineScratch::new(),
@@ -224,27 +216,26 @@ impl LinearUnit {
         self.run_chunks(input_levels, weights, bias_acc, time_steps, all, scratch)
     }
 
-    /// Executes one fully-connected layer in lane-aligned output chunks
-    /// from raw weight codes: packs them for this one call and runs
-    /// [`LinearUnit::run_packed_chunked`].
+    /// Executes one fully-connected layer in lane-aligned output chunks:
+    /// runs [`LinearUnit::run_packed_chunked`] on `weight_codes` (see
+    /// [`KernelSource`]) with a throw-away scratch.
     ///
     /// # Errors
     ///
     /// As [`LinearUnit::run_packed_chunked`], plus
-    /// [`AccelError::UnsupportedLayer`] when a weight code does not fit
+    /// [`AccelError::UnsupportedLayer`] when a raw weight code does not fit
     /// the widest packed element, `i16`.
-    pub fn run_layer_chunked(
+    pub fn run_layer_chunked<K: KernelSource + ?Sized>(
         &self,
         input_levels: &Tensor<i64>,
-        weight_codes: &Tensor<i64>,
+        weight_codes: &K,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         chunk_outputs: usize,
     ) -> Result<LinearResult> {
-        let weights = pack_weights(weight_codes)?;
         self.run_packed_chunked(
             input_levels,
-            &weights,
+            &*weight_codes.packed(PackedWeights::from_linear)?,
             bias_acc,
             time_steps,
             chunk_outputs,

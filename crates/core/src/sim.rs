@@ -2,29 +2,18 @@
 //!
 //! [`Accelerator`] owns a configuration, compiles converted SNN models onto
 //! it and executes inferences through the layer loop in [`crate::exec`].
-//! Two levels of detail are provided:
-//!
-//! * [`Accelerator::run`] — **unit-exact**: every layer is executed on the
-//!   spike-major processing-unit models
-//!   ([`crate::conv::ConvolutionUnit`], [`crate::pool::PoolingUnit`],
-//!   [`crate::linear::LinearUnit`]), activations move through the ping-pong
-//!   buffers, and exact work/operation counts are reported.  The units
-//!   walk the packed spike occupancy (word-level skip of silent regions),
-//!   accumulate from the model's channel-last packed weights (all
-//!   output-channel lanes of a spike in one vector loop, on the calling
-//!   thread) and *derive* their counters analytically from the static
-//!   schedule plus popcounts;
-//!   property tests pin both accumulators and counters to the retained
-//!   counter-stepped models in [`crate::reference`].
-//! * [`Accelerator::run_fast`] — **transaction-level**: activations are
-//!   computed with the functional integer model of `snn-model` and only the
-//!   analytical timing model is evaluated.  The results are bit-identical
-//!   (asserted by tests), but despite the name it is the *slower* path: the
-//!   dense functional operators visit every weight for every position,
-//!   about 9× the engine's time on LeNet-5's second convolution
-//!   (`conv_unit/functional_reference` against `conv_unit/bitplane_sparse/3`
-//!   in `BENCH_conv.json`), and it reports no unit counters.  Use
-//!   [`Accelerator::run`].
+//! There is one level of detail: [`Accelerator::run`] is **unit-exact**.
+//! Every layer is executed on the spike-major processing-unit models
+//! ([`crate::conv::ConvolutionUnit`], [`crate::pool::PoolingUnit`],
+//! [`crate::linear::LinearUnit`]), activations move through the ping-pong
+//! buffers, and exact work/operation counts are reported.  The units walk
+//! the packed spike occupancy (word-level skip of silent regions),
+//! accumulate from the layers' channel-last packed weights (all
+//! output-channel lanes of a spike in one vector loop, on the calling
+//! thread) and *derive* their counters analytically from the static
+//! schedule plus popcounts; property tests pin both accumulators and
+//! counters to the retained counter-stepped models in [`crate::reference`],
+//! and the logits to the functional model [`SnnModel::forward`].
 //!
 //! Depth no longer limits the unit-exact path: with
 //! [`AcceleratorConfig::activation_buffer_bytes`] set, the compiler plans
@@ -43,7 +32,7 @@
 use crate::compiler::{self, Program};
 use crate::config::AcceleratorConfig;
 use crate::cost;
-use crate::exec::{self, ExecutionMode};
+use crate::exec;
 use crate::report::{DesignReport, RunReport};
 use crate::timing;
 use crate::Result;
@@ -106,25 +95,14 @@ impl Accelerator {
         self.execute_compiled(model, &program, input)
     }
 
-    /// Runs one inference at transaction level: functional values plus the
-    /// analytical timing model.  Slower than [`Accelerator::run`] (dense
-    /// functional operators) and without unit counters; see the module
-    /// docs.
+    /// Delegates to [`Accelerator::run`].  The name exists only because
+    /// the frozen `benchmark/` package calls it; use [`Accelerator::run`].
     ///
     /// # Errors
     ///
-    /// Returns an error when the model cannot be mapped onto the
-    /// configuration or the input shape does not match the network.
+    /// See [`Accelerator::run`].
     pub fn run_fast(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        let program = self.compile(model)?;
-        let levels = model.encode_input(input)?;
-        exec::execute(
-            &self.config,
-            model,
-            &program,
-            levels,
-            ExecutionMode::Transaction,
-        )
+        self.run(model, input)
     }
 
     /// Delegates to [`Accelerator::run`].  The name exists only because
@@ -137,15 +115,14 @@ impl Accelerator {
         self.run(model, input)
     }
 
-    /// Delegates to [`Accelerator::run_fast`].  The name exists only
-    /// because the frozen `benchmark/` package calls it; use
-    /// [`Accelerator::run_fast`].
+    /// Delegates to [`Accelerator::run`].  The name exists only because
+    /// the frozen `benchmark/` package calls it; use [`Accelerator::run`].
     ///
     /// # Errors
     ///
-    /// See [`Accelerator::run_fast`].
+    /// See [`Accelerator::run`].
     pub fn run_fast_sequential(&self, model: &SnnModel, input: &Tensor<f32>) -> Result<RunReport> {
-        self.run_fast(model, input)
+        self.run(model, input)
     }
 
     /// Runs one inference per input, unit-exact, spreading the batch over
@@ -179,13 +156,7 @@ impl Accelerator {
         input: &Tensor<f32>,
     ) -> Result<RunReport> {
         let levels = model.encode_input(input)?;
-        exec::execute(
-            &self.config,
-            model,
-            program,
-            levels,
-            ExecutionMode::CycleAccurate,
-        )
+        exec::execute(&self.config, model, program, levels)
     }
 }
 
@@ -231,18 +202,6 @@ mod tests {
             let trace = model.forward(input).unwrap();
             assert_eq!(report.logits, trace.logits().as_slice());
             assert_eq!(report.prediction, trace.predicted_class());
-        }
-    }
-
-    #[test]
-    fn fast_and_cycle_accurate_runs_agree() {
-        let (model, inputs) = tiny_setup(3);
-        let accel = Accelerator::new(AcceleratorConfig::default());
-        for input in &inputs {
-            let detailed = accel.run(&model, input).unwrap();
-            let fast = accel.run_fast(&model, input).unwrap();
-            assert_eq!(detailed.logits, fast.logits);
-            assert_eq!(detailed.total_cycles(), fast.total_cycles());
         }
     }
 
@@ -300,7 +259,7 @@ mod tests {
             ..AcceleratorConfig::default()
         };
         let accel = Accelerator::new(config);
-        let report = accel.run_fast(&model, &inputs[0]).unwrap();
+        let report = accel.run(&model, &inputs[0]).unwrap();
         assert_eq!(
             report.traffic.dram_bits,
             model.spec().parameter_count() as u64 * 3
@@ -342,10 +301,6 @@ mod tests {
             assert_eq!(batch.len(), size);
             for (i, report) in batch.iter().enumerate() {
                 assert_eq!(report, &solo[i % solo.len()], "item {i} of {size}");
-            }
-            for (input, detailed) in inputs.iter().zip(&batch) {
-                let fast = accel.run_fast(&model, input).unwrap();
-                assert_eq!(fast.logits, detailed.logits);
             }
         }
     }

@@ -1,12 +1,15 @@
 //! Shared bookkeeping for the processing-unit simulators: the counters
-//! they report and the working memory they compute in.  Both engines run
-//! a call start to finish on the calling thread, so one [`EngineScratch`]
-//! per inference is all the state there is.
+//! they report, the working memory they compute in and where their
+//! weights come from.  Both engines run a call start to finish on the
+//! calling thread, so one [`EngineScratch`] per inference is all the state
+//! there is.
 
 use crate::conv::{Reach, Spikes};
-use crate::AccelError;
+use crate::{AccelError, Result};
 use serde::{Deserialize, Serialize};
-use snn_tensor::{bitplane, simd};
+use snn_model::packed::PackedWeights;
+use snn_tensor::{bitplane, simd, Tensor};
+use std::borrow::Cow;
 use std::ops::{Add, AddAssign};
 
 /// Cycle and operation counters reported by a processing unit after
@@ -52,10 +55,50 @@ pub struct UnitStats {
     pub difference_bits: u64,
 }
 
-/// The error a unit reports for a layer it cannot execute (units do not
-/// know their layer's index; the executor's errors carry it).
+/// The error a unit reports for a layer it cannot execute.  Units do not
+/// know their layer's index: `exec::execute` stamps it onto the error.
 pub(crate) fn unsupported(context: String) -> AccelError {
     AccelError::UnsupportedLayer { layer: 0, context }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for snn_tensor::Tensor<i64> {}
+    impl Sealed for snn_model::packed::PackedWeights {}
+}
+
+/// How a raw `Tensor<i64>` of codes is packed: `PackedWeights::from_conv`
+/// or `PackedWeights::from_linear`.
+pub type Pack = fn(&Tensor<i64>) -> snn_model::Result<PackedWeights>;
+
+/// The weights a `run_layer*` entry of the convolution or linear unit
+/// takes: a layer's [`PackedWeights`] (`SnnLayer::*::weight_codes`),
+/// executed as they are, or a raw `[O, C, Kr, Kc]` / `[O, N]` `Tensor<i64>`
+/// of codes, packed for that one call.  Sealed: these two are the only
+/// sources.
+pub trait KernelSource: sealed::Sealed {
+    /// These weights packed: borrowed as they are, or a raw tensor packed
+    /// by `pack`.
+    ///
+    /// # Errors
+    ///
+    /// [`AccelError::UnsupportedLayer`] when `pack` rejects a raw tensor (a
+    /// wrong rank, or a code that does not fit `i16`).
+    fn packed(&self, pack: Pack) -> Result<Cow<'_, PackedWeights>>;
+}
+
+impl KernelSource for PackedWeights {
+    fn packed(&self, _: Pack) -> Result<Cow<'_, PackedWeights>> {
+        Ok(Cow::Borrowed(self))
+    }
+}
+
+impl KernelSource for Tensor<i64> {
+    fn packed(&self, pack: Pack) -> Result<Cow<'_, PackedWeights>> {
+        pack(self)
+            .map(Cow::Owned)
+            .map_err(|e| unsupported(e.to_string()))
+    }
 }
 
 /// The working memory of the convolution and linear engines: spike list,

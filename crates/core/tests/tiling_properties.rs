@@ -68,10 +68,8 @@ fn tiled_run_is_bit_identical_to_the_untiled_sequential_oracle() {
             let tiled_report = tiled.run(&model, input).unwrap();
             let oracle = untiled.run(&model, input).unwrap();
             assert_eq!(tiled_report, oracle, "budget={budget}");
-            // Transaction level ignores tiling but must stay consistent.
-            let fast = tiled.run_fast(&model, input).unwrap();
-            assert_eq!(fast.logits, oracle.logits, "budget={budget}");
-            assert_eq!(fast.total_cycles(), oracle.total_cycles());
+            let functional = model.forward(input).unwrap();
+            assert_eq!(oracle.logits, functional.logits().as_slice());
         }
     }
 }

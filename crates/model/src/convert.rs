@@ -5,7 +5,9 @@
 //! involves three steps, all implemented here:
 //!
 //! 1. **Weight quantization** — the floating-point weights are quantized to
-//!    3-bit symmetric codes ([`crate::params::QuantizedParameters`]).
+//!    3-bit symmetric codes ([`QuantizedTensor`]) and packed channel-last
+//!    ([`PackedWeights`]), one layer at a time: at most one layer's `i32`
+//!    codes are alive at once, and the packed copy is the only one kept.
 //! 2. **Activation calibration** — the ANN is run over a calibration set to
 //!    record the maximum post-ReLU activation of every layer
 //!    ([`CalibrationStats`]).  These maxima define the dynamic range each
@@ -15,10 +17,12 @@
 //!    next layer's `T`-bit level grid, and biases are pre-scaled into
 //!    accumulator units.  The result is an [`SnnModel`].
 
-use crate::params::{Parameters, QuantizedParameters};
+use crate::packed::PackedWeights;
+use crate::params::Parameters;
 use crate::snn::{SnnLayer, SnnModel};
 use crate::{forward, LayerSpec, ModelError, NetworkSpec, Result};
 use serde::{Deserialize, Serialize};
+use snn_tensor::quant::QuantizedTensor;
 use snn_tensor::Tensor;
 
 /// Maximum post-ReLU activation observed per layer during calibration.
@@ -122,7 +126,6 @@ pub fn convert(
             context: "calibration statistics do not match the network depth".to_string(),
         });
     }
-    let quantized = QuantizedParameters::quantize(params, config.weight_bits)?;
     let max_level = ((1i64 << config.time_steps) - 1) as f32;
     let last_layer = net.layers().len() - 1;
 
@@ -132,65 +135,55 @@ pub fn convert(
     let mut in_act_max = 1.0f32;
 
     for (i, layer) in net.layers().iter().enumerate() {
-        match *layer {
-            LayerSpec::Conv2d {
-                stride, padding, ..
-            } => {
-                let qp = quantized
-                    .layer(i)
-                    .ok_or_else(|| ModelError::ParameterMismatch {
-                        context: format!("layer {i} is missing quantized parameters"),
-                    })?;
-                let w_scale = qp.weight.scale();
-                let out_act_max = effective_max(calibration.layer_max[i]);
-                let is_output = i == last_layer;
-                let requant = if is_output {
-                    None
-                } else {
-                    Some(w_scale * in_act_max / out_act_max)
-                };
-                let bias_acc = scale_bias(&qp.bias, w_scale, in_act_max, max_level);
-                snn_layers.push(SnnLayer::Conv {
-                    weight_codes: qp.weight.codes().map(|&c| c as i64),
-                    bias_acc,
-                    stride,
-                    padding,
-                    requant,
-                });
-                if !is_output {
-                    in_act_max = out_act_max;
-                }
-            }
-            LayerSpec::Linear { .. } => {
-                let qp = quantized
-                    .layer(i)
-                    .ok_or_else(|| ModelError::ParameterMismatch {
-                        context: format!("layer {i} is missing quantized parameters"),
-                    })?;
-                let w_scale = qp.weight.scale();
-                let out_act_max = effective_max(calibration.layer_max[i]);
-                let is_output = i == last_layer;
-                let requant = if is_output {
-                    None
-                } else {
-                    Some(w_scale * in_act_max / out_act_max)
-                };
-                let bias_acc = scale_bias(&qp.bias, w_scale, in_act_max, max_level);
-                snn_layers.push(SnnLayer::Linear {
-                    weight_codes: qp.weight.codes().map(|&c| c as i64),
-                    bias_acc,
-                    requant,
-                });
-                if !is_output {
-                    in_act_max = out_act_max;
-                }
-            }
+        let pack: fn(&Tensor<i32>) -> Result<PackedWeights> = match *layer {
+            LayerSpec::Conv2d { .. } => PackedWeights::from_conv,
+            LayerSpec::Linear { .. } => PackedWeights::from_linear,
             LayerSpec::Pool { kind, window } => {
-                snn_layers.push(SnnLayer::Pool { kind, window });
                 // Average/max pooling keeps the activation range; the
                 // integer average truncates, which only shrinks it.
+                snn_layers.push(SnnLayer::Pool { kind, window });
+                continue;
             }
-            LayerSpec::Flatten => snn_layers.push(SnnLayer::Flatten),
+            LayerSpec::Flatten => {
+                snn_layers.push(SnnLayer::Flatten);
+                continue;
+            }
+        };
+        let lp = params
+            .layer(i)
+            .ok_or_else(|| ModelError::ParameterMismatch {
+                context: format!("layer {i} is missing parameters"),
+            })?;
+        // This layer's `i32` codes live only until it is packed.
+        let quantized = QuantizedTensor::quantize(&lp.weight, config.weight_bits)?;
+        let weight_codes = pack(quantized.codes())?;
+        let w_scale = quantized.scale();
+        let out_act_max = effective_max(calibration.layer_max[i]);
+        let is_output = i == last_layer;
+        let requant = if is_output {
+            None
+        } else {
+            Some(w_scale * in_act_max / out_act_max)
+        };
+        let bias_acc = scale_bias(&lp.bias, w_scale, in_act_max, max_level);
+        snn_layers.push(match *layer {
+            LayerSpec::Conv2d {
+                stride, padding, ..
+            } => SnnLayer::Conv {
+                weight_codes,
+                bias_acc,
+                stride,
+                padding,
+                requant,
+            },
+            _ => SnnLayer::Linear {
+                weight_codes,
+                bias_acc,
+                requant,
+            },
+        });
+        if !is_output {
+            in_act_max = out_act_max;
         }
     }
 

@@ -14,17 +14,17 @@
 //! * [`zoo`] — the concrete models of the paper: LeNet-5, the CNNs of
 //!   Fang et al. \[11\] and Ju et al. \[12\], and VGG-11.
 //! * [`params::Parameters`] — floating-point weights (randomly initialised
-//!   or produced by `snn-train`), and their 3-bit quantized counterpart
-//!   [`params::QuantizedParameters`].
+//!   or produced by `snn-train`).
 //! * [`forward`] — the floating-point ANN reference forward pass.
-//! * [`convert`] — ANN-to-SNN conversion: activation-range calibration and
-//!   per-layer requantization scales.
+//! * [`convert`] — ANN-to-SNN conversion: 3-bit weight quantization and
+//!   packing, activation-range calibration and per-layer requantization
+//!   scales.
 //! * [`snn`] — the *functional* radix-encoded SNN: integer-domain
 //!   inference that the cycle-level accelerator simulator in `snn-accel`
 //!   reproduces bit-exactly.
-//! * [`packed`] — the channel-last 16-bit copy of every conv/linear
-//!   weight tensor that simulator's engine executes from, built once per
-//!   model.
+//! * [`packed`] — the channel-last 8/16-bit packed weights every
+//!   conv/linear layer holds as its only weight copy, the layout that
+//!   simulator's engine executes from.
 //!
 //! # Example
 //!

@@ -1,15 +1,20 @@
-//! Channel-last packed weights: the layout the accelerator engine reads.
+//! Channel-last packed weights: the one stored copy of a layer's weight
+//! codes, and the layout the accelerator engine reads.
 //!
-//! [`crate::snn::SnnLayer`] stores weight codes the way the ANN produced
-//! them — `[O, C, Kr, Kc]` for a convolution, `[O, N]` for a
-//! fully-connected layer, output channel outermost, one `i64` per code.
-//! The paper's units are parallel over *output channels*: the convolution
+//! The ANN produces weight codes output channel outermost — `[O, C, Kr,
+//! Kc]` for a convolution, `[O, N]` for a fully-connected layer.  The
+//! paper's units are parallel over *output channels*: the convolution
 //! units work on different output channels of the same input row, and the
 //! linear unit is a row of adders fed one weight word per cycle.  The
 //! engine in `snn-accel` executes the same way — for each input spike it
 //! adds weight rows into all output-channel lanes — so it wants the
 //! output channel *innermost*: `[C, Kr, Kc, O_pad]`, and for a linear
 //! layer `[N, O_pad]`, which is the same thing with a 1×1 kernel.
+//! [`crate::convert`] packs each layer straight from its quantized `i32`
+//! codes, one layer at a time, and [`crate::snn::SnnLayer`] holds only the
+//! packed copy: one byte per code at the paper's precisions, where an `i64`
+//! per code would take eight.  The gold model reads it back a block of
+//! output channels at a time ([`PackedWeights::output_channels`]).
 //!
 //! Within each kernel row the columns are stored **reversed**: tap
 //! `(ky, kx)` is row `ky * Kc + (Kc - 1 - kx)` of its channel.  At stride
@@ -64,6 +69,7 @@
 //! in a linear layer.
 
 use crate::{ModelError, Result};
+use serde::{Deserialize, Serialize};
 use snn_tensor::{bitplane, Tensor};
 
 /// Output-channel lanes are padded (with zero weights) to a multiple of
@@ -98,7 +104,7 @@ impl<'a> Codes<'a> {
 }
 
 /// The one stored copy of a layer's codes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 enum Stored {
     I8(Vec<i8>),
     I16(Vec<i16>),
@@ -127,8 +133,8 @@ impl Element for i16 {
 /// to `E`, block by block, and sums each output channel's magnitudes on
 /// the way: the rows, the largest `Σ|w|` of an output channel and the
 /// largest `|w|`.  `None` when a code does not fit `E`.
-fn narrow<E: Element>(
-    src: &[i64],
+fn narrow<E: Element, T: Copy + Into<i64>>(
+    src: &[T],
     c_out: usize,
     cols: usize,
     kc: usize,
@@ -153,7 +159,7 @@ fn narrow<E: Element>(
                 kx = if kx + 1 == kc { 0 } else { kx + 1 };
                 let dst = &mut data[to * lanes + r0..to * lanes + r1];
                 for (d, row) in dst.iter_mut().zip(rows.chunks_exact(cols)) {
-                    let code = row[c];
+                    let code = row[c].into();
                     *d = E::truncate(code);
                     out_of_range |= i64::from((*d).into()) != code;
                 }
@@ -179,7 +185,7 @@ fn narrow<E: Element>(
 }
 
 /// One layer's weight codes in channel-last order (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PackedWeights {
     c_in: usize,
     kernel_rows: usize,
@@ -197,13 +203,14 @@ pub struct PackedWeights {
 }
 
 impl PackedWeights {
-    /// Packs `[O, C, Kr, Kc]` convolution kernel codes.
+    /// Packs `[O, C, Kr, Kc]` convolution kernel codes of any integer
+    /// element (`i32` from the quantizer, `i64` in tests).
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::ParameterMismatch`] when the tensor is not
     /// rank 4 or a code does not fit `i16`.
-    pub fn from_conv(codes: &Tensor<i64>) -> Result<Self> {
+    pub fn from_conv<T: Copy + Into<i64>>(codes: &Tensor<T>) -> Result<Self> {
         match *codes.shape().dims() {
             [c_out, c_in, kr, kc] => Self::pack(codes.as_slice(), c_out, c_in, kr, kc),
             ref dims => Err(ModelError::ParameterMismatch {
@@ -219,7 +226,7 @@ impl PackedWeights {
     ///
     /// Returns [`ModelError::ParameterMismatch`] when the tensor is not
     /// rank 2 or a code does not fit `i16`.
-    pub fn from_linear(codes: &Tensor<i64>) -> Result<Self> {
+    pub fn from_linear<T: Copy + Into<i64>>(codes: &Tensor<T>) -> Result<Self> {
         match *codes.shape().dims() {
             [c_out, n] => Self::pack(codes.as_slice(), c_out, n, 1, 1),
             ref dims => Err(ModelError::ParameterMismatch {
@@ -231,7 +238,13 @@ impl PackedWeights {
     /// Packs the `[c_out, c_in * kr * kc]` matrix `src` straight to `i8`
     /// rows — one pass writing one byte per code — and only where a code
     /// misses that element packs again to `i16`.
-    fn pack(src: &[i64], c_out: usize, c_in: usize, kr: usize, kc: usize) -> Result<Self> {
+    fn pack<T: Copy + Into<i64>>(
+        src: &[T],
+        c_out: usize,
+        c_in: usize,
+        kr: usize,
+        kc: usize,
+    ) -> Result<Self> {
         let cols = c_in * kr * kc;
         let lanes = c_out.next_multiple_of(LANE_ALIGN);
         let packed = narrow(src, c_out, cols, kc, lanes)
@@ -243,7 +256,8 @@ impl PackedWeights {
         let Some((data, abs_sum_max, abs_max)) = packed else {
             let code = src
                 .iter()
-                .find(|&&code| i16::try_from(code).is_err())
+                .map(|&code| code.into())
+                .find(|&code| i16::try_from(code).is_err())
                 .expect("the narrowing pass saw a code outside i16");
             return Err(ModelError::ParameterMismatch {
                 context: format!("weight code {code} does not fit the packed 16-bit element"),
@@ -351,6 +365,56 @@ impl PackedWeights {
     pub fn channel(&self, ic: usize) -> Codes<'_> {
         let len = self.kernel_rows * self.kernel_cols * self.lanes;
         self.codes().slice(ic * len..(ic + 1) * len)
+    }
+
+    /// The codes of output channels `outputs` in the ANN's order, widened:
+    /// `[outputs.len(), c_in, kernel_rows, kernel_cols]` with `kx` logical —
+    /// those channels' `[C, Kr, Kc]` kernels (`[N]` weight rows) as the
+    /// layer was packed from them.  The gold model reads a layer back this
+    /// way, a block of output channels at a time, so the whole layer is
+    /// never held as `i64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `outputs` reaches past [`Self::c_out`].
+    pub fn output_channels(&self, outputs: std::ops::Range<usize>) -> Vec<i64> {
+        assert!(
+            outputs.start <= outputs.end && outputs.end <= self.c_out,
+            "output channels {outputs:?} out of range"
+        );
+        fn gather<E: Copy + Into<i64>>(
+            codes: &[E],
+            outputs: std::ops::Range<usize>,
+            lanes: usize,
+            kc: usize,
+        ) -> Vec<i64> {
+            let cols = codes.len() / lanes;
+            let mut out = vec![0i64; outputs.len() * cols];
+            // The transpose of `narrow`, `BLOCK` columns at a time: the
+            // block's stored rows stay in cache while every output
+            // channel's run of columns is written contiguously.
+            let mut stored = [0usize; BLOCK];
+            for c0 in (0..cols).step_by(BLOCK) {
+                let width = BLOCK.min(cols - c0);
+                let mut kx = c0 % kc;
+                for (c, row) in (c0..c0 + width).zip(&mut stored) {
+                    *row = (c - kx + kc - 1 - kx) * lanes;
+                    kx = if kx + 1 == kc { 0 } else { kx + 1 };
+                }
+                for (b, o) in outputs.clone().enumerate() {
+                    let dst = &mut out[b * cols + c0..b * cols + c0 + width];
+                    for (d, &row) in dst.iter_mut().zip(&stored) {
+                        *d = codes[row + o].into();
+                    }
+                }
+            }
+            out
+        }
+        let (lanes, kc) = (self.lanes, self.kernel_cols);
+        match &self.data {
+            Stored::I8(codes) => gather(codes, outputs, lanes, kc),
+            Stored::I16(codes) => gather(codes, outputs, lanes, kc),
+        }
     }
 }
 

@@ -1,10 +1,11 @@
-//! Floating-point and quantized network parameters.
+//! Floating-point network parameters.  ANN-to-SNN conversion quantizes
+//! them layer by layer ([`crate::convert`]).
 
 use crate::{LayerSpec, ModelError, NetworkSpec, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use snn_tensor::{quant::QuantizedTensor, Tensor};
+use snn_tensor::Tensor;
 
 /// Weights and biases of a single weighted layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -156,84 +157,11 @@ impl Parameters {
     }
 }
 
-/// Quantized parameters of a single weighted layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedLayerParameters {
-    /// Quantized kernel/weight codes with their scale.
-    pub weight: QuantizedTensor,
-    /// Floating-point biases (folded into the accumulator during
-    /// ANN-to-SNN conversion).
-    pub bias: Tensor<f32>,
-}
-
-/// All quantized parameters of a network, indexed by layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedParameters {
-    layers: Vec<Option<QuantizedLayerParameters>>,
-    bits: u8,
-}
-
-impl QuantizedParameters {
-    /// Quantizes floating-point parameters to `bits`-bit symmetric codes
-    /// (3 bits in the paper).
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization errors (invalid bit widths).
-    pub fn quantize(params: &Parameters, bits: u8) -> Result<Self> {
-        let layers = params
-            .layer_weights()
-            .iter()
-            .map(|p| {
-                p.as_ref()
-                    .map(|lp| {
-                        Ok(QuantizedLayerParameters {
-                            weight: QuantizedTensor::quantize(&lp.weight, bits)?,
-                            bias: lp.bias.clone(),
-                        })
-                    })
-                    .transpose()
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(QuantizedParameters { layers, bits })
-    }
-
-    /// Bit width of the weight codes.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Per-layer quantized parameters.
-    pub fn layer_weights(&self) -> &[Option<QuantizedLayerParameters>] {
-        &self.layers
-    }
-
-    /// Quantized parameters of layer `index`, if that layer has any.
-    pub fn layer(&self, index: usize) -> Option<&QuantizedLayerParameters> {
-        self.layers.get(index).and_then(|p| p.as_ref())
-    }
-
-    /// Reconstructs approximate floating-point parameters (for measuring
-    /// the accuracy cost of quantization).
-    pub fn dequantize(&self, net: &NetworkSpec) -> Result<Parameters> {
-        let layers = self
-            .layers
-            .iter()
-            .map(|p| {
-                p.as_ref().map(|qp| LayerParameters {
-                    weight: qp.weight.dequantize(),
-                    bias: qp.bias.clone(),
-                })
-            })
-            .collect();
-        Parameters::new(net, layers)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zoo;
+    use snn_tensor::quant::QuantizedTensor;
 
     #[test]
     fn he_init_produces_matching_shapes() {
@@ -293,10 +221,10 @@ mod tests {
     fn quantization_respects_bit_width() {
         let net = zoo::tiny_cnn();
         let params = Parameters::he_init(&net, 5).unwrap();
-        let q = QuantizedParameters::quantize(&params, 3).unwrap();
-        assert_eq!(q.bits(), 3);
-        for layer in q.layer_weights().iter().flatten() {
-            assert!(layer.weight.codes().iter().all(|&c| c.abs() <= 3));
+        for layer in params.layer_weights().iter().flatten() {
+            let q = QuantizedTensor::quantize(&layer.weight, 3).unwrap();
+            assert_eq!(q.bits(), 3);
+            assert!(q.codes().iter().all(|&c| c.abs() <= 3));
         }
     }
 
@@ -304,15 +232,11 @@ mod tests {
     fn dequantize_roundtrip_has_bounded_error() {
         let net = zoo::tiny_cnn();
         let params = Parameters::he_init(&net, 5).unwrap();
-        let q = QuantizedParameters::quantize(&params, 8).unwrap();
-        let deq = q.dequantize(&net).unwrap();
-        for (orig, back) in params
-            .layer_weights()
-            .iter()
-            .flatten()
-            .zip(deq.layer_weights().iter().flatten())
-        {
-            for (a, b) in orig.weight.iter().zip(back.weight.iter()) {
+        for layer in params.layer_weights().iter().flatten() {
+            let back = QuantizedTensor::quantize(&layer.weight, 8)
+                .unwrap()
+                .dequantize();
+            for (a, b) in layer.weight.iter().zip(back.iter()) {
                 assert!((a - b).abs() < 0.05, "|{a} - {b}| too large");
             }
         }

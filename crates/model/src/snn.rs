@@ -12,6 +12,13 @@
 //! * after ReLU, the accumulator is *requantized* back to a `T`-bit level
 //!   with a per-layer scale derived from activation calibration.
 //!
+//! Each conv/linear layer holds its weight codes once, packed channel-last
+//! ([`PackedWeights`]): the copy the accelerator engine executes from.  The
+//! gold model here reads it back a block of output channels at a time
+//! ([`PackedWeights::output_channels`]) and runs the dense operators of
+//! [`snn_tensor::ops`] on each block, so it shares the weights with the
+//! engine but none of its arithmetic.
+//!
 //! The cycle-level accelerator simulator in `snn-accel` reproduces these
 //! integer computations **bit-exactly**; the shared [`requantize`] function
 //! guarantees both sides round identically.  It rounds half away from zero
@@ -31,8 +38,8 @@ use snn_tensor::{ops, Tensor};
 pub enum SnnLayer {
     /// Radix-domain convolution.
     Conv {
-        /// Quantized kernel codes `[O, C, K, K]`.
-        weight_codes: Tensor<i64>,
+        /// Quantized `[O, C, K, K]` kernel codes, packed channel-last.
+        weight_codes: PackedWeights,
         /// Bias pre-scaled into accumulator units `[O]`.
         bias_acc: Tensor<i64>,
         /// Convolution stride.
@@ -54,8 +61,9 @@ pub enum SnnLayer {
     Flatten,
     /// Radix-domain fully-connected layer.
     Linear {
-        /// Quantized weight codes `[O, N]`.
-        weight_codes: Tensor<i64>,
+        /// Quantized `[O, N]` weight codes, packed channel-last (a 1×1
+        /// kernel over `N` input channels).
+        weight_codes: PackedWeights,
         /// Bias pre-scaled into accumulator units `[O]`.
         bias_acc: Tensor<i64>,
         /// Requantization scale, or `None` for the classifier output layer.
@@ -63,18 +71,24 @@ pub enum SnnLayer {
     },
 }
 
+impl SnnLayer {
+    /// The packed weights of a conv/linear layer — what the accelerator
+    /// engine executes from; `None` for a pooling or flatten layer.
+    pub fn weights(&self) -> Option<&PackedWeights> {
+        match self {
+            SnnLayer::Conv { weight_codes, .. } | SnnLayer::Linear { weight_codes, .. } => {
+                Some(weight_codes)
+            }
+            SnnLayer::Pool { .. } | SnnLayer::Flatten => None,
+        }
+    }
+}
+
 /// A converted, quantized, radix-encoded SNN ready for the accelerator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnnModel {
     spec: NetworkSpec,
     layers: Vec<SnnLayer>,
-    /// The channel-last copy of each conv/linear layer's `weight_codes`
-    /// the accelerator engine reads (`None` for pool/flatten).  Always
-    /// derived from `layers` in [`SnnModel::new`], never set on its own,
-    /// so clones and comparisons see one consistent model (with the real
-    /// serde, deserialisation has to go through `new` for the same reason).
-    #[serde(skip)]
-    packed: Vec<Option<PackedWeights>>,
     time_steps: usize,
     weight_bits: u8,
 }
@@ -153,8 +167,7 @@ impl SnnModel {
     /// # Errors
     ///
     /// Returns [`ModelError::ParameterMismatch`] when the number of SNN
-    /// layers does not match the network spec, or a weight code does not
-    /// fit the engine's widest packed element, `i16` (see [`PackedWeights`]).
+    /// layers does not match the network spec.
     pub fn new(
         spec: NetworkSpec,
         layers: Vec<SnnLayer>,
@@ -170,22 +183,9 @@ impl SnnModel {
                 ),
             });
         }
-        let packed = layers
-            .iter()
-            .map(|layer| match layer {
-                SnnLayer::Conv { weight_codes, .. } => {
-                    PackedWeights::from_conv(weight_codes).map(Some)
-                }
-                SnnLayer::Linear { weight_codes, .. } => {
-                    PackedWeights::from_linear(weight_codes).map(Some)
-                }
-                SnnLayer::Pool { .. } | SnnLayer::Flatten => Ok(None),
-            })
-            .collect::<Result<_>>()?;
         Ok(SnnModel {
             spec,
             layers,
-            packed,
             time_steps,
             weight_bits,
         })
@@ -199,13 +199,6 @@ impl SnnModel {
     /// The converted layers.
     pub fn layers(&self) -> &[SnnLayer] {
         &self.layers
-    }
-
-    /// The channel-last packed weights of layer `index` — what the
-    /// accelerator engine executes from; `None` for a pooling or flatten
-    /// layer (or an index past the last layer).
-    pub fn packed(&self, index: usize) -> Option<&PackedWeights> {
-        self.packed.get(index)?.as_ref()
     }
 
     /// Spike-train length `T`.
@@ -260,6 +253,12 @@ impl SnnModel {
 
     /// Runs the integer-domain forward pass on pre-encoded input levels.
     ///
+    /// Every conv/linear layer runs the dense [`ops::conv2d`] /
+    /// [`ops::linear`] once per block of 64 output channels, on
+    /// those channels' codes unpacked to `i64`: the working memory above
+    /// the model is the activations and one block's kernels (2.25 MiB on
+    /// VGG-11's 512 × 4608 convolutions).
+    ///
     /// # Errors
     ///
     /// Returns an error for internal inconsistencies in the converted model.
@@ -276,8 +275,14 @@ impl SnnModel {
                     padding,
                     requant,
                 } => {
-                    let acc =
-                        ops::conv2d(&current, weight_codes, Some(bias_acc), *stride, *padding)?;
+                    let kernel = [
+                        weight_codes.c_in(),
+                        weight_codes.kernel_rows(),
+                        weight_codes.kernel_cols(),
+                    ];
+                    let acc = per_output_block(weight_codes, bias_acc, &kernel, |k, b| {
+                        ops::conv2d(&current, k, Some(b), *stride, *padding)
+                    })?;
                     apply_requant(&acc, *requant, max_level)
                 }
                 SnnLayer::Pool { kind, window } => match kind {
@@ -293,7 +298,10 @@ impl SnnModel {
                     bias_acc,
                     requant,
                 } => {
-                    let acc = ops::linear(&current, weight_codes, Some(bias_acc))?;
+                    let row = [weight_codes.c_in()];
+                    let acc = per_output_block(weight_codes, bias_acc, &row, |w, b| {
+                        ops::linear(&current, w, Some(b))
+                    })?;
                     apply_requant(&acc, *requant, max_level)
                 }
             };
@@ -361,6 +369,48 @@ impl SnnModel {
     }
 }
 
+/// How many output channels the gold model unpacks and runs at once.  64
+/// `i8` lanes are one cache line, so a block reads each stored row's line
+/// once; one channel at a time reads a line per code.  Reading back VGG-11's
+/// 4096 × 4096 layer took 171–239 ms a channel at a time and 38 ms in
+/// blocks of 64 (x86-64, one core).
+const GOLD_BLOCK: usize = 64;
+
+/// Runs `op` once per block of `GOLD_BLOCK` output channels of `weights`
+/// — on those channels' codes as a `[B, kernel_dims..]` tensor and their
+/// `[B]` biases — and stacks the `[B, ..]` results into `[O, ..]`.
+fn per_output_block(
+    weights: &PackedWeights,
+    bias_acc: &Tensor<i64>,
+    kernel_dims: &[usize],
+    op: impl Fn(&Tensor<i64>, &Tensor<i64>) -> snn_tensor::Result<Tensor<i64>>,
+) -> Result<Tensor<i64>> {
+    let c_out = weights.c_out();
+    if bias_acc.shape().dims() != [c_out] {
+        return Err(ModelError::ParameterMismatch {
+            context: format!(
+                "bias shape {:?} does not match {c_out} output channels",
+                bias_acc.shape().dims()
+            ),
+        });
+    }
+    let mut dims = vec![c_out];
+    let mut data = Vec::new();
+    for lo in (0..c_out).step_by(GOLD_BLOCK) {
+        let hi = (lo + GOLD_BLOCK).min(c_out);
+        let block_dims = [&[hi - lo], kernel_dims].concat();
+        let kernel = Tensor::from_vec(block_dims, weights.output_channels(lo..hi))?;
+        let bias = Tensor::from_vec(vec![hi - lo], bias_acc.as_slice()[lo..hi].to_vec())?;
+        let out = op(&kernel, &bias)?;
+        if lo == 0 {
+            dims.extend_from_slice(&out.shape().dims()[1..]);
+            data.reserve(out.len() / (hi - lo) * c_out);
+        }
+        data.extend_from_slice(out.as_slice());
+    }
+    Ok(Tensor::from_vec(dims, data)?)
+}
+
 fn apply_requant(acc: &Tensor<i64>, requant: Option<f32>, max_level: i64) -> Tensor<i64> {
     match requant {
         Some(r) => acc.map(|&v| requantize(v, r, max_level)),
@@ -377,8 +427,10 @@ mod tests {
     fn identity_linear_model(time_steps: usize) -> SnnModel {
         // One linear layer with an identity weight matrix of codes.
         let spec = NetworkSpec::new("identity", vec![3], vec![LayerSpec::linear(3, 3)]).unwrap();
-        let weight_codes =
-            Tensor::from_vec(vec![3, 3], vec![1i64, 0, 0, 0, 1, 0, 0, 0, 1]).unwrap();
+        let weight_codes = PackedWeights::from_linear(
+            &Tensor::from_vec(vec![3, 3], vec![1i64, 0, 0, 0, 1, 0, 0, 0, 1]).unwrap(),
+        )
+        .unwrap();
         let bias_acc = Tensor::filled(vec![3], 0i64);
         SnnModel::new(
             spec,
@@ -528,21 +580,36 @@ mod tests {
     #[test]
     fn weights_are_packed_once_and_oversized_codes_rejected() {
         let model = identity_linear_model(3);
-        let packed = model.packed(0).expect("linear layers are packed");
+        let packed = model.layers()[0]
+            .weights()
+            .expect("linear layers are packed");
         assert_eq!((packed.c_in(), packed.c_out()), (3, 3));
         assert_eq!(packed.row(1, 0, 0), Codes::I8(&[0, 1, 0, 0]));
-        assert!(model.packed(1).is_none());
-
-        let spec = NetworkSpec::new("wide", vec![1], vec![LayerSpec::linear(1, 1)]).unwrap();
-        let layer = SnnLayer::Linear {
-            weight_codes: Tensor::filled(vec![1, 1], 1i64 << 15),
-            bias_acc: Tensor::filled(vec![1], 0i64),
-            requant: None,
-        };
+        assert!(SnnLayer::Flatten.weights().is_none());
+        // A code past the widest packed element never becomes a layer.
         assert!(matches!(
-            SnnModel::new(spec, vec![layer], 3, 3),
+            PackedWeights::from_linear(&Tensor::filled(vec![1, 1], 1i64 << 15)),
             Err(ModelError::ParameterMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn a_wrong_length_bias_is_a_typed_error() {
+        for len in [2, 4] {
+            let spec = NetworkSpec::new("bias", vec![3], vec![LayerSpec::linear(3, 3)]).unwrap();
+            let layer = SnnLayer::Linear {
+                weight_codes: PackedWeights::from_linear(&Tensor::filled(vec![3, 3], 1i64))
+                    .unwrap(),
+                bias_acc: Tensor::filled(vec![len], 0i64),
+                requant: None,
+            };
+            let model = SnnModel::new(spec, vec![layer], 3, 3).unwrap();
+            let input = Tensor::filled(vec![3], 0.5f32);
+            assert!(matches!(
+                model.forward(&input),
+                Err(ModelError::ParameterMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -570,8 +637,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let conv_codes = Tensor::filled(vec![2, 1, 3, 3], 1i64);
-        let lin_codes = Tensor::filled(vec![5, 32], 1i64);
+        let conv_codes = PackedWeights::from_conv(&Tensor::filled(vec![2, 1, 3, 3], 1i64)).unwrap();
+        let lin_codes = PackedWeights::from_linear(&Tensor::filled(vec![5, 32], 1i64)).unwrap();
         let model = SnnModel::new(
             spec,
             vec![

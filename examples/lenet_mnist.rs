@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let accelerator = Accelerator::new(config);
     let design = accelerator.design_report(&snn)?;
     let (sample, _) = data.test.sample(0).expect("non-empty test set");
-    let run = accelerator.run_fast(&snn, sample)?;
+    let run = accelerator.run(&snn, sample)?;
 
     println!();
     println!(

@@ -1,7 +1,6 @@
 //! Property-based cross-crate test: for randomly generated small networks,
 //! weights and inputs, the cycle-accurate accelerator simulator produces
-//! exactly the same integers as the functional radix-SNN model, and the
-//! transaction-level path agrees with both.
+//! exactly the same integers as the functional radix-SNN model.
 
 use proptest::prelude::*;
 use snn_repro::accel::config::{AcceleratorConfig, ArrayGeometry};
@@ -71,8 +70,8 @@ fn build_network(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The cycle-accurate and transaction-level simulators and the
-    /// functional SNN model all compute identical logits.
+    /// The cycle-accurate simulator and the functional SNN model compute
+    /// identical logits.
     #[test]
     fn accelerator_matches_functional_model(
         channels in 1usize..4,
@@ -95,11 +94,9 @@ proptest! {
 
         let accel = Accelerator::new(AcceleratorConfig::default());
         let detailed = accel.run(&model, &input).expect("cycle-accurate run");
-        let fast = accel.run_fast(&model, &input).expect("transaction run");
         let functional = model.forward(&input).expect("functional forward");
 
         prop_assert_eq!(&detailed.logits, functional.logits().as_slice());
-        prop_assert_eq!(&fast.logits, functional.logits().as_slice());
         prop_assert_eq!(detailed.prediction, functional.predicted_class());
     }
 
