@@ -258,8 +258,20 @@ pub(crate) fn drop_wake_byte() -> bool {
 mod tests {
     use super::*;
 
+    /// The tests below install plans into the one process-wide injector,
+    /// and the harness runs them on parallel threads: each holds this
+    /// lock for its whole body.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn disarmed_hooks_are_no_ops() {
+        let _serial = serial();
         clear();
         assert_eq!(read_fault(), IoFault::None);
         assert_eq!(write_fault(), IoFault::None);
@@ -270,6 +282,7 @@ mod tests {
 
     #[test]
     fn rates_are_clamped_and_decisions_are_seed_deterministic() {
+        let _serial = serial();
         let aggressive = FaultPlan {
             seed: 42,
             short_read_permille: 1000,
@@ -293,6 +306,7 @@ mod tests {
 
     #[test]
     fn recoverable_plans_inject_and_count_without_resets() {
+        let _serial = serial();
         install(FaultPlan::recoverable(3));
         let mut kinds = Vec::new();
         for _ in 0..500 {
@@ -311,6 +325,7 @@ mod tests {
 
     #[test]
     fn calm_plans_count_nothing() {
+        let _serial = serial();
         install(FaultPlan::calm(1));
         for _ in 0..100 {
             assert_eq!(read_fault(), IoFault::None);

@@ -24,18 +24,14 @@
 //!   and a portable `poll(2)` fallback, selected by [`ReactorBackend`] /
 //!   the `SNN_REACTOR` environment variable, or automatically when
 //!   `epoll_create1` is unavailable.
-//! * [`server`] — [`server::NetServer`]: a **sharded reactor** front-end
-//!   — one reactor thread per core (`NetOptions::reactors` /
-//!   `SNN_REACTORS`), shard 0 accepting and dealing connections
-//!   round-robin to its siblings, each shard owning its connections
-//!   outright on non-blocking sockets: incremental decode from
-//!   per-connection read buffers (a fixed read burst per socket per
-//!   round), write queues flushed on writability, inference completions
-//!   delivered through
+//! * [`server`] — [`server::NetServer`]: a **single-reactor** front-end
+//!   — one reactor thread owning the listener and every connection on
+//!   non-blocking sockets: incremental decode from per-connection read
+//!   buffers (a fixed read burst per socket per round), write queues
+//!   flushed on writability, inference completions delivered through
 //!   [`snn_accel::serve::StreamServer::submit_tagged`]'s completion sink
-//!   and a per-shard wake pipe.  No thread per connection, no blocked
-//!   waits, no cross-shard locks on the data path, and **first-class
-//!   backpressure**: queue-full and (globally capped) connection-table
+//!   and a wake pipe.  No thread per connection, no blocked waits, and
+//!   **first-class backpressure**: queue-full and connection-cap
 //!   conditions answer with typed REJECTED frames carrying a retry-after
 //!   hint computed from the live queue depth and drain rate.
 //! * [`client`] — [`client::NetClient`] (pipelined `infer_many`, jittered

@@ -1,5 +1,5 @@
 //! The backend-neutral readiness wrapper the reactor drives: one
-//! [`Poller`] per reactor shard, backed by either **epoll** (the default —
+//! [`Poller`] per reactor, backed by either **epoll** (the default —
 //! O(ready) waits, the kernel keeps the interest set) or the scalar
 //! **`poll(2)`** fallback (O(registered) waits, the `pollfd` array rebuilt
 //! per call).
@@ -30,7 +30,7 @@ use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
 
-/// Which readiness backend a reactor shard runs on.
+/// Which readiness backend the reactor runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReactorBackend {
     /// Consult `SNN_REACTOR` (`poll` / `epoll`), default to epoll, and
@@ -138,7 +138,7 @@ enum Backend {
         /// [`Interest::NONE`], each with that interest's mask.
         ep: Epoll,
         /// `epoll_wait` output buffer, reused across waits.  Sized well
-        /// above the per-shard connection budget; a full buffer is not
+        /// above the default connection cap; a full buffer is not
         /// lossy anyway (undelivered entries re-report next wait).
         buf: Vec<EpollEvent>,
     },
@@ -192,7 +192,7 @@ impl Poller {
     }
 
     /// The backend actually in use (after fallback): `"epoll"` or
-    /// `"poll"` — exposed in STATS so operators can see what a shard
+    /// `"poll"` — exposed in STATS so operators can see what the reactor
     /// ended up on.
     pub fn backend_name(&self) -> &'static str {
         match self.backend {

@@ -1,33 +1,27 @@
-//! The TCP front-end: **sharded readiness-driven reactors** over
+//! The TCP front-end: **one readiness-driven reactor thread** over
 //! [`StreamServer`]'s non-blocking completion queue.
 //!
 //! [`NetServer::bind`] compiles the model once (via
-//! [`StreamServer::start_with`]), binds a listener and spawns
-//! [`NetOptions::reactors`] reactor threads (one per core by default).
-//! Each shard owns a **private** connection table, write queues, wake pipe
-//! and completion channel, and parks in its own
+//! [`StreamServer::start_with`]), binds a listener and spawns one reactor
+//! thread.  That thread owns the listener, every connection, the write
+//! queues, a wake pipe and the completion channel, and parks in one
 //! [`crate::poller::Poller`] — epoll by default, the scalar `poll(2)`
 //! fallback under `SNN_REACTOR=poll` (or when `epoll_create1` fails), both
 //! level-triggered.  Nothing in the front-end ever blocks on a peer:
 //!
-//! * **Accepts** happen on shard 0, which owns the listener and hands
-//!   admitted sockets to its siblings **round-robin** over a per-shard
-//!   channel plus a wake (`SO_REUSEPORT` without the setsockopt
-//!   plumbing); the global [`NetOptions::max_connections`] cap is a
-//!   shared atomic reserved at accept time, so admission control stays
-//!   exact under sharding.  Connections **never migrate** between
-//!   shards, so every per-connection invariant (incremental decode,
-//!   completion-order replies, slow-reader isolation) is untouched.
+//! * **Accepts** drain the listener's backlog on readability; the
+//!   [`NetOptions::max_connections`] cap is checked against the one
+//!   open-connection counter, which only the reactor writes, so
+//!   admission control is exact.
 //! * **Reads** are non-blocking into a per-connection buffer, at most
 //!   [`READ_BURST`] bytes per socket per round so a firehose peer cannot
 //!   starve its neighbours (the poller re-reports what was left behind);
 //!   complete frames are decoded incrementally and INFER requests are
 //!   submitted through [`StreamServer::submit_tagged`] — so one connection
-//!   can have any number of requests in flight (pipelining).  Submission
-//!   tags are **shard-strided** (shard `i` uses `i, i+N, i+2N, ...`),
-//!   keeping them globally unique for the telemetry recorder.
-//! * **Completions** come back over each shard's mpsc channel; the
-//!   dispatcher wakes the owning shard through its pipe, and replies are
+//!   can have any number of requests in flight (pipelining).  Each
+//!   submission gets the next tag, unique for the telemetry recorder.
+//! * **Completions** come back over the reactor's mpsc channel; the
+//!   dispatcher wakes the reactor through its pipe, and replies are
 //!   written in **completion order**, each echoing its request id for
 //!   client-side correlation.
 //! * **Writes** go through a per-connection write queue flushed on
@@ -44,7 +38,7 @@
 //!
 //! Scores on the wire remain bit-identical to the matching in-process
 //! [`StreamServer::submit`] (loopback suite), pipelined or not, on both
-//! backends and any shard count.
+//! backends.
 //!
 //! # Backpressure, end to end
 //!
@@ -57,31 +51,28 @@
 //!   the observed depth, the capacity, and how long the dispatcher needs
 //!   to drain the backlog at its recent rate.  Other pipelined requests on
 //!   the same connection are untouched.
-//! * **Connection cap reached** — the shards collectively own at most
-//!   [`NetOptions::max_connections`] sockets (the shared reservation
-//!   counter); a connection past the cap is shed by the accepting shard
-//!   with a REJECTED frame (`scope = connections`) queued on its write
-//!   buffer and closed once flushed — no thread is spawned, the acceptor
-//!   never blocks.
+//! * **Connection cap reached** — the reactor serves at most
+//!   [`NetOptions::max_connections`] connections; one past the cap is
+//!   shed with a REJECTED frame (`scope = connections`) queued on its
+//!   write buffer and closed once flushed — no thread is spawned, the
+//!   acceptor never blocks.
 //!
-//! Each reactor thread blocks in the poller, not on a core, so it draws
+//! The reactor thread blocks in the poller, not on a core, so it draws
 //! nothing from the compute thread budget (nor does a `StreamServer`
-//! dispatcher); their number is `resolve_reactors`' clamp to
-//! `1..=max_connections`.  Connection scaling is bounded by
-//! `max_connections`, not by threads.
+//! dispatcher).  Connection scaling is bounded by `max_connections`, not
+//! by threads.
 //!
 //! # Failure isolation
 //!
-//! A panic in one reactor shard kills only that shard: its connections
-//! die, its siblings keep serving, and the acceptor skips it for new
-//! admissions.  [`NetServer::is_healthy`] turns `false` (any dead shard
-//! means lost capacity and, for shard 0, a dead listener), which is the
-//! supervision signal to rebuild the front-end; [`NetStats::per_reactor`]
-//! says which shard died.
+//! A panic in the reactor's event loop ends the front-end: its
+//! connections die and nothing accepts.  Inference panics never get
+//! there — the dispatcher isolates them.  [`NetServer::is_healthy`] turns
+//! `false` once the reactor thread has exited, which is the supervision
+//! signal to rebuild the front-end.
 //!
 //! # Shutdown
 //!
-//! [`NetServer::shutdown`] wakes every shard; each stops accepting and
+//! [`NetServer::shutdown`] wakes the reactor; it stops accepting and
 //! reading, submits any complete frames already buffered, waits for its
 //! in-flight inferences to complete, flushes its write queues (bounded by
 //! [`SHUTDOWN_DRAIN_GRACE`]) and exits; only then is the inner server
@@ -124,24 +115,19 @@ pub struct NetOptions {
     pub server: ServerOptions,
     /// Upper bound of one poller sleep: the granularity of idle-timeout
     /// sweeps and the latency ceiling of noticing a shutdown — not of
-    /// requests, which wake their shard through its pipe.
+    /// requests, which wake the reactor through its pipe.
     pub poll_interval: Duration,
     /// A connection that has sent no complete request (and has none in
     /// flight) for this long is closed and its slot reclaimed.  Without
     /// the deadline, `max_connections` silent sockets would pin every slot
     /// forever and starve new connections while the server sits idle.
     pub idle_timeout: Duration,
-    /// Most connections the shards collectively own at once.  Past the
+    /// Most connections the reactor serves at once.  Past the
     /// cap a new connection is shed with a typed REJECTED frame (`scope =
     /// connections`).  Must be at least 1 ([`NetServer::bind`] rejects 0
     /// with a typed error).  Connections are state, not threads, so this
     /// can comfortably sit far above the old per-connection worker cap.
     pub max_connections: usize,
-    /// Reactor shards.  `0` (the default) resolves to the `SNN_REACTORS`
-    /// environment variable if set, else one shard per available core.
-    /// Shard 0 owns the listener and distributes admitted connections
-    /// round-robin; a connection lives on one shard for its whole life.
-    pub reactors: usize,
     /// Readiness backend.  [`ReactorBackend::Auto`] (the default) honours
     /// the `SNN_REACTOR` environment variable (`poll` / `epoll`) and
     /// otherwise picks epoll, falling back to `poll(2)` when the kernel
@@ -156,7 +142,6 @@ impl Default for NetOptions {
             poll_interval: Duration::from_millis(20),
             idle_timeout: Duration::from_secs(60),
             max_connections: 256,
-            reactors: 0,
             backend: ReactorBackend::Auto,
         }
     }
@@ -179,7 +164,7 @@ pub const MAX_WRITE_BUFFER: usize = 4 << 20;
 pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Most bytes a reactor reads from one socket in one readiness round — a
-/// fairness bound so a firehose peer cannot starve its shard neighbours
+/// fairness bound so a firehose peer cannot starve its neighbours
 /// between waits.  The remainder stays in the kernel buffer, and the
 /// poller reports the socket readable again on the next wait.
 pub const READ_BURST: usize = 256 << 10;
@@ -197,7 +182,7 @@ pub const SHUTDOWN_DRAIN_GRACE: Duration = Duration::from_secs(10);
 /// RST, which could destroy the reply before the peer reads it.
 pub const CLOSE_LINGER: Duration = Duration::from_millis(250);
 
-/// Per-shard cap on connections in the shed/close pipeline (REJECTED
+/// Cap on connections in the shed/close pipeline (REJECTED
 /// queued, write flushing, linger) beyond the admitted population.  Past
 /// it, surplus connections are dropped without a frame — under that much
 /// flood typed rejection inevitably degrades to kernel-level drops
@@ -211,75 +196,37 @@ pub const MAX_SHED_CONNECTIONS: usize = 64;
 /// a polite back-off floor rather than a measurement.
 pub const CONNECTIONS_RETRY_AFTER_MS: u64 = 100;
 
-/// Poller token of a shard's wake pipe (connection tokens count up from
-/// zero and never reach the reserved range).
+/// Poller token of the reactor's wake pipe (connection tokens count up
+/// from zero and never reach the reserved range).
 const TOKEN_WAKE: u64 = u64::MAX;
-/// Poller token of the listener (shard 0 only).
+/// Poller token of the listener.
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
 
-/// One shard's counters — each written only by its owning reactor
-/// thread, read by anyone.
-struct ShardCounters {
-    alive: AtomicBool,
-    accepted: AtomicU64,
-    turned_away: AtomicU64,
-    handoffs: AtomicU64,
-    requests: AtomicU64,
-    protocol_errors: AtomicU64,
-    stats_requests: AtomicU64,
-    open_connections: AtomicUsize,
-}
-
-impl ShardCounters {
-    fn new() -> Self {
-        ShardCounters {
-            alive: AtomicBool::new(true),
-            accepted: AtomicU64::new(0),
-            turned_away: AtomicU64::new(0),
-            handoffs: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            stats_requests: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
-        }
-    }
-}
-
-/// Per-shard slice of [`NetStats`]: which reactor did what — a hot
-/// accept shard, a dead shard, or an unbalanced handoff is visible here.
+/// What [`NetStats::per_reactor`] reports for the one reactor: the
+/// readiness backend it runs on and its connection and request counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReactorStats {
-    /// Shard index (`0` owns the listener).
-    pub index: usize,
-    /// `false` once this shard's thread has exited (shutdown or panic).
-    pub alive: bool,
-    /// The readiness backend the shard actually runs on (after the
+    /// The readiness backend the reactor actually runs on (after the
     /// epoll→poll fallback): `"epoll"` or `"poll"`.
     pub backend: &'static str,
-    /// Connections admitted to this shard (the accept share).
+    /// TCP connections accepted (admitted or shed).
     pub accepted: u64,
-    /// Connections this shard shed at the cap (sheds land on the accept
-    /// shard, which owns the admission decision).
+    /// Connections shed at the cap.
     pub turned_away: u64,
-    /// Admitted connections that arrived via listener handoff rather
-    /// than locally (always 0 for shard 0).
-    pub handoffs: u64,
-    /// Connections this shard currently owns.
+    /// Admitted connections still being served.
     pub open_connections: u64,
-    /// Inference requests decoded by this shard.
+    /// Inference requests decoded.
     pub requests: u64,
-    /// Protocol violations observed by this shard.
+    /// Protocol violations observed.
     pub protocol_errors: u64,
-    /// STATS requests served by this shard.
+    /// STATS requests served.
     pub stats_requests: u64,
 }
 
 /// Snapshot of a [`NetServer`]'s counters plus the inner serving stats.
-/// The flat counters aggregate over every reactor shard;
-/// [`NetStats::per_reactor`] has the breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetStats {
-    /// TCP connections accepted (admitted or shed), summed over shards.
+    /// TCP connections accepted (admitted or shed).
     pub accepted: u64,
     /// Connections shed because the front-end was at `max_connections`.
     pub turned_away: u64,
@@ -289,20 +236,17 @@ pub struct NetStats {
     pub protocol_errors: u64,
     /// STATS requests served (framed or plaintext).
     pub stats_requests: u64,
-    /// Connections the shards currently own.
+    /// Admitted connections still being served: the count the
+    /// `max_connections` cap is checked against.
     pub open_connections: u64,
-    /// `false` once **any** reactor shard has exited — normally
-    /// (shutdown) or abnormally (a shard panic).  A supervisor that sees
-    /// this `false` on a server it has not shut down knows part of the
-    /// front-end is dead even though the process is alive; see
-    /// [`NetServer::is_healthy`] and the per-shard `alive` flags in
-    /// [`NetStats::per_reactor`].
+    /// `false` once the reactor thread has exited — normally (shutdown)
+    /// or abnormally (a panic).  A supervisor that sees this `false` on a
+    /// server it has not shut down knows the front-end is dead even
+    /// though the process is alive; see [`NetServer::is_healthy`].
     pub reactor_alive: bool,
-    /// Reactor shards the server was built with.
+    /// Reactor threads: always 1.
     pub reactors: u64,
-    /// Shards whose threads are still running.
-    pub reactors_alive: u64,
-    /// Per-shard breakdown (accept share, handoffs, liveness, backend).
+    /// The one reactor's counters and backend.
     pub per_reactor: Vec<ReactorStats>,
     /// The inner [`StreamServer`] statistics (completed, rejected, queue
     /// snapshot, per-unit utilisation, ...).
@@ -312,35 +256,32 @@ pub struct NetStats {
 struct NetShared {
     server: StreamServer,
     options: NetOptions,
-    /// Resolved shard count (≥ 1); `options.reactors` keeps the raw
-    /// request (possibly 0 = auto).
-    reactors: usize,
-    /// Backend each shard's poller actually landed on, fixed at bind.
-    backend_names: Vec<&'static str>,
+    /// Backend the reactor's poller landed on, fixed at bind.
+    backend: &'static str,
     shutdown: AtomicBool,
-    /// Global admission reservation: incremented by the accepting shard
-    /// **before** a connection is admitted or handed off, decremented by
-    /// the owning shard when an admitted connection stops being served
-    /// (drain or close).  Only the acceptor admits, so the cap check
-    /// against this counter is exact.
-    open_total: AtomicUsize,
-    shards: Vec<ShardCounters>,
-    wakes: Vec<Arc<WakePipe>>,
+    wake: Arc<WakePipe>,
+    /// Cleared when the reactor thread exits (see [`ReactorAliveGuard`]).
+    alive: AtomicBool,
+    accepted: AtomicU64,
+    turned_away: AtomicU64,
+    requests: AtomicU64,
+    protocol_errors: AtomicU64,
+    stats_requests: AtomicU64,
+    /// Admitted connections still being served.  Only the reactor writes
+    /// it — up when it admits, down in [`retire_and_drain`] or `close` —
+    /// so the cap check against it is exact and the gauge is never stale.
+    /// `Relaxed` throughout: it publishes no other data.
+    open_connections: AtomicUsize,
 }
 
-/// Flips a shard's `alive` flag when its reactor thread exits, even by
-/// unwinding: the guard lives on the reactor's stack, so a panic anywhere
-/// in the event loop still reports the death.
-struct ReactorAliveGuard {
-    shared: Arc<NetShared>,
-    shard: usize,
-}
+/// Clears `alive` when the reactor thread exits, even by unwinding: the
+/// guard lives on the reactor's stack, so a panic anywhere in the event
+/// loop still reports the death.
+struct ReactorAliveGuard(Arc<NetShared>);
 
 impl Drop for ReactorAliveGuard {
     fn drop(&mut self) {
-        self.shared.shards[self.shard]
-            .alive
-            .store(false, Ordering::Release);
+        self.0.alive.store(false, Ordering::Release);
     }
 }
 
@@ -348,7 +289,7 @@ impl Drop for ReactorAliveGuard {
 #[derive(Debug)]
 pub struct NetServer {
     shared: Arc<NetShared>,
-    reactors: Vec<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
@@ -356,34 +297,14 @@ impl std::fmt::Debug for NetShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetShared")
             .field("options", &self.options)
-            .field("reactors", &self.reactors)
+            .field("backend", &self.backend)
             .finish_non_exhaustive()
     }
 }
 
-/// Resolves `NetOptions::reactors`: explicit > `SNN_REACTORS` env > one
-/// per available core; clamped to at least 1 and at most the connection
-/// cap (a shard with no possible connection is pure overhead).
-fn resolve_reactors(options: &NetOptions) -> usize {
-    let requested = if options.reactors > 0 {
-        options.reactors
-    } else {
-        std::env::var("SNN_REACTORS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    };
-    requested.clamp(1, options.max_connections)
-}
-
 impl NetServer {
     /// Compiles `model`, binds `addr` (use port `0` for an ephemeral port)
-    /// and starts the reactor shards.
+    /// and starts the reactor thread.
     ///
     /// # Errors
     ///
@@ -403,88 +324,42 @@ impl NetServer {
                     .to_string(),
             }));
         }
-        let reactors = resolve_reactors(&options);
         let server = StreamServer::start_with(config, model, options.server)?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-
-        let mut wakes = Vec::with_capacity(reactors);
-        for _ in 0..reactors {
-            wakes.push(Arc::new(WakePipe::new()?));
-        }
-        // Pollers are built before the threads spawn so the backend each
-        // shard landed on (epoll, or the poll fallback) is known — and
-        // reportable — from the moment `bind` returns.
-        let mut pollers: Vec<Option<Poller>> = (0..reactors)
-            .map(|_| Some(Poller::new(options.backend)))
-            .collect();
-        let backend_names: Vec<&'static str> = pollers
-            .iter()
-            .map(|p| p.as_ref().expect("just built").backend_name())
-            .collect();
+        // The poller is built before the thread spawns so the backend it
+        // landed on (epoll, or the poll fallback) is reportable from the
+        // moment `bind` returns.
+        let poller = Poller::new(options.backend);
         let shared = Arc::new(NetShared {
             server,
             options,
-            reactors,
-            backend_names,
+            backend: poller.backend_name(),
             shutdown: AtomicBool::new(false),
-            open_total: AtomicUsize::new(0),
-            shards: (0..reactors).map(|_| ShardCounters::new()).collect(),
-            wakes,
+            wake: Arc::new(WakePipe::new()?),
+            alive: AtomicBool::new(true),
+            accepted: AtomicU64::new(0),
+            turned_away: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            stats_requests: AtomicU64::new(0),
+            open_connections: AtomicUsize::new(0),
         });
-
-        // The round-robin handoff fabric: shard 0 sends admitted sockets
-        // to any sibling's channel and wakes it.  (Shard 0's own channel
-        // exists for uniformity but the acceptor admits locally instead.)
-        let mut txs = Vec::with_capacity(reactors);
-        let mut rxs: Vec<Option<mpsc::Receiver<TcpStream>>> = Vec::with_capacity(reactors);
-        for _ in 0..reactors {
-            let (tx, rx) = mpsc::channel::<TcpStream>();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
-
-        let mut handles = Vec::with_capacity(reactors);
-        let mut listener_slot = Some(listener);
-        for shard in 0..reactors {
-            let poller = pollers[shard].take().expect("one poller per shard");
-            let handoff_rx = rxs[shard].take().expect("one receiver per shard");
-            let handoff_txs = if shard == 0 { txs.clone() } else { Vec::new() };
-            let listener = if shard == 0 {
-                listener_slot.take()
-            } else {
-                None
-            };
-            let completion_wake = Arc::clone(&shared.wakes[shard]);
-            let (sink, completions) = CompletionSink::new(Arc::new(move || completion_wake.wake()));
-            let reactor_shared = Arc::clone(&shared);
-            let handle = thread::Builder::new()
-                .name(format!("snn-net-reactor-{shard}"))
-                .spawn(move || {
-                    // The alive guard reports the thread's death on every
-                    // exit path, panics included.
-                    let _alive = ReactorAliveGuard {
-                        shared: Arc::clone(&reactor_shared),
-                        shard,
-                    };
-                    Reactor::new(
-                        &reactor_shared,
-                        shard,
-                        poller,
-                        listener,
-                        handoff_rx,
-                        handoff_txs,
-                        completions,
-                        sink,
-                    )
-                    .run();
-                })?;
-            handles.push(handle);
-        }
+        let completion_wake = Arc::clone(&shared.wake);
+        let (sink, completions) = CompletionSink::new(Arc::new(move || completion_wake.wake()));
+        let reactor_shared = Arc::clone(&shared);
+        let reactor = thread::Builder::new()
+            .name("snn-net-reactor".to_string())
+            .spawn(move || {
+                // The alive guard reports the thread's death on every exit
+                // path, panics included.
+                let alive = ReactorAliveGuard(reactor_shared);
+                Reactor::new(&alive.0, poller, listener, completions, sink).run();
+            })?;
         Ok(NetServer {
             shared,
-            reactors: handles,
+            reactor: Some(reactor),
             local_addr,
         })
     }
@@ -494,37 +369,31 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Snapshot of the front-end counters (aggregated and per shard) and
-    /// the inner serving stats.
+    /// Snapshot of the front-end counters and the inner serving stats.
     pub fn stats(&self) -> NetStats {
         net_stats(&self.shared)
     }
 
-    /// `true` while every reactor shard is alive, at least one replica
+    /// `true` while the reactor thread is alive, at least one replica
     /// engine is healthy, and the server has not been told to shut down.
     ///
-    /// A dead shard (a panic in its event loop — inference panics never
-    /// reach the reactors, they are isolated inside the dispatcher) means
-    /// its connections are gone and, for shard 0, that nothing accepts;
-    /// the survivors keep serving *their* connections, but the front-end
-    /// has silently lost capacity.  Likewise, a front-end with zero
-    /// healthy replicas behind it can only reject.  A *degraded* inner
-    /// server — some but not all replicas down — still reports healthy
-    /// (the survivors serve); the per-replica stats expose the
+    /// A dead reactor (a panic in its event loop — inference panics never
+    /// reach it, they are isolated inside the dispatcher) means every
+    /// connection is gone and nothing accepts.  Likewise, a front-end with
+    /// zero healthy replicas behind it can only reject.  A *degraded*
+    /// inner server — some but not all replicas down — still reports
+    /// healthy (the survivors serve); the per-replica stats expose the
     /// degradation.  This is the supervision signal: a monitor that sees
     /// `is_healthy() == false` on a server it did not shut down should
     /// rebuild the front-end.
     pub fn is_healthy(&self) -> bool {
-        self.shared
-            .shards
-            .iter()
-            .all(|s| s.alive.load(Ordering::Acquire))
+        self.shared.alive.load(Ordering::Acquire)
             && self.shared.server.healthy_replicas() > 0
             && !self.shared.shutdown.load(Ordering::Acquire)
     }
 
     /// Gracefully shuts down: stop accepting, drain in-flight requests,
-    /// flush replies, join every shard, and return the final statistics.
+    /// flush replies, join the reactor, and return the final statistics.
     pub fn shutdown(mut self) -> NetStats {
         self.stop();
         self.stats()
@@ -532,14 +401,12 @@ impl NetServer {
 
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for wake in &self.shared.wakes {
-            wake.wake();
-        }
-        // A panicked shard must not turn shutdown into a panic of its
+        self.shared.wake.wake();
+        // A panicked reactor must not turn shutdown into a panic of its
         // own (or a double-panic abort when this runs from Drop during
-        // unwinding): join errors are swallowed and teardown continues.
-        for handle in self.reactors.drain(..) {
-            let _ = handle.join();
+        // unwinding): the join error is swallowed and teardown continues.
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
         }
     }
 }
@@ -551,51 +418,26 @@ impl Drop for NetServer {
 }
 
 fn net_stats(shared: &NetShared) -> NetStats {
-    let per_reactor = per_reactor_stats(shared);
-    let alive = per_reactor.iter().filter(|r| r.alive).count() as u64;
+    let reactor = ReactorStats {
+        backend: shared.backend,
+        accepted: shared.accepted.load(Ordering::Relaxed),
+        turned_away: shared.turned_away.load(Ordering::Relaxed),
+        open_connections: shared.open_connections.load(Ordering::Relaxed) as u64,
+        requests: shared.requests.load(Ordering::Relaxed),
+        protocol_errors: shared.protocol_errors.load(Ordering::Relaxed),
+        stats_requests: shared.stats_requests.load(Ordering::Relaxed),
+    };
     NetStats {
-        accepted: per_reactor.iter().map(|r| r.accepted).sum(),
-        turned_away: per_reactor.iter().map(|r| r.turned_away).sum(),
-        requests: per_reactor.iter().map(|r| r.requests).sum(),
-        protocol_errors: per_reactor.iter().map(|r| r.protocol_errors).sum(),
-        stats_requests: per_reactor.iter().map(|r| r.stats_requests).sum(),
-        open_connections: per_reactor.iter().map(|r| r.open_connections).sum(),
-        reactor_alive: alive == shared.reactors as u64,
-        reactors: shared.reactors as u64,
-        reactors_alive: alive,
-        per_reactor,
+        accepted: reactor.accepted,
+        turned_away: reactor.turned_away,
+        requests: reactor.requests,
+        protocol_errors: reactor.protocol_errors,
+        stats_requests: reactor.stats_requests,
+        open_connections: reactor.open_connections,
+        reactor_alive: shared.alive.load(Ordering::Acquire),
+        reactors: 1,
+        per_reactor: vec![reactor],
         server: shared.server.stats(),
-    }
-}
-
-fn per_reactor_stats(shared: &NetShared) -> Vec<ReactorStats> {
-    shared
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(index, c)| ReactorStats {
-            index,
-            alive: c.alive.load(Ordering::Acquire),
-            backend: shared.backend_names[index],
-            accepted: c.accepted.load(Ordering::Relaxed),
-            turned_away: c.turned_away.load(Ordering::Relaxed),
-            handoffs: c.handoffs.load(Ordering::Relaxed),
-            open_connections: c.open_connections.load(Ordering::Relaxed) as u64,
-            requests: c.requests.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            stats_requests: c.stats_requests.load(Ordering::Relaxed),
-        })
-        .collect()
-}
-
-/// The backend name shared by all shards, or `"mixed"` in the
-/// (theoretical) case of a per-shard fallback divergence.
-fn aggregate_backend(shared: &NetShared) -> &'static str {
-    let first = shared.backend_names[0];
-    if shared.backend_names.iter().all(|name| *name == first) {
-        first
-    } else {
-        "mixed"
     }
 }
 
@@ -619,8 +461,8 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     state: ConnState,
-    /// `false` for shed connections, which never held a reservation in
-    /// the global admission counter.
+    /// `false` for shed connections, which are never counted in
+    /// [`NetShared::open_connections`].
     admitted: bool,
     /// Bytes read but not yet decoded (at most a partial frame after each
     /// processing pass).
@@ -682,8 +524,8 @@ impl Conn {
     /// Marks the connection terminally answered: finish in-flight work,
     /// flush, half-close, linger, close.  The drain phase gets the full
     /// flush grace (in-flight completions are still landing); the linger
-    /// after the half-close is short.  Callers that may hold an admission
-    /// reservation go through [`retire_and_drain`] instead.
+    /// after the half-close is short.  Callers that may be counted in the
+    /// open connections go through [`retire_and_drain`] instead.
     fn begin_drain(&mut self) {
         if self.state == ConnState::Open {
             self.state = ConnState::Draining;
@@ -836,13 +678,13 @@ impl Conn {
     }
 }
 
-/// Ends an admitted connection's claim on the global admission counter
-/// and starts its terminal drain.  Every `begin_drain` on a possibly
-/// admitted connection must go through here — a reservation that leaks
-/// would shrink the connection cap forever.
+/// Stops counting an admitted connection as open and starts its
+/// terminal drain.  Every `begin_drain` on a possibly admitted connection
+/// must go through here — a count that leaks would shrink the connection
+/// cap forever.
 fn retire_and_drain(shared: &NetShared, conn: &mut Conn) {
     if conn.state == ConnState::Open && conn.admitted {
-        shared.open_total.fetch_sub(1, Ordering::AcqRel);
+        shared.open_connections.fetch_sub(1, Ordering::Relaxed);
     }
     conn.begin_drain();
 }
@@ -856,26 +698,15 @@ struct Pending {
 
 struct Reactor<'a> {
     shared: &'a Arc<NetShared>,
-    shard: usize,
     poller: Poller,
-    /// Shard 0 owns the listener; every other shard receives its accept
-    /// share over the handoff channel.
-    listener: Option<TcpListener>,
-    handoff_rx: mpsc::Receiver<TcpStream>,
-    /// Round-robin handoff senders, one per shard (non-empty only on the
-    /// accepting shard).
-    handoff_txs: Vec<mpsc::Sender<TcpStream>>,
-    /// Round-robin cursor over shards (accepting shard only).
-    next_target: usize,
+    listener: TcpListener,
     completions: mpsc::Receiver<Completion>,
     sink: CompletionSink,
     conns: HashMap<u64, Conn>,
     /// Tag of every in-flight tagged submission → its origin.
     pending: HashMap<u64, Pending>,
     next_token: u64,
-    /// Next submission tag: starts at the shard index, strides by the
-    /// shard count — globally unique without cross-shard coordination
-    /// (the telemetry recorder keys traces by tag).
+    /// Next submission tag (the telemetry recorder keys traces by tag).
     next_tag: u64,
     /// Set once when a shutdown is observed: already-buffered complete
     /// frames are submitted one final time, then reads stop.
@@ -883,61 +714,40 @@ struct Reactor<'a> {
 }
 
 impl<'a> Reactor<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         shared: &'a Arc<NetShared>,
-        shard: usize,
         poller: Poller,
-        listener: Option<TcpListener>,
-        handoff_rx: mpsc::Receiver<TcpStream>,
-        handoff_txs: Vec<mpsc::Sender<TcpStream>>,
+        listener: TcpListener,
         completions: mpsc::Receiver<Completion>,
         sink: CompletionSink,
     ) -> Self {
         Reactor {
             shared,
-            shard,
             poller,
             listener,
-            handoff_rx,
-            handoff_txs,
-            next_target: 0,
             completions,
             sink,
             conns: HashMap::new(),
             pending: HashMap::new(),
             next_token: 0,
-            next_tag: shard as u64,
+            next_tag: 0,
             drain_started: false,
         }
     }
 
-    fn counters(&self) -> &ShardCounters {
-        &self.shared.shards[self.shard]
-    }
-
     fn run(mut self) {
+        // A reactor that cannot hear wakes or accepts cannot serve; die
+        // loudly (the alive guard reports it).
         if self
             .poller
-            .register(
-                self.shared.wakes[self.shard].read_fd(),
-                TOKEN_WAKE,
-                Interest::READ,
-            )
+            .register(self.shared.wake.read_fd(), TOKEN_WAKE, Interest::READ)
             .is_err()
-        {
-            // A shard that cannot hear wakes cannot serve; die loudly
-            // (the alive guard reports it).
-            return;
-        }
-        if let Some(listener) = &self.listener {
-            if self
+            || self
                 .poller
-                .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
+                .register(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
                 .is_err()
-            {
-                return;
-            }
+        {
+            return;
         }
         let mut drain_deadline: Option<Instant> = None;
         let mut events = Vec::new();
@@ -965,14 +775,12 @@ impl<'a> Reactor<'a> {
 
             // Every wait sees each descriptor's interest as of now; a
             // connection the poller can no longer watch is shed.
-            if self.listener.is_some() {
-                let interest = if draining {
-                    Interest::NONE
-                } else {
-                    Interest::READ
-                };
-                let _ = self.poller.set_interest(TOKEN_LISTENER, interest);
-            }
+            let interest = if draining {
+                Interest::NONE
+            } else {
+                Interest::READ
+            };
+            let _ = self.poller.set_interest(TOKEN_LISTENER, interest);
             let mut unwatchable = Vec::new();
             for (&token, conn) in &self.conns {
                 if self
@@ -1002,7 +810,7 @@ impl<'a> Reactor<'a> {
             let mut accept = false;
             for event in &events {
                 match event.token {
-                    TOKEN_WAKE => self.shared.wakes[self.shard].drain(),
+                    TOKEN_WAKE => self.shared.wake.drain(),
                     TOKEN_LISTENER => accept = true,
                     token => {
                         if event.error {
@@ -1018,10 +826,8 @@ impl<'a> Reactor<'a> {
                     }
                 }
             }
-            // Handoffs and completions are drained unconditionally:
-            // try_recv is cheap and wake coalescing means byte counts
-            // carry no information.
-            self.drain_handoffs(draining);
+            // Completions are drained unconditionally: try_recv is cheap
+            // and wake coalescing means byte counts carry no information.
             self.drain_completions();
             if accept && !draining {
                 self.accept_ready();
@@ -1030,15 +836,11 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Accepts every connection the listener has queued and places each
-    /// on a shard (round-robin over the living).
+    /// Accepts every connection the listener has queued.
     fn accept_ready(&mut self) {
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => self.place_accepted(stream),
+            match self.listener.accept() {
+                Ok((stream, _peer)) => self.admit_or_shed(stream),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 // Transient accept errors (ECONNABORTED etc.): the next
                 // readiness round retries.
@@ -1047,69 +849,32 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// Admission control and shard placement for one accepted socket.
-    fn place_accepted(&mut self, stream: TcpStream) {
+    /// Admission control for one accepted socket.
+    fn admit_or_shed(&mut self, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let max = self.shared.options.max_connections;
-        let open = self.shared.open_total.load(Ordering::Acquire);
-        if open >= max {
-            self.counters().accepted.fetch_add(1, Ordering::Relaxed);
-            self.counters().turned_away.fetch_add(1, Ordering::Relaxed);
+        self.shared.accepted.fetch_add(1, Ordering::Relaxed);
+        let open = self.shared.open_connections.load(Ordering::Relaxed);
+        if open >= self.shared.options.max_connections {
+            self.shared.turned_away.fetch_add(1, Ordering::Relaxed);
             self.shed(stream, open as u64);
             return;
         }
-        // Reserve the slot before the connection is reachable by any
-        // shard: only the acceptor admits, so the check above is exact
-        // and the counter can only lag on the release side (closes), never
-        // overshoot the cap.
-        self.shared.open_total.fetch_add(1, Ordering::AcqRel);
-        let shards = self.shared.reactors;
-        let mut stream = Some(stream);
-        for _ in 0..shards {
-            let target = self.next_target % shards;
-            self.next_target = (self.next_target + 1) % shards;
-            if target == self.shard {
-                self.shared.shards[target]
-                    .accepted
-                    .fetch_add(1, Ordering::Relaxed);
-                self.admit(stream.take().expect("placed once"));
-                return;
-            }
-            if !self.shared.shards[target].alive.load(Ordering::Acquire) {
-                continue;
-            }
-            match self.handoff_txs[target].send(stream.take().expect("placed once")) {
-                Ok(()) => {
-                    self.shared.shards[target]
-                        .accepted
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.shards[target]
-                        .handoffs
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.wakes[target].wake();
-                    return;
-                }
-                // The shard died between the liveness check and the send:
-                // take the socket back and try the next target.
-                Err(mpsc::SendError(returned)) => stream = Some(returned),
-            }
+        let _ = stream.set_nodelay(true);
+        if self.install(Conn::new(stream)).is_some() {
+            self.shared.open_connections.fetch_add(1, Ordering::Relaxed);
         }
-        // Unreachable in practice — the accepting shard itself is always
-        // a valid target — but never leak the reservation.
-        self.shared.open_total.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// Sheds one over-cap connection with a typed REJECTED frame, owned
-    /// locally by the accepting shard (bounded by
-    /// [`MAX_SHED_CONNECTIONS`]).
+    /// Sheds one over-cap connection with a typed REJECTED frame
+    /// (bounded by [`MAX_SHED_CONNECTIONS`]).
     fn shed(&mut self, stream: TcpStream, open: u64) {
         // Sheds occupy close-pipeline slots (flush + linger), bounded
         // separately from serving slots; past that bound the stream is
         // simply dropped.
-        let draining = self.conns.len() - self.open_count();
-        if draining >= MAX_SHED_CONNECTIONS {
+        let closing = self.conns.len() - self.shared.open_connections.load(Ordering::Relaxed);
+        if closing >= MAX_SHED_CONNECTIONS {
             return;
         }
         let _ = stream.set_nodelay(true);
@@ -1128,63 +893,20 @@ impl<'a> Reactor<'a> {
             drain_rate_mips: drain_rate_mips(&snapshot),
         }));
         conn.begin_drain();
-        self.install(conn);
-    }
-
-    /// Installs an admitted (reservation-holding) connection on this
-    /// shard.
-    fn admit(&mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let conn = Conn::new(stream);
-        if self.install(conn) {
-            self.counters()
-                .open_connections
-                .store(self.open_count(), Ordering::Relaxed);
-        } else {
-            // The poller refused the descriptor: the connection was
-            // dropped, release its reservation.
-            self.shared.open_total.fetch_sub(1, Ordering::AcqRel);
+        if let Some(token) = self.install(conn) {
+            self.flush(token);
         }
     }
 
-    /// Registers a connection with the poller and the table; returns
-    /// `false` (dropping the connection) if the poller refuses it.
-    fn install(&mut self, conn: Conn) -> bool {
+    /// Registers a connection with the poller and the table and returns
+    /// its token, or drops the connection if the poller refuses it.
+    fn install(&mut self, conn: Conn) -> Option<u64> {
         let token = self.next_token;
         self.next_token += 1;
         let fd = conn.stream.as_raw_fd();
-        if self
-            .poller
-            .register(fd, token, conn.interest(false))
-            .is_err()
-        {
-            return false;
-        }
+        self.poller.register(fd, token, conn.interest(false)).ok()?;
         self.conns.insert(token, conn);
-        self.flush(token);
-        true
-    }
-
-    /// Admits connections handed over by the accepting shard.  During a
-    /// shutdown the handoff is refused and the acceptor-made reservation
-    /// released (the acceptor itself has already stopped accepting; this
-    /// only catches sockets in flight at the instant of shutdown).
-    fn drain_handoffs(&mut self, draining: bool) {
-        while let Ok(stream) = self.handoff_rx.try_recv() {
-            if draining {
-                self.shared.open_total.fetch_sub(1, Ordering::AcqRel);
-                continue;
-            }
-            self.admit(stream);
-        }
-    }
-
-    /// Admitted (non-shed) connections currently owned by this shard.
-    fn open_count(&self) -> usize {
-        self.conns
-            .values()
-            .filter(|c| c.state == ConnState::Open)
-            .count()
+        Some(token)
     }
 
     /// Non-blocking read burst followed by frame processing.
@@ -1208,14 +930,12 @@ impl<'a> Reactor<'a> {
         // are used simultaneously below.
         let Reactor {
             shared,
-            shard,
             conns,
             pending,
             next_tag,
             sink,
             ..
         } = self;
-        let counters = &shared.shards[*shard];
         let Some(conn) = conns.get_mut(&token) else {
             return;
         };
@@ -1226,7 +946,7 @@ impl<'a> Reactor<'a> {
             match probe_plaintext(&conn.rbuf[consumed..]) {
                 PlaintextProbe::Stats { consumed: line } => {
                     consumed += line;
-                    counters.stats_requests.fetch_add(1, Ordering::Relaxed);
+                    shared.stats_requests.fetch_add(1, Ordering::Relaxed);
                     // One-shot scrape, `nc`-style: raw text (no framing),
                     // then close.
                     conn.wbuf
@@ -1236,7 +956,7 @@ impl<'a> Reactor<'a> {
                 }
                 PlaintextProbe::Traces { consumed: line } => {
                     consumed += line;
-                    counters.stats_requests.fetch_add(1, Ordering::Relaxed);
+                    shared.stats_requests.fetch_add(1, Ordering::Relaxed);
                     // One-shot JSONL trace dump, also `nc`-style; draining
                     // is destructive, so each scrape returns fresh traces.
                     conn.wbuf
@@ -1250,14 +970,12 @@ impl<'a> Reactor<'a> {
             match Frame::decode(&conn.rbuf[consumed..]) {
                 Ok(Some((frame, used))) => {
                     consumed += used;
-                    handle_frame(
-                        shared, counters, conn, pending, next_tag, sink, token, frame,
-                    );
+                    handle_frame(shared, conn, pending, next_tag, sink, token, frame);
                     conn.last_activity = Instant::now();
                 }
                 Ok(None) => break,
                 Err(err) => {
-                    counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
                     conn.queue_frame(&Frame::Error(ErrorReply {
                         request_id: NO_REQUEST_ID,
                         code: error_code::PROTOCOL,
@@ -1384,16 +1102,12 @@ impl<'a> Reactor<'a> {
 
     fn close(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            // A connection closed while still serving releases its
-            // admission reservation here (drained ones released it in
-            // `retire_and_drain`).
+            // A connection closed while still serving stops counting as
+            // open here (drained ones stopped in `retire_and_drain`).
             if conn.state == ConnState::Open && conn.admitted {
-                self.shared.open_total.fetch_sub(1, Ordering::AcqRel);
+                self.shared.open_connections.fetch_sub(1, Ordering::Relaxed);
             }
             self.poller.deregister(token);
-            self.counters()
-                .open_connections
-                .store(self.open_count(), Ordering::Relaxed);
         }
         // Stale `pending` entries for this token self-clean: their
         // completions arrive, find no connection, and are dropped.
@@ -1401,10 +1115,8 @@ impl<'a> Reactor<'a> {
 }
 
 /// Serves one decoded client frame (reads already done, writes queued).
-#[allow(clippy::too_many_arguments)]
 fn handle_frame(
     shared: &NetShared,
-    counters: &ShardCounters,
     conn: &mut Conn,
     pending: &mut HashMap<u64, Pending>,
     next_tag: &mut u64,
@@ -1414,7 +1126,7 @@ fn handle_frame(
 ) {
     match frame {
         Frame::Infer(request) => {
-            counters.requests.fetch_add(1, Ordering::Relaxed);
+            shared.requests.fetch_add(1, Ordering::Relaxed);
             let request_id = request.request_id;
             let deadline = request
                 .deadline_ms
@@ -1431,8 +1143,7 @@ fn handle_frame(
                 }
             };
             let tag = *next_tag;
-            // Shard-strided: tags stay globally unique across shards.
-            *next_tag += shared.reactors as u64;
+            *next_tag += 1;
             match shared.server.submit_tagged(tensor, tag, sink, deadline) {
                 Ok(()) => {
                     pending.insert(tag, Pending { token, request_id });
@@ -1463,12 +1174,12 @@ fn handle_frame(
             }
         }
         Frame::StatsRequest { format } => {
-            counters.stats_requests.fetch_add(1, Ordering::Relaxed);
+            shared.stats_requests.fetch_add(1, Ordering::Relaxed);
             conn.queue_frame(&Frame::StatsText(render_stats(shared, format)));
         }
         // Server-bound traffic may only be requests.
         Frame::Scores(_) | Frame::Rejected(_) | Frame::Error(_) | Frame::StatsText(_) => {
-            counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
             conn.queue_frame(&Frame::Error(ErrorReply {
                 request_id: NO_REQUEST_ID,
                 code: error_code::PROTOCOL,
@@ -1531,9 +1242,7 @@ fn collect_metrics(shared: &NetShared) -> MetricTable {
         Metric::new("rejected", Counter, server.rejected),
         Metric::new("deadline_sheds", Counter, server.deadline_sheds),
         Metric::new("reactor_alive", Gauge, u8::from(net.reactor_alive)),
-        Metric::new("reactors", Gauge, net.reactors),
-        Metric::new("reactors_alive", Gauge, net.reactors_alive),
-        Metric::new("reactor_backend", Info, aggregate_backend(shared)),
+        Metric::new("reactor_backend", Info, shared.backend),
         Metric::new("replicas", Gauge, server.replicas),
         Metric::new("replicas_healthy", Gauge, server.healthy_replicas),
         Metric::new("batches", Counter, server.batches),
@@ -1556,20 +1265,19 @@ fn collect_metrics(shared: &NetShared) -> MetricTable {
             shared.server.recorder().open_spans(),
         ),
     ];
-    // Per-reactor shard series: which shard is hot, dead, or unbalanced.
+    // The one-member reactor family: Prometheus carries the backend only
+    // here (an info scalar has no exposition of its own).
     let reactor = |r: &ReactorStats| {
         let rows = vec![
-            Metric::new("shard_alive", Gauge, u8::from(r.alive)),
             Metric::new("backend", Info, r.backend),
             Metric::new("connections", Gauge, r.open_connections),
             Metric::new("accepted", Counter, r.accepted),
             Metric::new("turned_away", Counter, r.turned_away),
-            Metric::new("handoffs", Counter, r.handoffs),
             Metric::new("requests", Counter, r.requests),
             Metric::new("protocol_errors", Counter, r.protocol_errors),
             Metric::new("stats_requests", Counter, r.stats_requests),
         ];
-        (r.index.to_string(), rows)
+        ("0".to_string(), rows)
     };
     let replica = |r: &ReplicaStats| {
         let rows = vec![

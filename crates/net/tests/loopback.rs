@@ -399,6 +399,31 @@ fn malformed_bytes_get_a_protocol_error_reply_and_a_close() {
     assert_eq!(stats.protocol_errors, 1);
 }
 
+/// A connection answered with a terminal reply stops counting as open
+/// the moment it is answered: the half-close the peer reads comes after
+/// the count drops, even while the server still lingers on the socket.
+#[test]
+fn a_terminally_answered_connection_no_longer_counts_as_open() {
+    let (model, _) = tiny_setup(1);
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        AcceleratorConfig::default(),
+        model,
+        NetOptions::default(),
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).unwrap();
+    let stats = server.stats();
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.open_connections, 0);
+    assert_eq!(stats.per_reactor[0].open_connections, 0);
+    drop(raw);
+    server.shutdown();
+}
+
 /// A peer that pipelines its requests and then half-closes still reads
 /// every reply, bit-exact: the server reads the EOF, stops asking for
 /// readability (under level triggering the EOF would otherwise report

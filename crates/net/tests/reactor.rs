@@ -1,12 +1,10 @@
-//! Sharded-reactor loopback suite: with the front-end split into N
-//! reactor shards, results must be indistinguishable from the
-//! single-reactor server — scores stay bit-identical to the in-process
-//! `StreamServer::submit` on **both** readiness backends — while the
-//! sharding itself is visible in the per-reactor stats (round-robin
-//! accept distribution, handoff counts) and the global connection cap
-//! holds exactly across shards.  Also pins the read-burst contract: a
-//! socket whose readable bytes outlast one fairness burst is served in
-//! full, because both backends re-report what the burst left behind.
+//! Reactor loopback suite on both readiness backends: concurrent
+//! connections get scores bit-identical to the in-process
+//! `StreamServer::submit`, the reactor reports the backend it runs on,
+//! and the connection cap sheds exactly and readmits once a slot frees.
+//! Also pins the read-burst contract: a socket whose readable bytes
+//! outlast one fairness burst is served in full, because both backends
+//! re-report what the burst left behind.
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::serve::StreamServer;
@@ -45,33 +43,28 @@ fn tiny_setup(count: usize) -> (SnnModel, Vec<Tensor<f32>>) {
     (model, inputs)
 }
 
-fn sharded_options(reactors: usize, backend: ReactorBackend) -> NetOptions {
+fn options(backend: ReactorBackend) -> NetOptions {
     NetOptions {
-        reactors,
         backend,
         poll_interval: Duration::from_millis(5),
         ..NetOptions::default()
     }
 }
 
-/// The sharding exactness pin: three reactor shards serving three
-/// concurrent connections (so every shard owns one) return logits
-/// bit-identical to the in-process submit — on the epoll backend *and*
-/// the poll fallback.
+/// The exactness pin: three concurrent connections on one reactor
+/// return logits bit-identical to the in-process submit — on the epoll
+/// backend *and* the poll fallback, each reported as the backend in use.
 #[test]
-fn sharded_scores_match_in_process_submit_on_both_backends() {
+fn scores_match_in_process_submit_on_both_backends_with_three_connections() {
     let (model, inputs) = tiny_setup(4);
     let config = AcceleratorConfig::default();
     let in_process = StreamServer::start(config, model.clone()).unwrap();
-    for backend in [ReactorBackend::Epoll, ReactorBackend::Poll] {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            config,
-            model.clone(),
-            sharded_options(3, backend),
-        )
-        .unwrap();
-        // Three live connections: round-robin places one on each shard.
+    for (backend, expected) in [
+        (ReactorBackend::Epoll, "epoll"),
+        (ReactorBackend::Poll, "poll"),
+    ] {
+        let server =
+            NetServer::bind("127.0.0.1:0", config, model.clone(), options(backend)).unwrap();
         let mut clients: Vec<NetClient> = (0..3)
             .map(|_| NetClient::connect(server.local_addr()).unwrap())
             .collect();
@@ -81,63 +74,29 @@ fn sharded_scores_match_in_process_submit_on_both_backends() {
             let solo = in_process.submit(input.clone()).unwrap().wait().unwrap();
             assert_eq!(
                 wire.logits, solo.logits,
-                "logits must be bit-identical under sharding ({backend:?})"
+                "logits must be bit-identical over the wire ({backend:?})"
             );
             assert_eq!(wire.prediction as usize, solo.prediction);
             assert_eq!(wire.total_cycles, solo.total_cycles());
         }
         let stats = server.stats();
-        assert_eq!(stats.reactors, 3);
-        assert_eq!(stats.reactors_alive, 3);
-        assert_eq!(stats.per_reactor.len(), 3);
-        // Round-robin: every shard got exactly one of the three
-        // connections, and the non-accepting shards got theirs by handoff.
-        for reactor in &stats.per_reactor {
-            assert_eq!(
-                reactor.accepted, 1,
-                "round-robin must spread 3 connections over 3 shards"
-            );
-            let expected_handoffs = u64::from(reactor.index != 0);
-            assert_eq!(reactor.handoffs, expected_handoffs);
-        }
+        assert_eq!(stats.reactors, 1);
+        assert_eq!(stats.per_reactor.len(), 1);
+        assert_eq!(stats.per_reactor[0].backend, expected);
+        assert_eq!(stats.accepted, 3);
+        assert_eq!(stats.open_connections, 3);
         assert_eq!(stats.requests, inputs.len() as u64);
+        assert!(stats.reactor_alive);
         drop(clients);
         server.shutdown();
     }
     in_process.shutdown();
 }
 
-/// Every shard reports the backend it actually runs on, and an explicit
-/// `ReactorBackend::Poll` request is honoured per shard.
+/// The reactor serves at most `max_connections` connections, the shed
+/// quotes that capacity, and a freed slot readmits.
 #[test]
-fn per_reactor_stats_report_the_resolved_backend() {
-    let (model, _) = tiny_setup(1);
-    for (backend, expected) in [
-        (ReactorBackend::Epoll, "epoll"),
-        (ReactorBackend::Poll, "poll"),
-    ] {
-        let server = NetServer::bind(
-            "127.0.0.1:0",
-            AcceleratorConfig::default(),
-            model.clone(),
-            sharded_options(2, backend),
-        )
-        .unwrap();
-        let stats = server.stats();
-        assert_eq!(stats.per_reactor.len(), 2);
-        for reactor in &stats.per_reactor {
-            assert_eq!(reactor.backend, expected);
-            assert!(reactor.alive);
-        }
-        server.shutdown();
-    }
-}
-
-/// The connection cap is **global**: two shards collectively own at most
-/// `max_connections` sockets, and the shed carries the global capacity —
-/// sharding must not multiply the admission budget.
-#[test]
-fn connection_cap_is_shared_across_shards() {
+fn connection_cap_sheds_and_a_freed_slot_readmits() {
     let (model, inputs) = tiny_setup(1);
     let server = NetServer::bind(
         "127.0.0.1:0",
@@ -145,28 +104,26 @@ fn connection_cap_is_shared_across_shards() {
         model,
         NetOptions {
             max_connections: 2,
-            ..sharded_options(2, ReactorBackend::Auto)
+            ..options(ReactorBackend::Auto)
         },
     )
     .unwrap();
     let addr = server.local_addr();
-    // Fill both slots; round-robin places one connection per shard.
+    // Fill both slots.
     let mut first = NetClient::connect(addr).unwrap();
     first.infer(&inputs[0]).unwrap();
     let mut second = NetClient::connect(addr).unwrap();
     second.infer(&inputs[0]).unwrap();
-    // The third connection must be shed with the *global* capacity, no
-    // matter which shard would have received it.
+    // The third connection must be shed, quoting the capacity.
     let mut third = NetClient::connect(addr).unwrap();
     match third.infer(&inputs[0]) {
         Err(NetError::Rejected(reply)) => {
             assert_eq!(reply.scope, reject_scope::CONNECTIONS);
-            assert_eq!(reply.capacity, 2, "the cap is global, not per shard");
+            assert_eq!(reply.capacity, 2);
         }
         other => panic!("expected a connection-scope rejection, got {other:?}"),
     }
-    // Freeing one slot readmits — the released reservation is visible to
-    // the accepting shard regardless of which shard owned the connection.
+    // Freeing one slot readmits.
     drop(first);
     let mut retry = NetClient::connect(addr).unwrap();
     let mut served = false;
@@ -183,7 +140,7 @@ fn connection_cap_is_shared_across_shards() {
             Err(other) => panic!("unexpected error: {other}"),
         }
     }
-    assert!(served, "a freed slot must readmit across shards");
+    assert!(served, "a freed slot must readmit");
     let stats = server.shutdown();
     assert!(stats.turned_away >= 1);
     assert_eq!(stats.server.errors, 0);
@@ -210,7 +167,7 @@ fn a_pipelined_backlog_beyond_one_burst_is_served_in_full_on_both_backends() {
             "127.0.0.1:0",
             AcceleratorConfig::default(),
             model.clone(),
-            sharded_options(1, backend),
+            options(backend),
         )
         .unwrap();
         let mut client = NetClient::connect(server.local_addr()).unwrap();
@@ -229,26 +186,4 @@ fn a_pipelined_backlog_beyond_one_burst_is_served_in_full_on_both_backends() {
         assert_eq!(stats.server.completed, 2 * count as u64, "{backend:?}");
         assert_eq!(stats.protocol_errors, 0, "{backend:?}");
     }
-}
-
-/// A shard count above the connection cap is wasted threads; the resolver
-/// clamps it so every shard can own at least one connection.
-#[test]
-fn reactor_count_is_clamped_to_the_connection_cap() {
-    let (model, _) = tiny_setup(1);
-    let server = NetServer::bind(
-        "127.0.0.1:0",
-        AcceleratorConfig::default(),
-        model,
-        NetOptions {
-            reactors: 8,
-            max_connections: 3,
-            ..NetOptions::default()
-        },
-    )
-    .unwrap();
-    let stats = server.stats();
-    assert_eq!(stats.reactors, 3);
-    assert_eq!(stats.per_reactor.len(), 3);
-    server.shutdown();
 }

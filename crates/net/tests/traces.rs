@@ -227,7 +227,7 @@ fn plaintext_traces_line_drains_the_ring_as_jsonl() {
 /// or added metric fails the test below with its name.
 const GOLDEN_TEXT: &str = "
     snn_net_protocol_version completed errors panics rejected deadline_sheds
-    reactor_alive reactors reactors_alive reactor_backend replicas replicas_healthy
+    reactor_alive reactor_backend replicas replicas_healthy
     batches largest_batch queue_depth queue_capacity drain_rate_ips throughput_ips
     thread_budget connections_accepted connections_turned_away connections_open
     connections_max requests protocol_errors stats_requests trace_open_spans
@@ -235,9 +235,8 @@ const GOLDEN_TEXT: &str = "
     request_compute_seconds_count request_compute_seconds_sum
     request_duration_seconds_count request_duration_seconds_sum
     reactor_write_stall_seconds_count reactor_write_stall_seconds_sum
-    reactor.shard_alive reactor.backend reactor.connections reactor.accepted
-    reactor.turned_away reactor.handoffs reactor.requests reactor.protocol_errors
-    reactor.stats_requests
+    reactor.backend reactor.connections reactor.accepted reactor.turned_away
+    reactor.requests reactor.protocol_errors reactor.stats_requests
     replica.healthy replica.completed replica.errors replica.batches
     replica.largest_batch replica.panics replica.deadline_sheds replica.drain_rate_ips
     unit.units unit.busy_cycles unit.total_cycles unit.utilisation";
@@ -247,8 +246,8 @@ const GOLDEN_TEXT: &str = "
 /// carries it on the per-reactor series.
 const GOLDEN_PROMETHEUS: &str = "
     snn_net_protocol_version snn_completed_total snn_errors_total snn_panics_total
-    snn_rejected_total snn_deadline_sheds_total snn_reactor_alive snn_reactors
-    snn_reactors_alive snn_replicas snn_replicas_healthy snn_batches_total
+    snn_rejected_total snn_deadline_sheds_total snn_reactor_alive snn_replicas
+    snn_replicas_healthy snn_batches_total
     snn_largest_batch snn_queue_depth snn_queue_capacity snn_drain_rate_ips
     snn_throughput_ips snn_thread_budget snn_connections_accepted_total
     snn_connections_turned_away_total snn_connections_open snn_connections_max
@@ -258,16 +257,15 @@ const GOLDEN_PROMETHEUS: &str = "
     snn_request_compute_seconds_count snn_request_compute_seconds_sum
     snn_request_duration_seconds_count snn_request_duration_seconds_sum
     snn_reactor_write_stall_seconds_count snn_reactor_write_stall_seconds_sum
-    snn_reactor_shard_alive snn_reactor_backend snn_reactor_connections
-    snn_reactor_accepted_total snn_reactor_turned_away_total snn_reactor_handoffs_total
-    snn_reactor_requests_total snn_reactor_protocol_errors_total
+    snn_reactor_backend snn_reactor_connections snn_reactor_accepted_total
+    snn_reactor_turned_away_total snn_reactor_requests_total snn_reactor_protocol_errors_total
     snn_reactor_stats_requests_total
     snn_replica_healthy snn_replica_completed_total snn_replica_errors_total
     snn_replica_batches_total snn_replica_largest_batch snn_replica_panics_total
     snn_replica_deadline_sheds_total snn_replica_drain_rate_ips
     snn_unit_count snn_unit_busy_cycles snn_unit_total_cycles snn_unit_utilisation";
 
-/// The golden key list: a live 2-reactor / 2-replica server's plaintext
+/// The golden key list: a live 2-replica server's plaintext
 /// and Prometheus STATS carry exactly the golden keys, and every
 /// Prometheus line has the exposition's shape.
 #[test]
@@ -277,10 +275,7 @@ fn stats_text_and_prometheus_enumerate_the_same_key_set() {
         "127.0.0.1:0",
         AcceleratorConfig::default(),
         model,
-        NetOptions {
-            reactors: 2,
-            ..traced_net_options(2, true)
-        },
+        traced_net_options(2, true),
     )
     .unwrap();
     let mut client = NetClient::connect(server.local_addr()).unwrap();
