@@ -4,18 +4,20 @@
 //! what matters when sweeping design points: the spike-major convolution
 //! engine (run the way the executor runs it, from weights packed once)
 //! versus the retained counter-stepped scalar reference and the functional
-//! integer reference, LeNet-5's first convolution on the engine alone,
-//! plus the pooling and linear units on LeNet-5-shaped layers.
+//! integer reference, LeNet-5's first convolution and a VGG-11 512-channel
+//! one on the engine alone, plus the pooling and linear units on LeNet-5-
+//! and VGG-11-shaped layers.
 //!
 //! Besides the usual console output, the harness writes a machine-readable
 //! `BENCH_conv.json` summary to the workspace root with the
 //! engine-vs-seed-reference host speedup on the LeNet conv2 workload, the
-//! product-sparsity op and host ratios, the level epilogue (requantization
-//! and both pooling kinds) against the code it replaced, and the row-band
-//! tiling overhead on a VGG-11-shaped layer (the cost of running a layer
-//! under the 8 KiB tiled activation-buffer budget instead of untiled) —
-//! same-session ratios, which `bench_trend` gates against the committed
-//! copy.
+//! product-sparsity op and host ratios, the multiply-accumulate's blocks of
+//! four spikes against the same spikes one at a time, the level epilogue
+//! (requantization and both pooling kinds) against the code it replaced,
+//! and the row-band tiling overhead on a VGG-11-shaped layer (the cost of
+//! running a layer under the 8 KiB tiled activation-buffer budget instead
+//! of untiled) — same-session ratios, which `bench_trend` gates against the
+//! committed copy.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
@@ -26,7 +28,7 @@ use snn_accel::pool::PoolingUnit;
 use snn_accel::reference::ReferenceConvolutionUnit;
 use snn_accel::units::EngineScratch;
 use snn_model::layer::PoolKind;
-use snn_model::packed::PackedWeights;
+use snn_model::packed::{Codes, PackedWeights};
 use snn_model::snn::requantize;
 use snn_tensor::simd::{self, scalar};
 use snn_tensor::{bitplane, ops, Tensor};
@@ -137,6 +139,139 @@ fn bench_conv_unit(c: &mut Criterion) {
             .expect("conv unit run")
         });
     });
+
+    // VGG-11's 512-channel convolutions at 4x4 (3x3 kernel, padding 1,
+    // `T = 4`, about half the pixels spiking in each channel): the layers
+    // whose pixels fill the engine's blocks of four same-pixel spikes.
+    let (input, packed) = vgg_512ch_layer();
+    let bias = Tensor::filled(vec![512], 0i64);
+    let unit = ConvolutionUnit::new(ArrayGeometry {
+        columns: 32,
+        rows: 3,
+    });
+    group.bench_function("vgg_512ch_4x4_T4", |b| {
+        b.iter(|| {
+            unit.run_packed(
+                black_box(&input),
+                black_box(&packed),
+                black_box(&bias),
+                4,
+                1,
+                1,
+                &mut scratch,
+            )
+            .expect("conv unit run")
+        });
+    });
+    group.finish();
+}
+
+/// A `[512, 4, 4]` input with about half the pixels spiking at levels up
+/// to 15, and the packed 3-bit codes of a `[512, 512, 3, 3]` kernel.
+fn vgg_512ch_layer() -> (Tensor<i64>, PackedWeights) {
+    let input = Tensor::from_vec(
+        vec![512, 4, 4],
+        (0..512 * 16u64)
+            .map(|v| v.wrapping_mul(2654435761) >> 8)
+            .map(|x| if x % 2 == 0 { 0 } else { (x >> 1) as i64 % 16 })
+            .collect(),
+    )
+    .expect("input tensor");
+    let kernel = Tensor::from_vec(
+        vec![512, 512, 3, 3],
+        (0..512 * 512 * 9)
+            .map(|v| ((v * 5 + v / 7) % 8) as i64 - 4)
+            .collect(),
+    )
+    .expect("kernel tensor");
+    let packed = PackedWeights::from_conv(&kernel).expect("packed kernels");
+    (input, packed)
+}
+
+/// The multiply-accumulate of the scatter loops with blocks of four spikes
+/// (`block4`, one `axpy_taps` call per four spikes) against the same spikes
+/// one at a time (`single`, four calls), on the same accumulators:
+///
+/// * `conv_vgg_512ch` — a pixel inside a 4x4 map spiking in every input
+///   channel of one 16-bit group (60 at `T = 4`) of the VGG-shaped layer,
+///   as the engine's pixel-major list visits them: 3 kernel-row runs of
+///   `3 x 512` 8-bit weights into 16-bit rows, per channel;
+/// * `linear_4096x4096_T4` — the spikes of the `linear_unit/4096x4096_T4`
+///   input in order, each a 4096-lane 8-bit weight row of the 32 MiB matrix
+///   into one 16-bit row.
+fn bench_spike_blocks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("spike_block");
+    let (_, packed) = vgg_512ch_layer();
+    let Codes::I8(codes) = packed.codes() else {
+        panic!("3-bit codes pack into bytes")
+    };
+    let (lanes, channel_len) = (512usize, 9 * 512);
+    // Whole blocks of one group: 60 channels.
+    let members = packed.i16_group(4) / 4 * 4;
+    let channels: Vec<&[i8]> = codes.chunks(channel_len).take(members).collect();
+    let levels: Vec<i16> = (0..members).map(|c| (c * 7 % 15 + 1) as i16).collect();
+    // Output row `ky` of the 4x4 map, columns 0..3, through kernel row `ky`.
+    let taps: Vec<simd::Tap> = (0..3)
+        .map(|ky| simd::Tap {
+            acc_at: ky * 4 * lanes,
+            w_at: ky * 3 * lanes,
+        })
+        .collect();
+    let mut acc = vec![0i16; 16 * lanes];
+    group.bench_function("conv_vgg_512ch/single", |b| {
+        b.iter(|| {
+            for (channel, &level) in channels.iter().zip(&levels) {
+                simd::axpy_taps(&mut acc, [*channel], &taps, 3 * lanes, [level]);
+            }
+            black_box(acc[0])
+        });
+    });
+    group.bench_function("conv_vgg_512ch/block4", |b| {
+        b.iter(|| {
+            for (channel, level) in channels.chunks(4).zip(levels.chunks(4)) {
+                let rows = [channel[0], channel[1], channel[2], channel[3]];
+                let levels = [level[0], level[1], level[2], level[3]];
+                simd::axpy_taps(&mut acc, rows, &taps, 3 * lanes, levels);
+            }
+            black_box(acc[0])
+        });
+    });
+    drop(packed);
+
+    let (input, packed) = linear_4096x4096();
+    let Codes::I8(codes) = packed.codes() else {
+        panic!("3-bit codes pack into bytes")
+    };
+    let n = 4096;
+    let spikes: Vec<(&[i8], i16)> = input
+        .iter()
+        .enumerate()
+        .filter(|&(_, &level)| level != 0)
+        .map(|(i, &level)| (&codes[i * n..][..n], level as i16))
+        .collect();
+    let whole = [simd::Tap::default()];
+    let mut acc = vec![0i16; n];
+    group.bench_function("linear_4096x4096_T4/single", |b| {
+        b.iter(|| {
+            for &(row, level) in &spikes {
+                simd::axpy_taps(&mut acc, [row], &whole, n, [level]);
+            }
+            black_box(acc[0])
+        });
+    });
+    group.bench_function("linear_4096x4096_T4/block4", |b| {
+        b.iter(|| {
+            for block in spikes.chunks_exact(4) {
+                let rows = [block[0].0, block[1].0, block[2].0, block[3].0];
+                let levels = [block[0].1, block[1].1, block[2].1, block[3].1];
+                simd::axpy_taps(&mut acc, rows, &whole, n, levels);
+            }
+            for &(row, level) in spikes.chunks_exact(4).remainder() {
+                simd::axpy_taps(&mut acc, [row], &whole, n, [level]);
+            }
+            black_box(acc[0])
+        });
+    });
     group.finish();
 }
 
@@ -221,24 +356,13 @@ fn bench_tiled_conv(c: &mut Criterion) {
 }
 
 /// The word-level kernels the engine dispatches through
-/// `snn_tensor::simd`, each measured on its dispatched path (AVX2 on this
-/// host unless `SNN_SIMD` lowers it) and on the always-compiled
-/// scalar oracle — so `BENCH_conv.json` records the simd-on vs simd-off
-/// ratio per kernel, not just the end-to-end layer effect.
+/// `snn_tensor::simd`, each measured on its dispatched path (AVX2 where
+/// the host has it, unless `SNN_SIMD` lowers it) and on the
+/// always-compiled scalar oracle — so `BENCH_conv.json` records the
+/// simd-on vs simd-off ratio per kernel, not just the end-to-end layer
+/// effect.
 fn bench_simd_kernels(c: &mut Criterion) {
-    const WORDS: usize = 1024; // one 65 536-pixel plane row
-    let planes: Vec<Vec<u64>> = (0..4)
-        .map(|p| {
-            (0..WORDS as u64)
-                .map(|i| {
-                    let x = i
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add(p * 0x5851_f42d_4c95_7f2d);
-                    x & x >> 5 // ~25% density, typical post-conversion
-                })
-                .collect()
-        })
-        .collect();
+    const WORDS: usize = 1024; // one 65 536-pixel occupancy row
     let levels: Vec<i64> = (0..WORDS * 64)
         .map(|i| ((i as u64).wrapping_mul(2654435761) % 16) as i64)
         .collect();
@@ -247,35 +371,6 @@ fn bench_simd_kernels(c: &mut Criterion) {
     let mask = bitplane::level_mask(4);
 
     let mut group = c.benchmark_group("simd_kernels");
-    group.bench_function(
-        &format!("occupancy_or/{}", simd::active_level().name()),
-        |b| {
-            let mut acc = vec![0u64; WORDS];
-            b.iter(|| {
-                acc.fill(0);
-                for plane in &planes {
-                    simd::or_accumulate(&mut acc, black_box(plane));
-                }
-                acc[0]
-            });
-        },
-    );
-    group.bench_function("occupancy_or/scalar", |b| {
-        let mut acc = vec![0u64; WORDS];
-        b.iter(|| {
-            acc.fill(0);
-            for plane in &planes {
-                scalar::or_accumulate(&mut acc, black_box(plane));
-            }
-            acc[0]
-        });
-    });
-    group.bench_function(&format!("popcount/{}", simd::active_level().name()), |b| {
-        b.iter(|| simd::popcount(black_box(&planes[0])));
-    });
-    group.bench_function("popcount/scalar", |b| {
-        b.iter(|| scalar::popcount(black_box(&planes[0])));
-    });
     group.bench_function(
         &format!("weight_axpy/{}", simd::active_level().name()),
         |b| {
@@ -452,26 +547,11 @@ fn bench_linear_unit(c: &mut Criterion) {
     });
 
     // VGG-11's widest classifier layer: a 32 MiB packed matrix no cache
-    // holds, of which a run reads the 8 KiB rows of the spiking neurons
+    // holds, of which a run reads the 4 KiB rows of the spiking neurons
     // (about half, as on the benchmark's VGG inputs) in spike order — what
     // the linear unit's weight-row prefetch is for.
-    let n = 4096;
-    let input = Tensor::from_vec(
-        vec![n],
-        (0..n as u64)
-            .map(|v| v.wrapping_mul(2654435761) >> 8)
-            .map(|x| if x % 2 == 0 { 0 } else { (x >> 1) as i64 % 16 })
-            .collect(),
-    )
-    .expect("input tensor");
-    let weight = Tensor::from_vec(
-        vec![n, n],
-        (0..n * n).map(|v| ((v % 7) as i64) - 3).collect(),
-    )
-    .expect("weight tensor");
-    let bias = Tensor::filled(vec![n], 0i64);
-    let packed = PackedWeights::from_linear(&weight).expect("packed weights");
-    drop(weight);
+    let (input, packed) = linear_4096x4096();
+    let bias = Tensor::filled(vec![4096], 0i64);
     c.bench_function("linear_unit/4096x4096_T4", |b| {
         b.iter(|| {
             unit.run_packed(
@@ -486,6 +566,28 @@ fn bench_linear_unit(c: &mut Criterion) {
     });
 }
 
+/// The `[4096]` input (about half the neurons spiking, levels up to 15)
+/// and the packed `[4096, 4096]` 3-bit weights of VGG-11's widest
+/// classifier layer.
+fn linear_4096x4096() -> (Tensor<i64>, PackedWeights) {
+    let n = 4096;
+    let input = Tensor::from_vec(
+        vec![n],
+        (0..n as u64)
+            .map(|v| v.wrapping_mul(2654435761) >> 8)
+            .map(|x| if x % 2 == 0 { 0 } else { (x >> 1) as i64 % 16 })
+            .collect(),
+    )
+    .expect("input tensor");
+    let weight = Tensor::from_vec(
+        vec![n, n],
+        (0..n * n).map(|v| ((v % 7) as i64) - 3).collect(),
+    )
+    .expect("weight tensor");
+    let packed = PackedWeights::from_linear(&weight).expect("packed weights");
+    (input, packed)
+}
+
 criterion_group!(
     benches,
     bench_conv_unit,
@@ -493,7 +595,8 @@ criterion_group!(
     bench_simd_kernels,
     bench_pool_unit,
     bench_requant,
-    bench_linear_unit
+    bench_linear_unit,
+    bench_spike_blocks
 );
 
 /// Runs the groups, then writes the `BENCH_conv.json` summary.  Every
@@ -550,8 +653,6 @@ fn main() {
     let level = simd::active_level().name();
     let mut kernel_speedups = Vec::new();
     for kernel in [
-        "occupancy_or",
-        "popcount",
         "weight_axpy",
         "weight_axpy_i32",
         "weight_axpy_w8_i16",
@@ -561,6 +662,15 @@ fn main() {
             / median(&format!("simd_kernels/{kernel}/{level}"));
         println!("simd_kernels/{kernel}: {level} is {ratio:.2}x the scalar fallback");
         kernel_speedups.push(format!("\"{kernel}\": {ratio:.3}"));
+    }
+
+    // Blocks of four spikes against the same spikes one at a time.
+    let mut block_speedups = Vec::new();
+    for shape in ["conv_vgg_512ch", "linear_4096x4096_T4"] {
+        let ratio = median(&format!("spike_block/{shape}/single"))
+            / median(&format!("spike_block/{shape}/block4"));
+        println!("spike_block/{shape}: blocks of four run {ratio:.2}x single spikes");
+        block_speedups.push(format!("\"{shape}\": {ratio:.3}"));
     }
 
     // The level epilogue against the code it replaced: the `f64::round`
@@ -595,6 +705,7 @@ fn main() {
          \"product_sparsity_op_ratio\": {{{}}},\n\
          \"product_sparsity_host_ratio\": {{{}}},\n\
          \"simd_kernel_speedup_vs_scalar\": {{{}}},\n\
+         \"spike_block_speedup_vs_single\": {{{}}},\n\
          \"level_epilogue_speedup_vs_reference\": {{{}}},\n\
          \"tiling_overhead_vgg_conv2_8KiB\": {overhead:.3},\n\
          \"results\": {}\n}}\n",
@@ -602,6 +713,7 @@ fn main() {
         ps_op_ratios.join(", "),
         ps_host_ratios.join(", "),
         kernel_speedups.join(", "),
+        block_speedups.join(", "),
         epilogue_speedups.join(", "),
         criterion.summary_json()
     );

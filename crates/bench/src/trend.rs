@@ -44,6 +44,7 @@ pub const RATIO_KEYS: &[(&str, Better)] = &[
     ("product_sparsity_host_ratio", Better::Higher),
     ("product_sparsity_op_ratio", Better::Higher),
     ("simd_kernel_speedup_vs_scalar", Better::Higher),
+    ("spike_block_speedup_vs_single", Better::Higher),
     ("level_epilogue_speedup_vs_reference", Better::Higher),
     ("tiling_overhead_", Better::Lower),
 ];

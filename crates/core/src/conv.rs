@@ -27,7 +27,7 @@
 //!   (`level & level_mask(T)`).  The engine walks the planes' OR-reduction
 //!   (the occupancy mask, [`snn_tensor::bitplane::Occupancy::from_levels`],
 //!   skipping silent rows 64 pixels per word) once into a flat
-//!   `(column, level)` spike list, and then, for each spike, adds
+//!   `(column, channel, level)` spike list, and then, for each spike, adds
 //!   `level × W[ic, ky, kx, 0..O]` into the accumulator row of every output
 //!   position a `(kernel tap, output position)` pair covers it with — the
 //!   host-side picture of the paper's output-channel parallelism.  The
@@ -38,21 +38,30 @@
 //!   reach consecutive output positions through consecutive stored weight
 //!   rows, so the whole run is *one* multiply-accumulate of `count × O`
 //!   lanes, as the paper's adder row steps through its kernel row while
-//!   the input register shifts.  A spike is one
+//!   the input register shifts.  Spikes at the same pixel in different
+//!   input channels reach the same accumulator rows through the same runs,
+//!   with different weight rows, so the list is built **pixel-major**
+//!   (within each group of channels, below), each pixel's spike count on
+//!   its first spike.  The scatter works out a pixel's runs once and cuts
+//!   its spikes into blocks of up to four: a block is one
 //!   [`snn_tensor::simd::axpy_taps`] call of one run per kernel row (5 on
-//!   LeNet-5, 3 on VGG-11); at larger strides the same loop emits runs of
-//!   one tap.  The accumulators are
-//!   channel-last too and are transposed to `[O, H, W]`, widened to `i64`
-//!   and bias added, once per band.  Wrapping `i64` arithmetic commutes, so
-//!   the result is bit-identical to the cycle-stepped reference — including
+//!   LeNet-5, 3 on VGG-11), which adds its members' products in registers
+//!   and loads and stores each accumulator lane once — the paper's output
+//!   logic, which sums over input channels before it writes back.  At
+//!   larger strides the same loop emits runs of one tap.  The accumulators
+//!   are channel-last too and are transposed to `[O, H, W]`, widened to
+//!   `i64` and bias added, once per band.  Wrapping integer sums are
+//!   associative and commutative, so neither the order of the spikes nor
+//!   their blocks change a bit: the result is bit-identical to the
+//!   cycle-stepped reference — including
 //!   for out-of-range levels, which the mask truncates to exactly the bits
 //!   the schedule would see.  The whole loop runs on the calling thread:
 //!   the paper's units working side by side on different output channels
 //!   are *modelled* (every cycle count comes from [`crate::timing`]), and
 //!   splitting the lanes over host threads measured slower than not, alone
 //!   and inside a batch (the numbers are in `ARCHITECTURE.md`), so the
-//!   host runs requests, not layers, in parallel.  Spike list, occupancy words,
-//!   reach tables and accumulator rows live in the caller's
+//!   host runs requests, not layers, in parallel.  Spike list, occupancy
+//!   words, reach tables and accumulator rows live in the caller's
 //!   [`EngineScratch`], so the bands and layers of an inference allocate
 //!   them once.
 //! * **Datapath width** — the paper sizes its adders to the sums they can
@@ -69,7 +78,10 @@
 //!   sum *of such a group* leaves `i16`: the spikes of a group scatter into
 //!   16-bit rows, sixteen lanes per vector and half the bytes in L1, which
 //!   are widen-added into the 32-bit rows each time the spike rows
-//!   (ascending by channel) cross into the next group.  Both rows hold the
+//!   (groups ascending) cross into the next group.  The list is pixel-major
+//!   *within* a group, and a block never leaves its group, so every
+//!   partial sum the 16-bit rows ever hold is one the proof bounds: a
+//!   block's products are partial sums of its group.  Both rows hold the
 //!   *same* integers the 64-bit instantiation would.  The one scatter loop
 //!   (`scatter`, generic over [`snn_tensor::simd::WeightLane`] and
 //!   [`snn_tensor::simd::Accumulator`]) is instantiated per call from the
@@ -85,7 +97,8 @@
 //!   `adder_ops = C_out * Σ_pixels popcount(level & mask) * coverage(pixel)`.
 //!   The optional product-sparsity prepass (`product_sparsity_counts`)
 //!   is accounting only: it re-derives `adder_ops` and the two reuse
-//!   counters from the spike list and never touches the compute.
+//!   counters from an ic-major spike list it builds for itself, only when
+//!   enabled, and never touches the compute.
 //!   Property tests assert both parts equal the counter-stepped values of
 //!   [`crate::reference::ReferenceConvolutionUnit`] exactly.
 
@@ -174,9 +187,51 @@ impl Reach {
     }
 }
 
+/// One spike in the arena: where it is, the input channel it comes from,
+/// its masked level, and — on the first of a pixel's spikes in the
+/// scatter's list — how many spikes at that pixel follow in a row.  16
+/// bytes, as a `(u32, i64)` pair.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Spike {
+    /// The column (the input neuron, in the linear engine's list).
+    pub(crate) at: u32,
+    /// The input channel in the low [`CHANNEL_BITS`] bits; above them, on
+    /// the first of a pixel's spikes, their count (zero elsewhere).
+    channel_and_count: u32,
+    /// The masked level.
+    pub(crate) level: i64,
+}
+
+/// Bits of [`Spike::channel_and_count`] that hold the input channel; the
+/// seven above hold a pixel's spike count of at most [`SLICE`].
+const CHANNEL_BITS: u32 = 25;
+
+impl Spike {
+    /// A spike at `at` from input channel `channel`, the first of `count`
+    /// spikes at its pixel (0: not the first).
+    pub(crate) fn new(at: usize, channel: usize, level: i64, count: usize) -> Self {
+        debug_assert!(channel < 1 << CHANNEL_BITS && count <= SLICE);
+        Spike {
+            at: at as u32,
+            channel_and_count: channel as u32 | (count as u32) << CHANNEL_BITS,
+            level,
+        }
+    }
+
+    fn channel(self) -> usize {
+        (self.channel_and_count & ((1 << CHANNEL_BITS) - 1)) as usize
+    }
+
+    fn count(self) -> usize {
+        (self.channel_and_count >> CHANNEL_BITS) as usize
+    }
+}
+
 /// One non-silent input row of a band: a range of the spike arena.
 #[derive(Debug)]
 pub(crate) struct SpikeRow {
+    /// The first input channel of the row's spikes: the row's channel in an
+    /// ic-major list, the first channel of its group in a pixel-major one.
     ic: usize,
     /// Band-local input row.
     iy: usize,
@@ -185,20 +240,173 @@ pub(crate) struct SpikeRow {
 }
 
 /// Every spiking pixel of a band that feeds at least one output row, as
-/// ranges into one `(column, masked level)` buffer — built once per band
-/// call.  The linear engine keeps its `(input neuron, masked level)` list
+/// ranges into one buffer of [`Spike`]s — built once per band call.  The
+/// scatter's list is **pixel-major**: one row per `(channel group, input
+/// row)`, the groups ascending, and within a row the spikes ascend by
+/// `(channel slice, column, channel)`, so the spikes at one pixel sit side
+/// by side, their count recorded on the first.  The scatter cuts each such
+/// run into blocks of at most [`simd::BLOCK`]; a slice is at most
+/// [`SLICE`] channels of one group, so no block leaves its group.  The
+/// linear engine keeps its list of `(input neuron, masked level)` spikes
 /// in the arena alone.
 #[derive(Debug, Default)]
 pub(crate) struct Spikes {
-    /// Ascending by `(ic, iy)`.
     rows: Vec<SpikeRow>,
-    /// Ascending by column within a row.
-    pub(crate) arena: Vec<(u32, i64)>,
+    pub(crate) arena: Vec<Spike>,
 }
 
 impl Spikes {
-    fn of(&self, row: &SpikeRow) -> &[(u32, i64)] {
+    fn of(&self, row: &SpikeRow) -> &[Spike] {
         &self.arena[row.start..row.end]
+    }
+}
+
+/// Channels whose spikes at one pixel the list builder gathers at a time:
+/// one `u64` of channel bits per column of a 64-column word.
+const SLICE: usize = 64;
+
+/// What a band's spike lists are built from: its occupancy and levels.
+struct BandSpikes<'a> {
+    occupancy: &'a bitplane::Occupancy,
+    levels: &'a [i64],
+    mask: i64,
+    c_in: usize,
+    band_h: usize,
+    w: usize,
+}
+
+impl BandSpikes<'_> {
+    /// The levels of input channel `ic`'s band row `iy`.
+    fn row(&self, ic: usize, iy: usize) -> &[i64] {
+        &self.levels[(ic * self.band_h + iy) * self.w..][..self.w]
+    }
+
+    /// Fills `spikes` with the scatter's pixel-major list (see [`Spikes`])
+    /// for groups of `channels_per_group` input channels, and returns the
+    /// adder work of ONE output channel: each spike's set bits times the
+    /// `(kernel tap, output)` pairs that cover it.
+    fn fill_pixel_major(
+        &self,
+        spikes: &mut Spikes,
+        channels_per_group: usize,
+        y_reach: &[Reach],
+        x_reach: &[Reach],
+    ) -> u64 {
+        spikes.rows.clear();
+        spikes.arena.clear();
+        let mut spike_work = 0u64;
+        // Channel bits per column of one word, all zero between words.
+        let mut channels = [0u64; bitplane::WORD_BITS];
+        for group in (0..self.c_in).step_by(channels_per_group) {
+            let group_end = group.saturating_add(channels_per_group).min(self.c_in);
+            for (iy, ys) in y_reach.iter().enumerate() {
+                if ys.count == 0 {
+                    continue;
+                }
+                let start = spikes.arena.len();
+                let mut row_work = 0u64;
+                for slice in (group..group_end).step_by(SLICE) {
+                    let slice = slice..(slice + SLICE).min(group_end);
+                    row_work +=
+                        self.push_slice(&mut spikes.arena, slice, iy, x_reach, &mut channels);
+                }
+                if spikes.arena.len() == start {
+                    continue;
+                }
+                spike_work += u64::from(ys.count) * row_work;
+                spikes.rows.push(SpikeRow {
+                    ic: group,
+                    iy,
+                    start,
+                    end: spikes.arena.len(),
+                });
+            }
+        }
+        spike_work
+    }
+
+    /// Appends the spikes of the channels `slice` (at most [`SLICE`]) at
+    /// input row `iy`, ascending by `(column, channel)` with each pixel's
+    /// count on its first spike, and returns their adder work.  A word of columns at a time, each
+    /// channel's occupancy word marks its channel bit at every column it
+    /// spikes in, and the set columns of the slice's OR then hand their
+    /// channels out in ascending order, taking the bits back out of
+    /// `channels`.  One channel's occupancy row is pixel-major already.
+    fn push_slice(
+        &self,
+        arena: &mut Vec<Spike>,
+        slice: std::ops::Range<usize>,
+        iy: usize,
+        x_reach: &[Reach],
+        channels: &mut [u64; bitplane::WORD_BITS],
+    ) -> u64 {
+        let mut work = 0u64;
+        // Single-channel layers (LeNet-5's first) skip the transposition.
+        if slice.len() == 1 {
+            let (ic, levels) = (slice.start, self.row(slice.start, iy));
+            bitplane::for_each_set_bit(self.occupancy.row(ic * self.band_h + iy), 0, |ix| {
+                let level = levels[ix] & self.mask;
+                work += u64::from(level.count_ones()) * u64::from(x_reach[ix].count);
+                arena.push(Spike::new(ix, ic, level, 1));
+            });
+            return work;
+        }
+        for word in 0..bitplane::words_per_row(self.w) {
+            let mut any = 0u64;
+            for ic in slice.clone() {
+                let bits = self.occupancy.row(ic * self.band_h + iy)[word];
+                any |= bits;
+                bitplane::for_each_set_bit(&[bits], 0, |bit| {
+                    channels[bit] |= 1 << (ic - slice.start);
+                });
+            }
+            bitplane::for_each_set_bit(&[any], 0, |bit| {
+                let ix = word * bitplane::WORD_BITS + bit;
+                let mut members = std::mem::take(&mut channels[bit]);
+                let count = members.count_ones() as usize;
+                let reach = u64::from(x_reach[ix].count);
+                let first = (slice.start * self.band_h + iy) * self.w + ix;
+                let plane = self.band_h * self.w;
+                arena.extend((0..count).map(|nth| {
+                    let k = members.trailing_zeros() as usize;
+                    members &= members - 1;
+                    let level = self.levels[first + k * plane] & self.mask;
+                    work += u64::from(level.count_ones()) * reach;
+                    Spike::new(ix, slice.start + k, level, if nth == 0 { count } else { 0 })
+                }));
+            });
+        }
+        work
+    }
+
+    /// The band's spikes ic-major: one row per non-silent `(channel, input
+    /// row)` that feeds an output row, columns ascending — the rows the
+    /// product-sparsity accounting compares, built only when it runs.
+    fn ic_major(&self, y_reach: &[Reach]) -> Spikes {
+        let mut spikes = Spikes::default();
+        for ic in 0..self.c_in {
+            for (iy, ys) in y_reach.iter().enumerate() {
+                if ys.count == 0 {
+                    continue;
+                }
+                let levels = self.row(ic, iy);
+                let start = spikes.arena.len();
+                bitplane::for_each_set_bit(self.occupancy.row(ic * self.band_h + iy), 0, |ix| {
+                    spikes
+                        .arena
+                        .push(Spike::new(ix, ic, levels[ix] & self.mask, 1));
+                });
+                if spikes.arena.len() > start {
+                    spikes.rows.push(SpikeRow {
+                        ic,
+                        iy,
+                        start,
+                        end: spikes.arena.len(),
+                    });
+                }
+            }
+        }
+        spikes
     }
 }
 
@@ -206,23 +414,19 @@ impl Spikes {
 /// when every parent spike appears in `child` with an equal level, returns
 /// the adder work and the set bits of `child`'s spikes outside `parent`'s
 /// support; `None` otherwise.
-fn containment_diff(
-    parent: &[(u32, i64)],
-    child: &[(u32, i64)],
-    x_reach: &[Reach],
-) -> Option<(u64, u64)> {
+fn containment_diff(parent: &[Spike], child: &[Spike], x_reach: &[Reach]) -> Option<(u64, u64)> {
     let (mut work, mut bits) = (0u64, 0u64);
     let mut pi = 0;
-    for &(ix, level) in child {
-        if pi < parent.len() && parent[pi].0 == ix {
-            if parent[pi].1 != level {
+    for spike in child {
+        if pi < parent.len() && parent[pi].at == spike.at {
+            if parent[pi].level != spike.level {
                 return None;
             }
             pi += 1;
         } else {
-            let pop = u64::from(level.count_ones());
+            let pop = u64::from(spike.level.count_ones());
             bits += pop;
-            work += pop * u64::from(x_reach[ix as usize].count);
+            work += pop * u64::from(x_reach[spike.at as usize].count);
         }
     }
     (pi == parent.len()).then_some((work, bits))
@@ -253,9 +457,7 @@ struct ProductSparsityCounts {
 /// the engine's one kernel produces those either way, and this only says
 /// what the reuse would have saved.
 fn product_sparsity_counts(
-    spikes: &Spikes,
-    occupancy: &bitplane::Occupancy,
-    band_h: usize,
+    band: &BandSpikes<'_>,
     y_reach: &[Reach],
     x_reach: &[Reach],
     stride: usize,
@@ -275,19 +477,21 @@ fn product_sparsity_counts(
         diff_work: u64,
         diff_bits: u64,
     }
+    let spikes = band.ic_major(y_reach);
+    let (occupancy, band_h) = (band.occupancy, band.band_h);
     let rows = &spikes.rows;
     let mut links = vec![Link::default(); rows.len()];
     for (link, row) in links.iter_mut().zip(rows) {
         link.row_work = spikes
             .of(row)
             .iter()
-            .map(|&(ix, level)| {
-                u64::from(level.count_ones()) * u64::from(x_reach[ix as usize].count)
+            .map(|spike| {
+                u64::from(spike.level.count_ones()) * u64::from(x_reach[spike.at as usize].count)
             })
             .sum();
     }
 
-    // Channel groups are contiguous: spike rows are built ic-major.
+    // Channel groups are contiguous: these spike rows are ic-major.
     let mut start = 0;
     while start < rows.len() {
         let ic = rows[start].ic;
@@ -362,9 +566,9 @@ fn product_sparsity_counts(
     counts
 }
 
-/// Runs handed to the kernel per call.  At stride one a spike makes one
+/// Runs handed to the kernel per call.  At stride one a pixel makes one
 /// run per kernel row — 3 on VGG-11, 5 on LeNet-5 — and at larger strides
-/// at most `Kr x Kc` runs of one tap, so one call per spike is the rule; a
+/// at most `Kr x Kc` runs of one tap, so one call per block is the rule; a
 /// larger kernel just takes more calls.
 const TAP_BATCH: usize = 32;
 
@@ -380,23 +584,21 @@ struct ScatterJob<'a> {
     w_out: usize,
 }
 
-/// The one scatter loop: every spike adds its level times one packed
-/// weight row (of element `W`) into the accumulator row of each output
-/// position it covers; the result is `[O, out_h, w_out]` with the bias
-/// added.  The rows are channel-last, `[position][lane]`.  Along one
-/// kernel row a spike reaches `count` outputs through taps `stride`
-/// apart; the columns being stored reversed, at stride one those are
-/// consecutive weight rows for consecutive accumulator rows, and one tap
-/// of `count x lanes` covers the run.  At larger strides each tap is its
-/// own run.
+/// The one scatter loop: every block of spikes at one pixel adds its
+/// members' levels times their packed weight rows (of element `W`) into
+/// the accumulator row of each output position the pixel covers; the
+/// result is `[O, out_h, w_out]` with the bias added.  The rows are
+/// channel-last, `[position][lane]`.  The pixel-major list ([`Spikes`])
+/// records how many spikes each pixel has, so the loop reads where a
+/// pixel's spikes end and cuts them into blocks without searching.
 ///
 /// The spikes scatter into rows of element `S`.  With `group: None` those
 /// are the layer's sums themselves (`A` is then `S`, and unused).  With
 /// `Some(g)` they are the 16-bit partial sums of `g` consecutive input
-/// channels at a time — `g` must be at most
-/// [`PackedWeights::i16_group`] — which are widen-added into rows of
-/// element `A` whenever the spike rows, ascending by channel, cross into
-/// the next group, and after the last.
+/// channels at a time — `g` must be at most [`PackedWeights::i16_group`],
+/// and the list built for groups of `g` — which are widen-added into rows
+/// of element `A` whenever the spike rows cross into the next group, and
+/// after the last.
 fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     job: &ScatterJob<'_>,
     codes: &[W],
@@ -408,48 +610,23 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
         spikes,
         bias,
         y_reach,
-        x_reach,
-        stride,
         out_h,
         w_out,
+        ..
     } = job;
-    let (c_out, kc, lanes) = (weights.c_out(), weights.kernel_cols(), weights.lanes());
-    let channel_len = weights.kernel_rows() * kc * lanes;
+    let (c_out, lanes) = (weights.c_out(), weights.lanes());
     let out_positions = out_h * w_out;
     let mut sums = rows.take::<S>(out_positions * lanes);
     let mut wide = rows.take::<A>(group.map_or(0, |_| out_positions * lanes));
-    let channels_per_group = group.unwrap_or(usize::MAX);
     let mut taps = [simd::Tap::default(); TAP_BATCH];
-    let same_group =
-        |a: &SpikeRow, b: &SpikeRow| a.ic / channels_per_group == b.ic / channels_per_group;
-    for members in spikes.rows.chunk_by(same_group) {
+    for members in spikes.rows.chunk_by(|a, b| a.ic == b.ic) {
         for row in members {
-            let ys = y_reach[row.iy];
-            let channel = &codes[row.ic * channel_len..][..channel_len];
-            for &(ix, level) in spikes.of(row) {
-                let xs = x_reach[ix as usize];
-                let run = if stride == 1 {
-                    (xs.count as usize).max(1)
-                } else {
-                    1
-                };
-                let width = run * lanes;
-                let level = S::from_level(level);
-                let mut pending = 0;
-                for (ky, oy) in ys.taps(stride) {
-                    for (kx, ox) in xs.taps(stride).step_by(run) {
-                        if pending == TAP_BATCH {
-                            simd::axpy_taps(&mut sums, channel, &taps, width, level);
-                            pending = 0;
-                        }
-                        taps[pending] = simd::Tap {
-                            acc_at: (oy * w_out + ox) * lanes,
-                            w_at: (ky * kc + kc - 1 - kx) * lanes,
-                        };
-                        pending += 1;
-                    }
-                }
-                simd::axpy_taps(&mut sums, channel, &taps[..pending], width, level);
+            let row_spikes = spikes.of(row);
+            let mut at = 0;
+            while at < row_spikes.len() {
+                let pixel = &row_spikes[at..at + row_spikes[at].count()];
+                scatter_pixel(job, codes, y_reach[row.iy], pixel, &mut sums, &mut taps);
+                at += pixel.len();
             }
         }
         if group.is_some() {
@@ -469,6 +646,91 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     rows.give(wide);
     rows.give(sums);
     accumulators
+}
+
+/// The spikes at one pixel (input row `ys`, the column of `pixel[0]`):
+/// along one kernel row the pixel reaches `count` outputs through taps
+/// `stride` apart; the columns being stored reversed, at stride one those
+/// are consecutive weight rows for consecutive accumulator rows, and one
+/// tap of `count x lanes` covers the run.  At larger strides each tap is
+/// its own run.  The taps are worked out once for all of the pixel's
+/// blocks.
+fn scatter_pixel<W: simd::WeightLane, S: Lane>(
+    job: &ScatterJob<'_>,
+    codes: &[W],
+    ys: Reach,
+    pixel: &[Spike],
+    sums: &mut [S],
+    taps: &mut [simd::Tap; TAP_BATCH],
+) {
+    let &ScatterJob {
+        weights,
+        x_reach,
+        stride,
+        w_out,
+        ..
+    } = job;
+    let (kc, lanes) = (weights.kernel_cols(), weights.lanes());
+    let channel_len = weights.kernel_rows() * kc * lanes;
+    let xs = x_reach[pixel[0].at as usize];
+    let run = if stride == 1 {
+        (xs.count as usize).max(1)
+    } else {
+        1
+    };
+    let width = run * lanes;
+    let mut pending = 0;
+    for (ky, oy) in ys.taps(stride) {
+        for (kx, ox) in xs.taps(stride).step_by(run) {
+            if pending == TAP_BATCH {
+                scatter_blocks(codes, channel_len, pixel, taps, width, sums);
+                pending = 0;
+            }
+            taps[pending] = simd::Tap {
+                acc_at: (oy * w_out + ox) * lanes,
+                w_at: (ky * kc + kc - 1 - kx) * lanes,
+            };
+            pending += 1;
+        }
+    }
+    scatter_blocks(codes, channel_len, pixel, &taps[..pending], width, sums);
+}
+
+/// A pixel's spikes over `taps`, in blocks of up to [`simd::BLOCK`]: one
+/// kernel call per block, which adds the members' products in registers
+/// and loads and stores each accumulator lane once.
+fn scatter_blocks<W: simd::WeightLane, S: Lane>(
+    codes: &[W],
+    channel_len: usize,
+    pixel: &[Spike],
+    taps: &[simd::Tap],
+    width: usize,
+    sums: &mut [S],
+) {
+    for block in pixel.chunks(simd::BLOCK) {
+        match block.len() {
+            1 => block_axpy::<1, _, _>(codes, channel_len, block, taps, width, sums),
+            2 => block_axpy::<2, _, _>(codes, channel_len, block, taps, width, sums),
+            3 => block_axpy::<3, _, _>(codes, channel_len, block, taps, width, sums),
+            _ => block_axpy::<4, _, _>(codes, channel_len, block, taps, width, sums),
+        }
+    }
+}
+
+/// One block of `N` spikes: each member's channel of packed weights and its
+/// level, handed to the kernel together.
+fn block_axpy<const N: usize, W: simd::WeightLane, S: Lane>(
+    codes: &[W],
+    channel_len: usize,
+    block: &[Spike],
+    taps: &[simd::Tap],
+    width: usize,
+    sums: &mut [S],
+) {
+    let channels: [&[W]; N] =
+        std::array::from_fn(|m| &codes[block[m].channel() * channel_len..][..channel_len]);
+    let levels: [S; N] = std::array::from_fn(|m| S::from_level(block[m].level));
+    simd::axpy_taps(sums, channels, taps, width, levels);
 }
 
 /// The widening transpose that ends a scatter: channel-last
@@ -724,6 +986,11 @@ impl ConvolutionUnit {
                 weights.c_in()
             )));
         }
+        if c_in >= 1 << CHANNEL_BITS {
+            return Err(unsupported(format!(
+                "{c_in} input channels exceed the spike list's {CHANNEL_BITS}-bit channel field"
+            )));
+        }
         if kr > self.geometry.rows {
             return Err(unsupported(format!(
                 "kernel has {kr} rows but the adder array only has {} rows",
@@ -800,40 +1067,34 @@ impl ConvolutionUnit {
         );
         Reach::fill_axis(x_reach, 0..w, kc, 0..w_out, stride, padding);
 
-        // --- One walk over the occupancy (the planes' OR-reduction, silent
-        // rows skipped a word at a time) gathers the spike list the scatter
-        // walks and, folded into it, the popcount behind the data-dependent
-        // adder activity. ---
-        occupancy.refill(in_data, c_in * band_h, w, time_steps);
-        spikes.rows.clear();
-        spikes.arena.clear();
-        let mut spike_work = 0u64; // adder ops of ONE output channel
-        for ic in 0..c_in {
-            for iy in 0..band_h {
-                let taps_y = u64::from(y_reach[iy].count);
-                if taps_y == 0 {
-                    continue;
-                }
-                let levels = &in_data[(ic * band_h + iy) * w..][..w];
-                let start = spikes.arena.len();
-                let mut row_work = 0u64;
-                bitplane::for_each_set_bit(occupancy.row(ic * band_h + iy), 0, |ix| {
-                    let level = levels[ix] & mask;
-                    row_work += u64::from(level.count_ones()) * u64::from(x_reach[ix].count);
-                    spikes.arena.push((ix as u32, level));
-                });
-                if spikes.arena.len() == start {
-                    continue;
-                }
-                spike_work += taps_y * row_work;
-                spikes.rows.push(SpikeRow {
-                    ic,
-                    iy,
-                    start,
-                    end: spikes.arena.len(),
-                });
+        // --- Which elements the compute runs in: the narrowest the packed
+        // weights prove exact for this spike-train length — 8-bit codes in
+        // 16-bit groups under a 32-bit row where all three hold, else the
+        // 32-bit or 64-bit row alone.  The spike list is cut into groups to
+        // match. ---
+        let narrow = weights.sums_fit_i32(time_steps);
+        let group = match weights.codes() {
+            Codes::I8(_) if narrow && weights.i16_group(time_steps) >= 1 => {
+                Some(weights.i16_group(time_steps))
             }
-        }
+            _ => None,
+        };
+
+        // --- One walk over the occupancy (the planes' OR-reduction, silent
+        // rows skipped a word at a time) gathers the pixel-major spike list
+        // the scatter walks and, folded into it, the popcount behind the
+        // data-dependent adder activity. ---
+        occupancy.refill(in_data, c_in * band_h, w, time_steps);
+        let band_spikes = BandSpikes {
+            occupancy,
+            levels: in_data,
+            mask,
+            c_in,
+            band_h,
+            w,
+        };
+        let spike_work =
+            band_spikes.fill_pixel_major(spikes, group.unwrap_or(c_in).max(1), y_reach, x_reach);
 
         // --- Statistics: closed-form schedule counts plus the popcount
         // above; product sparsity re-derives `adder_ops` to mirror the
@@ -851,17 +1112,13 @@ impl ConvolutionUnit {
             band.is_first(),
         );
         if self.product_sparsity {
-            let ps =
-                product_sparsity_counts(spikes, occupancy, band_h, y_reach, x_reach, stride, w_out);
+            let ps = product_sparsity_counts(&band_spikes, y_reach, x_reach, stride, w_out);
             stats.adder_ops = c_out as u64 * ps.spike_work;
             stats.reused_partials = c_out as u64 * ps.reuse_events;
             stats.difference_bits = c_out as u64 * ps.difference_bits;
         }
 
-        // --- Compute, in the narrowest elements the packed weights prove
-        // exact for this spike-train length: 8-bit codes in 16-bit groups
-        // under a 32-bit row where all three hold, else the 32-bit or
-        // 64-bit row alone. ---
+        // --- Compute. ---
         let job = ScatterJob {
             weights,
             spikes,
@@ -872,16 +1129,12 @@ impl ConvolutionUnit {
             out_h,
             w_out,
         };
-        let narrow = weights.sums_fit_i32(time_steps);
-        let group = weights.i16_group(time_steps);
-        let accumulators = match (weights.codes(), narrow) {
-            (Codes::I8(codes), true) if group >= 1 => {
-                scatter::<_, i16, i32>(&job, codes, Some(group), rows)
-            }
-            (Codes::I8(codes), true) => scatter::<_, i32, i32>(&job, codes, None, rows),
-            (Codes::I8(codes), false) => scatter::<_, i64, i64>(&job, codes, None, rows),
-            (Codes::I16(codes), true) => scatter::<_, i32, i32>(&job, codes, None, rows),
-            (Codes::I16(codes), false) => scatter::<_, i64, i64>(&job, codes, None, rows),
+        let accumulators = match (weights.codes(), narrow, group) {
+            (Codes::I8(codes), _, Some(_)) => scatter::<_, i16, i32>(&job, codes, group, rows),
+            (Codes::I8(codes), true, None) => scatter::<_, i32, i32>(&job, codes, None, rows),
+            (Codes::I8(codes), false, None) => scatter::<_, i64, i64>(&job, codes, None, rows),
+            (Codes::I16(codes), true, _) => scatter::<_, i32, i32>(&job, codes, None, rows),
+            (Codes::I16(codes), false, _) => scatter::<_, i64, i64>(&job, codes, None, rows),
         };
 
         Ok(ConvResult {
@@ -996,6 +1249,72 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The pixel-major list of a band where all `c_in` channels spike at
+    /// every pixel, built for groups of `group` channels: per row, the
+    /// block sizes at each pixel in order.
+    fn block_sizes(c_in: usize, group: usize) -> Vec<(usize, Vec<Vec<usize>>)> {
+        let (h, w) = (2usize, 5usize);
+        let levels: Vec<i64> = (0..c_in * h * w).map(|i| (i % 7 + 1) as i64).collect();
+        let occupancy = bitplane::Occupancy::from_levels(&levels, c_in * h, w, 4);
+        let band = BandSpikes {
+            occupancy: &occupancy,
+            levels: &levels,
+            mask: 15,
+            c_in,
+            band_h: h,
+            w,
+        };
+        let (mut y_reach, mut x_reach) = (Vec::new(), Vec::new());
+        Reach::fill_axis(&mut y_reach, 0..h, 1, 0..h, 1, 0);
+        Reach::fill_axis(&mut x_reach, 0..w, 1, 0..w, 1, 0);
+        let mut spikes = Spikes::default();
+        band.fill_pixel_major(&mut spikes, group, &y_reach, &x_reach);
+        spikes
+            .rows
+            .iter()
+            .map(|row| {
+                let row_spikes = spikes.of(row);
+                let mut pixels: Vec<Vec<usize>> = Vec::new();
+                let mut at = 0;
+                while at < row_spikes.len() {
+                    let pixel = &row_spikes[at..at + row_spikes[at].count()];
+                    assert!(pixel[1..].iter().all(|s| s.count() == 0));
+                    assert!(pixel.iter().all(|s| s.at == pixel[0].at), "one pixel");
+                    assert!(pixel.windows(2).all(|p| p[0].channel() < p[1].channel()));
+                    assert!(pixel
+                        .iter()
+                        .all(|s| (row.ic..row.ic + group).contains(&s.channel())));
+                    assert_eq!(row.ic % group, 0, "rows start at a group");
+                    // The blocks the scatter cuts the pixel's spikes into.
+                    pixels.push(pixel.chunks(simd::BLOCK).map(<[Spike]>::len).collect());
+                    at += pixel.len();
+                }
+                (row.ic, pixels)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_spike_list_cuts_each_pixel_into_blocks_inside_its_group() {
+        let every_pixel = |sizes: &[usize]| vec![sizes.to_vec(); 5];
+        // Groups of 3 of 7 channels: 3, 3 and 1 at every pixel, one row
+        // per (group, input row), groups ascending.
+        let rows = block_sizes(7, 3);
+        let starts: Vec<usize> = rows.iter().map(|&(ic, _)| ic).collect();
+        assert_eq!(starts, [0, 0, 3, 3, 6, 6]);
+        assert_eq!(rows[0].1, every_pixel(&[3]));
+        assert_eq!(rows[2].1, every_pixel(&[3]));
+        assert_eq!(rows[4].1, every_pixel(&[1]));
+        // One group: blocks of four and a tail, never five.
+        let rows = block_sizes(9, 9);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].1, every_pixel(&[4, 4, 1]));
+        let rows = block_sizes(6, 6);
+        assert_eq!(rows[1].1, every_pixel(&[4, 2]));
+        // One channel: blocks of one.
+        assert_eq!(block_sizes(1, 1)[0].1, every_pixel(&[1]));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   the output logic.  The engines walk the activations' packed spike
 //!   occupancy, skipping silent regions a word at a time, add one
 //!   channel-last packed weight row per spike and covering tap into all
-//!   output-channel lanes at once ([`snn_model::packed`]), and derive the
+//!   output-channel lanes at once ([`snn_model::packed`]), up to four
+//!   spikes per pass over an accumulator row, and derive the
 //!   exact cycle and operation counts analytically; the counter-stepped
 //!   originals are retained in [`mod@reference`] and property tests assert
 //!   bit-identical accumulators *and* counters.

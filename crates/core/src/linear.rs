@@ -18,12 +18,16 @@
 //! silent neurons), and each spike adds `masked_level × W[n, 0..O]` — one
 //! row of the channel-last [`PackedWeights`], the layout a convolution
 //! with a 1×1 kernel would have, one byte per code at the paper's
-//! precisions — into the row of output accumulators with one
-//! [`snn_tensor::simd::axpy`]: the host-side picture of the paper's row of
-//! adders fed one weight word per cycle.  Only the rows of spiking neurons
-//! are ever read, so a 24 %-dense input streams 24 % of the matrix — in
-//! spike order, which no hardware prefetcher follows, so the loop hints
-//! the head of the row two spikes ahead ([`snn_tensor::simd::prefetch`]).
+//! precisions — into the row of output accumulators: the host-side picture
+//! of the paper's row of adders fed one weight word per cycle.  Every
+//! spike reaches the same output lanes, so consecutive spikes go in blocks
+//! of four (the tail of a group or of the list in a block of one to
+//! three): one [`snn_tensor::simd::axpy_taps`] call per block adds the
+//! members' products in registers and loads and stores each accumulator
+//! lane once.  Only the rows of spiking neurons are ever read, so a
+//! 24 %-dense input streams 24 % of the matrix — in spike order, which no
+//! hardware prefetcher follows, so the loop hints the heads of the next
+//! block's rows one block ahead ([`snn_tensor::simd::prefetch`]).
 //! The result is bit-identical to the radix shift-and-add by the same
 //! identity as the convolution engine, and its datapath is sized by the
 //! same two proofs: an output neuron receives at most one contribution per
@@ -33,7 +37,8 @@
 //! and any `G =` [`PackedWeights::i16_group`]`(T)` spikes — 546 for 3-bit
 //! weights at `T = 4` — sum to at most `i16::MAX`, so they are added up in
 //! a 16-bit row, which is widen-added into the 32-bit one after every
-//! `G`-th spike.  The one scatter loop (`scatter`, generic over
+//! `G`-th spike; blocks are cut within a group, so none reaches past a
+//! drain.  The one scatter loop (`scatter`, generic over
 //! [`snn_tensor::simd::WeightLane`] and [`snn_tensor::simd::Accumulator`])
 //! is instantiated per call from the stored element, `sums_fit_i32(T)` and
 //! `G >= 1`; `G = 0`, 16-bit codes and long trains keep the plain 32- or
@@ -42,6 +47,7 @@
 //! (`adder_ops`); property tests check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
+use crate::conv::Spike;
 use crate::units::{unsupported, EngineScratch, KernelSource, Lane, LaneRows, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
@@ -63,11 +69,11 @@ pub struct LinearUnit {
     lanes: usize,
 }
 
-/// How many spikes ahead the scatter loop asks for a weight row.  The rows
-/// of consecutive spiking neurons lie kilobytes apart in a matrix far
-/// beyond any cache, in an order no hardware prefetcher follows; two rows
-/// of arithmetic is about one memory latency.
-const PREFETCH_SPIKES_AHEAD: usize = 2;
+/// How many spikes ahead the scatter loop asks for a weight row: one
+/// block.  The rows of consecutive spiking neurons lie kilobytes apart in a
+/// matrix far beyond any cache, in an order no hardware prefetcher
+/// follows; a block of arithmetic is about one memory latency.
+const PREFETCH_SPIKES_AHEAD: usize = simd::BLOCK;
 
 /// How many bytes of that row piece are asked for: its first eight cache
 /// lines.  Once a piece is being read the hardware streamer runs ahead of
@@ -76,9 +82,12 @@ const PREFETCH_SPIKES_AHEAD: usize = 2;
 /// against 1.04 ms for the head alone).
 const PREFETCH_HEAD_BYTES: usize = 512;
 
-/// The one scatter loop: each spike adds its level times its weight row
-/// (of element `W`) into the output lanes, chunk by chunk of `chunk`
-/// outputs; returns the `[O]` sums with the bias added.
+/// The one scatter loop: each block of up to [`simd::BLOCK`] consecutive
+/// spikes adds its members' levels times their weight rows (of element
+/// `W`) into the output lanes with one load-add-store of each lane, chunk
+/// by chunk of `chunk` outputs; returns the `[O]` sums with the bias
+/// added.  Blocks are cut from the spike list at fixed strides — within a
+/// group, every [`simd::BLOCK`] spikes, with a tail block of the rest.
 ///
 /// The spikes scatter into a row of element `S`.  With `group: None` that
 /// is the layer's sums themselves (`A` is then `S`, and unused).  With
@@ -90,7 +99,7 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     codes: &[W],
     weights: &PackedWeights,
     group: Option<usize>,
-    spikes: &[(u32, i64)],
+    spikes: &[Spike],
     rows: &mut LaneRows,
     bias: &[i64],
     chunk: usize,
@@ -102,15 +111,20 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     for lo in (0..o).step_by(chunk) {
         let hi = (lo + chunk).min(o);
         let sums = &mut sums[lo..hi];
-        let piece = |ni: u32| &codes[ni as usize * lanes + lo..][..hi - lo];
+        let piece = |spike: &Spike| &codes[spike.at as usize * lanes + lo..][..hi - lo];
         let mut ahead = spikes.iter().skip(PREFETCH_SPIKES_AHEAD);
         for members in spikes.chunks(group.unwrap_or(usize::MAX)) {
-            for &(ni, level) in members {
-                if let Some(&(ahead, _)) = ahead.next() {
-                    let piece = piece(ahead);
+            for block in members.chunks(simd::BLOCK) {
+                for spike in ahead.by_ref().take(block.len()) {
+                    let piece = piece(spike);
                     simd::prefetch(&piece[..piece.len().min(head)]);
                 }
-                simd::axpy(sums, piece(ni), S::from_level(level));
+                match block.len() {
+                    1 => scatter_block::<1, _, _>(sums, block, codes, lanes, lo),
+                    2 => scatter_block::<2, _, _>(sums, block, codes, lanes, lo),
+                    3 => scatter_block::<3, _, _>(sums, block, codes, lanes, lo),
+                    _ => scatter_block::<4, _, _>(sums, block, codes, lanes, lo),
+                }
             }
             if group.is_some() {
                 simd::drain_partials(&mut wide[lo..hi], sums);
@@ -126,6 +140,23 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
     rows.give(wide);
     rows.give(sums);
     accumulators
+}
+
+/// One block of `N` spikes: every member's level times the piece of its
+/// weight row from lane `lo` on into `sums`, the `N` products of a lane
+/// added up before it is written back.
+fn scatter_block<const N: usize, W: simd::WeightLane, S: Lane>(
+    sums: &mut [S],
+    block: &[Spike],
+    codes: &[W],
+    lanes: usize,
+    lo: usize,
+) {
+    let width = sums.len();
+    let pieces: [&[W]; N] =
+        std::array::from_fn(|m| &codes[block[m].at as usize * lanes + lo..][..width]);
+    let levels: [S; N] = std::array::from_fn(|m| S::from_level(block[m].level));
+    simd::axpy_taps(sums, pieces, &[simd::Tap::default()], width, levels);
 }
 
 /// The sums widened to `i64`, each with its output's bias.
@@ -347,7 +378,8 @@ impl LinearUnit {
             bitplane::for_each_set_bit(occupancy.row(0), 0, |ni| {
                 let level = in_data[ni] & mask;
                 total_popcount += u64::from(level.count_ones());
-                spikes.push((ni as u32, level));
+                // No block marks: `scatter` cuts blocks at fixed strides.
+                spikes.push(Spike::new(ni, 0, level, 0));
             });
         }
 

@@ -14,9 +14,7 @@
 //!   an output, which (by the radix shift-and-add identity) is all a
 //!   bit-exact sparse execution engine needs.
 //! * [`for_each_set_bit`] — word-at-a-time set-bit traversal.
-//! * Popcount helpers — the data-dependent operation counts (`adder_ops`)
-//!   of the processing units are plane popcounts, computed here in one
-//!   pass instead of being stepped in the innermost simulation loop.
+//! * [`popcount_levels`] — the spikes of a level array over all 64 bits.
 
 /// Bits per packed word.
 pub const WORD_BITS: usize = 64;
@@ -139,34 +137,6 @@ impl BitPlanes {
         let start = (t * self.rows + row) * self.words_per_row;
         &self.data[start..start + self.words_per_row]
     }
-
-    /// Number of spikes in plane `t`.
-    pub fn plane_popcount(&self, t: usize) -> u64 {
-        let start = t * self.rows * self.words_per_row;
-        let end = start + self.rows * self.words_per_row;
-        crate::simd::popcount(&self.data[start..end])
-    }
-
-    /// Total number of spikes across all planes — equivalently, the sum of
-    /// `popcount(level & level_mask(T))` over all levels.
-    pub fn popcount(&self) -> u64 {
-        crate::simd::popcount(&self.data)
-    }
-
-    /// The OR-reduction of all planes: which positions spike at least once.
-    pub fn occupancy(&self) -> Occupancy {
-        let per_plane = self.rows * self.words_per_row;
-        let mut data = vec![0u64; per_plane];
-        for t in 0..self.time_steps {
-            let plane = &self.data[t * per_plane..(t + 1) * per_plane];
-            crate::simd::or_accumulate(&mut data, plane);
-        }
-        Occupancy {
-            rows: self.rows,
-            words_per_row: self.words_per_row,
-            data,
-        }
-    }
 }
 
 /// Per-position spike occupancy: bit `x` of row `r` is set iff the level
@@ -181,9 +151,9 @@ pub struct Occupancy {
 impl Occupancy {
     /// Builds the occupancy directly from a row-major `[rows, width]` level
     /// slice in one pass: bit `x` of row `r` is set iff
-    /// `levels[r * width + x] & level_mask(time_steps) != 0`.  Equivalent
-    /// to `BitPlanes::pack(..).occupancy()` without materialising the
-    /// planes — the form the hot execution paths use.
+    /// `levels[r * width + x] & level_mask(time_steps) != 0` — the
+    /// OR-reduction of the `time_steps` planes, without materialising
+    /// them.
     ///
     /// # Panics
     ///
@@ -276,38 +246,40 @@ mod tests {
         }
     }
 
-    #[test]
-    fn popcounts_match_masked_level_popcounts() {
-        let levels: Vec<i64> = (0..40).map(|v| (v * 91) % 64).collect();
-        let planes = BitPlanes::pack(&levels, 4, 10, 3);
-        let expected: u64 = levels.iter().map(|&v| (v & 7).count_ones() as u64).sum();
-        assert_eq!(planes.popcount(), expected);
-        let per_plane: u64 = (0..3).map(|t| planes.plane_popcount(t)).sum();
-        assert_eq!(per_plane, expected);
+    /// The positions of the set bits of `occupancy`'s rows.
+    fn set_positions(occupancy: &Occupancy) -> Vec<(usize, usize)> {
+        let mut set = Vec::new();
+        for row in 0..occupancy.rows() {
+            for_each_set_bit(occupancy.row(row), 0, |x| set.push((row, x)));
+        }
+        set
     }
 
     #[test]
     fn occupancy_is_or_of_planes() {
         let levels = vec![0i64, 1, 4, 0, 6, 0, 0, 7];
+        let occ = Occupancy::from_levels(&levels, 2, 4, 3);
+        assert_eq!(set_positions(&occ), vec![(0, 1), (0, 2), (1, 0), (1, 3)]);
         let planes = BitPlanes::pack(&levels, 2, 4, 3);
-        let occ = planes.occupancy();
-        let mut set = Vec::new();
         for row in 0..2 {
-            for_each_set_bit(occ.row(row), 0, |x| set.push((row, x)));
+            let or = (0..3).fold(0u64, |or, t| or | planes.row(t, row)[0]);
+            assert_eq!(occ.row(row), &[or], "row {row}");
         }
-        assert_eq!(set, vec![(0, 1), (0, 2), (1, 0), (1, 3)]);
         assert!(!occ.row_is_silent(0));
-        let silent = BitPlanes::pack(&[0, 0, 0], 1, 3, 5).occupancy();
-        assert!(silent.row_is_silent(0));
+        assert!(Occupancy::from_levels(&[0, 0, 0], 1, 3, 5).row_is_silent(0));
     }
 
     #[test]
-    fn from_levels_matches_packed_plane_occupancy() {
+    fn from_levels_sets_a_bit_iff_the_masked_level_is_non_zero() {
         let levels: Vec<i64> = (0..90).map(|v| ((v * 53) % 9) as i64 - 1).collect();
-        for t_steps in [0, 1, 3, 7] {
-            let via_planes = BitPlanes::pack(&levels, 3, 30, t_steps).occupancy();
+        for t_steps in [0, 1, 3, 7, 63, 64] {
+            let mask = level_mask(t_steps);
             let direct = Occupancy::from_levels(&levels, 3, 30, t_steps);
-            assert_eq!(direct, via_planes, "T={t_steps}");
+            let expected: Vec<(usize, usize)> = (0..90)
+                .filter(|&i| levels[i] & mask != 0)
+                .map(|i| (i / 30, i % 30))
+                .collect();
+            assert_eq!(set_positions(&direct), expected, "T={t_steps}");
         }
     }
 
@@ -327,15 +299,16 @@ mod tests {
     fn negative_levels_pack_only_the_masked_payload() {
         // -1 has every payload bit set; with T=2 only the two low bits
         // survive the mask, exactly what the cycle-by-cycle schedule sees.
-        let planes = BitPlanes::pack(&[-1], 1, 1, 2);
-        assert_eq!(planes.popcount(), 2);
+        let planes = BitPlanes::pack(&[-1, 0], 1, 2, 2);
+        assert_eq!(planes.row(0, 0), &[1]);
+        assert_eq!(planes.row(1, 0), &[1]);
     }
 
     #[test]
     fn zero_time_steps_produce_no_planes() {
         let planes = BitPlanes::pack(&[5, 3], 1, 2, 0);
-        assert_eq!(planes.popcount(), 0);
-        assert!(planes.occupancy().row_is_silent(0));
+        assert_eq!(planes.time_steps(), 0);
+        assert!(Occupancy::from_levels(&[5, 3], 1, 2, 0).row_is_silent(0));
     }
 
     #[test]

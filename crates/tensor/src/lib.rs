@@ -17,13 +17,13 @@
 //!   network parameters of the paper.
 //! * [`bitplane`] — radix activations packed into per-time-step binary
 //!   planes of `u64` row words, the substrate of the sparse execution
-//!   engine in `snn-accel` (word-level skipping of silent regions and
-//!   one-pass popcounts for the data-dependent operation counters).
+//!   engine in `snn-accel` (word-level skipping of silent regions through
+//!   the planes' one-pass occupancy).
 //! * [`simd`] — runtime-dispatched word-level kernels (AVX2 with an
 //!   always-compiled scalar oracle) behind the bit-plane engine's inner
-//!   loops: occupancy OR-reduction, plane popcount and the widening
-//!   weight-row multiply-accumulate.  `SNN_SIMD=0` forces
-//!   the scalar path.
+//!   loops: occupancy-row packing and the widening weight-row
+//!   multiply-accumulate of blocks of up to four spikes.  `SNN_SIMD=0`
+//!   forces the scalar path.
 //!
 //! # Example
 //!

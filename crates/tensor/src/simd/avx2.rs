@@ -7,13 +7,17 @@
 //! pointer stays inside the bounds of the borrowed slices.
 //!
 //! The multiply-accumulate is **one** kernel body, [`axpy_taps`], generic
-//! over the weight element (`i8 | i16`, [`Widen`]) and the accumulator
-//! element (`i16 | i32 | i64`, [`Lanes`]): the six instantiations differ
-//! only in the widening load (`vpmovsx{bw,bd,bq,wd,wq}`, or none), the
-//! multiply and the add.
+//! over the block size `N` (`1..=4` spikes whose products are summed in
+//! registers before one load-add-store of the accumulator), the weight
+//! element (`i8 | i16`, [`Widen`]) and the accumulator element
+//! (`i16 | i32 | i64`, [`Lanes`]): the instantiations differ only in how
+//! many weight rows a vector step reads, the widening load
+//! (`vpmovsx{bw,bd,bq,wd,wq}`, or none), the multiply and the add.
 //!
-//! The integer arithmetic is exact: bitwise ops and popcounts are
-//! lane-width-independent; the 64-bit multiply is composed from
+//! The integer arithmetic is exact: bitwise ops are lane-width-independent;
+//! wrapping sums are associative, so adding a block's products before the
+//! accumulator is the same integer as adding them to it one by one; the
+//! 64-bit multiply is composed from
 //! `vpmuludq` 32×32→64 partial products (`lo·lo + ((hi·lo + lo·hi) << 32)`),
 //! which is precisely the wrapping 64-bit product (or, for factors that
 //! fit 32 signed bits, one `vpmuldq`); the 32-bit multiply is `vpmulld`,
@@ -26,64 +30,6 @@
 
 use super::{scalar, Accumulator, Tap, WeightLane};
 use std::arch::x86_64::*;
-
-/// `acc[i] |= src[i]`, 4 words per iteration.
-pub fn or_accumulate(acc: &mut [u64], src: &[u64]) {
-    // SAFETY: dispatch guarantees AVX2; all loads/stores are within the
-    // equal-length slices.
-    unsafe { or_accumulate_impl(acc, src) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn or_accumulate_impl(acc: &mut [u64], src: &[u64]) {
-    let chunks = acc.len() / 4;
-    // SAFETY: the caller promises AVX2; `i * 4 + 4 <= chunks * 4` keeps every
-    // 4-word load and store inside the equal-length slices.
-    unsafe {
-        for i in 0..chunks {
-            let a = _mm256_loadu_si256(acc.as_ptr().add(i * 4).cast());
-            let s = _mm256_loadu_si256(src.as_ptr().add(i * 4).cast());
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i * 4).cast(), _mm256_or_si256(a, s));
-        }
-    }
-    scalar::or_accumulate(&mut acc[chunks * 4..], &src[chunks * 4..]);
-}
-
-/// Harley-Seal-free nibble-LUT popcount: `vpshufb` counts each nibble,
-/// `vpsadbw` folds bytes into per-lane `u64` sums.
-pub fn popcount(words: &[u64]) -> u64 {
-    // SAFETY: dispatch guarantees AVX2; loads stay inside `words`.
-    unsafe { popcount_impl(words) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn popcount_impl(words: &[u64]) -> u64 {
-    let chunks = words.len() / 4;
-    let mut total;
-    // SAFETY: the caller promises AVX2; each load reads the 4 words from
-    // `i * 4 < chunks * 4 <= words.len()`, the store fills the local array.
-    unsafe {
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // lane 0
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, // lane 1
-        );
-        let low_mask = _mm256_set1_epi8(0x0f);
-        let zero = _mm256_setzero_si256();
-        let mut acc = zero;
-        for i in 0..chunks {
-            let v = _mm256_loadu_si256(words.as_ptr().add(i * 4).cast());
-            let lo = _mm256_and_si256(v, low_mask);
-            let hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-            let cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo), _mm256_shuffle_epi8(lut, hi));
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(cnt, zero));
-        }
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        total = lanes.iter().sum::<u64>();
-    }
-    total += scalar::popcount(&words[chunks * 4..]);
-    total
-}
 
 /// Packs one occupancy row 4 levels at a time: mask, compare against
 /// zero, and fold the 4-lane movemask into the packed word.
@@ -395,90 +341,109 @@ impl Lanes for i64 {
     }
 }
 
-/// Every tap's `acc[acc_at..][..width] += level * weights[w_at..][..width]`,
-/// the weights sign-extended to the accumulator's lanes: `A::N` lanes per
-/// op, four ops per unrolled iteration, then single vectors, one half
-/// vector and a scalar tail shorter than that.
+/// Every tap's `acc[acc_at..][..width] += levels[m] * rows[m][w_at..][..width]`
+/// over the block's members `m < N`, the weights sign-extended to the
+/// accumulator's lanes and the `N` products of a lane summed in registers
+/// before one load-add-store: `A::N` lanes per step, four steps per
+/// unrolled iteration, then single vectors, one half vector and a scalar
+/// tail shorter than that.
 ///
 /// # Panics
 ///
-/// Panics when a tap reaches outside `acc` or `weights`.
-pub fn axpy_taps<W: WeightLane, A: Accumulator>(
+/// Panics when a tap reaches outside `acc` or any of `rows`.
+pub fn axpy_taps<const N: usize, W: WeightLane, A: Accumulator>(
     acc: &mut [A],
-    weights: &[W],
+    rows: [&[W]; N],
     taps: &[Tap],
     width: usize,
-    level: A,
+    levels: [A; N],
 ) {
     // SAFETY: dispatch guarantees AVX2, the only requirement of this
     // (otherwise safe) function.
     unsafe {
-        if A::one_uop(level) {
-            axpy_taps_impl::<W, A, true>(acc, weights, taps, width, level)
+        if levels.iter().all(|&level| A::one_uop(level)) {
+            axpy_taps_impl::<N, W, A, true>(acc, rows, taps, width, levels)
         } else {
-            axpy_taps_impl::<W, A, false>(acc, weights, taps, width, level)
+            axpy_taps_impl::<N, W, A, false>(acc, rows, taps, width, levels)
         }
     }
 }
 
 #[target_feature(enable = "avx2")]
-fn axpy_taps_impl<W: WeightLane, A: Accumulator, const ONE_UOP: bool>(
+fn axpy_taps_impl<const N: usize, W: WeightLane, A: Accumulator, const ONE_UOP: bool>(
     acc: &mut [A],
-    weights: &[W],
+    rows: [&[W]; N],
     taps: &[Tap],
     width: usize,
-    level: A,
+    levels: [A; N],
 ) {
-    // SAFETY: AVX2 is enabled for this function.
-    let vl = unsafe { A::splat(level) };
+    let mut splats = [_mm256_setzero_si256(); N];
+    for (splat, &level) in splats.iter_mut().zip(&levels) {
+        // SAFETY: AVX2 is enabled for this function.
+        *splat = unsafe { A::splat(level) };
+    }
     for tap in taps {
         let acc = &mut acc[tap.acc_at..][..width];
-        let w = &weights[tap.w_at..][..width];
-        let (ap, wp) = (acc.as_mut_ptr(), w.as_ptr());
+        let mut wps = [std::ptr::null::<W>(); N];
+        for (wp, row) in wps.iter_mut().zip(&rows) {
+            *wp = row[tap.w_at..][..width].as_ptr();
+        }
+        let ap = acc.as_mut_ptr();
         let mut i = 0;
-        // SAFETY: AVX2 is enabled for this function; `acc` and `w` are
-        // `width` long and every step is taken only when its `A::N` (half
-        // step: `A::N / 2`) lanes from `i` end inside them.
+        // SAFETY: AVX2 is enabled for this function; `acc` and every
+        // member's weights (from `wps`) are `width` long, and every step is
+        // taken only when its `A::N` (half step: `A::N / 2`) lanes from `i`
+        // end inside them.
         unsafe {
             while i + 4 * A::N <= width {
                 for q in (i..i + 4 * A::N).step_by(A::N) {
-                    step::<W, A, ONE_UOP, false>(ap.add(q), wp.add(q), vl);
+                    step::<N, W, A, ONE_UOP, false>(ap, &wps, q, &splats);
                 }
                 i += 4 * A::N;
             }
             while i + A::N <= width {
-                step::<W, A, ONE_UOP, false>(ap.add(i), wp.add(i), vl);
+                step::<N, W, A, ONE_UOP, false>(ap, &wps, i, &splats);
                 i += A::N;
             }
             if i + A::N / 2 <= width {
-                step::<W, A, ONE_UOP, true>(ap.add(i), wp.add(i), vl);
+                step::<N, W, A, ONE_UOP, true>(ap, &wps, i, &splats);
                 i += A::N / 2;
             }
         }
-        scalar::axpy(&mut acc[i..], &w[i..], level);
+        if i < width {
+            for (row, &level) in rows.iter().zip(&levels) {
+                scalar::axpy(&mut acc[i..], &row[tap.w_at + i..][..width - i], level);
+            }
+        }
     }
 }
 
-/// One vector of the kernel: `A::N` lanes at `ap` += the weights at `wp`
-/// times `level` — or, when `HALF`, the `A::N / 2` lanes of a 128-bit
-/// vector, through the same 256-bit operations with the upper half
-/// ignored.
+/// One vector of the kernel: the `A::N` lanes at `ap + at` += the weights
+/// at `wps[m] + at` times `levels[m]`, summed over the block's members —
+/// or, when `HALF`, the `A::N / 2` lanes of a 128-bit vector, through the
+/// same 256-bit operations with the upper half ignored.
 ///
 /// # Safety
 ///
-/// AVX2 must be available, and that many lanes readable at `wp` and
-/// writable at `ap`; no alignment is required.
+/// AVX2 must be available, and that many lanes from `at` readable at every
+/// `wps[m]` and writable at `ap`; no alignment is required.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn step<W: Widen, A: Lanes, const ONE_UOP: bool, const HALF: bool>(
+unsafe fn step<const N: usize, W: Widen, A: Lanes, const ONE_UOP: bool, const HALF: bool>(
     ap: *mut A,
-    wp: *const W,
-    level: __m256i,
+    wps: &[*const W; N],
+    at: usize,
+    levels: &[__m256i; N],
 ) {
-    // SAFETY: the caller's contract covers the widening load and the
+    // SAFETY: the caller's contract covers every widening load and the
     // unaligned load/store of exactly the lanes it promised.
     unsafe {
-        let product = A::mul::<ONE_UOP>(W::widen::<A, HALF>(wp), level);
+        let mut product = A::mul::<ONE_UOP>(W::widen::<A, HALF>(wps[0].add(at)), levels[0]);
+        for m in 1..N {
+            let next = A::mul::<ONE_UOP>(W::widen::<A, HALF>(wps[m].add(at)), levels[m]);
+            product = A::add(product, next);
+        }
+        let ap = ap.add(at);
         if HALF {
             let at = ap.cast::<__m128i>();
             let sum = A::add(_mm256_castsi128_si256(_mm_loadu_si128(at)), product);

@@ -1,13 +1,18 @@
 //! Runtime-dispatched SIMD kernels for the bit-plane engine's word loops.
 //!
-//! The sparse execution engine spends its inner loops on a handful of
-//! word-level primitives: OR-reducing packed plane rows into the occupancy
-//! mask, popcounting planes for the analytical `adder_ops`, and the widening
-//! multiply-accumulate of one packed weight row into the output-channel
-//! lanes of an accumulator row (`acc += level * row`) — weights of either
-//! stored width ([`WeightLane`]: `i8 | i16`) into lanes of any of three
-//! ([`Accumulator`]: `i16 | i32 | i64`).  This module provides those
-//! primitives once, with two implementations behind one dispatch point:
+//! The sparse execution engine spends its inner loops on two word-level
+//! primitives: packing the occupancy mask of a row of levels, and the
+//! widening multiply-accumulate of packed weight rows into the
+//! output-channel lanes of an accumulator row (`acc += level * row`) —
+//! weights of either stored width ([`WeightLane`]: `i8 | i16`) into lanes
+//! of any of three ([`Accumulator`]: `i16 | i32 | i64`).  The
+//! multiply-accumulate takes a *block* of up to [`BLOCK`] spikes that
+//! reach the same accumulator lanes through different weight rows (spikes
+//! at one pixel in different input channels, or consecutive input neurons
+//! of a fully-connected layer): their products are added up in registers,
+//! so the accumulator row is loaded and stored once per block, not once
+//! per spike.  This module provides those primitives once, with two
+//! implementations behind one dispatch point:
 //!
 //! * **Scalar** — portable Rust, always compiled, the *oracle* every other
 //!   path is property-pinned against ([`scalar`]).
@@ -23,14 +28,15 @@
 //!
 //! **Exactness contract:** every kernel computes bit-identical results on
 //! every level — the integer operations are exact (`u64` bit ops; wrapping
-//! multiply-accumulate at any one width is associative and commutative),
-//! so the choice of path can never change an accumulator or a derived
-//! statistic.  Accumulators of different widths agree with *each other*
-//! only where no sum leaves the narrower one; proving that is the caller's
-//! job (`snn_model::packed::PackedWeights::{sums_fit_i32, i16_group}`),
-//! not this module's.  `tests/simd_properties.rs` pins all levels against
-//! [`scalar`] on arbitrary densities, widths crossing word boundaries and
-//! all-silent rows.
+//! multiply-accumulate at any one width is associative and commutative,
+//! so neither the kernel level nor how products are grouped into blocks
+//! can change an accumulator or a derived statistic).  Accumulators of
+//! different widths agree with *each other* only where no sum leaves the
+//! narrower one; proving that is the caller's job
+//! (`snn_model::packed::PackedWeights::{sums_fit_i32, i16_group}`), not
+//! this module's.  `tests/simd_properties.rs` pins all levels against
+//! [`scalar`] on arbitrary densities, widths crossing word boundaries,
+//! every block size and all-silent rows.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -86,31 +92,6 @@ fn cap_level(detected: SimdLevel, value: Option<&str>) -> SimdLevel {
 pub fn active_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| cap_level(detect_level(), std::env::var("SNN_SIMD").ok().as_deref()))
-}
-
-/// `acc[i] |= src[i]` over packed words — the occupancy OR-reduction of
-/// one plane row into the accumulator row.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length.
-pub fn or_accumulate(acc: &mut [u64], src: &[u64]) {
-    assert_eq!(acc.len(), src.len(), "word rows differ in length");
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::or_accumulate(acc, src),
-        _ => scalar::or_accumulate(acc, src),
-    }
-}
-
-/// Total number of set bits across `words` — the plane popcount behind the
-/// data-dependent `adder_ops` counters.
-pub fn popcount(words: &[u64]) -> u64 {
-    match active_level() {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::popcount(words),
-        _ => scalar::popcount(words),
-    }
 }
 
 /// Packs one occupancy row: bit `x` of `out` is set iff
@@ -205,54 +186,59 @@ macro_rules! accumulator {
 }
 accumulator!(i16, i32, i64);
 
-/// For every tap, `acc[acc_at + i] += level * weights[w_at + i]` over
-/// `i < width`, each weight widened to the accumulator element and the
-/// arithmetic wrapping at its width — the one multiply-accumulate of the
-/// convolution and linear engines: a spike of weight `level` adds one
-/// channel-last packed weight row per covering kernel tap into the
-/// output-channel lanes of an accumulator row.  One call per spike rather
-/// than per tap: the dispatch, and the call into the vector kernel, are
-/// paid once.
+/// The most spikes one [`axpy_taps`] call adds up before it writes the
+/// accumulator row back.  Four level splats leave the unrolled AVX2 loop
+/// its working registers; a block of four reads each accumulator lane
+/// once for four products instead of once for one.
+pub const BLOCK: usize = 4;
+
+/// For every tap, `acc[acc_at + i] += levels[m] * rows[m][w_at + i]` over
+/// `i < width` and every member `m < N`, each weight widened to the
+/// accumulator element and the arithmetic wrapping at its width — the one
+/// multiply-accumulate of the convolution and linear engines.  A block of
+/// `N` spikes (`1 <= N <=` [`BLOCK`]) that reach the same accumulator lanes
+/// through different weight rows shares its taps and width: member `m`
+/// reads its channel-last packed weights from `rows[m]`, and the `N`
+/// products of a lane are summed in registers before one load-add-store of
+/// the accumulator.  One call per block rather than per tap or spike: the
+/// dispatch, and the call into the vector kernel, are paid once.
 ///
 /// # Panics
 ///
-/// Panics when a tap reaches outside `acc` or `weights`.
-pub fn axpy_taps<W: WeightLane, A: Accumulator>(
+/// Panics when a tap reaches outside `acc` or any of `rows`.
+pub fn axpy_taps<const N: usize, W: WeightLane, A: Accumulator>(
     acc: &mut [A],
-    weights: &[W],
+    rows: [&[W]; N],
     taps: &[Tap],
     width: usize,
-    level: A,
+    levels: [A; N],
 ) {
-    axpy_taps_at(active_level(), acc, weights, taps, width, level);
+    axpy_taps_at(active_level(), acc, rows, taps, width, levels);
 }
 
 /// [`axpy_taps`] on an explicit kernel level (which must not exceed what
 /// the host supports), so tests can pin every compiled path in one
 /// process.
-fn axpy_taps_at<W: WeightLane, A: Accumulator>(
+fn axpy_taps_at<const N: usize, W: WeightLane, A: Accumulator>(
     kernel: SimdLevel,
     acc: &mut [A],
-    weights: &[W],
+    rows: [&[W]; N],
     taps: &[Tap],
     width: usize,
-    level: A,
+    levels: [A; N],
 ) {
+    const { assert!(N >= 1 && N <= BLOCK, "a block holds 1 to BLOCK spikes") };
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => avx2::axpy_taps(acc, weights, taps, width, level),
-        _ => {
-            for tap in taps {
-                let acc = &mut acc[tap.acc_at..][..width];
-                scalar::axpy(acc, &weights[tap.w_at..][..width], level);
-            }
-        }
+        SimdLevel::Avx2 => avx2::axpy_taps(acc, rows, taps, width, levels),
+        _ => scalar::axpy_taps(acc, rows, taps, width, levels),
     }
 }
 
-/// `acc[i] += level * w[i]`: [`axpy_taps`] for a single row.  Into `i64`
-/// lanes the product is exact mod 2^64 for every `level`, so spike trains
-/// of any length `T <= 63` accumulate bit-identically on every level.
+/// `acc[i] += level * w[i]`: [`axpy_taps`] for a single row of a single
+/// spike.  Into `i64` lanes the product is exact mod 2^64 for every
+/// `level`, so spike trains of any length `T <= 63` accumulate
+/// bit-identically on every level.
 ///
 /// # Panics
 ///
@@ -264,13 +250,14 @@ pub fn axpy<W: WeightLane, A: Accumulator>(acc: &mut [A], w: &[W], level: A) {
 /// [`axpy`] on an explicit kernel level, as [`axpy_taps_at`].
 fn axpy_at<W: WeightLane, A: Accumulator>(kernel: SimdLevel, acc: &mut [A], w: &[W], level: A) {
     assert_eq!(acc.len(), w.len(), "axpy rows differ in length");
-    axpy_taps_at(kernel, acc, w, &[Tap::default()], acc.len(), level);
+    axpy_taps_at(kernel, acc, [w], &[Tap::default()], acc.len(), [level]);
 }
 
 /// Ends a group of partial sums: `wide[i] += partial[i]`, each partial sum
 /// widened first, and `partial[i] = 0` for the next group.  Not
 /// dispatched: it runs once per group of input channels where
-/// [`axpy_taps`] runs once per spike, and the plain loop vectorises.
+/// [`axpy_taps`] runs once per block of spikes, and the plain loop
+/// vectorises.
 ///
 /// # Panics
 ///
@@ -318,27 +305,6 @@ mod tests {
         let level = active_level();
         assert_eq!(level, active_level());
         assert!(level <= detect_level());
-    }
-
-    #[test]
-    fn or_accumulate_matches_scalar() {
-        let src: Vec<u64> = (0..9)
-            .map(|i| (i as u64).wrapping_mul(0x9e3779b97f4a7c15))
-            .collect();
-        let mut acc = vec![0xf0f0_f0f0u64; 9];
-        let mut oracle = acc.clone();
-        or_accumulate(&mut acc, &src);
-        scalar::or_accumulate(&mut oracle, &src);
-        assert_eq!(acc, oracle);
-    }
-
-    #[test]
-    fn popcount_matches_scalar() {
-        let words: Vec<u64> = (0..33)
-            .map(|i| (i as u64).wrapping_mul(0xdeadbeefcafebabe) ^ (i as u64) << 7)
-            .collect();
-        assert_eq!(popcount(&words), scalar::popcount(&words));
-        assert_eq!(popcount(&[]), 0);
     }
 
     #[test]
@@ -431,54 +397,129 @@ mod tests {
         }
     }
 
+    /// One block size of one (weight lane × accumulator) instantiation on
+    /// `kernel` against the scalar oracle: every width across the
+    /// unrolled, one-vector and half-vector steps and the scalar tail, taps
+    /// that overlap in the accumulator and repeat a weight offset, members
+    /// that share a row, and `levels` assigned to the members in turn.
+    fn check_block<const N: usize, W: WeightLane, A: Accumulator + PartialEq + std::fmt::Debug>(
+        kernel: SimdLevel,
+        row: fn(usize) -> Vec<W>,
+        levels: &[i64],
+    ) {
+        let weights = row(200);
+        let offsets = [0usize, 37, 37, 101];
+        for width in 0..=67usize {
+            let taps = [
+                Tap { acc_at: 0, w_at: 0 },
+                Tap {
+                    acc_at: 3,
+                    w_at: 30,
+                },
+                Tap { acc_at: 0, w_at: 0 },
+                Tap {
+                    acc_at: 40,
+                    w_at: 9,
+                },
+            ];
+            let rows: [&[W]; N] = std::array::from_fn(|m| &weights[offsets[m]..][..99]);
+            for (turn, _) in levels.iter().enumerate() {
+                let block: [A; N] =
+                    std::array::from_fn(|m| A::from_level(levels[(turn + m) % levels.len()]));
+                let mut fast: Vec<A> = (0..110).map(|v| A::from_level(v * 3 - 50)).collect();
+                let mut slow = fast.clone();
+                axpy_taps_at(kernel, &mut fast, rows, &taps, width, block);
+                scalar::axpy_taps(&mut slow, rows, &taps, width, block);
+                assert_eq!(
+                    fast, slow,
+                    "kernel={kernel:?} N={N} width={width} turn={turn}"
+                );
+            }
+        }
+    }
+
+    /// Every block size of one instantiation.
+    fn check_blocks<W: WeightLane, A: Accumulator + PartialEq + std::fmt::Debug>(
+        kernel: SimdLevel,
+        row: fn(usize) -> Vec<W>,
+        levels: &[i64],
+    ) {
+        check_block::<1, W, A>(kernel, row, levels);
+        check_block::<2, W, A>(kernel, row, levels);
+        check_block::<3, W, A>(kernel, row, levels);
+        check_block::<4, W, A>(kernel, row, levels);
+    }
+
+    #[test]
+    fn axpy_taps_blocks_match_scalar() {
+        // Levels at the one-µop edges of each width, mixed within a block
+        // so that one member off the fast path moves the whole block off.
+        let wide = [1i64 << 31, 0, (1 << 31) - 1, 1 << 62, -3, 1];
+        let narrow = [1i64 << 15, 0, (1 << 15) - 1, i64::from(i32::MAX), -3, 15];
+        let partial = [0i64, 1, 255, i64::from(i16::MAX), -3, 256];
+        for kernel in runnable_levels() {
+            check_blocks::<i16, i64>(kernel, weight_row, &wide);
+            check_blocks::<i8, i64>(kernel, byte_row, &wide);
+            check_blocks::<i16, i32>(kernel, weight_row, &narrow);
+            check_blocks::<i8, i32>(kernel, byte_row, &narrow);
+            check_blocks::<i16, i16>(kernel, weight_row, &partial);
+            check_blocks::<i8, i16>(kernel, byte_row, &partial);
+        }
+    }
+
     #[test]
     fn axpy_taps_is_one_axpy_per_tap() {
-        // Taps that overlap in the accumulator, repeat a weight row and end
-        // flush with both slices; none, one and many of them.
-        let weights = weight_row(90);
-        let bytes = byte_row(90);
+        // The oracle itself: taps that overlap in the accumulator, repeat
+        // a weight row and end flush with both slices, against plain
+        // per-lane arithmetic in `i64`.
+        let weights = weight_row(93);
+        let bytes = byte_row(93);
         let all = [(0usize, 7usize), (11, 0), (0, 7), (23, 53), (5, 30)];
-        for kernel in runnable_levels() {
-            for width in [0usize, 1, 8, 37] {
-                for count in [0, 1, all.len()] {
-                    let taps: Vec<Tap> = all[..count]
-                        .iter()
-                        .map(|&(acc_at, w_at)| Tap { acc_at, w_at })
-                        .collect();
-                    let mut fast = vec![5i32; 60];
-                    let mut slow = fast.clone();
-                    axpy_taps_at(kernel, &mut fast, &weights, &taps, width, 9);
-                    let mut wide = vec![5i64; 60];
-                    axpy_taps_at(kernel, &mut wide, &weights, &taps, width, 9);
-                    // 8-bit weights into 16-bit lanes: nothing here leaves
-                    // `i16` (5 taps x 9 x 128 at most), so it agrees with
-                    // the wide sum of the same bytes.
-                    let mut partial = vec![5i16; 60];
-                    axpy_taps_at(kernel, &mut partial, &bytes, &taps, width, 9);
-                    let mut byte_sums = vec![5i64; 60];
-                    for tap in &taps {
-                        scalar::axpy(
-                            &mut slow[tap.acc_at..][..width],
-                            &weights[tap.w_at..][..width],
-                            9,
-                        );
-                        scalar::axpy(
-                            &mut byte_sums[tap.acc_at..][..width],
-                            &bytes[tap.w_at..][..width],
-                            9,
-                        );
+        for width in [0usize, 1, 8, 37] {
+            for count in [0, 1, all.len()] {
+                let taps: Vec<Tap> = all[..count]
+                    .iter()
+                    .map(|&(acc_at, w_at)| Tap { acc_at, w_at })
+                    .collect();
+                let rows = [&weights[..90], &weights[3..], &weights[..90]];
+                let byte_rows = [&bytes[..90], &bytes[3..], &bytes[..90]];
+                let levels = [9, -2, 5];
+                let mut narrow = vec![5i32; 60];
+                scalar::axpy_taps(&mut narrow, rows, &taps, width, levels);
+                // 8-bit weights into 16-bit lanes: nothing here leaves
+                // `i16` (5 taps x 16 x 128 at most).
+                let mut partial = vec![5i16; 60];
+                scalar::axpy_taps(
+                    &mut partial,
+                    byte_rows,
+                    &taps,
+                    width,
+                    levels.map(|l| l as i16),
+                );
+                let mut expected = vec![5i64; 60];
+                let mut byte_sums = vec![5i64; 60];
+                for tap in &taps {
+                    for m in 0..3 {
+                        for i in 0..width {
+                            let level = i64::from(levels[m]);
+                            expected[tap.acc_at + i] += level * i64::from(rows[m][tap.w_at + i]);
+                            byte_sums[tap.acc_at + i] +=
+                                level * i64::from(byte_rows[m][tap.w_at + i]);
+                        }
                     }
-                    assert_eq!(fast, slow, "kernel={kernel:?} width={width} taps={count}");
-                    // Nothing here leaves `i32`, so the widths agree.
-                    assert!(wide.iter().zip(&slow).all(|(&a, &b)| a == i64::from(b)));
-                    assert!(
-                        partial
-                            .iter()
-                            .zip(&byte_sums)
-                            .all(|(&a, &b)| i64::from(a) == b),
-                        "kernel={kernel:?} width={width} taps={count}"
-                    );
                 }
+                // Nothing here leaves `i32`, so the widths agree.
+                assert!(narrow
+                    .iter()
+                    .zip(&expected)
+                    .all(|(&a, &b)| i64::from(a) == b));
+                assert!(
+                    partial
+                        .iter()
+                        .zip(&byte_sums)
+                        .all(|(&a, &b)| i64::from(a) == b),
+                    "width={width} taps={count}"
+                );
             }
         }
     }
@@ -510,6 +551,14 @@ mod tests {
     #[should_panic]
     fn a_tap_outside_the_accumulators_panics() {
         let tap = Tap { acc_at: 1, w_at: 0 };
-        axpy_taps(&mut [0i32; 8], &[1i16; 8], &[tap], 8, 1);
+        axpy_taps(&mut [0i32; 8], [&[1i16; 8][..]], &[tap], 8, [1]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_tap_outside_any_members_weights_panics() {
+        let tap = Tap { acc_at: 0, w_at: 1 };
+        let (long, short) = ([1i8; 9], [1i8; 8]);
+        axpy_taps(&mut [0i16; 8], [&long[..], &short[..]], &[tap], 8, [1, 1]);
     }
 }

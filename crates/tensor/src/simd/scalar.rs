@@ -2,19 +2,7 @@
 //! is property-pinned against, and the dispatch target on hosts (or under
 //! `SNN_SIMD=0`) where no vector path applies.
 
-use super::{Accumulator, WeightLane};
-
-/// `acc[i] |= src[i]` over packed words.
-pub fn or_accumulate(acc: &mut [u64], src: &[u64]) {
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a |= s;
-    }
-}
-
-/// Total number of set bits across `words`.
-pub fn popcount(words: &[u64]) -> u64 {
-    words.iter().map(|w| u64::from(w.count_ones())).sum()
-}
+use super::{Accumulator, Tap, WeightLane};
 
 /// Packs one occupancy row: bit `x` of `out` set iff `levels[x] & mask != 0`.
 pub fn pack_occupancy_row(levels: &[i64], mask: i64, out: &mut [u64]) {
@@ -39,6 +27,25 @@ pub fn pack_occupancy_row(levels: &[i64], mask: i64, out: &mut [u64]) {
 pub fn axpy<W: WeightLane, A: Accumulator>(acc: &mut [A], w: &[W], level: A) {
     for (a, &v) in acc.iter_mut().zip(w) {
         *a = a.wrapping_mul_add(v.into(), level);
+    }
+}
+
+/// For every tap and member `m`, one [`axpy`] of `rows[m]` at `levels[m]`
+/// into the tap's accumulator lanes, member after member — the oracle of
+/// the block kernel `super::axpy_taps`, whose vector paths add the `N`
+/// products of a lane in registers first.
+pub fn axpy_taps<const N: usize, W: WeightLane, A: Accumulator>(
+    acc: &mut [A],
+    rows: [&[W]; N],
+    taps: &[Tap],
+    width: usize,
+    levels: [A; N],
+) {
+    for tap in taps {
+        let acc = &mut acc[tap.acc_at..][..width];
+        for (row, &level) in rows.iter().zip(&levels) {
+            axpy(acc, &row[tap.w_at..][..width], level);
+        }
     }
 }
 

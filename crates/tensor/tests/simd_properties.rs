@@ -1,8 +1,8 @@
 //! Property tests pinning the runtime-dispatched SIMD kernels **bit-exact**
-//! against the always-compiled scalar oracle, and the bit-plane structures
-//! (which now route through those kernels) against per-bit walks — over
-//! arbitrary densities, widths crossing `u64` word boundaries, and
-//! all-silent rows.
+//! against the always-compiled scalar oracle, and the occupancy (which
+//! routes through them) against its per-position definition — over
+//! arbitrary densities, widths crossing `u64` word boundaries, every block
+//! size of the multiply-accumulate, and all-silent rows.
 //!
 //! The dispatched level is whatever the host (and `SNN_SIMD`) resolves to;
 //! CI runs this suite both with the default dispatch and with `SNN_SIMD=0`,
@@ -95,37 +95,72 @@ const NARROW_SEAM_LEVELS: [i32; 8] = [
     -3,
 ];
 
+/// Levels around the wide kernel's `0 <= level < 2^31` fast path, up to
+/// where the 64-bit products wrap.
+const WIDE_SEAM_LEVELS: [i64; 6] = [0, 1, (1 << 31) - 1, 1 << 31, 1 << 62, -3];
+
+/// The first `N` members of a block, as the kernel takes them.
+fn block<const N: usize, T: Copy>(members: &[T]) -> [T; N] {
+    std::array::from_fn(|m| members[m])
+}
+
+/// Every block size of every (weight lane × accumulator) instantiation
+/// whose accumulator is `A`: the dispatched kernel against the scalar
+/// oracle, from accumulators `seed` makes arbitrary.
+fn check_blocks<A: simd::Accumulator + PartialEq + std::fmt::Debug>(
+    rows: &[&[i16]],
+    byte_rows: &[&[i8]],
+    taps: &[simd::Tap],
+    width: usize,
+    acc_len: usize,
+    seed: u64,
+    levels: &[A],
+) -> Result<(), TestCaseError> {
+    let start: Vec<A> = (0..acc_len)
+        .map(|i| A::from_level(small_i64(i, seed, 1 << 40)))
+        .collect();
+    fn one<
+        const N: usize,
+        W: simd::WeightLane,
+        A: simd::Accumulator + PartialEq + std::fmt::Debug,
+    >(
+        start: &[A],
+        rows: &[&[W]],
+        taps: &[simd::Tap],
+        width: usize,
+        levels: &[A],
+    ) -> Result<(), TestCaseError> {
+        let mut fast = start.to_vec();
+        let mut slow = start.to_vec();
+        simd::axpy_taps(
+            &mut fast,
+            block::<N, _>(rows),
+            taps,
+            width,
+            block::<N, _>(levels),
+        );
+        scalar::axpy_taps(
+            &mut slow,
+            block::<N, _>(rows),
+            taps,
+            width,
+            block::<N, _>(levels),
+        );
+        prop_assert_eq!(fast, slow, "N={}", N);
+        Ok(())
+    }
+    one::<1, _, A>(&start, rows, taps, width, levels)?;
+    one::<2, _, A>(&start, rows, taps, width, levels)?;
+    one::<3, _, A>(&start, rows, taps, width, levels)?;
+    one::<4, _, A>(&start, rows, taps, width, levels)?;
+    one::<1, _, A>(&start, byte_rows, taps, width, levels)?;
+    one::<2, _, A>(&start, byte_rows, taps, width, levels)?;
+    one::<3, _, A>(&start, byte_rows, taps, width, levels)?;
+    one::<4, _, A>(&start, byte_rows, taps, width, levels)?;
+    Ok(())
+}
+
 proptest! {
-    /// Occupancy OR-reduction: the dispatched kernel equals the scalar
-    /// word loop for any accumulator/source contents.
-    #[test]
-    fn or_accumulate_matches_scalar_oracle(
-        len in 0usize..9,
-        density in 0u64..5,
-        seed in 0u64..u64::MAX,
-    ) {
-        let src = word_row(len, density, seed);
-        let mut acc: Vec<u64> = (0..len as u64)
-            .map(|i| i.wrapping_mul(seed))
-            .collect();
-        let mut oracle = acc.clone();
-        simd::or_accumulate(&mut acc, &src);
-        scalar::or_accumulate(&mut oracle, &src);
-        prop_assert_eq!(acc, oracle);
-    }
-
-    /// Plane popcount: dispatched kernel equals the scalar sum for any
-    /// density, including the empty slice.
-    #[test]
-    fn popcount_matches_scalar_oracle(
-        len in 0usize..17,
-        density in 0u64..5,
-        seed in 0u64..u64::MAX,
-    ) {
-        let words = word_row(len, density, seed);
-        prop_assert_eq!(simd::popcount(&words), scalar::popcount(&words));
-    }
-
     /// Occupancy row packing: bit `x` set iff `levels[x] & mask != 0`,
     /// for widths crossing word boundaries and any mask — dispatched and
     /// scalar paths agree, and both match the per-position definition.
@@ -228,15 +263,15 @@ proptest! {
         let mut narrow = vec![-7i32; acc_len];
         let mut wide = vec![-7i64; acc_len];
         let mut slow = narrow.clone();
-        simd::axpy_taps(&mut narrow, &weights, &taps, width, level);
-        simd::axpy_taps(&mut wide, &weights, &taps, width, i64::from(level));
+        simd::axpy_taps(&mut narrow, [&weights[..]], &taps, width, [level]);
+        simd::axpy_taps(&mut wide, [&weights[..]], &taps, width, [i64::from(level)]);
         let bytes = bytes_of(&weights);
         let small = (level % 16) as i16;
         let mut partial = vec![-7i16; acc_len];
         let mut bytes_narrow = vec![-7i32; acc_len];
         let mut bytes_slow = vec![-7i64; acc_len];
-        simd::axpy_taps(&mut partial, &bytes, &taps, width, small);
-        simd::axpy_taps(&mut bytes_narrow, &bytes, &taps, width, i32::from(small));
+        simd::axpy_taps(&mut partial, [&bytes[..]], &taps, width, [small]);
+        simd::axpy_taps(&mut bytes_narrow, [&bytes[..]], &taps, width, [i32::from(small)]);
         for tap in &taps {
             scalar::axpy(
                 &mut slow[tap.acc_at..][..width],
@@ -253,6 +288,55 @@ proptest! {
         prop_assert!(wide.iter().zip(&slow).all(|(&a, &b)| a == i64::from(b)));
         prop_assert!(partial.iter().zip(&bytes_slow).all(|(&a, &b)| i64::from(a) == b));
         prop_assert!(bytes_narrow.iter().zip(&bytes_slow).all(|(&a, &b)| i64::from(a) == b));
+    }
+
+    /// The block kernel: `N` spikes (1..=4) of arbitrary weight rows and
+    /// levels sharing taps (overlapping, repeated, flush with the slices)
+    /// and a width from 0 to 67 equal the scalar oracle — `N` plain
+    /// row updates per tap — in every (weight lane × accumulator)
+    /// instantiation, with each member's level drawn from the one-µop
+    /// edges of its width or at random.
+    #[test]
+    fn axpy_taps_blocks_match_scalar_oracle(
+        weights in prop::collection::vec(i16::MIN..=i16::MAX, 68..260),
+        width in 0usize..=67,
+        placements in prop::collection::vec((0usize..1000, 0usize..1000), 0..6),
+        members in prop::collection::vec((0usize..1000, 0usize..2 * NARROW_SEAM_LEVELS.len()), 4),
+        seed in 0u64..u64::MAX,
+    ) {
+        let acc_len = width + 24;
+        let row_len = width + 8;
+        let taps: Vec<simd::Tap> = placements
+            .iter()
+            .map(|&(a, b)| simd::Tap {
+                acc_at: a % (acc_len - width + 1),
+                w_at: b % (row_len - width + 1),
+            })
+            .collect();
+        let rows: Vec<&[i16]> = members
+            .iter()
+            .map(|&(at, _)| &weights[at % (weights.len() - row_len + 1)..][..row_len])
+            .collect();
+        let bytes: Vec<Vec<i8>> = rows.iter().map(|r| bytes_of(r)).collect();
+        let byte_rows: Vec<&[i8]> = bytes.iter().map(Vec::as_slice).collect();
+        let narrow: Vec<i32> = members
+            .iter()
+            .map(|&(_, sel)| match NARROW_SEAM_LEVELS.get(sel) {
+                Some(&level) => level,
+                None => (seed >> (sel % 40)) as i32,
+            })
+            .collect();
+        let wide: Vec<i64> = members
+            .iter()
+            .map(|&(_, sel)| match WIDE_SEAM_LEVELS.get(sel) {
+                Some(&level) => level,
+                None => (seed >> (sel % 8)) as i64,
+            })
+            .collect();
+        let partial: Vec<i16> = narrow.iter().map(|&level| level as i16).collect();
+        check_blocks(&rows, &byte_rows, &taps, width, acc_len, seed, &narrow)?;
+        check_blocks(&rows, &byte_rows, &taps, width, acc_len, seed, &wide)?;
+        check_blocks(&rows, &byte_rows, &taps, width, acc_len, seed, &partial)?;
     }
 
     /// Ending a group: every partial sum is widen-added into its wide lane
@@ -294,9 +378,9 @@ proptest! {
         prop_assert_eq!(&walked, &sorted, "positions must ascend");
     }
 
-    /// The bit-plane structures (routed through the SIMD kernels) keep
-    /// their definitions: popcounts equal the masked-level popcounts and
-    /// the one-pass occupancy equals the OR of the packed planes.
+    /// The one-pass occupancy keeps its definition: bit `x` of row `r` is
+    /// set iff the masked level there is non-zero — the OR of the packed
+    /// planes — and a row is silent iff no bit is.
     #[test]
     fn bitplane_structures_keep_their_definitions(
         width in 1usize..150,
@@ -310,15 +394,20 @@ proptest! {
         for r in 0..rows {
             all.extend(levels.iter().map(|&v| v.rotate_left(r as u32)));
         }
-        let planes = BitPlanes::pack(&all, rows, width, time_steps);
         let mask = bitplane::level_mask(time_steps);
-        let expected: u64 = all.iter().map(|&v| u64::from((v & mask).count_ones())).sum();
-        prop_assert_eq!(planes.popcount(), expected);
-        let per_plane: u64 = (0..time_steps).map(|t| planes.plane_popcount(t)).sum();
-        prop_assert_eq!(per_plane, expected);
         let direct = Occupancy::from_levels(&all, rows, width, time_steps);
-        prop_assert_eq!(&direct, &planes.occupancy());
+        let planes = BitPlanes::pack(&all, rows, width, time_steps);
         for r in 0..rows {
+            let words = direct.row(r);
+            let or = (0..time_steps).fold(vec![0u64; words.len()], |mut or, t| {
+                or.iter_mut().zip(planes.row(t, r)).for_each(|(o, &p)| *o |= p);
+                or
+            });
+            prop_assert_eq!(words, &or[..], "row {}", r);
+            for x in 0..width {
+                let bit = words[x / WORD_BITS] >> (x % WORD_BITS) & 1 == 1;
+                prop_assert_eq!(bit, all[r * width + x] & mask != 0, "row {} x {}", r, x);
+            }
             let silent = (0..width).all(|x| all[r * width + x] & mask == 0);
             prop_assert_eq!(direct.row_is_silent(r), silent, "row {}", r);
         }
