@@ -49,9 +49,9 @@ pub enum AccelError {
         capacity: usize,
     },
     /// The execution engine panicked while computing this inference.  The
-    /// dispatcher catches the unwind at the micro-batch item boundary, so
-    /// only the poisoned submission fails — sibling items in the same
-    /// batch and the server itself keep running (counted in
+    /// dispatcher catches the unwind at the per-request boundary, so only
+    /// the poisoned submission fails — the dispatcher and the server keep
+    /// running (counted in
     /// [`crate::serve::ServerStats::panics`]).
     EnginePanic {
         /// The panic payload's message, when it carried one.
@@ -72,9 +72,9 @@ pub enum AccelError {
         deadline_ms: u64,
     },
     /// The replica engine that dequeued this submission died before
-    /// serving it: its dispatcher panicked outside the per-item guard, the
-    /// supervisor marked it unhealthy and settled its in-flight
-    /// micro-batch with this error.  Sibling replicas keep serving (see
+    /// serving it: its dispatcher panicked outside the per-request guard,
+    /// the supervisor marked it unhealthy and settled its in-flight
+    /// request with this error.  Sibling replicas keep serving (see
     /// [`crate::serve::ServerStats::healthy_replicas`]), so a
     /// resubmission is served by a healthy replica — but unlike
     /// [`AccelError::QueueFull`] this is a failure, not backpressure: the

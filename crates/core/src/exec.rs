@@ -7,9 +7,9 @@
 //! failed on.  The conv and linear units execute from the layers'
 //! channel-last packed weights ([`SnnLayer::weights`]), so an inference
 //! packs nothing, and there is no host parallelism below this loop: one
-//! inference is one thread, and the only fan-out is across the requests
-//! of a batch ([`crate::sim::Accelerator::run_batch`], the serving
-//! micro-batch).
+//! inference is one thread, and the only fan-out is across requests (the
+//! blocks of [`crate::sim::Accelerator::run_batch`], the serving
+//! dispatchers).
 //! How the host orders this work has no bearing on modelled time: every
 //! cycle count in a [`RunReport`] comes from the analytical timing model
 //! of the compiled program.

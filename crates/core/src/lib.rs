@@ -35,8 +35,8 @@
 //! [`memory`] tiling planner splits oversized layers into halo-aware row
 //! bands that stream through the buffer pair, which is how full-scale
 //! VGG-11 executes cycle-accurately (bit-identical to the untiled run).
-//! For serving-scale traffic, [`serve::StreamServer`] micro-batches a
-//! bounded submission queue over the same engine.
+//! For serving-scale traffic, [`serve::StreamServer`] serves a bounded
+//! submission queue from N dispatcher threads over the same engine.
 //!
 //! # Example
 //!

@@ -1,28 +1,26 @@
-//! Streaming batch serving: replica engines pulling from one queue.
+//! Streaming serving: replica engines pulling from one queue.
 //!
 //! [`StreamServer`] compiles one model **once** and serves it from
-//! [`ServerOptions::replicas`] identical engine replicas (default 1) fed
-//! out of **one** bounded submission queue — the way the paper's
-//! controller feeds its identical processing units from one shared
-//! activation buffer, with no per-unit queue and no arbiter.  Each
-//! replica is a dispatcher thread that drains up to
-//! [`ServerOptions::max_batch`] inputs from the queue into a micro-batch
-//! and executes it over its slice of the shared worker pool — compiling
-//! once at start-up instead of per call, and (by default) serving on the
-//! **spike-major engine**.  A single queue with N servers is
+//! [`ServerOptions::replicas`] identical engine replicas fed out of
+//! **one** bounded submission queue — the way the paper's controller
+//! feeds its identical processing units from one shared activation
+//! buffer, with no per-unit queue and no arbiter.  Each replica is a
+//! dispatcher thread that takes one request at a time from the queue and
+//! runs it inline on the **spike-major engine**, against the program
+//! compiled once at start-up.  A single queue with N servers is
 //! work-conserving by construction: an idle engine always takes the next
 //! request, so there is no placement decision to make.  Every report a
 //! client receives is bit-identical to the matching solo
 //! [`crate::sim::Accelerator`] call **regardless of the replica count**
 //! (pinned by property tests).
 //!
-//! The only parallelism is across the requests of a micro-batch, and it
-//! draws from the single global [`snn_parallel::ThreadBudget`],
-//! partitioned evenly between the replicas, so a server under heavy
-//! traffic cannot oversubscribe the host.  [`StreamServer::stats`] aggregates the
-//! per-replica counters (completed inferences, micro-batch sizes,
-//! wall-clock throughput, modelled per-unit utilisation) into one
-//! [`ServerStats`] view that also carries the per-replica slices.
+//! The dispatchers are the only parallelism, and they are the serving
+//! side of the single global [`snn_parallel::ThreadBudget`]: by default a
+//! server runs one replica per budgeted thread, so it keeps the whole
+//! budget busy and no more.  [`StreamServer::stats`] aggregates the
+//! per-replica counters (completed inferences, wall-clock throughput,
+//! modelled per-unit utilisation) into one [`ServerStats`] view that also
+//! carries the per-replica slices.
 //!
 //! # Admission policy
 //!
@@ -36,8 +34,8 @@
 //! back off or go elsewhere, while the server's memory stays bounded no
 //! matter how fast clients submit — the property a network front-end
 //! needs.  [`StreamServer::queue_snapshot`] exposes the live queue depth
-//! and recent drain rate (windowed over the last
-//! [`DRAIN_WINDOW_BATCHES`] micro-batches per replica) so that front-end
+//! and recent drain rate (windowed over the last [`DRAIN_WINDOW`]
+//! requests per replica) so that front-end
 //! (`snn-net`) can attach a concrete *retry-after* hint to every
 //! rejection.
 //!
@@ -57,9 +55,9 @@
 //! # Graceful degradation
 //!
 //! Each replica's dispatcher runs under a supervisor: a panic that escapes
-//! the per-item unwind guard kills only that replica.  The supervisor
-//! marks it unhealthy and settles its **in-flight** micro-batch with the
-//! typed [`AccelError::ReplicaDown`] — those clients get an immediate
+//! the per-request unwind guard kills only that replica.  The supervisor
+//! marks it unhealthy and settles its **in-flight** request with the
+//! typed [`AccelError::ReplicaDown`] — that client gets an immediate
 //! answer and can resubmit.  Nothing else is stranded: what is still
 //! queued is served by the surviving replicas, the admission bound
 //! shrinks with the healthy count, and [`ServerStats::healthy_replicas`]
@@ -72,8 +70,8 @@ mod replica;
 mod stats;
 
 pub use stats::{
-    drain_rate, QueueSnapshot, ReplicaStats, ServerStats, DEFAULT_RETRY_AFTER_MS,
-    DRAIN_WINDOW_BATCHES, MAX_RETRY_AFTER_MS,
+    drain_rate, QueueSnapshot, ReplicaStats, ServerStats, DEFAULT_RETRY_AFTER_MS, DRAIN_WINDOW,
+    MAX_RETRY_AFTER_MS,
 };
 
 use crate::config::AcceleratorConfig;
@@ -88,6 +86,8 @@ use replica::{
 use snn_model::snn::SnnModel;
 use snn_telemetry::{Phase, SpanRecorder};
 use snn_tensor::Tensor;
+use stats::StatsAccum;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
@@ -97,9 +97,6 @@ use std::time::{Duration, Instant};
 /// Options of a [`StreamServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Maximum number of queued inputs drained into one micro-batch (per
-    /// replica).
-    pub max_batch: usize,
     /// Maximum undispatched submissions the queue holds **per healthy
     /// replica**; at `queue_capacity × healthy replicas`
     /// [`StreamServer::submit`] rejects with [`AccelError::QueueFull`]
@@ -119,11 +116,11 @@ pub struct ServerOptions {
     /// every queued submission — useful in tests, degenerate in
     /// production.
     pub max_queue_wait: Option<Duration>,
-    /// How many engine replicas serve the compiled model (default 1).
-    /// Each replica gets its own dispatcher thread and an even share of
-    /// the global thread budget, and pulls micro-batches from the one
-    /// shared queue.  Results are bit-identical for every value.  Must be
-    /// at least `1`
+    /// How many engine replicas serve the compiled model (default: the
+    /// global thread budget, `snn_parallel::budget().total()`).  Each
+    /// replica is one dispatcher thread taking one request at a time
+    /// from the one shared queue.  Results are bit-identical for every
+    /// value.  Must be in `1..=snn_parallel::MAX_THREADS`
     /// ([`AccelError::InvalidConfig`] otherwise).
     pub replicas: usize,
     /// Whether per-request span tracing is recorded (default: on, unless
@@ -143,10 +140,9 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            max_batch: 8,
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
             max_queue_wait: None,
-            replicas: 1,
+            replicas: snn_parallel::budget().total(),
             trace: snn_telemetry::trace_enabled_from_env(),
         }
     }
@@ -242,7 +238,7 @@ fn ticket_waker() -> Arc<dyn Fn() + Send + Sync> {
     Arc::clone(NOOP.get_or_init(|| Arc::new(|| {})))
 }
 
-/// Streaming micro-batching inference server.  See the module docs.
+/// Streaming inference server.  See the module docs.
 pub struct StreamServer {
     engine: Arc<EngineShared>,
     replicas: Vec<Arc<ReplicaShared>>,
@@ -278,22 +274,16 @@ impl StreamServer {
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] for degenerate options — a
-    /// `max_batch` of `0` (the dispatcher could never drain a micro-batch),
-    /// a `queue_capacity` of `0` (every submission would be rejected) or
-    /// `replicas` of `0` (no engine could ever serve) — and otherwise the
-    /// errors of [`StreamServer::start`].
+    /// `queue_capacity` of `0` (every submission would be rejected),
+    /// `replicas` of `0` (no engine could ever serve) or above
+    /// `snn_parallel::MAX_THREADS` (one thread and one trace ring each,
+    /// checked before any exists) — and otherwise the errors of
+    /// [`StreamServer::start`].
     pub fn start_with(
         config: AcceleratorConfig,
         model: SnnModel,
         options: ServerOptions,
     ) -> Result<Self> {
-        if options.max_batch == 0 {
-            return Err(AccelError::InvalidConfig {
-                context: "ServerOptions::max_batch is 0: the dispatcher could never drain \
-                          a micro-batch"
-                    .to_string(),
-            });
-        }
         if options.queue_capacity == 0 {
             return Err(AccelError::InvalidConfig {
                 context: "ServerOptions::queue_capacity is 0: every submission would be \
@@ -306,6 +296,15 @@ impl StreamServer {
                 context: "ServerOptions::replicas is 0: no engine replica could ever serve \
                           a submission"
                     .to_string(),
+            });
+        }
+        if options.replicas > snn_parallel::MAX_THREADS {
+            return Err(AccelError::InvalidConfig {
+                context: format!(
+                    "ServerOptions::replicas is {}: at most {} dispatcher threads",
+                    options.replicas,
+                    snn_parallel::MAX_THREADS
+                ),
             });
         }
         let accel = Accelerator::new(config);
@@ -322,20 +321,18 @@ impl StreamServer {
                 .collect(),
             recorder: Arc::new(SpanRecorder::new(options.replicas, options.trace)),
         });
-        // Partition the global budget evenly; every replica gets at least
-        // one thread (oversubscription by at most replicas − budget when
-        // replicas exceed the budget, which serialises but stays correct).
-        let thread_share = (snn_parallel::budget().total() / options.replicas).max(1);
         let mut replicas = Vec::with_capacity(options.replicas);
         let mut dispatchers = Vec::with_capacity(options.replicas);
         for index in 0..options.replicas {
             let shared = Arc::new(ReplicaShared {
                 index,
                 engine: Arc::clone(&engine),
-                stats: Mutex::default(),
+                stats: Mutex::new(StatsAccum {
+                    recent: VecDeque::with_capacity(DRAIN_WINDOW),
+                    ..StatsAccum::default()
+                }),
                 in_flight: Mutex::default(),
                 started: Instant::now(),
-                thread_share,
             });
             replicas.push(Arc::clone(&shared));
             let handle = thread::Builder::new()
@@ -452,7 +449,7 @@ impl StreamServer {
             let mut queue = relock(&self.engine.queue);
             let healthy = self.engine.healthy_replicas();
             let queued = queue.jobs.len();
-            let capacity = options.queue_capacity * healthy;
+            let capacity = options.queue_capacity.saturating_mul(healthy);
             if queue.shutdown {
                 AccelError::Serving {
                     context: "server is shutting down and no longer accepts submissions"
@@ -517,7 +514,9 @@ impl StreamServer {
         };
         for replica in &self.replicas {
             if self.engine.healthy[replica.index].load(Ordering::SeqCst) {
-                snapshot.capacity += self.engine.options.queue_capacity;
+                snapshot.capacity = snapshot
+                    .capacity
+                    .saturating_add(self.engine.options.queue_capacity);
                 snapshot.drain_rate_ips += relock(&replica.stats).drain_rate_ips(replica.started);
             }
         }
@@ -544,8 +543,6 @@ impl StreamServer {
                     healthy: self.engine.healthy[replica.index].load(Ordering::SeqCst),
                     completed: accum.completed,
                     errors: accum.errors,
-                    batches: accum.batches,
-                    largest_batch: accum.largest_batch,
                     panics: accum.panics,
                     deadline_sheds: accum.deadline_sheds,
                     drain_rate_ips: accum.drain_rate_ips(replica.started),
@@ -553,20 +550,16 @@ impl StreamServer {
             })
             .collect();
         let rejected = relock(&self.engine.queue).rejected;
+        let completed: u64 = per_replica.iter().map(|r| r.completed).sum();
+        let errors: u64 = per_replica.iter().map(|r| r.errors).sum();
         ServerStats {
-            completed: per_replica.iter().map(|r| r.completed).sum(),
-            errors: per_replica.iter().map(|r| r.errors).sum(),
-            batches: per_replica.iter().map(|r| r.batches).sum(),
-            largest_batch: per_replica
-                .iter()
-                .map(|r| r.largest_batch)
-                .max()
-                .unwrap_or(0),
+            completed,
+            errors,
+            largest_batch: usize::from(completed + errors > 0),
             rejected,
             panics: per_replica.iter().map(|r| r.panics).sum(),
             deadline_sheds: per_replica.iter().map(|r| r.deadline_sheds).sum(),
             queue: self.queue_snapshot(),
-            max_batch: options.max_batch,
             queue_capacity: options.queue_capacity,
             replicas: self.replicas.len(),
             healthy_replicas: per_replica.iter().filter(|r| r.healthy).count(),
@@ -609,12 +602,12 @@ impl Drop for StreamServer {
 /// Two sentinels with distinct blast radii:
 ///
 /// * the **poison pill** ([`poison::PILL_BITS`]) panics *inside* the
-///   micro-batch's per-item unwind guard, exercising the item-level
+///   per-request unwind guard, exercising the request-level
 ///   `EnginePanic` isolation path — one inference fails, the replica
 ///   survives;
 /// * the **kill pill** ([`poison::KILL_BITS`]) panics *outside* that
 ///   guard, in the dispatcher itself, exercising the replica supervisor —
-///   the whole replica dies, its in-flight micro-batch settles with
+///   the whole replica dies, its in-flight request settles with
 ///   [`AccelError::ReplicaDown`], and sibling replicas keep serving.
 ///
 /// Both sentinels are quiet NaNs, so they round-trip bit-exactly through
@@ -624,7 +617,7 @@ impl Drop for StreamServer {
 pub mod poison {
     use snn_tensor::Tensor;
 
-    /// Bit pattern of the per-item sentinel: a quiet NaN with a
+    /// Bit pattern of the per-request sentinel: a quiet NaN with a
     /// recognizable payload, so no legitimate input (finite activations)
     /// collides.
     pub const PILL_BITS: u32 = 0x7fc0_dead;
@@ -645,7 +638,7 @@ pub mod poison {
     }
 
     /// Panics when `input` leads with the poison-pill sentinel.  Called
-    /// inside the dispatcher's per-item unwind guard.
+    /// inside the dispatcher's per-request unwind guard.
     pub(crate) fn check(input: &Tensor<f32>) {
         if input.as_slice().first().map(|v| v.to_bits()) == Some(PILL_BITS) {
             panic!("fault-injection poison pill in input");
@@ -653,7 +646,7 @@ pub mod poison {
     }
 
     /// Panics when `input` leads with the kill-pill sentinel.  Called
-    /// **outside** the per-item guard, so the unwind escapes the dispatch
+    /// **outside** the per-request guard, so the unwind escapes the dispatch
     /// loop and lands in the replica supervisor.
     pub(crate) fn check_kill(input: &Tensor<f32>) {
         if input.as_slice().first().map(|v| v.to_bits()) == Some(KILL_BITS) {
@@ -708,8 +701,8 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.completed, inputs.len() as u64);
         assert_eq!(stats.errors, 0);
-        assert!(stats.batches >= 1);
-        assert!(stats.largest_batch <= stats.max_batch);
+        assert_eq!(stats.largest_batch, 1, "every dispatch is one request");
+        assert_eq!(stats.mean_batch(), 1.0);
         assert!(!stats.utilisation.is_empty());
     }
 
@@ -763,25 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn micro_batch_of_one_works() {
-        let (model, inputs) = tiny_setup(3);
-        let server = StreamServer::start_with(
-            AcceleratorConfig::default(),
-            model,
-            ServerOptions {
-                max_batch: 1,
-                ..ServerOptions::default()
-            },
-        )
-        .unwrap();
-        let served = server.run_all(&inputs[..2]).unwrap();
-        assert_eq!(served.len(), 2);
-        let stats = server.shutdown();
-        assert_eq!(stats.batches, 2);
-        assert!((stats.mean_batch() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn bad_inputs_error_without_stalling_the_server() {
         let (model, inputs) = tiny_setup(3);
         let server = StreamServer::start(AcceleratorConfig::default(), model).unwrap();
@@ -826,7 +800,7 @@ mod tests {
                 ..ServerOptions::default()
             },
             ServerOptions {
-                max_batch: 0,
+                replicas: snn_parallel::MAX_THREADS + 1,
                 ..ServerOptions::default()
             },
         ] {
@@ -847,8 +821,8 @@ mod tests {
             AcceleratorConfig::default(),
             model,
             ServerOptions {
-                max_batch: 1,
                 queue_capacity: 1,
+                replicas: 1,
                 ..ServerOptions::default()
             },
         )
@@ -894,8 +868,9 @@ mod tests {
     fn queue_snapshot_reports_depth_capacity_and_drain_rate() {
         let (model, inputs) = tiny_setup(3);
         let server = StreamServer::start(AcceleratorConfig::default(), model).unwrap();
+        let bound = DEFAULT_QUEUE_CAPACITY * server.healthy_replicas();
         let before = server.queue_snapshot();
-        assert_eq!(before.capacity, DEFAULT_QUEUE_CAPACITY);
+        assert_eq!(before.capacity, bound);
         assert!(!before.is_full());
         assert_eq!(before.retry_after_ms(), 0, "empty queue: retry now");
         server.run_all(&inputs).unwrap();
@@ -903,7 +878,7 @@ mod tests {
         assert_eq!(after.depth, 0, "run_all drained everything");
         assert!(after.drain_rate_ips > 0.0, "served work implies a rate");
         let stats = server.shutdown();
-        assert_eq!(stats.queue.capacity, DEFAULT_QUEUE_CAPACITY);
+        assert_eq!(stats.queue.capacity, bound);
     }
 
     #[test]
@@ -1011,8 +986,8 @@ mod tests {
             AcceleratorConfig::default(),
             model,
             ServerOptions {
-                max_batch: 1,
                 queue_capacity: 1,
+                replicas: 1,
                 ..ServerOptions::default()
             },
         )
@@ -1063,11 +1038,13 @@ mod tests {
             ticket.wait().unwrap();
             let snapshot = server.queue_snapshot();
             assert!(snapshot.depth <= snapshot.capacity);
-            assert_eq!(snapshot.capacity, DEFAULT_QUEUE_CAPACITY);
+            assert_eq!(
+                snapshot.capacity,
+                DEFAULT_QUEUE_CAPACITY * server.healthy_replicas()
+            );
             let stats = server.stats();
             assert!(stats.completed >= last.completed, "completed is monotone");
             assert!(stats.errors >= last.errors, "errors is monotone");
-            assert!(stats.batches >= last.batches, "batches is monotone");
             assert!(stats.rejected >= last.rejected, "rejected is monotone");
             assert!(stats.elapsed_s >= last.elapsed_s, "elapsed is monotone");
             last = stats;
@@ -1120,10 +1097,10 @@ mod tests {
         busy.wait().unwrap();
         match impatient.wait() {
             Err(AccelError::DeadlineExceeded { .. }) => {}
-            // The dispatcher may have drained all three into the first
-            // micro-batch before the busy inference even started; in that
-            // case nothing waited and nothing sheds.  Accept either, but
-            // the patient submission must always complete.
+            // A second dispatcher (the default on a budget above one) may
+            // take it at once, before any wait; then nothing sheds.
+            // Accept either, but the patient submission must always
+            // complete.
             Ok(_) => {}
             other => panic!("expected DeadlineExceeded or a report, got {other:?}"),
         }
@@ -1237,10 +1214,20 @@ mod tests {
     }
 
     #[cfg(feature = "fault-injection")]
+    fn one_dispatcher() -> ServerOptions {
+        ServerOptions {
+            replicas: 1,
+            ..ServerOptions::default()
+        }
+    }
+
+    #[cfg(feature = "fault-injection")]
     #[test]
     fn killing_the_last_replica_turns_new_submissions_into_serving_errors() {
         let (model, inputs) = tiny_setup(3);
-        let server = StreamServer::start(AcceleratorConfig::default(), model).unwrap();
+        let server =
+            StreamServer::start_with(AcceleratorConfig::default(), model, one_dispatcher())
+                .unwrap();
         let mut kill_values = inputs[0].as_slice().to_vec();
         kill_values[0] = poison::kill_pill();
         let kill = Tensor::from_vec(vec![1, 12, 12], kill_values).unwrap();
@@ -1260,6 +1247,55 @@ mod tests {
         }
         let stats = server.shutdown();
         assert_eq!(stats.healthy_replicas, 0);
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_kill_strands_only_the_in_flight_request_and_the_queue_settles_typed() {
+        let (model, inputs) = tiny_setup(3);
+        let server =
+            StreamServer::start_with(AcceleratorConfig::default(), model, one_dispatcher())
+                .unwrap();
+        let mut kill = inputs[0].clone();
+        kill.as_mut_slice()[0] = poison::kill_pill();
+        let doomed = server.submit(kill).unwrap();
+        // Whether these are queued before the only dispatcher dies (the
+        // supervisor drains them) or arrive after (admission refuses
+        // them), each gets the same typed `Serving` error.
+        let followers = [inputs[1].clone(), inputs[2].clone()].map(|input| server.submit(input));
+        match doomed.wait() {
+            Err(AccelError::ReplicaDown { replica: 0, .. }) => {}
+            other => panic!("expected ReplicaDown, got {other:?}"),
+        }
+        for follower in followers {
+            match follower.and_then(Ticket::wait) {
+                Err(AccelError::Serving { context }) => {
+                    assert!(context.contains("down"), "context: {context}");
+                }
+                other => panic!("expected Serving, got {other:?}"),
+            }
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.completed, stats.errors), (0, 0));
+        assert_eq!(stats.queue.depth, 0);
+    }
+
+    #[test]
+    fn an_unbounded_queue_capacity_saturates_instead_of_overflowing() {
+        let (model, inputs) = tiny_setup(3);
+        let server = StreamServer::start_with(
+            AcceleratorConfig::default(),
+            model,
+            ServerOptions {
+                queue_capacity: usize::MAX,
+                replicas: 2,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        server.submit(inputs[0].clone()).unwrap().wait().unwrap();
+        assert_eq!(server.queue_snapshot().capacity, usize::MAX);
+        assert_eq!(server.shutdown().completed, 1);
     }
 
     #[test]

@@ -1,24 +1,24 @@
-//! The replica engine loop: one dispatcher thread and one share of the
-//! global thread budget, pulling from the server's single submission
-//! queue.
+//! The replica engine loop: one dispatcher thread pulling one request at
+//! a time from the server's single submission queue.
 //!
 //! A [`crate::serve::StreamServer`] compiles its model **once** and spawns
 //! [`crate::serve::ServerOptions::replicas`] of these engines over the
 //! shared compiled program — the E3NE scaling move of instantiating
 //! multiple inference engines from one compiled network, fed the way the
 //! paper feeds its identical processing units: one controller, one
-//! buffer, no per-unit queue and no arbiter.  Every dispatcher drains up
-//! to `max_batch` submissions from the same queue, so an idle engine
-//! always takes the next request.  Micro-batch draining, deadline
-//! shedding before compute, per-item panic isolation and
+//! buffer, no per-unit queue and no arbiter.  Every dispatcher takes the
+//! next submission from the same queue and runs it inline on its own
+//! thread, so an idle engine always takes the next request and the
+//! dispatchers are the only way a server spreads requests over cores.
+//! Deadline shedding before compute, per-request panic isolation and
 //! stats-before-settle ordering all live here.
 //!
 //! Each dispatcher runs under a **supervisor**: its body runs under
-//! `catch_unwind`, so a panic that escapes the per-item guard (a bug in
+//! `catch_unwind`, so a panic that escapes the per-request guard (a bug in
 //! the dispatcher itself, or the fault-injection *kill pill*) takes down
 //! only this replica.  The supervisor marks it unhealthy and settles its
-//! **in-flight** batch with the typed [`AccelError::ReplicaDown`]; what is
-//! still queued is served by the siblings.  Only the death of the last
+//! **in-flight** request with the typed [`AccelError::ReplicaDown`]; what
+//! is still queued is served by the siblings.  Only the death of the last
 //! replica settles the remainder, with [`AccelError::Serving`].
 
 use super::stats::StatsAccum;
@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Locks a server-owned mutex, tolerating poison: a dispatcher that
-/// panicked mid-batch leaves its locks poisoned, and the supervisor (and
+/// panicked mid-request leaves its locks poisoned, and the supervisor (and
 /// any stats reader) must still be able to walk the wreckage to settle
 /// stranded submissions and report counters.
 pub(crate) fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -178,28 +178,25 @@ impl EngineShared {
 }
 
 /// One replica engine: dispatcher handshake, stats and its in-flight
-/// batch.
+/// request.
 pub(crate) struct ReplicaShared {
     /// Replica index (`0..ServerOptions::replicas`), used in error
     /// contexts and stats labels.
     pub(crate) index: usize,
     pub(crate) engine: Arc<EngineShared>,
     pub(crate) stats: Mutex<StatsAccum>,
-    /// The micro-batch currently executing.  The dispatcher parks each
-    /// batch here for the duration of the compute so the supervisor can
-    /// settle exactly these submissions if the dispatcher dies mid-batch.
-    pub(crate) in_flight: Mutex<Vec<Submission>>,
+    /// The request currently executing.  The dispatcher parks it here for
+    /// the duration of the compute so the supervisor can settle exactly
+    /// this submission if the dispatcher dies mid-request.
+    pub(crate) in_flight: Mutex<Option<Submission>>,
     pub(crate) started: Instant,
-    /// This replica's slice of the global thread budget: the `par_map`
-    /// over a micro-batch splits into at most this many pool tasks.
-    pub(crate) thread_share: usize,
 }
 
 /// The replica thread body: the dispatch loop under its supervisor.
 ///
 /// A normal return (server shutdown) leaves the replica healthy.  A panic
-/// that unwinds out of the dispatch loop — past the per-item guard — is
-/// caught here: the replica is marked unhealthy and its in-flight batch
+/// that unwinds out of the dispatch loop — past the per-request guard — is
+/// caught here: the replica is marked unhealthy and its in-flight request
 /// settles with [`AccelError::ReplicaDown`]; if it was the last replica,
 /// everything still queued settles with [`AccelError::Serving`].  Those
 /// settles are supervision, not inference outcomes, so they are **not**
@@ -220,16 +217,15 @@ pub(crate) fn run(shared: &ReplicaShared) {
             Vec::new()
         }
     };
-    let context = format!(
-        "replica {} dispatcher died mid-batch; the submission was drained unserved \
-         (siblings keep serving — resubmit)",
-        shared.index
-    );
     let now = Instant::now();
-    for submission in std::mem::take(&mut *relock(&shared.in_flight)) {
+    if let Some(submission) = relock(&shared.in_flight).take() {
         let died = Err(AccelError::ReplicaDown {
             replica: shared.index,
-            context: context.clone(),
+            context: format!(
+                "replica {} dispatcher died mid-request; the submission was drained unserved \
+                 (siblings keep serving — resubmit)",
+                shared.index
+            ),
         });
         submission.settle(&engine.recorder, died, now);
     }
@@ -240,16 +236,13 @@ pub(crate) fn run(shared: &ReplicaShared) {
 
 fn dispatch_loop(shared: &ReplicaShared) {
     let engine = &shared.engine;
-    let max_batch = engine.options.max_batch.max(1);
     let traced = engine.recorder.enabled();
     loop {
-        // Collect the next micro-batch: everything queued, capped.
-        let mut batch: Vec<Submission> = {
+        let mut submission = {
             let mut queue = relock(&engine.queue);
             loop {
-                if !queue.jobs.is_empty() {
-                    let take = queue.jobs.len().min(max_batch);
-                    break queue.jobs.drain(..take).collect();
+                if let Some(submission) = queue.jobs.pop_front() {
+                    break submission;
                 }
                 if queue.shutdown {
                     return;
@@ -262,112 +255,70 @@ fn dispatch_loop(shared: &ReplicaShared) {
         };
 
         // The trace's replica is the engine that dequeued the request.
-        for submission in batch.iter_mut() {
-            submission.trace.replica = Some(shared.index as u32);
-        }
+        submission.trace.replica = Some(shared.index as u32);
 
-        // Shed expired entries *before* compute: work the client has
+        // Shed an expired request *before* compute: work the client has
         // already given up on is answered with a typed error at queue
-        // cost, not computed late at full cost.
+        // cost, not computed late at full cost.  Its whole post-admission
+        // life was queue wait.
         let now = Instant::now();
-        let (mut batch, expired): (Vec<Submission>, Vec<Submission>) =
-            batch.into_iter().partition(|s| !s.expired_at(now));
-        // Kept submissions leave the queue at this same `now`: queue_wait
-        // ends, batch assembly begins.  (Expired ones settle at it too —
-        // their whole post-admission life was queue wait.)
-        for submission in batch.iter_mut() {
-            let at = now.saturating_duration_since(submission.enqueued_at);
-            submission.trace.enter(Phase::BatchAssembly, at);
-        }
-        if !expired.is_empty() {
-            relock(&shared.stats).deadline_sheds += expired.len() as u64;
-            for submission in expired {
-                let waited_ms = now.duration_since(submission.enqueued_at).as_millis() as u64;
-                let deadline_ms = submission
-                    .deadline
-                    .map(|d| d.as_millis() as u64)
-                    .unwrap_or(0);
-                let shed = Err(AccelError::DeadlineExceeded {
-                    waited_ms,
-                    deadline_ms,
-                });
-                submission.settle(&engine.recorder, shed, now);
-            }
-        }
-        if batch.is_empty() {
+        if submission.expired_at(now) {
+            relock(&shared.stats).deadline_sheds += 1;
+            let waited_ms = now.duration_since(submission.enqueued_at).as_millis() as u64;
+            let deadline_ms = submission
+                .deadline
+                .map(|d| d.as_millis() as u64)
+                .unwrap_or(0);
+            let shed = Err(AccelError::DeadlineExceeded {
+                waited_ms,
+                deadline_ms,
+            });
+            submission.settle(&engine.recorder, shed, now);
             continue;
         }
+        // Queue wait ends at the dequeue; batch assembly spans dequeue to
+        // compute start.
+        let at = now.saturating_duration_since(submission.enqueued_at);
+        submission.trace.enter(Phase::BatchAssembly, at);
 
-        // Park the batch in `in_flight` for the duration of the compute:
-        // if anything below unwinds past the per-item guard, the
-        // supervisor finds exactly these submissions and settles them.
+        // Park the request in `in_flight` for the duration of the compute:
+        // if anything below unwinds past the per-request guard, the
+        // supervisor finds exactly this submission and settles it.
         let mut in_flight = relock(&shared.in_flight);
-        *in_flight = batch;
+        let submission = in_flight.insert(submission);
 
-        // The kill pill is checked *outside* the per-item guard: it
+        // The kill pill is checked *outside* the per-request guard: it
         // models a dispatcher-level crash (not an engine panic), so it
         // unwinds the whole loop into the supervisor.
         #[cfg(feature = "fault-injection")]
-        for submission in in_flight.iter() {
-            super::poison::check_kill(&submission.input);
-        }
+        super::poison::check_kill(&submission.input);
 
-        // Compute starts now: one clock read for the whole micro-batch,
-        // marked while the in-flight guard is still mutable — `par_map`
-        // below borrows the batch immutably.
         if traced {
-            let start = Instant::now();
-            for submission in in_flight.iter_mut() {
-                let at = start.saturating_duration_since(submission.enqueued_at);
-                submission.trace.enter(Phase::Compute, at);
-            }
+            let at = submission.enqueued_at.elapsed();
+            submission.trace.enter(Phase::Compute, at);
         }
 
-        // Execute the micro-batch over this replica's slice of the worker
-        // pool.  Each item runs under its own unwind guard: a panicking
+        // Run the request inline, under its own unwind guard: a panicking
         // inference fails only itself with the typed `EnginePanic`, never
-        // the dispatcher (snn-parallel would otherwise re-raise the task
-        // panic here and kill the serving loop).
-        let threads = shared.thread_share.min(in_flight.len());
-        let reports = snn_parallel::par_map(&in_flight, threads, |_, submission| {
-            snn_parallel::catch_panic_message(|| {
-                #[cfg(feature = "fault-injection")]
-                super::poison::check(&submission.input);
-                engine
-                    .accel
-                    .execute_compiled(&engine.model, &engine.program, &submission.input)
-            })
-            .unwrap_or_else(|message| Err(AccelError::EnginePanic { context: message }))
-        });
+        // the dispatcher.
+        let report = snn_parallel::catch_panic_message(|| {
+            #[cfg(feature = "fault-injection")]
+            super::poison::check(&submission.input);
+            engine
+                .accel
+                .execute_compiled(&engine.model, &engine.program, &submission.input)
+        })
+        .unwrap_or_else(|message| Err(AccelError::EnginePanic { context: message }));
 
-        let completed = reports.iter().filter(|r| r.is_ok()).count() as u64;
-        let errors = reports.len() as u64 - completed;
-        let panics = reports
-            .iter()
-            .filter(|r| matches!(r, Err(AccelError::EnginePanic { .. })))
-            .count() as u64;
         // Count before replying, so a client that has its result in hand
         // is guaranteed to find it reflected in the server statistics.  The
-        // drain window's clock read is also every trace's settle point.
+        // drain window's clock read is also the trace's settle point.
         let settled = Instant::now();
-        {
-            let mut accum = relock(&shared.stats);
-            accum.completed += completed;
-            accum.errors += errors;
-            accum.panics += panics;
-            accum.batches += 1;
-            accum.largest_batch = accum.largest_batch.max((completed + errors) as usize);
-            accum.recent.push_back((settled, completed + errors));
-            if accum.recent.len() > super::stats::DRAIN_WINDOW_BATCHES {
-                accum.recent.pop_front();
-            }
-        }
-        let batch = std::mem::take(&mut *in_flight);
+        relock(&shared.stats).record(&report, settled);
+        let submission = in_flight.take().expect("the in-flight request is parked");
         drop(in_flight);
-        for (submission, report) in batch.into_iter().zip(reports) {
-            // Waker strictly after the send (inside `settle`): a reactor
-            // woken by the pipe byte must find the completion queued.
-            submission.settle(&engine.recorder, report, settled);
-        }
+        // Waker strictly after the send (inside `settle`): a reactor woken
+        // by the pipe byte must find the completion queued.
+        submission.settle(&engine.recorder, report, settled);
     }
 }

@@ -8,13 +8,15 @@
 //! hand-stepped model (windowed rate, lifetime fallback, empty-window
 //! division).
 
-use crate::report::UnitUtilisation;
+use crate::report::{RunReport, UnitUtilisation};
+use crate::{AccelError, Result};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// How many recent micro-batch completions the drain-rate window keeps
-/// (the "recent" in [`QueueSnapshot::drain_rate_ips`]).
-pub const DRAIN_WINDOW_BATCHES: usize = 32;
+/// How many recent request completions the drain-rate window keeps (the
+/// "recent" in [`QueueSnapshot::drain_rate_ips`]): as much work as 32 full
+/// micro-batches of eight, the window's former span.
+pub const DRAIN_WINDOW: usize = 256;
 
 /// Fallback retry hint when a server has not yet drained anything, so no
 /// drain rate is measurable (milliseconds).
@@ -29,17 +31,33 @@ pub const MAX_RETRY_AFTER_MS: u64 = 60_000;
 pub(crate) struct StatsAccum {
     pub(crate) completed: u64,
     pub(crate) errors: u64,
-    pub(crate) batches: u64,
-    pub(crate) largest_batch: usize,
     pub(crate) panics: u64,
     pub(crate) deadline_sheds: u64,
-    /// `(completion instant, inferences settled)` of the most recent
-    /// micro-batches, capped at [`DRAIN_WINDOW_BATCHES`] entries — the
+    /// `(completion instant, 1)` of the most recent computed requests,
+    /// capped at [`DRAIN_WINDOW`] entries (allocated at start-up) — the
     /// basis of the *recent* drain rate in [`QueueSnapshot`].
     pub(crate) recent: VecDeque<(Instant, u64)>,
 }
 
 impl StatsAccum {
+    /// Counts one computed request's outcome and adds its completion at
+    /// `settled` to the drain window.
+    pub(crate) fn record(&mut self, report: &Result<RunReport>, settled: Instant) {
+        match report {
+            Ok(_) => self.completed += 1,
+            Err(err) => {
+                self.errors += 1;
+                if matches!(err, AccelError::EnginePanic { .. }) {
+                    self.panics += 1;
+                }
+            }
+        }
+        if self.recent.len() == DRAIN_WINDOW {
+            self.recent.pop_front();
+        }
+        self.recent.push_back((settled, 1));
+    }
+
     /// The replica's drain rate right now (see [`drain_rate`]).
     pub(crate) fn drain_rate_ips(&self, started: Instant) -> f64 {
         drain_rate(
@@ -52,18 +70,18 @@ impl StatsAccum {
 
 /// Recent drain rate in inferences/second, measured **completion to
 /// completion** across the window: the inferences settled after the oldest
-/// windowed batch, divided by the span between the oldest and newest batch
+/// windowed record, divided by the span between the oldest and newest
 /// completions.  Anchoring both ends on completions (rather than on "now")
 /// keeps the rate a measure of how fast the dispatcher drains *when it is
 /// draining* — an idle lull must not decay it, or the retry-after hints
 /// derived from it would balloon after every quiet period.  Falls back to
 /// the lifetime average (`lifetime_settled / lifetime_elapsed`) when the
-/// window holds fewer than two batches or spans zero time, and to `0.0`
+/// window holds fewer than two records or spans zero time, and to `0.0`
 /// when nothing has ever settled.
 ///
 /// `recent` is the window of `(completion instant, inferences settled)`
-/// records, oldest first, as maintained by the dispatcher (capped at
-/// [`DRAIN_WINDOW_BATCHES`] entries); `lifetime_settled` is the cumulative
+/// records, oldest first, as maintained by the dispatcher (one per computed
+/// request, capped at [`DRAIN_WINDOW`] entries); `lifetime_settled` is the cumulative
 /// `completed + errors` count and `lifetime_elapsed` the wall-clock age of
 /// the replica.
 pub fn drain_rate(
@@ -105,8 +123,8 @@ pub struct QueueSnapshot {
     /// [`crate::serve::ServerOptions::queue_capacity`] × healthy replicas.
     pub capacity: usize,
     /// Recent drain rate in inferences per second: inferences settled
-    /// across the last [`DRAIN_WINDOW_BATCHES`] micro-batches divided by
-    /// the span between the oldest and newest of those completions — a
+    /// across the last [`DRAIN_WINDOW`] computed requests divided by the
+    /// span between the oldest and newest of those completions — a
     /// completion-to-completion measure, so idle periods do not decay it
     /// (falling back to the lifetime average, and `0.0` before anything
     /// has been served).
@@ -144,19 +162,15 @@ pub struct ReplicaStats {
     /// Replica index (`0..ServerOptions::replicas`).
     pub index: usize,
     /// `false` once this replica's dispatcher died (a replica-level panic
-    /// caught by its supervisor); its in-flight micro-batch was settled
-    /// with [`crate::AccelError::ReplicaDown`] and it no longer pulls from
-    /// the queue.
+    /// caught by its supervisor); its in-flight request was settled with
+    /// [`crate::AccelError::ReplicaDown`] and it no longer pulls from the
+    /// queue.
     pub healthy: bool,
     /// Inferences this replica completed successfully.
     pub completed: u64,
     /// Inferences this replica settled with an error.
     pub errors: u64,
-    /// Micro-batches this replica dispatched.
-    pub batches: u64,
-    /// Largest micro-batch this replica dispatched.
-    pub largest_batch: usize,
-    /// Engine panics caught at this replica's micro-batch item boundary.
+    /// Engine panics caught at this replica's per-request boundary.
     pub panics: u64,
     /// Submissions this replica shed for an expired queue-wait deadline.
     pub deadline_sheds: u64,
@@ -172,16 +186,16 @@ pub struct ServerStats {
     pub completed: u64,
     /// Inferences that returned an error (summed over replicas).
     pub errors: u64,
-    /// Micro-batches dispatched (summed over replicas).
-    pub batches: u64,
-    /// Largest micro-batch dispatched so far by any replica.
+    /// Requests a dispatcher runs at once: `1` once anything has been
+    /// computed, `0` before.  Kept so callers that read the former
+    /// micro-batch size still compile; every dispatch is one request.
     pub largest_batch: usize,
     /// Submissions rejected by the bounded-queue admission policy.
     pub rejected: u64,
-    /// Engine panics caught at the micro-batch item boundary: each one
-    /// failed exactly one inference with [`crate::AccelError::EnginePanic`]
-    /// (also counted in `errors`) and left the dispatcher, its batch
-    /// siblings and the server running.
+    /// Engine panics caught at the per-request boundary: each one failed
+    /// exactly one inference with [`crate::AccelError::EnginePanic`] (also
+    /// counted in `errors`) and left the dispatcher and the server
+    /// running.
     pub panics: u64,
     /// Submissions shed from the queue before compute because their queue
     /// wait reached its deadline (see
@@ -191,18 +205,16 @@ pub struct ServerStats {
     pub deadline_sheds: u64,
     /// Queue-depth / drain-rate snapshot (the admission bound and the
     /// drain rates summed over the healthy replicas).  The drain rate
-    /// is windowed over the most recent [`DRAIN_WINDOW_BATCHES`]
-    /// micro-batch completions of each replica, measured
-    /// completion-to-completion so idle lulls do not decay it; with fewer
-    /// than two windowed batches a replica falls back to its lifetime
-    /// average.  Across successive snapshots the cumulative counters in
-    /// this struct (`completed`, `errors`, `batches`, `rejected`) are
+    /// is windowed over the most recent [`DRAIN_WINDOW`] request
+    /// completions of each replica, measured completion-to-completion so
+    /// idle lulls do not decay it; with fewer than two windowed
+    /// completions a replica falls back to its lifetime average.  Across
+    /// successive snapshots the cumulative counters in this struct
+    /// (`completed`, `errors`, `rejected`) are
     /// monotone non-decreasing, and `queue.depth` never exceeds
     /// `queue.capacity` while no replica dies (a death lowers the bound
     /// under what is already queued; the survivors drain it).
     pub queue: QueueSnapshot,
-    /// Configured micro-batch cap (per replica).
-    pub max_batch: usize,
     /// Configured submission-queue capacity **per healthy replica**
     /// ([`crate::serve::ServerOptions::queue_capacity`]); the live
     /// admission bound is `queue.capacity`.
@@ -216,8 +228,8 @@ pub struct ServerStats {
     pub healthy_replicas: usize,
     /// Per-replica counter slices, indexed by replica.
     pub per_replica: Vec<ReplicaStats>,
-    /// Effective global thread budget the server draws from (replicas
-    /// partition this between them).
+    /// Effective global thread budget (`snn_parallel::budget`), which
+    /// sets the default replica count.
     pub thread_budget: usize,
     /// Wall-clock seconds since the server started.
     pub elapsed_s: f64,
@@ -235,11 +247,9 @@ impl ServerStats {
         self.completed as f64 / self.elapsed_s
     }
 
-    /// Mean micro-batch size (`0.0` before the first batch).
+    /// Requests per dispatch: `1.0` once anything has been computed,
+    /// `0.0` before (see [`ServerStats::largest_batch`]).
     pub fn mean_batch(&self) -> f64 {
-        if self.batches == 0 {
-            return 0.0;
-        }
-        (self.completed + self.errors) as f64 / self.batches as f64
+        self.largest_batch as f64
     }
 }

@@ -26,8 +26,8 @@
 //! the host runs in parallel, one contiguous block of the batch per
 //! budgeted thread; each input produces exactly the report a solo
 //! [`Accelerator::run`] would.
-//! For a continuously fed submission queue with micro-batching, see
-//! [`crate::serve::StreamServer`].
+//! For a continuously fed submission queue served by N dispatcher
+//! threads, see [`crate::serve::StreamServer`].
 
 use crate::compiler::{self, Program};
 use crate::config::AcceleratorConfig;

@@ -1,32 +1,32 @@
 //! Property tests pinning the queue-snapshot drain-rate math
 //! ([`snn_accel::serve::drain_rate`]) against a hand-stepped model.
 //!
-//! The model replays the same micro-batch completion records the
-//! dispatcher accumulates — `(completion instant, inferences settled)`
-//! pairs capped at [`DRAIN_WINDOW_BATCHES`] — and recomputes the windowed
+//! The model replays completion records like the ones the dispatcher
+//! accumulates — `(completion instant, inferences settled)` pairs capped
+//! at [`DRAIN_WINDOW`] — and recomputes the windowed
 //! completion-to-completion rate independently, using the identical
 //! `Duration::as_secs_f64` arithmetic so agreement is **bitwise**, not
 //! approximate.  The fallback ladder is pinned explicitly: fewer than two
-//! windowed batches → lifetime average; zero-span window → lifetime
+//! windowed records → lifetime average; zero-span window → lifetime
 //! average; zero post-oldest items → lifetime average; nothing ever
 //! settled → `0.0`.  The rate must always be finite and non-negative, and
 //! the counters feeding it behave monotonically (more settled inferences
 //! in the same span never lower it).
 
 use proptest::prelude::*;
-use snn_accel::serve::{drain_rate, QueueSnapshot, DRAIN_WINDOW_BATCHES, MAX_RETRY_AFTER_MS};
+use snn_accel::serve::{drain_rate, QueueSnapshot, DRAIN_WINDOW, MAX_RETRY_AFTER_MS};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Replays completion events exactly as the dispatcher does: push
-/// `(instant, items)` and cap the window at [`DRAIN_WINDOW_BATCHES`].
+/// Replays completion events the way the dispatcher keeps them: push
+/// `(instant, items)` and cap the window at [`DRAIN_WINDOW`].
 fn window_of(base: Instant, events: &[(u64, u64)]) -> VecDeque<(Instant, u64)> {
     let mut recent = VecDeque::new();
     let mut offset = 0u64;
     for &(gap_us, items) in events {
         offset += gap_us;
         recent.push_back((base + Duration::from_micros(offset), items));
-        if recent.len() > DRAIN_WINDOW_BATCHES {
+        if recent.len() > DRAIN_WINDOW {
             recent.pop_front();
         }
     }
@@ -58,19 +58,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// For any sequence of completion events (including gaps of zero
-    /// microseconds and batches settling zero items), the production rate
+    /// microseconds and records settling zero items), the production rate
     /// equals the hand-stepped model bit-for-bit and is finite and
     /// non-negative.
     #[test]
     fn drain_rate_matches_hand_stepped_model(
-        // Up to 80 events exercises the 32-entry cap more than twice over.
-        events in proptest::collection::vec((0u64..2_000_000, 0u64..50), 0..80),
+        // Up to 600 events exercises the 256-entry cap more than twice over.
+        events in proptest::collection::vec((0u64..2_000_000, 0u64..50), 0..600),
         lifetime_settled in 0u64..10_000,
         lifetime_us in 0u64..100_000_000,
     ) {
         let base = Instant::now();
         let recent = window_of(base, &events);
-        prop_assert!(recent.len() <= DRAIN_WINDOW_BATCHES, "window is capped");
+        prop_assert!(recent.len() <= DRAIN_WINDOW, "window is capped");
         let elapsed = Duration::from_micros(lifetime_us);
         let rate = drain_rate(&recent, lifetime_settled, elapsed);
         let expected = model_rate(&recent, lifetime_settled, elapsed);
@@ -145,15 +145,15 @@ fn fallback_ladder_is_pinned() {
     // division by zero.
     assert_eq!(drain_rate(&VecDeque::new(), 10, Duration::ZERO), 0.0);
 
-    // A single windowed batch spans zero time: lifetime fallback.
+    // A single windowed record spans zero time: lifetime fallback.
     let single = window_of(base, &[(1_000, 7)]);
     assert_eq!(drain_rate(&single, 10, lifetime), 5.0);
 
-    // Two batches at the same instant (zero span): lifetime fallback.
+    // Two records at the same instant (zero span): lifetime fallback.
     let zero_span = window_of(base, &[(1_000, 3), (0, 4)]);
     assert_eq!(drain_rate(&zero_span, 10, lifetime), 5.0);
 
-    // Zero items after the oldest batch (the window start settles work,
+    // Zero items after the oldest record (the window start settles work,
     // the rest shed/settled nothing): lifetime fallback, not 0/span.
     let zero_items = window_of(base, &[(1_000, 3), (500, 0), (500, 0)]);
     assert_eq!(drain_rate(&zero_items, 10, lifetime), 5.0);
@@ -171,12 +171,12 @@ fn fallback_ladder_is_pinned() {
 #[test]
 fn window_cap_drops_oldest_batches() {
     let base = Instant::now();
-    // 40 batches, 1 ms apart, 2 items each: the window keeps the newest
-    // 32, so the span is 31 ms and the counted items 31 * 2.
-    let events: Vec<(u64, u64)> = (0..40).map(|_| (1_000, 2)).collect();
+    // 300 records, 1 ms apart, 2 items each: the window keeps the newest
+    // 256, so the span is 255 ms and the counted items 255 * 2.
+    let events: Vec<(u64, u64)> = (0..300).map(|_| (1_000, 2)).collect();
     let recent = window_of(base, &events);
-    assert_eq!(recent.len(), DRAIN_WINDOW_BATCHES);
-    let rate = drain_rate(&recent, 80, Duration::from_secs(1));
-    let expected = (31.0 * 2.0) / Duration::from_micros(31_000).as_secs_f64();
+    assert_eq!(recent.len(), DRAIN_WINDOW);
+    let rate = drain_rate(&recent, 600, Duration::from_secs(1));
+    let expected = (255.0 * 2.0) / Duration::from_micros(255_000).as_secs_f64();
     assert_eq!(rate.to_bits(), expected.to_bits());
 }

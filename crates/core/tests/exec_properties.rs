@@ -238,14 +238,14 @@ proptest! {
     }
 
     /// Every report the streaming server hands back is bit-identical to
-    /// the solo run, for any micro-batch cap.
+    /// the solo run, for any dispatcher count.
     #[test]
     fn stream_server_matches_sequential_oracle(
         c_out in 1usize..6,
         size in 5usize..9,
         kernel in 2usize..4,
         time_steps in 1usize..5,
-        max_batch in 1usize..5,
+        replicas in 1usize..4,
         batch in 1usize..5,
         seed in 0u64..1000,
     ) {
@@ -255,7 +255,7 @@ proptest! {
             batch, seed,
         }) else { return Ok(()) };
         let server = StreamServer::start_with(config, model.clone(), ServerOptions {
-            max_batch,
+            replicas,
             ..ServerOptions::default()
         }).unwrap();
         let served = server.run_all(&inputs).unwrap();

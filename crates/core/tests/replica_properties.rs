@@ -3,8 +3,8 @@
 //! Three tiers:
 //!
 //! * **Correlation** — for every interleaving proptest generates
-//!   (submission permutation, replica count, micro-batch cap, mixed
-//!   ticket/tagged submissions), every report an N-replica server
+//!   (submission permutation, replica count, mixed ticket/tagged
+//!   submissions), every report an N-replica server
 //!   hands back is **bit-identical** to the same input served by a
 //!   replicas=1 server and by the solo sequential oracle.  Replication
 //!   must be invisible in the results.
@@ -13,7 +13,7 @@
 //!   `queue_capacity × healthy_replicas`, and every `QueueFull` quotes
 //!   exactly that bound.
 //! * **No stranding** (`fault-injection` builds) — a replica killed
-//!   inside a burst fails at most its own micro-batch; everything else
+//!   inside a burst fails exactly its own in-flight request; everything else
 //!   queued is served bit-exactly by the sibling, and killing the last
 //!   replica settles the rest of the queue with typed errors instead of
 //!   leaving it to hang.
@@ -76,7 +76,6 @@ proptest! {
     #[test]
     fn replicated_reports_match_single_replica_for_every_interleaving(
         replicas in 2usize..4,
-        max_batch in 1usize..4,
         order_keys in proptest::collection::vec(0u64..1000, 8),
         tagged_mask in 0u32..256,
         time_steps in 1usize..4,
@@ -85,9 +84,9 @@ proptest! {
         let (model, inputs) = tiny_setup(seed, time_steps, order_keys.len());
         let config = AcceleratorConfig::default();
 
-        // Oracle 1: replicas = 1, same micro-batching options.
+        // Oracle 1: replicas = 1.
         let single = StreamServer::start_with(config, model.clone(), ServerOptions {
-            max_batch,
+            replicas: 1,
             ..ServerOptions::default()
         }).unwrap();
         let baseline = single.run_all(&inputs).unwrap();
@@ -99,7 +98,6 @@ proptest! {
         // System under test: N replicas, submissions in a generated
         // permutation, each as a generated ticket or tagged submission.
         let server = StreamServer::start_with(config, model.clone(), ServerOptions {
-            max_batch,
             replicas,
             ..ServerOptions::default()
         }).unwrap();
@@ -154,7 +152,6 @@ proptest! {
     ) {
         let (model, inputs) = tiny_setup(seed, 2, 2);
         let server = StreamServer::start_with(AcceleratorConfig::default(), model, ServerOptions {
-            max_batch: 1,
             queue_capacity,
             replicas,
             ..ServerOptions::default()
@@ -200,14 +197,13 @@ mod no_stranding {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
-        /// A kill pill inside a burst on a 2-replica server takes down at
-        /// most its own micro-batch; the sibling serves the rest of the
+        /// A kill pill inside a burst on a 2-replica server takes down
+        /// exactly its own request; the sibling serves the rest of the
         /// shared queue bit-exactly.  A second burst then kills the last
         /// replica, and everything still queued settles with a typed
         /// error within a bounded wait.
         #[test]
-        fn a_killed_replica_fails_only_its_in_flight_batch(
-            max_batch in 1usize..4,
+        fn a_killed_replica_fails_only_its_in_flight_request(
             burst in 2usize..12,
             kill_at in 0usize..12,
             seed in 0u64..1000,
@@ -216,7 +212,6 @@ mod no_stranding {
             let config = AcceleratorConfig::default();
             let solo = Accelerator::new(config);
             let server = StreamServer::start_with(config, model.clone(), ServerOptions {
-                max_batch,
                 replicas: 2,
                 ..ServerOptions::default()
             }).unwrap();
@@ -253,8 +248,7 @@ mod no_stranding {
                         Err(other) => prop_assert!(false, "request {}: {}", index, other),
                     }
                 }
-                prop_assert!((1..=max_batch).contains(&down),
-                    "{} ReplicaDown for max_batch {}", down, max_batch);
+                prop_assert_eq!(down, 1, "a kill strands exactly its own request");
                 prop_assert_eq!(server.healthy_replicas(), 1 - round);
             }
             let snapshot = server.queue_snapshot();

@@ -190,7 +190,7 @@ impl NetClient {
 
     /// **Pipelines** `inputs` over this connection: every INFER frame is
     /// written back-to-back before any reply is read, so the server can
-    /// overlap queueing, batching and transfer across the whole batch.
+    /// overlap queueing, compute and transfer across the whole batch.
     /// Replies arrive in completion order and are correlated back to their
     /// request by id; the returned vector is in `inputs` order.
     ///

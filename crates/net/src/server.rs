@@ -110,8 +110,8 @@ use std::time::{Duration, Instant};
 /// Options of a [`NetServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetOptions {
-    /// Options of the inner [`StreamServer`] (micro-batching, queue
-    /// capacity, replicas, tracing) — validated by its constructor.
+    /// Options of the inner [`StreamServer`] (queue capacity, deadline,
+    /// replicas, tracing) — validated by its constructor.
     pub server: ServerOptions,
     /// Upper bound of one poller sleep: the granularity of idle-timeout
     /// sweeps and the latency ceiling of noticing a shutdown — not of
@@ -1245,8 +1245,6 @@ fn collect_metrics(shared: &NetShared) -> MetricTable {
         Metric::new("reactor_backend", Info, shared.backend),
         Metric::new("replicas", Gauge, server.replicas),
         Metric::new("replicas_healthy", Gauge, server.healthy_replicas),
-        Metric::new("batches", Counter, server.batches),
-        Metric::new("largest_batch", Gauge, server.largest_batch),
         Metric::new("queue_depth", Gauge, server.queue.depth),
         Metric::new("queue_capacity", Gauge, server.queue.capacity),
         Metric::new("drain_rate_ips", Gauge, rate(server.queue.drain_rate_ips)),
@@ -1284,8 +1282,6 @@ fn collect_metrics(shared: &NetShared) -> MetricTable {
             Metric::new("healthy", Gauge, u8::from(r.healthy)),
             Metric::new("completed", Counter, r.completed),
             Metric::new("errors", Counter, r.errors),
-            Metric::new("batches", Counter, r.batches),
-            Metric::new("largest_batch", Gauge, r.largest_batch),
             Metric::new("panics", Counter, r.panics),
             Metric::new("deadline_sheds", Counter, r.deadline_sheds),
             Metric::new("drain_rate_ips", Gauge, rate(r.drain_rate_ips)),

@@ -8,7 +8,7 @@
 //!
 //! * recoverable transport faults (short I/O, EAGAIN, EINTR, delayed
 //!   readiness, dropped wake bytes) — replies must stay bit-exact;
-//! * an engine panic mid-batch (a poison-pill input) — the panic is
+//! * an engine panic mid-request (a poison-pill input) — the panic is
 //!   isolated to its own request, siblings and later requests are exact;
 //! * expired request deadlines — shed *before compute* with a typed
 //!   DEADLINE rejection and a `deadline_sheds` counter to show for it;
@@ -173,7 +173,7 @@ proptest! {
     }
 }
 
-/// An input that panics the execution engine mid-batch fails **only its
+/// An input that panics the execution engine mid-request fails **only its
 /// own request** with a typed ENGINE_PANIC error frame: pipelined siblings
 /// come back bit-exact, the server's panic counter ticks, and the very
 /// next inference on a fresh connection is served exactly — the reactor
@@ -256,7 +256,7 @@ fn expired_deadlines_shed_before_compute_with_a_typed_rejection() {
 /// The replica-death schedule: a kill-pill input unwinds one replica's
 /// whole dispatcher mid-storm.  The pins: the storm never hangs — every
 /// request ends in bit-exact SCORES or a typed REPLICA_DOWN error frame;
-/// only the pill's own micro-batch is stranded; afterwards the server is
+/// only the pill itself is stranded; afterwards the server is
 /// *healthy but degraded* (`replicas_healthy: 1`, `is_healthy()` true),
 /// fresh traffic is served exactly by the surviving replica, and the
 /// final stats show exactly one dead replica and an empty queue.
@@ -336,11 +336,10 @@ fn a_replica_kill_mid_storm_strands_only_its_requests_and_degrades_the_server() 
             Err(other) => panic!("request {slot}: unexpected error class: {other}"),
         }
     }
-    let max_batch = snn_accel::serve::ServerOptions::default().max_batch;
-    assert!(
-        (1..=max_batch).contains(&stranded),
-        "only the kill pill's own micro-batch is lost, the rest of the shared \
-         queue is served by the sibling: {stranded} stranded"
+    assert_eq!(
+        stranded, 1,
+        "only the kill pill itself is lost, the rest of the shared queue is \
+         served by the sibling"
     );
 
     // Healthy but degraded: the survivor serves, the scrape says so.

@@ -247,8 +247,8 @@ fn full_queue_rejects_over_tcp_with_a_retry_hint() {
         model,
         NetOptions {
             server: ServerOptions {
-                max_batch: 1,
                 queue_capacity: 1,
+                replicas: 1,
                 ..ServerOptions::default()
             },
             ..NetOptions::default()
@@ -314,8 +314,8 @@ fn backpressure_retry_helper_eventually_succeeds() {
         model,
         NetOptions {
             server: ServerOptions {
-                max_batch: 1,
                 queue_capacity: 1,
+                replicas: 1,
                 ..ServerOptions::default()
             },
             ..NetOptions::default()

@@ -228,7 +228,7 @@ fn plaintext_traces_line_drains_the_ring_as_jsonl() {
 const GOLDEN_TEXT: &str = "
     snn_net_protocol_version completed errors panics rejected deadline_sheds
     reactor_alive reactor_backend replicas replicas_healthy
-    batches largest_batch queue_depth queue_capacity drain_rate_ips throughput_ips
+    queue_depth queue_capacity drain_rate_ips throughput_ips
     thread_budget connections_accepted connections_turned_away connections_open
     connections_max requests protocol_errors stats_requests trace_open_spans
     request_queue_wait_seconds_count request_queue_wait_seconds_sum
@@ -237,8 +237,8 @@ const GOLDEN_TEXT: &str = "
     reactor_write_stall_seconds_count reactor_write_stall_seconds_sum
     reactor.backend reactor.connections reactor.accepted reactor.turned_away
     reactor.requests reactor.protocol_errors reactor.stats_requests
-    replica.healthy replica.completed replica.errors replica.batches
-    replica.largest_batch replica.panics replica.deadline_sheds replica.drain_rate_ips
+    replica.healthy replica.completed replica.errors
+    replica.panics replica.deadline_sheds replica.drain_rate_ips
     unit.units unit.busy_cycles unit.total_cycles unit.utilisation";
 
 /// Every Prometheus sample name (histogram `_bucket` series aside).  The
@@ -247,8 +247,7 @@ const GOLDEN_TEXT: &str = "
 const GOLDEN_PROMETHEUS: &str = "
     snn_net_protocol_version snn_completed_total snn_errors_total snn_panics_total
     snn_rejected_total snn_deadline_sheds_total snn_reactor_alive snn_replicas
-    snn_replicas_healthy snn_batches_total
-    snn_largest_batch snn_queue_depth snn_queue_capacity snn_drain_rate_ips
+    snn_replicas_healthy snn_queue_depth snn_queue_capacity snn_drain_rate_ips
     snn_throughput_ips snn_thread_budget snn_connections_accepted_total
     snn_connections_turned_away_total snn_connections_open snn_connections_max
     snn_requests_total snn_protocol_errors_total snn_stats_requests_total
@@ -261,7 +260,7 @@ const GOLDEN_PROMETHEUS: &str = "
     snn_reactor_turned_away_total snn_reactor_requests_total snn_reactor_protocol_errors_total
     snn_reactor_stats_requests_total
     snn_replica_healthy snn_replica_completed_total snn_replica_errors_total
-    snn_replica_batches_total snn_replica_largest_batch snn_replica_panics_total
+    snn_replica_panics_total
     snn_replica_deadline_sheds_total snn_replica_drain_rate_ips
     snn_unit_count snn_unit_busy_cycles snn_unit_total_cycles snn_unit_utilisation";
 

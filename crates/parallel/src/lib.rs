@@ -1,12 +1,14 @@
 //! # snn-parallel
 //!
 //! A persistent worker pool with a global thread budget, used to run the
-//! independent inferences of a batch or a serving micro-batch side by
-//! side.  Requests are the only unit of host parallelism: one inference
-//! runs on one thread from its first layer to its last, because splitting
-//! a layer over threads only ever measured slower (the numbers are in
-//! `ARCHITECTURE.md`), while whole requests share nothing but the
-//! read-only model.
+//! independent inferences of a batch side by side.  Requests are the only
+//! unit of host parallelism: one inference runs on one thread from its
+//! first layer to its last, because splitting a layer over threads only
+//! ever measured slower (the numbers are in `ARCHITECTURE.md`), while
+//! whole requests share nothing but the read-only model.  The budget is
+//! also a serving engine's default dispatcher count: a server spreads its
+//! requests over cores with one dispatcher thread per budgeted thread,
+//! each running one request at a time, and never through [`par_map`].
 //!
 //! The container this workspace builds in has no registry access, so rayon
 //! cannot be used.
@@ -21,8 +23,8 @@
 //!   process.  [`par_map`] splits its input into contiguous blocks and
 //!   submits them as pool tasks; the calling thread *helps* by executing
 //!   queued tasks while it waits, so pool-side compute concurrency never
-//!   exceeds the budget no matter how many callers (serving replicas, or
-//!   a `par_map` nested inside another) submit at once.
+//!   exceeds the budget no matter how many callers (concurrent batches,
+//!   or a `par_map` nested inside another) submit at once.
 //!
 //! Work is always split into contiguous blocks, so results land exactly
 //! where a sequential loop would put them and outputs are deterministic
@@ -108,8 +110,8 @@ pub fn budget() -> &'static ThreadBudget {
 ///
 /// [`par_map`] deliberately re-raises task panics on the caller so
 /// library misuse stays loud; a serving dispatcher that must survive a
-/// poisoned input wraps the per-item body in `catch_panic_message` and
-/// maps the message to a typed error instead.  `&str` and `String`
+/// poisoned input wraps each request in `catch_panic_message` and maps
+/// the message to a typed error instead.  `&str` and `String`
 /// payloads (everything `panic!` produces) are extracted verbatim; other
 /// payload types degrade to a placeholder.
 pub fn catch_panic_message<T, F>(f: F) -> Result<T, String>

@@ -21,8 +21,8 @@
 //!    of any recorded phase.
 //!
 //! Design constraints (see `ARCHITECTURE.md` § Observability): a traced
-//! request takes two clock reads of its own at admission plus one per
-//! micro-batch, allocates nothing, and touches one mutex, at completion.
+//! request takes two clock reads of its own at admission plus one at
+//! compute start, allocates nothing, and touches one mutex, at completion.
 //! Tracing is on by default; `SNN_TRACE=0` ([`trace_enabled_from_env`])
 //! disables it with bit-identical serving results.
 

@@ -6,7 +6,7 @@
 //! every phase boundary is one nanosecond offset from it.  The serving path
 //! takes those offsets from clock reads it makes anyway where it can (the
 //! deadline-shed check, the drain-rate window), so a traced request costs
-//! two clock reads at admission plus one per micro-batch, and no
+//! two clock reads at admission plus one at compute start, and no
 //! synchronisation until it completes.  Completion is the one shard-mutex
 //! touch: the record is copied into its replica's preallocated ring (the
 //! oldest evicted, never blocked on) and feeds the per-replica
@@ -37,10 +37,11 @@ pub enum Phase {
     /// push onto the server's one submission queue.
     Route,
     /// Sitting in the bounded submission queue until a replica's
-    /// dispatcher drains it into a micro-batch.
+    /// dispatcher dequeues it.
     QueueWait,
-    /// From micro-batch drain to compute start (deadline shedding,
-    /// in-flight parking, fault-injection checks).
+    /// From the dequeue to compute start (deadline check, in-flight
+    /// parking, fault-injection checks).  The name predates one-request
+    /// dispatch and is kept for the readers of the phase.
     BatchAssembly,
     /// Executing on the engine (the `RunReport`'s cycle summary is
     /// attached to the outcome).
