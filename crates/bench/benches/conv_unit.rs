@@ -277,9 +277,11 @@ fn bench_spike_blocks(c: &mut Criterion) {
 
 /// VGG-11 conv2 (64 -> 128 channels, 16x16 maps, 3x3 kernel, padding 1):
 /// the whole layer versus the 4-row bands the tiling planner produces for
-/// it under the paper-scale 8 KiB activation-buffer budget.  The banded
-/// run includes the per-band input gather, i.e. it measures exactly the
-/// work the tiled executor performs.
+/// it under the paper-scale 8 KiB activation-buffer budget.  The executor
+/// runs the layer whole under any budget; the banded run measures the band
+/// entry that replays the plan tile by tile (`run_layer_band`, as the
+/// stand-alone benchmark package's traced pass and the plan-replay tests
+/// call it), per-band input gather included.
 fn bench_tiled_conv(c: &mut Criterion) {
     let (ci, h, w, co, k, t) = (64usize, 16usize, 16usize, 128usize, 3usize, 4usize);
     let input = Tensor::from_vec(
@@ -300,7 +302,8 @@ fn bench_tiled_conv(c: &mut Criterion) {
     });
     let mut group = c.benchmark_group("conv_unit_tiled");
     // One scratch across iterations, as the executor keeps one across the
-    // bands and layers of an inference.
+    // layers of an inference; the band entry makes its own per band, as
+    // when the benchmark package replays a plan.
     let mut scratch = EngineScratch::new();
     group.bench_function("vgg_conv2_untiled", |b| {
         b.iter(|| {
@@ -336,16 +339,7 @@ fn bench_tiled_conv(c: &mut Criterion) {
                 let band_input =
                     Tensor::from_vec(vec![ci, band.in_rows(), w], data).expect("band tensor");
                 let result = unit
-                    .run_packed_band(
-                        black_box(&band_input),
-                        &packed,
-                        &bias,
-                        t,
-                        1,
-                        1,
-                        &band,
-                        &mut scratch,
-                    )
+                    .run_layer_band(black_box(&band_input), &packed, &bias, t, 1, 1, &band)
                     .expect("banded run");
                 adder_ops += result.stats.adder_ops;
             }

@@ -199,8 +199,9 @@ impl AcceleratorConfig {
 
     /// The VGG-11 deployment of Table III with a paper-scale **tiled**
     /// activation buffer: 8 KiB on chip, more than four times smaller than
-    /// VGG-11's largest untiled layer working set at `T = 4`, so every
-    /// oversized layer streams through row-band tiles.
+    /// VGG-11's largest untiled layer working set at `T = 4`, so the
+    /// compile-time tile plan splits every oversized layer into row-band
+    /// tiles (the host still runs each layer whole).
     pub fn vgg11_tiled() -> Self {
         AcceleratorConfig {
             activation_buffer_bytes: Some(8 * 1024),

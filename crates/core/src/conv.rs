@@ -50,7 +50,7 @@
 //!   logic, which sums over input channels before it writes back.  At
 //!   larger strides the same loop emits runs of one tap.  The accumulators
 //!   are channel-last too and are transposed to `[O, H, W]`, widened to
-//!   `i64` and bias added, once per band.  Wrapping integer sums are
+//!   `i64` and bias added, once per call.  Wrapping integer sums are
 //!   associative and commutative, so neither the order of the spikes nor
 //!   their blocks change a bit: the result is bit-identical to the
 //!   cycle-stepped reference — including
@@ -62,7 +62,7 @@
 //!   and inside a batch (the numbers are in `ARCHITECTURE.md`), so the
 //!   host runs requests, not layers, in parallel.  Spike list, occupancy
 //!   words, reach tables and accumulator rows live in the caller's
-//!   [`EngineScratch`], so the bands and layers of an inference allocate
+//!   [`EngineScratch`], so the layers of an inference allocate
 //!   them once.
 //! * **Datapath width** — the paper sizes its adders to the sums they can
 //!   hold, and so does the engine, twice.  An output position receives at
@@ -98,7 +98,10 @@
 //!   The optional product-sparsity prepass (`product_sparsity_counts`)
 //!   is accounting only: it re-derives `adder_ops` and the two reuse
 //!   counters from an ic-major spike list it builds for itself, only when
-//!   enabled, and never touches the compute.
+//!   enabled, and never touches the compute.  It links rows only within
+//!   one row band, so a layer under a tile plan runs it once per plan band
+//!   (over the whole map, the rows that feed none of the band's outputs
+//!   dropping out) and sums the counts.
 //!   Property tests assert both parts equal the counter-stepped values of
 //!   [`crate::reference::ReferenceConvolutionUnit`] exactly.
 
@@ -865,72 +868,30 @@ impl ConvolutionUnit {
         padding: usize,
         scratch: &mut EngineScratch,
     ) -> Result<ConvResult> {
-        let &[_, h, w] = input_levels.shape().dims() else {
-            return Err(unsupported(
-                "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels".to_string(),
-            ));
-        };
-        let kernel = (weights.kernel_rows(), weights.kernel_cols());
-        let (h_out, _w_out) =
-            ops::conv2d_output_dims((h, w), kernel, stride, padding).map_err(AccelError::Tensor)?;
-        self.run_packed_band(
+        self.run(
             input_levels,
             weights,
             bias_acc,
             time_steps,
             stride,
             padding,
-            &RowBand {
-                out_lo: 0,
-                out_hi: h_out,
-                in_lo: 0,
-                in_hi: h,
-            },
+            None,
+            None,
             scratch,
         )
     }
 
-    /// Executes one **row-band tile** of a convolution layer: runs
-    /// [`ConvolutionUnit::run_packed_band`] on `kernel_codes` (see
-    /// [`KernelSource`]) with a throw-away scratch.
-    ///
-    /// # Errors
-    ///
-    /// As [`ConvolutionUnit::run_packed_band`], plus
-    /// [`AccelError::UnsupportedLayer`] when a raw kernel code does not fit
-    /// the widest packed element, `i16`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_layer_band<K: KernelSource + ?Sized>(
-        &self,
-        band_levels: &Tensor<i64>,
-        kernel_codes: &K,
-        bias_acc: &Tensor<i64>,
-        time_steps: usize,
-        stride: usize,
-        padding: usize,
-        band: &RowBand,
-    ) -> Result<ConvResult> {
-        self.run_packed_band(
-            band_levels,
-            &*kernel_codes.packed(PackedWeights::from_conv)?,
-            bias_acc,
-            time_steps,
-            stride,
-            padding,
-            band,
-            &mut EngineScratch::new(),
-        )
-    }
-
-    /// Executes one **row-band tile** of a convolution layer.
+    /// Executes one **row-band tile** of a convolution layer, from a
+    /// layer's packed kernels or raw `[O, C, K, K]` codes packed for this
+    /// one call (see [`KernelSource`]), with a throw-away scratch.
     ///
     /// `band_levels` holds only the halo-extended input rows
     /// `band.in_lo..band.in_hi` of the full feature map (all channels,
     /// `[C, band.in_rows(), W]`); the result covers output rows
     /// `band.out_lo..band.out_hi` (`[O, band.out_rows(), W_out]`).  The
-    /// spike list is built per tile, so only the band is ever resident —
-    /// this is the compute kernel of the tiled activation-buffer model
-    /// ([`crate::memory::plan_network_tiles`]).
+    /// executor runs whole layers; this entry replays one tile of the
+    /// compile-time plan ([`crate::memory::plan_network_tiles`]), as the
+    /// stand-alone benchmark package and the plan-replay property tests do.
     ///
     /// **Exactness contract:** accumulators are the same integer sums as
     /// the untiled layer restricted to the band, and every counter is
@@ -957,9 +918,40 @@ impl ConvolutionUnit {
     /// `bias_acc` does not hold exactly one bias per output channel, or the
     /// band's input rows start later than its first output row reads (the
     /// start is checkable without the image height; the end is not — see
-    /// the caller contract above).
+    /// the caller contract above), or when a raw kernel code does not fit
+    /// the widest packed element, `i16`.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_packed_band(
+    pub fn run_layer_band<K: KernelSource + ?Sized>(
+        &self,
+        band_levels: &Tensor<i64>,
+        kernel_codes: &K,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        stride: usize,
+        padding: usize,
+        band: &RowBand,
+    ) -> Result<ConvResult> {
+        self.run(
+            band_levels,
+            &*kernel_codes.packed(PackedWeights::from_conv)?,
+            bias_acc,
+            time_steps,
+            stride,
+            padding,
+            Some(band),
+            None,
+            &mut EngineScratch::new(),
+        )
+    }
+
+    /// The one execution path: the row band `band` of a layer (`None`: the
+    /// whole layer) from its input rows `band_levels`, with the
+    /// product-sparsity accounting run once per band of `accounting` (a
+    /// partition of the band's output rows — a layer's tile plan; `None`:
+    /// the band itself) and summed.  The accounting links rows only within
+    /// one band, so it is the one counter the partition changes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
         &self,
         band_levels: &Tensor<i64>,
         weights: &PackedWeights,
@@ -967,7 +959,8 @@ impl ConvolutionUnit {
         time_steps: usize,
         stride: usize,
         padding: usize,
-        band: &RowBand,
+        band: Option<&RowBand>,
+        accounting: Option<&[RowBand]>,
         scratch: &mut EngineScratch,
     ) -> Result<ConvResult> {
         let &[c_in, band_h, w] = band_levels.shape().dims() else {
@@ -975,6 +968,21 @@ impl ConvolutionUnit {
                 "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels".to_string(),
             ));
         };
+        let band = match band {
+            Some(band) => *band,
+            None => {
+                let kernel = (weights.kernel_rows(), weights.kernel_cols());
+                let (h_out, _) = ops::conv2d_output_dims((band_h, w), kernel, stride, padding)
+                    .map_err(AccelError::Tensor)?;
+                RowBand {
+                    out_lo: 0,
+                    out_hi: h_out,
+                    in_lo: 0,
+                    in_hi: band_h,
+                }
+            }
+        };
+        let accounting = accounting.unwrap_or(std::slice::from_ref(&band));
         let (c_out, kr, kc) = (
             weights.c_out(),
             weights.kernel_rows(),
@@ -1034,6 +1042,18 @@ impl ConvolutionUnit {
                 band.in_lo,
                 band.out_lo,
                 (band.out_lo * stride).saturating_sub(padding)
+            )));
+        }
+        let mut next_row = band.out_lo;
+        let partitioned = accounting.iter().all(|scope| {
+            let follows = scope.out_lo == next_row && scope.out_hi > scope.out_lo;
+            next_row = scope.out_hi;
+            follows
+        });
+        if !partitioned || next_row != band.out_hi {
+            return Err(unsupported(format!(
+                "accounting bands {accounting:?} do not partition output rows {}..{}",
+                band.out_lo, band.out_hi
             )));
         }
         if w + 2 * padding < kc {
@@ -1112,10 +1132,24 @@ impl ConvolutionUnit {
             band.is_first(),
         );
         if self.product_sparsity {
-            let ps = product_sparsity_counts(&band_spikes, y_reach, x_reach, stride, w_out);
-            stats.adder_ops = c_out as u64 * ps.spike_work;
-            stats.reused_partials = c_out as u64 * ps.reuse_events;
-            stats.difference_bits = c_out as u64 * ps.difference_bits;
+            // Per accounting band: only the rows that feed its outputs.
+            stats.adder_ops = 0;
+            let mut scope_reach = Vec::new();
+            for scope in accounting {
+                Reach::fill_axis(
+                    &mut scope_reach,
+                    band.in_lo..band.in_hi,
+                    kr,
+                    scope.out_lo..scope.out_hi,
+                    stride,
+                    padding,
+                );
+                let ps =
+                    product_sparsity_counts(&band_spikes, &scope_reach, x_reach, stride, w_out);
+                stats.adder_ops += c_out as u64 * ps.spike_work;
+                stats.reused_partials += c_out as u64 * ps.reuse_events;
+                stats.difference_bits += c_out as u64 * ps.difference_bits;
+            }
         }
 
         // --- Compute. ---
@@ -1486,65 +1520,6 @@ mod tests {
                 .unwrap();
             assert_eq!(tuned.accumulators, default.accumulators, "thr={threshold}");
             assert_eq!(tuned.stats, default.stats, "thr={threshold}");
-        }
-    }
-
-    #[test]
-    fn row_bands_sum_to_the_untiled_layer() {
-        use crate::memory::RowBand;
-        let input = Tensor::from_vec(
-            vec![2, 9, 7],
-            (0..2 * 9 * 7).map(|v| ((v * 11) % 16) as i64).collect(),
-        )
-        .unwrap();
-        let kernel = Tensor::from_vec(
-            vec![3, 2, 3, 3],
-            (0..54).map(|v| ((v % 7) as i64) - 3).collect(),
-        )
-        .unwrap();
-        let bias = Tensor::from_vec(vec![3], vec![2i64, -1, 4]).unwrap();
-        let u = unit(4, 3);
-        for (stride, padding, t, rows) in [(1, 0, 4, 2), (2, 1, 3, 1), (1, 2, 5, 3), (3, 0, 2, 1)] {
-            let whole = u
-                .run_layer(&input, &kernel, &bias, t, stride, padding)
-                .unwrap();
-            let dims = whole.accumulators.shape().dims().to_vec();
-            let (h_out, w_out) = (dims[1], dims[2]);
-            let h = input.shape().dims()[1];
-            let mut summed = UnitStats::default();
-            let mut stitched = Tensor::filled(dims.clone(), 0i64);
-            for lo in (0..h_out).step_by(rows) {
-                let hi = (lo + rows).min(h_out);
-                let in_lo = (lo * stride).saturating_sub(padding);
-                let in_hi = ((hi - 1) * stride + 3).saturating_sub(padding).min(h);
-                let band = RowBand {
-                    out_lo: lo,
-                    out_hi: hi,
-                    in_lo,
-                    in_hi,
-                };
-                // Gather the halo-extended input band.
-                let mut band_data = Vec::new();
-                for c in 0..2 {
-                    band_data.extend_from_slice(
-                        &input.as_slice()[c * h * 7 + in_lo * 7..c * h * 7 + in_hi * 7],
-                    );
-                }
-                let band_input = Tensor::from_vec(vec![2, in_hi - in_lo, 7], band_data).unwrap();
-                let part = u
-                    .run_layer_band(&band_input, &kernel, &bias, t, stride, padding, &band)
-                    .unwrap();
-                summed += part.stats;
-                for oc in 0..dims[0] {
-                    let src = part.accumulators.as_slice();
-                    let dst = stitched.as_mut_slice();
-                    let bh = hi - lo;
-                    dst[oc * h_out * w_out + lo * w_out..oc * h_out * w_out + hi * w_out]
-                        .copy_from_slice(&src[oc * bh * w_out..(oc + 1) * bh * w_out]);
-                }
-            }
-            assert_eq!(stitched, whole.accumulators, "s={stride} p={padding} t={t}");
-            assert_eq!(summed, whole.stats, "s={stride} p={padding} t={t}");
         }
     }
 

@@ -1,10 +1,10 @@
 //! Execution engine: the layer loop of the simulator.
 //!
 //! `execute` walks the compiled [`Program`] one layer at a time on the
-//! calling thread.  Each layer reads the current half of the ping-pong
-//! activation buffer, runs on its processing-unit model and writes the
-//! other half; a unit's error is stamped with the index of the layer it
-//! failed on.  The conv and linear units execute from the layers'
+//! calling thread.  Each layer runs once, on its processing-unit model,
+//! over the whole input map; its output becomes the next layer's input,
+//! held in one local; a unit's error is stamped with the index of the
+//! layer it failed on.  The conv and linear units execute from the layers'
 //! channel-last packed weights ([`SnnLayer::weights`]), so an inference
 //! packs nothing, and there is no host parallelism below this loop: one
 //! inference is one thread, and the only fan-out is across requests (the
@@ -21,21 +21,27 @@
 //!
 //! # Tiled activation buffers
 //!
-//! When the compiled program carries a tile plan
-//! ([`crate::memory::plan_network_tiles`], driven by
-//! [`AcceleratorConfig::activation_buffer_bytes`]), layers whose working
-//! set exceeds the budget execute **tile by tile**: convolution and
-//! pooling layers gather one halo-extended row band at a time (the
-//! bit-plane packing happens per band inside the units) and
-//! fully-connected layers stage lane-aligned output chunks.  Every
-//! per-tile counter sums to exactly the untiled layer's counters, so the
-//! tiled [`RunReport`] stays bit-identical to the untiled one.
+//! The tile plan ([`crate::memory::plan_network_tiles`], driven by
+//! [`AcceleratorConfig::activation_buffer_bytes`]) is a compile-time model
+//! of the paper's buffers, sized to the network at design time: it checks
+//! the budget (a typed [`AccelError::BufferBudget`] from the compiler) and
+//! names each oversized layer's row bands or output chunks, but the host
+//! does not act it out — it runs every layer whole, since the full map is
+//! resident anyway.  Every unit counter is defined so that the per-tile
+//! values sum to the whole layer's, so a tiled [`RunReport`] is the
+//! untiled one; the one exception is the optional product-sparsity
+//! accounting, which links rows only within what one band holds, so the
+//! convolution unit scopes it to the plan's bands.  The units' band
+//! entries ([`ConvolutionUnit::run_layer_band`],
+//! [`PoolingUnit::run_layer_band`], [`LinearUnit::run_layer_chunked`])
+//! replay the plan tile by tile, as the stand-alone benchmark package
+//! does, and a property test pins that replay to the whole-layer run.
 
 use crate::compiler::{LayerProgram, Program};
 use crate::config::{AcceleratorConfig, MemoryOption};
 use crate::conv::ConvolutionUnit;
 use crate::linear::LinearUnit;
-use crate::memory::{LayerTiling, MemoryTraffic, PingPongBuffer};
+use crate::memory::{LayerTiling, MemoryTraffic};
 use crate::pool::PoolingUnit;
 use crate::report::{LayerExecution, RunReport, UnitUtilisation};
 use crate::timing::{ConvGroupPlan, StageKind};
@@ -65,7 +71,7 @@ impl Units {
 }
 
 /// Executes one inference over a compiled program: the strictly
-/// sequential layer loop, tile by tile where the program carries a tiling.
+/// sequential layer loop, each layer run once over its whole input.
 pub(crate) fn execute(
     config: &AcceleratorConfig,
     model: &SnnModel,
@@ -76,16 +82,13 @@ pub(crate) fn execute(
     let time_steps = model.time_steps();
     let units = Units::from_config(config);
 
-    // Activations live in the 2-D ping-pong buffer until the flatten step,
-    // then in the 1-D buffer.  We model both with one runtime buffer pair
-    // since only one is active at a time.
-    let mut buffer = PingPongBuffer::new();
-    buffer.load_input(input_levels);
-
+    // The activations the next layer reads: the encoded input, then each
+    // layer's output in turn.
+    let mut current = input_levels;
     let mut layers = Vec::with_capacity(program.steps.len());
     let mut traffic = MemoryTraffic::default();
-    // The engines' working memory: sized by the first band, reused by
-    // every band and layer after it.
+    // The engines' working memory: sized by the first layer, reused by
+    // every layer after it.
     let mut scratch = EngineScratch::new();
 
     for (index, (step, layer)) in program.steps.iter().zip(model.layers()).enumerate() {
@@ -93,7 +96,7 @@ pub(crate) fn execute(
             &units,
             layer,
             step,
-            buffer.current()?,
+            current,
             time_steps,
             max_level,
             &mut scratch,
@@ -118,10 +121,10 @@ pub(crate) fn execute(
             latency_cycles: step.timing.total_cycles(),
             work,
         });
-        buffer.write_and_swap(next);
+        current = next;
     }
 
-    let logits = buffer.into_current()?;
+    let logits = current;
     let prediction = logits
         .iter()
         .enumerate()
@@ -148,47 +151,12 @@ pub(crate) fn execute(
     })
 }
 
-/// Copies the input rows `lo..hi` of a `[C, H, W]` feature map into a
-/// fresh `[C, hi - lo, W]` band tensor — the modelled tile load into the
-/// activation buffer's read half.
-fn copy_row_band(levels: &Tensor<i64>, lo: usize, hi: usize) -> Result<Tensor<i64>> {
-    let dims = levels.shape().dims();
-    if dims.len() != 3 || hi > dims[1] || lo >= hi {
-        return Err(AccelError::UnsupportedLayer {
-            layer: 0,
-            context: format!("row band {lo}..{hi} outside a {dims:?} feature map"),
-        });
-    }
-    let (c, h, w) = (dims[0], dims[1], dims[2]);
-    let src = levels.as_slice();
-    let mut data = Vec::with_capacity(c * (hi - lo) * w);
-    for ch in 0..c {
-        data.extend_from_slice(&src[ch * h * w + lo * w..ch * h * w + hi * w]);
-    }
-    Tensor::from_vec(vec![c, hi - lo, w], data).map_err(AccelError::Tensor)
-}
-
-/// Writes a `[C, bh, W]` band of output rows into a `[C, H, W]` map at row
-/// offset `out_lo` — the modelled drain of the buffer's write half.
-fn write_row_band(dst: &mut Tensor<i64>, band: &Tensor<i64>, out_lo: usize) {
-    let dims = dst.shape().dims().to_vec();
-    let (c, h, w) = (dims[0], dims[1], dims[2]);
-    let bh = band.shape().dims()[1];
-    let src = band.as_slice();
-    let out = dst.as_mut_slice();
-    for ch in 0..c {
-        out[ch * h * w + out_lo * w..ch * h * w + (out_lo + bh) * w]
-            .copy_from_slice(&src[ch * bh * w..(ch + 1) * bh * w]);
-    }
-}
-
-/// Executes one layer, tile by tile when the compiled step carries a
-/// tiling.
+/// Executes one layer whole, on its unit.
 fn execute_layer(
     units: &Units,
     layer: &SnnLayer,
     step: &LayerProgram,
-    current: &Tensor<i64>,
+    current: Tensor<i64>,
     time_steps: usize,
     max_level: i64,
     scratch: &mut EngineScratch,
@@ -201,32 +169,13 @@ fn execute_layer(
             padding,
             requant,
         } => {
-            if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
-                let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
-                let mut work = UnitStats::default();
-                for band in bands {
-                    let band_input = copy_row_band(current, band.in_lo, band.in_hi)?;
-                    let result = units.conv.run_packed_band(
-                        &band_input,
-                        weights,
-                        bias_acc,
-                        time_steps,
-                        *stride,
-                        *padding,
-                        band,
-                        scratch,
-                    )?;
-                    work += result.stats;
-                    write_row_band(
-                        &mut levels,
-                        &apply_requant(result.accumulators, *requant, max_level),
-                        band.out_lo,
-                    );
-                }
-                return Ok((levels, work));
-            }
-            let result = units.conv.run_packed(
-                current, weights, bias_acc, time_steps, *stride, *padding, scratch,
+            // The plan's bands scope only the product-sparsity accounting.
+            let bands = match &step.tiling {
+                Some(LayerTiling::RowBands { bands, .. }) => Some(bands.as_slice()),
+                _ => None,
+            };
+            let result = units.conv.run(
+                &current, weights, bias_acc, time_steps, *stride, *padding, None, bands, scratch,
             )?;
             let levels = apply_requant(result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
@@ -236,42 +185,19 @@ fn execute_layer(
             bias_acc,
             requant,
         } => {
-            let result = if let Some(LayerTiling::OutputChunks { chunk }) = &step.tiling {
-                units
-                    .linear
-                    .run_packed_chunked(current, weights, bias_acc, time_steps, *chunk, scratch)?
-            } else {
-                units
-                    .linear
-                    .run_packed(current, weights, bias_acc, time_steps, scratch)?
-            };
+            let result = units
+                .linear
+                .run_packed(&current, weights, bias_acc, time_steps, scratch)?;
             let levels = apply_requant(result.accumulators, *requant, max_level);
             Ok((levels, result.stats))
         }
         SnnLayer::Pool { kind, window } => {
-            if let Some(LayerTiling::RowBands { bands, .. }) = &step.tiling {
-                let mut levels = Tensor::filled(step.out_shape.clone(), 0i64);
-                let mut work = UnitStats::default();
-                for band in bands {
-                    let band_input = copy_row_band(current, band.in_lo, band.in_hi)?;
-                    let result =
-                        units
-                            .pool
-                            .run_layer_band(&band_input, *kind, *window, time_steps, band)?;
-                    work += result.stats;
-                    write_row_band(&mut levels, &result.levels, band.out_lo);
-                }
-                return Ok((levels, work));
-            }
-            let result = units.pool.run_layer(current, *kind, *window, time_steps)?;
+            let result = units.pool.run_layer(&current, *kind, *window, time_steps)?;
             Ok((result.levels, result.stats))
         }
         SnnLayer::Flatten => {
             let volume = current.len();
-            let flattened = current
-                .clone()
-                .reshape(vec![volume])
-                .map_err(AccelError::Tensor)?;
+            let flattened = current.reshape(vec![volume]).map_err(AccelError::Tensor)?;
             let work = UnitStats {
                 cycles: volume as u64,
                 activation_reads: volume as u64,

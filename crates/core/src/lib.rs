@@ -32,9 +32,10 @@
 //! traffic and per-unit utilisation — the quantities reported in the
 //! paper's evaluation.  Deep models run within a fixed on-chip budget:
 //! with [`config::AcceleratorConfig::activation_buffer_bytes`] set, the
-//! [`memory`] tiling planner splits oversized layers into halo-aware row
-//! bands that stream through the buffer pair, which is how full-scale
-//! VGG-11 executes cycle-accurately (bit-identical to the untiled run).
+//! [`memory`] tiling planner sizes oversized layers into halo-aware row
+//! bands at compile time, as the paper sizes its buffers at design time,
+//! and the host runs each layer whole, so full-scale VGG-11 executes
+//! cycle-accurately under the budget (bit-identical to the untiled run).
 //! For serving-scale traffic, [`serve::StreamServer`] serves a bounded
 //! submission queue from N dispatcher threads over the same engine.
 //!

@@ -247,33 +247,6 @@ impl LinearUnit {
         self.run_chunks(input_levels, weights, bias_acc, time_steps, all, scratch)
     }
 
-    /// Executes one fully-connected layer in lane-aligned output chunks:
-    /// runs [`LinearUnit::run_packed_chunked`] on `weight_codes` (see
-    /// [`KernelSource`]) with a throw-away scratch.
-    ///
-    /// # Errors
-    ///
-    /// As [`LinearUnit::run_packed_chunked`], plus
-    /// [`AccelError::UnsupportedLayer`] when a raw weight code does not fit
-    /// the widest packed element, `i16`.
-    pub fn run_layer_chunked<K: KernelSource + ?Sized>(
-        &self,
-        input_levels: &Tensor<i64>,
-        weight_codes: &K,
-        bias_acc: &Tensor<i64>,
-        time_steps: usize,
-        chunk_outputs: usize,
-    ) -> Result<LinearResult> {
-        self.run_packed_chunked(
-            input_levels,
-            &*weight_codes.packed(PackedWeights::from_linear)?,
-            bias_acc,
-            time_steps,
-            chunk_outputs,
-            &mut EngineScratch::new(),
-        )
-    }
-
     /// Executes one fully-connected layer in **lane-aligned output
     /// chunks** — the 1-D counterpart of the row-band tiling in
     /// [`crate::memory::plan_network_tiles`].  The whole input vector
@@ -281,7 +254,10 @@ impl LinearUnit {
     /// `chunk_outputs` output neurons are staged at a time — a chunk is
     /// the lane range `lo..hi` of every packed weight row, so nothing is
     /// copied — which is what bounds the 1-D activation buffer for
-    /// VGG-class classifier layers.
+    /// VGG-class classifier layers.  The executor runs whole layers; this
+    /// entry replays the plan's chunks.  `weight_codes` is a layer's
+    /// packed weights or raw `[O, N]` codes packed for this one call (see
+    /// [`KernelSource`]); the scratch is a throw-away one.
     ///
     /// `chunk_outputs` must be a multiple of the lane count (or cover all
     /// outputs at once): each chunk then occupies a whole number of lane
@@ -292,18 +268,21 @@ impl LinearUnit {
     /// # Errors
     ///
     /// As [`LinearUnit::run_packed`], plus
-    /// [`AccelError::UnsupportedLayer`] for a zero or misaligned chunk.
-    pub fn run_packed_chunked(
+    /// [`AccelError::UnsupportedLayer`] for a zero or misaligned chunk, or
+    /// when a raw weight code does not fit the widest packed element,
+    /// `i16`.
+    pub fn run_layer_chunked<K: KernelSource + ?Sized>(
         &self,
         input_levels: &Tensor<i64>,
-        weights: &PackedWeights,
+        weight_codes: &K,
         bias_acc: &Tensor<i64>,
         time_steps: usize,
         chunk_outputs: usize,
-        scratch: &mut EngineScratch,
     ) -> Result<LinearResult> {
-        let o = weights.c_out();
-        if chunk_outputs == 0 || (!chunk_outputs.is_multiple_of(self.lanes) && chunk_outputs < o) {
+        let weights = weight_codes.packed(PackedWeights::from_linear)?;
+        if chunk_outputs == 0
+            || (!chunk_outputs.is_multiple_of(self.lanes) && chunk_outputs < weights.c_out())
+        {
             return Err(unsupported(format!(
                 "output chunk of {chunk_outputs} is not a multiple of the {} lanes",
                 self.lanes
@@ -311,11 +290,11 @@ impl LinearUnit {
         }
         self.run_chunks(
             input_levels,
-            weights,
+            &weights,
             bias_acc,
             time_steps,
             chunk_outputs,
-            scratch,
+            &mut EngineScratch::new(),
         )
     }
 

@@ -1,4 +1,4 @@
-//! Memory management: ping-pong activation buffers, weight memory, the
+//! Memory management: ping-pong activation buffer sizing, weight memory, the
 //! external DRAM model (Section III-C of the paper) and the **tiling
 //! planner** that fits deep models into a fixed activation-buffer budget.
 //!
@@ -28,16 +28,20 @@
 //! radix code, so a tile of `e` elements occupies `ceil(e * T / 8)` bytes
 //! and a layer's working set is `bytes(input tile) + bytes(output tile)`.
 //!
-//! The execution engine consumes the plan tile by tile; the bit-plane
-//! packing of [`snn_tensor::bitplane`] happens per tile, and every unit
-//! counter is defined so that the per-tile values sum to exactly the
-//! untiled layer's counters (property tests pin this bit-identically).
+//! The plan is a compile-time model, like the paper's buffers sized to the
+//! network at design time: the compiler checks the budget with it and
+//! records each layer's tiling, and the host runs every layer whole.  Every
+//! unit counter is defined so that the per-tile values sum to exactly the
+//! whole layer's counters, so the plan changes no reported bit; the one
+//! count the band partition changes, the optional product-sparsity
+//! accounting, is scoped to the plan's bands.  Property tests replay the
+//! plan tile by tile through the units' band entries and pin the stitched
+//! result to the whole-layer run.
 
 use crate::config::{AcceleratorConfig, MemoryOption};
 use crate::{AccelError, Result};
 use serde::{Deserialize, Serialize};
 use snn_model::{LayerSpec, NetworkSpec};
-use snn_tensor::Tensor;
 
 /// Capacity of one Xilinx-style block RAM in bits (36 kb).
 pub const BRAM36_BITS: u64 = 36 * 1024;
@@ -171,121 +175,6 @@ impl DramModel {
     /// Energy in microjoules for transferring `bits`.
     pub fn transfer_energy_uj(&self, bits: u64) -> f64 {
         bits as f64 * self.energy_pj_per_bit * 1e-6
-    }
-}
-
-/// Which half of a ping-pong pair is currently being read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PingPongSide {
-    /// The "ping" half.
-    Ping,
-    /// The "pong" half.
-    Pong,
-}
-
-impl PingPongSide {
-    /// The opposite half.
-    pub fn other(self) -> Self {
-        match self {
-            PingPongSide::Ping => PingPongSide::Pong,
-            PingPongSide::Pong => PingPongSide::Ping,
-        }
-    }
-}
-
-/// Runtime model of a ping-pong activation buffer pair.
-///
-/// Each layer reads its input activations from the *read side* and writes
-/// its results to the other half; [`PingPongBuffer::write_and_swap`] then makes the
-/// freshly written half the read side for the next layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PingPongBuffer {
-    read_side: PingPongSide,
-    ping: Option<Tensor<i64>>,
-    pong: Option<Tensor<i64>>,
-    /// Number of completed write→swap handovers (one per executed layer).
-    handovers: u64,
-}
-
-impl PingPongBuffer {
-    /// Creates an empty buffer pair reading from the ping half.
-    pub fn new() -> Self {
-        PingPongBuffer {
-            read_side: PingPongSide::Ping,
-            ping: None,
-            pong: None,
-            handovers: 0,
-        }
-    }
-
-    /// Which half the next layer reads from.
-    pub fn read_side(&self) -> PingPongSide {
-        self.read_side
-    }
-
-    /// Number of completed layer handovers.
-    pub fn handovers(&self) -> u64 {
-        self.handovers
-    }
-
-    /// Loads the initial activations (the encoded network input) into the
-    /// current read half.
-    pub fn load_input(&mut self, levels: Tensor<i64>) {
-        match self.read_side {
-            PingPongSide::Ping => self.ping = Some(levels),
-            PingPongSide::Pong => self.pong = Some(levels),
-        }
-    }
-
-    /// The activations the next layer should read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::InvalidConfig`] if no activations have been
-    /// written yet.
-    pub fn current(&self) -> Result<&Tensor<i64>> {
-        let side = match self.read_side {
-            PingPongSide::Ping => &self.ping,
-            PingPongSide::Pong => &self.pong,
-        };
-        side.as_ref().ok_or_else(read_before_write)
-    }
-
-    /// Ends the run: hands out the activations the next layer would have
-    /// read — the network's outputs.
-    ///
-    /// # Errors
-    ///
-    /// As [`PingPongBuffer::current`].
-    pub fn into_current(self) -> Result<Tensor<i64>> {
-        let side = match self.read_side {
-            PingPongSide::Ping => self.ping,
-            PingPongSide::Pong => self.pong,
-        };
-        side.ok_or_else(read_before_write)
-    }
-
-    /// Writes a layer result into the unused half and swaps, so the next
-    /// layer reads what was just written.
-    pub fn write_and_swap(&mut self, levels: Tensor<i64>) {
-        match self.read_side {
-            PingPongSide::Ping => self.pong = Some(levels),
-            PingPongSide::Pong => self.ping = Some(levels),
-        }
-        self.read_side = self.read_side.other();
-        self.handovers += 1;
-    }
-}
-
-fn read_before_write() -> AccelError {
-    AccelError::InvalidConfig {
-        context: "activation buffer read before any layer wrote it".to_string(),
-    }
-}
-
-impl Default for PingPongBuffer {
-    fn default() -> Self {
-        PingPongBuffer::new()
     }
 }
 
@@ -658,29 +547,6 @@ mod tests {
         assert_eq!(dram.transfer_cycles(64), 1);
         assert_eq!(dram.transfer_cycles(65), 2);
         assert!(dram.transfer_energy_uj(1_000_000) > 0.0);
-    }
-
-    #[test]
-    fn ping_pong_alternates_sides() {
-        let mut buffer = PingPongBuffer::new();
-        buffer.load_input(Tensor::filled(vec![4], 1i64));
-        assert_eq!(buffer.read_side(), PingPongSide::Ping);
-        assert_eq!(buffer.current().unwrap().as_slice(), &[1, 1, 1, 1]);
-
-        buffer.write_and_swap(Tensor::filled(vec![2], 2i64));
-        assert_eq!(buffer.read_side(), PingPongSide::Pong);
-        assert_eq!(buffer.current().unwrap().as_slice(), &[2, 2]);
-
-        buffer.write_and_swap(Tensor::filled(vec![1], 3i64));
-        assert_eq!(buffer.read_side(), PingPongSide::Ping);
-        assert_eq!(buffer.current().unwrap().as_slice(), &[3]);
-        assert_eq!(buffer.handovers(), 2);
-    }
-
-    #[test]
-    fn reading_an_empty_buffer_is_an_error() {
-        let buffer = PingPongBuffer::new();
-        assert!(buffer.current().is_err());
     }
 
     #[test]

@@ -132,7 +132,9 @@ impl PoolingUnit {
     /// trailing input rows a non-divisible height leaves unread, so the
     /// streamed spike count — `adder_ops` — partitions exactly).  Counters
     /// summed over a partition of the output rows reproduce
-    /// [`PoolingUnit::run_layer`]'s counters bit-exactly.
+    /// [`PoolingUnit::run_layer`]'s counters bit-exactly.  The executor
+    /// runs whole layers; this entry replays one tile of the compile-time
+    /// plan ([`crate::memory::plan_network_tiles`]).
     ///
     /// # Errors
     ///

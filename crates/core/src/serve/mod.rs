@@ -549,9 +549,24 @@ impl StreamServer {
                 }
             })
             .collect();
-        let rejected = relock(&self.engine.queue).rejected;
+        let (depth, rejected) = {
+            let queue = relock(&self.engine.queue);
+            (queue.jobs.len(), queue.rejected)
+        };
         let completed: u64 = per_replica.iter().map(|r| r.completed).sum();
         let errors: u64 = per_replica.iter().map(|r| r.errors).sum();
+        let healthy_replicas = per_replica.iter().filter(|r| r.healthy).count();
+        // The queue snapshot from the slices above, so each drain window
+        // is walked once per call.
+        let queue = QueueSnapshot {
+            depth,
+            capacity: options.queue_capacity.saturating_mul(healthy_replicas),
+            drain_rate_ips: per_replica
+                .iter()
+                .filter(|r| r.healthy)
+                .map(|r| r.drain_rate_ips)
+                .sum(),
+        };
         ServerStats {
             completed,
             errors,
@@ -559,10 +574,10 @@ impl StreamServer {
             rejected,
             panics: per_replica.iter().map(|r| r.panics).sum(),
             deadline_sheds: per_replica.iter().map(|r| r.deadline_sheds).sum(),
-            queue: self.queue_snapshot(),
+            queue,
             queue_capacity: options.queue_capacity,
             replicas: self.replicas.len(),
-            healthy_replicas: per_replica.iter().filter(|r| r.healthy).count(),
+            healthy_replicas,
             per_replica,
             thread_budget: snn_parallel::budget().total(),
             elapsed_s: self.started.elapsed().as_secs_f64(),
@@ -879,6 +894,30 @@ mod tests {
         assert!(after.drain_rate_ips > 0.0, "served work implies a rate");
         let stats = server.shutdown();
         assert_eq!(stats.queue.capacity, bound);
+    }
+
+    #[test]
+    fn stats_queue_drain_rate_is_the_sum_of_the_replica_slices() {
+        let (model, inputs) = tiny_setup(3);
+        let server = StreamServer::start_with(
+            AcceleratorConfig::default(),
+            model,
+            ServerOptions {
+                replicas: 1,
+                ..ServerOptions::default()
+            },
+        )
+        .unwrap();
+        server.run_all(&inputs[..1]).unwrap();
+        let stats = server.stats();
+        assert_eq!(stats.per_replica[0].completed, 1);
+        // One windowed record: the rate falls back to the lifetime average,
+        // which moves with the clock, so only one reading of it can match.
+        assert_eq!(
+            stats.queue.drain_rate_ips,
+            stats.per_replica[0].drain_rate_ips
+        );
+        assert_eq!(stats.queue.capacity, DEFAULT_QUEUE_CAPACITY);
     }
 
     #[test]

@@ -204,7 +204,9 @@ pub struct ServerStats {
     /// `completed`.
     pub deadline_sheds: u64,
     /// Queue-depth / drain-rate snapshot (the admission bound and the
-    /// drain rates summed over the healthy replicas).  The drain rate
+    /// drain rates summed over the healthy replicas), built from the
+    /// [`ServerStats::per_replica`] slices of the same call, so its drain
+    /// rate is exactly their healthy replicas' sum.  The drain rate
     /// is windowed over the most recent [`DRAIN_WINDOW`] request
     /// completions of each replica, measured completion-to-completion so
     /// idle lulls do not decay it; with fewer than two windowed

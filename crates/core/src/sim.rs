@@ -5,8 +5,8 @@
 //! There is one level of detail: [`Accelerator::run`] is **unit-exact**.
 //! Every layer is executed on the spike-major processing-unit models
 //! ([`crate::conv::ConvolutionUnit`], [`crate::pool::PoolingUnit`],
-//! [`crate::linear::LinearUnit`]), activations move through the ping-pong
-//! buffers, and exact work/operation counts are reported.  The units walk
+//! [`crate::linear::LinearUnit`]), once per layer over its whole input
+//! map, and exact work/operation counts are reported.  The units walk
 //! the packed spike occupancy (word-level skip of silent regions),
 //! accumulate from the layers' channel-last packed weights (all
 //! output-channel lanes of a spike in one vector loop, on the calling
@@ -15,11 +15,14 @@
 //! counters to the retained counter-stepped models in [`crate::reference`],
 //! and the logits to the functional model [`SnnModel::forward`].
 //!
-//! Depth no longer limits the unit-exact path: with
+//! Depth does not limit the unit-exact path: with
 //! [`AcceleratorConfig::activation_buffer_bytes`] set, the compiler plans
-//! row-band tiles ([`crate::memory::plan_network_tiles`]) and
-//! [`Accelerator::run`] executes full-scale VGG-11 within a paper-scale
-//! on-chip budget, tile by tile, with an unchanged (bit-identical) report.
+//! row-band tiles ([`crate::memory::plan_network_tiles`]) as a compile-time
+//! model of a paper-scale on-chip budget — a model that does not fit is a
+//! typed error before anything runs — and [`Accelerator::run`] still
+//! executes every layer whole, full-scale VGG-11 included, with the
+//! report the untiled run gives (the optional product-sparsity accounting,
+//! which links rows only within one band, is scoped to the plan's bands).
 //!
 //! Batches of independent inputs can be dispatched over the worker pool
 //! with [`Accelerator::run_batch`] — whole inferences are the only thing

@@ -103,8 +103,8 @@ impl KernelSource for Tensor<i64> {
 
 /// The working memory of the convolution and linear engines: spike list,
 /// occupancy words, reach tables and accumulator rows.  The executor keeps
-/// one per inference and hands it to every `run_packed*` call, so bands
-/// and layers after the first allocate none of it again; it carries no
+/// one per inference and hands it to every unit call, so layers after
+/// the first allocate none of it again; it carries no
 /// state from one call to the next, only capacity.
 #[derive(Debug, Default)]
 pub struct EngineScratch {

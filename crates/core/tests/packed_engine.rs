@@ -172,7 +172,7 @@ proptest! {
         let weights = PackedWeights::from_conv(&kernels).unwrap();
         prop_assert!(!narrow || weights.sums_fit_i32(time_steps));
         prop_assert!(!small || matches!(weights.codes(), Codes::I8(_)));
-        // One scratch through every call of the case, as the executor's.
+        // One scratch through the case's packed calls, as the executor's.
         let mut scratch = EngineScratch::new();
 
         let whole = unit
@@ -213,9 +213,7 @@ proptest! {
             }
             let band_input = Tensor::from_vec(vec![c_in, band.in_rows(), size], rows).unwrap();
             let part = unit
-                .run_packed_band(
-                    &band_input, &weights, &bias, time_steps, stride, padding, &band, &mut scratch,
-                )
+                .run_layer_band(&band_input, &weights, &bias, time_steps, stride, padding, &band)
                 .unwrap();
             summed += part.stats;
             for oc in 0..c_out {
@@ -274,7 +272,7 @@ proptest! {
 
         let chunk = lanes * groups_per_chunk;
         let chunked = unit
-            .run_packed_chunked(&input, &weights, &bias, time_steps, chunk, &mut scratch)
+            .run_layer_chunked(&input, &weights, &bias, time_steps, chunk)
             .unwrap();
         prop_assert_eq!(&chunked, &whole);
         prop_assert_eq!(
@@ -542,7 +540,7 @@ fn a_bias_of_the_wrong_length_is_a_typed_error_from_every_entry() {
     conv.run_layer(&input, &kernels, &conv_bias, 3, 1, 0)
         .unwrap();
     linear
-        .run_packed_chunked(&vector, &packed_matrix, &linear_bias, 3, 4, &mut scratch)
+        .run_layer_chunked(&vector, &packed_matrix, &linear_bias, 3, 4)
         .unwrap();
     for len in [2usize, 4] {
         let bias = Tensor::filled(vec![len], 1i64);
@@ -562,9 +560,9 @@ fn a_bias_of_the_wrong_length_is_a_typed_error_from_every_entry() {
             &what("run_packed"),
         );
         rejected(
-            conv.run_packed_band(&input, &packed, &bias, 3, 1, 0, &band, &mut scratch)
+            conv.run_layer_band(&input, &packed, &bias, 3, 1, 0, &band)
                 .map(drop),
-            &what("run_packed_band"),
+            &what("run_layer_band on packed weights"),
         );
     }
     for len in [7usize, 9] {
@@ -588,9 +586,9 @@ fn a_bias_of_the_wrong_length_is_a_typed_error_from_every_entry() {
         );
         rejected(
             linear
-                .run_packed_chunked(&vector, &packed_matrix, &bias, 3, 4, &mut scratch)
+                .run_layer_chunked(&vector, &packed_matrix, &bias, 3, 4)
                 .map(drop),
-            &what("run_packed_chunked"),
+            &what("run_layer_chunked on packed weights"),
         );
     }
 }

@@ -7,7 +7,11 @@
 //! exactly when no containment was exploited.  End to end, a PS-enabled
 //! accelerator must produce the same logits and schedule as the PS-off
 //! run — on LeNet here, and on the tiled full-scale VGG-11 in the ignored
-//! release smoke.
+//! release smoke.  Under a tile plan the accounting links rows only within
+//! one band; the smoke pins the executor's counts to the plan's bands
+//! replayed one by one.
+
+mod plan_replay;
 
 use proptest::prelude::*;
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
@@ -248,4 +252,8 @@ fn vgg11_tiled_product_sparsity_is_bit_identical() {
     assert_eq!(report.total_cycles(), plain.total_cycles());
     assert!(report.total_work().reused_partials > 0);
     assert!(report.total_work().adder_ops < plain.total_work().adder_ops);
+    // The accounting is band-scoped: the executor's counts are the sums
+    // over the plan's bands run one by one.
+    assert!(plan_replay::assert_plan_replays_exactly(&model, config, &input) > 0);
+    eprintln!("VGG-11 tiled, product sparsity: {:?}", report.total_work());
 }

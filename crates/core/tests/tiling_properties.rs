@@ -1,14 +1,19 @@
-//! Properties of the tiled activation-buffer execution path.
+//! Properties of the compile-time activation tile plan.
 //!
 //! The contract under test: with
-//! [`AcceleratorConfig::activation_buffer_bytes`] set, every layer whose
-//! working set exceeds the budget executes in row-band tiles (lane-aligned
-//! output chunks for fully-connected layers), and the resulting
-//! [`RunReport`] — accumulators, per-layer `UnitStats`, traffic and
-//! utilisation — is **bit-identical** to the untiled run.
+//! [`AcceleratorConfig::activation_buffer_bytes`] set, the compiler plans
+//! every layer whose working set exceeds the budget into row-band tiles
+//! (lane-aligned output chunks for fully-connected layers), the executor
+//! still runs each layer whole, and replaying the plan tile by tile
+//! through the units' band entries reproduces the whole layer exactly:
+//! stitched outputs, and summed `UnitStats` equal to the executor's.
+//! The tiled [`RunReport`] — accumulators, per-layer `UnitStats`, traffic
+//! and utilisation — is therefore **bit-identical** to the untiled run.
 //! The edge cases the planner must survive: tile heights smaller than the
 //! kernel halo, strides crossing tile boundaries, budgets too small for a
 //! single row (a typed error at compile time), and batched execution.
+
+mod plan_replay;
 
 use snn_accel::config::AcceleratorConfig;
 use snn_accel::memory::{self, LayerTiling};
@@ -47,6 +52,41 @@ fn tiny_setup(time_steps: usize) -> (SnnModel, Vec<Tensor<f32>>) {
         .collect();
     let model = converted(&net, time_steps, &inputs);
     (model, inputs)
+}
+
+/// A stride-2 padded convolution on a 13x13 map, with three inputs.
+fn stride_setup() -> (SnnModel, Vec<Tensor<f32>>) {
+    let net = NetworkSpec::new(
+        "stride-net",
+        vec![1, 13, 13],
+        vec![
+            LayerSpec::Conv2d {
+                in_channels: 1,
+                out_channels: 3,
+                kernel: 3,
+                stride: 2,
+                padding: 1,
+            },
+            LayerSpec::Flatten,
+            LayerSpec::linear(3 * 7 * 7, 8),
+        ],
+    )
+    .unwrap();
+    let inputs: Vec<Tensor<f32>> = (0..3)
+        .map(|i| {
+            let values: Vec<f32> = (0..169)
+                .map(|j| ((i * 37 + j * 11) % 100) as f32 / 100.0)
+                .collect();
+            Tensor::from_vec(vec![1, 13, 13], values).unwrap()
+        })
+        .collect();
+    (converted(&net, 3, &inputs), inputs)
+}
+
+/// One 5x5 convolution of two 16x16 channels: under a 128 B budget its
+/// tiles are one output row each, shorter than the kernel's halo.
+fn halo_net() -> NetworkSpec {
+    NetworkSpec::new("halo-net", vec![2, 16, 16], vec![LayerSpec::conv(2, 8, 5)]).unwrap()
 }
 
 fn tiled_config(budget: u64) -> AcceleratorConfig {
@@ -137,31 +177,7 @@ fn strides_crossing_tile_boundaries_do_not_change_results() {
     // A stride-2 padded convolution: interior bands start mid-stride, so
     // band coverage must reproduce the exact (input row -> output row)
     // pairs of the untiled layer.
-    let net = NetworkSpec::new(
-        "stride-net",
-        vec![1, 13, 13],
-        vec![
-            LayerSpec::Conv2d {
-                in_channels: 1,
-                out_channels: 3,
-                kernel: 3,
-                stride: 2,
-                padding: 1,
-            },
-            LayerSpec::Flatten,
-            LayerSpec::linear(3 * 7 * 7, 8),
-        ],
-    )
-    .unwrap();
-    let inputs: Vec<Tensor<f32>> = (0..3)
-        .map(|i| {
-            let values: Vec<f32> = (0..169)
-                .map(|j| ((i * 37 + j * 11) % 100) as f32 / 100.0)
-                .collect();
-            Tensor::from_vec(vec![1, 13, 13], values).unwrap()
-        })
-        .collect();
-    let model = converted(&net, 3, &inputs);
+    let (model, inputs) = stride_setup();
     let tiled = Accelerator::new(tiled_config(60));
     let untiled = Accelerator::new(AcceleratorConfig::default());
     // The budget really forces bands whose input windows overlap.
@@ -181,9 +197,7 @@ fn strides_crossing_tile_boundaries_do_not_change_results() {
 fn planner_handles_tiles_shorter_than_the_kernel_halo() {
     // One-row bands under a 5x5 kernel: each band's input halo spans four
     // more rows than the band itself.
-    let net =
-        NetworkSpec::new("halo-net", vec![2, 16, 16], vec![LayerSpec::conv(2, 8, 5)]).unwrap();
-    let plan = memory::plan_network_tiles(&net, 4, 128, 32).unwrap();
+    let plan = memory::plan_network_tiles(&halo_net(), 4, 128, 32).unwrap();
     let Some(LayerTiling::RowBands {
         bands,
         rows_per_tile,
@@ -200,6 +214,35 @@ fn planner_handles_tiles_shorter_than_the_kernel_halo() {
         assert!(bytes <= 128);
     }
     assert_eq!(bands.len(), 12);
+}
+
+#[test]
+fn plan_bands_replay_each_tiled_layer_exactly() {
+    let (tiny, tiny_inputs) = tiny_setup(4);
+    let (stride, stride_inputs) = stride_setup();
+    let halo_inputs: Vec<Tensor<f32>> = (0..2)
+        .map(|i| {
+            let values: Vec<f32> = (0..2 * 16 * 16)
+                .map(|j| ((i * 23 + j * 19) % 100) as f32 / 100.0)
+                .collect();
+            Tensor::from_vec(vec![2, 16, 16], values).unwrap()
+        })
+        .collect();
+    let halo = converted(&halo_net(), 4, &halo_inputs);
+    // (model, inputs, budget, tiled layers: conv + pool, conv, conv).
+    let cases = [
+        (&tiny, &tiny_inputs, 128, 2),
+        (&tiny, &tiny_inputs, 66, 2),
+        (&stride, &stride_inputs, 60, 1),
+        (&halo, &halo_inputs, 128, 1),
+    ];
+    for (model, inputs, budget, tiled_layers) in cases {
+        for input in inputs {
+            let replayed =
+                plan_replay::assert_plan_replays_exactly(model, tiled_config(budget), input);
+            assert_eq!(replayed, tiled_layers, "budget {budget}");
+        }
+    }
 }
 
 #[test]
@@ -279,4 +322,6 @@ fn vgg11_full_scale_runs_cycle_accurately_under_a_tiled_budget() {
     let oracle = untiled.run(&model, &input).unwrap();
     assert_eq!(report, oracle);
     assert!(report.total_work().adder_ops > 0);
+    // Replaying the plan band by band reproduces every tiled layer.
+    assert!(plan_replay::assert_plan_replays_exactly(&model, config, &input) > 0);
 }
