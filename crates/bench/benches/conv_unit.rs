@@ -13,7 +13,8 @@
 //! engine-vs-seed-reference host speedup on the LeNet conv2 workload, the
 //! product-sparsity op and host ratios, the multiply-accumulate's blocks of
 //! four spikes against the same spikes one at a time, the level epilogue
-//! (requantization and both pooling kinds) against the code it replaced,
+//! (requantization, both pooling kinds and the threshold drain) against
+//! the code it replaced,
 //! and the row-band tiling overhead on a VGG-11-shaped layer (the cost of
 //! running a layer under the 8 KiB tiled activation-buffer budget instead
 //! of untiled) — same-session ratios, which `bench_trend` gates against the
@@ -29,7 +30,7 @@ use snn_accel::reference::ReferenceConvolutionUnit;
 use snn_accel::units::EngineScratch;
 use snn_model::layer::PoolKind;
 use snn_model::packed::{Codes, PackedWeights};
-use snn_model::snn::requantize;
+use snn_model::snn::{requant_thresholds, requantize};
 use snn_tensor::simd::{self, scalar};
 use snn_tensor::{bitplane, ops, Tensor};
 use std::hint::black_box;
@@ -513,6 +514,54 @@ fn bench_requant(c: &mut Criterion) {
     });
 }
 
+/// The level epilogue of VGG-11's second convolution (128 channels over
+/// 16x16 positions, `T = 4`): the dispatched threshold drain from the
+/// channel-last `i32` rows to channel-last byte levels, against what it
+/// replaced — the widening transpose to `[O, H, W]` `i64` with the bias
+/// added, then `requantize` per element.
+fn bench_drain(c: &mut Criterion) {
+    let (lanes, positions) = (128usize, 16 * 16);
+    let sums: Vec<i32> = (0..lanes * positions)
+        .map(|v| ((v as i64 * 2654435761) % 4096 - 2048) as i32)
+        .collect();
+    let bias: Vec<i64> = (0..lanes as i64).map(|o| o * 7 - 300).collect();
+    let (scale, max_level) = (0.0073f32, 15);
+    let thresholds: Vec<i32> = requant_thresholds(scale, max_level)
+        .iter()
+        .map(|&t| t.min(i64::from(i32::MAX)) as i32)
+        .collect();
+    let narrow_bias: Vec<i32> = bias.iter().map(|&b| b as i32).collect();
+    let mut levels = vec![0u8; sums.len()];
+    c.bench_function("drain/vgg_conv2_16x16x128", |b| {
+        b.iter(|| {
+            simd::drain_levels(
+                black_box(&sums),
+                lanes,
+                &narrow_bias,
+                &thresholds,
+                &mut levels,
+            );
+            levels[0]
+        });
+    });
+    let mut planes = vec![0i64; sums.len()];
+    c.bench_function("drain_reference/vgg_conv2_16x16x128", |b| {
+        b.iter(|| {
+            let sums = black_box(&sums);
+            for (oc, plane) in planes.chunks_mut(positions).enumerate() {
+                for (position, out) in plane.iter_mut().enumerate() {
+                    *out = i64::from(sums[position * lanes + oc]) + bias[oc];
+                }
+            }
+            let r = black_box(scale);
+            for level in planes.iter_mut() {
+                *level = requantize(*level, r, max_level);
+            }
+            planes[0]
+        });
+    });
+}
+
 fn bench_linear_unit(c: &mut Criterion) {
     // LeNet-5 first fully-connected layer: 120 -> 120.
     let input = Tensor::from_vec(vec![120], (0..120).map(|v| (v % 16) as i64).collect())
@@ -589,6 +638,7 @@ criterion_group!(
     bench_simd_kernels,
     bench_pool_unit,
     bench_requant,
+    bench_drain,
     bench_linear_unit,
     bench_spike_blocks
 );
@@ -685,6 +735,11 @@ fn main() {
             "pool_max",
             "pool_unit/max_2x2_6x28x28",
             "pool_reference/max_2x2_6x28x28",
+        ),
+        (
+            "drain_vgg_conv2",
+            "drain/vgg_conv2_16x16x128",
+            "drain_reference/vgg_conv2_16x16x128",
         ),
     ] {
         let ratio = median(reference) / median(fast);

@@ -24,10 +24,13 @@
 //!   By the radix shift-and-add identity, folding the per-time-step binary
 //!   planes with a left shift per step is algebraically identical to
 //!   weighting each spiking pixel by its masked level
-//!   (`level & level_mask(T)`).  The engine walks the planes' OR-reduction
-//!   (the occupancy mask, [`snn_tensor::bitplane::Occupancy::from_levels`],
-//!   skipping silent rows 64 pixels per word) once into a flat
-//!   `(column, channel, level)` spike list, and then, for each spike, adds
+//!   (`level & level_mask(T)`).  The input map is channel-last, `[H, W,
+//!   C]` levels — bytes for trains of up to 8 steps, `i64` beyond (see
+//!   [`crate::units`]) — so a pixel's channels lie side by side: the engine
+//!   scans them once, up to 64 at a time as one spike mask
+//!   ([`snn_tensor::simd::spiking`]: compare with zero and movemask), into
+//!   a flat `(column, channel, level)` spike list, and then, for each
+//!   spike, adds
 //!   `level × W[ic, ky, kx, 0..O]` into the accumulator row of every output
 //!   position a `(kernel tap, output position)` pair covers it with — the
 //!   host-side picture of the paper's output-channel parallelism.  The
@@ -49,8 +52,15 @@
 //!   and loads and stores each accumulator lane once — the paper's output
 //!   logic, which sums over input channels before it writes back.  At
 //!   larger strides the same loop emits runs of one tap.  The accumulators
-//!   are channel-last too and are transposed to `[O, H, W]`, widened to
-//!   `i64` and bias added, once per call.  Wrapping integer sums are
+//!   are channel-last too, so the layer ends without a transpose: the
+//!   level epilogue (`units::Ending::finish`, one dispatched
+//!   [`snn_tensor::simd::drain_levels`] over all rows) adds the bias and
+//!   maps each sum to its level by the layer's requantisation thresholds,
+//!   writing the next layer's `[H, W, O]` input.  Only the frozen
+//!   `[C, H, W]` entries (and a classifier) end in the raw epilogue: the
+//!   sums transposed to `[O, H, W]`, widened to `i64` and biased.  Those
+//!   entries rearrange their input channel-last and run the same list
+//!   builder and scatter in the `i64` instantiation.  Wrapping integer sums are
 //!   associative and commutative, so neither the order of the spikes nor
 //!   their blocks change a bit: the result is bit-identical to the
 //!   cycle-stepped reference — including
@@ -60,10 +70,10 @@
 //!   are *modelled* (every cycle count comes from [`crate::timing`]), and
 //!   splitting the lanes over host threads measured slower than not, alone
 //!   and inside a batch (the numbers are in `ARCHITECTURE.md`), so the
-//!   host runs requests, not layers, in parallel.  Spike list, occupancy
-//!   words, reach tables and accumulator rows live in the caller's
-//!   [`EngineScratch`], so the layers of an inference allocate
-//!   them once.
+//!   host runs requests, not layers, in parallel.  Spike list, reach
+//!   tables, accumulator rows and the epilogue's staged biases and
+//!   thresholds live in the caller's [`EngineScratch`], so the layers of an
+//!   inference allocate them once.
 //! * **Datapath width** — the paper sizes its adders to the sums they can
 //!   hold, and so does the engine, twice.  An output position receives at
 //!   most one contribution per `(c, ky, kx)`, each at most
@@ -97,8 +107,9 @@
 //!   `adder_ops = C_out * Σ_pixels popcount(level & mask) * coverage(pixel)`.
 //!   The optional product-sparsity prepass (`product_sparsity_counts`)
 //!   is accounting only: it re-derives `adder_ops` and the two reuse
-//!   counters from an ic-major spike list it builds for itself, only when
-//!   enabled, and never touches the compute.  It links rows only within
+//!   counters from an ic-major spike list it builds for itself — from the
+//!   map rearranged channel-first and its occupancy words, rebuilt only
+//!   when it is enabled — and never touches the compute.  It links rows only within
 //!   one row band, so a layer under a tile plan runs it once per plan band
 //!   (over the whole map, the rows that feed none of the band's outputs
 //!   dropping out) and sums the counts.
@@ -107,7 +118,10 @@
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
-use crate::units::{unsupported, EngineScratch, KernelSource, Lane, LaneRows, UnitStats};
+use crate::units::{
+    channel_first, channel_last, map_dims, unsupported, Ending, EngineScratch, Epilogue,
+    KernelSource, Lane, LaneRows, Map, UnitStats,
+};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, ops, simd, Tensor};
@@ -221,6 +235,12 @@ impl Spike {
         }
     }
 
+    /// Records `count` spikes at this spike's pixel, this one the first.
+    fn set_count(&mut self, count: usize) {
+        debug_assert!(count <= SLICE && self.count() == 0);
+        self.channel_and_count |= (count as u32) << CHANNEL_BITS;
+    }
+
     fn channel(self) -> usize {
         (self.channel_and_count & ((1 << CHANNEL_BITS) - 1)) as usize
     }
@@ -246,8 +266,8 @@ pub(crate) struct SpikeRow {
 /// ranges into one buffer of [`Spike`]s — built once per band call.  The
 /// scatter's list is **pixel-major**: one row per `(channel group, input
 /// row)`, the groups ascending, and within a row the spikes ascend by
-/// `(channel slice, column, channel)`, so the spikes at one pixel sit side
-/// by side, their count recorded on the first.  The scatter cuts each such
+/// `(column, channel slice, channel)`, so the spikes of one pixel's slice
+/// sit side by side, their count recorded on the first.  The scatter cuts each such
 /// run into blocks of at most [`simd::BLOCK`]; a slice is at most
 /// [`SLICE`] channels of one group, so no block leaves its group.  The
 /// linear engine keeps its list of `(input neuron, masked level)` spikes
@@ -265,10 +285,97 @@ impl Spikes {
 }
 
 /// Channels whose spikes at one pixel the list builder gathers at a time:
-/// one `u64` of channel bits per column of a 64-column word.
+/// one `u64` spike mask of a pixel's channel levels.
 const SLICE: usize = 64;
 
-/// What a band's spike lists are built from: its occupancy and levels.
+/// Fills `spikes` with the scatter's pixel-major list (see [`Spikes`]) of
+/// the channel-last band `map` for groups of `channels_per_group` input
+/// channels, and returns the adder work of ONE output channel: each
+/// spike's set bits times the `(kernel tap, output)` pairs that cover it.
+/// A pixel's channels of a group lie side by side, so each slice of at
+/// most [`SLICE`] of them is one spike mask ([`simd::spiking`]), whose set
+/// bits hand the spiking channels out in ascending order, the count on
+/// the first.  Columns no output reads are skipped: they would add
+/// nothing.
+fn fill_pixel_major<L: simd::Level>(
+    map: Map<'_, L>,
+    mask: i64,
+    spikes: &mut Spikes,
+    channels_per_group: usize,
+    y_reach: &[Reach],
+    x_reach: &[Reach],
+) -> u64 {
+    spikes.rows.clear();
+    spikes.arena.clear();
+    let arena = &mut spikes.arena;
+    let mut spike_work = 0u64;
+    if map.c == 0 {
+        return 0;
+    }
+    // At most one spike per level: grow the arena once, not by doubling.
+    arena.reserve(map.levels.len());
+    for group in (0..map.c).step_by(channels_per_group) {
+        let group_end = group.saturating_add(channels_per_group).min(map.c);
+        for (iy, ys) in y_reach.iter().enumerate() {
+            if ys.count == 0 {
+                continue;
+            }
+            let start = arena.len();
+            let mut row_work = 0u64;
+            let row = &map.levels[iy * map.w * map.c..][..map.w * map.c];
+            if map.c == 1 {
+                // One channel (LeNet-5's first layer): the row is the list.
+                for (ix, (xs, &level)) in x_reach.iter().zip(row).enumerate() {
+                    let bits = level.spikes(mask);
+                    if bits != 0 && xs.count != 0 {
+                        row_work += u64::from(bits) * u64::from(xs.count);
+                        arena.push(Spike::new(ix, 0, level.into() & mask, 1));
+                    }
+                }
+            } else {
+                for (ix, (xs, pixel)) in x_reach.iter().zip(row.chunks_exact(map.c)).enumerate() {
+                    if xs.count == 0 {
+                        continue;
+                    }
+                    let mut bits = 0u64;
+                    let mut slice = group;
+                    while slice < group_end {
+                        let levels = &pixel[slice..(slice + SLICE).min(group_end)];
+                        let mut members = simd::spiking(levels, mask);
+                        if members != 0 {
+                            let first = arena.len();
+                            while members != 0 {
+                                let k = members.trailing_zeros() as usize;
+                                members &= members - 1;
+                                bits += u64::from(levels[k].spikes(mask));
+                                arena.push(Spike::new(ix, slice + k, levels[k].into() & mask, 0));
+                            }
+                            let count = arena.len() - first;
+                            arena[first].set_count(count);
+                        }
+                        slice += SLICE;
+                    }
+                    row_work += bits * u64::from(xs.count);
+                }
+            }
+            if arena.len() == start {
+                continue;
+            }
+            spike_work += u64::from(ys.count) * row_work;
+            spikes.rows.push(SpikeRow {
+                ic: group,
+                iy,
+                start,
+                end: arena.len(),
+            });
+        }
+    }
+    spike_work
+}
+
+/// What the product-sparsity accounting reads of a band: its levels
+/// channel-first and their occupancy, rebuilt from the channel-last map
+/// only when the accounting runs.
 struct BandSpikes<'a> {
     occupancy: &'a bitplane::Occupancy,
     levels: &'a [i64],
@@ -282,104 +389,6 @@ impl BandSpikes<'_> {
     /// The levels of input channel `ic`'s band row `iy`.
     fn row(&self, ic: usize, iy: usize) -> &[i64] {
         &self.levels[(ic * self.band_h + iy) * self.w..][..self.w]
-    }
-
-    /// Fills `spikes` with the scatter's pixel-major list (see [`Spikes`])
-    /// for groups of `channels_per_group` input channels, and returns the
-    /// adder work of ONE output channel: each spike's set bits times the
-    /// `(kernel tap, output)` pairs that cover it.
-    fn fill_pixel_major(
-        &self,
-        spikes: &mut Spikes,
-        channels_per_group: usize,
-        y_reach: &[Reach],
-        x_reach: &[Reach],
-    ) -> u64 {
-        spikes.rows.clear();
-        spikes.arena.clear();
-        let mut spike_work = 0u64;
-        // Channel bits per column of one word, all zero between words.
-        let mut channels = [0u64; bitplane::WORD_BITS];
-        for group in (0..self.c_in).step_by(channels_per_group) {
-            let group_end = group.saturating_add(channels_per_group).min(self.c_in);
-            for (iy, ys) in y_reach.iter().enumerate() {
-                if ys.count == 0 {
-                    continue;
-                }
-                let start = spikes.arena.len();
-                let mut row_work = 0u64;
-                for slice in (group..group_end).step_by(SLICE) {
-                    let slice = slice..(slice + SLICE).min(group_end);
-                    row_work +=
-                        self.push_slice(&mut spikes.arena, slice, iy, x_reach, &mut channels);
-                }
-                if spikes.arena.len() == start {
-                    continue;
-                }
-                spike_work += u64::from(ys.count) * row_work;
-                spikes.rows.push(SpikeRow {
-                    ic: group,
-                    iy,
-                    start,
-                    end: spikes.arena.len(),
-                });
-            }
-        }
-        spike_work
-    }
-
-    /// Appends the spikes of the channels `slice` (at most [`SLICE`]) at
-    /// input row `iy`, ascending by `(column, channel)` with each pixel's
-    /// count on its first spike, and returns their adder work.  A word of columns at a time, each
-    /// channel's occupancy word marks its channel bit at every column it
-    /// spikes in, and the set columns of the slice's OR then hand their
-    /// channels out in ascending order, taking the bits back out of
-    /// `channels`.  One channel's occupancy row is pixel-major already.
-    fn push_slice(
-        &self,
-        arena: &mut Vec<Spike>,
-        slice: std::ops::Range<usize>,
-        iy: usize,
-        x_reach: &[Reach],
-        channels: &mut [u64; bitplane::WORD_BITS],
-    ) -> u64 {
-        let mut work = 0u64;
-        // Single-channel layers (LeNet-5's first) skip the transposition.
-        if slice.len() == 1 {
-            let (ic, levels) = (slice.start, self.row(slice.start, iy));
-            bitplane::for_each_set_bit(self.occupancy.row(ic * self.band_h + iy), 0, |ix| {
-                let level = levels[ix] & self.mask;
-                work += u64::from(level.count_ones()) * u64::from(x_reach[ix].count);
-                arena.push(Spike::new(ix, ic, level, 1));
-            });
-            return work;
-        }
-        for word in 0..bitplane::words_per_row(self.w) {
-            let mut any = 0u64;
-            for ic in slice.clone() {
-                let bits = self.occupancy.row(ic * self.band_h + iy)[word];
-                any |= bits;
-                bitplane::for_each_set_bit(&[bits], 0, |bit| {
-                    channels[bit] |= 1 << (ic - slice.start);
-                });
-            }
-            bitplane::for_each_set_bit(&[any], 0, |bit| {
-                let ix = word * bitplane::WORD_BITS + bit;
-                let mut members = std::mem::take(&mut channels[bit]);
-                let count = members.count_ones() as usize;
-                let reach = u64::from(x_reach[ix].count);
-                let first = (slice.start * self.band_h + iy) * self.w + ix;
-                let plane = self.band_h * self.w;
-                arena.extend((0..count).map(|nth| {
-                    let k = members.trailing_zeros() as usize;
-                    members &= members - 1;
-                    let level = self.levels[first + k * plane] & self.mask;
-                    work += u64::from(level.count_ones()) * reach;
-                    Spike::new(ix, slice.start + k, level, if nth == 0 { count } else { 0 })
-                }));
-            });
-        }
-        work
     }
 
     /// The band's spikes ic-major: one row per non-silent `(channel, input
@@ -579,7 +588,6 @@ const TAP_BATCH: usize = 32;
 struct ScatterJob<'a> {
     weights: &'a PackedWeights,
     spikes: &'a Spikes,
-    bias: &'a [i64],
     y_reach: &'a [Reach],
     x_reach: &'a [Reach],
     stride: usize,
@@ -589,11 +597,11 @@ struct ScatterJob<'a> {
 
 /// The one scatter loop: every block of spikes at one pixel adds its
 /// members' levels times their packed weight rows (of element `W`) into
-/// the accumulator row of each output position the pixel covers; the
-/// result is `[O, out_h, w_out]` with the bias added.  The rows are
-/// channel-last, `[position][lane]`.  The pixel-major list ([`Spikes`])
-/// records how many spikes each pixel has, so the loop reads where a
-/// pixel's spikes end and cuts them into blocks without searching.
+/// the accumulator row of each output position the pixel covers, and the
+/// rows end as `end` says ([`Ending::finish`]).  The rows are channel-last,
+/// `[position][lane]`.  The pixel-major list ([`Spikes`]) records how many
+/// spikes each pixel has, so the loop reads where a pixel's spikes end and
+/// cuts them into blocks without searching.
 ///
 /// The spikes scatter into rows of element `S`.  With `group: None` those
 /// are the layer's sums themselves (`A` is then `S`, and unused).  With
@@ -602,22 +610,22 @@ struct ScatterJob<'a> {
 /// and the list built for groups of `g` — which are widen-added into rows
 /// of element `A` whenever the spike rows cross into the next group, and
 /// after the last.
-fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
+fn scatter<W: simd::WeightLane, S: Lane, A: Lane, L: simd::Level>(
     job: &ScatterJob<'_>,
     codes: &[W],
     group: Option<usize>,
     rows: &mut LaneRows,
-) -> Tensor<i64> {
+    end: Ending<'_, L>,
+) {
     let &ScatterJob {
         weights,
         spikes,
-        bias,
         y_reach,
         out_h,
         w_out,
         ..
     } = job;
-    let (c_out, lanes) = (weights.c_out(), weights.lanes());
+    let lanes = weights.lanes();
     let out_positions = out_h * w_out;
     let mut sums = rows.take::<S>(out_positions * lanes);
     let mut wide = rows.take::<A>(group.map_or(0, |_| out_positions * lanes));
@@ -637,18 +645,14 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
         }
     }
 
-    // Widen, transpose to `[O, H_out, W_out]` and add the bias, once.
-    let mut accumulators = Tensor::filled(vec![c_out, out_h, w_out], 0i64);
-    let planes = accumulators.as_mut_slice();
     match group {
-        Some(_) => transpose(&wide, planes, lanes, out_positions, bias),
-        None => transpose(&sums, planes, lanes, out_positions, bias),
+        Some(_) => end.finish(&wide, lanes, rows),
+        None => end.finish(&sums, lanes, rows),
     }
     // `wide` first: where `A` is `S` it is the empty stand-in, and the row
     // worth keeping is `sums`.
     rows.give(wide);
     rows.give(sums);
-    accumulators
 }
 
 /// The spikes at one pixel (input row `ys`, the column of `pixel[0]`):
@@ -734,23 +738,6 @@ fn block_axpy<const N: usize, W: simd::WeightLane, S: Lane>(
         std::array::from_fn(|m| &codes[block[m].channel() * channel_len..][..channel_len]);
     let levels: [S; N] = std::array::from_fn(|m| S::from_level(block[m].level));
     simd::axpy_taps(sums, channels, taps, width, levels);
-}
-
-/// The widening transpose that ends a scatter: channel-last
-/// `[position][lane]` rows to `[O, positions]` planes, bias added.
-fn transpose<E: Copy + Into<i64>>(
-    rows: &[E],
-    planes: &mut [i64],
-    lanes: usize,
-    out_positions: usize,
-    bias: &[i64],
-) {
-    for (oc, plane) in planes.chunks_mut(out_positions).enumerate() {
-        let bias = bias[oc];
-        for (position, out) in plane.iter_mut().enumerate() {
-            *out = rows[position * lanes + oc].into() + bias;
-        }
-    }
 }
 
 impl ConvolutionUnit {
@@ -868,14 +855,13 @@ impl ConvolutionUnit {
         padding: usize,
         scratch: &mut EngineScratch,
     ) -> Result<ConvResult> {
-        self.run(
+        self.run_raw(
             input_levels,
             weights,
             bias_acc,
             time_steps,
             stride,
             padding,
-            None,
             None,
             scratch,
         )
@@ -931,7 +917,7 @@ impl ConvolutionUnit {
         padding: usize,
         band: &RowBand,
     ) -> Result<ConvResult> {
-        self.run(
+        self.run_raw(
             band_levels,
             &*kernel_codes.packed(PackedWeights::from_conv)?,
             bias_acc,
@@ -939,19 +925,15 @@ impl ConvolutionUnit {
             stride,
             padding,
             Some(band),
-            None,
             &mut EngineScratch::new(),
         )
     }
 
-    /// The one execution path: the row band `band` of a layer (`None`: the
-    /// whole layer) from its input rows `band_levels`, with the
-    /// product-sparsity accounting run once per band of `accounting` (a
-    /// partition of the band's output rows — a layer's tile plan; `None`:
-    /// the band itself) and summed.  The accounting links rows only within
-    /// one band, so it is the one counter the partition changes.
+    /// The entries' path: `[C, H, W]` levels rearranged channel-last, the
+    /// one execution path in its `i64` instantiation, and the raw sums as
+    /// `[O, H_out, W_out]` accumulators.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run(
+    fn run_raw(
         &self,
         band_levels: &Tensor<i64>,
         weights: &PackedWeights,
@@ -960,14 +942,68 @@ impl ConvolutionUnit {
         stride: usize,
         padding: usize,
         band: Option<&RowBand>,
-        accounting: Option<&[RowBand]>,
         scratch: &mut EngineScratch,
     ) -> Result<ConvResult> {
-        let &[c_in, band_h, w] = band_levels.shape().dims() else {
-            return Err(unsupported(
-                "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels".to_string(),
-            ));
+        let [c, h, w] = map_dims(
+            band_levels,
+            "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels",
+        )?;
+        let mut levels = Vec::new();
+        channel_last(band_levels.as_slice(), c, h, w, &mut levels, |level| level);
+        let input = Map {
+            levels: &levels,
+            h,
+            w,
+            c,
         };
+        let mut sums = Vec::new();
+        let (stats, [out_h, w_out]) = self.run(
+            input,
+            weights,
+            bias_acc,
+            time_steps,
+            stride,
+            padding,
+            band,
+            None,
+            scratch,
+            Epilogue::Raw(&mut sums),
+        )?;
+        Ok(ConvResult {
+            accumulators: Tensor::from_vec(vec![weights.c_out(), out_h, w_out], sums)
+                .map_err(AccelError::Tensor)?,
+            stats,
+        })
+    }
+
+    /// The one execution path: the row band `band` of a layer (`None`: the
+    /// whole layer) from its channel-last input rows `input`, ending in
+    /// `epilogue`, with the product-sparsity accounting run once per band
+    /// of `accounting` (a partition of the band's output rows — a layer's
+    /// tile plan; `None`: the band itself) and summed.  The accounting
+    /// links rows only within one band, so it is the one counter the
+    /// partition changes.  Returns the counters and the output rows and
+    /// columns.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<L: simd::Level>(
+        &self,
+        input: Map<'_, L>,
+        weights: &PackedWeights,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        stride: usize,
+        padding: usize,
+        band: Option<&RowBand>,
+        accounting: Option<&[RowBand]>,
+        scratch: &mut EngineScratch,
+        epilogue: Epilogue<'_, L>,
+    ) -> Result<(UnitStats, [usize; 2])> {
+        let Map {
+            h: band_h,
+            w,
+            c: c_in,
+            ..
+        } = input;
         let band = match band {
             Some(band) => *band,
             None => {
@@ -1064,18 +1100,17 @@ impl ConvolutionUnit {
         let w_out = (w + 2 * padding - kc) / stride + 1;
         let out_h = band.out_rows();
 
-        let in_data = band_levels.as_slice();
         let mask = bitplane::level_mask(time_steps);
 
         // Which outputs, through which kernel taps, each input coordinate
         // feeds — shared by the statistics and the scatter loop.  Row reach
         // is band-local; column reach spans the full width.
         let EngineScratch {
-            occupancy,
             spikes,
             y_reach,
             x_reach,
             rows,
+            drain,
         } = scratch;
         Reach::fill_axis(
             y_reach,
@@ -1100,21 +1135,17 @@ impl ConvolutionUnit {
             _ => None,
         };
 
-        // --- One walk over the occupancy (the planes' OR-reduction, silent
-        // rows skipped a word at a time) gathers the pixel-major spike list
-        // the scatter walks and, folded into it, the popcount behind the
-        // data-dependent adder activity. ---
-        occupancy.refill(in_data, c_in * band_h, w, time_steps);
-        let band_spikes = BandSpikes {
-            occupancy,
-            levels: in_data,
+        // --- One walk over the pixels' channel levels gathers the
+        // pixel-major spike list the scatter walks and, folded into it,
+        // the popcount behind the data-dependent adder activity. ---
+        let spike_work = fill_pixel_major(
+            input,
             mask,
-            c_in,
-            band_h,
-            w,
-        };
-        let spike_work =
-            band_spikes.fill_pixel_major(spikes, group.unwrap_or(c_in).max(1), y_reach, x_reach);
+            spikes,
+            group.unwrap_or(c_in).max(1),
+            y_reach,
+            x_reach,
+        );
 
         // --- Statistics: closed-form schedule counts plus the popcount
         // above; product sparsity re-derives `adder_ops` to mirror the
@@ -1132,6 +1163,19 @@ impl ConvolutionUnit {
             band.is_first(),
         );
         if self.product_sparsity {
+            // The accounting compares channel rows: rebuild them
+            // channel-first, with their occupancy.
+            let mut levels = Vec::new();
+            channel_first(input.levels, band_h * w, c_in, &mut levels, Into::into);
+            let occupancy = bitplane::Occupancy::from_levels(&levels, c_in * band_h, w, time_steps);
+            let band_spikes = BandSpikes {
+                occupancy: &occupancy,
+                levels: &levels,
+                mask,
+                c_in,
+                band_h,
+                w,
+            };
             // Per accounting band: only the rows that feed its outputs.
             stats.adder_ops = 0;
             let mut scope_reach = Vec::new();
@@ -1152,29 +1196,25 @@ impl ConvolutionUnit {
             }
         }
 
-        // --- Compute. ---
+        // --- Compute, and the epilogue. ---
         let job = ScatterJob {
             weights,
             spikes,
-            bias: bias_acc.as_slice(),
             y_reach,
             x_reach,
             stride,
             out_h,
             w_out,
         };
-        let accumulators = match (weights.codes(), narrow, group) {
-            (Codes::I8(codes), _, Some(_)) => scatter::<_, i16, i32>(&job, codes, group, rows),
-            (Codes::I8(codes), true, None) => scatter::<_, i32, i32>(&job, codes, None, rows),
-            (Codes::I8(codes), false, None) => scatter::<_, i64, i64>(&job, codes, None, rows),
-            (Codes::I16(codes), true, _) => scatter::<_, i32, i32>(&job, codes, None, rows),
-            (Codes::I16(codes), false, _) => scatter::<_, i64, i64>(&job, codes, None, rows),
-        };
-
-        Ok(ConvResult {
-            accumulators,
-            stats,
-        })
+        let e = Ending::new(weights, time_steps, bias_acc.as_slice(), epilogue, drain);
+        match (weights.codes(), narrow, group) {
+            (Codes::I8(c), _, Some(_)) => scatter::<_, i16, i32, L>(&job, c, group, rows, e),
+            (Codes::I8(c), true, None) => scatter::<_, i32, i32, L>(&job, c, None, rows, e),
+            (Codes::I8(c), false, None) => scatter::<_, i64, i64, L>(&job, c, None, rows, e),
+            (Codes::I16(c), true, _) => scatter::<_, i32, i32, L>(&job, c, None, rows, e),
+            (Codes::I16(c), false, _) => scatter::<_, i64, i64, L>(&job, c, None, rows, e),
+        }
+        Ok((stats, [out_h, w_out]))
     }
 
     /// Row slots of the static schedule: one per `(output row, tile,
@@ -1290,21 +1330,18 @@ mod tests {
     /// block sizes at each pixel in order.
     fn block_sizes(c_in: usize, group: usize) -> Vec<(usize, Vec<Vec<usize>>)> {
         let (h, w) = (2usize, 5usize);
-        let levels: Vec<i64> = (0..c_in * h * w).map(|i| (i % 7 + 1) as i64).collect();
-        let occupancy = bitplane::Occupancy::from_levels(&levels, c_in * h, w, 4);
-        let band = BandSpikes {
-            occupancy: &occupancy,
+        let levels: Vec<u8> = (0..c_in * h * w).map(|i| (i % 7 + 1) as u8).collect();
+        let map = Map {
             levels: &levels,
-            mask: 15,
-            c_in,
-            band_h: h,
+            h,
             w,
+            c: c_in,
         };
         let (mut y_reach, mut x_reach) = (Vec::new(), Vec::new());
         Reach::fill_axis(&mut y_reach, 0..h, 1, 0..h, 1, 0);
         Reach::fill_axis(&mut x_reach, 0..w, 1, 0..w, 1, 0);
         let mut spikes = Spikes::default();
-        band.fill_pixel_major(&mut spikes, group, &y_reach, &x_reach);
+        fill_pixel_major(map, 15, &mut spikes, group, &y_reach, &x_reach);
         spikes
             .rows
             .iter()
@@ -1328,6 +1365,136 @@ mod tests {
                 (row.ic, pixels)
             })
             .collect()
+    }
+
+    /// One row of a spike list: its first channel, its input row and its
+    /// spikes as `(column, channel, masked level, count)`.
+    type ListRow = (usize, usize, Vec<(u32, usize, i64, usize)>);
+
+    /// The pixel-major list built straight from `[C, H, W]` levels, one
+    /// level at a time: per `(group, input row)` that an output row reads,
+    /// per column an output reads, per slice of at most [`SLICE`] of the
+    /// group's channels, the spiking channels ascending with the count on
+    /// the first — and the adder work of one output channel.
+    fn oracle_list(
+        chw: &[i64],
+        [c, h, w]: [usize; 3],
+        mask: i64,
+        group: usize,
+        y_reach: &[Reach],
+        x_reach: &[Reach],
+    ) -> (Vec<ListRow>, u64) {
+        let mut rows = Vec::new();
+        let mut work = 0u64;
+        for first in (0..c).step_by(group) {
+            let end = (first + group).min(c);
+            for iy in (0..h).filter(|&iy| y_reach[iy].count > 0) {
+                let mut row = Vec::new();
+                for ix in (0..w).filter(|&ix| x_reach[ix].count > 0) {
+                    for slice in (first..end).step_by(SLICE) {
+                        let spiking: Vec<usize> = (slice..(slice + SLICE).min(end))
+                            .filter(|&ch| chw[(ch * h + iy) * w + ix] & mask != 0)
+                            .collect();
+                        for (nth, &ch) in spiking.iter().enumerate() {
+                            let level = chw[(ch * h + iy) * w + ix] & mask;
+                            let reach = u64::from(x_reach[ix].count * y_reach[iy].count);
+                            work += u64::from(level.count_ones()) * reach;
+                            let count = if nth == 0 { spiking.len() } else { 0 };
+                            row.push((ix as u32, ch, level, count));
+                        }
+                    }
+                }
+                if !row.is_empty() {
+                    rows.push((first, iy, row));
+                }
+            }
+        }
+        (rows, work)
+    }
+
+    /// The list the engine builds from the channel-last map in element `L`.
+    fn byte_built_list<L: simd::Level>(
+        hwc: &[L],
+        [c, h, w]: [usize; 3],
+        mask: i64,
+        group: usize,
+        y_reach: &[Reach],
+        x_reach: &[Reach],
+    ) -> (Vec<ListRow>, u64) {
+        let map = Map {
+            levels: hwc,
+            h,
+            w,
+            c,
+        };
+        let mut spikes = Spikes::default();
+        let work = fill_pixel_major(map, mask, &mut spikes, group, y_reach, x_reach);
+        let rows = spikes
+            .rows
+            .iter()
+            .map(|row| {
+                let list = spikes.of(row);
+                let list = list.iter().map(|s| (s.at, s.channel(), s.level, s.count()));
+                (row.ic, row.iy, list.collect())
+            })
+            .collect();
+        (rows, work)
+    }
+
+    #[test]
+    fn the_byte_built_spike_list_is_the_channel_first_oracle_list() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Channel counts inside one slice, across the 64-channel slices and
+        // groups that end mid-slice; stride, padding and kernel reach that
+        // leave rows and columns unread.
+        let shapes = [
+            (1usize, 1usize),
+            (3, 3),
+            (7, 3),
+            (64, 64),
+            (65, 60),
+            (130, 130),
+            (130, 64),
+        ];
+        for (case, &(c, group)) in shapes.iter().enumerate() {
+            for (t, stride, padding) in [(1usize, 1usize, 0usize), (4, 2, 1), (8, 1, 2), (9, 3, 0)]
+            {
+                let (h, w, kernel) = (5usize, 9usize, 3usize);
+                let mask = bitplane::level_mask(t);
+                // A third of the levels silent; the rest anywhere up to the
+                // train's top level (255 at T = 8).
+                let chw: Vec<i64> = (0..c * h * w)
+                    .map(|_| match next() % 3 {
+                        0 => 0,
+                        _ => (next() as i64) & mask,
+                    })
+                    .collect();
+                let (mut y_reach, mut x_reach) = (Vec::new(), Vec::new());
+                let h_out = (h + 2 * padding - kernel) / stride + 1;
+                let w_out = (w + 2 * padding - kernel) / stride + 1;
+                Reach::fill_axis(&mut y_reach, 0..h, kernel, 0..h_out, stride, padding);
+                Reach::fill_axis(&mut x_reach, 0..w, kernel, 0..w_out, stride, padding);
+                let dims = [c, h, w];
+                let oracle = oracle_list(&chw, dims, mask, group, &y_reach, &x_reach);
+                assert!(oracle.1 > 0, "case {case}: the map spikes");
+                let mut wide = Vec::new();
+                channel_last(&chw, c, h, w, &mut wide, |level| level);
+                let built = byte_built_list(&wide, dims, mask, group, &y_reach, &x_reach);
+                assert_eq!(built, oracle, "i64, case {case}, T = {t}");
+                if t <= 8 {
+                    let mut bytes = Vec::new();
+                    channel_last(&chw, c, h, w, &mut bytes, |level| level as u8);
+                    let built = byte_built_list(&bytes, dims, mask, group, &y_reach, &x_reach);
+                    assert_eq!(built, oracle, "u8, case {case}, T = {t}");
+                }
+            }
+        }
     }
 
     #[test]

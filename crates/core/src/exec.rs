@@ -2,9 +2,33 @@
 //!
 //! `execute` walks the compiled [`Program`] one layer at a time on the
 //! calling thread.  Each layer runs once, on its processing-unit model,
-//! over the whole input map; its output becomes the next layer's input,
-//! held in one local; a unit's error is stamped with the index of the
-//! layer it failed on.  The conv and linear units execute from the layers'
+//! over the whole input map; its output becomes the next layer's input; a
+//! unit's error is stamped with the index of the layer it failed on.
+//!
+//! # Activations between layers
+//!
+//! The paper's activation buffers hold each activation as its `T`-bit
+//! radix spike train, and so does the executor: the maps between layers
+//! are channel-last `[H, W, C]` levels (a vector after a flatten) in the
+//! narrowest element the train allows — `u8` for trains of up to
+//! [`MAX_THRESHOLD_STEPS`] steps whose every hidden conv and linear layer
+//! requantises, `i64` otherwise — in two buffers sized once for the
+//! largest map and swapped layer by layer.  It is one loop with two
+//! instantiations, chosen from the model before the first layer.  A conv or
+//! linear layer ends in the level epilogue, which writes the next layer's
+//! levels straight from the channel-last accumulator rows: bias added, and
+//! each sum's level the number of the layer's requantisation thresholds
+//! ([`SnnModel::thresholds`], derived from `requantize` when the model is
+//! built) it reaches.  Trains longer than [`MAX_THRESHOLD_STEPS`] hold no
+//! thresholds, and their levels are `requantize` itself.  The next
+//! convolution builds its spike list from each pixel's contiguous
+//! channel levels, pooling folds whole channel vectors, and flatten is
+//! free at one pixel (LeNet-5, VGG-11) and a gather into the channel-first
+//! order the classifier's weight rows expect otherwise.  The last layer
+//! yields the raw `i64` logits.  The frozen `[C, H, W]` entries of the
+//! units rearrange at their boundary and run the same code in `i64`.
+//!
+//! The conv and linear units execute from the layers'
 //! channel-last packed weights ([`SnnLayer::weights`]), so an inference
 //! packs nothing, and there is no host parallelism below this loop: one
 //! inference is one thread, and the only fan-out is across requests (the
@@ -45,9 +69,12 @@ use crate::memory::{LayerTiling, MemoryTraffic};
 use crate::pool::PoolingUnit;
 use crate::report::{LayerExecution, RunReport, UnitUtilisation};
 use crate::timing::{ConvGroupPlan, StageKind};
-use crate::units::{EngineScratch, UnitStats};
+use crate::units::{
+    channel_first, channel_last, unsupported, Activation, EngineScratch, Epilogue, Map, Requant,
+    UnitStats,
+};
 use crate::{AccelError, Result};
-use snn_model::snn::{requantize, SnnLayer, SnnModel};
+use snn_model::snn::{SnnLayer, SnnModel, MAX_THRESHOLD_STEPS};
 use snn_tensor::Tensor;
 
 /// The instantiated processing units of one accelerator.
@@ -70,44 +97,110 @@ impl Units {
     }
 }
 
+/// The shape of the activations between two layers.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `h × w` pixels of `c` channels, channel-last.
+    Map { h: usize, w: usize, c: usize },
+    /// A vector of levels.
+    Flat,
+}
+
+/// The activations one layer hands the next: levels in the executor's
+/// element, or — after a layer without requantisation — raw sums,
+/// channel-first.
+enum Output {
+    /// Levels written to the output buffer.
+    Written(Shape),
+    /// The input levels themselves, reshaped.
+    Kept(Shape),
+    /// Raw sums.
+    Raw(Vec<i64>, Shape),
+}
+
 /// Executes one inference over a compiled program: the strictly
-/// sequential layer loop, each layer run once over its whole input.
+/// sequential layer loop, each layer run once over its whole input.  The
+/// activations between layers are channel-last levels in bytes where
+/// every one fits a byte — a train of at most [`MAX_THRESHOLD_STEPS`]
+/// steps, every hidden conv and linear layer requantising — and in `i64`
+/// otherwise: one loop, two instantiations.
 pub(crate) fn execute(
     config: &AcceleratorConfig,
     model: &SnnModel,
     program: &Program,
     input_levels: Tensor<i64>,
 ) -> Result<RunReport> {
-    let max_level = model.max_level();
+    let layers = model.layers();
+    let hidden = &layers[..layers.len().saturating_sub(1)];
+    let requantised = |layer: &SnnLayer| {
+        !matches!(
+            layer,
+            SnnLayer::Conv { requant: None, .. } | SnnLayer::Linear { requant: None, .. }
+        )
+    };
+    if model.time_steps() <= MAX_THRESHOLD_STEPS && hidden.iter().all(requantised) {
+        execute_as::<u8>(config, model, program, &input_levels)
+    } else {
+        execute_as::<i64>(config, model, program, &input_levels)
+    }
+}
+
+/// [`execute`] with the activations held in `L`.
+fn execute_as<L: Activation>(
+    config: &AcceleratorConfig,
+    model: &SnnModel,
+    program: &Program,
+    input_levels: &Tensor<i64>,
+) -> Result<RunReport> {
     let time_steps = model.time_steps();
     let units = Units::from_config(config);
 
-    // The activations the next layer reads: the encoded input, then each
-    // layer's output in turn.
-    let mut current = input_levels;
+    // The activations the next layer reads, and the buffer the layer
+    // writes: sized once for the largest map, then swapped layer by layer.
+    let largest = program
+        .steps
+        .iter()
+        .map(|step| step.out_shape.iter().product::<usize>())
+        .fold(input_levels.len(), usize::max);
+    let mut current: Vec<L> = Vec::with_capacity(largest);
+    let mut next: Vec<L> = Vec::with_capacity(largest);
+    let mut shape = match *input_levels.shape().dims() {
+        [c, h, w] => {
+            channel_last(input_levels.as_slice(), c, h, w, &mut current, L::from_raw);
+            Shape::Map { h, w, c }
+        }
+        _ => {
+            current.extend(input_levels.iter().map(|&level| L::from_raw(level)));
+            Shape::Flat
+        }
+    };
+    let mut logits = None;
     let mut layers = Vec::with_capacity(program.steps.len());
     let mut traffic = MemoryTraffic::default();
     // The engines' working memory: sized by the first layer, reused by
     // every layer after it.
     let mut scratch = EngineScratch::new();
 
-    for (index, (step, layer)) in program.steps.iter().zip(model.layers()).enumerate() {
-        let (next, work) = execute_layer(
-            &units,
-            layer,
-            step,
-            current,
-            time_steps,
-            max_level,
-            &mut scratch,
-        )
-        .map_err(|e| match e {
+    let stamp = |index: usize| {
+        move |e| match e {
             AccelError::UnsupportedLayer { context, .. } => AccelError::UnsupportedLayer {
                 layer: index,
                 context,
             },
             other => other,
-        })?;
+        }
+    };
+    for (index, step) in program.steps.iter().enumerate() {
+        let (output, work) = execute_layer(
+            &units,
+            model,
+            index,
+            step,
+            (&current, shape),
+            &mut next,
+            &mut scratch,
+        )
+        .map_err(stamp(index))?;
         traffic.activation_reads += work.activation_reads;
         traffic.weight_reads += work.kernel_reads;
         traffic.activation_writes += work.output_writes;
@@ -121,10 +214,42 @@ pub(crate) fn execute(
             latency_cycles: step.timing.total_cycles(),
             work,
         });
-        current = next;
+        let last = index + 1 == program.steps.len();
+        match output {
+            Output::Written(out) => {
+                std::mem::swap(&mut current, &mut next);
+                shape = out;
+            }
+            Output::Kept(out) => shape = out,
+            Output::Raw(sums, out) if last => {
+                logits = Some(sums);
+                shape = out;
+            }
+            Output::Raw(sums, out) => {
+                // A hidden layer without requantisation hands its raw sums
+                // on; only the `i64` instantiation runs such a model.
+                match out {
+                    Shape::Map { h, w, c } => {
+                        channel_last(&sums, c, h, w, &mut current, L::from_raw);
+                    }
+                    Shape::Flat => {
+                        current.clear();
+                        current.extend(sums.iter().map(|&sum| L::from_raw(sum)));
+                    }
+                }
+                shape = out;
+            }
+        }
     }
 
-    let logits = current;
+    let logits = logits.unwrap_or_else(|| match shape {
+        Shape::Map { h, w, c } => {
+            let mut logits = Vec::new();
+            channel_first(&current, h * w, c, &mut logits, Into::into);
+            logits
+        }
+        Shape::Flat => current.iter().map(|&level| level.into()).collect(),
+    });
     let prediction = logits
         .iter()
         .enumerate()
@@ -142,7 +267,7 @@ pub(crate) fn execute(
 
     Ok(RunReport {
         prediction,
-        logits: logits.into_vec(),
+        logits,
         layers,
         time_steps,
         traffic,
@@ -151,73 +276,152 @@ pub(crate) fn execute(
     })
 }
 
-/// Executes one layer whole, on its unit.
-fn execute_layer(
+/// Executes layer `index` whole, on its unit, from `input` into `out`
+/// (levels) or into the raw sums it returns.
+fn execute_layer<L: Activation>(
     units: &Units,
-    layer: &SnnLayer,
+    model: &SnnModel,
+    index: usize,
     step: &LayerProgram,
-    current: Tensor<i64>,
-    time_steps: usize,
-    max_level: i64,
+    (input, shape): (&[L], Shape),
+    out: &mut Vec<L>,
     scratch: &mut EngineScratch,
-) -> Result<(Tensor<i64>, UnitStats)> {
-    match layer {
+) -> Result<(Output, UnitStats)> {
+    let time_steps = model.time_steps();
+    let requant = |scale: Option<f32>| {
+        scale.map(|scale| match model.thresholds(index) {
+            Some(thresholds) => Requant::Thresholds(thresholds),
+            None => Requant::Scale {
+                scale,
+                max_level: model.max_level(),
+            },
+        })
+    };
+    let mut raw = Vec::new();
+    match &model.layers()[index] {
         SnnLayer::Conv {
             weight_codes: weights,
             bias_acc,
             stride,
             padding,
-            requant,
+            requant: scale,
         } => {
+            let Shape::Map { h, w, c } = shape else {
+                return Err(unsupported(
+                    "convolution unit expects [C,H,W] inputs and [O,C,K,K] kernels".to_string(),
+                ));
+            };
             // The plan's bands scope only the product-sparsity accounting.
             let bands = match &step.tiling {
                 Some(LayerTiling::RowBands { bands, .. }) => Some(bands.as_slice()),
                 _ => None,
             };
-            let result = units.conv.run(
-                &current, weights, bias_acc, time_steps, *stride, *padding, None, bands, scratch,
+            let map = Map {
+                levels: input,
+                h,
+                w,
+                c,
+            };
+            let (stats, [h, w]) = units.conv.run(
+                map,
+                weights,
+                bias_acc,
+                time_steps,
+                *stride,
+                *padding,
+                None,
+                bands,
+                scratch,
+                epilogue(requant(*scale), out, &mut raw),
             )?;
-            let levels = apply_requant(result.accumulators, *requant, max_level);
-            Ok((levels, result.stats))
+            let out_shape = Shape::Map {
+                h,
+                w,
+                c: weights.c_out(),
+            };
+            Ok((finished(scale.is_some(), raw, out_shape), stats))
         }
         SnnLayer::Linear {
             weight_codes: weights,
             bias_acc,
-            requant,
+            requant: scale,
         } => {
-            let result = units
-                .linear
-                .run_packed(&current, weights, bias_acc, time_steps, scratch)?;
-            let levels = apply_requant(result.accumulators, *requant, max_level);
-            Ok((levels, result.stats))
+            let Shape::Flat = shape else {
+                return Err(unsupported(
+                    "linear unit expects a [N] input and [O, N] weights".to_string(),
+                ));
+            };
+            let all = weights.c_out().max(1);
+            let stats = units.linear.run_chunks(
+                input,
+                weights,
+                bias_acc,
+                time_steps,
+                all,
+                scratch,
+                epilogue(requant(*scale), out, &mut raw),
+            )?;
+            let out_shape = Shape::Flat;
+            Ok((finished(scale.is_some(), raw, out_shape), stats))
         }
         SnnLayer::Pool { kind, window } => {
-            let result = units.pool.run_layer(&current, *kind, *window, time_steps)?;
-            Ok((result.levels, result.stats))
+            let Shape::Map { h, w, c } = shape else {
+                return Err(unsupported(
+                    "pooling unit expects a [C, H, W] input".to_string(),
+                ));
+            };
+            let map = Map {
+                levels: input,
+                h,
+                w,
+                c,
+            };
+            let (stats, [h, w]) = units.pool.run(map, *kind, *window, time_steps, out)?;
+            Ok((Output::Written(Shape::Map { h, w, c }), stats))
         }
         SnnLayer::Flatten => {
-            let volume = current.len();
-            let flattened = current.reshape(vec![volume]).map_err(AccelError::Tensor)?;
+            let volume = input.len();
             let work = UnitStats {
                 cycles: volume as u64,
                 activation_reads: volume as u64,
                 output_writes: volume as u64,
                 ..UnitStats::default()
             };
-            Ok((flattened, work))
+            // At one pixel the channel-last map is already the vector;
+            // otherwise the vector is the map channel-first, the order the
+            // next layer's weight rows were trained in.
+            let output = match shape {
+                Shape::Map { h, w, c } if h * w > 1 => {
+                    channel_first(input, h * w, c, out, |level| level);
+                    Output::Written(Shape::Flat)
+                }
+                _ => Output::Kept(Shape::Flat),
+            };
+            Ok((output, work))
         }
     }
 }
 
-/// Requantizes accumulators to levels in place; without a requantization
-/// step (the last layer) they pass through as they are.
-fn apply_requant(mut acc: Tensor<i64>, requant: Option<f32>, max_level: i64) -> Tensor<i64> {
-    if let Some(r) = requant {
-        for v in acc.iter_mut() {
-            *v = requantize(*v, r, max_level);
-        }
+/// How a conv or linear layer ends: in levels written to `out`, or raw
+/// sums in `raw`.
+fn epilogue<'a, L>(
+    requant: Option<Requant<'a>>,
+    out: &'a mut Vec<L>,
+    raw: &'a mut Vec<i64>,
+) -> Epilogue<'a, L> {
+    match requant {
+        Some(requant) => Epilogue::Levels { requant, out },
+        None => Epilogue::Raw(raw),
     }
-    acc
+}
+
+/// A conv or linear layer's output: the levels it wrote, or its raw sums.
+fn finished(requantised: bool, raw: Vec<i64>, shape: Shape) -> Output {
+    if requantised {
+        Output::Written(shape)
+    } else {
+        Output::Raw(raw, shape)
+    }
 }
 
 /// Derives the per-unit busy/idle cycle counters of one inference from the

@@ -14,8 +14,10 @@
 //!
 //! Like [`crate::conv`], the engine executes that schedule with work
 //! proportional to spikes and output channels innermost.  The spiking
-//! neurons are gathered once from the occupancy mask (word-level skip of
-//! silent neurons), and each spike adds `masked_level × W[n, 0..O]` — one
+//! neurons are gathered once from the `[N]` levels — bytes for trains of
+//! up to 8 steps, `i64` beyond — 64 at a time as one spike mask
+//! ([`snn_tensor::simd::spiking`]), and each spike adds
+//! `masked_level × W[n, 0..O]` — one
 //! row of the channel-last [`PackedWeights`], the layout a convolution
 //! with a 1×1 kernel would have, one byte per code at the paper's
 //! precisions — into the row of output accumulators: the host-side picture
@@ -42,13 +44,19 @@
 //! [`snn_tensor::simd::WeightLane`] and [`snn_tensor::simd::Accumulator`])
 //! is instantiated per call from the stored element, `sums_fit_i32(T)` and
 //! `G >= 1`; `G = 0`, 16-bit codes and long trains keep the plain 32- or
-//! 64-bit row.  The counters are derived from the closed-form schedule
-//! (`cycles`, `activation_reads`, `kernel_reads`) plus one plane popcount
-//! (`adder_ops`); property tests check them against the counter-stepped
+//! 64-bit row.  The row ends as the convolution's does: in the executor, the
+//! level epilogue adds the bias and writes the `[O]` levels by the layer's
+//! thresholds ([`snn_tensor::simd::drain_levels`]); a classifier and the
+//! frozen `[N]` entries end in the raw `i64` sums.  The counters are
+//! derived from the closed-form schedule (`cycles`, `activation_reads`,
+//! `kernel_reads`) plus one plane popcount (`adder_ops`); property tests
+//! check them against the counter-stepped
 //! [`crate::reference::ReferenceLinearUnit`].
 
 use crate::conv::Spike;
-use crate::units::{unsupported, EngineScratch, KernelSource, Lane, LaneRows, UnitStats};
+use crate::units::{
+    unsupported, Ending, EngineScratch, Epilogue, KernelSource, Lane, LaneRows, UnitStats,
+};
 use crate::{AccelError, Result};
 use snn_model::packed::{Codes, PackedWeights};
 use snn_tensor::{bitplane, simd, Tensor};
@@ -62,6 +70,9 @@ pub struct LinearResult {
     /// Cycle and operation counters.
     pub stats: UnitStats,
 }
+
+/// What the unit reports for an input or weights of the wrong shape.
+const LINEAR_SHAPES: &str = "linear unit expects a [N] input and [O, N] weights";
 
 /// Spike-major model of the linear unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,9 +96,10 @@ const PREFETCH_HEAD_BYTES: usize = 512;
 /// The one scatter loop: each block of up to [`simd::BLOCK`] consecutive
 /// spikes adds its members' levels times their weight rows (of element
 /// `W`) into the output lanes with one load-add-store of each lane, chunk
-/// by chunk of `chunk` outputs; returns the `[O]` sums with the bias
-/// added.  Blocks are cut from the spike list at fixed strides — within a
-/// group, every [`simd::BLOCK`] spikes, with a tail block of the rest.
+/// by chunk of `chunk` outputs, and the `[O]` sums end as `end` says
+/// ([`Ending::finish`], one position of `O` lanes).  Blocks are cut from the
+/// spike list at fixed strides — within a group, every [`simd::BLOCK`]
+/// spikes, with a tail block of the rest.
 ///
 /// The spikes scatter into a row of element `S`.  With `group: None` that
 /// is the layer's sums themselves (`A` is then `S`, and unused).  With
@@ -95,15 +107,15 @@ const PREFETCH_HEAD_BYTES: usize = 512;
 /// `g` must be at most [`PackedWeights::i16_group`] — which are
 /// widen-added into a row of element `A` after every `g`-th spike and
 /// after the last.
-fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
+fn scatter<W: simd::WeightLane, S: Lane, A: Lane, L: simd::Level>(
     codes: &[W],
     weights: &PackedWeights,
     group: Option<usize>,
     spikes: &[Spike],
-    rows: &mut LaneRows,
-    bias: &[i64],
     chunk: usize,
-) -> Vec<i64> {
+    rows: &mut LaneRows,
+    end: Ending<'_, L>,
+) {
     let (o, lanes) = (weights.c_out(), weights.lanes());
     let mut sums = rows.take::<S>(o);
     let mut wide = rows.take::<A>(group.map_or(0, |_| o));
@@ -131,15 +143,14 @@ fn scatter<W: simd::WeightLane, S: Lane, A: Lane>(
             }
         }
     }
-    let accumulators = match group {
-        Some(_) => with_bias(&wide, bias),
-        None => with_bias(&sums, bias),
-    };
+    match group {
+        Some(_) => end.finish(&wide, o, rows),
+        None => end.finish(&sums, o, rows),
+    }
     // `wide` first: where `A` is `S` it is the empty stand-in, and the row
     // worth keeping is `sums`.
     rows.give(wide);
     rows.give(sums);
-    accumulators
 }
 
 /// One block of `N` spikes: every member's level times the piece of its
@@ -157,14 +168,6 @@ fn scatter_block<const N: usize, W: simd::WeightLane, S: Lane>(
         std::array::from_fn(|m| &codes[block[m].at as usize * lanes + lo..][..width]);
     let levels: [S; N] = std::array::from_fn(|m| S::from_level(block[m].level));
     simd::axpy_taps(sums, pieces, &[simd::Tap::default()], width, levels);
-}
-
-/// The sums widened to `i64`, each with its output's bias.
-fn with_bias<E: Copy + Into<i64>>(sums: &[E], bias: &[i64]) -> Vec<i64> {
-    sums.iter()
-        .enumerate()
-        .map(|(oc, &sum)| sum.into() + bias[oc])
-        .collect()
 }
 
 impl LinearUnit {
@@ -244,7 +247,7 @@ impl LinearUnit {
     ) -> Result<LinearResult> {
         // One chunk covering every output is the untiled execution.
         let all = weights.c_out().max(1);
-        self.run_chunks(input_levels, weights, bias_acc, time_steps, all, scratch)
+        self.run_raw(input_levels, weights, bias_acc, time_steps, all, scratch)
     }
 
     /// Executes one fully-connected layer in **lane-aligned output
@@ -288,7 +291,7 @@ impl LinearUnit {
                 self.lanes
             )));
         }
-        self.run_chunks(
+        self.run_raw(
             input_levels,
             &weights,
             bias_acc,
@@ -298,9 +301,9 @@ impl LinearUnit {
         )
     }
 
-    /// The one execution path: the output neurons in consecutive chunks of
-    /// `chunk` (the last may be shorter), counters summed over the chunks.
-    fn run_chunks(
+    /// The entries' path: the one execution path in its `i64`
+    /// instantiation, ending in the raw `[O]` accumulators.
+    fn run_raw(
         &self,
         input_levels: &Tensor<i64>,
         weights: &PackedWeights,
@@ -309,14 +312,43 @@ impl LinearUnit {
         chunk: usize,
         scratch: &mut EngineScratch,
     ) -> Result<LinearResult> {
-        if input_levels.shape().rank() != 1
-            || (weights.kernel_rows(), weights.kernel_cols()) != (1, 1)
-        {
-            return Err(unsupported(
-                "linear unit expects a [N] input and [O, N] weights".to_string(),
-            ));
+        if input_levels.shape().rank() != 1 {
+            return Err(unsupported(LINEAR_SHAPES.to_string()));
         }
-        let n = input_levels.len();
+        let mut sums = Vec::new();
+        let stats = self.run_chunks(
+            input_levels.as_slice(),
+            weights,
+            bias_acc,
+            time_steps,
+            chunk,
+            scratch,
+            Epilogue::Raw(&mut sums),
+        )?;
+        Ok(LinearResult {
+            accumulators: Tensor::from_vec(vec![sums.len()], sums).map_err(AccelError::Tensor)?,
+            stats,
+        })
+    }
+
+    /// The one execution path: the output neurons of the `[N]` levels
+    /// `input` in consecutive chunks of `chunk` (the last may be shorter),
+    /// counters summed over the chunks, ending in `epilogue`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_chunks<L: simd::Level>(
+        &self,
+        input: &[L],
+        weights: &PackedWeights,
+        bias_acc: &Tensor<i64>,
+        time_steps: usize,
+        chunk: usize,
+        scratch: &mut EngineScratch,
+        epilogue: Epilogue<'_, L>,
+    ) -> Result<UnitStats> {
+        if (weights.kernel_rows(), weights.kernel_cols()) != (1, 1) {
+            return Err(unsupported(LINEAR_SHAPES.to_string()));
+        }
+        let n = input.len();
         let o = weights.c_out();
         if weights.c_in() != n {
             return Err(unsupported(format!(
@@ -338,28 +370,29 @@ impl LinearUnit {
             )));
         }
 
-        // Gather the spiking neurons once from the occupancy words (the
-        // planes' OR-reduction, built in one pass), folding the plane
-        // popcount — silent neurons contribute no bits — into the walk.
-        let in_data = input_levels.as_slice();
+        // Gather the spiking neurons once, 64 levels to a spike mask,
+        // folding the plane popcount — silent neurons contribute no bits —
+        // into the walk.
         let mask = bitplane::level_mask(time_steps);
         let EngineScratch {
-            occupancy,
             spikes,
             rows,
+            drain,
             ..
         } = scratch;
         let spikes = &mut spikes.arena;
         spikes.clear();
         let mut total_popcount = 0u64;
-        if n > 0 {
-            occupancy.refill(in_data, 1, n, time_steps);
-            bitplane::for_each_set_bit(occupancy.row(0), 0, |ni| {
-                let level = in_data[ni] & mask;
-                total_popcount += u64::from(level.count_ones());
+        for (word, levels) in input.chunks(bitplane::WORD_BITS).enumerate() {
+            let mut members = simd::spiking(levels, mask);
+            while members != 0 {
+                let k = members.trailing_zeros() as usize;
+                members &= members - 1;
+                total_popcount += u64::from(levels[k].spikes(mask));
                 // No block marks: `scatter` cuts blocks at fixed strides.
-                spikes.push(Spike::new(ni, 0, level, 0));
-            });
+                let at = word * bitplane::WORD_BITS + k;
+                spikes.push(Spike::new(at, 0, levels[k].into() & mask, 0));
+            }
         }
 
         // Derived statistics: the schedule visits every (group, time
@@ -389,28 +422,25 @@ impl LinearUnit {
         // alone.
         let narrow = weights.sums_fit_i32(time_steps);
         let group = weights.i16_group(time_steps);
-        let accumulators = match (weights.codes(), narrow) {
+        let e = Ending::new(weights, time_steps, bias, epilogue, drain);
+        match (weights.codes(), narrow) {
             (Codes::I8(codes), true) if group >= 1 => {
-                scatter::<_, i16, i32>(codes, weights, Some(group), spikes, rows, bias, chunk)
+                scatter::<_, i16, i32, L>(codes, weights, Some(group), spikes, chunk, rows, e)
             }
             (Codes::I8(codes), true) => {
-                scatter::<_, i32, i32>(codes, weights, None, spikes, rows, bias, chunk)
+                scatter::<_, i32, i32, L>(codes, weights, None, spikes, chunk, rows, e)
             }
             (Codes::I8(codes), false) => {
-                scatter::<_, i64, i64>(codes, weights, None, spikes, rows, bias, chunk)
+                scatter::<_, i64, i64, L>(codes, weights, None, spikes, chunk, rows, e)
             }
             (Codes::I16(codes), true) => {
-                scatter::<_, i32, i32>(codes, weights, None, spikes, rows, bias, chunk)
+                scatter::<_, i32, i32, L>(codes, weights, None, spikes, chunk, rows, e)
             }
             (Codes::I16(codes), false) => {
-                scatter::<_, i64, i64>(codes, weights, None, spikes, rows, bias, chunk)
+                scatter::<_, i64, i64, L>(codes, weights, None, spikes, chunk, rows, e)
             }
-        };
-
-        Ok(LinearResult {
-            accumulators: Tensor::from_vec(vec![o], accumulators).map_err(AccelError::Tensor)?,
-            stats,
-        })
+        }
+        Ok(stats)
     }
 
     /// Closed-form cycle count of a fully-connected layer on this unit.

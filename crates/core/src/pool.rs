@@ -12,19 +12,23 @@
 //! `output_writes` follow from the closed-form schedule, and `adder_ops`
 //! is the popcount of the streamed levels masked to the `T` planes the
 //! schedule streams (`level & level_mask(T)`, as in the convolution and
-//! linear units).  The levels themselves come from one streaming pass:
-//! each input row is folded into its output row (a running sum, later
-//! divided with truncation, or a running maximum) while its spikes are
-//! counted, with no per-window buffer.  The functional
+//! linear units) — every input level, read by a window or not, one
+//! [`snn_tensor::simd::count_spikes`] over the map.  The levels come from
+//! one pass over the channel-last map the executor holds (`[H, W, C]`,
+//! bytes for trains of up to 8 steps): an output pixel's channels are the
+//! maximum, or the sum (in `u32` for bytes) divided with truncation, of
+//! its window pixels' channel vectors, whole vectors at a time.  The
+//! frozen `[C, H, W]` entries rearrange their input channel-last, pool as
+//! `i64`, and rearrange the result back.  The functional
 //! `snn_tensor::ops::{avg,max}_pool2d` are the oracle the tests pin this
 //! pass to.
 
 use crate::config::ArrayGeometry;
 use crate::memory::RowBand;
-use crate::units::UnitStats;
+use crate::units::{channel_first, channel_last, map_dims, Activation, Map, UnitStats};
 use crate::{AccelError, Result};
 use snn_model::layer::PoolKind;
-use snn_tensor::{bitplane, ops, Tensor};
+use snn_tensor::{bitplane, ops, simd, Tensor};
 
 /// Output of a pooling-unit layer execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,7 +68,8 @@ impl PoolingUnit {
     /// Average pooling sums each window and divides by the window area with
     /// truncation (a right shift in hardware for power-of-two windows); max
     /// pooling takes the maximum level.  Both operate on the integer levels
-    /// that the radix spike trains encode.
+    /// that the radix spike trains encode.  The `[C, H, W]` levels are
+    /// rearranged channel-last, pooled as `i64` and rearranged back.
     ///
     /// # Errors
     ///
@@ -77,36 +82,43 @@ impl PoolingUnit {
         window: usize,
         time_steps: usize,
     ) -> Result<PoolResult> {
-        let dims = input_levels.shape().dims();
-        if dims.len() != 3 {
-            return Err(AccelError::UnsupportedLayer {
-                layer: 0,
-                context: "pooling unit expects a [C, H, W] input".to_string(),
-            });
-        }
-        let (c, h, w) = (dims[0], dims[1], dims[2]);
-        let (h_out, w_out) = ops::pool_output_dims((h, w), window).map_err(AccelError::Tensor)?;
+        let [c, h, w] = map_dims(input_levels, "pooling unit expects a [C, H, W] input")?;
+        let mut levels = Vec::new();
+        channel_last(input_levels.as_slice(), c, h, w, &mut levels, |level| level);
+        let input = Map {
+            levels: &levels,
+            h,
+            w,
+            c,
+        };
+        let mut pooled = Vec::new();
+        let (stats, [h_out, w_out]) = self.run(input, kind, window, time_steps, &mut pooled)?;
+        channel_first(&pooled, h_out * w_out, c, &mut levels, |level| level);
+        let levels = Tensor::from_vec(vec![c, h_out, w_out], levels).map_err(AccelError::Tensor)?;
+        Ok(PoolResult { levels, stats })
+    }
 
-        let mask = bitplane::level_mask(time_steps);
-        let mut out = vec![0i64; c * h_out * w_out];
-        let mut adder_ops = 0u64;
-        // `pool_output_dims` guarantees `1 <= window <= h, w`, so no chunk
-        // size in `pool_plane` is zero.
-        for (plane, out_plane) in input_levels
-            .as_slice()
-            .chunks_exact(h * w)
-            .zip(out.chunks_exact_mut(h_out * w_out))
-        {
-            // The 2x2 window of LeNet-5 and VGG-11 gets its own inlined
-            // copy of the pass, in which the window and the divisor are
-            // constants.
-            adder_ops += if window == 2 {
-                pool_plane(plane, out_plane, kind, 2, w, mask)
-            } else {
-                pool_plane(plane, out_plane, kind, window, w, mask)
-            };
+    /// Pools the channel-last map `input` into `out` (`[H_out, W_out, C]`)
+    /// and returns the counters and the output rows and columns.
+    pub(crate) fn run<L: Activation>(
+        &self,
+        input: Map<'_, L>,
+        kind: PoolKind,
+        window: usize,
+        time_steps: usize,
+        out: &mut Vec<L>,
+    ) -> Result<(UnitStats, [usize; 2])> {
+        let Map { h, w, c, .. } = input;
+        let (h_out, w_out) = ops::pool_output_dims((h, w), window).map_err(AccelError::Tensor)?;
+        out.clear();
+        out.resize(h_out * w_out * c, L::default());
+        // The 2x2 window of LeNet-5 and VGG-11 gets its own inlined copy of
+        // the pass, in which the window and the divisor are constants.
+        if window == 2 {
+            pool_map(input, out, kind, 2);
+        } else {
+            pool_map(input, out, kind, window);
         }
-        let levels = Tensor::from_vec(vec![c, h_out, w_out], out).map_err(AccelError::Tensor)?;
 
         // Operation counting: the unit walks the input row-based, one binary
         // plane per time step, `window` input rows per output row.
@@ -118,9 +130,8 @@ impl PoolingUnit {
         // Adder/comparator activations are gated by spikes: every spike of
         // the `T` streamed planes, including those of trailing rows and
         // columns no window reads.
-        stats.adder_ops = adder_ops;
-
-        Ok(PoolResult { levels, stats })
+        stats.adder_ops = simd::count_spikes(input.levels, bitplane::level_mask(time_steps));
+        Ok((stats, [h_out, w_out]))
     }
 
     /// Executes one **row-band tile** of a pooling layer.
@@ -190,49 +201,56 @@ impl PoolingUnit {
     }
 }
 
-/// Pools one `[H, W]` input plane into its `[H / window, W / window]`
-/// output plane in a single pass over the input rows, and returns the
-/// spikes (`level & mask` set bits) of every input row, read or not.
+/// Pools the channel-last map `input` into `out` (`[H / window, W /
+/// window, C]`): each output pixel's channels side by side, each the
+/// maximum — or the sum divided with truncation, toward zero like the
+/// hardware's shift — of its window's levels of that channel.  A window
+/// pixel's channels are one contiguous vector, so both fold whole channel
+/// vectors.  Trailing rows and columns no window covers are not read.
 #[inline(always)]
-fn pool_plane(
-    plane: &[i64],
-    out_plane: &mut [i64],
-    kind: PoolKind,
-    window: usize,
-    width: usize,
-    mask: i64,
-) -> u64 {
-    let spikes = |row: &[i64]| -> u64 { row.iter().map(|&v| (v & mask).count_ones() as u64).sum() };
-    let mut adder_ops = 0;
-    let mut rows = plane.chunks_exact(width);
-    for out_row in out_plane.chunks_exact_mut(width / window) {
-        for ky in 0..window {
-            let row = rows
-                .next()
-                .expect("H / window output rows read at most H rows");
-            adder_ops += spikes(row);
-            let windows = row.chunks_exact(window).zip(out_row.iter_mut());
-            match (kind, ky) {
-                (PoolKind::Average, 0) => windows.for_each(|(x, o)| *o = x.iter().sum()),
-                (PoolKind::Average, _) => windows.for_each(|(x, o)| *o += x.iter().sum::<i64>()),
-                (PoolKind::Max, 0) => windows.for_each(|(x, o)| *o = window_max(x)),
-                (PoolKind::Max, _) => windows.for_each(|(x, o)| *o = (*o).max(window_max(x))),
+fn pool_map<L: Activation>(input: Map<'_, L>, out: &mut [L], kind: PoolKind, window: usize) {
+    let Map { w, c, .. } = input;
+    if c == 0 {
+        return;
+    }
+    let w_out = w / window;
+    let area = L::area(window);
+    for (at, pixel) in out.chunks_exact_mut(c).enumerate() {
+        let (y, x) = (at / w_out * window, at % w_out * window);
+        let tap = |ky: usize, kx: usize| input.pixel(y + ky, x + kx);
+        match kind {
+            PoolKind::Max => {
+                pixel.copy_from_slice(tap(0, 0));
+                for (ky, kx) in (0..window * window)
+                    .map(|k| (k / window, k % window))
+                    .skip(1)
+                {
+                    for (level, &other) in pixel.iter_mut().zip(tap(ky, kx)) {
+                        *level = (*level).max(other);
+                    }
+                }
+            }
+            // The 2x2 window of LeNet-5 reads its four pixels side by side.
+            PoolKind::Average if window == 2 => {
+                let rows = tap(0, 0)
+                    .iter()
+                    .zip(tap(0, 1))
+                    .zip(tap(1, 0).iter().zip(tap(1, 1)));
+                for (level, ((&a, &b), (&c, &d))) in pixel.iter_mut().zip(rows) {
+                    *level = L::narrow((a.widen() + b.widen() + c.widen() + d.widen()) / area);
+                }
+            }
+            PoolKind::Average => {
+                for (ch, level) in pixel.iter_mut().enumerate() {
+                    let mut sum = L::Sum::default();
+                    for (ky, kx) in (0..window * window).map(|k| (k / window, k % window)) {
+                        sum = sum + tap(ky, kx)[ch].widen();
+                    }
+                    *level = L::narrow(sum / area);
+                }
             }
         }
-        if kind == PoolKind::Average {
-            // Truncates toward zero, like the hardware's shift.
-            let area = (window * window) as i64;
-            out_row.iter_mut().for_each(|o| *o /= area);
-        }
     }
-    // Rows a non-divisible height leaves unread still stream through the
-    // unit.
-    adder_ops + rows.map(spikes).sum::<u64>()
-}
-
-/// The largest level of one window row.
-fn window_max(row: &[i64]) -> i64 {
-    row.iter().fold(i64::MIN, |m, &v| m.max(v))
 }
 
 #[cfg(test)]
@@ -355,6 +373,59 @@ mod tests {
             }
             assert_eq!(stitched, whole.levels, "{kind:?}");
             assert_eq!(summed, whole.stats, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn channel_last_byte_pooling_matches_the_functional_operators() {
+        // Byte levels up to 255, windows 1 to 3 over maps whose trailing
+        // rows and columns no window reads: the levels equal
+        // `ops::{avg,max}_pool2d` and `adder_ops` pops every input level.
+        let mut state = 0x9e37_79b9u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        };
+        for (c, h, w) in [(1usize, 4usize, 4usize), (6, 7, 9), (64, 5, 4), (3, 8, 8)] {
+            for t in [1usize, 4, 8] {
+                let mask = bitplane::level_mask(t);
+                let bytes: Vec<u8> = (0..c * h * w).map(|_| next() & mask as u8).collect();
+                let chw: Vec<i64> = bytes.iter().map(|&b| i64::from(b)).collect();
+                let mut hwc = Vec::new();
+                channel_last(&chw, c, h, w, &mut hwc, |level| level as u8);
+                let input = Tensor::from_vec(vec![c, h, w], chw.clone()).unwrap();
+                let spikes: u64 = chw
+                    .iter()
+                    .map(|&l| u64::from((l & mask).count_ones()))
+                    .sum();
+                for window in 1..=3usize {
+                    for kind in [PoolKind::Average, PoolKind::Max] {
+                        let map = Map {
+                            levels: &hwc,
+                            h,
+                            w,
+                            c,
+                        };
+                        let mut out = Vec::new();
+                        let (stats, [h_out, w_out]) =
+                            unit().run(map, kind, window, t, &mut out).unwrap();
+                        let expected = match kind {
+                            PoolKind::Average => ops::avg_pool2d(&input, window),
+                            PoolKind::Max => ops::max_pool2d(&input, window),
+                        }
+                        .unwrap();
+                        let case = format!("{c}x{h}x{w} T={t} window={window} {kind:?}");
+                        let mut pooled = Vec::new();
+                        channel_first(&out, h_out * w_out, c, &mut pooled, i64::from);
+                        assert_eq!(pooled, expected.as_slice(), "{case}");
+                        assert_eq!(stats.adder_ops, spikes, "{case}");
+                        let whole = unit().run_layer(&input, kind, window, t).unwrap();
+                        assert_eq!(whole.stats, stats, "{case}");
+                    }
+                }
+            }
         }
     }
 

@@ -8,12 +8,16 @@
 
 use proptest::prelude::*;
 use snn_accel::config::{AcceleratorConfig, ArrayGeometry};
+use snn_accel::conv::ConvolutionUnit;
+use snn_accel::linear::LinearUnit;
+use snn_accel::pool::PoolingUnit;
 use snn_accel::serve::{ServerOptions, StreamServer};
 use snn_accel::sim::Accelerator;
+use snn_accel::units::UnitStats;
 use snn_accel::AccelError;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
-use snn_model::snn::{SnnLayer, SnnModel};
+use snn_model::snn::{requantize, SnnLayer, SnnModel};
 use snn_model::{zoo, LayerSpec, NetworkSpec};
 use snn_tensor::Tensor;
 
@@ -177,6 +181,169 @@ fn executor_errors_name_the_failing_layer() {
         }
     }
     assert_eq!(broken_layers, 6);
+}
+
+/// A network converted from He-initialised parameters, calibrated on
+/// `inputs`, at `time_steps`.
+fn converted(net: &NetworkSpec, time_steps: usize, inputs: &[Tensor<f32>]) -> SnnModel {
+    let params = Parameters::he_init(net, 5).unwrap();
+    let stats = CalibrationStats::collect(net, &params, inputs.iter()).unwrap();
+    let config = ConversionConfig {
+        weight_bits: 3,
+        time_steps,
+    };
+    convert(net, &params, &stats, config).unwrap()
+}
+
+/// Deterministic `[0, 1]` inputs of `net`'s shape.
+fn inputs_for(net: &NetworkSpec, count: usize) -> Vec<Tensor<f32>> {
+    let shape = net.input_shape().to_vec();
+    let volume: usize = shape.iter().product();
+    (0..count)
+        .map(|i| {
+            let values = (0..volume).map(|j| ((j * 37 + i * 11) % 101) as f32 / 100.0);
+            Tensor::from_vec(shape.clone(), values.collect()).unwrap()
+        })
+        .collect()
+}
+
+/// Every input's unit-exact run against the functional model.
+fn assert_runs_match_forward(model: &SnnModel, config: AcceleratorConfig, inputs: &[Tensor<f32>]) {
+    let accel = Accelerator::new(config);
+    let name = model.spec().name();
+    let t = model.time_steps();
+    for (i, input) in inputs.iter().enumerate() {
+        let report = accel.run(model, input).unwrap();
+        let trace = model.forward(input).unwrap();
+        assert_eq!(
+            report.logits,
+            trace.logits().as_slice(),
+            "{name}, T = {t}, input {i}"
+        );
+        assert_eq!(
+            report.prediction,
+            trace.predicted_class(),
+            "{name}, input {i}"
+        );
+    }
+}
+
+/// The executor carries activations in bytes up to 8-step trains and in
+/// `i64` beyond, and flattens a map wider than one pixel channel-first:
+/// Fang-CNN's 32 × 7 × 7 maps into its classifier (bytes, T = 4); the tiny
+/// CNN's 4 × 5 × 5 at T = 8, where levels reach 255; at T = 9, where the
+/// levels are `i64` and come from `requantize` itself; and with a hidden
+/// layer that does not requantise, whose raw sums only `i64` carries on.
+#[test]
+fn byte_and_wide_activations_agree_with_the_functional_model() {
+    let fang = zoo::fang_cnn();
+    let inputs = inputs_for(&fang, 2);
+    let model = converted(&fang, 4, &inputs);
+    assert!(model.thresholds(0).is_some_and(|t| t.len() == 15));
+    assert_runs_match_forward(&model, AcceleratorConfig::lenet_table3(), &inputs);
+
+    let tiny = zoo::tiny_cnn();
+    let inputs = inputs_for(&tiny, 3);
+    for time_steps in [1, 8, 9] {
+        let model = converted(&tiny, time_steps, &inputs);
+        assert_eq!(model.thresholds(0).is_some(), time_steps <= 8);
+        assert_runs_match_forward(&model, AcceleratorConfig::default(), &inputs);
+    }
+    let model = converted(&tiny, 8, &inputs);
+    let top = inputs
+        .iter()
+        .flat_map(|input| {
+            model
+                .forward(input)
+                .unwrap()
+                .activations
+                .swap_remove(0)
+                .into_vec()
+        })
+        .max();
+    assert_eq!(top, Some(255), "T = 8 reaches the top byte level");
+
+    let model = converted(&tiny, 4, &inputs);
+    let mut layers = model.layers().to_vec();
+    let SnnLayer::Conv { requant, .. } = &mut layers[0] else {
+        panic!("the tiny CNN opens with a convolution");
+    };
+    *requant = None;
+    let raw = SnnModel::new(tiny.clone(), layers, 4, 3).unwrap();
+    let config = AcceleratorConfig::default();
+    for input in &inputs {
+        // The functional model does not mask raw sums passed on as levels
+        // while the units do, so the oracle is the units' entries chained.
+        let report = Accelerator::new(config).run(&raw, input).unwrap();
+        let (logits, work) = chained_entries(&raw, config, input);
+        assert_eq!(report.logits, logits);
+        let layer_work: Vec<UnitStats> = report.layers.iter().map(|l| l.work).collect();
+        assert_eq!(layer_work, work);
+    }
+}
+
+/// One inference through the units' `[C, H, W]` entries, layer by layer,
+/// requantising with `requantize` where a layer has a scale: the logits
+/// and every layer's counters.
+fn chained_entries(
+    model: &SnnModel,
+    config: AcceleratorConfig,
+    input: &Tensor<f32>,
+) -> (Vec<i64>, Vec<UnitStats>) {
+    let t = model.time_steps();
+    let conv = ConvolutionUnit::new(config.conv_geometry);
+    let pool = PoolingUnit::new(config.pool_geometry);
+    let linear = LinearUnit::new(config.linear_lanes);
+    let requantized = |acc: Tensor<i64>, scale: &Option<f32>| match scale {
+        Some(r) => acc.map(|&v| requantize(v, *r, model.max_level())),
+        None => acc,
+    };
+    let mut current = model.encode_input(input).unwrap();
+    let mut work = Vec::new();
+    for layer in model.layers() {
+        let (next, stats) = match layer {
+            SnnLayer::Conv {
+                weight_codes,
+                bias_acc,
+                stride,
+                padding,
+                requant,
+            } => {
+                let result = conv
+                    .run_layer(&current, weight_codes, bias_acc, t, *stride, *padding)
+                    .unwrap();
+                (requantized(result.accumulators, requant), result.stats)
+            }
+            SnnLayer::Pool { kind, window } => {
+                let result = pool.run_layer(&current, *kind, *window, t).unwrap();
+                (result.levels, result.stats)
+            }
+            SnnLayer::Flatten => {
+                let volume = current.len() as u64;
+                let stats = UnitStats {
+                    cycles: volume,
+                    activation_reads: volume,
+                    output_writes: volume,
+                    ..UnitStats::default()
+                };
+                let volume = current.len();
+                (current.reshape(vec![volume]).unwrap(), stats)
+            }
+            SnnLayer::Linear {
+                weight_codes,
+                bias_acc,
+                requant,
+            } => {
+                let result = linear
+                    .run_layer(&current, weight_codes, bias_acc, t)
+                    .unwrap();
+                (requantized(result.accumulators, requant), result.stats)
+            }
+        };
+        current = next;
+        work.push(stats);
+    }
+    (current.into_vec(), work)
 }
 
 proptest! {

@@ -21,7 +21,7 @@ use snn_accel::sim::Accelerator;
 use snn_accel::AccelError;
 use snn_model::convert::{convert, CalibrationStats, ConversionConfig};
 use snn_model::params::Parameters;
-use snn_model::snn::SnnModel;
+use snn_model::snn::{requantize, SnnLayer, SnnModel};
 use snn_model::{zoo, LayerSpec, NetworkSpec};
 use snn_tensor::Tensor;
 
@@ -324,4 +324,32 @@ fn vgg11_full_scale_runs_cycle_accurately_under_a_tiled_budget() {
     assert!(report.total_work().adder_ops > 0);
     // Replaying the plan band by band reproduces every tiled layer.
     assert!(plan_replay::assert_plan_replays_exactly(&model, config, &input) > 0);
+    // The level epilogue's thresholds reproduce `requantize` on every
+    // accumulator in [-2^20, 2^20], at every requantising layer's scale.
+    let mut checked = 0;
+    for (index, layer) in model.layers().iter().enumerate() {
+        let (SnnLayer::Conv {
+            requant: Some(r), ..
+        }
+        | SnnLayer::Linear {
+            requant: Some(r), ..
+        }) = layer
+        else {
+            continue;
+        };
+        let thresholds = model.thresholds(index).expect("T = 4 holds thresholds");
+        for acc in -(1i64 << 20)..=1 << 20 {
+            let level = thresholds.partition_point(|&t| t <= acc) as i64;
+            assert_eq!(
+                level,
+                requantize(acc, *r, model.max_level()),
+                "layer {index}, acc {acc}"
+            );
+        }
+        checked += 1;
+    }
+    assert_eq!(
+        checked, 10,
+        "eight convolutions and two hidden linear layers"
+    );
 }

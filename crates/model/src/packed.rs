@@ -284,6 +284,17 @@ impl PackedWeights {
         u128::from(level_max) * u128::from(self.abs_sum_max) <= i32::MAX as u128
     }
 
+    /// Whether every sum of the layer under spike trains of `time_steps`,
+    /// plus a bias of magnitude at most `bias_abs_max`, lies strictly
+    /// inside `i32`: `level_mask(T) × abs_sum_max + bias_abs_max <
+    /// i32::MAX`.  The level epilogue then compares the biased sums in
+    /// `i32`, where `i32::MAX` can stand for a threshold no sum reaches.
+    pub fn biased_sums_fit_i32(&self, time_steps: usize, bias_abs_max: u64) -> bool {
+        let level_max = bitplane::level_mask(time_steps).unsigned_abs();
+        u128::from(level_max) * u128::from(self.abs_sum_max) + u128::from(bias_abs_max)
+            < i32::MAX as u128
+    }
+
     /// How many consecutive input channels (input neurons of a linear
     /// layer) may contribute to one 16-bit partial sum under spike trains
     /// of `time_steps`: the largest `G` with

@@ -20,11 +20,14 @@
 //! engine but none of its arithmetic.
 //!
 //! The cycle-level accelerator simulator in `snn-accel` reproduces these
-//! integer computations **bit-exactly**; the shared [`requantize`] function
-//! guarantees both sides round identically.  It rounds half away from zero
-//! by truncating and comparing the exact fraction, without a `round` call,
-//! and an oracle test pins it to the `f64::round` expression on half-way
-//! points, saturating products and non-finite scales.
+//! integer computations **bit-exactly**.  [`requantize`] is the one
+//! definition of the rounding: it rounds half away from zero by truncating
+//! and comparing the exact fraction, without a `round` call, and an oracle
+//! test pins it to the `f64::round` expression on half-way points,
+//! saturating products and non-finite scales.  The simulator maps sums to
+//! levels by integer compares instead, against each layer's thresholds
+//! ([`requant_thresholds`], held by the model from when it is built),
+//! which are derived from `requantize` and pinned to it exhaustively.
 
 use crate::layer::PoolKind;
 use crate::packed::PackedWeights;
@@ -89,6 +92,8 @@ impl SnnLayer {
 pub struct SnnModel {
     spec: NetworkSpec,
     layers: Vec<SnnLayer>,
+    /// Per layer, the thresholds derived from its requantisation scale.
+    thresholds: Vec<Option<Vec<i64>>>,
     time_steps: usize,
     weight_bits: u8,
 }
@@ -130,9 +135,10 @@ impl SnnTrace {
 /// Requantizes a post-ReLU accumulator value back into a `T`-bit activation
 /// level.
 ///
-/// This function is the single source of truth for the rounding behaviour;
-/// the accelerator simulator calls it too, which is what makes the
-/// cycle-level model bit-exact against the functional model.
+/// This function is the single source of truth for the rounding behaviour:
+/// the accelerator simulator's thresholds ([`requant_thresholds`]) are
+/// derived from it, which is what makes the cycle-level model bit-exact
+/// against the functional model.
 ///
 /// The result is `(acc as f64 * requant as f64).round() as i64` clamped to
 /// `0..=max_level` (round half away from zero), computed as truncate and
@@ -160,6 +166,78 @@ pub fn requantize(acc: i64, requant: f32, max_level: i64) -> i64 {
     rounded.clamp(0, max_level)
 }
 
+/// The longest spike train whose levels the executor maps by threshold:
+/// every level of an 8-step train fits a byte, and a layer holds at most
+/// 255 thresholds.
+pub const MAX_THRESHOLD_STEPS: usize = 8;
+
+/// The requantisation thresholds of one scale: `θ_k`, the least
+/// accumulator with `requantize(acc, requant, max_level) >= k`, for every
+/// level `k >= 1` some accumulator reaches, ascending.  `requantize` is
+/// non-decreasing in `acc` (the conversion to `f64`, the product with a
+/// non-negative scale, the rounding and the clamp each are; a negative or
+/// NaN scale gives 0 everywhere), so for every accumulator
+/// `requantize(acc, requant, max_level) == #{k : acc >= θ_k}` — the level
+/// by integer compares alone, one per radix bit in a balanced search.
+///
+/// Each threshold is seeded with the closed form `⌈(k − ½) / requant⌉` and
+/// fixed up against `requantize` in a few steps; only where that does not
+/// settle it — non-finite scales, or products beyond `f64`'s integer
+/// precision — is it bisected.  One entry per reachable level, so
+/// `max_level` is meant to be a level of a short train (at most
+/// `2^`[`MAX_THRESHOLD_STEPS`]` − 1` in the model).
+pub fn requant_thresholds(requant: f32, max_level: i64) -> Vec<i64> {
+    let top = requantize(i64::MAX, requant, max_level);
+    let mut thresholds = Vec::with_capacity(top.max(0) as usize);
+    let closed_form = requant.is_finite() && requant > 0.0;
+    let mut floor = 1i64;
+    for k in 1..=top {
+        let reaches = |acc: i64| requantize(acc, requant, max_level) >= k;
+        let seed = if closed_form {
+            let seed = ((k as f64 - 0.5) / f64::from(requant)).ceil();
+            // `as` saturates at `i64::MAX`.
+            (seed as i64).max(floor)
+        } else {
+            floor
+        };
+        let theta = least_reaching(reaches, seed, floor);
+        thresholds.push(theta);
+        floor = theta;
+    }
+    thresholds
+}
+
+/// The least `acc >= floor` with `reaches(acc)`, for a non-decreasing
+/// predicate that holds at `i64::MAX`: a walk of a few steps from `seed`
+/// (down while the one below still reaches, up until it reaches), then a
+/// bisection of what is left.
+fn least_reaching(reaches: impl Fn(i64) -> bool, seed: i64, floor: i64) -> i64 {
+    const WALK: usize = 4;
+    let (mut lo, mut hi) = (floor, i64::MAX);
+    let mut at = seed;
+    for _ in 0..WALK {
+        if reaches(at) {
+            hi = at;
+            if at == lo || !reaches(at - 1) {
+                return at;
+            }
+            at -= 1;
+        } else {
+            lo = at + 1;
+            at = lo;
+        }
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
 impl SnnModel {
     /// Assembles a converted model.  Normally called by
     /// [`crate::convert::convert`] rather than directly.
@@ -183,12 +261,36 @@ impl SnnModel {
                 ),
             });
         }
+        let thresholds = layers
+            .iter()
+            .map(|layer| match layer {
+                SnnLayer::Conv {
+                    requant: Some(r), ..
+                }
+                | SnnLayer::Linear {
+                    requant: Some(r), ..
+                } if time_steps <= MAX_THRESHOLD_STEPS => {
+                    Some(requant_thresholds(*r, (1i64 << time_steps) - 1))
+                }
+                _ => None,
+            })
+            .collect();
         Ok(SnnModel {
             spec,
             layers,
+            thresholds,
             time_steps,
             weight_bits,
         })
+    }
+
+    /// The requantisation thresholds of layer `index`
+    /// ([`requant_thresholds`] of its scale at [`SnnModel::max_level`]),
+    /// derived once when the model is built: `None` for a layer without a
+    /// requantisation step, and for every layer of a train longer than
+    /// [`MAX_THRESHOLD_STEPS`].
+    pub fn thresholds(&self, index: usize) -> Option<&[i64]> {
+        self.thresholds.get(index)?.as_deref()
     }
 
     /// The underlying network topology.

@@ -399,7 +399,12 @@ impl WakePipe {
     /// storm every settled inference writes a wake byte, and a pipe holds
     /// 64 KiB of them — the sink must be large enough that one drain is a
     /// handful of `read(2)`s, not thousands (a 64-byte sink once meant a
-    /// 10 k-completion storm cost ~160 syscalls per poll round).
+    /// 10 k-completion storm cost ~160 syscalls per poll round).  A pipe
+    /// read returns everything pending up to the sink's length, so a short
+    /// read has emptied the pipe and ends the drain: the usual wake of a
+    /// few bytes costs one `read(2)`, not a second one that only reports
+    /// `EAGAIN`.  A byte written after that read leaves the level-triggered
+    /// read end readable, so the next poll reports it.
     pub fn drain(&self) {
         let mut sink = [0u8; 4096];
         loop {
@@ -407,7 +412,7 @@ impl WakePipe {
             // an empty non-blocking pipe returns -1/EAGAIN which ends the
             // loop, as does EOF.
             let n = unsafe { read(self.read_fd, sink.as_mut_ptr() as *mut c_void, sink.len()) };
-            if n <= 0 {
+            if n < sink.len() as isize {
                 return;
             }
         }
@@ -497,6 +502,25 @@ mod tests {
         pipe.drain();
         fds[0].revents = 0;
         assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_full_sink_of_pending_wakes_still_drains_to_empty() {
+        // Exactly one sink's worth pending: the first read fills the sink,
+        // so the drain must read again (and find nothing) rather than stop.
+        let pipe = WakePipe::new().unwrap();
+        for _ in 0..4096 {
+            pipe.wake();
+        }
+        let mut fds = [PollFd::new(pipe.read_fd(), POLLIN)];
+        assert_eq!(poll_fds(&mut fds, Duration::from_secs(5)).unwrap(), 1);
+        pipe.drain();
+        fds[0].revents = 0;
+        assert_eq!(
+            poll_fds(&mut fds, Duration::from_millis(10)).unwrap(),
+            0,
+            "4096 pending bytes must all be drained"
+        );
     }
 
     #[test]

@@ -136,6 +136,143 @@ pub trait Lanes: Copy {
 
     /// `i16` weights sign-extended to this element's lanes.
     unsafe fn widen_i16<const HALF: bool>(p: *const i16) -> __m256i;
+
+    /// The level epilogue into bytes (`super::drain_levels`) compared in
+    /// this element, where it has a vector path: returns `false`, having
+    /// written nothing, where it has none.  Safe to call only once AVX2
+    /// has been detected.
+    fn drain_bytes(
+        _acc: &[Self],
+        _lanes: usize,
+        _bias: &[Self],
+        _thresholds: &[Self],
+        _out: &mut [u8],
+    ) -> bool {
+        false
+    }
+}
+
+/// What the vector paths need of a level element ([`super::Level`]): the
+/// byte scan and the byte drain, which only `u8` has.
+pub trait LevelLanes: Copy {
+    /// [`super::spiking`], where this element has a vector path.  Safe to
+    /// call only once AVX2 has been detected.
+    fn spiking(levels: &[Self], mask: i64) -> Option<u64>;
+
+    /// [`super::count_spikes`], where this element has a vector path.
+    /// Safe to call only once AVX2 has been detected.
+    fn count_spikes(levels: &[Self], mask: i64) -> Option<u64>;
+
+    /// [`super::drain_levels`] from `A` sums, where this element and `A`
+    /// have a vector path: `false`, having written nothing, otherwise.
+    /// Safe to call only once AVX2 has been detected.
+    fn drain<A: Lanes>(
+        acc: &[A],
+        lanes: usize,
+        bias: &[A],
+        thresholds: &[A],
+        out: &mut [Self],
+    ) -> bool;
+}
+
+impl LevelLanes for u8 {
+    fn spiking(levels: &[u8], mask: i64) -> Option<u64> {
+        // SAFETY: dispatch guarantees AVX2, the only requirement of this
+        // (otherwise safe) function.
+        Some(unsafe { spiking_bytes(levels, mask as u8) })
+    }
+
+    fn count_spikes(levels: &[u8], mask: i64) -> Option<u64> {
+        // SAFETY: dispatch guarantees AVX2, the only requirement of this
+        // (otherwise safe) function.
+        Some(unsafe { count_spikes_bytes(levels, mask as u8) })
+    }
+
+    fn drain<A: Lanes>(
+        acc: &[A],
+        lanes: usize,
+        bias: &[A],
+        thresholds: &[A],
+        out: &mut [u8],
+    ) -> bool {
+        A::drain_bytes(acc, lanes, bias, thresholds, out)
+    }
+}
+
+impl LevelLanes for i64 {
+    fn spiking(_levels: &[i64], _mask: i64) -> Option<u64> {
+        None
+    }
+
+    fn count_spikes(_levels: &[i64], _mask: i64) -> Option<u64> {
+        None
+    }
+
+    fn drain<A: Lanes>(_: &[A], _: usize, _: &[A], _: &[A], _: &mut [i64]) -> bool {
+        false
+    }
+}
+
+/// `Σ popcount(byte & mask)`: each nibble's set bits from a 16-entry
+/// `vpshufb` table, summed per 8 bytes by `vpsadbw`, 32 bytes at a time,
+/// and a plain loop for the rest.
+#[target_feature(enable = "avx2")]
+fn count_spikes_bytes(levels: &[u8], mask: u8) -> u64 {
+    let chunks = levels.len() / 32;
+    let table = _mm256_setr_epi8(
+        0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3,
+        3, 4,
+    );
+    let (nibble, vmask) = (_mm256_set1_epi8(0x0f), _mm256_set1_epi8(mask as i8));
+    let mut sums = _mm256_setzero_si256();
+    for chunk in 0..chunks {
+        // SAFETY: AVX2 is enabled for this function; the 32 bytes from
+        // `chunk * 32` end inside `levels` (`chunk < len / 32`).
+        let v = unsafe { _mm256_loadu_si256(levels.as_ptr().add(chunk * 32).cast()) };
+        let v = _mm256_and_si256(v, vmask);
+        let low = _mm256_shuffle_epi8(table, _mm256_and_si256(v, nibble));
+        let high = _mm256_shuffle_epi8(table, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble));
+        let bits = _mm256_add_epi8(low, high);
+        sums = _mm256_add_epi64(sums, _mm256_sad_epu8(bits, _mm256_setzero_si256()));
+    }
+    let mut lanes = [0u64; 4];
+    // SAFETY: `lanes` is 32 writable bytes; the store is unaligned.
+    unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), sums) };
+    lanes.iter().sum::<u64>() + scalar::count_spikes(&levels[chunks * 32..], i64::from(mask))
+}
+
+/// The spike mask of at most 64 bytes: mask, compare with zero and
+/// movemask, 32 bytes (then 16) at a time, and a plain loop for the rest.
+#[target_feature(enable = "avx2")]
+fn spiking_bytes(levels: &[u8], mask: u8) -> u64 {
+    let n = levels.len();
+    let p = levels.as_ptr();
+    let mut bits = 0u64;
+    let mut i = 0;
+    // SAFETY: AVX2 is enabled for this function; every load reads 32 (16)
+    // bytes from `i`, taken only when they end inside `levels`.
+    unsafe {
+        let vmask = _mm256_set1_epi8(mask as i8);
+        while i + 32 <= n {
+            let v = _mm256_and_si256(_mm256_loadu_si256(p.add(i).cast()), vmask);
+            let silent = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, _mm256_setzero_si256()));
+            bits |= u64::from(!(silent as u32)) << i;
+            i += 32;
+        }
+        if i + 16 <= n {
+            let v = _mm_and_si128(
+                _mm_loadu_si128(p.add(i).cast()),
+                _mm256_castsi256_si128(vmask),
+            );
+            let silent = _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128()));
+            bits |= u64::from(!(silent as u32) & 0xffff) << i;
+            i += 16;
+        }
+    }
+    if i < n {
+        bits |= scalar::spiking(&levels[i..], i64::from(mask)) << i;
+    }
+    bits
 }
 
 /// A weight element: picks its widening load of [`Lanes`].
@@ -236,6 +373,22 @@ impl Lanes for i32 {
     #[target_feature(enable = "avx2")]
     unsafe fn splat(level: i32) -> __m256i {
         _mm256_set1_epi32(level)
+    }
+
+    fn drain_bytes(
+        acc: &[i32],
+        lanes: usize,
+        bias: &[i32],
+        thresholds: &[i32],
+        out: &mut [u8],
+    ) -> bool {
+        if thresholds.len() > 15 {
+            return false;
+        }
+        // SAFETY: dispatch guarantees AVX2, the only requirement of this
+        // (otherwise safe) function.
+        unsafe { drain_bytes_i32(acc, lanes, bias, thresholds, out) };
+        true
     }
 
     #[inline]
@@ -452,5 +605,94 @@ unsafe fn step<const N: usize, W: Widen, A: Lanes, const ONE_UOP: bool, const HA
             let at = ap.cast::<__m256i>();
             _mm256_storeu_si256(at, A::add(_mm256_loadu_si256(at), product));
         }
+    }
+}
+
+/// The level epilogue in `i32` into bytes, for at most 15 thresholds: per
+/// row of `lanes` sums, eight lanes at a time, the biased sum's level is
+/// decided MSB-first — four compares against the thresholds `8`, then `4`
+/// or `12`, then one of `2, 6, 10, 14` and one of the odd ones, the last
+/// two picked by a `vpermd` table lookup on the bits decided so far — and
+/// the eight levels packed to bytes.  The table is padded to 15 with
+/// `i32::MAX` and the level capped at the true count, so it is exactly the
+/// oracle's count for every sum.  A row's last `lanes % 8` sums take the
+/// oracle.
+#[target_feature(enable = "avx2")]
+fn drain_bytes_i32(acc: &[i32], lanes: usize, bias: &[i32], thresholds: &[i32], out: &mut [u8]) {
+    let mut t = [i32::MAX; 16];
+    t[1..=thresholds.len()].copy_from_slice(thresholds);
+    let (t8, t4, t12) = (
+        _mm256_set1_epi32(t[8]),
+        _mm256_set1_epi32(t[4]),
+        _mm256_set1_epi32(t[12]),
+    );
+    let quarters = _mm256_setr_epi32(t[2], t[6], t[10], t[14], t[14], t[14], t[14], t[14]);
+    let eighths = _mm256_setr_epi32(t[1], t[3], t[5], t[7], t[9], t[11], t[13], t[15]);
+    let (b8, b4, b2, b1) = (
+        _mm256_set1_epi32(8),
+        _mm256_set1_epi32(4),
+        _mm256_set1_epi32(2),
+        _mm256_set1_epi32(1),
+    );
+    let count = _mm256_set1_epi32(thresholds.len() as i32);
+    // The biased sums' levels, eight at `at`, biases from `b`.
+    let eight = |at: usize, b: usize, out: &mut [u8]| {
+        // SAFETY: AVX2 is enabled for this function; the callers below
+        // take eight sums at `at` inside `acc`, eight biases at `b` inside
+        // `bias` and store eight bytes at `at` inside `out`.
+        unsafe {
+            let x = _mm256_add_epi32(
+                _mm256_loadu_si256(acc.as_ptr().add(at).cast()),
+                _mm256_loadu_si256(bias.as_ptr().add(b).cast()),
+            );
+            // `below` is all-ones where `x` is below the threshold.
+            let below = _mm256_cmpgt_epi32(t8, x);
+            let mut level = _mm256_andnot_si256(below, b8);
+            let threshold = _mm256_blendv_epi8(t12, t4, below);
+            let below = _mm256_cmpgt_epi32(threshold, x);
+            level = _mm256_or_si256(level, _mm256_andnot_si256(below, b4));
+            let threshold = _mm256_permutevar8x32_epi32(quarters, _mm256_srli_epi32(level, 2));
+            let below = _mm256_cmpgt_epi32(threshold, x);
+            level = _mm256_or_si256(level, _mm256_andnot_si256(below, b2));
+            let threshold = _mm256_permutevar8x32_epi32(eighths, _mm256_srli_epi32(level, 1));
+            let below = _mm256_cmpgt_epi32(threshold, x);
+            level = _mm256_or_si256(level, _mm256_andnot_si256(below, b1));
+            level = _mm256_min_epi32(level, count);
+            // Levels are at most 15: both packs keep them exact.
+            let words = _mm256_packs_epi32(level, level);
+            let bytes = _mm256_packus_epi16(words, words);
+            let levels = _mm_unpacklo_epi32(
+                _mm256_castsi256_si128(bytes),
+                _mm256_extracti128_si256::<1>(bytes),
+            );
+            _mm_storel_epi64(out.as_mut_ptr().add(at).cast(), levels);
+        }
+    };
+    if lanes.is_multiple_of(8) {
+        // Whole vectors per row: one flat run, the bias window cycling.
+        let mut b = 0;
+        for at in (0..acc.len()).step_by(8) {
+            eight(at, b, out);
+            b += 8;
+            if b == lanes {
+                b = 0;
+            }
+        }
+        return;
+    }
+    let vectors = lanes / 8;
+    for position in 0..acc.len() / lanes {
+        let row = position * lanes;
+        for v in 0..vectors {
+            eight(row + v * 8, v * 8, out);
+        }
+        let done = vectors * 8;
+        scalar::drain_levels(
+            &acc[row + done..row + lanes],
+            lanes - done,
+            &bias[done..],
+            thresholds,
+            &mut out[row + done..row + lanes],
+        );
     }
 }

@@ -11,8 +11,13 @@
 //! at one pixel in different input channels, or consecutive input neurons
 //! of a fully-connected layer): their products are added up in registers,
 //! so the accumulator row is loaded and stored once per block, not once
-//! per spike.  This module provides those primitives once, with two
-//! implementations behind one dispatch point:
+//! per spike.  Around it sit the primitives of the byte activations
+//! between layers ([`Level`]: `u8 | i64`): the spike mask of a pixel's
+//! channel levels ([`spiking`]), the spike popcount of a map
+//! ([`count_spikes`]) and the level epilogue that maps a layer's biased
+//! sums to levels by threshold compares ([`drain_levels`]).  This module
+//! provides those primitives once, with two implementations behind one
+//! dispatch point:
 //!
 //! * **Scalar** — portable Rust, always compiled, the *oracle* every other
 //!   path is property-pinned against ([`scalar`]).
@@ -134,6 +139,11 @@ mod sealed {
     pub trait Sum: super::avx2::Lanes {}
     #[cfg(not(target_arch = "x86_64"))]
     pub trait Sum {}
+
+    #[cfg(target_arch = "x86_64")]
+    pub trait Level: super::avx2::LevelLanes {}
+    #[cfg(not(target_arch = "x86_64"))]
+    pub trait Level {}
 }
 
 /// The element a packed weight row is stored in: `i8` where every code of
@@ -185,6 +195,154 @@ macro_rules! accumulator {
     )*};
 }
 accumulator!(i16, i32, i64);
+
+/// The element an activation level is stored in between layers: `u8`
+/// where the spike train is at most 8 steps long, so that every level
+/// fits a byte, `i64` otherwise.  Sealed — the engine is generic over
+/// exactly these two.
+pub trait Level: sealed::Level + Copy + Default + Ord + Into<i64> + Send + Sync {
+    /// The level `count`, as this element: the number of thresholds a sum
+    /// reached, which the caller keeps within the element's range.
+    fn from_count(count: usize) -> Self;
+
+    /// The spikes of this level's train: the set bits of `self & mask`.
+    fn spikes(self, mask: i64) -> u32;
+}
+
+impl sealed::Level for u8 {}
+impl sealed::Level for i64 {}
+
+impl Level for u8 {
+    fn from_count(count: usize) -> Self {
+        count as u8
+    }
+
+    #[inline]
+    fn spikes(self, mask: i64) -> u32 {
+        // The baseline x86-64 target has no popcount instruction.
+        u32::from(BYTE_SPIKES[usize::from(self & mask as u8)])
+    }
+}
+
+/// The set bits of every byte.
+const BYTE_SPIKES: [u8; 256] = {
+    let mut table = [0u8; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        table[byte] = (byte as u8).count_ones() as u8;
+        byte += 1;
+    }
+    table
+};
+
+impl Level for i64 {
+    fn from_count(count: usize) -> Self {
+        count as i64
+    }
+
+    #[inline]
+    fn spikes(self, mask: i64) -> u32 {
+        (self & mask).count_ones()
+    }
+}
+
+/// Bit `k` of the result is set iff `levels[k] & mask != 0`: which of up
+/// to 64 levels (one pixel's channels, or a run of input neurons) spike in
+/// at least one of the time steps `mask` keeps.  Runs of fewer than 16
+/// levels take a plain loop inline; longer byte runs take one compare and
+/// movemask per 32 bytes.
+///
+/// # Panics
+///
+/// Panics when `levels` holds more than 64 levels.
+#[inline]
+pub fn spiking<L: Level>(levels: &[L], mask: i64) -> u64 {
+    assert!(
+        levels.len() <= 64,
+        "one spike mask covers at most 64 levels"
+    );
+    if levels.len() < 16 {
+        return scalar::spiking(levels, mask);
+    }
+    spiking_at(active_level(), levels, mask)
+}
+
+/// [`spiking`] on an explicit kernel level, as [`axpy_taps_at`].
+fn spiking_at<L: Level>(kernel: SimdLevel, levels: &[L], mask: i64) -> u64 {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            L::spiking(levels, mask).unwrap_or_else(|| scalar::spiking(levels, mask))
+        }
+        _ => scalar::spiking(levels, mask),
+    }
+}
+
+/// The spikes of every level's train: `Σ popcount(level & mask)` — the
+/// adder activity a unit that streams the levels' planes is charged.  Bytes
+/// take a nibble-table popcount of 32 at a time on AVX2.
+pub fn count_spikes<L: Level>(levels: &[L], mask: i64) -> u64 {
+    count_spikes_at(active_level(), levels, mask)
+}
+
+/// [`count_spikes`] on an explicit kernel level, as [`axpy_taps_at`].
+fn count_spikes_at<L: Level>(kernel: SimdLevel, levels: &[L], mask: i64) -> u64 {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            L::count_spikes(levels, mask).unwrap_or_else(|| scalar::count_spikes(levels, mask))
+        }
+        _ => scalar::count_spikes(levels, mask),
+    }
+}
+
+/// The level epilogue of a layer: every sum in `acc`, a whole number of
+/// rows of `lanes` sums, plus the bias of its lane, mapped to the number of
+/// `thresholds` it reaches — `out[i] = #{k : acc[i] + bias[i % lanes] >=
+/// thresholds[k]}`, the addition wrapping at the element `A` it compares
+/// in.  With the thresholds of a requantisation (the least sums reaching
+/// each level, ascending) that is the requantised level.  Bit-identical on
+/// every kernel level: the AVX2 path decides a level's bits MSB-first, one
+/// compare per bit, in `i32` for trains of up to four steps (at most 15
+/// thresholds); longer trains and `i64` compares take the scalar search.
+/// That the sums plus bias do not leave `A` is the caller's to prove.
+///
+/// # Panics
+///
+/// Panics when `lanes` is zero or does not divide `acc`, when `bias` does
+/// not hold `lanes` values or `out` is not as long as `acc`.
+pub fn drain_levels<A: Accumulator + Ord, L: Level>(
+    acc: &[A],
+    lanes: usize,
+    bias: &[A],
+    thresholds: &[A],
+    out: &mut [L],
+) {
+    drain_levels_at(active_level(), acc, lanes, bias, thresholds, out);
+}
+
+/// [`drain_levels`] on an explicit kernel level, as [`axpy_taps_at`].
+fn drain_levels_at<A: Accumulator + Ord, L: Level>(
+    kernel: SimdLevel,
+    acc: &[A],
+    lanes: usize,
+    bias: &[A],
+    thresholds: &[A],
+    out: &mut [L],
+) {
+    assert!(
+        lanes > 0 && acc.len().is_multiple_of(lanes),
+        "sums are rows of lanes"
+    );
+    assert_eq!(bias.len(), lanes, "one bias per lane");
+    assert_eq!(out.len(), acc.len(), "one level per sum");
+    debug_assert!(thresholds.windows(2).all(|t| t[0] <= t[1]), "ascending");
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if L::drain(acc, lanes, bias, thresholds, out) => {}
+        _ => scalar::drain_levels(acc, lanes, bias, thresholds, out),
+    }
+}
 
 /// The most spikes one [`axpy_taps`] call adds up before it writes the
 /// accumulator row back.  Four level splats leave the unrolled AVX2 loop
@@ -560,5 +718,157 @@ mod tests {
         let tap = Tap { acc_at: 0, w_at: 1 };
         let (long, short) = ([1i8; 9], [1i8; 8]);
         axpy_taps(&mut [0i16; 8], [&long[..], &short[..]], &[tap], 8, [1, 1]);
+    }
+
+    /// A small xorshift stream: the suites here need no seeded crate.
+    fn stream(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// Levels of both elements, about a third of them silent under every
+    /// mask, against the scalar oracle at every length a pixel's slice or
+    /// a run of input neurons can have, on every runnable level — and the
+    /// oracle against the definition, bit by bit.
+    #[test]
+    fn spiking_matches_scalar() {
+        let mut next = stream(0x5eed);
+        let bytes: Vec<u8> = (0..64)
+            .map(|_| match next() % 3 {
+                0 => 0,
+                _ => next() as u8,
+            })
+            .collect();
+        let wide: Vec<i64> = bytes
+            .iter()
+            .map(|&b| i64::from(b) << (next() % 3) | -i64::from(b == 7))
+            .collect();
+        for kernel in runnable_levels() {
+            for len in 0..=64 {
+                for mask in [0i64, 1, 8, 15, 255, -1] {
+                    let expected = |k: usize, level: i64| u64::from(level & mask != 0) << k;
+                    let want: u64 = (0..len).map(|k| expected(k, bytes[k].into())).sum();
+                    assert_eq!(scalar::spiking(&bytes[..len], mask), want);
+                    let case = format!("kernel={kernel:?} len={len} mask={mask}");
+                    assert_eq!(spiking_at(kernel, &bytes[..len], mask), want, "{case}");
+                    let want: u64 = (0..len).map(|k| expected(k, wide[k])).sum();
+                    assert_eq!(spiking_at(kernel, &wide[..len], mask), want, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_spikes_matches_scalar() {
+        let mut next = stream(0xc0de);
+        let bytes: Vec<u8> = (0..300).map(|_| next() as u8).collect();
+        let wide: Vec<i64> = (0..300).map(|_| next() as i64).collect();
+        for kernel in runnable_levels() {
+            for len in [0usize, 1, 31, 32, 33, 64, 255, 300] {
+                for mask in [0i64, 1, 15, 255, -1] {
+                    let want: u64 = bytes[..len]
+                        .iter()
+                        .map(|&b| u64::from((i64::from(b) & mask).count_ones()))
+                        .sum();
+                    assert_eq!(scalar::count_spikes(&bytes[..len], mask), want);
+                    assert_eq!(
+                        count_spikes_at(kernel, &bytes[..len], mask),
+                        want,
+                        "len={len}"
+                    );
+                    let want: u64 = wide[..len]
+                        .iter()
+                        .map(|&v| u64::from((v & mask).count_ones()))
+                        .sum();
+                    assert_eq!(
+                        count_spikes_at(kernel, &wide[..len], mask),
+                        want,
+                        "len={len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One drain instantiation on `kernel` against the scalar oracle: rows
+    /// of several widths (lane tails included), thresholds from none to
+    /// 255 — with repeats and the element's extremes — and sums that land
+    /// one below, on and one above every threshold once the bias is added,
+    /// besides random ones.
+    fn check_drain<A, L>(kernel: SimdLevel, seed: u64, to_a: fn(i64) -> A)
+    where
+        A: Accumulator + Ord + std::fmt::Debug,
+        L: Level + std::fmt::Debug,
+    {
+        let mut next = stream(seed);
+        for count in (0..=15).chain([31, 255]) {
+            let mut thresholds: Vec<A> = (0..count)
+                .map(|_| match next() % 8 {
+                    0 => to_a(i64::MIN),
+                    1 => to_a(i64::MAX),
+                    _ => to_a((next() % 4001) as i64 - 1000),
+                })
+                .collect();
+            thresholds.sort();
+            if count > 2 {
+                thresholds[count / 2] = thresholds[count / 2 - 1];
+            }
+            for lanes in [1usize, 4, 8, 12, 16, 20, 64, 84] {
+                let bias: Vec<A> = (0..lanes)
+                    .map(|_| to_a((next() % 201) as i64 - 100))
+                    .collect();
+                let mut acc = Vec::new();
+                for (i, t) in thresholds.iter().enumerate() {
+                    for d in [-1i64, 0, 1] {
+                        let lane = (i * 3 + (d + 1) as usize) % lanes;
+                        let x: i64 = (*t).into();
+                        acc.push((lane, x.wrapping_sub(bias[lane].into()).wrapping_add(d)));
+                    }
+                }
+                let rows = acc.len().div_ceil(lanes) + 2;
+                let mut sums: Vec<A> = (0..rows * lanes)
+                    .map(|_| to_a((next() % 4001) as i64 - 2000))
+                    .collect();
+                for (j, &(lane, x)) in acc.iter().enumerate() {
+                    sums[j / lanes * lanes + lane] = to_a(x);
+                }
+                let mut fast = vec![L::default(); sums.len()];
+                let mut slow = vec![L::from_count(1); sums.len()];
+                drain_levels_at(kernel, &sums, lanes, &bias, &thresholds, &mut fast);
+                scalar::drain_levels(&sums, lanes, &bias, &thresholds, &mut slow);
+                assert_eq!(
+                    fast, slow,
+                    "kernel={kernel:?} thresholds={count} lanes={lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn drain_levels_matches_scalar() {
+        for kernel in runnable_levels() {
+            check_drain::<i32, u8>(kernel, 1, |v| {
+                v.clamp(i32::MIN.into(), i32::MAX.into()) as i32
+            });
+            check_drain::<i32, i64>(kernel, 2, |v| {
+                v.clamp(i32::MIN.into(), i32::MAX.into()) as i32
+            });
+            check_drain::<i64, u8>(kernel, 3, |v| v);
+            check_drain::<i64, i64>(kernel, 4, |v| v);
+        }
+    }
+
+    #[test]
+    fn the_drain_oracle_counts_the_thresholds_reached() {
+        // Lanes 0 and 1 with biases 10 and -10; thresholds 1, 5, 5, 9.
+        let thresholds = [1i32, 5, 5, 9];
+        let sums = [-10i32, 10, -9, 11, -6, 15, -5, 19, 100, -100];
+        let mut levels = [0u8; 10];
+        scalar::drain_levels(&sums, 2, &[10, -10], &thresholds, &mut levels);
+        assert_eq!(levels, [0, 0, 1, 1, 1, 3, 3, 4, 4, 0]);
     }
 }

@@ -2,7 +2,7 @@
 //! is property-pinned against, and the dispatch target on hosts (or under
 //! `SNN_SIMD=0`) where no vector path applies.
 
-use super::{Accumulator, Tap, WeightLane};
+use super::{Accumulator, Level, Tap, WeightLane};
 
 /// Packs one occupancy row: bit `x` of `out` set iff `levels[x] & mask != 0`.
 pub fn pack_occupancy_row(levels: &[i64], mask: i64, out: &mut [u64]) {
@@ -45,6 +45,40 @@ pub fn axpy_taps<const N: usize, W: WeightLane, A: Accumulator>(
         let acc = &mut acc[tap.acc_at..][..width];
         for (row, &level) in rows.iter().zip(&levels) {
             axpy(acc, &row[tap.w_at..][..width], level);
+        }
+    }
+}
+
+/// Bit `k` set iff `levels[k] & mask != 0`, for at most 64 levels.
+#[inline]
+pub fn spiking<L: Level>(levels: &[L], mask: i64) -> u64 {
+    levels.iter().enumerate().fold(0, |bits, (k, &level)| {
+        bits | u64::from(level.into() & mask != 0) << k
+    })
+}
+
+/// `Σ popcount(level & mask)` over `levels`.
+pub fn count_spikes<L: Level>(levels: &[L], mask: i64) -> u64 {
+    levels
+        .iter()
+        .map(|&level| u64::from(level.spikes(mask)))
+        .sum()
+}
+
+/// For every sum, the number of `thresholds` (ascending) that it plus its
+/// lane's bias reaches, by binary search — the oracle of the level
+/// epilogue `super::drain_levels`.
+pub fn drain_levels<A: Accumulator + Ord, L: Level>(
+    acc: &[A],
+    lanes: usize,
+    bias: &[A],
+    thresholds: &[A],
+    out: &mut [L],
+) {
+    for (row, out) in acc.chunks_exact(lanes).zip(out.chunks_exact_mut(lanes)) {
+        for ((&sum, &bias), level) in row.iter().zip(bias).zip(out) {
+            let x = sum.wrapping_add_partial(bias);
+            *level = L::from_count(thresholds.partition_point(|&t| t <= x));
         }
     }
 }
